@@ -1,4 +1,4 @@
-"""Exact signal probability of Boolean expressions.
+"""Exact signal probability of Boolean expressions, as compiled programs.
 
 PROTEST's first job (Section 5) is "estimating signal probabilities":
 given independent per-input probabilities P(input = 1), compute
@@ -6,24 +6,54 @@ P(f = 1).  For cell-sized expressions this module computes the *exact*
 value; circuit-level estimation (topological propagation, Monte Carlo,
 exact-by-truth-table) lives in :mod:`repro.protest.signalprob`.
 
-The algorithm is Shannon expansion on shared variables with read-once
-shortcut: when the operands of an AND/OR have pairwise-disjoint support
-the probability factorises (inputs are independent), which keeps the
-common series/parallel cell expressions linear-time.
+The algorithm is Shannon expansion on shared variables with a
+read-once shortcut: when the operands of an AND/OR have
+pairwise-disjoint support the probability factorises (inputs are
+independent), which keeps the common series/parallel cell expressions
+linear-time.  Variables whose probability is exactly 0.0 or 1.0 carry
+no correlation and are never expanded on.
+
+Which operations that walk performs depends only on the expression and
+on *which* inputs are pinned at exactly 0.0 or 1.0 - never on the other
+probability values.  :func:`probability_program` therefore runs the
+walk once, symbolically, and emits a straight-line Python function
+(``compile()``, like the gate lambdas of
+:mod:`repro.simulate.compiled`) that performs the walk's float
+operations in the walk's order.  The program key is the expression plus
+its pinned 0/1 pattern; the estimators in :mod:`repro.protest` memoise
+programs per cell in call-local dicts (:func:`cell_probability`), so a
+netlist costs one compile per distinct cell function and one cheap call
+per gate or fault.
+
+Results are bit-identical to the walk because the generator
+
+* folds only literal-with-literal operations (pins and constants), and
+  folds them with the same float operation the walk performs;
+* drops only the exact identity ``1.0 * x``;
+* emits the walk's sub-results once and reuses them exactly where the
+  walk's memo would;
+* keeps AND/OR's ``== 0.0`` early exits only where they are decided by
+  literals.  A product of non-negative finite probabilities that is
+  already 0.0 stays 0.0 (up to the sign of zero, which the final
+  ``min``/``max`` clamp erases), so running the remaining factors
+  cannot change the value - which is why probabilities are validated
+  to lie in [0, 1] before any program runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Tuple
 
 from .expr import And, Const, Expr, Not, Or, Var
+
+Program = Callable[[Mapping[str, float]], float]
 
 
 def _as_prob_map(expr: Expr, probs: Mapping[str, float] | float) -> Dict[str, float]:
     if isinstance(probs, (int, float)):
-        return {name: float(probs) for name in expr.variables()}
+        probs = dict.fromkeys(expr.variables(), probs)
     result = {}
-    for name in expr.variables():
+    for name in sorted(expr.variables()):
         try:
             p = float(probs[name])
         except KeyError:
@@ -34,11 +64,26 @@ def _as_prob_map(expr: Expr, probs: Mapping[str, float] | float) -> Dict[str, fl
     return result
 
 
-def _most_shared_variable(expr: Expr, env: Mapping[str, float]) -> str | None:
+def _pinned_inputs(probs: Mapping[str, float]) -> Tuple[Tuple[str, float], ...]:
+    """The ``(name, 0.0|1.0)`` pairs of ``probs`` pinned at exactly 0 or 1.
+
+    Validates every value like :func:`signal_probability` does; the
+    result is the pin half of a program key.
+    """
+    pins = []
+    for name, p in probs.items():
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability of {name!r} must lie in [0,1], got {p}")
+        if p == 0.0 or p == 1.0:
+            pins.append((name, 0.0 if p == 0.0 else 1.0))
+    return tuple(pins)
+
+
+def _most_shared_variable(expr: Expr, env: Mapping[str, float | None]) -> str | None:
     """The unpinned variable appearing in the most operand supports.
 
-    Variables already pinned to 0/1 by an enclosing Shannon expansion
-    carry no correlation and are skipped.
+    Variables pinned to 0/1 by an enclosing Shannon expansion (or by
+    the caller) carry no correlation and are skipped.
     """
     if not isinstance(expr, (And, Or)):
         return None
@@ -54,6 +99,128 @@ def _most_shared_variable(expr: Expr, env: Mapping[str, float]) -> str | None:
     return max(sorted(shared), key=lambda name: shared[name])
 
 
+def _src(value: float | str) -> str:
+    """Source of a walk value: a folded literal or a local name."""
+    return repr(value) if isinstance(value, float) else value
+
+
+def probability_program(expr: Expr, pinned: Mapping[str, float]) -> Program:
+    """Compile the exact-probability walk of ``expr`` into one function.
+
+    ``pinned`` maps the variables fixed at exactly 0.0 or 1.0 to that
+    value (names outside ``expr`` are ignored).  The returned
+    ``program(probs)`` reads every other variable of ``expr`` from
+    ``probs`` and returns P(expr = 1); it does not validate.
+
+    >>> from repro.logic.parser import parse_expression
+    >>> program = probability_program(parse_expression("a*b + a*c"), {})
+    >>> program({"a": 0.5, "b": 0.5, "c": 0.5})
+    0.375
+    >>> probability_program(parse_expression("a*b"), {"a": 0.0})({"b": 0.3})
+    0.0
+    """
+    names = sorted(expr.variables())
+    env: Dict[str, float | None] = {name: None for name in names}
+    for name in names:
+        if name in pinned:
+            if pinned[name] not in (0.0, 1.0):
+                raise ValueError(f"pinned {name!r} must be 0.0 or 1.0, got {pinned[name]}")
+            env[name] = float(pinned[name])
+    local = {name: f"v{index}" for index, name in enumerate(names)}
+    lines: List[str] = [
+        f"    {local[name]} = probs[{name!r}]" for name in names if env[name] is None
+    ]
+    memo: Dict[tuple, float | str] = {}
+
+    def emit(source: str) -> str:
+        temp = f"t{len(lines)}"
+        lines.append(f"    {temp} = {source}")
+        return temp
+
+    def times(left: float | str, right: float | str) -> float | str:
+        if isinstance(left, float) and isinstance(right, float):
+            return left * right
+        if left == 1.0:
+            return right
+        if right == 1.0:
+            return left
+        return emit(f"{_src(left)} * {_src(right)}")
+
+    def minus(value: float | str) -> float | str:
+        return 1.0 - value if isinstance(value, float) else emit(f"1.0 - {value}")
+
+    def walk(node: Expr, env: Dict[str, float | None]) -> float | str:
+        if isinstance(node, Const):
+            return float(node.value)
+        if isinstance(node, Var):
+            pin = env[node.name]
+            return local[node.name] if pin is None else pin
+        key = (id(node), tuple(sorted((n, env[n]) for n in node.variables())))
+        if key in memo:
+            return memo[key]
+        if isinstance(node, Not):
+            result = minus(walk(node.operand, env))
+        else:
+            shared = _most_shared_variable(node, env)
+            if shared is not None:
+                # Shannon expansion on the reconvergent variable.
+                low = walk(node, {**env, shared: 0.0})
+                high = walk(node, {**env, shared: 1.0})
+                p = local[shared]
+                result = emit(f"(1.0 - {p}) * {_src(low)} + {p} * {_src(high)}")
+            elif isinstance(node, And):
+                result = 1.0
+                for operand in node.operands:
+                    result = times(result, walk(operand, env))
+                    # Only a literal 0.0 ends the product here; a computed
+                    # one runs on and stays 0.0 (module docstring).
+                    if result == 0.0:
+                        break
+            elif isinstance(node, Or):
+                # P(or) = 1 - prod(1 - P(operand)) for independent operands.
+                complement = 1.0
+                for operand in node.operands:
+                    complement = times(complement, minus(walk(operand, env)))
+                    if complement == 0.0:
+                        break
+                result = minus(complement)
+            else:  # pragma: no cover - exhaustiveness guard
+                raise TypeError(f"unknown expression node {node!r}")
+        memo[key] = result
+        return result
+
+    value = walk(expr, env)
+    if isinstance(value, float):
+        lines.append(f"    return {min(1.0, max(0.0, value))!r}")
+    else:
+        lines.append(f"    return min(1.0, max(0.0, {value}))")
+    namespace: Dict[str, Program] = {}
+    source = "def program(probs):\n" + "\n".join(lines) + "\n"
+    exec(compile(source, "<probability-program>", "exec"), namespace)
+    return namespace["program"]
+
+
+def cell_probability(
+    programs: Dict[tuple, Program],
+    key: Hashable,
+    expr_of: Callable[[], Expr],
+    probs: Mapping[str, float],
+) -> float:
+    """Exact P(expr = 1) through a program memoised in ``programs``.
+
+    ``key`` must identify the expression ``expr_of()`` builds (a cell's
+    identity, say); the pinned 0/1 pattern of ``probs`` completes the
+    program key, so the expression is built and compiled once per
+    distinct (key, pattern) and every other call is one dict lookup and
+    one straight-line call.  ``programs`` belongs to the caller.
+    """
+    pins = _pinned_inputs(probs)
+    program = programs.get((key, pins))
+    if program is None:
+        program = programs[(key, pins)] = probability_program(expr_of(), dict(pins))
+    return program(probs)
+
+
 def signal_probability(expr: Expr, probs: Mapping[str, float] | float = 0.5) -> float:
     """Exact P(expr = 1) under independent input probabilities.
 
@@ -64,50 +231,7 @@ def signal_probability(expr: Expr, probs: Mapping[str, float] | float = 0.5) -> 
     1.0
     """
     prob_map = _as_prob_map(expr, probs)
-    cache: Dict[Tuple[int, Tuple[Tuple[str, float], ...]], float] = {}
-
-    def walk(node: Expr, env: Dict[str, float]) -> float:
-        if isinstance(node, Const):
-            return float(node.value)
-        if isinstance(node, Var):
-            return env[node.name]
-        key = (id(node), tuple(sorted((n, env[n]) for n in node.variables())))
-        if key in cache:
-            return cache[key]
-        if isinstance(node, Not):
-            result = 1.0 - walk(node.operand, env)
-        else:
-            shared = _most_shared_variable(node, env)
-            if shared is not None:
-                # Shannon expansion on the reconvergent variable.
-                env0 = dict(env)
-                env0[shared] = 0.0
-                env1 = dict(env)
-                env1[shared] = 1.0
-                p = env[shared]
-                result = (1.0 - p) * walk(node, env0) + p * walk(node, env1)
-            elif isinstance(node, And):
-                result = 1.0
-                for operand in node.operands:
-                    result *= walk(operand, env)
-                    if result == 0.0:
-                        break
-            elif isinstance(node, Or):
-                # P(or) = 1 - prod(1 - P(operand)) for independent operands.
-                complement = 1.0
-                for operand in node.operands:
-                    complement *= 1.0 - walk(operand, env)
-                    if complement == 0.0:
-                        break
-                result = 1.0 - complement
-            else:  # pragma: no cover - exhaustiveness guard
-                raise TypeError(f"unknown expression node {node!r}")
-        cache[key] = result
-        return result
-
-    env = dict(prob_map)
-    # Variables pinned to 0/1 probability are handled by the generic walk.
-    return min(1.0, max(0.0, walk(expr, env)))
+    return probability_program(expr, dict(_pinned_inputs(prob_map)))(prob_map)
 
 
 def detection_probability(

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
-from ..logic.probability import signal_probability as expr_probability
+from ..logic.probability import Program, cell_probability
 from ..netlist.network import Network
 
 
@@ -78,9 +78,11 @@ def cutting_signal_bounds(
             return intervals[net]
         return FULL
 
+    # Corner probabilities go through one program per cell and pinned
+    # 0/1 corner pattern (the cut [0, 1] inputs pin at both ends).
+    programs: Dict[tuple, Program] = {}
     for gate_name in network.levelize():
         gate = network.gates[gate_name]
-        expr = gate.function_expr()
         pins = list(gate.connections)
         pin_intervals = {pin: read(gate.connections[pin]) for pin in pins}
         # Point intervals contribute one corner, wide intervals two; the
@@ -100,7 +102,9 @@ def cutting_signal_bounds(
         corners: List[float] = []
         for corner in itertools.product(*choices):
             corner_probs = dict(zip(pin_intervals.keys(), corner))
-            corners.append(expr_probability(expr, corner_probs))
+            corners.append(cell_probability(
+                programs, id(gate.cell), gate.function_expr, corner_probs
+            ))
         intervals[gate.output] = Interval(min(corners), max(corners))
     return intervals
 

@@ -21,7 +21,9 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 
-from ..logic.probability import signal_probability as expr_probability
+from ..logic.expr import Expr
+from ..logic.minimize import minimal_sop
+from ..logic.probability import Program, cell_probability
 from ..netlist.network import Network, NetworkFault
 from ..simulate.artifacts import resolve_cache
 from ..simulate.compiled import compile_network
@@ -142,6 +144,11 @@ def monte_carlo_detection_probabilities(
 # -- topological (COP-style) estimate -------------------------------------------------
 
 
+def _boolean_difference(expr: Expr, pin: str) -> Expr:
+    """d expr / d pin: where toggling ``pin`` toggles ``expr``."""
+    return expr.cofactor(pin, 0) ^ expr.cofactor(pin, 1)
+
+
 def observability_estimates(
     network: Network, signal_probs: Mapping[str, float]
 ) -> Dict[str, float]:
@@ -159,32 +166,27 @@ def observability_estimates(
     # Reverse-topological net sweep over the cached fanout index: each
     # net's readers come from one dict lookup instead of a scan over
     # every gate, and by the time a net is processed the observability
-    # of every reader's output (strictly downstream) is final.  Boolean
-    # differences are cached per (cell, pin) so repeated cells cost one
-    # cofactor computation, not one per instance.
+    # of every reader's output (strictly downstream) is final.  The
+    # sensitisation probability of a (cell, pin) Boolean difference is
+    # one compiled program shared by every instance of the cell.
     fanout = network.fanout_index()
     order = network.levelize()
     net_order = list(network.inputs) + [network.gates[name].output for name in order]
-    sensitisation_cache: Dict[tuple, object] = {}
+    programs: Dict[tuple, Program] = {}
     pin_probs_of_gate: Dict[str, Dict[str, float]] = {}
     for net in reversed(net_order):
         for gate_name, pin in fanout.get(net, ()):
             gate = network.gates[gate_name]
-            key = (id(gate.cell), pin)
-            sensitised = sensitisation_cache.get(key)
-            if sensitised is None:
-                expr = gate.function_expr()
-                cof0 = expr.cofactor(pin, 0)
-                cof1 = expr.cofactor(pin, 1)
-                sensitised = cof0 ^ cof1  # Boolean difference d expr / d pin
-                sensitisation_cache[key] = sensitised
             pin_probs = pin_probs_of_gate.get(gate_name)
             if pin_probs is None:
                 pin_probs = {
                     p: signal_probs[n] for p, n in gate.connections.items()
                 }
                 pin_probs_of_gate[gate_name] = pin_probs
-            p_sens = expr_probability(sensitised, pin_probs)
+            p_sens = cell_probability(
+                programs, (id(gate.cell), pin),
+                lambda: _boolean_difference(gate.function_expr(), pin), pin_probs,
+            )
             through = observability[gate.output] * p_sens
             # Union over fanout branches: 1 - prod(1 - o_branch).
             observability[net] = 1.0 - (1.0 - observability[net]) * (1.0 - through)
@@ -201,6 +203,9 @@ def topological_detection_probabilities(
     observability = observability_estimates(network, signal_probs)
     faults = dedupe_faults(faults)
     check_injectable(network, faults)
+    # One activation program per (cell, faulty truth table): the 8k
+    # faults of a 2k-gate netlist share a few dozen cell functions.
+    programs: Dict[tuple, Program] = {}
     result: Dict[str, float] = {}
     for fault in faults:
         if fault.kind == "stuck":
@@ -212,11 +217,11 @@ def topological_detection_probabilities(
             pin_probs = {
                 pin: signal_probs[net] for pin, net in gate.connections.items()
             }
-            from ..logic.minimize import minimal_sop
-
-            good_expr = gate.function_expr()
-            bad_expr = minimal_sop(fault.function.table)
-            activation = expr_probability(good_expr ^ bad_expr, pin_probs)
+            table = fault.function.table
+            activation = cell_probability(
+                programs, (id(gate.cell), table),
+                lambda: gate.function_expr() ^ minimal_sop(table), pin_probs,
+            )
             result[fault.describe()] = activation * observability[gate.output]
     return result
 

@@ -24,7 +24,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from ..logic.probability import signal_probability as expr_probability
+from ..logic.probability import Program, cell_probability
 from ..netlist.network import Network
 from ..simulate.compiled import compile_network
 from ..simulate.logicsim import PatternSet
@@ -35,7 +35,7 @@ MAX_EXACT_INPUTS = 20
 
 def _input_probs(network: Network, probs: Mapping[str, float] | float) -> Dict[str, float]:
     if isinstance(probs, (int, float)):
-        return {net: float(probs) for net in network.inputs}
+        probs = dict.fromkeys(network.inputs, probs)
     result = {}
     for net in network.inputs:
         p = float(probs.get(net, 0.5))
@@ -99,15 +99,19 @@ def topological_signal_probabilities(
     Each gate's output probability is computed *exactly* from its own
     function (cell-local Shannon expansion) under the independence
     assumption; correlation error appears only across gates with
-    reconvergent fanout.
+    reconvergent fanout.  Each cell's probability program is compiled
+    once per call and shared by all of its instances.
     """
     estimates = dict(_input_probs(network, probs))
+    programs: Dict[tuple, Program] = {}
     for gate_name in network.levelize():
         gate = network.gates[gate_name]
         pin_probs = {
             pin: estimates[net] for pin, net in gate.connections.items()
         }
-        estimates[gate.output] = expr_probability(gate.function_expr(), pin_probs)
+        estimates[gate.output] = cell_probability(
+            programs, id(gate.cell), gate.function_expr, pin_probs
+        )
     return estimates
 
 

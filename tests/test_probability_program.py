@@ -1,0 +1,190 @@
+"""Compiled probability programs against the recursive reference walk.
+
+Every probability the programs produce must equal the walk's with
+``==`` (never approx): :mod:`probability_reference` keeps the walk
+verbatim, and the topological estimators written directly on top of it.
+"""
+
+import doctest
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import probability_reference as reference
+from repro.logic import probability
+from repro.logic.expr import And, Const, Not, Or, Var
+from repro.logic.parser import parse_expression
+from repro.netlist import parse_bench
+from repro.protest.cutting import cutting_signal_bounds
+from repro.protest.detectprob import (
+    observability_estimates,
+    topological_detection_probabilities,
+)
+from repro.protest.signalprob import topological_signal_probabilities
+
+NAMES = "abcdef"
+
+#: Exact pins, interior values, the largest double below 1, and tiny
+#: values whose products underflow to 0.0 (the walk's early-break path).
+SPECIAL = [0.0, 1.0, 0.5, 1 - 1e-16, 1e-300, 1e-200, 5e-324, 1e-160]
+
+expressions = st.recursive(
+    st.one_of(
+        st.sampled_from(NAMES).map(Var),
+        st.sampled_from([0, 1]).map(Const),
+    ),
+    lambda children: st.one_of(
+        children.map(Not),
+        st.lists(children, min_size=1, max_size=4).map(lambda ops: And(*ops)),
+        st.lists(children, min_size=1, max_size=4).map(lambda ops: Or(*ops)),
+    ),
+    max_leaves=14,
+)
+probabilities = st.fixed_dictionaries({
+    name: st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 1.0))
+    for name in NAMES
+})
+
+
+@settings(max_examples=400)
+@given(expressions, probabilities)
+def test_program_equals_reference_walk(expr, probs):
+    assert probability.signal_probability(expr, probs) == (
+        reference.signal_probability(expr, probs)
+    )
+
+
+@settings(max_examples=200)
+@given(expressions, probabilities)
+def test_cell_probability_equals_reference_walk(expr, probs):
+    """The memoised path: one program per pin pattern, reused across calls."""
+    programs = {}
+    for _ in range(2):
+        assert probability.cell_probability(programs, "cell", lambda: expr, probs) == (
+            reference.signal_probability(expr, probs)
+        )
+    assert len(programs) == 1
+
+
+def test_shared_variables_take_the_shannon_path():
+    # a*b + a*c shares a; with a pinned, the expansion is skipped.
+    expr = parse_expression("a*b + a*c")
+    for probs in ({"a": 0.3, "b": 0.7, "c": 0.1}, {"a": 1.0, "b": 0.7, "c": 0.1}):
+        assert probability.signal_probability(expr, probs) == (
+            reference.signal_probability(expr, probs)
+        )
+
+
+def test_module_doctests():
+    failures, attempted = doctest.testmod(probability)
+    assert attempted and not failures
+
+
+def test_scalar_probability_validated():
+    with pytest.raises(ValueError, match=r"probability of 'a' must lie in \[0,1\], got 1.5"):
+        probability.signal_probability(parse_expression("a*b"), 1.5)
+    with pytest.raises(ValueError, match=r"must lie in \[0,1\], got nan"):
+        probability.signal_probability(parse_expression("a"), float("nan"))
+
+
+# -- estimator level: a parsed netlist with every two-input gate kind ----------
+
+GATE_KINDS = ("AND", "OR", "NAND", "NOR", "XOR")
+
+
+def random_bench(seed: int, gates: int = 520, inputs: int = 24) -> str:
+    """A reconvergent ``.bench`` DAG cycling through every gate kind."""
+    rng = random.Random(seed)
+    nets = [f"i{index}" for index in range(inputs)]
+    lines = [f"INPUT({net})" for net in nets]
+    body, read = [], set()
+    for index in range(gates):
+        left, right = rng.sample(nets[-48:], 2)
+        read.update((left, right))
+        nets.append(f"n{index}")
+        body.append(f"n{index} = {GATE_KINDS[index % 5]}({left}, {right})")
+    lines += [f"OUTPUT({net})" for net in nets[inputs:] if net not in read]
+    return "\n".join(lines + body) + "\n"
+
+
+@pytest.fixture(scope="module")
+def netlist():
+    return parse_bench(random_bench(12), name="prob_program")
+
+
+def _input_map(network, seed):
+    """Interior probabilities plus inputs pinned at exactly 0.0 and 1.0."""
+    rng = random.Random(seed)
+    return {
+        net: rng.choice([0.0, 1.0, rng.random(), 0.5])
+        for net in network.inputs
+    }
+
+
+@pytest.mark.parametrize("probs", ["half", "mixed"])
+def test_estimators_equal_reference(netlist, probs):
+    probs = 0.5 if probs == "half" else _input_map(netlist, 3)
+    faults = netlist.enumerate_faults()
+    assert len(netlist.gates) >= 500
+    assert len({id(gate.cell) for gate in netlist.gates.values()}) == len(GATE_KINDS)
+
+    signal = topological_signal_probabilities(netlist, probs)
+    assert signal == reference.topological_signal_probabilities(netlist, probs)
+    assert observability_estimates(netlist, signal) == (
+        reference.observability_estimates(netlist, signal)
+    )
+    assert topological_detection_probabilities(netlist, faults, probs) == (
+        reference.topological_detection_probabilities(netlist, faults, probs)
+    )
+    assert cutting_signal_bounds(netlist, probs) == (
+        reference.cutting_signal_bounds(netlist, probs)
+    )
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Record every (expression, pins) program build."""
+    built = []
+    real = probability.probability_program
+
+    def counting(expr, pinned):
+        built.append((expr, tuple(sorted(pinned.items()))))
+        return real(expr, pinned)
+
+    monkeypatch.setattr(probability, "probability_program", counting)
+    return built
+
+
+def test_programs_built_once_per_cell_function(netlist, builds):
+    gates = list(netlist.gates.values())
+    cells = {id(gate.cell): gate.cell for gate in gates}
+    assert len(cells) == len(GATE_KINDS)
+    cell_pins = sum(len(cell.inputs) for cell in cells.values())
+    faults = netlist.enumerate_faults()
+    cell_faults = [fault for fault in faults if fault.kind == "cell"]
+    functions = {
+        (id(netlist.gates[fault.gate].cell), fault.function.table)
+        for fault in cell_faults
+    }
+
+    signal = topological_signal_probabilities(netlist, 0.5)
+    # No net is pinned at exactly 0 or 1, so a cell is one program.
+    assert all(0.0 < p < 1.0 for p in signal.values())
+    assert len(builds) == len(cells)
+
+    builds.clear()
+    observability_estimates(netlist, signal)
+    assert len(builds) == cell_pins
+
+    builds.clear()
+    topological_detection_probabilities(netlist, faults, 0.5)
+    assert len(builds) == len(cells) + cell_pins + len(functions)
+    assert len(functions) < len(cell_faults) / 100
+
+    builds.clear()
+    cutting_signal_bounds(netlist, 0.5)
+    # One build per distinct (cell function, pinned corner pattern).
+    assert len(builds) == len(set(builds))
+    assert len(builds) <= len(cells) * 3 ** 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.generators import and_cone, domino_carry_chain
+from repro.circuits.generators import and_cone, c17, domino_carry_chain
 from repro.netlist import CellFactory, Network
 from repro.protest import (
     Protest,
@@ -88,6 +88,15 @@ class TestSignalProbabilities:
         estimates = monte_carlo_signal_probabilities(network, samples=1)
         assert all(value in (0.0, 1.0) for value in estimates.values())
 
+    @pytest.mark.parametrize("method", ["exact", "topological", "monte_carlo", "auto"])
+    @pytest.mark.parametrize("bad", [1.5, -0.5, float("nan")])
+    def test_scalar_input_probability_validated(self, method, bad):
+        """Regression: a scalar probability skipped the range check, so
+        exact estimation returned P = 1.5 on c17 and the topological
+        path failed naming a cell pin instead of the primary input."""
+        with pytest.raises(ValueError, match=rf"probability of 'n1' must be in \[0,1\], got {bad}"):
+            signal_probabilities(c17(), bad, method=method)
+
 
 class TestDetectionProbabilities:
     def test_exact_matches_fault_simulation_frequency(self):
@@ -114,6 +123,14 @@ class TestDetectionProbabilities:
         network = domino_carry_chain(4)
         estimates = detection_probabilities(network, method="topological")
         assert all(0.0 <= p <= 1.0 for p in estimates.values())
+
+    @pytest.mark.parametrize("method", ["exact", "topological", "monte_carlo", "auto"])
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, float("nan")])
+    def test_scalar_input_probability_validated(self, method, bad):
+        """Regression: exact estimation on c17 with a scalar -0.5 returned
+        a detection probability of -1.3125."""
+        with pytest.raises(ValueError, match=rf"probability of 'n1' must be in \[0,1\], got {bad}"):
+            detection_probabilities(c17(), None, bad, method=method)
 
     def test_monte_carlo_zero_samples_raises(self):
         """Regression: samples=0 used to divide by zero."""
