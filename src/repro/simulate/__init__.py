@@ -58,7 +58,6 @@ from .vector import (
     VectorNetwork,
     VectorSimulation,
     vector_compile,
-    vector_fault_simulate,
 )
 from .timingsim import (
     DegradationPoint,
@@ -124,7 +123,6 @@ __all__ = [
     "VectorNetwork",
     "VectorSimulation",
     "vector_compile",
-    "vector_fault_simulate",
     "DegradationPoint",
     "TimingConfig",
     "TimingSimulator",

@@ -30,6 +30,15 @@ registry (:mod:`repro.simulate.registry`):
   sharded across a ``multiprocessing`` worker pool with streaming
   pattern windows; ``jobs`` selects the worker count.
 
+Every engine's per-fault outcomes come out of one window loop,
+:func:`drive_windows`.  An engine supplies only a per-block kernel
+(:data:`BlockKernel`): the big-int kernel of :func:`block_kernel` for
+compiled and interpreted, the lane kernel of
+:func:`repro.simulate.vector.lane_kernel`, and the pool kernel of
+:mod:`repro.simulate.sharded`.  The three stops (first detection,
+coverage, a session's ``on_window``) are one boundary predicate
+(:func:`stop_predicate`).
+
 Results are keyed by fault *label* (``fault.describe()``) but computed
 per fault: a fault list in which two **distinct** faults share a label
 raises instead of silently merging their detection records.
@@ -38,7 +47,7 @@ raises instead of silently merging their detection records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.network import Network, NetworkFault
 from .artifacts import resolve_cache
@@ -48,9 +57,9 @@ from .registry import Engine, get_engine, register_engine
 from .schedule import get_schedule
 from .tuning import resolve_plan
 
-#: Pattern-window width used when ``stop_at_first_detection`` chunks the
-#: pattern sequence; a fault detected in window k never simulates window
-#: k+1.
+#: The stopping grid of every retiring run (``stop_at_first_detection``,
+#: ``stop_at_coverage``, streaming sessions): a fault detected in window
+#: k retires at its end, and runs stop only at window boundaries.
 FIRST_DETECTION_CHUNK = 256
 
 #: Per-fault outcome: ``None`` when undetected, else
@@ -205,6 +214,12 @@ def check_injectable(network: Network, faults: Sequence[NetworkFault]) -> None:
     )
 
 
+def check_jobs(jobs: Optional[int]) -> None:
+    """Validate a worker count (``None`` means one per CPU)."""
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def check_stop_at_coverage(stop_at_coverage) -> None:
     """Validate a ``stop_at_coverage`` threshold (``None`` disables it).
 
@@ -319,16 +334,11 @@ def compiled_difference_words(
 def _single_process_simulate(engine_name: str):
     """Build a ``simulate_faults`` callable for a one-process engine.
 
-    Both modes stream through :func:`windowed_outcomes` - the whole-set
-    pass is simply one window spanning every pattern, holding one
-    difference word at a time instead of materialising all of them -
-    and ``stop_at_first_detection`` uses
-    :data:`FIRST_DETECTION_CHUNK`-wide windows with per-fault early
-    exit.  ``stop_at_coverage`` pins the window to the same width on
-    every engine: unlike first-detection retirement (whose outcomes are
-    window-independent), *where* a coverage-stopped run ends depends on
-    the window grid, so all engines must stream the same grid to stay
-    bit-identical.
+    Every mode streams through :func:`windowed_outcomes`.  Without a
+    stop the execution plan sizes the window; either stop pins the
+    stopping grid to :data:`FIRST_DETECTION_CHUNK` on every engine -
+    where a coverage-stopped run ends depends on the grid, so all
+    engines must stop on the same one to stay bit-identical.
     """
 
     def simulate_faults(
@@ -343,27 +353,13 @@ def _single_process_simulate(engine_name: str):
         coverage_weights: Optional[Sequence[int]] = None,
         cache=None,
     ) -> FaultSimResult:
-        store = resolve_cache(cache)
-        plan = resolve_plan(tune, cache=store)
-        check_stop_at_coverage(stop_at_coverage)
-        if stop_at_first_detection or stop_at_coverage is not None:
-            window = FIRST_DETECTION_CHUNK
-        elif engine_name == "compiled":
-            # The plan may stream the compiled pass through windows
-            # (the default plan keeps the historical whole-set window;
-            # tuned plans use cache-sized ones - the same lever the
-            # sharded workers measured ~2x from).
-            window = plan.serial_window(
-                patterns.count, compile_network(network, cache=store).num_slots
-            )
-        else:
-            window = max(patterns.count, 1)
+        retire = stop_at_first_detection or stop_at_coverage is not None
         outcomes = windowed_outcomes(
-            network, patterns, faults, window, stop_at_first_detection,
-            engine_name, schedule, tune,
+            network, patterns, faults, FIRST_DETECTION_CHUNK if retire else None,
+            stop_at_first_detection, engine_name, schedule, tune,
             stop_at_coverage=stop_at_coverage,
             coverage_weights=coverage_weights,
-            cache=store,
+            cache=cache,
         )
         return build_result(network.name, patterns.count, faults, outcomes)
 
@@ -415,21 +411,22 @@ def fault_simulate(
 ) -> FaultSimResult:
     """Simulate every fault against every pattern.
 
-    ``stop_at_first_detection`` semantics: the pattern sequence is
-    processed in windows of :data:`FIRST_DETECTION_CHUNK` patterns and a
-    fault leaves the simulation at the end of its first detecting
-    window - patterns after that window are genuinely never simulated
-    for it.  ``detected`` still records the exact index of the first
-    detecting pattern, but ``detection_counts`` is pinned to 1 per
-    detected fault and is *not* the empirical detection count; leave
-    the flag off when empirical detection probabilities are wanted.
+    ``stop_at_first_detection`` semantics: a fault retires at the end
+    of its first detecting :data:`FIRST_DETECTION_CHUNK`-wide window and
+    leaves the simulation at the end of that speculative block
+    (:func:`drive_windows`).  ``detected`` still records the exact index
+    of the first detecting pattern, but ``detection_counts`` is pinned
+    to 1 per detected fault and is *not* the empirical detection count;
+    leave the flag off when empirical detection probabilities are
+    wanted.
 
     ``engine`` names a registered engine (``"compiled"`` by default,
     ``"interpreted"``, ``"vector"``, ``"sharded"``,
     ``"sharded+vector"``; see :mod:`repro.simulate.registry`); all
     engines are bit-identical.
     ``jobs`` sets the worker count for multi-process engines and is
-    ignored by the single-process ones.
+    ignored by the single-process ones; it must be ``>= 1`` on every
+    engine.
     ``schedule`` names a fault-scheduling policy
     (:mod:`repro.simulate.schedule`: ``"cost"`` by default,
     ``"contiguous"``, ``"interleaved"``); it steers how the sharded
@@ -480,6 +477,7 @@ def fault_simulate(
 
     mode = get_collapse_mode(collapse)
     check_stop_at_coverage(stop_at_coverage)
+    check_jobs(jobs)
     if faults is None:
         faults = network.enumerate_faults()
     # Validate up front - a bad fault list should raise before the
@@ -537,11 +535,11 @@ def fault_simulate(
 def window_difference_factory(network: Network, engine: str, cache=None):
     """``window -> (fault -> difference word)`` for a one-process engine.
 
-    The single-process window core shared by :func:`windowed_outcomes`
-    and the sharded engine's workers; ``engine`` picks the per-window
-    pass (``"compiled"`` slot program, ``"vector"`` numpy lane arrays,
-    ``"interpreted"`` full AST re-simulation); ``cache`` selects the
-    artifact store the compiled/vector programs resolve through.
+    The per-window pass behind the big-int block kernel
+    (:func:`block_kernel`) and the sharded words path; ``engine`` picks
+    the pass (``"compiled"`` slot program, ``"vector"`` numpy lane
+    arrays, ``"interpreted"`` full AST re-simulation); ``cache`` selects
+    the artifact store the compiled/vector programs resolve through.
     """
     if engine == "compiled":
         compiled = compile_network(network, cache=cache)
@@ -595,32 +593,39 @@ def resolve_coverage_weights(
     return list(coverage_weights)
 
 
+# -- the window driver ----------------------------------------------------------------
+
+#: ``detect(start, chunk, active) -> (positions, first indices, counts)``
+#: - one engine's pass over the pattern block ``chunk`` (which begins at
+#: pattern ``start``) for the fault-list positions in ``active``,
+#: reporting every detected fault's position, absolute first detecting
+#: index and number of detecting patterns in the block.  Parallel lists
+#: of ints rather than a tuple per detection: each tuple is a GC-tracked
+#: allocation, and thousands per block trigger full collections mid-run.
+BlockKernel = Callable[
+    [int, PatternSet, List[int]], Tuple[List[int], List[int], List[int]]
+]
+
 SESSION_BLOCK_RAMP = 8
-"""Grid windows in a session's first speculative block.
+"""Grid windows in a retiring run's first speculative block.
 
 Below roughly this many 256-pattern windows a batched pass is all
 fixed cost - pattern generation, plan build, per-cone kernel dispatch
 all outweigh the lane arithmetic - so simulating one grid window costs
 nearly as much as simulating eight.  Starting the doubling ramp here
-loses almost nothing when the session stops at the very first
-boundary and saves whole blocks' worth of fixed costs on every
-longer session."""
+loses almost nothing when the run stops at the very first boundary and
+saves whole blocks' worth of fixed costs on every longer run."""
 
 
 def session_block_size(grid: int, engine_window: int) -> Tuple[int, int]:
-    """``(first block, cap)`` for a session's speculative blocks.
+    """``(first block, cap)`` for a retiring run's speculative blocks.
 
-    A session core simulates *blocks* of many stopping windows at once
-    and replays the ``grid`` boundaries post hoc
-    (:func:`fold_session_block`), so the per-pass fixed costs - pattern
-    generation, plan (re)builds, per-cone kernel calls - amortise over
-    block-sized lane arrays instead of one 256-pattern window.  Blocks
-    start at :data:`SESSION_BLOCK_RAMP` grid windows and double up to
-    the engine's tuned streaming window rounded down to a grid
-    multiple: a session stopped at boundary ``b`` has then simulated at
+    Blocks start at :data:`SESSION_BLOCK_RAMP` grid windows and double
+    up to the engine's streaming window rounded down to a grid
+    multiple: a run stopped at boundary ``b`` has then simulated at
     most about twice ``b`` patterns (plus the first block), bounding
-    the speculation waste, while long sessions reach full
-    batched-sweep widths.
+    the speculation waste, while long runs reach full batched-sweep
+    widths.
     """
     cap = max(grid, engine_window // grid * grid)
     return min(SESSION_BLOCK_RAMP * grid, cap), cap
@@ -637,8 +642,6 @@ def fold_session_block(
     covered_weight: int,
     active_count: int,
     on_window,
-    stop_at_coverage,
-    total_weight: int,
 ) -> Tuple[int, int, bool]:
     """Replay one speculative block against the pinned window grid.
 
@@ -647,11 +650,9 @@ def fold_session_block(
     nothing has been written to ``firsts``/``counts`` yet.  The fold
     walks every ``grid`` boundary of the block in order, commits the
     detections whose first index falls before the boundary (count
-    pinned to 1, weight added - exactly the retire step of the
-    window-at-a-time consumer), then applies the identical
-    retire-then-stop rule: ``on_window`` first, then the
-    no-active-faults stop, then ``stop_at_coverage``.  Detections past
-    a stopping boundary are never committed, so a speculatively
+    pinned to 1, weight added), then applies the retire-then-stop rule:
+    ``on_window`` first, then the no-active-faults stop.  Detections
+    past a stopping boundary are never committed, so a speculatively
     simulated block reports bit-identical outcomes to a run that never
     simulated beyond the stop.
 
@@ -674,19 +675,146 @@ def fold_session_block(
             return covered_weight, position, True
         if active_count == position:
             return covered_weight, position, True
-        if (
-            stop_at_coverage is not None
-            and covered_weight >= stop_at_coverage * total_weight
-        ):
-            return covered_weight, position, True
     return covered_weight, position, False
+
+
+def drive_windows(
+    patterns: PatternSet,
+    size: int,
+    grid: int,
+    detect: BlockKernel,
+    weights: Sequence[int],
+    on_window,
+    block_cap: int,
+) -> List[FaultOutcome]:
+    """Per-fault outcomes of ``size`` faults: the one window loop.
+
+    Every engine runs this loop and supplies only its per-block
+    ``detect`` kernel (:data:`BlockKernel`).  Two modes:
+
+    * **counting** (``on_window`` is ``None``): ``grid``-wide windows
+      stream through ``detect``; the first detecting window fixes each
+      fault's first index and the per-window counts add up to the
+      whole-set count.
+    * **retiring** (``on_window(consumed, covered_weight) -> bool``):
+      speculative doubling blocks (:func:`session_block_size`, capped
+      near ``block_cap``) are replayed against the ``grid`` boundaries
+      by :func:`fold_session_block`.  A detected fault retires (count
+      pinned to 1, its weight covered) at the end of its first
+      detecting grid window, and the run ends at the first boundary
+      where ``on_window`` returns ``False`` or no fault is left -
+      faults never reached come back ``None``.  Every stopping point
+      and outcome is bit-identical to a window-at-a-time run.
+    """
+    if grid < 1:
+        raise ValueError(f"window width must be >= 1, got {grid}")
+    firsts = [-1] * size
+    counts = [0] * size
+    active = list(range(size))
+    if on_window is None:
+        for start, chunk in patterns.windows(grid):
+            for position, first, count in zip(*detect(start, chunk, active)):
+                if firsts[position] < 0:
+                    firsts[position] = first
+                counts[position] += count
+    else:
+        covered_weight = 0
+        block, cap = session_block_size(grid, block_cap)
+        start = 0
+        while start < patterns.count:
+            stop = min(start + block, patterns.count)
+            positions, block_firsts, _counts = detect(
+                start, patterns.slice(start, stop), active
+            )
+            detections = list(zip(block_firsts, positions))
+            covered_weight, committed, stopped = fold_session_block(
+                detections, start, stop, grid, firsts, counts, weights,
+                covered_weight, len(active), on_window,
+            )
+            if stopped:
+                break
+            if committed:
+                active = [position for position in active if not counts[position]]
+            start = stop
+            block = min(2 * block, cap)
+    return [
+        (firsts[index], counts[index]) if counts[index] else None
+        for index in range(size)
+    ]
+
+
+def stop_predicate(
+    stop_at_first_detection: bool,
+    stop_at_coverage,
+    on_window,
+    weights: Sequence[int],
+):
+    """The three stops as one :func:`drive_windows` predicate.
+
+    ``None`` (counting mode) when no stop is asked for;
+    ``stop_at_first_detection`` alone always continues (retirement
+    only), ``stop_at_coverage`` continues while the covered weight is
+    below its fraction of the total, and ``on_window`` passes through.
+    """
+    if stop_at_coverage is not None:
+        threshold = stop_at_coverage * sum(weights)
+        if on_window is None:
+            return lambda consumed, covered: covered < threshold
+        return lambda consumed, covered: (
+            on_window(consumed, covered) and covered < threshold
+        )
+    if on_window is None and stop_at_first_detection:
+        return lambda consumed, covered: True
+    return on_window
+
+
+def block_kernel(
+    network: Network,
+    faults: Sequence[NetworkFault],
+    engine: str,
+    schedule: Optional[str] = None,
+    plan=None,
+    cache=None,
+) -> BlockKernel:
+    """One engine's :data:`BlockKernel` over ``faults``.
+
+    ``engine="vector"`` is the lane kernel
+    (:func:`repro.simulate.vector.lane_kernel`, where ``schedule`` and
+    ``plan`` shape the batches); the big-int engines share one kernel
+    over :func:`window_difference_factory`.
+    """
+    if engine == "vector":
+        from .vector import lane_kernel
+
+        return lane_kernel(network, faults, schedule, plan, cache)
+    for_window = window_difference_factory(network, engine, cache=cache)
+
+    def detect(start: int, chunk: PatternSet, active: List[int]):
+        difference_of = for_window(chunk)
+        positions, firsts, counts = [], [], []
+        for position in active:
+            word = difference_of(faults[position])
+            if word:
+                positions.append(position)
+                firsts.append(start + (word & -word).bit_length() - 1)
+                counts.append(word.bit_count())
+        return positions, firsts, counts
+
+    return detect
+
+
+def block_cap(network: Network, engine: str, plan, count: int, cache=None) -> int:
+    """Widest speculative block an engine's kernel simulates at once."""
+    if engine == "vector":
+        return plan.lane_window(count, compile_network(network, cache=cache).num_slots)
+    return plan.bigint_window(count)
 
 
 def windowed_outcomes(
     network: Network,
     patterns: PatternSet,
     faults: Sequence[NetworkFault],
-    window: int,
+    window: Optional[int],
     stop_at_first_detection: bool = False,
     engine: str = "compiled",
     schedule: Optional[str] = None,
@@ -696,134 +824,41 @@ def windowed_outcomes(
     cache=None,
     on_window=None,
 ) -> List[FaultOutcome]:
-    """Per-fault (first index, count) outcomes, one window at a time.
+    """Per-fault (first index, count) outcomes on a one-process engine.
 
-    The streaming core shared by ``stop_at_first_detection``, the
-    vector engine and the sharded engine's workers.  Accumulating
-    per-window detection words is exact: the first nonzero window fixes
-    the first-detection index and the counts add up to the whole-set
-    ``bit_count``.  With ``stop_at_first_detection`` a fault leaves the
-    pass at the end of its first detecting window (count pinned to 1).
-
-    ``stop_at_coverage`` adds dynamic fault dropping on top of that
-    retirement: detected faults leave the pass between windows exactly
-    as above, and the whole run stops at the end of the first window
-    where the covered (weight) fraction of the fault universe reaches
-    the threshold - faults the run never reached come back ``None``
-    (reported undetected).  ``coverage_weights`` weights each fault's
-    contribution to the covered fraction
-    (:func:`resolve_coverage_weights`; class sizes under collapse).
-
-    ``engine="vector"`` delegates to the lane engine's batched window
-    core (:func:`repro.simulate.vector.vector_windowed_outcomes`) -
-    same semantics, but faults sharing an injection site propagate
-    through their fanout cone as one numpy batch; ``schedule`` reaches
-    its batch planner (``"cost"`` coalesces underfilled same-cone site
-    batches) and is irrelevant to the serial per-fault cores; ``tune``
-    names the execution plan sizing the lane engine's chunks (validated
-    on the serial cores too, same contract as ``schedule``).
-
+    :func:`drive_windows` over the engine's :func:`block_kernel`.
+    ``window`` is the window width - the stopping grid when a stop is
+    asked for - and ``None`` lets the execution plan (``tune``) size it.
+    ``stop_at_first_detection`` retires a fault at the end of its first
+    detecting window (count pinned to 1); ``stop_at_coverage``
+    additionally stops the run at the first window boundary where the
+    ``coverage_weights``-weighted covered fraction
+    (:func:`resolve_coverage_weights`) reaches the threshold; and
     ``on_window(consumed, covered_weight) -> bool`` is the streaming
-    session seam: called at every window boundary after that window's
-    detections retired (providing it turns on retirement), it sees the
-    patterns consumed so far and the retired weight, and returning
-    ``False`` ends the run - :func:`streaming_coverage` plugs its
-    Wilson-bound stop in here instead of running a private loop.  In
-    session mode ``window`` is the *stopping grid*, not the simulation
-    width: the core simulates speculative doubling blocks
-    (:func:`session_block_size`) and replays the grid boundaries inside
-    each block (:func:`fold_session_block`), so per-pattern cost
-    approaches the batched whole-set pass while every stopping point
-    and outcome stays bit-identical to a window-at-a-time run.
+    session seam - returning ``False`` ends the run, which is how
+    :func:`streaming_coverage` plugs in its Wilson-bound stop.
+    ``schedule`` reaches the vector kernel's batch planner.
     """
-    if engine == "vector":
-        from .vector import vector_windowed_outcomes
-
-        return vector_windowed_outcomes(
-            network, patterns, faults, window, stop_at_first_detection,
-            schedule=schedule, tune=tune,
-            stop_at_coverage=stop_at_coverage,
-            coverage_weights=coverage_weights,
-            cache=cache,
-            on_window=on_window,
-        )
     store = resolve_cache(cache)
     plan = resolve_plan(tune, cache=store)
     check_stop_at_coverage(stop_at_coverage)
     weights = resolve_coverage_weights(faults, coverage_weights)
-    total_weight = sum(weights)
-    covered_weight = 0
-    retire = (
-        stop_at_first_detection
-        or stop_at_coverage is not None
-        or on_window is not None
-    )
-    for_window = window_difference_factory(network, engine, cache=store)
-    firsts = [-1] * len(faults)
-    counts = [0] * len(faults)
-    active = list(range(len(faults)))
-    if on_window is not None:
-        # Session mode: `window` is the pinned stopping grid, not the
-        # simulation width.  Speculative doubling blocks amortise the
-        # per-pass fixed costs; fold_session_block replays the grid
-        # boundaries inside each block, so stopping points - and every
-        # reported outcome - stay bit-identical to the
-        # window-at-a-time consumer.
-        block, cap = session_block_size(
-            window, plan.bigint_window(patterns.count)
-        )
-        start = 0
-        while start < patterns.count:
-            block_stop = min(start + block, patterns.count)
-            difference_of = for_window(patterns.slice(start, block_stop))
-            detections: List[Tuple[int, int]] = []
-            for index in active:
-                word = difference_of(faults[index])
-                if word:
-                    detections.append(
-                        (start + (word & -word).bit_length() - 1, index)
-                    )
-            covered_weight, committed, stopped = fold_session_block(
-                detections, start, block_stop, window, firsts, counts,
-                weights, covered_weight, len(active), on_window,
-                stop_at_coverage, total_weight,
+    detect = block_kernel(network, faults, engine, schedule, plan, store)
+    cap = block_cap(network, engine, plan, patterns.count, store)
+    if window is None:
+        if engine == "vector":
+            window = cap
+        elif engine == "compiled":
+            window = plan.serial_window(
+                patterns.count, compile_network(network, cache=store).num_slots
             )
-            if stopped:
-                break
-            if committed:
-                active = [index for index in active if counts[index] == 0]
-            start = block_stop
-            block = min(2 * block, cap)
-        return [
-            (firsts[index], counts[index]) if counts[index] else None
-            for index in range(len(faults))
-        ]
-    for start, chunk in patterns.windows(window):
-        difference_of = for_window(chunk)
-        remaining: List[int] = []
-        for index in active:
-            word = difference_of(faults[index])
-            if word:
-                if firsts[index] < 0:
-                    firsts[index] = start + (word & -word).bit_length() - 1
-                counts[index] += word.bit_count()
-                if retire:
-                    counts[index] = 1
-                    covered_weight += weights[index]
-                    continue
-            remaining.append(index)
-        active = remaining
-        if not active:
-            break
-        if (
-            stop_at_coverage is not None
-            and covered_weight >= stop_at_coverage * total_weight
-        ):
-            break
-    return [
-        (firsts[index], counts[index]) if counts[index] else None
-        for index in range(len(faults))
-    ]
+        else:
+            window = max(patterns.count, 1)
+    return drive_windows(
+        patterns, len(faults), window, detect, weights,
+        stop_predicate(stop_at_first_detection, stop_at_coverage, on_window, weights),
+        cap,
+    )
 
 
 @dataclass
@@ -927,15 +962,13 @@ def streaming_coverage(
     ``engine``, ``jobs``, ``schedule``, ``tune``, ``collapse`` and
     ``cache`` resolve exactly as in :func:`fault_simulate` - unknown
     names raise the same registry errors.  There is no private session
-    loop: the engines' batched window cores run the session through
-    their ``on_window`` boundary seam (:func:`windowed_outcomes` /
-    :func:`repro.simulate.vector.vector_windowed_outcomes`), so a
-    stopped session costs what the engines cost per pattern.  The
-    window grid is pinned to :data:`FIRST_DETECTION_CHUNK` on every
-    engine, so the stopping point is engine-independent.
-    ``engine="sharded"``/``"sharded+vector"`` fan the live faults out
-    across a ``jobs``-wide worker pool between window boundaries
-    (window-synchronous, falling back in-process when pooling is
+    loop: the session is the ``on_window`` predicate of
+    :func:`drive_windows`, so a stopped session costs what the engines
+    cost per pattern.  The window grid is pinned to
+    :data:`FIRST_DETECTION_CHUNK` on every engine, so the stopping
+    point is engine-independent.  ``engine="sharded"``/
+    ``"sharded+vector"`` fan each block's live faults out across a
+    ``jobs``-wide worker pool (falling back in-process when pooling is
     pointless - tiny workloads, one shard, no ``fork``); the serial
     engines validate ``jobs`` (``>= 1``) and run in-process.  Under
     ``collapse="on"`` classes weight the observed counts by their
@@ -950,6 +983,7 @@ def streaming_coverage(
     store = resolve_cache(cache)
     resolve_plan(tune, cache=store)
     mode = get_collapse_mode(collapse)
+    check_jobs(jobs)
     if not 0.0 < target_coverage <= 1.0:
         raise ValueError(
             f"target_coverage must be in (0, 1], got {target_coverage}"
@@ -1008,8 +1042,6 @@ def streaming_coverage(
                 _resolve_jobs(jobs), None, core, schedule, tune,
                 cache=store, on_window=on_window,
             )
-        elif jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         if pooled is None:
             windowed_outcomes(
                 network, patterns, simulated, FIRST_DETECTION_CHUNK,

@@ -29,12 +29,20 @@ pattern set and fault list are inherited copy-on-write instead of
 pickled; on platforms without ``fork`` the engine transparently falls
 back to a single-process windowed run (same results, no scale-out).
 
-The per-window pass inside each worker is an **inner engine**
-(``engine="compiled"`` by default): any single-process window core of
-:func:`repro.simulate.faultsim.window_difference_factory` composes
+The pass inside each worker is an **inner engine**
+(``engine="compiled"`` by default): any single-process engine composes
 with the shard pool.  ``"sharded+vector"`` registers the composition
 with the numpy lane engine of :mod:`repro.simulate.vector` - shards
 across processes, lanes within each worker.
+
+Plain runs (and ``stop_at_first_detection``, whose outcomes do not
+depend on other faults) stream each shard independently.  A coverage
+or session stop is global, so those runs drive the one window loop,
+:func:`repro.simulate.faultsim.drive_windows`, in the parent with
+:func:`_pool_kernel` as its block kernel: one ``pool.map`` of the
+inner engine's block kernel over the re-partitioned live faults per
+speculative block.  The pool gets its context through
+``initializer``/``initargs``, never through parent module state.
 """
 
 from __future__ import annotations
@@ -50,11 +58,16 @@ from .faultsim import (
     FIRST_DETECTION_CHUNK,
     FaultOutcome,
     FaultSimResult,
+    block_cap,
+    block_kernel,
     build_result,
     check_injectable,
+    check_jobs,
     check_stop_at_coverage,
     dedupe_faults,
+    drive_windows,
     resolve_coverage_weights,
+    stop_predicate,
     windowed_outcomes,
 )
 from .logicsim import PatternSet
@@ -235,24 +248,27 @@ def _scatter(sharded, size: int, empty) -> List:
 
 # -- the worker pool -------------------------------------------------------------------
 
-_SHARD_CONTEXT: Optional[Tuple] = None
-"""(network, patterns, faults, window, stop, engine, schedule, tune,
-cache) - set in the parent just before the pool forks, inherited
-copy-on-write by the workers; ``engine`` is the inner single-process
-window core, ``schedule`` reaches its batch planner, ``tune`` its
-execution plan and ``cache`` the resolved artifact store (the parent
-resolves the plan - including any ``"auto"`` calibration - and
-pre-warms the store's compiled/vector programs *before* forking, so
-workers inherit the finished artifacts instead of re-deriving them per
-fork).  Workers receive their shard as a list of fault-list indices
-(any partition the scheduler produced, not just contiguous slices)."""
+_WORKER: Optional[Tuple] = None
+"""A pool worker's context, set by :func:`_init_worker` inside the
+worker process only - the parent hands it over through the pool's
+``initargs`` and never touches module state, so concurrent pooled runs
+cannot clobber each other.  The plain paths pass ``(network, patterns,
+faults, window, stop, engine, schedule, tune, cache)`` (``engine`` is
+the inner single-process window core) and give each worker its shard
+as a list of fault-list indices (any partition the scheduler produced,
+not just contiguous slices); the block path passes ``(patterns,
+detect)``, the inner engine's block kernel.  Workers are forked, so
+the context is inherited copy-on-write, never pickled - including the
+store the parent pre-warmed and any ``"auto"`` plan it calibrated."""
+
+
+def _init_worker(*context) -> None:
+    global _WORKER
+    _WORKER = context
 
 
 def _outcomes_worker(indices: Sequence[int]) -> List[FaultOutcome]:
-    (
-        network, patterns, faults, window, stop, engine, schedule, tune,
-        cache,
-    ) = _SHARD_CONTEXT
+    network, patterns, faults, window, stop, engine, schedule, tune, cache = _WORKER
     subset = [faults[index] for index in indices]
     return windowed_outcomes(
         network, patterns, subset, window, stop, engine, schedule, tune,
@@ -260,35 +276,20 @@ def _outcomes_worker(indices: Sequence[int]) -> List[FaultOutcome]:
     )
 
 
-def _coverage_window_worker(task: Tuple[int, int, Sequence[int]]) -> List[FaultOutcome]:
-    """One pattern window over one live shard of the coverage path.
-
-    ``task`` is ``(start, stop, fault indices)``: the worker slices its
-    window out of the inherited pattern set and runs the single-process
-    window core with first-detection semantics, so each outcome is
-    ``(first index relative to the window, 1)`` or ``None``."""
-    start, stop, indices = task
-    (
-        network, patterns, faults, window, _stop, engine, schedule, tune,
-        cache,
-    ) = _SHARD_CONTEXT
-    chunk = patterns.slice(start, stop)
-    subset = [faults[index] for index in indices]
-    return windowed_outcomes(
-        network, chunk, subset, window, True, engine, schedule, tune,
-        cache=cache,
-    )
-
-
 def _words_worker(indices: Sequence[int]) -> List[int]:
-    (
-        network, patterns, faults, window, _stop, engine, schedule, tune,
-        cache,
-    ) = _SHARD_CONTEXT
+    network, patterns, faults, window, _stop, engine, schedule, tune, cache = _WORKER
     subset = [faults[index] for index in indices]
     return windowed_difference_words(
         network, patterns, subset, window, engine, schedule, tune, cache
     )
+
+
+def _block_worker(task: Tuple[int, int, List[int]]):
+    """One speculative block ``(start, stop, fault positions)`` of one
+    live shard, through the inner engine's block kernel."""
+    start, stop, positions = task
+    patterns, detect = _WORKER
+    return detect(start, patterns.slice(start, stop), positions)
 
 
 def _fork_context():
@@ -299,11 +300,8 @@ def _fork_context():
 
 
 def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+    check_jobs(jobs)
+    return jobs or os.cpu_count() or 1
 
 
 def _prewarm_store(network, cache, engine) -> None:
@@ -333,7 +331,6 @@ def _map_shards(
     total work than ``min_pool_work``) or unavailable (no ``fork``),
     signalling the caller to run in-process.
     """
-    global _SHARD_CONTEXT
     if min_pool_work is None:
         min_pool_work = MIN_POOL_WORK
     # The cheap disqualifiers come first: below min_pool_work (the
@@ -351,48 +348,60 @@ def _map_shards(
     if len(shards) <= 1:
         return None
     _prewarm_store(network, cache, engine)
-    _SHARD_CONTEXT = (
-        network, patterns, faults, window, stop, engine, schedule, tune,
-        cache,
-    )
-    try:
-        with context.Pool(processes=len(shards)) as pool:
-            return list(zip(shards, pool.map(worker, shards)))
-    finally:
-        _SHARD_CONTEXT = None
+    with context.Pool(
+        processes=len(shards),
+        initializer=_init_worker,
+        initargs=(
+            network, patterns, faults, window, stop, engine, schedule, tune,
+            cache,
+        ),
+    ) as pool:
+        return list(zip(shards, pool.map(worker, shards)))
+
+
+def _pool_kernel(pool, network, faults, jobs, schedule, cache):
+    """The pool's block kernel: one ``pool.map`` per driver block.
+
+    Each block re-partitions the *live* faults across the pool (shards
+    shrink as classes retire) and the workers run the inner engine's
+    kernel on their shard of the block."""
+
+    def detect(start, chunk, active):
+        live = [faults[position] for position in active]
+        shards = partition_faults(network, live, jobs, schedule, cache=cache)
+        tasks = [
+            (start, start + chunk.count, [active[i] for i in shard])
+            for shard in shards
+        ]
+        found = ([], [], [])
+        for part in pool.map(_block_worker, tasks):
+            for merged, column in zip(found, part):
+                merged.extend(column)
+        return found
+
+    return detect
 
 
 def _coverage_sharded_outcomes(
     network, patterns, faults, weights, stop_at_coverage, jobs,
     min_pool_work, engine, schedule, tune, cache=None, on_window=None,
 ) -> Optional[List[FaultOutcome]]:
-    """The window-synchronous pooled path of the retiring stops.
+    """The pooled path of the retiring stops.
 
-    A coverage (or session) stop is a *global* decision - whether
-    window k+1 runs depends on every shard's detections in windows
-    0..k - so shards cannot stream independently as on the plain path.
-    Instead the parent walks the :data:`repro.simulate.faultsim.
-    FIRST_DETECTION_CHUNK` window grid (the same grid every engine pins
-    under ``stop_at_coverage``), re-partitions the *live* faults across
-    the pool each window (shards shrink as classes retire), folds the
-    per-window detections into whole-run firsts/counts, and applies the
-    identical retire-then-stop rule as the single-process core - so the
-    pooled run is bit-identical to it.  Returns ``None`` when pooling
-    is pointless or unavailable (same disqualifiers as
-    :func:`_map_shards`), signalling the caller to run in-process; the
-    disqualifiers run before any window simulates, so a ``None`` return
-    means ``on_window`` was never invoked.
-
-    ``on_window(consumed, covered_weight) -> bool`` is the same
-    window-boundary seam as :func:`repro.simulate.faultsim.
-    windowed_outcomes`: invoked in the parent after each window's
-    detections folded, returning ``False`` ends the run - this is how
-    ``engine="sharded"``/``"sharded+vector"`` serve
-    :func:`repro.simulate.faultsim.streaming_coverage` sessions with a
-    genuine worker-pool fan-out.  ``stop_at_coverage`` may be ``None``
-    when only the callback decides.
+    A coverage (or session) stop is a *global* decision - whether a
+    block runs depends on every shard's detections before it - so
+    shards cannot stream independently as on the plain path.  Instead
+    :func:`repro.simulate.faultsim.drive_windows` runs in the parent on
+    the :data:`repro.simulate.faultsim.FIRST_DETECTION_CHUNK` grid with
+    :func:`_pool_kernel` as its block kernel, so the pooled run is
+    bit-identical to the single-process one.  ``on_window`` is the
+    session seam of :func:`repro.simulate.faultsim.windowed_outcomes`;
+    ``stop_at_coverage`` may be ``None`` when only it decides.  Returns
+    ``None`` when pooling is pointless or unavailable (same
+    disqualifiers as :func:`_map_shards`), signalling the caller to run
+    in-process; a ``None`` return means ``on_window`` was never
+    invoked.
     """
-    global _SHARD_CONTEXT
     if min_pool_work is None:
         min_pool_work = MIN_POOL_WORK
     context = _fork_context()
@@ -403,56 +412,18 @@ def _coverage_sharded_outcomes(
         or len(partition_faults(network, faults, jobs, schedule, cache=cache)) <= 1
     ):
         return None
-    total_weight = sum(weights)
-    covered_weight = 0
-    firsts = [-1] * len(faults)
-    counts = [0] * len(faults)
-    active = list(range(len(faults)))
     _prewarm_store(network, cache, engine)
-    _SHARD_CONTEXT = (
-        network, patterns, faults, FIRST_DETECTION_CHUNK, True, engine,
-        schedule, tune, cache,
-    )
-    try:
-        with context.Pool(processes=jobs) as pool:
-            for start, chunk in patterns.windows(FIRST_DETECTION_CHUNK):
-                live = [faults[index] for index in active]
-                shards = partition_faults(network, live, jobs, schedule, cache=cache)
-                tasks = [
-                    (start, start + chunk.count, [active[i] for i in shard])
-                    for shard in shards
-                ]
-                parts = pool.map(_coverage_window_worker, tasks)
-                for (_lo, _hi, indices), part in zip(tasks, parts):
-                    if len(part) != len(indices):
-                        raise ValueError(
-                            f"shard returned {len(part)} results for "
-                            f"{len(indices)} faults"
-                        )
-                    for index, outcome in zip(indices, part):
-                        if outcome is None:
-                            continue
-                        firsts[index] = start + outcome[0]
-                        counts[index] = 1
-                        covered_weight += weights[index]
-                active = [index for index in active if counts[index] == 0]
-                if on_window is not None and not on_window(
-                    start + chunk.count, covered_weight
-                ):
-                    break
-                if not active:
-                    break
-                if (
-                    stop_at_coverage is not None
-                    and covered_weight >= stop_at_coverage * total_weight
-                ):
-                    break
-    finally:
-        _SHARD_CONTEXT = None
-    return [
-        (firsts[index], counts[index]) if counts[index] else None
-        for index in range(len(faults))
-    ]
+    plan = resolve_plan(tune, cache=cache)
+    inner = block_kernel(network, faults, engine, schedule, plan, cache)
+    with context.Pool(
+        processes=jobs, initializer=_init_worker, initargs=(patterns, inner)
+    ) as pool:
+        return drive_windows(
+            patterns, len(faults), FIRST_DETECTION_CHUNK,
+            _pool_kernel(pool, network, faults, jobs, schedule, cache),
+            weights, stop_predicate(True, stop_at_coverage, on_window, weights),
+            block_cap(network, engine, plan, patterns.count, cache),
+        )
 
 
 # -- the engine ------------------------------------------------------------------------
@@ -497,8 +468,9 @@ def sharded_fault_simulate(
     fraction reaches the threshold; the window is pinned to that grid
     (any explicit ``window`` is ignored) because the stopping point
     depends on the grid and every engine must stream the same one to
-    stay bit-identical.  The pooled path walks the grid window by
-    window, re-partitioning the shrinking live fault set each step.
+    stay bit-identical.  The pooled path runs the one window driver
+    over a pool kernel that re-partitions the shrinking live fault set
+    for every speculative block.
     """
     get_schedule(schedule)  # reject bad names on every path, pooled or not
     store = resolve_cache(cache)
@@ -511,38 +483,33 @@ def sharded_fault_simulate(
     faults = dedupe_faults(faults)
     check_injectable(network, faults)
     weights = resolve_coverage_weights(faults, coverage_weights)
+    jobs = _resolve_jobs(jobs)
     if stop_at_coverage is not None:
-        jobs = _resolve_jobs(jobs)
+        window = FIRST_DETECTION_CHUNK
         outcomes = _coverage_sharded_outcomes(
             network, patterns, faults, weights, stop_at_coverage, jobs,
             min_pool_work, engine, schedule, tune, cache=store,
         )
-        if outcomes is None:
-            outcomes = windowed_outcomes(
-                network, patterns, faults, FIRST_DETECTION_CHUNK,
-                stop_at_first_detection, engine, schedule, tune,
-                stop_at_coverage=stop_at_coverage,
-                coverage_weights=weights,
-                cache=store,
+    else:
+        if window is None:
+            window = plan.shard_window(
+                patterns.count, compile_network(network, cache=store).num_slots,
+                engine,
             )
-        return build_result(network.name, patterns.count, faults, outcomes)
-    if window is None:
-        window = plan.shard_window(
-            patterns.count, compile_network(network, cache=store).num_slots, engine
+        sharded = _map_shards(
+            _outcomes_worker, network, patterns, faults,
+            window, stop_at_first_detection, jobs, min_pool_work, engine,
+            schedule, tune, cache=store,
         )
-    jobs = _resolve_jobs(jobs)
-    sharded = _map_shards(
-        _outcomes_worker, network, patterns, faults,
-        window, stop_at_first_detection, jobs, min_pool_work, engine,
-        schedule, tune, cache=store,
-    )
-    if sharded is None:
+        outcomes = None if sharded is None else _scatter(sharded, len(faults), None)
+    if outcomes is None:
         outcomes = windowed_outcomes(
             network, patterns, faults, window, stop_at_first_detection,
-            engine, schedule, tune, cache=store,
+            engine, schedule, tune,
+            stop_at_coverage=stop_at_coverage,
+            coverage_weights=weights,
+            cache=store,
         )
-        return build_result(network.name, patterns.count, faults, outcomes)
-    outcomes = _scatter(sharded, len(faults), None)
     return build_result(network.name, patterns.count, faults, outcomes)
 
 

@@ -52,6 +52,11 @@ the element ops:
   difference rows with ``np.bitwise_count`` instead of materialising
   whole-set big-ints.
 
+Fault simulation runs the one window loop,
+:func:`repro.simulate.faultsim.drive_windows`; this module supplies its
+per-block :func:`lane_kernel`, which re-batches the live faults as they
+retire.
+
 The registry entry is ``"vector"``; :mod:`repro.simulate.sharded`
 composes it with the fault-shard worker pool as ``"sharded+vector"``
 (shards x lanes).  All engines remain bit-identical to the interpreted
@@ -71,6 +76,7 @@ from ..logic.expr import And, Const, Not, Or, Var
 from ..netlist.network import Network, NetworkError, NetworkFault
 from .artifacts import fault_fingerprint, resolve_cache
 from .compiled import CompiledNetwork, _compile_source, compile_network
+from .faultsim import _single_process_simulate
 from .logicsim import PatternSet, pack_words, unpack_words
 from .registry import Engine, register_engine
 from .schedule import DEFAULT_SCHEDULE, cone_gates, get_schedule
@@ -84,11 +90,10 @@ __all__ = [
     "VECTOR_WINDOW",
     "VectorNetwork",
     "VectorSimulation",
+    "lane_kernel",
     "vector_compile",
     "vector_difference_words",
     "vector_evaluate_bits",
-    "vector_fault_simulate",
-    "vector_windowed_outcomes",
 ]
 
 VECTOR_WINDOW = 1 << 20
@@ -537,11 +542,11 @@ class VectorNetwork:
         if name != "cost" or len(groups) <= 1:
             return [[group] for group in groups]
         if not keyed:
-            # Streaming sessions replan shrinking live sets between
-            # blocks: content-addressing such transient plans costs more
-            # (a fingerprint per live fault) than re-pricing the greedy
-            # coalesce, and the session's stopping point makes the
-            # subsets unlikely to recur across runs anyway.
+            # Retiring runs replan shrinking live sets between blocks:
+            # content-addressing such transient plans costs more (a
+            # fingerprint per live fault) than re-pricing the greedy
+            # coalesce, and the run's stopping point makes the subsets
+            # unlikely to recur across runs anyway.
             return _apply_positions(
                 groups, self._coalesce_positions(groups, tuning)
             )
@@ -820,229 +825,62 @@ def vector_compile(network: Network, cache=None) -> VectorNetwork:
 # -- the engine primitives -------------------------------------------------------------
 
 
-def vector_windowed_outcomes(
+def lane_kernel(
     network: Network,
-    patterns: PatternSet,
     faults: Sequence[NetworkFault],
-    window: Optional[int] = None,
-    stop_at_first_detection: bool = False,
     schedule: Optional[str] = None,
     tune=None,
-    stop_at_coverage=None,
-    coverage_weights: Optional[Sequence[int]] = None,
     cache=None,
-    on_window=None,
-) -> List:
-    """Per-fault (first index, count) outcomes via batched lane passes.
+):
+    """The lane engine's block kernel for
+    :func:`repro.simulate.faultsim.drive_windows`.
 
-    Same semantics as :func:`repro.simulate.faultsim.windowed_outcomes`
-    (which delegates here for ``engine="vector"``): exact first
-    detection indices and whole-set detection counts, with
-    ``stop_at_first_detection`` retiring a fault after its first
-    detecting window (count pinned to 1) and ``stop_at_coverage``
-    additionally ending the run at the first window boundary where the
-    covered (weight) fraction reaches the threshold.  Retirement
-    genuinely shrinks the live site batches: the batch plans are
-    rebuilt over the surviving faults, so a half-retired site group
-    stacks (and propagates) half the rows.  Detection counts come from
-    ``np.bitwise_count`` over the difference rows - no whole-set
-    big-int is ever materialised.  ``schedule`` picks the batch plan
-    (``"cost"`` coalesces underfilled same-cone site groups); ``tune``
-    names the execution plan (:mod:`repro.simulate.tuning`) that sizes
-    the window when ``window`` is ``None``, the per-cone column chunks
-    and the coalescer pricing.
-
-    ``on_window(consumed, covered_weight) -> bool`` is the streaming
-    session seam: called at every window boundary (after that window's
-    detections retired), it sees the patterns consumed so far and the
-    covered weight, and returning ``False`` stops the run - the Wilson
-    confidence stop of :func:`repro.simulate.faultsim.
-    streaming_coverage` is just such a predicate.  Providing it turns
-    on retirement, exactly like ``stop_at_first_detection``, and makes
-    ``window`` the *stopping grid* rather than the simulation width:
-    the core runs speculative doubling blocks of lane passes and
-    replays the grid boundaries post hoc from the exact
-    first-detection indices (:func:`repro.simulate.faultsim.
-    fold_session_block`), so a session's per-pattern cost approaches
-    the whole-set batched pass while stopping points stay
-    bit-identical to a 256-pattern-window run.
+    ``detect(start, chunk, active)`` batches the ``active`` faults by
+    injection site (``schedule`` picks the batch plan, ``tune`` the
+    execution plan sizing its column chunks), runs the batched cone
+    passes over ``chunk`` and reports the detected faults' positions,
+    first indices and counts, counting with ``np.bitwise_count`` - no
+    whole-set big-int is ever materialised.  The batch plans are
+    rebuilt whenever the live set changes, so a half-retired site group
+    stacks half the rows.  The first plan is keyed in the artifact
+    store; re-plans are not, because a run's live subsets depend on
+    where it stops and seldom recur.
     """
-    from .faultsim import (
-        check_stop_at_coverage,
-        fold_session_block,
-        resolve_coverage_weights,
-        session_block_size,
-    )
-
     store = resolve_cache(cache)
     vector = vector_compile(network, cache=store)
     tuning = resolve_plan(tune, cache=store)
-    check_stop_at_coverage(stop_at_coverage)
-    weights = resolve_coverage_weights(faults, coverage_weights)
-    total_weight = sum(weights)
-    covered_weight = 0
-    retire = (
-        stop_at_first_detection
-        or stop_at_coverage is not None
-        or on_window is not None
-    )
-    if window is None:
-        window = tuning.lane_window(patterns.count, vector.compiled.num_slots)
-    firsts = [-1] * len(faults)
-    counts = [0] * len(faults)
-    active = list(range(len(faults)))
-    plans = None
-    if on_window is not None:
-        block, cap = session_block_size(
-            window, tuning.lane_window(patterns.count, vector.compiled.num_slots)
-        )
-        start = 0
-        planned_over = len(active)
-        while start < patterns.count:
-            block_stop = min(start + block, patterns.count)
-            chunk = patterns.slice(start, block_stop)
-            if plans is None or len(active) < planned_over:
-                # Re-batch over the shrunken live set between blocks,
-                # always unkeyed: a session's live subsets depend on
-                # its stopping point, so content-addressing them costs
-                # a fingerprint per live fault for a plan unlikely to
-                # recur.  A stale plan would still be *correct* -
-                # committed faults are skipped below - but its retired
-                # rows would drag through every cone pass of the
-                # widest blocks.
-                groups = vector.group_faults([(i, faults[i]) for i in active])
-                plans = vector.plan_batches(
-                    groups, schedule, tuning, cache=store, keyed=False
-                )
-                planned_over = len(active)
-            values, mask_row, count = vector.good_rows(chunk)
-            detections = []
-            for plan in plans:
-                live, rows = vector.plan_difference_rows(
-                    values, mask_row, plan, tuning
-                )
-                if not live:
-                    continue
-                row_counts = _row_counts(rows)
-                for j, index in enumerate(live):
-                    if not int(row_counts[j]) or counts[index]:
-                        continue
-                    row = rows[j]
-                    word_index = int(np.flatnonzero(row)[0])
-                    word = int(row[word_index])
-                    detections.append(
-                        (start + 64 * word_index + (word & -word).bit_length() - 1,
-                         index)
-                    )
-            covered_weight, committed, stopped = fold_session_block(
-                detections, start, block_stop, window, firsts, counts,
-                weights, covered_weight, len(active), on_window,
-                stop_at_coverage, total_weight,
-            )
-            if stopped:
-                break
-            if committed:
-                active = [index for index in active if counts[index] == 0]
-            start = block_stop
-            block = min(2 * block, cap)
-        return [
-            (firsts[index], counts[index]) if counts[index] else None
-            for index in range(len(faults))
-        ]
-    for start, chunk in patterns.windows(window):
-        if plans is None:
+    planned = None
+    plans: List[List[Tuple]] = []
+
+    def detect(start: int, chunk: PatternSet, active: List[int]):
+        nonlocal planned, plans
+        if active != planned:
             groups = vector.group_faults([(i, faults[i]) for i in active])
-            plans = vector.plan_batches(groups, schedule, tuning, cache=store)
-        values, mask_row, count = vector.good_rows(chunk)
-        retired = False
+            plans = vector.plan_batches(
+                groups, schedule, tuning, cache=store, keyed=planned is None
+            )
+            planned = active
+        values, mask_row, _count = vector.good_rows(chunk)
+        positions, firsts, counts = [], [], []
         for plan in plans:
             live, rows = vector.plan_difference_rows(values, mask_row, plan, tuning)
             if not live:
                 continue
             row_counts = _row_counts(rows)
-            for j, index in enumerate(live):
-                detected = int(row_counts[j])
-                if not detected:
-                    continue
-                if firsts[index] < 0:
+            for j, position in enumerate(live):
+                count = int(row_counts[j])
+                if count:
                     row = rows[j]
                     word_index = int(np.flatnonzero(row)[0])
                     word = int(row[word_index])
-                    firsts[index] = (
+                    positions.append(position)
+                    firsts.append(
                         start + 64 * word_index + (word & -word).bit_length() - 1
                     )
-                if retire:
-                    counts[index] = 1
-                    covered_weight += weights[index]
-                    retired = True
-                else:
-                    counts[index] += detected
-        if retire and retired:
-            active = [index for index in active if counts[index] == 0]
-            plans = None
-        if retire and not active:
-            break
-        if (
-            stop_at_coverage is not None
-            and covered_weight >= stop_at_coverage * total_weight
-        ):
-            break
-    return [
-        (firsts[index], counts[index]) if counts[index] else None
-        for index in range(len(faults))
-    ]
+                    counts.append(count)
+        return positions, firsts, counts
 
-
-def vector_fault_simulate(
-    network: Network,
-    patterns: PatternSet,
-    faults: Optional[Sequence[NetworkFault]] = None,
-    stop_at_first_detection: bool = False,
-    jobs: Optional[int] = None,
-    window: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
-    stop_at_coverage=None,
-    coverage_weights: Optional[Sequence[int]] = None,
-    cache=None,
-):
-    """Fault simulation on the lane engine, streamed through windows.
-
-    Bit-identical to every other registered engine; ``jobs`` is
-    ignored (compose with the shard pool as ``"sharded+vector"`` for
-    multi-process scale-out), ``schedule`` picks the batch plan and
-    ``tune`` the execution plan (``window=None`` lets the plan size the
-    streaming window - :data:`VECTOR_WINDOW` under the default plan).
-    ``stop_at_coverage`` pins the window to the engine-wide
-    first-detection grid - where a coverage-stopped run ends depends on
-    the window boundaries, so every engine must stream the same grid to
-    stay bit-identical.
-    """
-    from .faultsim import (
-        FIRST_DETECTION_CHUNK,
-        build_result,
-        check_injectable,
-        check_stop_at_coverage,
-        dedupe_faults,
-    )
-
-    store = resolve_cache(cache)  # reject bad cache specs up front too
-    resolve_plan(tune, cache=store)  # reject bad plans before any simulation
-    check_stop_at_coverage(stop_at_coverage)
-    if faults is None:
-        faults = network.enumerate_faults()
-    faults = dedupe_faults(faults)
-    check_injectable(network, faults)
-    if stop_at_first_detection or stop_at_coverage is not None:
-        width = FIRST_DETECTION_CHUNK
-    else:
-        width = window
-    outcomes = vector_windowed_outcomes(
-        network, patterns, faults, width, stop_at_first_detection, schedule,
-        tune, stop_at_coverage=stop_at_coverage,
-        coverage_weights=coverage_weights, cache=store,
-    )
-    return build_result(network.name, patterns.count, faults, outcomes)
+    return detect
 
 
 def vector_difference_words(
@@ -1086,32 +924,6 @@ def vector_evaluate_bits(
     return vector_compile(network, cache=cache).evaluate_bits(env, mask)
 
 
-def _vector_simulate_faults(
-    network: Network,
-    patterns: PatternSet,
-    faults: Sequence[NetworkFault],
-    stop_at_first_detection: bool = False,
-    jobs: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
-    stop_at_coverage=None,
-    coverage_weights: Optional[Sequence[int]] = None,
-    cache=None,
-):
-    return vector_fault_simulate(
-        network,
-        patterns,
-        faults,
-        stop_at_first_detection=stop_at_first_detection,
-        jobs=jobs,
-        schedule=schedule,
-        tune=tune,
-        stop_at_coverage=stop_at_coverage,
-        coverage_weights=coverage_weights,
-        cache=cache,
-    )
-
-
 register_engine(
     Engine(
         name="vector",
@@ -1119,7 +931,7 @@ register_engine(
             "numpy uint64 lane arrays over the compiled slot program: "
             "site-batched, cache-chunked cone passes with streaming windows"
         ),
-        simulate_faults=_vector_simulate_faults,
+        simulate_faults=_single_process_simulate("vector"),
         difference_words=vector_difference_words,
         evaluate_bits=vector_evaluate_bits,
     )

@@ -13,7 +13,7 @@ import pytest
 
 from engine_test_utils import all_faults, differential_circuits, results_identical
 
-from repro.circuits.generators import domino_carry_chain
+from repro.circuits.generators import c17, domino_carry_chain
 from repro.simulate import (
     PatternSet,
     fault_simulate,
@@ -188,6 +188,53 @@ class TestPooledEquivalence:
             network, patterns, faults, jobs=2, min_pool_work=0, engine="vector"
         )
         results_identical(pooled, compiled)
+
+
+class TestConcurrentPools:
+    """Pooled runs in two threads at once, on the coverage-stopped
+    block path and the plain shard path: each pool gets its context
+    through ``initargs``, so neither run can see the other's faults."""
+
+    @pytest.mark.parametrize("stop_at_coverage", [0.95, None])
+    def test_two_threads_match_serial(self, monkeypatch, stop_at_coverage):
+        import threading
+
+        from repro.simulate import sharded as sharded_module
+
+        monkeypatch.setattr(sharded_module, "MIN_POOL_WORK", 0)
+        results = {}
+        errors = []
+
+        def run(network):
+            try:
+                patterns = PatternSet.random(network.inputs, 2048, seed=9)
+                results[network.name] = [
+                    sharded_fault_simulate(
+                        network, patterns, jobs=2,
+                        stop_at_coverage=stop_at_coverage,
+                    )
+                    for _ in range(6)
+                ]
+            except Exception as error:  # re-raised in the main thread
+                errors.append(error)
+
+        networks = [domino_carry_chain(6), c17()]
+        threads = [threading.Thread(target=run, args=(n,)) for n in networks]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads), "pooled run hung"
+        if errors:
+            raise errors[0]
+        for network in networks:
+            patterns = PatternSet.random(network.inputs, 2048, seed=9)
+            serial = fault_simulate(
+                network, patterns, engine="compiled",
+                stop_at_coverage=stop_at_coverage,
+            )
+            for result in results[network.name]:
+                results_identical(result, serial)
 
 
 class TestShardMerge:

@@ -25,6 +25,8 @@ from repro.protest import (
 from repro.simulate import (
     LanePatternSet,
     LfsrSource,
+    PatternSet,
+    available_engines,
     coverage_curve,
     fault_simulate,
     streaming_coverage,
@@ -431,6 +433,14 @@ class TestStreamingJobs:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             streaming_coverage(network, source, engine=engine, jobs=0)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_fault_simulate_validates_jobs(self, engine, jobs):
+        network = and_cone(2)
+        patterns = PatternSet.exhaustive(network.inputs)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            fault_simulate(network, patterns, engine=engine, jobs=jobs)
+
     def test_explicit_jobs_accepted_on_serial_engines(self):
         network = domino_carry_chain(10)
         source = LfsrSource(network.inputs, 2 * FIRST_DETECTION_CHUNK, seed=7)
@@ -442,25 +452,35 @@ class TestStreamingJobs:
 
 class TestShardedSessionFanOut:
     """``engine="sharded"``/``"sharded+vector"`` genuinely serve the
-    session from the window-synchronous worker pool - bit-identical to
-    the single-process consumer."""
+    session from the worker pool - one ``pool.map`` per speculative
+    block of the window driver - bit-identical to the single-process
+    consumer."""
 
     @pytest.mark.parametrize("engine", ["sharded", "sharded+vector"])
     def test_pooled_session_matches_serial(self, engine, monkeypatch):
         from repro.simulate import sharded as sharded_module
 
-        calls = {}
-        original = sharded_module._coverage_sharded_outcomes
+        calls = {"maps": 0, "blocks": 0}
+        original = sharded_module._pool_kernel
 
-        def spy(*args, **kwargs):
-            outcome = original(*args, **kwargs)
-            calls["pooled"] = outcome is not None
-            return outcome
+        def spy(pool, *args):
+            real_map = pool.map
+
+            def counting_map(*map_args):
+                calls["maps"] += 1
+                return real_map(*map_args)
+
+            pool.map = counting_map
+            detect = original(pool, *args)
+
+            def counting_detect(*detect_args):
+                calls["blocks"] += 1
+                return detect(*detect_args)
+
+            return counting_detect
 
         monkeypatch.setattr(sharded_module, "MIN_POOL_WORK", 0)
-        monkeypatch.setattr(
-            sharded_module, "_coverage_sharded_outcomes", spy
-        )
+        monkeypatch.setattr(sharded_module, "_pool_kernel", spy)
         network = skewed_cone_network(depth=6, islands=4)
         budget = 4 * FIRST_DETECTION_CHUNK
         pooled = streaming_coverage(
@@ -477,7 +497,10 @@ class TestShardedSessionFanOut:
             target_coverage=0.7,
             confidence=0.95,
         )
-        assert calls["pooled"], "session silently downgraded to one process"
+        assert calls["blocks"], "session silently downgraded to one process"
+        assert calls["maps"] == calls["blocks"]
+        windows = -(-pooled.pattern_count // FIRST_DETECTION_CHUNK)
+        assert calls["blocks"] < windows
         assert pooled.pattern_count == serial.pattern_count
         assert pooled.detected_weight == serial.detected_weight
         assert pooled.satisfied == serial.satisfied

@@ -287,6 +287,14 @@ class TestStopAtCoverageValidation:
                 network, patterns, all_faults(network), 64,
                 stop_at_coverage=1.5,
             )
+        for window in (0, -3):
+            with pytest.raises(
+                ValueError, match=f"window width must be >= 1, got {window}"
+            ):
+                windowed_outcomes(
+                    network, patterns, all_faults(network), window,
+                    on_window=lambda consumed, covered: True,
+                )
 
 
 class TestStopAtCoverageSemantics:

@@ -26,7 +26,6 @@ from repro.simulate import (
     VectorSimulation,
     fault_simulate,
     vector_compile,
-    vector_fault_simulate,
 )
 from repro.simulate.compiled import compile_network
 from repro.simulate.faultsim import compiled_difference_words
@@ -168,7 +167,8 @@ class TestBatchedWindows:
         for chunk in (1, 2, 3, 1536):
             monkeypatch.setattr(vector_module, "VECTOR_CHUNK", chunk)
             results_identical(
-                vector_fault_simulate(network, patterns, faults), reference
+                fault_simulate(network, patterns, faults, engine="vector"),
+                reference,
             )
 
     def test_monkeypatched_chunk_actually_reaches_the_cone_loop(self, monkeypatch):
@@ -192,7 +192,7 @@ class TestBatchedWindows:
         patterns = PatternSet.random(network.inputs, 500, seed=3)
         faults = all_faults(network)
         monkeypatch.setattr(vector_module, "VECTOR_CHUNK", 3)
-        vector_fault_simulate(network, patterns, faults)
+        fault_simulate(network, patterns, faults, engine="vector")
         assert seen and set(seen) == {3}
 
     def test_tuned_plan_gives_per_cone_chunk_widths(self):
@@ -222,7 +222,9 @@ class TestBatchedWindows:
         faults = all_faults(network)
         reference = fault_simulate(network, patterns, faults, engine="compiled")
         results_identical(
-            vector_fault_simulate(network, patterns, faults, tune=Spy(profile)),
+            fault_simulate(
+                network, patterns, faults, engine="vector", tune=Spy(profile)
+            ),
             reference,
         )
         assert len({width for _cone, width in widths}) > 1
@@ -250,7 +252,7 @@ class TestBatchedWindows:
             for value in (0, 1)
         ]
         results_identical(
-            vector_fault_simulate(network, patterns, faults),
+            fault_simulate(network, patterns, faults, engine="vector"),
             fault_simulate(network, patterns, faults, engine="compiled"),
         )
 
@@ -259,8 +261,9 @@ class TestBatchedWindows:
         patterns = PatternSet.random(network.inputs, 700, seed=21)
         faults = all_faults(network)
         results_identical(
-            vector_fault_simulate(
-                network, patterns, faults, stop_at_first_detection=True
+            fault_simulate(
+                network, patterns, faults, stop_at_first_detection=True,
+                engine="vector",
             ),
             fault_simulate(
                 network, patterns, faults, stop_at_first_detection=True,
