@@ -41,13 +41,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _harness import BENCH_PATH, best_of, results_identical, update_record  # noqa: E402
 from bench_perf_engine import library_runtime_network  # noqa: E402
-from bench_perf_schedule import _best_of  # noqa: E402
-from bench_perf_shard import _results_identical, update_record  # noqa: E402
 from repro.circuits.generators import skewed_cone_network  # noqa: E402
 from repro.simulate import ArtifactStore, PatternSet, fault_simulate  # noqa: E402
 
-BENCH_PATH = REPO_ROOT / "BENCH_engine.json"
 WORKLOAD_NAME = "e10_cache"
 MIN_REQUIRED_SPEEDUP = 2.0
 
@@ -55,7 +53,7 @@ MIN_REQUIRED_SPEEDUP = 2.0
 def _cold_warm_pair(network, patterns, faults, engine, repetitions):
     """Time the cold (fresh store every run) and warm (one shared,
     primed store) sides of one workload x engine cell."""
-    cold_result, cold_seconds = _best_of(
+    cold_result, cold_seconds = best_of(
         lambda: fault_simulate(
             network, patterns, faults, engine=engine, collapse="on",
             cache=ArtifactStore(),
@@ -66,7 +64,7 @@ def _cold_warm_pair(network, patterns, faults, engine, repetitions):
     fault_simulate(  # the untimed priming pass
         network, patterns, faults, engine=engine, collapse="on", cache=store,
     )
-    warm_result, warm_seconds = _best_of(
+    warm_result, warm_seconds = best_of(
         lambda: fault_simulate(
             network, patterns, faults, engine=engine, collapse="on",
             cache=store,
@@ -74,7 +72,7 @@ def _cold_warm_pair(network, patterns, faults, engine, repetitions):
         repetitions,
     )
     return {
-        "identical": _results_identical(warm_result, cold_result),
+        "identical": results_identical(warm_result, cold_result),
         "cold_seconds": round(cold_seconds, 4),
         "warm_seconds": round(warm_seconds, 4),
         "speedup": round(cold_seconds / warm_seconds, 3),

@@ -50,13 +50,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _harness import BENCH_PATH, best_of, results_identical, update_record  # noqa: E402
 from bench_perf_engine import library_runtime_network  # noqa: E402
-from bench_perf_schedule import _best_of  # noqa: E402
-from bench_perf_shard import _results_identical, update_record  # noqa: E402
 from repro.faults.structural import collapse_network_faults  # noqa: E402
 from repro.simulate import PatternSet, fault_simulate  # noqa: E402
 
-BENCH_PATH = REPO_ROOT / "BENCH_engine.json"
 WORKLOAD_NAME = "e10_collapse"
 MIN_REQUIRED_SPEEDUP = 1.5
 
@@ -89,13 +87,13 @@ def run_collapse(
         seconds = {}
         results = {}
         for mode in ("off", "on"):
-            results[mode], seconds[mode] = _best_of(
+            results[mode], seconds[mode] = best_of(
                 lambda: fault_simulate(
                     network, patterns, faults, engine=engine, collapse=mode
                 ),
                 repetitions,
             )
-        identical = identical and _results_identical(results["on"], results["off"])
+        identical = identical and results_identical(results["on"], results["off"])
         speedup = round(seconds["off"] / seconds["on"], 3)
         pairs.append(
             {
@@ -115,21 +113,21 @@ def run_collapse(
     # sides stream the pinned first-detection window grid, so the cost
     # scales with windows, not the vector chunk width.
     coverage_set = PatternSet.random(network.inputs, coverage_patterns, seed=10)
-    first_result, first_seconds = _best_of(
+    first_result, first_seconds = best_of(
         lambda: fault_simulate(
             network, coverage_set, faults,
             stop_at_first_detection=True, engine="compiled",
         ),
         max(1, repetitions // 2),
     )
-    capped_result, capped_seconds = _best_of(
+    capped_result, capped_seconds = best_of(
         lambda: fault_simulate(
             network, coverage_set, faults,
             stop_at_coverage=1.0, collapse="on", engine="compiled",
         ),
         max(1, repetitions // 2),
     )
-    identical = identical and _results_identical(capped_result, first_result)
+    identical = identical and results_identical(capped_result, first_result)
     coverage_speedup = round(first_seconds / capped_seconds, 3)
     print(
         f"  coverage flow: first-detection {first_seconds:.2f}s -> "

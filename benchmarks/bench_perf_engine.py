@@ -35,13 +35,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _harness import BENCH_PATH, results_identical  # noqa: E402
 from repro.circuits.generators import domino_carry_chain  # noqa: E402
 from repro.experiments.e10_library_runtime import cell_of_size  # noqa: E402
 from repro.netlist.network import Network  # noqa: E402
 from repro.simulate.faultsim import fault_simulate  # noqa: E402
 from repro.simulate.logicsim import PatternSet  # noqa: E402
 
-BENCH_PATH = REPO_ROOT / "BENCH_engine.json"
 MIN_REQUIRED_SPEEDUP = 10.0
 
 
@@ -60,13 +60,6 @@ def library_runtime_network(size: int, n_gates: int = 8, seed: int = 1986) -> Ne
         network.mark_output(net)
     return network
 
-
-def _results_identical(a, b) -> bool:
-    return (
-        a.detected == b.detected
-        and a.detection_counts == b.detection_counts
-        and a.undetected == b.undetected
-    )
 
 
 def _time(
@@ -147,7 +140,7 @@ def bench_e10_library_runtime(
             lambda: fault_simulate(network, patterns, faults, engine="interpreted"),
             max_repeats=1,
         )
-        identical = identical and _results_identical(result_c, result_i)
+        identical = identical and results_identical(result_c, result_i)
         interpreted_total += seconds_i
         compiled_total += seconds_c
     return _workload_record(
@@ -190,7 +183,7 @@ def bench_e8_test_strategies(
         seconds_i, result_i = _time(
             lambda: fault_simulate(network, patterns, faults, engine="interpreted")
         )
-        identical = identical and _results_identical(result_c, result_i)
+        identical = identical and results_identical(result_c, result_i)
         interpreted_total += seconds_i
         compiled_total += seconds_c
     first_c, first_result_c = _time(

@@ -43,7 +43,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from bench_perf_shard import update_record  # noqa: E402
+from _harness import BENCH_PATH, update_record  # noqa: E402
 from repro.circuits.generators import domino_carry_chain  # noqa: E402
 from repro.netlist import parse_bench  # noqa: E402
 from repro.netlist.network import Network, NetworkError  # noqa: E402
@@ -51,7 +51,6 @@ from repro.simulate import PatternSet  # noqa: E402
 from repro.simulate.compiled import compile_network  # noqa: E402
 from repro.simulate.schedule import cone_counts_batch  # noqa: E402
 
-BENCH_PATH = REPO_ROOT / "BENCH_engine.json"
 WORKLOAD_NAME = "e_iscas_scale"
 MIN_REQUIRED_SPEEDUP = 10.0
 CONE_SITES = 300
@@ -120,7 +119,7 @@ def run_scale_point(n_gates: int, cone_sites: int = CONE_SITES) -> Dict:
     compile_seconds = time.perf_counter() - start
 
     # Price the cones of fault sites spread across the whole order -
-    # the pass partition_faults runs before any sharded simulation.
+    # the pass partition_faults runs before any pooled simulation.
     sites = [
         compiled.slot_of_net[f"n{g}"]
         for g in range(0, n_gates, max(1, n_gates // cone_sites))

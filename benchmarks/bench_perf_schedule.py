@@ -10,17 +10,18 @@ whose stuck-at pairs underfill lane batches) fault-simulated under
 batch coalescing, :mod:`repro.simulate.schedule`) on the engines the
 schedule actually steers:
 
-* ``vector`` - single-process lanes: ``cost`` coalesces each spine
-  site's stuck-at pair into the driving gate's cell-fault batch (one
-  cone pass instead of two) and merges identical-cone input pairs;
-* ``sharded`` - the worker pool: ``cost`` LPT-packs whole
+* ``vector``, ``jobs=1`` - single-process lanes: ``cost`` coalesces
+  each spine site's stuck-at pair into the driving gate's cell-fault
+  batch (one cone pass instead of two) and merges identical-cone input
+  pairs;
+* ``compiled``, ``jobs=N`` - the worker pool: ``cost`` LPT-packs whole
   injection-site groups by cone cost where contiguous slices pile the
   expensive spine into one straggler (on a single-CPU host - see the
   recorded ``cpu_count`` - wall time cannot show the balance win, so
   the entry also records the *modelled makespan ratio* each partition
   would reach on ``jobs`` real cores);
-* ``sharded+vector`` - both levers at once; this pair is the entry's
-  headline ``speedup``.
+* ``vector``, ``jobs=N`` - both levers at once; this pair is the
+  entry's headline ``speedup``.
 
 Every configuration is checked bit-identical to a single-process
 compiled run before any speedup is recorded, and both schedules are
@@ -37,7 +38,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Dict
 
@@ -45,7 +45,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from bench_perf_shard import _results_identical, update_record  # noqa: E402
+from _harness import BENCH_PATH, best_of, results_identical, update_record  # noqa: E402
 from repro.circuits.generators import skewed_cone_network  # noqa: E402
 from repro.simulate import (  # noqa: E402
     PatternSet,
@@ -54,21 +54,12 @@ from repro.simulate import (  # noqa: E402
     partition_faults,
 )
 
-BENCH_PATH = REPO_ROOT / "BENCH_engine.json"
 WORKLOAD_NAME = "e10_schedule"
 MIN_REQUIRED_SPEEDUP = 1.0
-ENGINE_PAIRS = ("vector", "sharded", "sharded+vector")
-HEADLINE_ENGINE = "sharded+vector"
+#: (engine, pooled) configurations the schedule steers; the last -
+#: lanes inside a worker pool - is the headline.
+CONFIGS = (("vector", False), ("compiled", True), ("vector", True))
 
-
-def _best_of(run, repetitions: int):
-    result = None
-    best = float("inf")
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
-    return result, best
 
 
 def makespan_ratio(network, faults, jobs: int, schedule: str) -> float:
@@ -106,7 +97,7 @@ def run_schedule(
         f"{network.name} (best of {repetitions} runs per configuration)"
     )
 
-    baseline, compiled_seconds = _best_of(
+    baseline, compiled_seconds = best_of(
         lambda: fault_simulate(network, patterns, faults, engine="compiled"),
         repetitions,
     )
@@ -114,11 +105,11 @@ def run_schedule(
 
     identical = True
     pairs = []
-    for engine in ENGINE_PAIRS:
-        engine_jobs = jobs if engine.startswith("sharded") else None
+    for engine, pooled in CONFIGS:
+        engine_jobs = jobs if pooled else 1
         seconds = {}
         for schedule in ("contiguous", "cost"):
-            result, elapsed = _best_of(
+            result, elapsed = best_of(
                 lambda: fault_simulate(
                     network,
                     patterns,
@@ -129,7 +120,7 @@ def run_schedule(
                 ),
                 repetitions,
             )
-            identical = identical and _results_identical(result, baseline)
+            identical = identical and results_identical(result, baseline)
             seconds[schedule] = elapsed
         speedup = round(seconds["contiguous"] / seconds["cost"], 3)
         pairs.append(
@@ -142,7 +133,8 @@ def run_schedule(
             }
         )
         print(
-            f"  {engine}: contiguous {seconds['contiguous']:.2f}s -> cost "
+            f"  {engine} jobs={engine_jobs}: contiguous "
+            f"{seconds['contiguous']:.2f}s -> cost "
             f"{seconds['cost']:.2f}s = {speedup}x (identical={identical})"
         )
 
@@ -152,7 +144,7 @@ def run_schedule(
     }
     print(f"  modelled makespan ratio over {jobs} shards: {balance}")
 
-    headline = next(p for p in pairs if p["engine"] == HEADLINE_ENGINE)
+    headline = pairs[-1]
     return {
         "name": WORKLOAD_NAME,
         "description": (
@@ -160,7 +152,7 @@ def run_schedule(
             "cone beside many tiny islands): cone-cost scheduling "
             "(LPT fault partitioning + cross-site batch coalescing, "
             "schedule='cost') vs the historical contiguous partition on the "
-            "same engine; headline speedup is the sharded+vector pair, "
+            "same engine; headline speedup is the pooled vector pair, "
             "bit-identity against the compiled engine checked first"
         ),
         "params": {

@@ -1,20 +1,21 @@
-"""Shard-count scaling benchmark: sharded engine vs whole-set compiled.
+"""Worker-count scaling benchmark: pooled compiled vs whole-set compiled.
 
 Extends ``BENCH_engine.json`` (the perf trajectory started by the
 compiled-vs-interpreted benchmark - existing workload records are
 preserved, never replaced) with an ``e10_shard_scaling`` entry: an
 E10-style workload (a DAG of 10-transistor AND-OR cells, full
 cell-fault universe) under a *huge* random pattern sequence, fault
-simulation sharded over 1, 2 and 4 worker processes with streaming
-pattern windows, against the single-process whole-set compiled engine
-as the baseline.
+simulation on the compiled engine with ``jobs`` = 1, 2 and 4, against
+the single-process whole-set compiled engine as the baseline.
+``jobs=1`` runs in-process - the same call as the baseline - and
+``jobs > 1`` forks that many workers.
 
-Two effects stack in the measured speedup:
+Two effects stack in the pooled speedup:
 
 * **streaming windows** - the whole-set pass drags megabyte-wide
-  big-ints through every cone while the windowed pass stays
-  cache-resident and converges per window, which is why even 1 worker
-  beats the baseline;
+  big-ints through every cone while a pool streams
+  :data:`~repro.simulate.sharded.DEFAULT_WINDOW`-wide windows that stay
+  cache-resident and converge per window;
 * **sharding** - on multi-core hosts the shards genuinely run in
   parallel (the recorded ``cpu_count`` qualifies how much of that this
   host could express).
@@ -31,11 +32,9 @@ JSON update.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List
 
@@ -43,22 +42,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _harness import BENCH_PATH, results_identical, update_record  # noqa: E402
 from bench_perf_engine import library_runtime_network  # noqa: E402
 from repro.simulate import PatternSet, fault_simulate  # noqa: E402
 from repro.simulate.sharded import DEFAULT_WINDOW  # noqa: E402
 
-BENCH_PATH = REPO_ROOT / "BENCH_engine.json"
 WORKLOAD_NAME = "e10_shard_scaling"
 MIN_REQUIRED_SPEEDUP = 1.0
 JOB_COUNTS = (1, 2, 4)
 
-
-def _results_identical(a, b) -> bool:
-    return (
-        a.detected == b.detected
-        and a.detection_counts == b.detection_counts
-        and a.undetected == b.undetected
-    )
 
 
 def run_scaling(
@@ -84,14 +76,14 @@ def run_scaling(
     for jobs in job_counts:
         start = time.perf_counter()
         result = fault_simulate(
-            network, patterns, faults, engine="sharded", jobs=jobs
+            network, patterns, faults, engine="compiled", jobs=jobs
         )
         seconds = time.perf_counter() - start
-        identical = identical and _results_identical(result, baseline)
+        identical = identical and results_identical(result, baseline)
         speedup = round(compiled_seconds / seconds, 2)
         shards.append({"jobs": jobs, "seconds": round(seconds, 4), "speedup": speedup})
         print(
-            f"  sharded jobs={jobs}: {seconds:.2f}s -> {speedup}x "
+            f"  compiled jobs={jobs}: {seconds:.2f}s -> {speedup}x "
             f"(identical={identical})"
         )
 
@@ -100,8 +92,9 @@ def run_scaling(
         "name": WORKLOAD_NAME,
         "description": (
             "fault simulation of an E10-style AND-OR cell DAG under a huge "
-            "random pattern sequence: sharded worker pool with streaming "
-            "pattern windows vs the single-process whole-set compiled engine"
+            "random pattern sequence: compiled engine over a jobs-wide worker "
+            "pool with streaming pattern windows vs the single-process "
+            "whole-set compiled engine"
         ),
         "params": {
             "cell_transistors": size,
@@ -117,32 +110,6 @@ def run_scaling(
         "speedup": at_max_jobs,
         "identical_results": identical,
     }
-
-
-def update_record(entry: Dict) -> Dict:
-    """Merge the scaling entry into BENCH_engine.json, preserving the
-    existing workload trajectory (only a previous run of *this*
-    workload is replaced)."""
-    record = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {
-        "benchmark": "simulation engine perf trajectory",
-        "workloads": [],
-    }
-    record["workloads"] = [
-        workload
-        for workload in record.get("workloads", [])
-        if workload.get("name") != entry["name"]
-    ] + [entry]
-    record["updated_utc"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    record["all_pass"] = all(
-        workload.get("identical_results", False)
-        and workload.get("speedup", 0.0)
-        >= workload.get(
-            "min_required_speedup", record.get("min_required_speedup", 1.0)
-        )
-        for workload in record["workloads"]
-    )
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    return record
 
 
 def main(argv=None) -> int:
@@ -161,7 +128,7 @@ def main(argv=None) -> int:
             size=8, n_gates=12, pattern_count=1 << 19, job_counts=(1, 2)
         )
         if not entry["identical_results"]:
-            print("FAIL: sharded results diverged from the compiled engine")
+            print("FAIL: pooled results diverged from the in-process engine")
             return 1
         print("quick smoke ok (JSON untouched)")
         return 0

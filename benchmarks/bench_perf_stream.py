@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Dict
 
@@ -46,9 +45,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _harness import BENCH_PATH, best_of, results_identical, update_record  # noqa: E402
 from bench_perf_engine import library_runtime_network  # noqa: E402
-from bench_perf_schedule import _best_of  # noqa: E402
-from bench_perf_shard import _results_identical, update_record  # noqa: E402
 from repro.selftest import LfsrBank  # noqa: E402
 from repro.simulate import (  # noqa: E402
     LfsrSource,
@@ -57,7 +55,6 @@ from repro.simulate import (  # noqa: E402
     streaming_coverage,
 )
 
-BENCH_PATH = REPO_ROOT / "BENCH_engine.json"
 WORKLOAD_NAME = "e10_stream"
 MIN_REQUIRED_SPEEDUP = 1.5
 
@@ -98,11 +95,11 @@ def run_stream(
         f"patterns over {len(names)} inputs"
     )
 
-    serial_result, serial_seconds = _best_of(
+    serial_result, serial_seconds = best_of(
         lambda: _serial_flow(network, names, pattern_count, seed, faults),
         repetitions,
     )
-    lane_result, lane_seconds = _best_of(
+    lane_result, lane_seconds = best_of(
         lambda: fault_simulate(
             network,
             LfsrSource(names, pattern_count, seed=seed),
@@ -111,7 +108,7 @@ def run_stream(
         ),
         repetitions,
     )
-    identical = _results_identical(lane_result, serial_result)
+    identical = results_identical(lane_result, serial_result)
     speedup = round(serial_seconds / lane_seconds, 3)
     print(
         f"  generation+simulation: serial {serial_seconds:.2f}s -> "
@@ -123,7 +120,7 @@ def run_stream(
     # budget.  The session streams FIRST_DETECTION_CHUNK windows and
     # stops once the Wilson bound clears the target.
     source = LfsrSource(names, pattern_count, seed=seed)
-    session, session_seconds = _best_of(
+    session, session_seconds = best_of(
         lambda: streaming_coverage(
             network,
             source,
@@ -133,7 +130,7 @@ def run_stream(
         ),
         repetitions,
     )
-    sweep_result, sweep_seconds = _best_of(
+    sweep_result, sweep_seconds = best_of(
         lambda: fault_simulate(network, source, faults, engine="compiled"),
         repetitions,
     )
@@ -219,7 +216,7 @@ def run_stream_fused(
         f"LFSR patterns over {len(names)} inputs"
     )
 
-    def session_on(engine):
+    def session_on(engine, jobs=1):
         return streaming_coverage(
             network,
             LfsrSource(names, pattern_count, seed=seed),
@@ -227,11 +224,12 @@ def run_stream_fused(
             target_coverage=target_coverage,
             confidence=confidence,
             engine=engine,
+            jobs=jobs,
         )
 
-    session, session_seconds = _best_of(lambda: session_on("vector"), repetitions)
+    session, session_seconds = best_of(lambda: session_on("vector"), repetitions)
     source = LfsrSource(names, pattern_count, seed=seed)
-    sweep_result, sweep_seconds = _best_of(
+    sweep_result, sweep_seconds = best_of(
         lambda: fault_simulate(network, source.materialise(), faults, engine="vector"),
         repetitions,
     )
@@ -243,8 +241,8 @@ def run_stream_fused(
         network, source.slice(0, session.pattern_count), faults
     )
     identical = len(prefix_result.detected) == session.detected_weight
-    for engine in ("compiled", "sharded", "sharded+vector"):
-        other = session_on(engine)
+    for engine, jobs in (("compiled", 1), ("compiled", 2), ("vector", 2)):
+        other = session_on(engine, jobs)
         identical = identical and (
             other.pattern_count == session.pattern_count
             and other.detected_weight == session.detected_weight

@@ -44,13 +44,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _harness import BENCH_PATH, best_of, results_identical, update_record  # noqa: E402
 from bench_perf_engine import library_runtime_network  # noqa: E402
-from bench_perf_schedule import _best_of  # noqa: E402
-from bench_perf_shard import _results_identical, update_record  # noqa: E402
 from repro.circuits.generators import skewed_cone_network  # noqa: E402
 from repro.simulate import PatternSet, fault_simulate, resolve_plan  # noqa: E402
 
-BENCH_PATH = REPO_ROOT / "BENCH_engine.json"
 WORKLOAD_NAME = "e10_autotune"
 MIN_REQUIRED_SPEEDUP = 1.0
 HEADLINE_WORKLOAD = "skewed_cone"
@@ -83,7 +81,7 @@ def run_autotune(
     for name, network, faults, patterns in _workloads(
         flat_gates, spine_depth, islands, pattern_count
     ):
-        baseline, compiled_seconds = _best_of(
+        baseline, compiled_seconds = best_of(
             lambda: fault_simulate(network, patterns, faults, engine="compiled"),
             max(1, repetitions // 2),
         )
@@ -93,13 +91,13 @@ def run_autotune(
         )
         seconds = {}
         for tune in ("default", "auto"):
-            result, elapsed = _best_of(
+            result, elapsed = best_of(
                 lambda: fault_simulate(
                     network, patterns, faults, engine="vector", tune=tune
                 ),
                 repetitions,
             )
-            identical = identical and _results_identical(result, baseline)
+            identical = identical and results_identical(result, baseline)
             seconds[tune] = elapsed
         speedup = round(seconds["default"] / seconds["auto"], 3)
         pairs.append(

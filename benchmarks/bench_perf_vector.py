@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Dict
 
@@ -40,25 +39,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _harness import BENCH_PATH, best_of, results_identical, update_record  # noqa: E402
 from bench_perf_engine import library_runtime_network  # noqa: E402
-from bench_perf_shard import _results_identical, update_record  # noqa: E402
 from repro.simulate import PatternSet, fault_simulate  # noqa: E402
 from repro.simulate.vector import VECTOR_CHUNK, VECTOR_WINDOW  # noqa: E402
 
-BENCH_PATH = REPO_ROOT / "BENCH_engine.json"
 WORKLOAD_NAME = "e10_vector"
 MIN_REQUIRED_SPEEDUP = 2.0
 
-
-def _best_of(run, repetitions: int):
-    """Fastest wall time of ``repetitions`` runs (noise suppression)."""
-    result = None
-    best = float("inf")
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
-    return result, best
 
 
 def run_vector(
@@ -75,17 +63,17 @@ def run_vector(
         f"(best of {repetitions} runs per engine)"
     )
 
-    baseline, compiled_seconds = _best_of(
+    baseline, compiled_seconds = best_of(
         lambda: fault_simulate(network, patterns, faults, engine="compiled"),
         repetitions,
     )
     print(f"  compiled whole-set: {compiled_seconds:.2f}s")
 
-    vector, vector_seconds = _best_of(
+    vector, vector_seconds = best_of(
         lambda: fault_simulate(network, patterns, faults, engine="vector"),
         repetitions,
     )
-    identical = _results_identical(vector, baseline)
+    identical = results_identical(vector, baseline)
     speedup = round(compiled_seconds / vector_seconds, 2)
     print(
         f"  vector: {vector_seconds:.2f}s -> {speedup}x (identical={identical})"

@@ -11,7 +11,7 @@ Subcommands::
 
     python -m repro protest [CELLFILE | --netlist FILE.bench] \
             --confidence 0.999 \
-            [--engine compiled|interpreted|sharded|sharded+vector|vector] \
+            [--engine compiled|interpreted|vector] \
             [--jobs N] [--schedule contiguous|cost|interleaved] \
             [--tune auto|default|PROFILE.json] [--collapse off|on|report] \
             [--cache memory|off|DIR] \
@@ -24,12 +24,13 @@ Subcommands::
         (``--source`` picks the lane-native pattern generator) that
         stops once the Wilson lower confidence bound on coverage clears
         ``--target-coverage``; the session runs the selected engine's
-        batched window cores (the sharded engines fan each window
-        across ``--jobs`` workers).
+        batched window cores (``--jobs N`` fans each block across N
+        worker processes).
         ``--engine`` picks the simulation engine for the estimators and
         the validation fault simulation (any registered engine name;
         bad names fail with the registry's error); ``--jobs`` the
-        worker count of the sharded engines; ``--schedule`` the
+        worker count (1, in-process, by default; N > 1 forks a pool of
+        N workers for big workloads on any engine); ``--schedule`` the
         fault-scheduling policy (cost-weighted cone scheduling by
         default); ``--tune`` the execution plan sizing chunks and
         windows (``default`` keeps the hand-calibrated constants,
@@ -54,7 +55,7 @@ import argparse
 from pathlib import Path
 from typing import List, Optional
 
-ENGINE_CHOICES = ("compiled", "interpreted", "sharded", "sharded+vector", "vector")
+ENGINE_CHOICES = ("compiled", "interpreted", "vector")
 """The registered engine names, spelled out so parser construction (and
 ``--help``) stays free of the simulate-package import cost; a test
 holds this tuple equal to ``repro.simulate.available_engines()``."""
@@ -353,11 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     protest.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="worker processes for the sharded engines, including their "
-        "window-synchronous streaming sessions (default: one per CPU; "
-        "serial engines validate N >= 1)",
+        help="worker processes for fault simulation, the estimators and "
+        "streaming sessions on any engine (default: 1, in-process; N > 1 "
+        "forks a pool of N workers once the workload pays for it)",
     )
     protest.add_argument(
         "--schedule",

@@ -27,7 +27,7 @@ from ..logic.probability import Program, cell_probability
 from ..netlist.network import Network, NetworkFault
 from ..simulate.artifacts import resolve_cache
 from ..simulate.compiled import compile_network
-from ..simulate.faultsim import check_injectable, dedupe_faults
+from ..simulate.faultsim import check_injectable, check_jobs, dedupe_faults
 from ..simulate.logicsim import PatternSet
 from ..simulate.registry import get_engine
 from ..simulate.tuning import resolve_plan
@@ -100,9 +100,10 @@ def monte_carlo_detection_probabilities(
 
     ``engine``/``jobs``/``schedule``/``tune`` select a registered
     simulation engine, fault-scheduling policy and execution plan for
-    the per-fault difference passes (``"sharded"`` spreads the fault
-    list over ``jobs`` worker processes); results are engine-,
-    schedule- and tuning-independent.  ``collapse`` resolves exactly as
+    the per-fault difference passes (``jobs`` must be ``>= 1``; above
+    1 it spreads the fault list over that many worker processes, on
+    any engine); results are engine-, schedule- and
+    tuning-independent.  ``collapse`` resolves exactly as
     in :func:`repro.simulate.faultsim.fault_simulate`: under
     ``"on"``/``"report"`` only one representative per structural
     equivalence class runs a difference pass, and - class members
@@ -114,6 +115,7 @@ def monte_carlo_detection_probabilities(
 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    check_jobs(jobs)
     mode = get_collapse_mode(collapse)
     store = resolve_cache(cache)
     faults = dedupe_faults(faults)

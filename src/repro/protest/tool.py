@@ -98,8 +98,8 @@ class Protest:
 
     ``engine``/``jobs``/``schedule``/``tune`` pick the simulation
     engine (:mod:`repro.simulate.registry`: ``"interpreted"``,
-    ``"compiled"``, ``"vector"``, ``"sharded"``, ``"sharded+vector"``),
-    the worker count, the fault-scheduling policy
+    ``"compiled"``, ``"vector"``), the worker count (``None`` or 1
+    in-process, ``> 1`` a forked pool), the fault-scheduling policy
     (:mod:`repro.simulate.schedule`: ``"cost"``, ``"contiguous"``,
     ``"interleaved"``) and the execution plan
     (:mod:`repro.simulate.tuning`: ``"default"``, ``"auto"``, or a
@@ -225,11 +225,11 @@ class Protest:
         step before committing self-test logic to the chip.
 
         ``engine`` names a registered engine (``"compiled"``,
-        ``"interpreted"``, ``"sharded"``), ``jobs`` the worker count
-        for the sharded engines, ``schedule`` the fault-scheduling
-        policy, ``tune`` the execution plan, ``collapse`` the
-        structural-collapsing mode and ``cache`` the artifact store;
-        all default to the instance settings.  See
+        ``"interpreted"``, ``"vector"``), ``jobs`` the worker count
+        (``> 1`` forks a pool on any engine), ``schedule`` the
+        fault-scheduling policy, ``tune`` the execution plan,
+        ``collapse`` the structural-collapsing mode and ``cache`` the
+        artifact store; all default to the instance settings.  See
         :func:`repro.simulate.faultsim.fault_simulate`.
         """
         patterns = self.generate_patterns(count, probs, seed)
@@ -273,10 +273,9 @@ class Protest:
         :func:`repro.simulate.faultsim.streaming_coverage`, which runs
         the engines' batched window cores and stops at the first window
         where the Wilson lower confidence bound on fault coverage
-        clears ``target_coverage`` - the ``sharded`` engines fan each
-        window across a ``jobs``-wide worker pool, the serial engines
-        validate ``jobs`` and run in-process.  Engine knobs default to
-        the instance settings.
+        clears ``target_coverage`` - ``jobs > 1`` fans each block across
+        a ``jobs``-wide worker pool.  Engine knobs default to the
+        instance settings.
         """
         resolved = make_source(
             source,

@@ -18,6 +18,7 @@ from .faultsim import (
     coverage_curve,
     fault_simulate,
     streaming_coverage,
+    windowed_outcomes,
 )
 from .parallel import parallel_fault_simulate
 from .logicsim import LanePatternSet, PatternSet, simulate, simulate_all_nets
@@ -39,12 +40,7 @@ from .schedule import (
     get_schedule,
     partition_faults,
 )
-from .sharded import (
-    DEFAULT_WINDOW,
-    merge_results,
-    sharded_fault_simulate,
-    windowed_outcomes,
-)
+from .sharded import DEFAULT_WINDOW, merge_results
 from .tuning import (
     DEFAULT_TUNING,
     ExecutionPlan,
@@ -87,6 +83,7 @@ __all__ = [
     "coverage_curve",
     "fault_simulate",
     "streaming_coverage",
+    "windowed_outcomes",
     "parallel_fault_simulate",
     "LanePatternSet",
     "PatternSet",
@@ -111,8 +108,6 @@ __all__ = [
     "partition_faults",
     "DEFAULT_WINDOW",
     "merge_results",
-    "sharded_fault_simulate",
-    "windowed_outcomes",
     "DEFAULT_TUNING",
     "ExecutionPlan",
     "TuningProfile",

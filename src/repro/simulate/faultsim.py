@@ -25,19 +25,20 @@ registry (:mod:`repro.simulate.registry`):
   program lowered onto numpy ``uint64`` lane arrays; the gate kernels
   run as vectorized SIMD ops, which wins past a few thousand patterns
   per pass.
-* ``engine="sharded"`` / ``engine="sharded+vector"`` -
-  :mod:`repro.simulate.sharded`: an inner engine (compiled or vector)
-  sharded across a ``multiprocessing`` worker pool with streaming
-  pattern windows; ``jobs`` selects the worker count.
+
+``jobs`` is the only parallelism switch: every engine runs in-process
+when it is ``None`` or 1 and fans its faults out across a ``jobs``-wide
+worker pool (:mod:`repro.simulate.sharded`) above that, once the
+workload is big enough to pay for the fork.
 
 Every engine's per-fault outcomes come out of one window loop,
 :func:`drive_windows`.  An engine supplies only a per-block kernel
 (:data:`BlockKernel`): the big-int kernel of :func:`block_kernel` for
 compiled and interpreted, the lane kernel of
-:func:`repro.simulate.vector.lane_kernel`, and the pool kernel of
-:mod:`repro.simulate.sharded`.  The three stops (first detection,
-coverage, a session's ``on_window``) are one boundary predicate
-(:func:`stop_predicate`).
+:func:`repro.simulate.vector.lane_kernel`; a pooled run wraps either in
+the pool kernel of :mod:`repro.simulate.sharded`.  The three stops
+(first detection, coverage, a session's ``on_window``) are one boundary
+predicate (:func:`stop_predicate`).
 
 Results are keyed by fault *label* (``fault.describe()``) but computed
 per fault: a fault list in which two **distinct** faults share a label
@@ -140,7 +141,7 @@ def dedupe_faults(faults: Sequence[NetworkFault]) -> List[NetworkFault]:
     """Drop literal duplicates; raise when distinct faults share a label.
 
     The one collision policy every label-keyed consumer shares - the
-    fault-simulation engines, the sharded shards, the detection
+    fault-simulation engines, the pooled shards, the detection
     estimators.  Every colliding label is reported in one message, not
     just the first, so a large (possibly collapsed) fault list fails
     with a single actionable error."""
@@ -215,7 +216,7 @@ def check_injectable(network: Network, faults: Sequence[NetworkFault]) -> None:
 
 
 def check_jobs(jobs: Optional[int]) -> None:
-    """Validate a worker count (``None`` means one per CPU)."""
+    """Validate a worker count (``None`` means 1: in-process)."""
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
@@ -302,11 +303,17 @@ def interpreted_difference_words(
     Serial fault-by-fault passes have nothing to schedule, tune or
     cache, but ``schedule``, ``tune`` and ``cache`` are still validated
     so every registry engine rejects bad names identically - on this
-    entry point too, not only through ``fault_simulate``.
+    entry point too, not only through ``fault_simulate``.  ``jobs > 1``
+    shards the faults across a worker pool (:func:`pooled_words`).
     """
     get_schedule(schedule)
     store = resolve_cache(cache)
     resolve_plan(tune, cache=store)
+    pooled = pooled_words(
+        network, patterns, faults, "interpreted", jobs, schedule, tune, store
+    )
+    if pooled is not None:
+        return pooled
     good = network.output_bits(patterns.env, patterns.mask)
     return [
         _difference_interpreted(network, patterns.env, patterns.mask, good, fault)
@@ -323,22 +330,55 @@ def compiled_difference_words(
     tune=None,
     cache=None,
 ) -> List[int]:
-    """One detection word per fault via cone-restricted compiled passes."""
+    """One detection word per fault via cone-restricted compiled passes
+    (``jobs > 1``: across a worker pool, :func:`pooled_words`)."""
     get_schedule(schedule)
     store = resolve_cache(cache)
     resolve_plan(tune, cache=store)
+    pooled = pooled_words(
+        network, patterns, faults, "compiled", jobs, schedule, tune, store
+    )
+    if pooled is not None:
+        return pooled
     sim = compile_network(network, cache=store).simulate(patterns.env, patterns.mask)
     return [sim.difference(fault) for fault in faults]
 
 
-def _single_process_simulate(engine_name: str):
-    """Build a ``simulate_faults`` callable for a one-process engine.
+def pooled_words(
+    network: Network,
+    patterns: PatternSet,
+    faults: Sequence[NetworkFault],
+    engine: str,
+    jobs: Optional[int],
+    schedule: Optional[str],
+    tune,
+    cache,
+) -> Optional[List[int]]:
+    """The pooled half of every engine's ``difference_words``.
 
-    Every mode streams through :func:`windowed_outcomes`.  Without a
-    stop the execution plan sizes the window; either stop pins the
-    stopping grid to :data:`FIRST_DETECTION_CHUNK` on every engine -
-    where a coverage-stopped run ends depends on the grid, so all
-    engines must stop on the same one to stay bit-identical.
+    Validates ``jobs``; ``None`` (run in-process) unless ``jobs > 1``
+    and :func:`repro.simulate.sharded.pooled_difference_words` finds the
+    workload worth a pool.
+    """
+    check_jobs(jobs)
+    if jobs is None or jobs <= 1:
+        return None
+    from .sharded import pooled_difference_words
+
+    return pooled_difference_words(
+        network, patterns, faults, engine, jobs, schedule, tune, cache
+    )
+
+
+def _simulate_faults(engine_name: str):
+    """Build an engine's registry ``simulate_faults`` callable.
+
+    Every mode streams through :func:`windowed_outcomes`, in-process or
+    pooled by ``jobs``.  Without a stop the execution plan sizes the
+    window; either stop pins the stopping grid to
+    :data:`FIRST_DETECTION_CHUNK` on every engine - where a
+    coverage-stopped run ends depends on the grid, so all engines must
+    stop on the same one to stay bit-identical.
     """
 
     def simulate_faults(
@@ -360,6 +400,7 @@ def _single_process_simulate(engine_name: str):
             stop_at_coverage=stop_at_coverage,
             coverage_weights=coverage_weights,
             cache=cache,
+            jobs=jobs,
         )
         return build_result(network.name, patterns.count, faults, outcomes)
 
@@ -374,7 +415,7 @@ register_engine(
     Engine(
         name="interpreted",
         description="gate-by-gate AST walk (reference oracle)",
-        simulate_faults=_single_process_simulate("interpreted"),
+        simulate_faults=_simulate_faults("interpreted"),
         difference_words=interpreted_difference_words,
         evaluate_bits=lambda network, env, mask, cache=None: network.evaluate_bits(
             env, mask
@@ -386,7 +427,7 @@ register_engine(
     Engine(
         name="compiled",
         description="flat slot program with fault-cone-restricted passes",
-        simulate_faults=_single_process_simulate("compiled"),
+        simulate_faults=_simulate_faults("compiled"),
         difference_words=compiled_difference_words,
         evaluate_bits=_compiled_evaluate_bits,
     )
@@ -421,16 +462,17 @@ def fault_simulate(
     wanted.
 
     ``engine`` names a registered engine (``"compiled"`` by default,
-    ``"interpreted"``, ``"vector"``, ``"sharded"``,
-    ``"sharded+vector"``; see :mod:`repro.simulate.registry`); all
-    engines are bit-identical.
-    ``jobs`` sets the worker count for multi-process engines and is
-    ignored by the single-process ones; it must be ``>= 1`` on every
-    engine.
+    ``"interpreted"``, ``"vector"``; see
+    :mod:`repro.simulate.registry`); all engines are bit-identical.
+    ``jobs`` is the worker count, ``>= 1`` on every engine: ``None``
+    or 1 runs in-process, ``jobs > 1`` forks a pool of that many
+    workers (:mod:`repro.simulate.sharded`) once patterns x faults
+    reaches :data:`repro.simulate.sharded.MIN_POOL_WORK` - smaller
+    workloads, and hosts without ``fork``, stay in-process.
     ``schedule`` names a fault-scheduling policy
     (:mod:`repro.simulate.schedule`: ``"cost"`` by default,
-    ``"contiguous"``, ``"interleaved"``); it steers how the sharded
-    engines partition the fault list and how the vector engines batch
+    ``"contiguous"``, ``"interleaved"``); it steers how a pool
+    partitions the fault list and how the vector engine batches
     injection sites, and never changes a single result bit.  Unknown
     names raise here with the list of available schedules, on every
     engine - including the serial ones that have nothing to schedule.
@@ -536,7 +578,7 @@ def window_difference_factory(network: Network, engine: str, cache=None):
     """``window -> (fault -> difference word)`` for a one-process engine.
 
     The per-window pass behind the big-int block kernel
-    (:func:`block_kernel`) and the sharded words path; ``engine`` picks
+    (:func:`block_kernel`) and the pooled words path; ``engine`` picks
     the pass (``"compiled"`` slot program, ``"vector"`` numpy lane
     arrays, ``"interpreted"`` full AST re-simulation); ``cache`` selects
     the artifact store the compiled/vector programs resolve through.
@@ -823,10 +865,14 @@ def windowed_outcomes(
     coverage_weights: Optional[Sequence[int]] = None,
     cache=None,
     on_window=None,
+    jobs: Optional[int] = None,
 ) -> List[FaultOutcome]:
-    """Per-fault (first index, count) outcomes on a one-process engine.
+    """Per-fault (first index, count) outcomes on one engine.
 
-    :func:`drive_windows` over the engine's :func:`block_kernel`.
+    :func:`drive_windows` over the engine's :func:`block_kernel` - or,
+    when ``jobs > 1`` and the workload pays for a pool, over the pool
+    kernel that runs it in ``jobs`` forked workers
+    (:func:`repro.simulate.sharded.pooled_outcomes`).
     ``window`` is the window width - the stopping grid when a stop is
     asked for - and ``None`` lets the execution plan (``tune``) size it.
     ``stop_at_first_detection`` retires a fault at the end of its first
@@ -842,9 +888,22 @@ def windowed_outcomes(
     store = resolve_cache(cache)
     plan = resolve_plan(tune, cache=store)
     check_stop_at_coverage(stop_at_coverage)
+    check_jobs(jobs)
     weights = resolve_coverage_weights(faults, coverage_weights)
+    stop = stop_predicate(
+        stop_at_first_detection, stop_at_coverage, on_window, weights
+    )
     detect = block_kernel(network, faults, engine, schedule, plan, store)
     cap = block_cap(network, engine, plan, patterns.count, store)
+    if jobs is not None and jobs > 1:
+        from .sharded import pooled_outcomes
+
+        outcomes = pooled_outcomes(
+            network, patterns, faults, window, detect, weights, stop, cap,
+            jobs, engine, schedule, plan, store,
+        )
+        if outcomes is not None:
+            return outcomes
     if window is None:
         if engine == "vector":
             window = cap
@@ -854,11 +913,7 @@ def windowed_outcomes(
             )
         else:
             window = max(patterns.count, 1)
-    return drive_windows(
-        patterns, len(faults), window, detect, weights,
-        stop_predicate(stop_at_first_detection, stop_at_coverage, on_window, weights),
-        cap,
-    )
+    return drive_windows(patterns, len(faults), window, detect, weights, stop, cap)
 
 
 @dataclass
@@ -966,14 +1021,12 @@ def streaming_coverage(
     :func:`drive_windows`, so a stopped session costs what the engines
     cost per pattern.  The window grid is pinned to
     :data:`FIRST_DETECTION_CHUNK` on every engine, so the stopping
-    point is engine-independent.  ``engine="sharded"``/
-    ``"sharded+vector"`` fan each block's live faults out across a
-    ``jobs``-wide worker pool (falling back in-process when pooling is
-    pointless - tiny workloads, one shard, no ``fork``); the serial
-    engines validate ``jobs`` (``>= 1``) and run in-process.  Under
-    ``collapse="on"`` classes weight the observed counts by their
-    member sizes, keeping the stopping window identical to the
-    uncollapsed run.
+    point is engine-independent.  ``jobs > 1`` fans each block's live
+    faults out across a ``jobs``-wide worker pool (falling back
+    in-process when pooling is pointless - tiny workloads, one shard,
+    no ``fork``).  Under ``collapse="on"`` classes weight the observed
+    counts by their member sizes, keeping the stopping window identical
+    to the uncollapsed run.
     """
     from ..faults.structural import collapse_network_faults, get_collapse_mode
     from ..protest.testlength import coverage_lower_bound
@@ -990,7 +1043,6 @@ def streaming_coverage(
         )
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0,1), got {confidence}")
-    core = {"sharded": "compiled", "sharded+vector": "vector"}.get(engine, engine)
     if faults is None:
         faults = network.enumerate_faults()
     faults = dedupe_faults(faults)
@@ -1033,21 +1085,12 @@ def streaming_coverage(
                 return False
             return True
 
-        pooled = None
-        if engine in ("sharded", "sharded+vector"):
-            from .sharded import _coverage_sharded_outcomes, _resolve_jobs
-
-            pooled = _coverage_sharded_outcomes(
-                network, patterns, simulated, weights, None,
-                _resolve_jobs(jobs), None, core, schedule, tune,
-                cache=store, on_window=on_window,
-            )
-        if pooled is None:
-            windowed_outcomes(
-                network, patterns, simulated, FIRST_DETECTION_CHUNK,
-                False, core, schedule, tune,
-                coverage_weights=weights, cache=store, on_window=on_window,
-            )
+        windowed_outcomes(
+            network, patterns, simulated, FIRST_DETECTION_CHUNK,
+            False, engine, schedule, tune,
+            coverage_weights=weights, cache=store, on_window=on_window,
+            jobs=jobs,
+        )
         if not curve:
             curve.append((0, 1.0 if total_weight == 0 else 0.0))
     store.flush()

@@ -13,7 +13,7 @@ three primitives the rest of the system needs:
 * ``evaluate_bits`` - fault-free bit-parallel valuation of every net
   (the Monte-Carlo signal estimator's primitive).
 
-Five engines register themselves on import:
+Three engines register themselves on import:
 
 * ``"interpreted"`` - the gate-by-gate AST walk through
   :meth:`Network.evaluate_bits`; the reference oracle.
@@ -22,11 +22,11 @@ Five engines register themselves on import:
 * ``"vector"`` - :mod:`repro.simulate.vector`: the same slot program
   lowered onto numpy ``uint64`` lane arrays; the gate kernels run as
   vectorized SIMD ops over streamed pattern windows.
-* ``"sharded"`` - :mod:`repro.simulate.sharded`: the compiled engine
-  run over a multi-process fault-list shard pool with streaming
-  pattern windows.  Accepts ``jobs``.
-* ``"sharded+vector"`` - the shard pool with the vector engine inside
-  each worker (shards x lanes).  Accepts ``jobs``.
+
+Parallelism is not an engine: every engine takes ``jobs``, runs
+in-process when it is ``None`` or 1 and forks a ``jobs``-wide worker
+pool (:mod:`repro.simulate.sharded`) above that, once the workload is
+big enough to pay for it.
 
 Engines also accept a **schedule** name (resolved through
 :mod:`repro.simulate.schedule`, the registry's sibling for fault
@@ -78,10 +78,12 @@ class Engine:
     patterns, faults, jobs=None, schedule=None, tune=None,
     cache=None)`` returns one detection word per fault in fault-list
     order; ``evaluate_bits(network, env, mask, cache=None)`` returns
-    the fault-free valuation of every net.  Engines that cannot use
-    ``jobs``, ``schedule``, ``tune`` or ``cache`` accept and ignore
-    them (``fault_simulate`` validates the schedule, tuning and cache
-    names up front so every engine rejects bad names identically).
+    the fault-free valuation of every net.  ``jobs`` must be ``>= 1``
+    (``None`` means 1) and pools the fault passes above 1.  Engines
+    that cannot use ``schedule``, ``tune`` or ``cache`` accept and
+    ignore them (``fault_simulate`` validates the schedule, tuning and
+    cache names up front so every engine rejects bad names
+    identically).
     """
 
     name: str
@@ -104,7 +106,7 @@ def _ensure_builtin_engines() -> None:
     # The built-in engines register themselves as a side effect of
     # import; importing here (not at module load) avoids a cycle with
     # faultsim, which imports this module at its top.
-    from . import faultsim, sharded, vector  # noqa: F401
+    from . import faultsim, vector  # noqa: F401
 
 
 def get_engine(name: str) -> Engine:

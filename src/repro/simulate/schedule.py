@@ -1,7 +1,7 @@
 """Cone-cost fault scheduling: cost-weighted partitioning plans.
 
-The parallel substrates split fault lists mechanically: the sharded
-engine hands each worker a *contiguous* slice, and the vector engine
+The parallel substrates split fault lists mechanically: a worker pool
+(``jobs > 1``) hands each worker a *contiguous* slice, and the vector engine
 batches faults per injection site.  Both leave throughput on the table
 when fanout-cone sizes vary - a contiguous slice that happens to hold
 the deep-cone faults straggles while the other workers idle, and a
@@ -36,11 +36,11 @@ scheduling layer both substrates resolve through:
   ``tests/test_schedule.py`` holds all three to those invariants by
   hypothesis property.
 
-* :func:`partition_faults` - the entry the sharded engine uses: it
+* :func:`partition_faults` - the entry the worker pool uses: it
   prices a concrete fault list against a concrete network and bins
   whole injection-site groups (all faults sharing a site share one
   fanout cone and batch together on the vector engine, so splitting a
-  site across workers would destroy lane fill in ``sharded+vector``).
+  site across workers would destroy lane fill of a pooled ``vector`` run).
 
 Scheduling is a pure re-ordering: every engine x schedule combination
 is bit-identical to the interpreted oracle, which
@@ -338,7 +338,7 @@ def partition_faults(
     batch width): faults sharing a site share a fanout cone and batch
     together on the vector engine, so keeping them in one shard both
     prices them as the one cone pass they are and preserves lane fill
-    under ``sharded+vector``.  Site grouping can return fewer shards
+    of a pooled ``vector`` run.  Site grouping can return fewer shards
     than requested when there are fewer sites than workers - never an
     empty shard, exactly like the raw schedulers.
     """

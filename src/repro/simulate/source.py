@@ -11,7 +11,7 @@ weighted NLFSR streams - never exist in memory all at once.
 Sources satisfy the streaming seam every engine already consumes:
 ``.names``, ``.count``, ``.windows(width)`` yielding ``(start,
 PatternSet)`` pairs with the exact :meth:`PatternSet.windows` contract,
-and ``.slice(start, stop)`` for random access (sharded workers slice
+and ``.slice(start, stop)`` for random access (pool workers slice
 their own windows).  Random access is O(degree^2 log n) via the GF(2)
 jump matrices of :mod:`repro.selftest.lfsr`, and every window is
 generated from a fresh register bank - sources are functionally
@@ -117,7 +117,7 @@ class LfsrSource(PatternSource):
     :func:`~repro.simulate.faultsim.streaming_coverage`) resume the
     advanced register bank from the previous window instead of
     rebuilding it and re-deriving the GF(2) jump from position zero
-    every window; a non-sequential ``slice`` (sharded workers jumping
+    every window; a non-sequential ``slice`` (pool workers jumping
     to their own windows) falls back to the positional jump, so random
     access stays exact.
     """

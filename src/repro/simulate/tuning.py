@@ -379,7 +379,7 @@ class ExecutionPlan:
     def serial_window(self, n_patterns: int, num_slots: Optional[int] = None) -> int:
         """Window width for the single-process compiled engine's full
         pass (the default plan keeps its historical one whole-set
-        window; tuned plans stream it like the sharded workers do)."""
+        window; tuned plans stream it like the pool workers do)."""
         raise NotImplementedError
 
     def shard_window(
@@ -519,7 +519,7 @@ class TunedPlan(ExecutionPlan):
 
     def serial_window(self, n_patterns: int, num_slots: Optional[int] = None) -> int:
         # Streaming the compiled engine through cache-sized windows is
-        # the same lever the sharded workers measured ~2x from
+        # the same lever the pool workers measured ~2x from
         # (e10_shard_scaling): convergence early-exit per window plus
         # cache-resident big-int words.
         return self.bigint_window(n_patterns, num_slots)

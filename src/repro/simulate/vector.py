@@ -57,11 +57,12 @@ Fault simulation runs the one window loop,
 per-block :func:`lane_kernel`, which re-batches the live faults as they
 retire.
 
-The registry entry is ``"vector"``; :mod:`repro.simulate.sharded`
-composes it with the fault-shard worker pool as ``"sharded+vector"``
-(shards x lanes).  All engines remain bit-identical to the interpreted
-oracle - ``tests/test_engine_equivalence.py`` holds every registered
-engine to that contract.  The lane-array form is also the substrate a
+The registry entry is ``"vector"``; with ``jobs > 1`` the worker pool
+of :mod:`repro.simulate.sharded` runs the lane kernel in every worker
+(shards across processes, lanes within each).  All engines remain
+bit-identical to the interpreted oracle -
+``tests/test_engine_equivalence.py`` holds every registered engine to
+that contract.  The lane-array form is also the substrate a
 future GPU/accelerator backend would consume unchanged.
 """
 
@@ -76,7 +77,7 @@ from ..logic.expr import And, Const, Not, Or, Var
 from ..netlist.network import Network, NetworkError, NetworkFault
 from .artifacts import fault_fingerprint, resolve_cache
 from .compiled import CompiledNetwork, _compile_source, compile_network
-from .faultsim import _single_process_simulate
+from .faultsim import _simulate_faults, pooled_words
 from .logicsim import PatternSet, pack_words, unpack_words
 from .registry import Engine, register_engine
 from .schedule import DEFAULT_SCHEDULE, cone_gates, get_schedule
@@ -888,15 +889,23 @@ def vector_difference_words(
     patterns: PatternSet,
     faults: Sequence[NetworkFault],
     jobs: Optional[int] = None,
-    window: Optional[int] = None,
     schedule: Optional[str] = None,
     tune=None,
     cache=None,
+    window: Optional[int] = None,
 ) -> List[int]:
-    """One whole-set detection word per fault via windowed lane passes."""
+    """One whole-set detection word per fault via windowed lane passes
+    (``jobs > 1``: across a worker pool,
+    :func:`repro.simulate.faultsim.pooled_words`); ``window`` overrides
+    the plan's lane window."""
     store = resolve_cache(cache)
-    vector = vector_compile(network, cache=store)
     tuning = resolve_plan(tune, cache=store)
+    pooled = pooled_words(
+        network, patterns, faults, "vector", jobs, schedule, tune, store
+    )
+    if pooled is not None:
+        return pooled
+    vector = vector_compile(network, cache=store)
     if window is None:
         window = tuning.lane_window(patterns.count, vector.compiled.num_slots)
     indexed = list(enumerate(faults))
@@ -931,7 +940,7 @@ register_engine(
             "numpy uint64 lane arrays over the compiled slot program: "
             "site-batched, cache-chunked cone passes with streaming windows"
         ),
-        simulate_faults=_single_process_simulate("vector"),
+        simulate_faults=_simulate_faults("vector"),
         difference_words=vector_difference_words,
         evaluate_bits=vector_evaluate_bits,
     )

@@ -1,6 +1,6 @@
 """Shared helpers for the engine test files.
 
-The equivalence harness, sharded, vector and estimator-invariant test
+The equivalence harness, worker-pool, vector and estimator-invariant test
 files import these instead of each keeping a copy (a plain module, not
 ``conftest.py``: the bare ``conftest`` import would collide with
 ``benchmarks/conftest.py`` when pytest collects both trees).

@@ -1,9 +1,10 @@
 """Registry-driven differential harness: every engine vs the oracle.
 
 Every engine registered in :mod:`repro.simulate.registry` - today
-``interpreted``, ``compiled``, ``vector``, ``sharded`` and
-``sharded+vector``, and automatically any engine a future PR registers
-- must be bit-identical to the interpreted oracle
+``interpreted``, ``compiled`` and ``vector``, and automatically any
+engine registered later - run in-process (``jobs=1``) or through a
+genuinely forked worker pool (``jobs=2``) - must be bit-identical to
+the interpreted oracle
 (:meth:`Network.evaluate_bits`) on every detection set, detection
 count, first-detection index, difference word and net valuation,
 across fixed circuits, hypothesis-generated circuits, both fault
@@ -26,10 +27,12 @@ cache mode (``off``, ``memory``, a disk-tier directory).
 
 Engine-specific mechanics stay in their own files
 (``test_compiled_engine.py`` for the slot program's internals,
-``test_sharded_engine.py`` for pools/windows/merge,
+``test_sharded_engine.py`` for the worker pool, windows and merge,
 ``test_vector_engine.py`` for lane arrays); the cross-engine
 equivalence cases that used to be duplicated there are folded in here.
 """
+
+import contextlib
 
 import pytest
 from hypothesis import given, settings
@@ -62,7 +65,7 @@ from repro.simulate import (
     get_source,
     register_engine,
     resolve_plan,
-    sharded_fault_simulate,
+    sharded,
     streaming_coverage,
 )
 from repro.simulate.faultsim import (
@@ -74,6 +77,26 @@ from repro.simulate.faultsim import (
 
 ENGINES = available_engines()
 SCHEDULES = available_schedules()
+
+#: Worker counts the harness sweeps: in-process, and a two-worker pool
+#: that really forks (:func:`pooling` drops ``MIN_POOL_WORK`` to 0 -
+#: every harness workload is far below the production threshold).
+JOBS = (1, 2)
+
+
+@contextlib.contextmanager
+def pooling(jobs):
+    """Force a genuine worker pool for ``jobs > 1``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if jobs > 1:
+            patch.setattr(sharded, "MIN_POOL_WORK", 0)
+        yield jobs
+
+
+@pytest.fixture(params=JOBS, ids=lambda jobs: f"jobs{jobs}")
+def jobs(request):
+    with pooling(request.param):
+        yield request.param
 
 #: Engines with a single-process window core (windowed_outcomes path).
 WINDOW_ENGINES = ("compiled", "interpreted", "vector")
@@ -116,41 +139,78 @@ def oracle_result(network, patterns, faults, **kwargs):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("network", CIRCUITS, ids=lambda n: n.name)
 class TestEveryEngineMatchesOracle:
-    """The registry contract, engine by engine, circuit by circuit."""
+    """The registry contract, engine by engine, circuit by circuit -
+    the fault-simulation modes, detection words and sessions once
+    in-process and once through a forked pool (the ``jobs`` fixture)."""
 
-    def test_fault_simulate_identical(self, engine, network):
+    def test_fault_simulate_identical(self, engine, network, jobs):
         patterns = PatternSet.random(network.inputs, 128, seed=8)
         faults = all_faults(network)
         results_identical(
-            fault_simulate(network, patterns, faults, engine=engine),
+            fault_simulate(network, patterns, faults, engine=engine, jobs=jobs),
             oracle_result(network, patterns, faults),
         )
 
-    def test_first_detection_identical(self, engine, network):
+    def test_first_detection_identical(self, engine, network, jobs):
         # More patterns than one chunk so the early-exit path is exercised.
         patterns = PatternSet.random(
             network.inputs, FIRST_DETECTION_CHUNK + 64, seed=9
         )
         faults = all_faults(network)
         first = fault_simulate(
-            network, patterns, faults, stop_at_first_detection=True, engine=engine
+            network, patterns, faults, stop_at_first_detection=True,
+            engine=engine, jobs=jobs,
         )
         results_identical(
             first,
             oracle_result(network, patterns, faults, stop_at_first_detection=True),
         )
-        full = fault_simulate(network, patterns, faults, engine=engine)
+        full = fault_simulate(network, patterns, faults, engine=engine, jobs=jobs)
         assert first.detected == full.detected
         assert first.undetected == full.undetected
         # Documented semantics: counts are pinned to 1 per detected fault.
         assert all(count == 1 for count in first.detection_counts.values())
 
-    def test_difference_words_identical(self, engine, network):
+    def test_coverage_capped_run_identical(self, engine, network, jobs):
+        patterns = PatternSet.random(
+            network.inputs, 3 * FIRST_DETECTION_CHUNK + 32, seed=61
+        )
+        faults = all_faults(network)
+        results_identical(
+            fault_simulate(
+                network, patterns, faults, engine=engine, jobs=jobs,
+                stop_at_coverage=0.7,
+            ),
+            oracle_result(network, patterns, faults, stop_at_coverage=0.7),
+        )
+
+    def test_difference_words_identical(self, engine, network, jobs):
+        """Called positionally: ``(network, patterns, faults, jobs,
+        schedule, tune, cache)`` is every engine's signature."""
         patterns = PatternSet.random(network.inputs, 130, seed=7)
         faults = all_faults(network)
         assert get_engine(engine).difference_words(
-            network, patterns, faults
+            network, patterns, faults, jobs, "cost", "default", None
         ) == interpreted_difference_words(network, patterns, faults)
+
+    def test_streaming_coverage_identical(self, engine, network, jobs):
+        def session(engine, jobs=None):
+            return streaming_coverage(
+                network,
+                LfsrSource(network.inputs, 4 * FIRST_DETECTION_CHUNK, seed=5),
+                all_faults(network),
+                target_coverage=0.7,
+                confidence=0.95,
+                engine=engine,
+                jobs=jobs,
+            )
+
+        result, reference = session(engine, jobs), session("interpreted")
+        assert result.pattern_count == reference.pattern_count
+        assert result.detected_weight == reference.detected_weight
+        assert result.satisfied == reference.satisfied
+        assert result.curve == reference.curve
+        assert result.lower_bound == reference.lower_bound
 
     def test_evaluate_bits_identical_on_every_net(self, engine, network):
         patterns = PatternSet.random(network.inputs, 96, seed=5)
@@ -235,18 +295,19 @@ class TestEveryEngineScheduleCombination:
     oracle on exactly that shape.
     """
 
-    def test_fault_simulate_identical_on_skewed_cones(self, engine, schedule):
+    def test_fault_simulate_identical_on_skewed_cones(self, engine, schedule, jobs):
         network = skewed_cone_network(depth=9, islands=6)
         patterns = PatternSet.random(network.inputs, 160, seed=29)
         faults = all_faults(network)
         results_identical(
             fault_simulate(
-                network, patterns, faults, engine=engine, schedule=schedule
+                network, patterns, faults, engine=engine, schedule=schedule,
+                jobs=jobs,
             ),
             oracle_result(network, patterns, faults),
         )
 
-    def test_first_detection_identical_on_skewed_cones(self, engine, schedule):
+    def test_first_detection_identical_on_skewed_cones(self, engine, schedule, jobs):
         network = skewed_cone_network(depth=6, islands=4)
         patterns = PatternSet.random(
             network.inputs, FIRST_DETECTION_CHUNK + 32, seed=33
@@ -260,16 +321,17 @@ class TestEveryEngineScheduleCombination:
                 stop_at_first_detection=True,
                 engine=engine,
                 schedule=schedule,
+                jobs=jobs,
             ),
             oracle_result(network, patterns, faults, stop_at_first_detection=True),
         )
 
-    def test_difference_words_identical_on_skewed_cones(self, engine, schedule):
+    def test_difference_words_identical_on_skewed_cones(self, engine, schedule, jobs):
         network = skewed_cone_network(depth=7, islands=5)
         patterns = PatternSet.random(network.inputs, 130, seed=37)
         faults = all_faults(network)
         assert get_engine(engine).difference_words(
-            network, patterns, faults, schedule=schedule
+            network, patterns, faults, jobs=jobs, schedule=schedule
         ) == interpreted_difference_words(network, patterns, faults)
 
 
@@ -325,7 +387,7 @@ class TestEveryEngineSchedulePlanCombination:
     """
 
     def test_fault_simulate_identical_on_skewed_cones(
-        self, engine, schedule, tuning, tuning_specs
+        self, engine, schedule, tuning, tuning_specs, jobs
     ):
         network = skewed_cone_network(depth=9, islands=6)
         patterns = PatternSet.random(network.inputs, 163, seed=47)
@@ -333,13 +395,13 @@ class TestEveryEngineSchedulePlanCombination:
         results_identical(
             fault_simulate(
                 network, patterns, faults, engine=engine, schedule=schedule,
-                tune=tuning_specs[tuning],
+                tune=tuning_specs[tuning], jobs=jobs,
             ),
             _cached_oracle("skew-plan-sweep", network, patterns, faults),
         )
 
     def test_collapsed_run_identical_on_skewed_cones(
-        self, engine, schedule, tuning, tuning_specs
+        self, engine, schedule, tuning, tuning_specs, jobs
     ):
         """The collapse sweep dimension: simulating one representative
         per structural equivalence class and scattering the outcomes
@@ -350,7 +412,7 @@ class TestEveryEngineSchedulePlanCombination:
         faults = all_faults(network)
         collapsed = fault_simulate(
             network, patterns, faults, engine=engine, schedule=schedule,
-            tune=tuning_specs[tuning], collapse="on",
+            tune=tuning_specs[tuning], collapse="on", jobs=jobs,
         )
         results_identical(
             collapsed,
@@ -490,7 +552,8 @@ def test_chunks_that_do_not_divide_the_word_count_are_exact(engine):
     )
 
 
-@pytest.mark.parametrize("engine", ("vector", "sharded+vector"))
+@pytest.mark.parametrize("engine", ("vector",))
+@pytest.mark.parametrize("jobs", JOBS)
 @settings(max_examples=6)
 @given(
     depth=st.integers(min_value=1, max_value=10),
@@ -499,7 +562,7 @@ def test_chunks_that_do_not_divide_the_word_count_are_exact(engine):
     cache_words=st.integers(min_value=1, max_value=4096),
 )
 def test_property_tuned_plans_identical_on_skewed_circuits(
-    engine, depth, islands, count, cache_words
+    engine, jobs, depth, islands, count, cache_words
 ):
     """Property: arbitrary cache budgets (hence arbitrary chunk/window
     geometries) never move a bit on the engines that consume them."""
@@ -510,10 +573,11 @@ def test_property_tuned_plans_identical_on_skewed_circuits(
     network = skewed_cone_network(depth=depth, islands=islands)
     patterns = PatternSet.random(network.inputs, count, seed=count)
     faults = all_faults(network)
-    results_identical(
-        fault_simulate(network, patterns, faults, engine=engine, tune=profile),
-        oracle_result(network, patterns, faults),
-    )
+    with pooling(jobs):
+        result = fault_simulate(
+            network, patterns, faults, engine=engine, tune=profile, jobs=jobs
+        )
+    results_identical(result, oracle_result(network, patterns, faults))
 
 
 @pytest.mark.parametrize("engine", WINDOW_ENGINES)
@@ -543,17 +607,18 @@ def test_property_window_widths_exact(engine, seed, count, window):
     inner=st.sampled_from(WINDOW_ENGINES),
     schedule=st.sampled_from(SCHEDULES),
 )
-def test_property_sharded_window_widths_exact(seed, count, window, inner, schedule):
-    """Property: the shard pool composes exactly with any inner window
-    core at any window width, under any schedule."""
+def test_property_pooled_window_widths_exact(seed, count, window, inner, schedule):
+    """Property: the worker pool composes exactly with any engine's
+    window core at any window width, under any schedule."""
     network = random_network(n_inputs=5, n_gates=9, seed=seed)
     patterns = PatternSet.random(network.inputs, count, seed=seed ^ 0x5555)
     faults = all_faults(network)
-    sharded = sharded_fault_simulate(
-        network, patterns, faults, window=window, jobs=2, engine=inner,
-        schedule=schedule,
-    )
-    results_identical(sharded, oracle_result(network, patterns, faults))
+    with pooling(2):
+        outcomes = windowed_outcomes(
+            network, patterns, faults, window, False, inner, schedule, jobs=2
+        )
+    pooled = build_result(network.name, patterns.count, faults, outcomes)
+    results_identical(pooled, oracle_result(network, patterns, faults))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -594,7 +659,7 @@ class TestStopAtCoverageAcrossEngines:
     and without collapsing, whose class-size weights keep the stopping
     window aligned with the uncollapsed universe."""
 
-    def test_coverage_capped_run_identical_to_oracle(self, engine):
+    def test_coverage_capped_run_identical_to_oracle(self, engine, jobs):
         network = skewed_cone_network(depth=6, islands=4)
         patterns = PatternSet.random(
             network.inputs, 3 * FIRST_DETECTION_CHUNK + 32, seed=61
@@ -603,7 +668,7 @@ class TestStopAtCoverageAcrossEngines:
         for threshold in (0.3, 0.7, 1.0):
             results_identical(
                 fault_simulate(
-                    network, patterns, faults, engine=engine,
+                    network, patterns, faults, engine=engine, jobs=jobs,
                     stop_at_coverage=threshold,
                 ),
                 _cached_oracle(
@@ -612,7 +677,7 @@ class TestStopAtCoverageAcrossEngines:
                 ),
             )
 
-    def test_coverage_capped_collapsed_run_identical(self, engine):
+    def test_coverage_capped_collapsed_run_identical(self, engine, jobs):
         network = skewed_cone_network(depth=6, islands=4)
         patterns = PatternSet.random(
             network.inputs, 3 * FIRST_DETECTION_CHUNK + 32, seed=61
@@ -621,7 +686,7 @@ class TestStopAtCoverageAcrossEngines:
         for threshold in (0.3, 0.7):
             results_identical(
                 fault_simulate(
-                    network, patterns, faults, engine=engine,
+                    network, patterns, faults, engine=engine, jobs=jobs,
                     stop_at_coverage=threshold, collapse="on",
                 ),
                 _cached_oracle(
@@ -822,10 +887,11 @@ class TestRegistryErrorPaths:
 
         parser = build_parser()
         args = parser.parse_args(
-            ["protest", "cell.txt", "--engine", "sharded", "--jobs", "2"]
+            ["protest", "cell.txt", "--engine", "compiled", "--jobs", "2"]
         )
-        assert args.engine == "sharded"
+        assert args.engine == "compiled"
         assert args.jobs == 2
+        assert parser.parse_args(["protest", "cell.txt"]).jobs == 1
 
     def test_cli_accepts_every_registered_schedule(self):
         from repro.cli import build_parser
@@ -1017,7 +1083,7 @@ class TestEstimatorsAcrossEngines:
         network = skewed_cone_network(depth=5, islands=3)
         reference = Protest(network, engine="interpreted").validate(200, seed=7)
         for schedule in SCHEDULES:
-            for engine in ("vector", "sharded+vector"):
+            for engine in ("compiled", "vector"):
                 results_identical(
                     Protest(
                         network, engine=engine, jobs=2, schedule=schedule
@@ -1031,7 +1097,7 @@ class TestEstimatorsAcrossEngines:
         network = skewed_cone_network(depth=5, islands=3)
         reference = Protest(network, engine="interpreted").validate(200, seed=7)
         for tuning in TUNINGS:
-            for engine in ("compiled", "vector", "sharded+vector"):
+            for engine in ("compiled", "vector"):
                 results_identical(
                     Protest(
                         network, engine=engine, jobs=2,
@@ -1051,7 +1117,7 @@ class TestEstimatorsAcrossEngines:
             network, faults, samples=512, engine="interpreted"
         )
         for tuning in TUNINGS:
-            for engine in ("compiled", "vector", "sharded+vector"):
+            for engine in ("compiled", "vector"):
                 assert monte_carlo_detection_probabilities(
                     network, faults, samples=512, engine=engine,
                     tune=tuning_specs[tuning],
@@ -1120,18 +1186,18 @@ class TestStreamingSourcesAcrossEngines:
     demand (GF(2)-jumped LFSR banks, NLFSR lane words) must carry
     exactly the bits the serial register stream would have produced."""
 
-    def test_source_identical_to_materialised(self, engine, kind):
+    def test_source_identical_to_materialised(self, engine, kind, jobs):
         network = skewed_cone_network(depth=6, islands=4)
         source = _streaming_source(kind, network.inputs, 3 * 64 + 37, seed=21)
         faults = all_faults(network)
         results_identical(
-            fault_simulate(network, source, faults, engine=engine, jobs=2),
+            fault_simulate(network, source, faults, engine=engine, jobs=jobs),
             _cached_oracle(
                 ("stream", kind), network, source.materialise(), faults
             ),
         )
 
-    def test_source_first_detection_identical(self, engine, kind):
+    def test_source_first_detection_identical(self, engine, kind, jobs):
         network = skewed_cone_network(depth=6, islands=4)
         source = _streaming_source(
             kind, network.inputs, FIRST_DETECTION_CHUNK + 32, seed=23
@@ -1139,7 +1205,7 @@ class TestStreamingSourcesAcrossEngines:
         faults = all_faults(network)
         results_identical(
             fault_simulate(
-                network, source, faults, engine=engine, jobs=2,
+                network, source, faults, engine=engine, jobs=jobs,
                 stop_at_first_detection=True,
             ),
             _cached_oracle(
@@ -1153,7 +1219,7 @@ class TestStreamingSourcesAcrossEngines:
 @pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("tuning", TUNINGS)
 def test_lfsr_source_identical_over_schedule_plan_sweep(
-    engine, schedule, tuning, tuning_specs
+    engine, schedule, tuning, tuning_specs, jobs
 ):
     """The source seam composes with the full engine x schedule x plan
     sweep: re-ordering and re-tiling windowed passes over generated (not
@@ -1163,7 +1229,7 @@ def test_lfsr_source_identical_over_schedule_plan_sweep(
     faults = all_faults(network)
     results_identical(
         fault_simulate(
-            network, source, faults, engine=engine, jobs=2,
+            network, source, faults, engine=engine, jobs=jobs,
             schedule=schedule, tune=tuning_specs[tuning],
         ),
         _cached_oracle(

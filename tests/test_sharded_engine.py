@@ -1,13 +1,18 @@
-"""Sharded engine mechanics: pools, streaming windows, shard merge.
+"""Worker-pool mechanics: ``jobs > 1``, streaming windows, shard merge.
 
 Cross-engine bit-identity is held by the registry-driven differential
 harness in ``test_engine_equivalence.py``; this file keeps what is
 specific to the scale-out layer: the window iterator (including the
 whole-set-window guarantee), the windowed difference-word core, shard
-bounds, the verified merge, and equivalence through a *genuine* worker
-pool (``min_pool_work=0`` forces forking, which the registry path
-skips for small workloads).
+bounds, the verified merge, equivalence through a *genuine* worker
+pool (``MIN_POOL_WORK = 0`` forces forking, which real calls skip for
+small workloads), and pools that fail loudly instead of hanging.
 """
+
+import os
+import re
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -17,16 +22,13 @@ from repro.circuits.generators import c17, domino_carry_chain
 from repro.simulate import (
     PatternSet,
     fault_simulate,
+    faultsim,
+    get_engine,
     merge_results,
-    sharded_fault_simulate,
+    sharded,
 )
-from repro.simulate.faultsim import FaultSimResult, build_result
-from repro.simulate.sharded import (
-    shard_bounds,
-    sharded_difference_words,
-    windowed_difference_words,
-    windowed_outcomes,
-)
+from repro.simulate.faultsim import FaultSimResult, build_result, windowed_outcomes
+from repro.simulate.sharded import shard_bounds, windowed_difference_words
 
 
 CIRCUITS = differential_circuits()[:6]
@@ -138,19 +140,26 @@ class TestWindowIterator:
             assert vector_of(fault) == compiled_of(fault), fault.describe()
 
 
+@pytest.fixture()
+def force_pool(monkeypatch):
+    """Pool every ``jobs > 1`` call, however small the workload."""
+    monkeypatch.setattr(sharded, "MIN_POOL_WORK", 0)
+
+
+@pytest.mark.usefixtures("force_pool")
 @pytest.mark.parametrize("network", CIRCUITS, ids=lambda n: n.name)
 class TestPooledEquivalence:
-    """Equivalence through a genuine forked worker pool (the registry
-    path falls back in-process for small workloads, so these force the
-    pool with ``min_pool_work=0``)."""
+    """Equivalence through a genuine forked worker pool (real calls
+    fall back in-process for small workloads, so these force the pool
+    with ``MIN_POOL_WORK = 0``)."""
 
     def test_pooled_identical_to_compiled(self, network):
         patterns = PatternSet.random(network.inputs, 220, seed=5)
         faults = all_faults(network)
         compiled = fault_simulate(network, patterns, faults, engine="compiled")
         for jobs in (1, 2, 3):
-            pooled = sharded_fault_simulate(
-                network, patterns, faults, jobs=jobs, min_pool_work=0
+            pooled = fault_simulate(
+                network, patterns, faults, engine="compiled", jobs=jobs
             )
             results_identical(pooled, compiled)
 
@@ -160,13 +169,13 @@ class TestPooledEquivalence:
         compiled = fault_simulate(
             network, patterns, faults, stop_at_first_detection=True, engine="compiled"
         )
-        pooled = sharded_fault_simulate(
+        pooled = fault_simulate(
             network,
             patterns,
             faults,
             stop_at_first_detection=True,
+            engine="compiled",
             jobs=2,
-            min_pool_work=0,
         )
         results_identical(pooled, compiled)
 
@@ -175,17 +184,17 @@ class TestPooledEquivalence:
 
         patterns = PatternSet.random(network.inputs, 130, seed=7)
         faults = all_faults(network)
-        assert sharded_difference_words(
-            network, patterns, faults, jobs=2, min_pool_work=0
+        assert get_engine("compiled").difference_words(
+            network, patterns, faults, jobs=2
         ) == compiled_difference_words(network, patterns, faults)
 
-    def test_pooled_vector_inner_engine_identical(self, network):
+    def test_pooled_vector_engine_identical(self, network):
         """shards x lanes: the vector engine inside pool workers."""
         patterns = PatternSet.random(network.inputs, 220, seed=8)
         faults = all_faults(network)
         compiled = fault_simulate(network, patterns, faults, engine="compiled")
-        pooled = sharded_fault_simulate(
-            network, patterns, faults, jobs=2, min_pool_work=0, engine="vector"
+        pooled = fault_simulate(
+            network, patterns, faults, engine="vector", jobs=2
         )
         results_identical(pooled, compiled)
 
@@ -196,12 +205,7 @@ class TestConcurrentPools:
     through ``initargs``, so neither run can see the other's faults."""
 
     @pytest.mark.parametrize("stop_at_coverage", [0.95, None])
-    def test_two_threads_match_serial(self, monkeypatch, stop_at_coverage):
-        import threading
-
-        from repro.simulate import sharded as sharded_module
-
-        monkeypatch.setattr(sharded_module, "MIN_POOL_WORK", 0)
+    def test_two_threads_match_serial(self, force_pool, stop_at_coverage):
         results = {}
         errors = []
 
@@ -209,8 +213,8 @@ class TestConcurrentPools:
             try:
                 patterns = PatternSet.random(network.inputs, 2048, seed=9)
                 results[network.name] = [
-                    sharded_fault_simulate(
-                        network, patterns, jobs=2,
+                    fault_simulate(
+                        network, patterns, engine="compiled", jobs=2,
                         stop_at_coverage=stop_at_coverage,
                     )
                     for _ in range(6)
@@ -235,6 +239,126 @@ class TestConcurrentPools:
             )
             for result in results[network.name]:
                 results_identical(result, serial)
+
+
+class WorkerBoom(RuntimeError):
+    """Raised inside a pool worker by :class:`TestPoolFailures`."""
+
+
+def _in_worker(parent: int, failure: str) -> None:
+    """Fail the way ``failure`` names - in a forked worker only."""
+    if os.getpid() == parent:
+        return
+    if failure == "kill":
+        os.kill(os.getpid(), 9)
+    raise WorkerBoom("worker failed on purpose")
+
+
+@pytest.mark.usefixtures("force_pool")
+class TestPoolFailures:
+    """A pooled run whose worker dies or raises fails in the parent,
+    with a named error and within a timeout - it never hangs."""
+
+    TIMEOUT = 60
+
+    def _run_pooled(self, path):
+        network = domino_carry_chain(6)
+        patterns = PatternSet.random(network.inputs, 1024, seed=3)
+        if path == "words":
+            return get_engine("compiled").difference_words(
+                network, patterns, network.enumerate_faults(), jobs=2
+            )
+        return fault_simulate(network, patterns, engine="compiled", jobs=2)
+
+    def _sabotage(self, monkeypatch, path, failure):
+        """Make every pool worker fail on the given path (workers are
+        forked after this runs, so they inherit the patched kernels)."""
+        parent = os.getpid()
+        if path == "words":
+            real_words = sharded.windowed_difference_words
+
+            def words(*args, **kwargs):
+                _in_worker(parent, failure)
+                return real_words(*args, **kwargs)
+
+            monkeypatch.setattr(sharded, "windowed_difference_words", words)
+        else:
+            real_kernel = faultsim.block_kernel
+
+            def kernel(*args, **kwargs):
+                detect = real_kernel(*args, **kwargs)
+
+                def failing(start, chunk, active):
+                    _in_worker(parent, failure)
+                    return detect(start, chunk, active)
+
+                return failing
+
+            monkeypatch.setattr(faultsim, "block_kernel", kernel)
+
+    def _outcome(self, path):
+        """Run the pooled call in a thread; its exception, or a hang."""
+        raised = []
+
+        def target():
+            try:
+                self._run_pooled(path)
+            except Exception as error:  # handed to the test thread
+                raised.append(error)
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout=self.TIMEOUT)
+        assert not thread.is_alive(), "pooled run hung"
+        assert raised, "pooled run swallowed the worker failure"
+        return raised[0]
+
+    @pytest.mark.parametrize("path", ["outcomes", "words"])
+    def test_killed_worker_raises_broken_pool(self, monkeypatch, path):
+        self._sabotage(monkeypatch, path, "kill")
+        assert isinstance(self._outcome(path), BrokenProcessPool)
+
+    @pytest.mark.parametrize("path", ["outcomes", "words"])
+    def test_raising_worker_reraises_in_parent(self, monkeypatch, path):
+        self._sabotage(monkeypatch, path, "raise")
+        error = self._outcome(path)
+        assert isinstance(error, WorkerBoom)
+        assert "worker failed on purpose" in str(error)
+
+
+class TestJobsIsTheParallelismSwitch:
+    """Pooling is a ``jobs`` value, not an engine name."""
+
+    @pytest.mark.parametrize("name", ["sharded", "sharded+vector"])
+    def test_folded_engine_names_are_unknown(self, name):
+        network = domino_carry_chain(2)
+        patterns = PatternSet.exhaustive(network.inputs)
+        with pytest.raises(ValueError, match=re.escape(f"unknown engine {name!r}")):
+            fault_simulate(network, patterns, engine=name, jobs=2)
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_pooled_run_validates_window(self, force_pool, window):
+        network = c17()
+        patterns = PatternSet.exhaustive(network.inputs)
+        with pytest.raises(
+            ValueError, match=f"window width must be >= 1, got {window}"
+        ):
+            windowed_outcomes(
+                network, patterns, all_faults(network), window, jobs=2
+            )
+
+    @pytest.mark.parametrize("jobs", [None, 1])
+    def test_default_jobs_never_forks(self, force_pool, monkeypatch, jobs):
+        def no_pool(*args):
+            raise AssertionError("jobs <= 1 must run in-process")
+
+        monkeypatch.setattr(sharded, "_executor", no_pool)
+        network = domino_carry_chain(4)
+        patterns = PatternSet.random(network.inputs, 300, seed=2)
+        faults = all_faults(network)
+        for engine in ("compiled", "interpreted", "vector"):
+            fault_simulate(network, patterns, faults, engine=engine, jobs=jobs)
+            get_engine(engine).difference_words(network, patterns, faults, jobs)
 
 
 class TestShardMerge:

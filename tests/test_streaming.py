@@ -29,6 +29,7 @@ from repro.simulate import (
     available_engines,
     coverage_curve,
     fault_simulate,
+    get_engine,
     streaming_coverage,
 )
 from repro.simulate.faultsim import FIRST_DETECTION_CHUNK, windowed_outcomes
@@ -384,7 +385,7 @@ class TestLanePatternSetFeed:
 
 class TestLfsrSequentialResume:
     """Sequential windows resume the advanced bank; random access stays
-    positionally exact (sharded workers jump to their own windows)."""
+    positionally exact (pool workers jump to their own windows)."""
 
     def test_sequential_windows_resume_the_bank(self):
         network = domino_carry_chain(10)
@@ -416,22 +417,16 @@ class TestLfsrSequentialResume:
 
 
 class TestStreamingJobs:
-    """``jobs`` is validated everywhere and threads to the sharded
-    session path."""
+    """``jobs`` is validated on every engine and every primitive, and
+    threads to the pooled session path."""
 
-    @pytest.mark.parametrize("engine", ["compiled", "interpreted", "vector"])
-    def test_serial_engines_validate_jobs(self, engine):
+    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_streaming_coverage_validates_jobs(self, engine, jobs):
         network = and_cone(2)
         source = LfsrSource(network.inputs, 64, seed=1)
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            streaming_coverage(network, source, engine=engine, jobs=0)
-
-    @pytest.mark.parametrize("engine", ["sharded", "sharded+vector"])
-    def test_sharded_engines_validate_jobs(self, engine):
-        network = and_cone(2)
-        source = LfsrSource(network.inputs, 64, seed=1)
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            streaming_coverage(network, source, engine=engine, jobs=0)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            streaming_coverage(network, source, engine=engine, jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     @pytest.mark.parametrize("engine", available_engines())
@@ -440,6 +435,28 @@ class TestStreamingJobs:
         patterns = PatternSet.exhaustive(network.inputs)
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             fault_simulate(network, patterns, engine=engine, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_difference_words_validates_jobs(self, engine, jobs):
+        network = and_cone(2)
+        patterns = PatternSet.exhaustive(network.inputs)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            get_engine(engine).difference_words(
+                network, patterns, network.enumerate_faults(), jobs=jobs
+            )
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_monte_carlo_estimator_validates_jobs(self, engine, jobs):
+        from repro.protest import monte_carlo_detection_probabilities
+
+        network = and_cone(2)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            monte_carlo_detection_probabilities(
+                network, network.enumerate_faults(), samples=64,
+                engine=engine, jobs=jobs,
+            )
 
     def test_explicit_jobs_accepted_on_serial_engines(self):
         network = domino_carry_chain(10)
@@ -450,13 +467,12 @@ class TestStreamingJobs:
         assert session.pattern_count > 0
 
 
-class TestShardedSessionFanOut:
-    """``engine="sharded"``/``"sharded+vector"`` genuinely serve the
-    session from the worker pool - one ``pool.map`` per speculative
-    block of the window driver - bit-identical to the single-process
-    consumer."""
+class TestPooledSessionFanOut:
+    """``jobs=2`` genuinely serves the session from the worker pool -
+    one ``pool.map`` per speculative block of the window driver -
+    bit-identical to the single-process consumer, on every engine."""
 
-    @pytest.mark.parametrize("engine", ["sharded", "sharded+vector"])
+    @pytest.mark.parametrize("engine", available_engines())
     def test_pooled_session_matches_serial(self, engine, monkeypatch):
         from repro.simulate import sharded as sharded_module
 

@@ -4,8 +4,8 @@ Cross-engine bit-identity lives in the registry-driven harness
 (``test_engine_equivalence.py``); this file covers what is specific to
 the lane backend: the big-int <-> uint64-lane bridges, the batched
 cone pass (grouping, activation filtering, chunk boundaries), the
-per-fault ``difference`` API, and the ``sharded+vector`` composition
-through a genuine worker pool.
+per-fault ``difference`` API, and the lane kernel inside a genuine
+worker pool (``jobs > 1``).
 """
 
 import numpy as np
@@ -25,12 +25,12 @@ from repro.simulate import (
     VectorNetwork,
     VectorSimulation,
     fault_simulate,
+    sharded,
     vector_compile,
 )
 from repro.simulate.compiled import compile_network
 from repro.simulate.faultsim import compiled_difference_words
 from repro.simulate.logicsim import pack_words, unpack_words
-from repro.simulate.sharded import sharded_fault_simulate
 from repro.simulate.vector import vector_difference_words
 
 
@@ -272,26 +272,26 @@ class TestBatchedWindows:
         )
 
 
-class TestShardedVectorComposition:
-    def test_pooled_sharded_vector_identical(self):
-        """shards x lanes through a genuine worker pool (min_pool_work=0
+class TestPooledVector:
+    def test_pooled_vector_identical(self, monkeypatch):
+        """shards x lanes through a genuine worker pool (MIN_POOL_WORK = 0
         forces it) must stay bit-identical to the compiled engine."""
+        monkeypatch.setattr(sharded, "MIN_POOL_WORK", 0)
         network = domino_carry_chain(4)
         patterns = PatternSet.random(network.inputs, 220, seed=5)
         faults = all_faults(network)
         reference = fault_simulate(network, patterns, faults, engine="compiled")
         for jobs in (1, 2, 3):
-            pooled = sharded_fault_simulate(
-                network, patterns, faults, jobs=jobs, min_pool_work=0,
-                engine="vector",
+            pooled = fault_simulate(
+                network, patterns, faults, engine="vector", jobs=jobs
             )
             results_identical(pooled, reference)
 
-    def test_registry_name_composes(self):
+    def test_vector_jobs_composes(self):
         network = domino_carry_chain(3)
         patterns = PatternSet.random(network.inputs, 128, seed=9)
         faults = all_faults(network)
         results_identical(
-            fault_simulate(network, patterns, faults, engine="sharded+vector", jobs=2),
+            fault_simulate(network, patterns, faults, engine="vector", jobs=2),
             fault_simulate(network, patterns, faults, engine="compiled"),
         )
