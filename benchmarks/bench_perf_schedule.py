@@ -101,7 +101,7 @@ def run_schedule(
         lambda: fault_simulate(network, patterns, faults, engine="compiled"),
         repetitions,
     )
-    print(f"  compiled whole-set reference: {compiled_seconds:.2f}s")
+    print(f"  compiled in-process reference: {compiled_seconds:.2f}s")
 
     identical = True
     pairs = []

@@ -1,4 +1,4 @@
-"""Vector (numpy lane-array) engine benchmark vs whole-set compiled.
+"""Vector (numpy lane-array) engine benchmark vs in-process compiled.
 
 Extends ``BENCH_engine.json`` (the perf trajectory started by the
 compiled-vs-interpreted benchmark - existing workload records are
@@ -6,10 +6,13 @@ preserved, never replaced) with an ``e10_vector`` entry: the E10-style
 workload (a DAG of 10-transistor AND-OR cells, full cell-fault
 universe) under a *huge* random pattern sequence, fault-simulated by
 the ``vector`` engine (uint64 lane arrays, site-batched
-cache-chunked cone passes, streaming windows) against the whole-set
-single-process ``compiled`` engine as the baseline.
+cache-chunked cone passes, streaming windows) against the
+single-process ``compiled`` engine as the baseline (a whole-set pass
+when the existing record was made; it now streams 256 Ki-pattern
+big-int windows, so a fresh record compares lanes against windowed
+big-ints).
 
-Why the lane engine wins at this scale: the whole-set big-int pass
+Why the lane engine wins at this scale: a whole-set big-int pass
 drags each net's megabytes-wide word through DRAM once per cone gate
 per fault, while the vector engine streams windows whose chunked
 ``[batch, chunk]`` cone passes stay cache-resident, batches every
@@ -67,7 +70,7 @@ def run_vector(
         lambda: fault_simulate(network, patterns, faults, engine="compiled"),
         repetitions,
     )
-    print(f"  compiled whole-set: {compiled_seconds:.2f}s")
+    print(f"  compiled in-process: {compiled_seconds:.2f}s")
 
     vector, vector_seconds = best_of(
         lambda: fault_simulate(network, patterns, faults, engine="vector"),
@@ -85,7 +88,7 @@ def run_vector(
             "fault simulation of the E10-style AND-OR cell DAG under a huge "
             "random pattern sequence: numpy uint64 lane-array engine "
             "(site-batched cache-chunked cone passes, streaming windows, "
-            "lane-native detection counts) vs the single-process whole-set "
+            "lane-native detection counts) vs the single-process "
             "compiled big-int engine"
         ),
         "params": {

@@ -30,7 +30,8 @@ Subcommands::
         the validation fault simulation (any registered engine name;
         bad names fail with the registry's error); ``--jobs`` the
         worker count (1, in-process, by default; N > 1 forks a pool of
-        N workers for big workloads on any engine); ``--schedule`` the
+        N workers for big workloads on any engine; below 1 fails at
+        parse time); ``--schedule`` the
         fault-scheduling policy (cost-weighted cone scheduling by
         default); ``--tune`` the execution plan sizing chunks and
         windows (``default`` keeps the hand-calibrated constants,
@@ -86,77 +87,38 @@ same reason; a test holds this tuple equal to
 ``repro.simulate.available_sources()``."""
 
 
-def _engine_name(name: str) -> str:
-    """argparse type for ``--engine``: validate against the registry.
+def _knob(name: str, convert=str):
+    """argparse type for the run knob ``--<name>`` (``engine``,
+    ``jobs``, ``schedule``, ``tune``, ``collapse``, ``cache``).
 
-    Bad names fail with the registry's own message (including the
-    sorted list of available engines), so the CLI and the library agree
-    on the error; the registry import happens only when the flag is
-    actually parsed, keeping ``--help`` import-free.
+    Validates through the library's own resolver,
+    :func:`repro.simulate.faultsim.resolve_knobs`, so the CLI and the
+    library agree on every error message (bad engine, schedule, collapse
+    and cache names, ``jobs < 1``, missing or malformed profile paths
+    all fail at parse time, before any simulation runs); the resolver is
+    imported only when the flag is actually parsed, keeping ``--help``
+    import-free.  ``--tune auto`` is accepted by name: the run
+    calibrates it once, against its own artifact store.
     """
-    from .simulate.registry import get_engine
 
-    try:
-        get_engine(name)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return name
+    def check(text: str):
+        value = convert(text)
+        if name == "tune" and value == "auto":
+            return value
+        from .simulate.faultsim import resolve_knobs
 
+        try:
+            resolve_knobs(**{name: value})
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+        return value
 
-def _schedule_name(name: str) -> str:
-    """argparse type for ``--schedule``: validate like ``--engine``,
-    reusing the schedule registry's exact error message."""
-    from .simulate.schedule import get_schedule
-
-    try:
-        get_schedule(name)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return name
-
-
-def _tune_name(name: str) -> str:
-    """argparse type for ``--tune``: validate like ``--engine``,
-    reusing the tuning module's exact error message (unknown plan
-    names, missing profile paths and malformed profile JSON all fail at
-    parse time, before any simulation runs)."""
-    from .simulate.tuning import resolve_plan
-
-    try:
-        resolve_plan(name)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return name
-
-
-def _collapse_name(name: str) -> str:
-    """argparse type for ``--collapse``: validate like ``--engine``,
-    reusing the structural-collapsing module's exact error message."""
-    from .faults.structural import get_collapse_mode
-
-    try:
-        get_collapse_mode(name)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return name
-
-
-def _cache_name(name: str) -> str:
-    """argparse type for ``--cache``: validate like ``--engine``,
-    reusing the artifact-store module's exact error message (a
-    directory path that exists as a non-directory fails at parse time,
-    before any simulation runs)."""
-    from .simulate.artifacts import resolve_cache
-
-    try:
-        resolve_cache(name)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return name
+    check.__name__ = convert.__name__  # argparse's "invalid int value"
+    return check
 
 
 def _source_name(name: str) -> str:
-    """argparse type for ``--source``: validate like ``--engine``,
+    """argparse type for ``--source``: validate like :func:`_knob`,
     reusing the pattern-source registry's exact error message."""
     from .simulate.source import get_source
 
@@ -345,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     protest.add_argument("--validate", action="store_true")
     protest.add_argument(
         "--engine",
-        type=_engine_name,
+        type=_knob("engine"),
         default="compiled",
         metavar="|".join(ENGINE_CHOICES),
         help="simulation engine for estimators and validation "
@@ -353,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--jobs",
-        type=int,
+        type=_knob("jobs", int),
         default=1,
         metavar="N",
         help="worker processes for fault simulation, the estimators and "
@@ -362,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--schedule",
-        type=_schedule_name,
+        type=_knob("schedule"),
         default=None,
         metavar="|".join(SCHEDULE_CHOICES),
         help="fault-scheduling policy for shard partitioning and lane "
@@ -371,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--tune",
-        type=_tune_name,
+        type=_knob("tune"),
         default=None,
         metavar="|".join(TUNE_CHOICES) + "|PROFILE.json",
         help="execution plan sizing column chunks and streaming windows "
@@ -381,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--collapse",
-        type=_collapse_name,
+        type=_knob("collapse"),
         default=None,
         metavar="|".join(COLLAPSE_CHOICES),
         help="structural fault collapsing: simulate one representative "
@@ -391,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--cache",
-        type=_cache_name,
+        type=_knob("cache"),
         default=None,
         metavar="|".join(CACHE_CHOICES) + "|DIR",
         help="artifact store for compiled programs, cone metadata, "

@@ -25,12 +25,9 @@ from ..logic.expr import Expr
 from ..logic.minimize import minimal_sop
 from ..logic.probability import Program, cell_probability
 from ..netlist.network import Network, NetworkFault
-from ..simulate.artifacts import resolve_cache
 from ..simulate.compiled import compile_network
-from ..simulate.faultsim import check_injectable, check_jobs, dedupe_faults
+from ..simulate.faultsim import check_injectable, dedupe_faults, resolve_knobs
 from ..simulate.logicsim import PatternSet
-from ..simulate.registry import get_engine
-from ..simulate.tuning import resolve_plan
 from .signalprob import (
     MAX_EXACT_INPUTS,
     _input_probs,
@@ -111,13 +108,13 @@ def monte_carlo_detection_probabilities(
     inherits its representative's word bit for bit, so the estimates
     match the uncollapsed run exactly.
     """
-    from ..faults.structural import collapse_network_faults, get_collapse_mode
+    from ..faults.structural import collapse_network_faults
 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    check_jobs(jobs)
-    mode = get_collapse_mode(collapse)
-    store = resolve_cache(cache)
+    resolved, store, plan, mode = resolve_knobs(
+        engine, jobs, schedule, tune, collapse, cache
+    )
     faults = dedupe_faults(faults)
     check_injectable(network, faults)
     input_probs = _input_probs(network, probs)
@@ -125,15 +122,14 @@ def monte_carlo_detection_probabilities(
         network.inputs, samples, seed=seed, probabilities=input_probs
     )
     if mode == "off" or not faults:
-        words = get_engine(engine).difference_words(
-            network, patterns, faults, jobs=jobs, schedule=schedule, tune=tune,
-            cache=store,
+        words = resolved.difference_words(
+            network, patterns, faults, jobs, schedule, plan, store
         )
     else:
         collapsed = collapse_network_faults(network, faults, cache=store)
-        rep_words = get_engine(engine).difference_words(
+        rep_words = resolved.difference_words(
             network, patterns, collapsed.representative_faults(),
-            jobs=jobs, schedule=schedule, tune=tune, cache=store,
+            jobs, schedule, plan, store,
         )
         words = collapsed.scatter_outcomes(rep_words)
     store.flush()
@@ -244,18 +240,16 @@ def detection_probabilities(
 ) -> Dict[str, float]:
     """Dispatch over the three estimators (``auto``: exact when feasible).
 
-    ``collapse`` reaches the Monte-Carlo estimator (the only one whose
-    cost scales with the fault count times the sample count); its name
-    is validated up front on every method, matching the
-    ``schedule``/``tune`` contract.  ``cache`` (an artifact-store spec,
-    validated up front likewise) reaches the simulation-backed
-    estimators.
+    ``engine``, ``jobs``, ``schedule``, ``tune`` and ``collapse`` reach
+    the Monte-Carlo estimator (the only one whose cost scales with the
+    fault count times the sample count) and ``cache`` the
+    simulation-backed estimators; all six are validated up front on
+    every method (:func:`repro.simulate.faultsim.resolve_knobs`), so a
+    bad knob raises whichever estimator dispatches.
     """
-    from ..faults.structural import get_collapse_mode
-
-    resolve_plan(tune)  # reject bad plans whichever estimator dispatches
-    get_collapse_mode(collapse)  # ...and bad collapse modes likewise
-    store = resolve_cache(cache)  # ...and bad cache modes likewise
+    _engine, store, plan, _mode = resolve_knobs(
+        engine, jobs, schedule, tune, collapse, cache
+    )
     if faults is None:
         faults = network.enumerate_faults()
     if method == "auto":
@@ -267,6 +261,6 @@ def detection_probabilities(
     if method == "monte_carlo":
         return monte_carlo_detection_probabilities(
             network, faults, probs, samples, seed, engine, jobs, schedule,
-            tune, collapse, cache=store,
+            plan, collapse, cache=store,
         )
     raise ValueError(f"unknown method {method!r}")

@@ -27,8 +27,8 @@ import numpy as np
 
 from ..netlist.network import Network, NetworkFault
 from ..simulate.compiled import compile_network
+from ..simulate.faultsim import resolve_knobs
 from ..simulate.logicsim import PatternSet
-from ..simulate.tuning import resolve_plan
 from .detectprob import monte_carlo_detection_probabilities
 from .signalprob import MAX_EXACT_INPUTS, bits_to_bool_array, minterm_weights
 from .testlength import test_length
@@ -163,10 +163,9 @@ def optimize_input_probabilities(
     fault-difference matrix of narrow circuits is a single compiled
     pass either way).
     """
-    from ..simulate.artifacts import resolve_cache
-
-    store = resolve_cache(cache)
-    resolve_plan(tune, cache=store)  # reject bad plans on the exact path too
+    _engine, store, plan, _mode = resolve_knobs(
+        engine, jobs, schedule, tune, None, cache
+    )
     if faults is None:
         faults = network.enumerate_faults()
     faults = list(faults)
@@ -177,7 +176,7 @@ def optimize_input_probabilities(
     else:
         evaluator = _MonteCarloEvaluator(
             network, faults, samples, engine=engine, jobs=jobs,
-            schedule=schedule, tune=tune, cache=store,
+            schedule=schedule, tune=plan, cache=store,
         )
 
     labels = [f.describe() for f in faults]

@@ -149,7 +149,11 @@ def signal_probabilities(
     cache=None,
 ) -> Dict[str, float]:
     """Dispatch: ``exact``, ``topological``, ``monte_carlo`` or ``auto``
-    (exact when feasible, else Monte Carlo)."""
+    (exact when feasible, else Monte Carlo).  ``engine`` and ``cache``
+    are validated up front on every method."""
+    from ..simulate.faultsim import resolve_knobs
+
+    _engine, cache, _plan, _mode = resolve_knobs(engine, cache=cache)
     if method == "auto":
         method = "exact" if len(network.inputs) <= MAX_EXACT_INPUTS else "monte_carlo"
     if method == "exact":

@@ -129,11 +129,10 @@ class Protest:
         collapse: Optional[str] = None,
         cache=None,
     ):
-        from ..faults.structural import get_collapse_mode
-        from ..simulate.artifacts import resolve_cache
+        from ..simulate.faultsim import resolve_knobs
 
-        get_collapse_mode(collapse)  # reject bad modes at construction
-        resolve_cache(cache)  # ...and bad cache modes likewise
+        # Reject every bad knob at construction, not at first use.
+        resolve_knobs(engine, jobs, schedule, tune, collapse, cache)
         self.network = network
         self.faults = list(faults) if faults is not None else network.enumerate_faults()
         self.engine = engine

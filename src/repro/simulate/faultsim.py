@@ -29,15 +29,20 @@ registry (:mod:`repro.simulate.registry`):
 ``jobs`` is the only parallelism switch: every engine runs in-process
 when it is ``None`` or 1 and fans its faults out across a ``jobs``-wide
 worker pool (:mod:`repro.simulate.sharded`) above that, once the
-workload is big enough to pay for the fork.
+workload is big enough to pay for the fork.  Every knob is validated
+once, by :func:`resolve_knobs`, at every public entry point.
 
-Every engine's per-fault outcomes come out of one window loop,
-:func:`drive_windows`.  An engine supplies only a per-block kernel
-(:data:`BlockKernel`): the big-int kernel of :func:`block_kernel` for
-compiled and interpreted, the lane kernel of
-:func:`repro.simulate.vector.lane_kernel`; a pooled run wraps either in
-the pool kernel of :mod:`repro.simulate.sharded`.  The three stops
-(first detection, coverage, a session's ``on_window``) are one boundary
+An engine is only its kernels (:class:`~repro.simulate.registry.Engine`):
+every engine's per-fault outcomes come out of one window loop,
+:func:`drive_windows`, over the engine's per-block kernel
+(:data:`BlockKernel`), and every engine's detection words out of one
+words loop, :func:`collect_words`, over its per-window kernel
+(:data:`WordsKernel`).  Compiled and interpreted build both kernels
+from their per-window big-int difference pass through one adapter,
+:func:`bigint_engine`; a pooled run hands the same kernels to the
+workers.  Each engine streams the execution plan's window of its own
+kind (lane or big-int) in every mode.  The three stops (first
+detection, coverage, a session's ``on_window``) are one boundary
 predicate (:func:`stop_predicate`).
 
 Results are keyed by fault *label* (``fault.describe()``) but computed
@@ -272,166 +277,207 @@ def build_result(
     )
 
 
-# -- the interpreted and compiled engines ---------------------------------------------
+# -- the run knobs --------------------------------------------------------------------
 
 
-def _difference_interpreted(
-    network: Network,
-    env: Dict[str, int],
-    mask: int,
-    good: Dict[str, int],
-    fault: NetworkFault,
-) -> int:
-    faulty = network.output_bits(env, mask, fault)
-    difference = 0
-    for net in network.outputs:
-        difference |= good[net] ^ faulty[net]
-    return difference
-
-
-def interpreted_difference_words(
-    network: Network,
-    patterns: PatternSet,
-    faults: Sequence[NetworkFault],
+def resolve_knobs(
+    engine="compiled",
     jobs: Optional[int] = None,
     schedule: Optional[str] = None,
     tune=None,
+    collapse: Optional[str] = None,
     cache=None,
-) -> List[int]:
-    """One detection word per fault via full interpreted re-simulation.
+):
+    """Validate and resolve the run knobs once: ``(engine, store, plan,
+    collapse mode)``.
 
-    Serial fault-by-fault passes have nothing to schedule, tune or
-    cache, but ``schedule``, ``tune`` and ``cache`` are still validated
-    so every registry engine rejects bad names identically - on this
-    entry point too, not only through ``fault_simulate``.  ``jobs > 1``
-    shards the faults across a worker pool (:func:`pooled_words`).
+    ``engine`` is a registered name (an :class:`Engine` passes
+    through), ``jobs`` must be ``>= 1`` (``None`` means 1),
+    ``schedule`` a registered schedule, ``cache`` an artifact-store
+    spec, ``tune`` an execution-plan spec - resolved against that
+    store, so ``"auto"`` calibrates at most once per host and store -
+    and ``collapse`` a collapsing mode.  Every public entry point calls
+    this before doing any work, so a bad knob raises the same error on
+    every engine and every estimator method; handing the resolved
+    store and plan on down (as ``cache`` and ``tune``) makes every
+    later resolution a pass-through.
     """
-    get_schedule(schedule)
-    store = resolve_cache(cache)
-    resolve_plan(tune, cache=store)
-    pooled = pooled_words(
-        network, patterns, faults, "interpreted", jobs, schedule, tune, store
-    )
-    if pooled is not None:
-        return pooled
-    good = network.output_bits(patterns.env, patterns.mask)
-    return [
-        _difference_interpreted(network, patterns.env, patterns.mask, good, fault)
-        for fault in faults
-    ]
+    from ..faults.structural import get_collapse_mode
 
-
-def compiled_difference_words(
-    network: Network,
-    patterns: PatternSet,
-    faults: Sequence[NetworkFault],
-    jobs: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
-    cache=None,
-) -> List[int]:
-    """One detection word per fault via cone-restricted compiled passes
-    (``jobs > 1``: across a worker pool, :func:`pooled_words`)."""
-    get_schedule(schedule)
-    store = resolve_cache(cache)
-    resolve_plan(tune, cache=store)
-    pooled = pooled_words(
-        network, patterns, faults, "compiled", jobs, schedule, tune, store
-    )
-    if pooled is not None:
-        return pooled
-    sim = compile_network(network, cache=store).simulate(patterns.env, patterns.mask)
-    return [sim.difference(fault) for fault in faults]
-
-
-def pooled_words(
-    network: Network,
-    patterns: PatternSet,
-    faults: Sequence[NetworkFault],
-    engine: str,
-    jobs: Optional[int],
-    schedule: Optional[str],
-    tune,
-    cache,
-) -> Optional[List[int]]:
-    """The pooled half of every engine's ``difference_words``.
-
-    Validates ``jobs``; ``None`` (run in-process) unless ``jobs > 1``
-    and :func:`repro.simulate.sharded.pooled_difference_words` finds the
-    workload worth a pool.
-    """
+    if not isinstance(engine, Engine):
+        engine = get_engine(engine)
     check_jobs(jobs)
-    if jobs is None or jobs <= 1:
-        return None
-    from .sharded import pooled_difference_words
-
-    return pooled_difference_words(
-        network, patterns, faults, engine, jobs, schedule, tune, cache
-    )
+    get_schedule(schedule)
+    store = resolve_cache(cache)
+    plan = resolve_plan(tune, cache=store)
+    return engine, store, plan, get_collapse_mode(collapse)
 
 
-def _simulate_faults(engine_name: str):
-    """Build an engine's registry ``simulate_faults`` callable.
+# -- the kernels and the big-int adapter ----------------------------------------------
 
-    Every mode streams through :func:`windowed_outcomes`, in-process or
-    pooled by ``jobs``.  Without a stop the execution plan sizes the
-    window; either stop pins the stopping grid to
-    :data:`FIRST_DETECTION_CHUNK` on every engine - where a
-    coverage-stopped run ends depends on the grid, so all engines must
-    stop on the same one to stay bit-identical.
+#: ``detect(start, chunk, active) -> (positions, first indices, counts)``
+#: - one engine's pass over the pattern block ``chunk`` (which begins at
+#: pattern ``start``) for the fault-list positions in ``active``,
+#: reporting every detected fault's position, absolute first detecting
+#: index and number of detecting patterns in the block.  Parallel lists
+#: of ints rather than a tuple per detection: each tuple is a GC-tracked
+#: allocation, and thousands per block trigger full collections mid-run.
+BlockKernel = Callable[
+    [int, PatternSet, List[int]], Tuple[List[int], List[int], List[int]]
+]
+
+#: ``words(chunk, active) -> (positions, words)`` - one engine's pass
+#: over the pattern window ``chunk`` for the fault-list positions in
+#: ``active``, reporting every position whose detection word in the
+#: window is nonzero, with that word (bit k is pattern k of the window).
+WordsKernel = Callable[[PatternSet, List[int]], Tuple[List[int], List[int]]]
+
+
+def bigint_engine(name: str, description: str, evaluate_bits, window_pass) -> Engine:
+    """An :class:`Engine` over a per-window big-int difference pass.
+
+    ``window_pass(network, store)`` returns ``chunk -> (fault ->
+    difference word)``: one good pass over the window, then one word
+    per fault asked for.  The block kernel reduces each word to its
+    first index and count, the words kernel hands it on, so the
+    big-int engines differ in the pass alone.
     """
 
-    def simulate_faults(
-        network: Network,
-        patterns: PatternSet,
-        faults: Sequence[NetworkFault],
-        stop_at_first_detection: bool = False,
-        jobs: Optional[int] = None,
-        schedule: Optional[str] = None,
-        tune=None,
-        stop_at_coverage=None,
-        coverage_weights: Optional[Sequence[int]] = None,
-        cache=None,
-    ) -> FaultSimResult:
-        retire = stop_at_first_detection or stop_at_coverage is not None
-        outcomes = windowed_outcomes(
-            network, patterns, faults, FIRST_DETECTION_CHUNK if retire else None,
-            stop_at_first_detection, engine_name, schedule, tune,
-            stop_at_coverage=stop_at_coverage,
-            coverage_weights=coverage_weights,
-            cache=cache,
-            jobs=jobs,
+    def block_kernel(network, faults, schedule, plan, store) -> BlockKernel:
+        for_window = window_pass(network, store)
+
+        def detect(start: int, chunk: PatternSet, active: List[int]):
+            difference_of = for_window(chunk)
+            positions, firsts, counts = [], [], []
+            for position in active:
+                word = difference_of(faults[position])
+                if word:
+                    positions.append(position)
+                    firsts.append(start + (word & -word).bit_length() - 1)
+                    counts.append(word.bit_count())
+            return positions, firsts, counts
+
+        return detect
+
+    def words_kernel(network, faults, schedule, plan, store) -> WordsKernel:
+        for_window = window_pass(network, store)
+
+        def words(chunk: PatternSet, active: List[int]):
+            difference_of = for_window(chunk)
+            positions, found = [], []
+            for position in active:
+                word = difference_of(faults[position])
+                if word:
+                    positions.append(position)
+                    found.append(word)
+            return positions, found
+
+        return words
+
+    return Engine(name, description, evaluate_bits, block_kernel, words_kernel)
+
+
+def _interpreted_pass(network: Network, store):
+    def for_window(window: PatternSet):
+        env, mask = window.env, window.mask
+        good = network.output_bits(env, mask)
+
+        def difference_of(fault: NetworkFault) -> int:
+            faulty = network.output_bits(env, mask, fault)
+            difference = 0
+            for net in network.outputs:
+                difference |= good[net] ^ faulty[net]
+            return difference
+
+        return difference_of
+
+    return for_window
+
+
+def _compiled_pass(network: Network, store):
+    compiled = compile_network(network, cache=store)
+    return lambda window: compiled.simulate(window.env, window.mask).difference
+
+
+register_engine(
+    bigint_engine(
+        "interpreted",
+        "gate-by-gate AST walk (reference oracle)",
+        lambda network, env, mask, cache=None: network.evaluate_bits(env, mask),
+        _interpreted_pass,
+    )
+)
+
+register_engine(
+    bigint_engine(
+        "compiled",
+        "flat slot program with fault-cone-restricted passes",
+        lambda network, env, mask, cache=None: compile_network(
+            network, cache=cache
+        ).evaluate_bits(env, mask),
+        _compiled_pass,
+    )
+)
+
+
+def engine_window(engine: Engine, network: Network, plan, count: int, store) -> int:
+    """Patterns per window ``engine`` streams over ``count`` patterns of
+    ``network``: the plan's lane or big-int window, by engine kind."""
+    width = plan.lane_window if engine.lanes else plan.bigint_window
+    return width(count, compile_network(network, cache=store).num_slots)
+
+
+# -- the words loop -------------------------------------------------------------------
+
+
+def collect_words(
+    patterns: PatternSet, words: WordsKernel, active: Sequence[int], width: int
+) -> List[int]:
+    """Whole-set detection words of the faults at ``active``, in that
+    order: the one words loop, in-process and in every pool worker.
+
+    The result is one whole-set-width big-int per fault by construction
+    (callers want the full words), so only the per-window simulation is
+    bounded-memory - unlike :func:`drive_windows`, which stays
+    constant-memory end to end.
+    """
+    slot_of = {position: slot for slot, position in enumerate(active)}
+    found = [0] * len(active)
+    for start, chunk in patterns.windows(width):
+        for position, word in zip(*words(chunk, active)):
+            found[slot_of[position]] |= word << start
+    return found
+
+
+def difference_words(
+    engine,
+    network: Network,
+    patterns: PatternSet,
+    faults: Sequence[NetworkFault],
+    jobs: Optional[int] = None,
+    schedule: Optional[str] = None,
+    tune=None,
+    cache=None,
+) -> List[int]:
+    """:meth:`Engine.difference_words`: :func:`collect_words` over the
+    engine's words kernel, streamed through the engine's window - across
+    a ``jobs``-wide pool when the workload pays for one
+    (:func:`repro.simulate.sharded.pooled_difference_words`)."""
+    engine, store, plan, _mode = resolve_knobs(
+        engine, jobs, schedule, tune, None, cache
+    )
+    faults = list(faults)
+    words = engine.words_kernel(network, faults, schedule, plan, store)
+    width = engine_window(engine, network, plan, patterns.count, store)
+    if jobs is not None and jobs > 1:
+        from .sharded import pooled_difference_words
+
+        pooled = pooled_difference_words(
+            network, patterns, faults, words, width, jobs, schedule, store
         )
-        return build_result(network.name, patterns.count, faults, outcomes)
-
-    return simulate_faults
-
-
-def _compiled_evaluate_bits(network: Network, env, mask, cache=None) -> Dict[str, int]:
-    return compile_network(network, cache=cache).evaluate_bits(env, mask)
-
-
-register_engine(
-    Engine(
-        name="interpreted",
-        description="gate-by-gate AST walk (reference oracle)",
-        simulate_faults=_simulate_faults("interpreted"),
-        difference_words=interpreted_difference_words,
-        evaluate_bits=lambda network, env, mask, cache=None: network.evaluate_bits(
-            env, mask
-        ),
-    )
-)
-
-register_engine(
-    Engine(
-        name="compiled",
-        description="flat slot program with fault-cone-restricted passes",
-        simulate_faults=_simulate_faults("compiled"),
-        difference_words=compiled_difference_words,
-        evaluate_bits=_compiled_evaluate_bits,
-    )
-)
+        if pooled is not None:
+            return pooled
+    return collect_words(patterns, words, range(len(faults)), width)
 
 
 # -- the public entry points ----------------------------------------------------------
@@ -511,107 +557,50 @@ def fault_simulate(
     the stopping window (and every result bit) matches the uncollapsed
     run exactly.
     """
-    resolved = get_engine(engine)
-    get_schedule(schedule)  # reject bad names before any engine runs
-    store = resolve_cache(cache)
-    resolve_plan(tune, cache=store)
-    from ..faults.structural import collapse_network_faults, get_collapse_mode
-
-    mode = get_collapse_mode(collapse)
+    resolved, store, plan, mode = resolve_knobs(
+        engine, jobs, schedule, tune, collapse, cache
+    )
     check_stop_at_coverage(stop_at_coverage)
-    check_jobs(jobs)
     if faults is None:
         faults = network.enumerate_faults()
     # Validate up front - a bad fault list should raise before the
     # simulation burns time, not in build_result afterwards.
     faults = dedupe_faults(faults)
     check_injectable(network, faults)
-    if mode == "off" or not faults:
-        result = resolved.simulate_faults(
-            network,
-            patterns,
-            faults,
-            stop_at_first_detection=stop_at_first_detection,
-            jobs=jobs,
-            schedule=schedule,
-            tune=tune,
-            stop_at_coverage=stop_at_coverage,
-            coverage_weights=None,
-            cache=store,
+    # Either stop pins the stopping grid to FIRST_DETECTION_CHUNK on
+    # every engine: where a coverage-stopped run ends depends on the
+    # grid, so all engines must stop on the same one to stay
+    # bit-identical.  Without a stop the engine's own window applies.
+    retire = stop_at_first_detection or stop_at_coverage is not None
+
+    def outcomes(simulated, weights):
+        return windowed_outcomes(
+            network, patterns, simulated, FIRST_DETECTION_CHUNK if retire else None,
+            stop_at_first_detection, resolved, schedule, plan,
+            stop_at_coverage=stop_at_coverage, coverage_weights=weights,
+            cache=store, jobs=jobs,
         )
-        store.flush()
-        return result
-    collapsed = collapse_network_faults(network, faults, cache=store)
-    rep_result = resolved.simulate_faults(
-        network,
-        patterns,
-        collapsed.representative_faults(),
-        stop_at_first_detection=stop_at_first_detection,
-        jobs=jobs,
-        schedule=schedule,
-        tune=tune,
-        stop_at_coverage=stop_at_coverage,
-        coverage_weights=collapsed.class_sizes(),
-        cache=store,
-    )
-    class_outcomes: List[FaultOutcome] = []
-    for rep_index in collapsed.representatives:
-        label = faults[rep_index].describe()
-        if label in rep_result.detected:
-            class_outcomes.append(
-                (rep_result.detected[label], rep_result.detection_counts[label])
-            )
-        else:
-            class_outcomes.append(None)
-    result = build_result(
-        network.name,
-        patterns.count,
-        faults,
-        collapsed.scatter_outcomes(class_outcomes),
-    )
-    result.collapsed_classes = collapsed.class_count
+
+    if mode == "off" or not faults:
+        result = build_result(
+            network.name, patterns.count, faults, outcomes(faults, None)
+        )
+    else:
+        from ..faults.structural import collapse_network_faults
+
+        collapsed = collapse_network_faults(network, faults, cache=store)
+        class_outcomes = outcomes(
+            collapsed.representative_faults(), collapsed.class_sizes()
+        )
+        result = build_result(
+            network.name,
+            patterns.count,
+            faults,
+            collapsed.scatter_outcomes(class_outcomes),
+        )
+        result.collapsed_classes = collapsed.class_count
     store.flush()
     return result
-
-
-def window_difference_factory(network: Network, engine: str, cache=None):
-    """``window -> (fault -> difference word)`` for a one-process engine.
-
-    The per-window pass behind the big-int block kernel
-    (:func:`block_kernel`) and the pooled words path; ``engine`` picks
-    the pass (``"compiled"`` slot program, ``"vector"`` numpy lane
-    arrays, ``"interpreted"`` full AST re-simulation); ``cache`` selects
-    the artifact store the compiled/vector programs resolve through.
-    """
-    if engine == "compiled":
-        compiled = compile_network(network, cache=cache)
-
-        def for_window(window: PatternSet):
-            return compiled.simulate(window.env, window.mask).difference
-
-    elif engine == "vector":
-        from .vector import vector_compile
-
-        vector = vector_compile(network, cache=cache)
-
-        def for_window(window: PatternSet):
-            return vector.simulate(window).difference
-
-    elif engine == "interpreted":
-
-        def for_window(window: PatternSet):
-            good = network.output_bits(window.env, window.mask)
-            return lambda fault: _difference_interpreted(
-                network, window.env, window.mask, good, fault
-            )
-
-    else:
-        raise ValueError(
-            f"engine {engine!r} has no single-process window core; "
-            "expected one of: compiled, interpreted, vector"
-        )
-
-    return for_window
 
 
 def resolve_coverage_weights(
@@ -637,17 +626,6 @@ def resolve_coverage_weights(
 
 # -- the window driver ----------------------------------------------------------------
 
-#: ``detect(start, chunk, active) -> (positions, first indices, counts)``
-#: - one engine's pass over the pattern block ``chunk`` (which begins at
-#: pattern ``start``) for the fault-list positions in ``active``,
-#: reporting every detected fault's position, absolute first detecting
-#: index and number of detecting patterns in the block.  Parallel lists
-#: of ints rather than a tuple per detection: each tuple is a GC-tracked
-#: allocation, and thousands per block trigger full collections mid-run.
-BlockKernel = Callable[
-    [int, PatternSet, List[int]], Tuple[List[int], List[int], List[int]]
-]
-
 SESSION_BLOCK_RAMP = 8
 """Grid windows in a retiring run's first speculative block.
 
@@ -659,17 +637,17 @@ loses almost nothing when the run stops at the very first boundary and
 saves whole blocks' worth of fixed costs on every longer run."""
 
 
-def session_block_size(grid: int, engine_window: int) -> Tuple[int, int]:
+def session_block_size(grid: int, width: int) -> Tuple[int, int]:
     """``(first block, cap)`` for a retiring run's speculative blocks.
 
     Blocks start at :data:`SESSION_BLOCK_RAMP` grid windows and double
-    up to the engine's streaming window rounded down to a grid
+    up to the engine's streaming window ``width`` rounded down to a grid
     multiple: a run stopped at boundary ``b`` has then simulated at
     most about twice ``b`` patterns (plus the first block), bounding
     the speculation waste, while long runs reach full batched-sweep
     widths.
     """
-    cap = max(grid, engine_window // grid * grid)
+    cap = max(grid, width // grid * grid)
     return min(SESSION_BLOCK_RAMP * grid, cap), cap
 
 
@@ -727,7 +705,7 @@ def drive_windows(
     detect: BlockKernel,
     weights: Sequence[int],
     on_window,
-    block_cap: int,
+    width: int,
 ) -> List[FaultOutcome]:
     """Per-fault outcomes of ``size`` faults: the one window loop.
 
@@ -740,7 +718,7 @@ def drive_windows(
       whole-set count.
     * **retiring** (``on_window(consumed, covered_weight) -> bool``):
       speculative doubling blocks (:func:`session_block_size`, capped
-      near ``block_cap``) are replayed against the ``grid`` boundaries
+      near the engine's window ``width``) are replayed against the ``grid`` boundaries
       by :func:`fold_session_block`.  A detected fault retires (count
       pinned to 1, its weight covered) at the end of its first
       detecting grid window, and the run ends at the first boundary
@@ -761,7 +739,7 @@ def drive_windows(
                 counts[position] += count
     else:
         covered_weight = 0
-        block, cap = session_block_size(grid, block_cap)
+        block, cap = session_block_size(grid, width)
         start = 0
         while start < patterns.count:
             stop = min(start + block, patterns.count)
@@ -810,48 +788,6 @@ def stop_predicate(
     return on_window
 
 
-def block_kernel(
-    network: Network,
-    faults: Sequence[NetworkFault],
-    engine: str,
-    schedule: Optional[str] = None,
-    plan=None,
-    cache=None,
-) -> BlockKernel:
-    """One engine's :data:`BlockKernel` over ``faults``.
-
-    ``engine="vector"`` is the lane kernel
-    (:func:`repro.simulate.vector.lane_kernel`, where ``schedule`` and
-    ``plan`` shape the batches); the big-int engines share one kernel
-    over :func:`window_difference_factory`.
-    """
-    if engine == "vector":
-        from .vector import lane_kernel
-
-        return lane_kernel(network, faults, schedule, plan, cache)
-    for_window = window_difference_factory(network, engine, cache=cache)
-
-    def detect(start: int, chunk: PatternSet, active: List[int]):
-        difference_of = for_window(chunk)
-        positions, firsts, counts = [], [], []
-        for position in active:
-            word = difference_of(faults[position])
-            if word:
-                positions.append(position)
-                firsts.append(start + (word & -word).bit_length() - 1)
-                counts.append(word.bit_count())
-        return positions, firsts, counts
-
-    return detect
-
-
-def block_cap(network: Network, engine: str, plan, count: int, cache=None) -> int:
-    """Widest speculative block an engine's kernel simulates at once."""
-    if engine == "vector":
-        return plan.lane_window(count, compile_network(network, cache=cache).num_slots)
-    return plan.bigint_window(count)
-
-
 def windowed_outcomes(
     network: Network,
     patterns: PatternSet,
@@ -869,12 +805,14 @@ def windowed_outcomes(
 ) -> List[FaultOutcome]:
     """Per-fault (first index, count) outcomes on one engine.
 
-    :func:`drive_windows` over the engine's :func:`block_kernel` - or,
-    when ``jobs > 1`` and the workload pays for a pool, over the pool
-    kernel that runs it in ``jobs`` forked workers
-    (:func:`repro.simulate.sharded.pooled_outcomes`).
-    ``window`` is the window width - the stopping grid when a stop is
-    asked for - and ``None`` lets the execution plan (``tune``) size it.
+    :func:`drive_windows` over the engine's block kernel - or, when
+    ``jobs > 1`` and the workload pays for a pool, over the pool kernel
+    that runs it in ``jobs`` forked workers
+    (:func:`repro.simulate.sharded.pooled_outcomes`).  ``engine`` is a
+    registered name or an :class:`Engine`.  ``window`` is the window
+    width - the stopping grid when a stop is asked for - and ``None``
+    streams the engine's own window (:func:`engine_window`), which also
+    caps a retiring run's speculative blocks.
     ``stop_at_first_detection`` retires a fault at the end of its first
     detecting window (count pinned to 1); ``stop_at_coverage``
     additionally stops the run at the first window boundary where the
@@ -883,37 +821,29 @@ def windowed_outcomes(
     ``on_window(consumed, covered_weight) -> bool`` is the streaming
     session seam - returning ``False`` ends the run, which is how
     :func:`streaming_coverage` plugs in its Wilson-bound stop.
-    ``schedule`` reaches the vector kernel's batch planner.
+    ``schedule`` reaches the engine's batch planner.
     """
-    store = resolve_cache(cache)
-    plan = resolve_plan(tune, cache=store)
+    engine, store, plan, _mode = resolve_knobs(
+        engine, jobs, schedule, tune, None, cache
+    )
     check_stop_at_coverage(stop_at_coverage)
-    check_jobs(jobs)
     weights = resolve_coverage_weights(faults, coverage_weights)
     stop = stop_predicate(
         stop_at_first_detection, stop_at_coverage, on_window, weights
     )
-    detect = block_kernel(network, faults, engine, schedule, plan, store)
-    cap = block_cap(network, engine, plan, patterns.count, store)
+    detect = engine.block_kernel(network, faults, schedule, plan, store)
+    width = engine_window(engine, network, plan, patterns.count, store)
     if jobs is not None and jobs > 1:
         from .sharded import pooled_outcomes
 
         outcomes = pooled_outcomes(
-            network, patterns, faults, window, detect, weights, stop, cap,
-            jobs, engine, schedule, plan, store,
+            network, patterns, faults, window, detect, weights, stop, width,
+            jobs, schedule, store,
         )
         if outcomes is not None:
             return outcomes
-    if window is None:
-        if engine == "vector":
-            window = cap
-        elif engine == "compiled":
-            window = plan.serial_window(
-                patterns.count, compile_network(network, cache=store).num_slots
-            )
-        else:
-            window = max(patterns.count, 1)
-    return drive_windows(patterns, len(faults), window, detect, weights, stop, cap)
+    grid = width if window is None else window
+    return drive_windows(patterns, len(faults), grid, detect, weights, stop, width)
 
 
 @dataclass
@@ -1028,15 +958,12 @@ def streaming_coverage(
     counts by their member sizes, keeping the stopping window identical
     to the uncollapsed run.
     """
-    from ..faults.structural import collapse_network_faults, get_collapse_mode
+    from ..faults.structural import collapse_network_faults
     from ..protest.testlength import coverage_lower_bound
 
-    get_engine(engine)  # same error contract as fault_simulate
-    get_schedule(schedule)
-    store = resolve_cache(cache)
-    resolve_plan(tune, cache=store)
-    mode = get_collapse_mode(collapse)
-    check_jobs(jobs)
+    resolved, store, plan, mode = resolve_knobs(
+        engine, jobs, schedule, tune, collapse, cache
+    )
     if not 0.0 < target_coverage <= 1.0:
         raise ValueError(
             f"target_coverage must be in (0, 1], got {target_coverage}"
@@ -1087,7 +1014,7 @@ def streaming_coverage(
 
         windowed_outcomes(
             network, patterns, simulated, FIRST_DETECTION_CHUNK,
-            False, engine, schedule, tune,
+            False, resolved, schedule, plan,
             coverage_weights=weights, cache=store, on_window=on_window,
             jobs=jobs,
         )

@@ -1,17 +1,28 @@
-"""The simulation-engine registry.
+"""The simulation-engine registry: the one seam an engine plugs into.
 
 Every consumer that used to branch on an ad-hoc ``engine: str`` -
 :func:`repro.simulate.faultsim.fault_simulate`, the Monte-Carlo
 estimators of :mod:`repro.protest`, the PROTEST facade, the CLI -
-now resolves the name through this registry.  An engine bundles the
-three primitives the rest of the system needs:
+resolves the name through this registry, and nothing outside an
+:class:`Engine` knows which engine it is running.  An engine supplies
+only what really differs between engines:
 
-* ``simulate_faults`` - a full fault-simulation run returning a
-  :class:`~repro.simulate.faultsim.FaultSimResult`;
-* ``difference_words`` - one detection bit-word per fault (the
-  Monte-Carlo detection estimator's primitive);
 * ``evaluate_bits`` - fault-free bit-parallel valuation of every net
-  (the Monte-Carlo signal estimator's primitive).
+  (the Monte-Carlo signal estimator's primitive);
+* ``block_kernel`` - builds the per-block kernel
+  (:data:`~repro.simulate.faultsim.BlockKernel`) that the one window
+  loop, :func:`~repro.simulate.faultsim.drive_windows`, runs for fault
+  simulation and streaming sessions;
+* ``words_kernel`` - builds the per-window kernel
+  (:data:`~repro.simulate.faultsim.WordsKernel`) that the one words
+  loop, :func:`~repro.simulate.faultsim.collect_words`, runs for
+  detection words (the Monte-Carlo detection estimator's primitive);
+* ``lanes`` - whether it streams the execution plan's lane windows
+  (numpy ``uint64`` rows) or its big-int windows.
+
+Everything else - knob validation, window sizing, the in-process and
+pooled drivers, retirement, coverage and session stops - is shared, so
+a new engine (or a new fault-pass strategy) is one ``Engine`` value.
 
 Three engines register themselves on import:
 
@@ -23,29 +34,20 @@ Three engines register themselves on import:
   lowered onto numpy ``uint64`` lane arrays; the gate kernels run as
   vectorized SIMD ops over streamed pattern windows.
 
+The first two share one big-int adapter
+(:func:`repro.simulate.faultsim.bigint_engine`) over their per-window
+difference passes; vector registers its lane kernels.
+
 Parallelism is not an engine: every engine takes ``jobs``, runs
 in-process when it is ``None`` or 1 and forks a ``jobs``-wide worker
 pool (:mod:`repro.simulate.sharded`) above that, once the workload is
-big enough to pay for it.
+big enough to pay for it - the workers run the engine's own kernels.
 
-Engines also accept a **schedule** name (resolved through
-:mod:`repro.simulate.schedule`, the registry's sibling for fault
-scheduling policies): ``"cost"`` (the default) prices faults by
-fanout-cone size to LPT-balance shards and coalesce underfilled vector
-batches, ``"contiguous"`` and ``"interleaved"`` are the mechanical
-partitions.  Scheduling only re-orders work.  They further accept a
-**tune** spec (resolved through :mod:`repro.simulate.tuning`):
-``"default"`` keeps the hand-calibrated global chunk/window constants,
-``"auto"`` derives per-cone chunk widths, window sizes and coalescer
-pricing from a host calibration profile, and a path loads a saved
-profile JSON.  Tuning only re-tiles work.  And they accept a **cache**
-spec (resolved through :mod:`repro.simulate.artifacts`): the artifact
-store everything derivable from the network alone - compiled slot
-programs, cone metadata, batch plans, collapse classes, fault
-partitions, tuning profiles - is keyed in by content fingerprint
-(``None`` for the process-wide in-memory store, ``"memory"``,
-``"off"``, a directory path for the persistent disk tier, or an
-``ArtifactStore``).  Caching only skips re-derivation.
+The other knobs resolve next to the engine name, once, through
+:func:`repro.simulate.faultsim.resolve_knobs`: a **schedule**
+(:mod:`repro.simulate.schedule`) only re-orders work, a **tune** spec
+(:mod:`repro.simulate.tuning`) only re-tiles it, and a **cache** spec
+(:mod:`repro.simulate.artifacts`) only skips re-derivation.
 
 All engines are bit-identical on every result - across every schedule,
 every tuning plan and every cache mode; they differ only in cost.
@@ -58,39 +60,53 @@ full engine x schedule x tuning sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Engine", "register_engine", "get_engine", "available_engines"]
 
 
 @dataclass(frozen=True)
 class Engine:
-    """One registered simulation engine.
+    """One registered simulation engine: its kernels and window kind.
 
-    ``simulate_faults(network, patterns, faults, *,
-    stop_at_first_detection=False, jobs=None, schedule=None,
-    tune=None, stop_at_coverage=None, coverage_weights=None,
-    cache=None)`` returns a ``FaultSimResult`` (``stop_at_coverage``
-    retires detected faults between ``FIRST_DETECTION_CHUNK``-wide
-    windows and stops the run at the coverage threshold;
-    ``coverage_weights`` weights each fault's contribution - class
-    sizes under structural collapsing); ``difference_words(network,
-    patterns, faults, jobs=None, schedule=None, tune=None,
-    cache=None)`` returns one detection word per fault in fault-list
-    order; ``evaluate_bits(network, env, mask, cache=None)`` returns
-    the fault-free valuation of every net.  ``jobs`` must be ``>= 1``
-    (``None`` means 1) and pools the fault passes above 1.  Engines
-    that cannot use ``schedule``, ``tune`` or ``cache`` accept and
-    ignore them (``fault_simulate`` validates the schedule, tuning and
-    cache names up front so every engine rejects bad names
-    identically).
+    ``evaluate_bits(network, env, mask, cache=None)`` returns the
+    fault-free valuation of every net.  ``block_kernel(network, faults,
+    schedule, plan, store)`` and ``words_kernel(network, faults,
+    schedule, plan, store)`` build the engine's kernels over
+    ``faults`` (``schedule`` and the resolved execution ``plan`` shape
+    its batches and chunks, ``store`` is the resolved artifact store);
+    ``lanes`` picks which of the plan's windows the engine streams.
     """
 
     name: str
     description: str
-    simulate_faults: Callable = field(repr=False)
-    difference_words: Callable = field(repr=False)
     evaluate_bits: Callable = field(repr=False)
+    block_kernel: Callable = field(repr=False)
+    words_kernel: Callable = field(repr=False)
+    lanes: bool = False
+
+    def difference_words(
+        self,
+        network,
+        patterns,
+        faults,
+        jobs: Optional[int] = None,
+        schedule: Optional[str] = None,
+        tune=None,
+        cache=None,
+    ) -> List[int]:
+        """One whole-set detection word per fault, in fault-list order.
+
+        ``jobs`` must be ``>= 1`` (``None`` means 1) and pools the fault
+        passes above 1; ``schedule``, ``tune`` and ``cache`` resolve as
+        in :func:`repro.simulate.faultsim.fault_simulate`, and bad
+        values raise the same errors on every engine.
+        """
+        from .faultsim import difference_words
+
+        return difference_words(
+            self, network, patterns, faults, jobs, schedule, tune, cache
+        )
 
 
 _ENGINES: Dict[str, Engine] = {}

@@ -12,24 +12,29 @@ as alternatives) and per-fault results are scattered back to their
 original list positions, so a pooled run is bit-identical to the
 in-process one under *every* schedule.
 
+Workers run the engine's own kernels (:mod:`repro.simulate.registry`),
+built once in the parent so the forked workers inherit them warm, and
+stream the engine's own window (lane or big-int, sized by the execution
+plan):
+
 * **Fault simulation** (:func:`pooled_outcomes`) drives the one window
   loop, :func:`repro.simulate.faultsim.drive_windows`, in the parent
   with :func:`_pool_kernel` as its block kernel: one ``pool.map`` per
-  block, each worker running the engine's own block kernel on its
-  shard of the live faults.  Full counts, first detection, coverage
-  stops and streaming sessions all take that one path.
+  block, each worker running the engine's block kernel on its shard of
+  the live faults.  Full counts, first detection, coverage stops and
+  streaming sessions all take that one path.
 * **Detection words** (:func:`pooled_difference_words`) shard the fault
-  list once.
+  list once; each worker runs the one words loop,
+  :func:`repro.simulate.faultsim.collect_words`, over its shard.
 
-Workers stream their shard through bounded-memory **windows** (at most
-:data:`DEFAULT_WINDOW` patterns under the default plan).  Windowing is
-also an algorithmic win on its own: a fault whose faulty gate function
-agrees with the good word on every pattern of a window converges after
-a *single* gate evaluation, so rarely-activated faults skip almost all
-of their fanout-cone work in inactive windows.
+Streaming windows are also an algorithmic win on their own: a fault
+whose faulty gate function agrees with the good word on every pattern
+of a window converges after a *single* gate evaluation, so
+rarely-activated faults skip almost all of their fanout-cone work in
+inactive windows.
 
-Workers are forked, so the network, the patterns, the fault list and
-the artifact store the parent pre-warmed are inherited copy-on-write
+Workers are forked, so the patterns, the kernels and the artifact
+store the parent pre-warmed are inherited copy-on-write
 through the pool's ``initializer``/``initargs`` - never pickled, never
 parent module state.  The pool is a
 :class:`concurrent.futures.ProcessPoolExecutor`: a worker that raises
@@ -44,17 +49,9 @@ import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.network import Network, NetworkFault
-from .artifacts import resolve_cache
-from .compiled import compile_network
-from .faultsim import (
-    FaultOutcome,
-    FaultSimResult,
-    drive_windows,
-    window_difference_factory,
-)
+from .faultsim import FaultOutcome, FaultSimResult, collect_words, drive_windows
 from .logicsim import PatternSet
 from .schedule import contiguous_schedule, partition_faults
-from .tuning import resolve_plan
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -63,11 +60,12 @@ __all__ = [
     "pooled_difference_words",
     "pooled_outcomes",
     "shard_bounds",
-    "windowed_difference_words",
 ]
 
 DEFAULT_WINDOW = 1 << 18
-"""Patterns per streaming window; bounds every worker's big-int width
+"""Patterns per big-int streaming window under the default plan
+(:meth:`~repro.simulate.tuning.ExecutionPlan.bigint_window`); bounds
+every big-int pass's width
 (256 Ki patterns = 32 KiB per net, small enough to stay cache-resident,
 wide enough to amortise the per-window interpreter overhead - measured
 the sweet spot on the shard benchmark's 4M-pattern workload)."""
@@ -78,56 +76,6 @@ pool pays for itself.  Below this the fork/teardown cost dominates -
 e.g. the Monte-Carlo estimators' few-thousand-sample calls inside the
 optimizer's coordinate search - so smaller workloads run in-process
 (same results, no pool)."""
-
-
-# -- the windowed words core -----------------------------------------------------------
-
-
-def windowed_difference_words(
-    network: Network,
-    patterns: PatternSet,
-    faults: Sequence[NetworkFault],
-    window: Optional[int] = None,
-    engine: str = "compiled",
-    schedule: Optional[str] = None,
-    tune=None,
-    cache=None,
-) -> List[int]:
-    """Whole-set detection words assembled from per-window words.
-
-    ``engine`` picks the single-process window core (compiled, vector
-    or interpreted); ``schedule`` reaches the vector core's batch
-    planner (``"cost"`` coalesces underfilled same-cone site batches);
-    ``tune`` names the execution plan, which also sizes the window when
-    ``window`` is ``None``.  Note: the *result* is one
-    whole-set-width big-int per fault by construction (callers want the
-    full detection words), so only the per-window simulation is
-    bounded-memory here - unlike
-    :func:`repro.simulate.faultsim.windowed_outcomes`, which stays
-    constant-memory end to end.
-    """
-    if engine == "vector":
-        from .vector import vector_difference_words
-
-        return vector_difference_words(
-            network, patterns, faults, window=window, schedule=schedule,
-            tune=tune, cache=cache,
-        )
-    store = resolve_cache(cache)
-    plan = resolve_plan(tune, cache=store)
-    if window is None:
-        window = plan.bigint_window(
-            patterns.count, compile_network(network, cache=store).num_slots
-        )
-    for_window = window_difference_factory(network, engine, cache=store)
-    words = [0] * len(faults)
-    for start, chunk in patterns.windows(window):
-        difference_of = for_window(chunk)
-        for index, fault in enumerate(faults):
-            word = difference_of(fault)
-            if word:
-                words[index] |= word << start
-    return words
 
 
 # -- sharding and merging --------------------------------------------------------------
@@ -231,15 +179,11 @@ _WORKER: Optional[Tuple] = None
 """A pool worker's context, set by :func:`_init_worker` inside the
 worker process only - the parent hands it over through the pool's
 ``initargs`` and never touches module state, so concurrent pooled runs
-cannot clobber each other.  The words path passes ``(network, patterns,
-faults, window, engine, schedule, tune, cache)`` and gives each worker
-its shard as a list of fault-list indices (any partition the scheduler
-produced, not just contiguous slices); the outcomes path passes
-``(patterns, detect, stream)``, the engine's block kernel and the
-width each block is streamed through.  Workers are forked,
-so the context is inherited copy-on-write, never pickled - including
-the store the parent pre-warmed and any ``"auto"`` plan it
-calibrated."""
+cannot clobber each other.  Both paths pass ``(patterns, kernel,
+width)``: the pattern set, the engine's block or words kernel and the
+width each block or shard is streamed through.  Workers are forked, so
+the context is inherited copy-on-write, never pickled - including the
+kernels' warm programs and the store and plan the parent resolved."""
 
 
 def _init_worker(*context) -> None:
@@ -248,11 +192,10 @@ def _init_worker(*context) -> None:
 
 
 def _words_worker(indices: Sequence[int]) -> List[int]:
-    network, patterns, faults, window, engine, schedule, tune, cache = _WORKER
-    subset = [faults[index] for index in indices]
-    return windowed_difference_words(
-        network, patterns, subset, window, engine, schedule, tune, cache
-    )
+    """The whole-set words of one shard (any partition the scheduler
+    produced, as fault-list indices), in shard order."""
+    patterns, words, width = _WORKER
+    return collect_words(patterns, words, indices, width)
 
 
 def _block_worker(task: Tuple[int, int, List[int]]):
@@ -356,11 +299,9 @@ def pooled_outcomes(
     detect,
     weights: Sequence[int],
     on_window,
-    block_cap: int,
+    width: int,
     jobs: int,
-    engine: str,
     schedule: Optional[str],
-    plan,
     cache,
 ) -> Optional[List[FaultOutcome]]:
     """:func:`repro.simulate.faultsim.drive_windows` over a pool kernel.
@@ -371,32 +312,30 @@ def pooled_outcomes(
     retiring, coverage and session stops) runs unchanged over
     :func:`_pool_kernel`.  A counting run is one block - a barrier per
     window would idle every worker until the slowest shard caught up -
-    that each worker streams through ``window``-wide windows (the plan's
-    shard window when ``None``); a retiring run keeps the driver's
-    speculative blocks on the ``window`` grid.  The driver walks a
-    :class:`_Span`: the workers slice the real patterns, so the parent
-    never generates them.  Returns ``None`` when pooling is pointless or
-    unavailable, signalling the caller to run in-process; a ``None``
-    return means ``on_window`` was never invoked.
+    that each worker streams through ``window``-wide windows (the
+    engine's ``width`` when ``None``); a retiring run keeps the driver's
+    speculative blocks, capped at ``width``, on the ``window`` grid.
+    The driver walks a :class:`_Span`: the workers slice the real
+    patterns, so the parent never generates them.  Returns ``None``
+    when pooling is pointless or unavailable, signalling the caller to
+    run in-process; a ``None`` return means ``on_window`` was never
+    invoked.
     """
     shards = _pool_shards(network, patterns, faults, jobs, schedule, cache)
     if shards is None:
         return None
-    if window is None:
-        window = plan.shard_window(
-            patterns.count, compile_network(network, cache=cache).num_slots, engine
-        )
+    window = width if window is None else window
     if window < 1:  # a counting run's driver never sees it as its grid
         raise ValueError(f"window width must be >= 1, got {window}")
     if on_window is None:
         grid, stream = max(patterns.count, 1), window
     else:
-        grid, stream = window, block_cap
+        grid, stream = window, width
     with _executor(len(shards), (patterns, detect, stream)) as pool:
         return drive_windows(
             _Span(patterns.count), len(faults), grid,
             _pool_kernel(pool, network, faults, jobs, schedule, cache),
-            weights, on_window, block_cap,
+            weights, on_window, width,
         )
 
 
@@ -404,35 +343,25 @@ def pooled_difference_words(
     network: Network,
     patterns: PatternSet,
     faults: Sequence[NetworkFault],
-    engine: str,
+    words,
+    width: int,
     jobs: int,
     schedule: Optional[str],
-    tune,
     cache,
 ) -> Optional[List[int]]:
     """Per-fault detection words computed across a ``jobs``-wide pool.
 
-    Each worker streams its shard through the plan's shard windows on
-    ``engine``'s window core; the words are scattered back to fault
-    order whatever partition ``schedule`` produced.  Returns ``None``
-    when pooling is pointless or unavailable, like
+    ``words`` is the engine's words kernel over ``faults``; each worker
+    runs :func:`repro.simulate.faultsim.collect_words` over its shard,
+    ``width`` patterns at a time, and the words are scattered back to
+    fault order whatever partition ``schedule`` produced.  Returns
+    ``None`` when pooling is pointless or unavailable, like
     :func:`pooled_outcomes`.
     """
-    faults = list(faults)
     shards = _pool_shards(network, patterns, faults, jobs, schedule, cache)
     if shards is None:
         return None
-    plan = resolve_plan(tune, cache=cache)  # resolve/calibrate before the fork
-    # Materialise the engine's programs pre-fork, so every worker
-    # shares them instead of re-deriving them.
-    compiled = compile_network(network, cache=cache)
-    if engine == "vector":
-        from .vector import vector_compile
-
-        vector_compile(network, cache=cache)
-    window = plan.shard_window(patterns.count, compiled.num_slots, engine)
-    context = (network, patterns, faults, window, engine, schedule, tune, cache)
-    with _executor(len(shards), context) as pool:
+    with _executor(len(shards), (patterns, words, width)) as pool:
         return _scatter(
             zip(shards, pool.map(_words_worker, shards)), len(faults), 0
         )

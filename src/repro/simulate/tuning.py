@@ -28,16 +28,19 @@ Three pieces:
   chunks that keep the ``[batch, chunk]`` cone working set
   cache-resident, shallow islands get wide ones that amortise numpy's
   per-call overhead), ``lane_window``/``bigint_window`` (patterns per
-  streaming window, sized to the slot program's width), and the
-  re-derived coalescer pricing terms.  :class:`DefaultPlan` reproduces
+  streaming window, sized to the slot program's width - each engine
+  names its window kind, and streams that one window in every mode:
+  in-process, pooled, retiring and words), and the re-derived
+  coalescer pricing terms.  :class:`DefaultPlan` reproduces
   the historical global constants exactly - it reads them from the
   engine modules *at call time*, so monkeypatching
   ``vector.VECTOR_CHUNK`` keeps working; :class:`TunedPlan` derives
   everything from a profile.
 
-* :func:`resolve_plan` - the name resolution the ``--tune`` knob
-  threads through ``fault_simulate``, the estimators, the facade and
-  the CLI, mirroring how ``--engine``/``--schedule`` resolve:
+* :func:`resolve_plan` - the name resolution behind the ``--tune``
+  knob (which :func:`repro.simulate.faultsim.resolve_knobs` applies at
+  every public entry point, against the run's artifact store),
+  mirroring how ``--engine``/``--schedule`` resolve:
   ``"default"`` (or ``None``), ``"auto"`` (calibrate once per process,
   memoised; ``$REPRO_TUNE_PROFILE`` names a JSON path to persist/reuse
   the host profile), or a path to a profile JSON.  Unknown names and
@@ -369,29 +372,13 @@ class ExecutionPlan:
         raise NotImplementedError
 
     def lane_window(self, n_patterns: int, num_slots: Optional[int] = None) -> int:
-        """Patterns per streaming window on the lane (vector) engine."""
+        """Patterns per streaming window on a lane engine (vector) - in
+        every mode: in-process, pooled, retiring block cap and words."""
         raise NotImplementedError
 
     def bigint_window(self, n_patterns: int, num_slots: Optional[int] = None) -> int:
-        """Patterns per streaming window on the big-int window cores."""
-        raise NotImplementedError
-
-    def serial_window(self, n_patterns: int, num_slots: Optional[int] = None) -> int:
-        """Window width for the single-process compiled engine's full
-        pass (the default plan keeps its historical one whole-set
-        window; tuned plans stream it like the pool workers do)."""
-        raise NotImplementedError
-
-    def shard_window(
-        self,
-        n_patterns: int,
-        num_slots: Optional[int] = None,
-        inner_engine: str = "compiled",
-    ) -> int:
-        """Window width for a shard-pool worker's inner core (the
-        default plan keeps the historical
-        :data:`~repro.simulate.sharded.DEFAULT_WINDOW` for every inner
-        engine; tuned plans size lane and big-int cores separately)."""
+        """Patterns per streaming window on a big-int engine (compiled,
+        interpreted) - in every mode, like :meth:`lane_window`."""
         raise NotImplementedError
 
     def coalesce_overhead_words(self) -> int:
@@ -440,17 +427,6 @@ class DefaultPlan(ExecutionPlan):
         from . import sharded
 
         return _clamp(sharded.DEFAULT_WINDOW, 1, max(1, n_patterns))
-
-    def serial_window(self, n_patterns: int, num_slots: Optional[int] = None) -> int:
-        return max(1, n_patterns)
-
-    def shard_window(
-        self,
-        n_patterns: int,
-        num_slots: Optional[int] = None,
-        inner_engine: str = "compiled",
-    ) -> int:
-        return self.bigint_window(n_patterns, num_slots)
 
     def coalesce_overhead_words(self) -> int:
         from . import vector
@@ -516,23 +492,6 @@ class TunedPlan(ExecutionPlan):
             num_slots, MIN_BIGINT_WINDOW_WORDS, MAX_BIGINT_WINDOW_WORDS
         )
         return _clamp(64 * words, 1, max(1, n_patterns))
-
-    def serial_window(self, n_patterns: int, num_slots: Optional[int] = None) -> int:
-        # Streaming the compiled engine through cache-sized windows is
-        # the same lever the pool workers measured ~2x from
-        # (e10_shard_scaling): convergence early-exit per window plus
-        # cache-resident big-int words.
-        return self.bigint_window(n_patterns, num_slots)
-
-    def shard_window(
-        self,
-        n_patterns: int,
-        num_slots: Optional[int] = None,
-        inner_engine: str = "compiled",
-    ) -> int:
-        if inner_engine == "vector":
-            return self.lane_window(n_patterns, num_slots)
-        return self.bigint_window(n_patterns, num_slots)
 
     def coalesce_overhead_words(self) -> int:
         return self.profile.call_overhead_words

@@ -52,14 +52,16 @@ the element ops:
   difference rows with ``np.bitwise_count`` instead of materialising
   whole-set big-ints.
 
-Fault simulation runs the one window loop,
-:func:`repro.simulate.faultsim.drive_windows`; this module supplies its
-per-block :func:`lane_kernel`, which re-batches the live faults as they
-retire.
-
-The registry entry is ``"vector"``; with ``jobs > 1`` the worker pool
-of :mod:`repro.simulate.sharded` runs the lane kernel in every worker
-(shards across processes, lanes within each).  All engines remain
+The registry entry is ``"vector"``: its kernels are the per-block
+:func:`lane_kernel`, which the one window loop
+(:func:`repro.simulate.faultsim.drive_windows`) runs for fault
+simulation and re-batches the live faults as they retire, and the
+per-window :func:`lane_words_kernel`, which the one words loop
+(:func:`repro.simulate.faultsim.collect_words`) runs for detection
+words; both stream the execution plan's lane windows.  With
+``jobs > 1`` the worker pool of :mod:`repro.simulate.sharded` runs the
+same kernels in every worker (shards across processes, lanes within
+each).  All engines remain
 bit-identical to the interpreted oracle -
 ``tests/test_engine_equivalence.py`` holds every registered engine to
 that contract.  The lane-array form is also the substrate a
@@ -77,7 +79,6 @@ from ..logic.expr import And, Const, Not, Or, Var
 from ..netlist.network import Network, NetworkError, NetworkFault
 from .artifacts import fault_fingerprint, resolve_cache
 from .compiled import CompiledNetwork, _compile_source, compile_network
-from .faultsim import _simulate_faults, pooled_words
 from .logicsim import PatternSet, pack_words, unpack_words
 from .registry import Engine, register_engine
 from .schedule import DEFAULT_SCHEDULE, cone_gates, get_schedule
@@ -92,8 +93,8 @@ __all__ = [
     "VectorNetwork",
     "VectorSimulation",
     "lane_kernel",
+    "lane_words_kernel",
     "vector_compile",
-    "vector_difference_words",
     "vector_evaluate_bits",
 ]
 
@@ -826,6 +827,39 @@ def vector_compile(network: Network, cache=None) -> VectorNetwork:
 # -- the engine primitives -------------------------------------------------------------
 
 
+def _lane_pass(network: Network, faults: Sequence[NetworkFault], schedule, tune, cache):
+    """``rows_of(chunk, active)``: the batched difference rows of the
+    faults at ``active`` over ``chunk``, as ``(live positions, rows)``
+    per batch plan - the pass both lane kernels reduce.
+
+    The batch plans are rebuilt whenever the live set changes, so a
+    half-retired site group stacks half the rows.  The first plan is
+    keyed in the artifact store; re-plans are not, because a run's live
+    subsets depend on where it stops and seldom recur.
+    """
+    store = resolve_cache(cache)
+    vector = vector_compile(network, cache=store)
+    tuning = resolve_plan(tune, cache=store)
+    planned = None
+    plans: List[List[Tuple]] = []
+
+    def rows_of(chunk: PatternSet, active: Sequence[int]):
+        nonlocal planned, plans
+        if active != planned:
+            groups = vector.group_faults([(i, faults[i]) for i in active])
+            plans = vector.plan_batches(
+                groups, schedule, tuning, cache=store, keyed=planned is None
+            )
+            planned = active
+        values, mask_row, _count = vector.good_rows(chunk)
+        for plan in plans:
+            live, rows = vector.plan_difference_rows(values, mask_row, plan, tuning)
+            if live:
+                yield live, rows
+
+    return rows_of
+
+
 def lane_kernel(
     network: Network,
     faults: Sequence[NetworkFault],
@@ -841,32 +875,13 @@ def lane_kernel(
     execution plan sizing its column chunks), runs the batched cone
     passes over ``chunk`` and reports the detected faults' positions,
     first indices and counts, counting with ``np.bitwise_count`` - no
-    whole-set big-int is ever materialised.  The batch plans are
-    rebuilt whenever the live set changes, so a half-retired site group
-    stacks half the rows.  The first plan is keyed in the artifact
-    store; re-plans are not, because a run's live subsets depend on
-    where it stops and seldom recur.
+    whole-set big-int is ever materialised.
     """
-    store = resolve_cache(cache)
-    vector = vector_compile(network, cache=store)
-    tuning = resolve_plan(tune, cache=store)
-    planned = None
-    plans: List[List[Tuple]] = []
+    rows_of = _lane_pass(network, faults, schedule, tune, cache)
 
     def detect(start: int, chunk: PatternSet, active: List[int]):
-        nonlocal planned, plans
-        if active != planned:
-            groups = vector.group_faults([(i, faults[i]) for i in active])
-            plans = vector.plan_batches(
-                groups, schedule, tuning, cache=store, keyed=planned is None
-            )
-            planned = active
-        values, mask_row, _count = vector.good_rows(chunk)
         positions, firsts, counts = [], [], []
-        for plan in plans:
-            live, rows = vector.plan_difference_rows(values, mask_row, plan, tuning)
-            if not live:
-                continue
+        for live, rows in rows_of(chunk, active):
             row_counts = _row_counts(rows)
             for j, position in enumerate(live):
                 count = int(row_counts[j])
@@ -884,45 +899,29 @@ def lane_kernel(
     return detect
 
 
-def vector_difference_words(
+def lane_words_kernel(
     network: Network,
-    patterns: PatternSet,
     faults: Sequence[NetworkFault],
-    jobs: Optional[int] = None,
     schedule: Optional[str] = None,
     tune=None,
     cache=None,
-    window: Optional[int] = None,
-) -> List[int]:
-    """One whole-set detection word per fault via windowed lane passes
-    (``jobs > 1``: across a worker pool,
-    :func:`repro.simulate.faultsim.pooled_words`); ``window`` overrides
-    the plan's lane window."""
-    store = resolve_cache(cache)
-    tuning = resolve_plan(tune, cache=store)
-    pooled = pooled_words(
-        network, patterns, faults, "vector", jobs, schedule, tune, store
-    )
-    if pooled is not None:
-        return pooled
-    vector = vector_compile(network, cache=store)
-    if window is None:
-        window = tuning.lane_window(patterns.count, vector.compiled.num_slots)
-    indexed = list(enumerate(faults))
-    plans = vector.plan_batches(
-        vector.group_faults(indexed), schedule, tuning, cache=store
-    )
-    words = [0] * len(faults)
-    for start, chunk in patterns.windows(window):
-        values, mask_row, count = vector.good_rows(chunk)
-        for plan in plans:
-            live, rows = vector.plan_difference_rows(values, mask_row, plan, tuning)
-            if not live:
-                continue
-            for j, index in enumerate(live):
-                word = unpack_words(rows[j], count)
+):
+    """The lane engine's words kernel for
+    :func:`repro.simulate.faultsim.collect_words`: ``words(chunk,
+    active)`` runs the same batched passes as :func:`lane_kernel` and
+    unpacks each nonzero difference row into a window word."""
+    rows_of = _lane_pass(network, faults, schedule, tune, cache)
+
+    def words(chunk: PatternSet, active: Sequence[int]):
+        positions, found = [], []
+        for live, rows in rows_of(chunk, active):
+            for j, position in enumerate(live):
+                word = unpack_words(rows[j], chunk.count)
                 if word:
-                    words[index] |= word << start
+                    positions.append(position)
+                    found.append(word)
+        return positions, found
+
     return words
 
 
@@ -940,8 +939,9 @@ register_engine(
             "numpy uint64 lane arrays over the compiled slot program: "
             "site-batched, cache-chunked cone passes with streaming windows"
         ),
-        simulate_faults=_simulate_faults("vector"),
-        difference_words=vector_difference_words,
         evaluate_bits=vector_evaluate_bits,
+        block_kernel=lane_kernel,
+        words_kernel=lane_words_kernel,
+        lanes=True,
     )
 )

@@ -39,6 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engine_test_utils import all_faults, differential_circuits, results_identical
+from words_reference import reference_difference_words
 
 from repro.circuits.generators import (
     and_cone,
@@ -71,7 +72,6 @@ from repro.simulate import (
 from repro.simulate.faultsim import (
     FIRST_DETECTION_CHUNK,
     build_result,
-    interpreted_difference_words,
     windowed_outcomes,
 )
 
@@ -97,9 +97,6 @@ def pooling(jobs):
 def jobs(request):
     with pooling(request.param):
         yield request.param
-
-#: Engines with a single-process window core (windowed_outcomes path).
-WINDOW_ENGINES = ("compiled", "interpreted", "vector")
 
 #: Tuning plans the harness sweeps: the historical constants, an
 #: adversarial profile whose tiny cache budget forces one-word chunks
@@ -191,7 +188,7 @@ class TestEveryEngineMatchesOracle:
         faults = all_faults(network)
         assert get_engine(engine).difference_words(
             network, patterns, faults, jobs, "cost", "default", None
-        ) == interpreted_difference_words(network, patterns, faults)
+        ) == reference_difference_words(network, patterns, faults)
 
     def test_streaming_coverage_identical(self, engine, network, jobs):
         def session(engine, jobs=None):
@@ -282,6 +279,66 @@ def test_property_engines_agree_on_random_circuits(
     )
 
 
+@pytest.fixture()
+def plugin_engine():
+    """A throwaway engine built only from the seam - the compiled
+    kernels under a new name - registered for one test; ``ENGINES`` is
+    unchanged afterwards."""
+    from repro.simulate import Engine, registry
+
+    compiled = get_engine("compiled")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(registry, "_ENGINES", dict(registry._ENGINES))
+        yield register_engine(
+            Engine(
+                name="plug-in",
+                description="compiled kernels under a new name",
+                evaluate_bits=compiled.evaluate_bits,
+                block_kernel=compiled.block_kernel,
+                words_kernel=compiled.words_kernel,
+                lanes=compiled.lanes,
+            )
+        ).name
+    assert available_engines() == ENGINES
+
+
+@pytest.mark.parametrize("network", CIRCUITS[:4], ids=lambda n: n.name)
+def test_plugin_engine_matches_oracle(plugin_engine, network, jobs):
+    """The seam is the contract: an engine registered from nothing but
+    its kernels and window kind runs every mode - in-process and
+    through a forked pool - bit-identical to the oracle."""
+    assert plugin_engine in available_engines()
+    patterns = PatternSet.random(
+        network.inputs, 3 * FIRST_DETECTION_CHUNK + 32, seed=71
+    )
+    faults = all_faults(network)
+    for kwargs in (
+        {},
+        {"stop_at_first_detection": True},
+        {"stop_at_coverage": 0.7},
+    ):
+        results_identical(
+            fault_simulate(
+                network, patterns, faults, engine=plugin_engine, jobs=jobs,
+                **kwargs,
+            ),
+            oracle_result(network, patterns, faults, **kwargs),
+        )
+    assert get_engine(plugin_engine).difference_words(
+        network, patterns, faults, jobs
+    ) == reference_difference_words(network, patterns, faults)
+
+    def session(engine, jobs=None):
+        return streaming_coverage(
+            network,
+            LfsrSource(network.inputs, 4 * FIRST_DETECTION_CHUNK, seed=5),
+            faults, target_coverage=0.7, confidence=0.95,
+            engine=engine, jobs=jobs,
+        )
+
+    assert session(plugin_engine, jobs) == session("interpreted")
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("schedule", SCHEDULES)
 class TestEveryEngineScheduleCombination:
@@ -332,7 +389,7 @@ class TestEveryEngineScheduleCombination:
         faults = all_faults(network)
         assert get_engine(engine).difference_words(
             network, patterns, faults, jobs=jobs, schedule=schedule
-        ) == interpreted_difference_words(network, patterns, faults)
+        ) == reference_difference_words(network, patterns, faults)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -532,7 +589,7 @@ class TestEveryEnginePlanCombination:
         faults = all_faults(network)
         assert get_engine(engine).difference_words(
             network, patterns, faults, tune=tuning_specs[tuning]
-        ) == interpreted_difference_words(network, patterns, faults)
+        ) == reference_difference_words(network, patterns, faults)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -580,7 +637,7 @@ def test_property_tuned_plans_identical_on_skewed_circuits(
     results_identical(result, oracle_result(network, patterns, faults))
 
 
-@pytest.mark.parametrize("engine", WINDOW_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=10)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -604,7 +661,7 @@ def test_property_window_widths_exact(engine, seed, count, window):
     seed=st.integers(min_value=0, max_value=10_000),
     count=st.integers(min_value=1, max_value=200),
     window=st.integers(min_value=1, max_value=64),
-    inner=st.sampled_from(WINDOW_ENGINES),
+    inner=st.sampled_from(ENGINES),
     schedule=st.sampled_from(SCHEDULES),
 )
 def test_property_pooled_window_widths_exact(seed, count, window, inner, schedule):

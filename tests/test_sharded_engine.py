@@ -3,8 +3,8 @@
 Cross-engine bit-identity is held by the registry-driven differential
 harness in ``test_engine_equivalence.py``; this file keeps what is
 specific to the scale-out layer: the window iterator (including the
-whole-set-window guarantee), the windowed difference-word core, shard
-bounds, the verified merge, equivalence through a *genuine* worker
+whole-set-window guarantee), the one words loop at any window width,
+shard bounds, the verified merge, equivalence through a *genuine* worker
 pool (``MIN_POOL_WORK = 0`` forces forking, which real calls skip for
 small workloads), and pools that fail loudly instead of hanging.
 """
@@ -17,18 +17,29 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from engine_test_utils import all_faults, differential_circuits, results_identical
+from words_reference import reference_difference_words
 
 from repro.circuits.generators import c17, domino_carry_chain
 from repro.simulate import (
+    Engine,
     PatternSet,
+    available_engines,
     fault_simulate,
-    faultsim,
     get_engine,
     merge_results,
+    register_engine,
+    registry,
+    resolve_cache,
+    resolve_plan,
     sharded,
 )
-from repro.simulate.faultsim import FaultSimResult, build_result, windowed_outcomes
-from repro.simulate.sharded import shard_bounds, windowed_difference_words
+from repro.simulate.faultsim import (
+    FaultSimResult,
+    build_result,
+    collect_words,
+    windowed_outcomes,
+)
+from repro.simulate.sharded import shard_bounds
 
 
 CIRCUITS = differential_circuits()[:6]
@@ -87,15 +98,20 @@ class TestWindowIterator:
     @pytest.mark.parametrize("network", CIRCUITS, ids=lambda n: n.name)
     @pytest.mark.parametrize("width", [1, 7, 64, 333])
     def test_windowed_words_bit_identical_to_whole_pass(self, network, width):
-        """Accumulated per-window difference words == one whole-set pass,
-        across circuits, fault kinds and uneven final windows."""
-        from repro.simulate.faultsim import compiled_difference_words
-
+        """The one words loop over every engine's words kernel, at any
+        window width, == the whole-set reference words - across
+        circuits, fault kinds and uneven final windows."""
         patterns = PatternSet.random(network.inputs, 150, seed=17)
         faults = all_faults(network)
-        whole = compiled_difference_words(network, patterns, faults)
-        windowed = windowed_difference_words(network, patterns, faults, width)
-        assert windowed == whole
+        reference = reference_difference_words(network, patterns, faults)
+        for engine in available_engines():
+            words = get_engine(engine).words_kernel(
+                network, faults, None, resolve_plan(None), resolve_cache(None)
+            )
+            assert (
+                collect_words(patterns, words, range(len(faults)), width)
+                == reference
+            ), engine
 
     @pytest.mark.parametrize("width", [1, 5, 37, 100])
     def test_windowed_outcomes_match_whole_pass(self, width):
@@ -106,38 +122,6 @@ class TestWindowIterator:
         reference = fault_simulate(network, patterns, faults, engine="compiled")
         rebuilt = build_result(network.name, patterns.count, faults, outcomes)
         results_identical(rebuilt, reference)
-
-    def test_windowed_words_inner_engine_threading(self):
-        """The words core accepts any single-process inner engine."""
-        network = domino_carry_chain(3)
-        patterns = PatternSet.random(network.inputs, 120, seed=19)
-        faults = all_faults(network)
-        reference = windowed_difference_words(network, patterns, faults, 64)
-        for inner in ("compiled", "vector", "interpreted"):
-            assert (
-                windowed_difference_words(network, patterns, faults, 64, inner)
-                == reference
-            ), inner
-
-    def test_unknown_inner_engine_raises(self):
-        from repro.simulate.faultsim import window_difference_factory
-
-        with pytest.raises(ValueError, match="window core"):
-            window_difference_factory(domino_carry_chain(2), "sharded")
-
-    def test_factory_vector_core_matches_compiled(self):
-        """The factory's per-fault vector path (for external callers -
-        the engine's own entry points use the batched cores) must agree
-        with the compiled window core."""
-        from repro.simulate.faultsim import window_difference_factory
-
-        network = domino_carry_chain(3)
-        patterns = PatternSet.random(network.inputs, 90, seed=23)
-        faults = all_faults(network)
-        compiled_of = window_difference_factory(network, "compiled")(patterns)
-        vector_of = window_difference_factory(network, "vector")(patterns)
-        for fault in faults:
-            assert vector_of(fault) == compiled_of(fault), fault.describe()
 
 
 @pytest.fixture()
@@ -180,13 +164,11 @@ class TestPooledEquivalence:
         results_identical(pooled, compiled)
 
     def test_pooled_difference_words_identical(self, network):
-        from repro.simulate.faultsim import compiled_difference_words
-
         patterns = PatternSet.random(network.inputs, 130, seed=7)
         faults = all_faults(network)
         assert get_engine("compiled").difference_words(
             network, patterns, faults, jobs=2
-        ) == compiled_difference_words(network, patterns, faults)
+        ) == reference_difference_words(network, patterns, faults)
 
     def test_pooled_vector_engine_identical(self, network):
         """shards x lanes: the vector engine inside pool workers."""
@@ -261,48 +243,56 @@ class TestPoolFailures:
 
     TIMEOUT = 60
 
-    def _run_pooled(self, path):
+    @pytest.fixture()
+    def failing(self, monkeypatch):
+        """``failing(failure)`` registers an engine whose kernels fail
+        the way ``failure`` names, in a forked worker only (the parent
+        builds the kernels; the workers inherit and call them)."""
+        monkeypatch.setattr(registry, "_ENGINES", dict(registry._ENGINES))
+        parent = os.getpid()
+        compiled = get_engine("compiled")
+
+        def register(failure: str) -> str:
+            def sabotaged(build):
+                def builder(*args):
+                    kernel = build(*args)
+
+                    def failing_kernel(*call):
+                        _in_worker(parent, failure)
+                        return kernel(*call)
+
+                    return failing_kernel
+
+                return builder
+
+            return register_engine(
+                Engine(
+                    name="failing",
+                    description="compiled kernels that fail in workers",
+                    evaluate_bits=compiled.evaluate_bits,
+                    block_kernel=sabotaged(compiled.block_kernel),
+                    words_kernel=sabotaged(compiled.words_kernel),
+                )
+            ).name
+
+        return register
+
+    def _run_pooled(self, engine, path):
         network = domino_carry_chain(6)
         patterns = PatternSet.random(network.inputs, 1024, seed=3)
         if path == "words":
-            return get_engine("compiled").difference_words(
+            return get_engine(engine).difference_words(
                 network, patterns, network.enumerate_faults(), jobs=2
             )
-        return fault_simulate(network, patterns, engine="compiled", jobs=2)
+        return fault_simulate(network, patterns, engine=engine, jobs=2)
 
-    def _sabotage(self, monkeypatch, path, failure):
-        """Make every pool worker fail on the given path (workers are
-        forked after this runs, so they inherit the patched kernels)."""
-        parent = os.getpid()
-        if path == "words":
-            real_words = sharded.windowed_difference_words
-
-            def words(*args, **kwargs):
-                _in_worker(parent, failure)
-                return real_words(*args, **kwargs)
-
-            monkeypatch.setattr(sharded, "windowed_difference_words", words)
-        else:
-            real_kernel = faultsim.block_kernel
-
-            def kernel(*args, **kwargs):
-                detect = real_kernel(*args, **kwargs)
-
-                def failing(start, chunk, active):
-                    _in_worker(parent, failure)
-                    return detect(start, chunk, active)
-
-                return failing
-
-            monkeypatch.setattr(faultsim, "block_kernel", kernel)
-
-    def _outcome(self, path):
+    def _outcome(self, engine, path):
         """Run the pooled call in a thread; its exception, or a hang."""
         raised = []
 
         def target():
             try:
-                self._run_pooled(path)
+                self._run_pooled(engine, path)
             except Exception as error:  # handed to the test thread
                 raised.append(error)
 
@@ -314,14 +304,14 @@ class TestPoolFailures:
         return raised[0]
 
     @pytest.mark.parametrize("path", ["outcomes", "words"])
-    def test_killed_worker_raises_broken_pool(self, monkeypatch, path):
-        self._sabotage(monkeypatch, path, "kill")
-        assert isinstance(self._outcome(path), BrokenProcessPool)
+    def test_killed_worker_raises_broken_pool(self, failing, path):
+        engine = failing("kill")
+        assert isinstance(self._outcome(engine, path), BrokenProcessPool)
 
     @pytest.mark.parametrize("path", ["outcomes", "words"])
-    def test_raising_worker_reraises_in_parent(self, monkeypatch, path):
-        self._sabotage(monkeypatch, path, "raise")
-        error = self._outcome(path)
+    def test_raising_worker_reraises_in_parent(self, failing, path):
+        engine = failing("raise")
+        error = self._outcome(engine, path)
         assert isinstance(error, WorkerBoom)
         assert "worker failed on purpose" in str(error)
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engine_test_utils import all_faults, differential_circuits, results_identical
+from words_reference import reference_difference_words
 
 from repro.circuits.generators import c17, domino_carry_chain, random_network
 from repro.faults.structural import (
@@ -27,17 +28,13 @@ from repro.faults.structural import (
     get_collapse_mode,
 )
 from repro.simulate import PatternSet, fault_simulate
-from repro.simulate.faultsim import (
-    check_stop_at_coverage,
-    interpreted_difference_words,
-    windowed_outcomes,
-)
+from repro.simulate.faultsim import check_stop_at_coverage, windowed_outcomes
 
 
 def exhaustive_words(network, faults):
     """Per-fault detection words over the exhaustive pattern set."""
     patterns = PatternSet.exhaustive(network.inputs)
-    return interpreted_difference_words(network, patterns, faults)
+    return reference_difference_words(network, patterns, faults)
 
 
 class TestPartitionInvariants:

@@ -60,9 +60,6 @@ class TestPlannerProperties:
         for window in (
             plan.lane_window(n_patterns, slots),
             plan.bigint_window(n_patterns, slots),
-            plan.serial_window(n_patterns, slots),
-            plan.shard_window(n_patterns, slots, "vector"),
-            plan.shard_window(n_patterns, slots, "compiled"),
         ):
             assert 1 <= window <= n_patterns
 
@@ -218,8 +215,6 @@ class TestDefaultPlanReadsModuleConstants:
         monkeypatch.setattr(sharded_module, "DEFAULT_WINDOW", 77)
         assert plan.lane_window(1 << 20) == 123
         assert plan.bigint_window(1 << 20) == 77
-        assert plan.shard_window(1 << 20, None, "vector") == 77
-        assert plan.shard_window(1 << 20, None, "compiled") == 77
 
     def test_default_overhead_tracks_module_constant(self, monkeypatch):
         import repro.simulate.vector as vector_module
@@ -227,11 +222,6 @@ class TestDefaultPlanReadsModuleConstants:
         plan = DefaultPlan()
         monkeypatch.setattr(vector_module, "COALESCE_OVERHEAD_WORDS", 99)
         assert plan.coalesce_overhead_words() == 99
-
-    def test_default_serial_window_is_whole_set(self):
-        plan = DefaultPlan()
-        assert plan.serial_window(12345) == 12345
-        assert plan.serial_window(0) == 1
 
 
 class TestResolution:

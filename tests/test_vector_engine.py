@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from engine_test_utils import all_faults, results_identical
+from words_reference import reference_difference_words
 
 from repro.circuits.generators import (
     and_cone,
@@ -29,9 +30,9 @@ from repro.simulate import (
     vector_compile,
 )
 from repro.simulate.compiled import compile_network
-from repro.simulate.faultsim import compiled_difference_words
+from repro.simulate.faultsim import collect_words
 from repro.simulate.logicsim import pack_words, unpack_words
-from repro.simulate.vector import vector_difference_words
+from repro.simulate.vector import lane_words_kernel
 
 
 class TestWordBridges:
@@ -147,9 +148,10 @@ class TestBatchedWindows:
         network = domino_carry_chain(4)
         patterns = PatternSet.random(network.inputs, 150, seed=17)
         faults = all_faults(network)
-        assert vector_difference_words(
-            network, patterns, faults, window=window
-        ) == compiled_difference_words(network, patterns, faults)
+        words = lane_words_kernel(network, faults)
+        assert collect_words(
+            patterns, words, range(len(faults)), window
+        ) == reference_difference_words(network, patterns, faults)
 
     def test_chunk_boundaries_exact(self, monkeypatch):
         """Results must not depend on the cone chunking granularity.
