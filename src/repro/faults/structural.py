@@ -442,17 +442,27 @@ def _exhaustive_class_words(
 
     patterns = PatternSet.exhaustive(network.inputs)
     sim = compiled.simulate(patterns.env, patterns.mask)
-    words: List[Optional[int]] = []
-    for members, signature in zip(classes, signatures):
-        if signature == _NULL:
-            words.append(0)
-        elif signature[0] == "opaque":
-            words.append(None)
-        else:
+    words: List[Optional[int]] = [
+        0 if signature == _NULL else None for signature in signatures
+    ]
+    simulated = [
+        index for index, signature in enumerate(signatures)
+        if signature != _NULL and signature[0] != "opaque"
+    ]
+    representatives = [faults[classes[index][0]] for index in simulated]
+    try:
+        found = sim.differences(representatives)
+    except (ValueError, KeyError, AttributeError):
+        # A representative the engine cannot inject spoils the batch:
+        # redo it fault by fault so only that class stays ``None``.
+        found = []
+        for fault in representatives:
             try:
-                words.append(sim.difference(faults[members[0]]))
+                found.append(sim.difference(fault))
             except (ValueError, KeyError, AttributeError):
-                words.append(None)
+                found.append(None)
+    for index, word in zip(simulated, found):
+        words[index] = word
     return words
 
 

@@ -41,11 +41,13 @@ def difference_bits(network: Network, fault: NetworkFault, patterns: PatternSet)
     """Bit vector marking the patterns that detect ``fault``.
 
     Runs on the compiled engine: each call costs one good-circuit pass
-    plus one fanout-cone pass (only the compilation is cached).  When
-    looping over many faults, hoist the good pass instead::
+    plus one stem-observability pass (only the compilation is cached).
+    For many faults, make one batched call instead - it shares the good
+    pass and runs one observability pass per fanout-free-region stem
+    rather than one per fault::
 
         sim = compile_network(network).simulate(patterns.env, patterns.mask)
-        words = [sim.difference(fault) for fault in faults]
+        words = sim.differences(faults)
     """
     sim = compile_network(network).simulate(patterns.env, patterns.mask)
     return sim.difference(fault)
@@ -71,13 +73,12 @@ def exact_detection_probabilities(
     ordered = [input_probs[name] for name in reversed(network.inputs)]
     weights = minterm_weights(ordered)
     sim = compile_network(network, cache=cache).simulate(patterns.env, patterns.mask)
-    result: Dict[str, float] = {}
-    for fault in faults:
-        difference = sim.difference(fault)
-        result[fault.describe()] = float(
+    return {
+        fault.describe(): float(
             weights[bits_to_bool_array(difference, patterns.count)].sum()
         )
-    return result
+        for fault, difference in zip(faults, sim.differences(faults))
+    }
 
 
 def monte_carlo_detection_probabilities(

@@ -90,9 +90,10 @@ class _ExactEvaluator:
         sim = compile_network(network, cache=cache).simulate(
             patterns.env, patterns.mask
         )
-        rows = []
-        for fault in faults:
-            rows.append(bits_to_bool_array(sim.difference(fault), patterns.count))
+        rows = [
+            bits_to_bool_array(word, patterns.count)
+            for word in sim.differences(faults)
+        ]
         self.matrix = np.array(rows, dtype=float)
 
     def detection(self, probs: Mapping[str, float]) -> np.ndarray:

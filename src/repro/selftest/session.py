@@ -80,7 +80,7 @@ def logic_selftest(
 
     The session runs on the lane engine: the pattern source emits
     uint64 lane-word windows, the compiled network evaluates each
-    window bit-parallel (one cone-restricted pass per window for the
+    window bit-parallel (one faulty-network pass per window for the
     faulty response), and the MISRs absorb the per-pattern output
     columns from the lane words - no per-pattern ``Network.evaluate``
     calls.

@@ -20,14 +20,20 @@ slot-indexed program:
   faulty function is minimised and compiled exactly once per (cell,
   fault class) - not once per fault per pattern set.
 
-On top of the flat program sits **fault-cone-restricted single-fault
-propagation** (:meth:`GoodSimulation.difference`): the good circuit is
-simulated once, then each fault re-evaluates only gates downstream of
-its injection site, event-driven in levelized order, with early exit
-when every faulty word has converged back to the good word.  For
-shallow cones this turns the per-fault cost from O(network) into
-O(cone), which is what makes million-pattern fault-simulation workloads
-routine.
+On top of the flat program sit **stem-observability fault passes**
+(:meth:`GoodSimulation.differences`).  The good circuit is simulated
+once.  The program knows its fanout-free regions: every slot read by
+exactly one gate (and not a primary output) leads, gate by gate, to a
+*stem* (``next_slot``, ``stem_of``).  A fault's faulty word is carried
+down its region to the stem, one gate re-evaluation per step; each stem
+with a live difference then runs one event-driven pass with the stem
+complemented, in levelized order and with early exit when every word
+has converged back to the good word.  The fault's detection word is its
+local difference AND that observability word - exact, since a fault
+changes one gate or net and its region reaches the rest of the circuit
+only through the stem.  The pass count drops from one per fault to one
+per stem, and each pass costs O(cone) instead of O(network), which is
+what makes million-pattern fault-simulation workloads routine.
 
 The interpreted path (:meth:`Network.evaluate_bits`) is kept untouched
 as the reference oracle; ``tests/test_compiled_engine.py`` asserts
@@ -37,7 +43,7 @@ bit-identical results between the two engines.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..logic.expr import And, Const, Expr, Not, Or, Var
 from ..logic.minimize import minimal_sop
@@ -264,6 +270,19 @@ class CompiledNetwork:
         self._is_out_slot = bytearray(self.num_slots)
         for slot in self.out_slots:
             self._is_out_slot[slot] = 1
+        # Fanout-free regions.  ``next_slot[s]`` is the output slot of the
+        # one gate reading ``s``, or -1 when ``s`` is a *stem*: a primary
+        # output, or a slot read by zero or by several distinct gates.
+        # ``stem_of[s]`` is the stem ``s`` leads to.  Slots are numbered
+        # in topological order, so one backward sweep fills both.
+        self.next_slot: List[int] = [-1] * self.num_slots
+        self.stem_of: List[int] = list(range(self.num_slots))
+        for slot in range(self.num_slots - 1, -1, -1):
+            reading = self.readers[slot]
+            if len(reading) == 1 and not self._is_out_slot[slot]:
+                following = self._gate_out[reading[0]]
+                self.next_slot[slot] = following
+                self.stem_of[slot] = self.stem_of[following]
         # Per-fault patch points, filled lazily (faulty functions compiled
         # once per distinct fault-class table, bound to gate slots with a
         # cheap closure).  Keyed by the stable (gate, table) identity so
@@ -327,7 +346,7 @@ class CompiledNetwork:
         return values
 
     def simulate(self, env: Mapping[str, int], mask: int) -> "GoodSimulation":
-        """Fault-free simulation; the result hosts per-fault cone passes."""
+        """Fault-free simulation; the result hosts the fault passes."""
         values = self._input_values(env, mask)
         for gate in self.gates:
             values[gate.out_slot] = gate.fn(values, mask)
@@ -375,7 +394,9 @@ class CompiledNetwork:
 
 
 class GoodSimulation:
-    """One fault-free valuation plus scratch space for cone passes."""
+    """One fault-free valuation plus scratch space for its fault passes:
+    the walk down each fault's fanout-free region and one observability
+    pass per stem (:meth:`detections`)."""
 
     __slots__ = ("compiled", "values", "mask", "_scratch", "_heap", "_scheduled")
 
@@ -385,7 +406,7 @@ class GoodSimulation:
         self.mask = mask
         self._scratch = values[:]
         # Pooled per-pass buffers: the heap drains to empty and the
-        # scheduled flags are reset from the pop list, so no per-fault
+        # scheduled flags are reset from the pop list, so no per-pass
         # allocation survives a pass.
         self._heap: List[int] = []
         self._scheduled = bytearray(len(compiled.gates))
@@ -406,11 +427,90 @@ class GoodSimulation:
         }
 
     def difference(self, fault: NetworkFault) -> int:
-        """Bit word marking the patterns on which ``fault`` is detected.
+        """Bit word marking the patterns on which ``fault`` is detected."""
+        return self.differences([fault])[0]
 
-        Event-driven cone pass: only gates downstream of the injection
-        site re-evaluate, in levelized order, and propagation stops as
-        soon as every changed word has converged back to the good word.
+    def differences(self, faults: Sequence[NetworkFault]) -> List[int]:
+        """Detection words of ``faults``, in order: bit k is set when
+        pattern k tells the faulty network from the good one at some
+        primary output (see :meth:`detections`)."""
+        words = [0] * len(faults)
+        for index, word in self.detections(faults):
+            words[index] = word
+        return words
+
+    def detections(
+        self, faults: Sequence[NetworkFault]
+    ) -> Iterator[Tuple[int, int]]:
+        """``(index into faults, detection word)`` of every fault with a
+        nonzero detection word, stem by stem (see the module docstring).
+
+        Each fault's *local difference* is its faulty word carried down
+        its fanout-free region to the stem; each stem with a live local
+        difference then runs one observability pass, and the detection
+        word is ``local & observability``.  Yielding stem by stem keeps
+        one stem's words and one observability word alive at a time.
+        """
+        compiled = self.compiled
+        good = self.values
+        scratch = self._scratch
+        mask = self.mask
+        slot_of_net = compiled.slot_of_net
+        gate_index = compiled.gate_index
+        gate_out = compiled._gate_out
+        gate_fn = compiled._gate_fn
+        readers = compiled.readers
+        next_slot = compiled.next_slot
+        stem_of = compiled.stem_of
+        is_out_slot = compiled._is_out_slot
+
+        sites = [-1] * len(faults)
+        by_stem: Dict[int, List[int]] = {}
+        for index, fault in enumerate(faults):
+            if fault.kind == "stuck":
+                slot = slot_of_net.get(fault.net, -1)
+            else:
+                gi = gate_index.get(fault.gate, -1)
+                slot = gate_out[gi] if gi >= 0 else -1
+            if slot >= 0:
+                sites[index] = slot
+                by_stem.setdefault(stem_of[slot], []).append(index)
+
+        for stem, indices in by_stem.items():
+            live = []
+            for index in indices:
+                fault = faults[index]
+                slot = sites[index]
+                if fault.kind == "stuck":
+                    word = mask if fault.value else 0
+                else:
+                    word = compiled.faulty_function(fault)(good, mask)
+                # Walk the fanout-free region: each slot on the way has
+                # one reader gate, so re-evaluating it with the one
+                # faulty word substituted is exact.
+                while slot != stem and word != good[slot]:
+                    scratch[slot] = word
+                    word = gate_fn[readers[slot][0]](scratch, mask)
+                    scratch[slot] = good[slot]
+                    slot = next_slot[slot]
+                word ^= good[slot]
+                if word:
+                    live.append((index, word))
+            if live:
+                observability = (
+                    mask if is_out_slot[stem] else self._observability(stem)
+                )
+                for index, word in live:
+                    word &= observability
+                    if word:
+                        yield index, word
+
+    def _observability(self, stem: int) -> int:
+        """Primary-output difference word of complementing ``stem``.
+
+        Event-driven cone pass: only gates downstream of the stem
+        re-evaluate, in levelized order, and propagation stops as soon
+        as every changed word has converged back to the good word.
         """
         compiled = self.compiled
         good = self.values
@@ -424,43 +524,18 @@ class GoodSimulation:
         heap = self._heap  # empty between passes
         scheduled = self._scheduled  # all-zero between passes
         popped: List[int] = []
-        touched: List[int] = []
+        touched = [stem]
         difference = 0
-        stuck_slot = -1
-        fault_gate = -1
-
-        if fault.kind == "stuck":
-            stuck_slot = compiled.slot_of_net.get(fault.net, -1)
-            if stuck_slot < 0:
-                return 0
-            forced = mask if fault.value else 0
-            if scratch[stuck_slot] != forced:
-                scratch[stuck_slot] = forced
-                touched.append(stuck_slot)
-                if is_out_slot[stuck_slot]:
-                    difference = forced ^ good[stuck_slot]
-                for gi in readers[stuck_slot]:
-                    if not scheduled[gi]:
-                        scheduled[gi] = 1
-                        heappush(heap, gi)
-        else:
-            fault_gate = compiled.gate_index.get(fault.gate, -1)
-            if fault_gate < 0:
-                return 0
-            scheduled[fault_gate] = 1
-            heappush(heap, fault_gate)
-            faulty_fn = compiled.faulty_function(fault)
+        scratch[stem] = good[stem] ^ mask
+        for gi in readers[stem]:
+            scheduled[gi] = 1
+            heappush(heap, gi)
 
         while heap:
             gi = heappop(heap)
             popped.append(gi)
             out = gate_out[gi]
-            if out == stuck_slot:
-                continue  # the forced net shadows its driver
-            if gi == fault_gate:
-                word = faulty_fn(scratch, mask)
-            else:
-                word = gate_fn[gi](scratch, mask)
+            word = gate_fn[gi](scratch, mask)
             if word != scratch[out]:
                 scratch[out] = word
                 touched.append(out)

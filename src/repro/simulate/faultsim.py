@@ -10,13 +10,13 @@ defeat "the fault injection algorithms of parallel, deductive or
 concurrent fault simulators".
 
 One pass evaluates the fault-free network over all patterns at once
-(big-int bit-parallel).  The per-fault passes are priced by the engine
+(big-int bit-parallel).  The fault passes are priced by the engine
 registry (:mod:`repro.simulate.registry`):
 
 * ``engine="compiled"`` (default) - the flat slot program of
-  :mod:`repro.simulate.compiled`: the good circuit is simulated once
-  and each fault re-evaluates only the gates in its fanout cone,
-  event-driven, with early exit on convergence.
+  :mod:`repro.simulate.compiled`: the good circuit is simulated once,
+  each fault is carried to the stem of its fanout-free region, and each
+  stem runs one event-driven pass over its fanout cone.
 * ``engine="interpreted"`` - the original reference path through
   :meth:`Network.evaluate_bits`, one full network pass per fault.
   Kept as the oracle the equivalence suite checks the other engines
@@ -336,25 +336,26 @@ WordsKernel = Callable[[PatternSet, List[int]], Tuple[List[int], List[int]]]
 def bigint_engine(name: str, description: str, evaluate_bits, window_pass) -> Engine:
     """An :class:`Engine` over a per-window big-int difference pass.
 
-    ``window_pass(network, store)`` returns ``chunk -> (fault ->
-    difference word)``: one good pass over the window, then one word
-    per fault asked for.  The block kernel reduces each word to its
-    first index and count, the words kernel hands it on, so the
-    big-int engines differ in the pass alone.
+    ``window_pass(network, store)`` returns ``chunk -> (faults ->
+    detections)``: one good pass over the window, then ``(index into
+    faults, difference word)`` for every fault of the batch whose word
+    is nonzero, in any order - a batch, so a pass can share work between
+    faults, and a stream, so only the words in flight are alive.  The
+    block kernel reduces each word to its first index and count, the
+    words kernel hands it on, so the big-int engines differ in the pass
+    alone.
     """
 
     def block_kernel(network, faults, schedule, plan, store) -> BlockKernel:
         for_window = window_pass(network, store)
 
         def detect(start: int, chunk: PatternSet, active: List[int]):
-            difference_of = for_window(chunk)
+            batch = [faults[position] for position in active]
             positions, firsts, counts = [], [], []
-            for position in active:
-                word = difference_of(faults[position])
-                if word:
-                    positions.append(position)
-                    firsts.append(start + (word & -word).bit_length() - 1)
-                    counts.append(word.bit_count())
+            for index, word in for_window(chunk)(batch):
+                positions.append(active[index])
+                firsts.append(start + (word & -word).bit_length() - 1)
+                counts.append(word.bit_count())
             return positions, firsts, counts
 
         return detect
@@ -363,13 +364,11 @@ def bigint_engine(name: str, description: str, evaluate_bits, window_pass) -> En
         for_window = window_pass(network, store)
 
         def words(chunk: PatternSet, active: List[int]):
-            difference_of = for_window(chunk)
+            batch = [faults[position] for position in active]
             positions, found = [], []
-            for position in active:
-                word = difference_of(faults[position])
-                if word:
-                    positions.append(position)
-                    found.append(word)
+            for index, word in for_window(chunk)(batch):
+                positions.append(active[index])
+                found.append(word)
             return positions, found
 
         return words
@@ -382,21 +381,23 @@ def _interpreted_pass(network: Network, store):
         env, mask = window.env, window.mask
         good = network.output_bits(env, mask)
 
-        def difference_of(fault: NetworkFault) -> int:
-            faulty = network.output_bits(env, mask, fault)
-            difference = 0
-            for net in network.outputs:
-                difference |= good[net] ^ faulty[net]
-            return difference
+        def detections(faults: Sequence[NetworkFault]):
+            for index, fault in enumerate(faults):
+                faulty = network.output_bits(env, mask, fault)
+                difference = 0
+                for net in network.outputs:
+                    difference |= good[net] ^ faulty[net]
+                if difference:
+                    yield index, difference
 
-        return difference_of
+        return detections
 
     return for_window
 
 
 def _compiled_pass(network: Network, store):
     compiled = compile_network(network, cache=store)
-    return lambda window: compiled.simulate(window.env, window.mask).difference
+    return lambda window: compiled.simulate(window.env, window.mask).detections
 
 
 register_engine(
@@ -411,7 +412,7 @@ register_engine(
 register_engine(
     bigint_engine(
         "compiled",
-        "flat slot program with fault-cone-restricted passes",
+        "flat slot program with stem-observability fault passes",
         lambda network, env, mask, cache=None: compile_network(
             network, cache=cache
         ).evaluate_bits(env, mask),

@@ -29,7 +29,8 @@ Three engines register themselves on import:
 * ``"interpreted"`` - the gate-by-gate AST walk through
   :meth:`Network.evaluate_bits`; the reference oracle.
 * ``"compiled"`` - the flat slot program of
-  :mod:`repro.simulate.compiled` with cone-restricted fault passes.
+  :mod:`repro.simulate.compiled` with one observability pass per
+  fanout-free-region stem.
 * ``"vector"`` - :mod:`repro.simulate.vector`: the same slot program
   lowered onto numpy ``uint64`` lane arrays; the gate kernels run as
   vectorized SIMD ops over streamed pattern windows.

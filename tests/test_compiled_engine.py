@@ -4,11 +4,14 @@ Cross-engine bit-identity (fault simulation results, difference words,
 net valuations, first-detection indices) is held by the registry-driven
 differential harness in ``test_engine_equivalence.py``; this file keeps
 what is specific to the compiled backend: faulty all-net valuations,
-stuck-at edge cases of the cone pass, off-library fault tables, the
+stuck-at edge cases of the cone pass, the fanout-free-region corner
+cases of the stem-observability pass, off-library fault tables, the
 compile/minimal-SOP caches, and the pattern-set fast paths.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.generators import (
     and_cone,
@@ -19,6 +22,7 @@ from repro.circuits.generators import (
 from repro.netlist import CellFactory, Network, NetworkFault
 from repro.simulate import PatternSet, compile_network
 from repro.simulate.compiled import minimal_sop_cached
+from words_reference import reference_difference_words
 
 
 def all_faults(network):
@@ -90,6 +94,170 @@ class TestStuckAtEdgeCases:
         patterns = PatternSet.from_vectors(network.inputs, [vector])
         sim = compile_network(network).simulate(patterns.env, patterns.mask)
         assert sim.difference(NetworkFault.stuck_at("w", 0)) == 0
+
+
+def assert_words_match_oracle(network, patterns=None, faults=None):
+    """Every fault's stem-observability word equals the oracle's full
+    faulty re-simulation, batched and one fault at a time."""
+    if patterns is None:
+        patterns = PatternSet.exhaustive(network.inputs)
+    if faults is None:
+        faults = all_faults(network)
+    sim = compile_network(network).simulate(patterns.env, patterns.mask)
+    expected = reference_difference_words(network, patterns, faults)
+    assert sim.differences(faults) == expected
+    assert [sim.difference(fault) for fault in faults] == expected
+
+
+def slot(compiled, net):
+    return compiled.slot_of_net[net]
+
+
+class TestFanoutFreeRegions:
+    """Corner cases of the fanout-free-region metadata and of the
+    local-difference walk to each region's stem."""
+
+    def test_output_in_the_middle_of_a_chain_is_a_stem(self):
+        factory = CellFactory("domino-CMOS")
+        network = Network("chain_tap")
+        for name in ("a", "b", "c", "d"):
+            network.add_input(name)
+        network.add_gate("g1", factory.and_gate(2), {"i1": "a", "i2": "b"}, "n1")
+        network.add_gate("g2", factory.or_gate(2), {"i1": "n1", "i2": "c"}, "n2")
+        network.add_gate("g3", factory.and_gate(2), {"i1": "n2", "i2": "d"}, "z")
+        network.mark_output("n2")
+        network.mark_output("z")
+        compiled = compile_network(network)
+        assert compiled.next_slot[slot(compiled, "n1")] == slot(compiled, "n2")
+        assert compiled.next_slot[slot(compiled, "n2")] == -1
+        assert compiled.stem_of[slot(compiled, "n1")] == slot(compiled, "n2")
+        assert_words_match_oracle(network)
+
+    def test_gate_reading_one_net_on_two_pins(self):
+        factory = CellFactory("domino-CMOS")
+        network = Network("double_pin")
+        network.add_input("a")
+        network.add_input("b")
+        network.add_gate("g1", factory.or_gate(2), {"i1": "a", "i2": "b"}, "n1")
+        network.add_gate(
+            "g2", factory.and_or(2, 2),
+            {"i1": "n1", "i2": "a", "i3": "n1", "i4": "b"}, "z",
+        )
+        network.mark_output("z")
+        compiled = compile_network(network)
+        # One distinct reader gate: n1 is not a stem.
+        assert compiled.next_slot[slot(compiled, "n1")] == slot(compiled, "z")
+        assert_words_match_oracle(network)
+
+    def test_dangling_net_is_unobservable(self):
+        factory = CellFactory("domino-CMOS")
+        network = Network("dangling")
+        network.add_input("a")
+        network.add_input("b")
+        network.add_gate("g1", factory.and_gate(2), {"i1": "a", "i2": "b"}, "z")
+        network.add_gate("g2", factory.or_gate(2), {"i1": "a", "i2": "b"}, "d")
+        network.mark_output("z")
+        compiled = compile_network(network)
+        assert compiled.next_slot[slot(compiled, "d")] == -1
+        patterns = PatternSet.exhaustive(network.inputs)
+        sim = compiled.simulate(patterns.env, patterns.mask)
+        dead = [NetworkFault.stuck_at("d", 0), NetworkFault.stuck_at("d", 1)]
+        dead += [f for f in all_faults(network) if f.kind != "stuck" and f.gate == "g2"]
+        assert sim.differences(dead) == [0] * len(dead)
+        assert_words_match_oracle(network)
+
+    def test_stuck_at_on_fanning_out_input(self):
+        factory = CellFactory("domino-CMOS")
+        network = Network("input_fanout")
+        for name in ("a", "b", "c"):
+            network.add_input(name)
+        network.add_gate("g1", factory.and_gate(2), {"i1": "a", "i2": "b"}, "n1")
+        network.add_gate("g2", factory.or_gate(2), {"i1": "a", "i2": "c"}, "n2")
+        network.add_gate("g3", factory.and_gate(2), {"i1": "n1", "i2": "n2"}, "z")
+        network.mark_output("z")
+        compiled = compile_network(network)
+        assert compiled.next_slot[slot(compiled, "a")] == -1
+        assert_words_match_oracle(network)
+
+    def test_stuck_at_on_output_that_feeds_gates(self):
+        factory = CellFactory("domino-CMOS")
+        network = Network("output_fanout")
+        for name in ("a", "b", "c"):
+            network.add_input(name)
+        network.add_gate("g1", factory.and_gate(2), {"i1": "a", "i2": "b"}, "n1")
+        network.add_gate("g2", factory.or_gate(2), {"i1": "n1", "i2": "c"}, "z")
+        network.mark_output("n1")
+        network.mark_output("z")
+        compiled = compile_network(network)
+        assert compiled.stem_of[slot(compiled, "n1")] == slot(compiled, "n1")
+        assert_words_match_oracle(network)
+
+    def test_stuck_at_gate_output_shadows_its_driver(self):
+        factory = CellFactory("domino-CMOS")
+        network = Network("shadow")
+        for name in ("a", "b", "c"):
+            network.add_input(name)
+        network.add_gate("g1", factory.and_gate(2), {"i1": "a", "i2": "b"}, "n1")
+        network.add_gate("g2", factory.or_gate(2), {"i1": "n1", "i2": "c"}, "z")
+        network.mark_output("z")
+        # The walk starts at the forced slot n1 and never re-evaluates
+        # its driver g1; the batch mixes the stuck-ats with g1's faults.
+        assert_words_match_oracle(network)
+
+    def test_local_difference_dies_before_the_stem(self):
+        factory = CellFactory("domino-CMOS")
+        network = Network("masked")
+        for name in ("a", "b", "c", "d"):
+            network.add_input(name)
+        network.add_gate("g1", factory.and_gate(2), {"i1": "a", "i2": "b"}, "n1")
+        network.add_gate("g2", factory.and_gate(2), {"i1": "n1", "i2": "c"}, "n2")
+        network.add_gate("g3", factory.or_gate(2), {"i1": "n2", "i2": "d"}, "z")
+        network.mark_output("z")
+        # c = 0 on every pattern: n1's difference dies at g2, two gates
+        # short of the stem z.
+        vectors = [
+            {"a": a, "b": b, "c": 0, "d": d}
+            for a in (0, 1) for b in (0, 1) for d in (0, 1)
+        ]
+        patterns = PatternSet.from_vectors(network.inputs, vectors)
+        sim = compile_network(network).simulate(patterns.env, patterns.mask)
+        fault = NetworkFault.stuck_at("n1", 1)
+        assert sim.difference(fault) == 0
+        assert_words_match_oracle(network, patterns=patterns)
+        assert_words_match_oracle(network)
+
+    def test_every_net_a_stem(self):
+        factory = CellFactory("domino-CMOS")
+        network = Network("all_stems")
+        network.add_input("a")
+        network.add_input("b")
+        network.add_gate("g1", factory.and_gate(2), {"i1": "a", "i2": "b"}, "n1")
+        network.add_gate("g2", factory.or_gate(2), {"i1": "a", "i2": "b"}, "n2")
+        network.add_gate("g3", factory.and_gate(2), {"i1": "n1", "i2": "n2"}, "z")
+        for net in ("n1", "n2", "z"):
+            network.mark_output(net)
+        compiled = compile_network(network)
+        assert compiled.next_slot == [-1] * compiled.num_slots
+        assert compiled.stem_of == list(range(compiled.num_slots))
+        assert_words_match_oracle(network)
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    picks=st.lists(st.integers(min_value=0, max_value=10_000), max_size=40),
+)
+def test_batched_differences_match_single_fault_calls(seed, picks):
+    """Batching is invisible: any order, duplicates included, gives the
+    words of one-fault calls - and those match the oracle."""
+    network = random_network(n_inputs=5, n_gates=10, seed=seed)
+    faults = all_faults(network)
+    batch = [faults[pick % len(faults)] for pick in picks]
+    patterns = PatternSet.random(network.inputs, 96, seed=seed)
+    sim = compile_network(network).simulate(patterns.env, patterns.mask)
+    words = sim.differences(batch)
+    assert words == [sim.differences([fault])[0] for fault in batch]
+    assert words == reference_difference_words(network, patterns, batch)
 
 
 class TestOffLibraryFaults:

@@ -213,6 +213,34 @@ class TestCollapsedFaultSetMechanics:
         subset = faults[: len(faults) // 2]
         assert collapse_network_faults(network, subset) is not first
 
+    def test_uninjectable_representative_keeps_only_its_class_unproven(
+        self, monkeypatch
+    ):
+        """The semantic refinement simulates every representative in one
+        batch; a representative the engine cannot inject leaves only its
+        own class without a word."""
+        from repro.faults.structural import _exhaustive_class_words
+        from repro.simulate.compiled import CompiledNetwork, compile_network
+
+        network = domino_carry_chain(2)
+        faults = [fault for fault in all_faults(network) if fault.kind != "stuck"]
+        broken = faults[0]
+        original = CompiledNetwork.faulty_function
+
+        def faulty_function(compiled, fault):
+            if fault is broken:
+                raise KeyError(fault.describe())
+            return original(compiled, fault)
+
+        monkeypatch.setattr(CompiledNetwork, "faulty_function", faulty_function)
+        classes = [[index] for index in range(len(faults))]
+        signatures = [("cell", index) for index in range(len(faults))]
+        words = _exhaustive_class_words(
+            compile_network(network), network, faults, classes, signatures
+        )
+        assert words[0] is None
+        assert words[1:] == exhaustive_words(network, faults[1:])
+
     def test_format_report_mentions_ratio_and_classes(self):
         network = random_network(n_inputs=6, n_gates=14, seed=11)
         collapsed = collapse_network_faults(network, all_faults(network))
