@@ -136,9 +136,9 @@ def observability_passes(sim: GoodSimulation, faults) -> int:
     original = GoodSimulation._observability
     calls = [0]
 
-    def counted(self, stem):
+    def counted(self, *args):
         calls[0] += 1
-        return original(self, stem)
+        return original(self, *args)
 
     GoodSimulation._observability = counted
     try:

@@ -276,7 +276,6 @@ def large_random_network(
     seed: int = 1986,
     locality: int = 64,
     n_outputs: int = 8,
-    complex_cells: bool = True,
 ) -> Network:
     """A scan-sized random DAG: the 10k-100k-gate tier.
 
@@ -289,17 +288,13 @@ def large_random_network(
     per gate, so construction itself scales to 100k gates.  The last
     ``n_outputs`` nets are the primary outputs.  This is the generator
     behind the ``e_iscas_scale`` benchmark's levelize/compile/cone
-    numbers.  ``complex_cells=False`` leaves the AND-OR cell out of the
-    pool, so the network round-trips through ``.bench`` text
-    (:func:`repro.netlist.write_bench` has no gate type for it).
+    numbers.
     """
     if n_gates < 1:
         raise ValueError("the network needs at least 1 gate")
     rng = random.Random(seed)
     factory = CellFactory(technology)
-    cells = (factory.and_gate(2), factory.or_gate(2))
-    if complex_cells:
-        cells += (factory.and_or(2, 2),)
+    cells = (factory.and_gate(2), factory.or_gate(2), factory.and_or(2, 2))
     network = Network(f"large_{n_inputs}x{n_gates}_{technology}_{seed}")
     nets: List[str] = [network.add_input(f"x{k}") for k in range(n_inputs)]
     for g in range(n_gates):

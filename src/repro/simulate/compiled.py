@@ -27,7 +27,7 @@ exactly one gate (and not a primary output) leads, gate by gate, to a
 *stem* (``next_slot``, ``stem_of``).  A fault's faulty word is carried
 down its region to the stem, one gate re-evaluation per step; each stem
 with a live difference then runs one event-driven pass with the stem
-complemented, in levelized order and with early exit when every word
+complemented on the patterns its live faults change, in levelized order and with early exit when every word
 has converged back to the good word.  The fault's detection word is its
 local difference AND that observability word - exact, since a fault
 changes one gate or net and its region reaches the rest of the circuit
@@ -497,17 +497,25 @@ class GoodSimulation:
                 if word:
                     live.append((index, word))
             if live:
-                observability = (
-                    mask if is_out_slot[stem] else self._observability(stem)
-                )
+                if is_out_slot[stem]:
+                    observability = mask
+                else:
+                    flip = 0
+                    for _, word in live:
+                        flip |= word
+                    observability = self._observability(stem, flip)
                 for index, word in live:
                     word &= observability
                     if word:
                         yield index, word
 
-    def _observability(self, stem: int) -> int:
-        """Primary-output difference word of complementing ``stem``.
+    def _observability(self, stem: int, flip: int) -> int:
+        """Primary-output difference word of complementing ``stem`` on
+        the patterns set in ``flip``.
 
+        Pattern bits are independent, so flipping only the patterns
+        some live fault changes gives every such fault its exact word
+        while pushing no more difference than those faults need.
         Event-driven cone pass: only gates downstream of the stem
         re-evaluate, in levelized order, and propagation stops as soon
         as every changed word has converged back to the good word.
@@ -526,7 +534,7 @@ class GoodSimulation:
         popped: List[int] = []
         touched = [stem]
         difference = 0
-        scratch[stem] = good[stem] ^ mask
+        scratch[stem] = good[stem] ^ flip
         for gi in readers[stem]:
             scheduled[gi] = 1
             heappush(heap, gi)
