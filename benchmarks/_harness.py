@@ -1,14 +1,16 @@
 """Shared helpers of the ``bench_perf_*`` scripts.
 
-Timing (:func:`best_of`), the bit-identity check every entry runs
-before it records a ratio (:func:`results_identical`), and the merge of
-one workload entry into the ``BENCH_engine.json`` trajectory
-(:func:`update_record`).
+Timing (:func:`best_of`), the measured commit (:func:`git_commit`),
+the bit-identity check every entry runs before it records a ratio
+(:func:`results_identical`), and the merge of one workload entry into
+the ``BENCH_engine.json`` trajectory (:func:`update_record`, which
+keeps every earlier run of a workload).
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,6 +31,17 @@ def best_of(run, repetitions: int):
     return result, best
 
 
+def git_commit() -> str:
+    """The checkout's commit, suffixed ``-dirty`` under local changes."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=BENCH_PATH.parent, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
 def results_identical(a, b) -> bool:
     """Two fault-simulation results agree on every detection field."""
     return (
@@ -38,19 +51,30 @@ def results_identical(a, b) -> bool:
     )
 
 
-def update_record(entry: Dict) -> Dict:
-    """Merge one workload entry into BENCH_engine.json, preserving the
-    existing workload trajectory (only a previous run of *this*
-    workload is replaced)."""
-    record = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {
+def update_record(entry: Dict, path: Path = BENCH_PATH) -> Dict:
+    """Merge one workload entry into the record at ``path``, preserving
+    the existing workload trajectory.
+
+    A previous run of *this* workload is not dropped: the new entry
+    carries every earlier run, oldest first and each with its own
+    fields, in its ``history`` list.  ``all_pass`` judges only the
+    latest point of each workload.
+    """
+    record = json.loads(path.read_text()) if path.exists() else {
         "benchmark": "simulation engine perf trajectory",
         "workloads": [],
     }
-    record["workloads"] = [
-        workload
-        for workload in record.get("workloads", [])
-        if workload.get("name") != entry["name"]
-    ] + [entry]
+    history = []
+    workloads = []
+    for workload in record.get("workloads", []):
+        if workload.get("name") == entry["name"]:
+            earlier = dict(workload)
+            history += earlier.pop("history", []) + [earlier]
+        else:
+            workloads.append(workload)
+    if history:
+        entry = dict(entry, history=history)
+    record["workloads"] = workloads + [entry]
     record["updated_utc"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     record["all_pass"] = all(
         workload.get("identical_results", False)
@@ -60,5 +84,5 @@ def update_record(entry: Dict) -> Dict:
         )
         for workload in record["workloads"]
     )
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    path.write_text(json.dumps(record, indent=2) + "\n")
     return record

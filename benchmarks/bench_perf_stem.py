@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import os
 import platform
-import subprocess
 import sys
 from heapq import heappop, heappush
 from pathlib import Path
@@ -40,7 +39,7 @@ for path in (REPO_ROOT / "src", REPO_ROOT / "perfbench"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from _harness import BENCH_PATH, best_of, update_record  # noqa: E402
+from _harness import BENCH_PATH, best_of, git_commit, update_record  # noqa: E402
 from netgen import bench_text  # noqa: E402
 from repro.faults.structural import collapse_network_faults  # noqa: E402
 from repro.netlist import parse_bench  # noqa: E402
@@ -189,17 +188,6 @@ def run_point(gates: int, pattern_count: int, repetitions: int) -> Dict:
         "speedup": speedup,
         "identical_results": identical,
     }
-
-
-def git_commit() -> str:
-    """The checkout's commit, suffixed ``-dirty`` under local changes."""
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def run_stem(sizes=(2000, 10000), pattern_count: int = 4096,

@@ -56,25 +56,37 @@ __all__ = ["CompiledGate", "CompiledNetwork", "GoodSimulation", "compile_network
 
 # -- expression -> python source -----------------------------------------------------
 
-def _expr_source(expr: Expr, source_of_var: Mapping[str, str]) -> str:
+def _expr_source(expr: Expr, source_of_var: Mapping[str, str], hot=()) -> str:
     """Render an expression as Python source over a mask ``m``.
 
     ``source_of_var`` maps each variable to its source snippet (a slot
     lookup like ``v[3]`` or a positional parameter like ``p0``).  All
     values are subsets of the mask, so NOT is ``m ^ x`` (cheaper than
-    ``m & ~x`` and equivalent on masked words).
+    ``m & ~x`` and equivalent on masked words).  ``hot`` names the
+    variables that carry a batch dimension (the vector engine's batched
+    cone passes): the operands of every AND/OR are stably reordered so
+    subtrees free of hot variables come first.  Python chains the ops
+    left to right, so the pure prefix evaluates on cheap ``(chunk,)``
+    good rows and only the ops from the first hot operand onward run
+    over the ``[batch, chunk]`` block.  With no hot variables the
+    operand order is the expression's own.
     """
     if isinstance(expr, Const):
         return "m" if expr.value else "0"
     if isinstance(expr, Var):
         return source_of_var[expr.name]
     if isinstance(expr, Not):
-        return f"(m ^ {_expr_source(expr.operand, source_of_var)})"
+        return f"(m ^ {_expr_source(expr.operand, source_of_var, hot)})"
     if isinstance(expr, And):
-        return "(" + " & ".join(_expr_source(op, source_of_var) for op in expr.operands) + ")"
-    if isinstance(expr, Or):
-        return "(" + " | ".join(_expr_source(op, source_of_var) for op in expr.operands) + ")"
-    raise TypeError(f"unknown expression node {expr!r}")
+        joiner = " & "
+    elif isinstance(expr, Or):
+        joiner = " | "
+    else:
+        raise TypeError(f"unknown expression node {expr!r}")
+    operands = expr.operands
+    if hot:
+        operands = sorted(operands, key=lambda op: not hot.isdisjoint(op.variables()))
+    return "(" + joiner.join(_expr_source(op, source_of_var, hot) for op in operands) + ")"
 
 
 _CODE_CACHE: Dict[str, Callable] = {}
@@ -106,18 +118,29 @@ compiled instead and each gate binds its slots as closure cells -
 ~seconds off a 100k-gate compile for a few ns of LOAD_DEREF per call."""
 
 
-def compile_gate_factory(expr: Expr, pins: Sequence[str]) -> Callable:
+_FACTORIES: Dict[Tuple, Callable] = {}
+
+
+def compile_gate_factory(expr: Expr, pins: Sequence[str], hot=()) -> Callable:
     """Compile a cell expression to a slot-binding gate-function factory.
 
     ``factory(s0, s1, ...)`` returns ``f(values, mask)`` reading
-    ``values[s0], values[s1], ...``; the factory itself is compiled (and
-    cached) once per distinct (cell expression, pin arity), so a
-    100k-gate network of a handful of cell shapes costs a handful of
-    ``compile()`` calls instead of 100k.
+    ``values[s0], values[s1], ...``.  The factory is rendered and
+    compiled once per process for each distinct (cell expression, pins,
+    hot pins), so a 100k-gate network of a handful of cell shapes costs
+    a handful of ``compile()`` calls instead of 100k.  ``hot`` names
+    the pins carrying a batch dimension (see :func:`_expr_source`): the
+    vector engine binds one factory per cone gate and hot-pin set, the
+    compiled engine uses the default of none.
     """
-    sources = {pin: f"v[s{index}]" for index, pin in enumerate(pins)}
-    params = ", ".join(f"s{index}" for index in range(len(pins)))
-    return _compile_source(params, f"lambda v, m: {_expr_source(expr, sources)}")
+    key = (expr, tuple(pins), frozenset(hot))
+    factory = _FACTORIES.get(key)
+    if factory is None:
+        sources = {pin: f"v[s{index}]" for index, pin in enumerate(pins)}
+        params = ", ".join(f"s{index}" for index in range(len(pins)))
+        source = _expr_source(expr, sources, key[2])
+        factory = _FACTORIES[key] = _compile_source(params, f"lambda v, m: {source}")
+    return factory
 
 
 def compile_pin_function(expr: Expr, pins: Sequence[str]) -> Callable:

@@ -12,13 +12,13 @@ arrays**:
   *w*, bit *k* is the value of net *s* under pattern ``w * 64 + k``
   (the :func:`~.logicsim.pack_words` layout, bridged from
   :class:`PatternSet` by ``to_words`` / ``from_words``);
-* the gate kernels are the very lambdas
-  :func:`~.compiled.compile_gate_function` built from each cell's
-  minimal-SOP expression - they contain nothing but ``&``, ``|`` and
-  ``m ^ x``, so handed lane arrays they execute as vectorized uint64
-  SIMD ops instead of big-int arithmetic.  One compilation serves both
-  engines by construction, which makes bit-identity a structural
-  property rather than a testing goal;
+* the good pass runs the compiled engine's own gate lambdas, and cone
+  passes bind :func:`~.compiled.compile_gate_factory` factories (one
+  compilation per cell expression and hot-pin set, one binding per
+  gate and hot-pin set) - one renderer lowers each minimal-SOP cell
+  expression to nothing but ``&``, ``|`` and ``m ^ x`` for both
+  engines, so lane arrays run vectorized uint64 SIMD ops and
+  bit-identity is structural rather than a testing goal;
 * per-fault patch points are lane masks: a stuck fault forces a slot
   row to the mask (or zero) lanes, a cell fault stacks the compiled
   faulty kernel's output (from the compiled engine's shared
@@ -71,14 +71,13 @@ future GPU/accelerator backend would consume unchanged.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..logic.expr import And, Const, Not, Or, Var
 from ..netlist.network import Network, NetworkError, NetworkFault
 from .artifacts import fault_fingerprint, resolve_cache
-from .compiled import CompiledNetwork, _compile_source, compile_network
+from .compiled import CompiledNetwork, compile_gate_factory, compile_network
 from .logicsim import PatternSet, pack_words, unpack_words
 from .registry import Engine, register_engine
 from .schedule import DEFAULT_SCHEDULE, cone_gates, get_schedule
@@ -233,46 +232,10 @@ def _apply_positions(
     return plans
 
 
-def _batched_gate_source(expr, slot_of_pin, faulty_slots) -> str:
-    """Render a gate expression for a batched cone pass.
-
-    Same semantics as :func:`repro.simulate.compiled._expr_source`
-    (AND/OR are commutative, NOT is ``m ^ x`` on masked words), but the
-    operands of every AND/OR are reordered so subtrees free of faulty
-    slots come first: Python chains the ops left to right, so the pure
-    prefix evaluates on cheap ``(chunk,)`` good rows and only the ops
-    from the first faulty operand onward run over the ``[batch, chunk]``
-    block.  On typical cones this roughly halves the batched element
-    work per gate - the big-int engine has no equivalent, since its
-    words never carry a batch dimension.
-    """
-
-    def render(node):
-        if isinstance(node, Const):
-            return ("m" if node.value else "0"), True
-        if isinstance(node, Var):
-            slot = slot_of_pin[node.name]
-            return f"v[{slot}]", slot not in faulty_slots
-        if isinstance(node, Not):
-            source, pure = render(node.operand)
-            return f"(m ^ {source})", pure
-        if isinstance(node, (And, Or)):
-            rendered = [render(operand) for operand in node.operands]
-            rendered.sort(key=lambda pair: not pair[1])  # stable: pure first
-            joiner = " & " if isinstance(node, And) else " | "
-            return (
-                "(" + joiner.join(source for source, _pure in rendered) + ")",
-                all(pure for _source, pure in rendered),
-            )
-        raise TypeError(f"unknown expression node {node!r}")
-
-    return render(expr)[0]
-
-
 class VectorNetwork:
     """The compiled slot program, executed over uint64 lane arrays."""
 
-    __slots__ = ("compiled", "_cones")
+    __slots__ = ("compiled", "_cones", "_kernels")
 
     def __init__(self, compiled: CompiledNetwork):
         self.compiled = compiled
@@ -282,6 +245,8 @@ class VectorNetwork:
         # set - one per site in the common singleton case - not one per
         # fault.
         self._cones: Dict[Tuple[int, ...], Tuple] = {}
+        # (gate index, hot-pin mask) -> the gate's bound cone kernel.
+        self._kernels: Dict[Tuple[int, Tuple[bool, ...]], Callable] = {}
 
     # -- cone geometry ----------------------------------------------------------------
 
@@ -289,19 +254,23 @@ class VectorNetwork:
         """The union fanout-cone plan of one or more injection sites.
 
         Each cone gate gets a kernel specialised to which of its input
-        slots carry a batch dimension at this point of the cone (see
-        :func:`_batched_gate_source`); identical sources share one
-        compilation through the engine-wide code cache.  No gate of the
-        union cone may drive one of the sites - re-evaluating a site
-        slot would clobber its injected rows - which is structurally
-        impossible for a single site in a DAG and enforced by the
-        coalescer's eligibility rule for merged ones.
+        pins carry a batch dimension at this point of the cone: the
+        cell's factory (:func:`~.compiled.compile_gate_factory`, one
+        compilation per process for each cell expression and hot-pin
+        set) bound to the gate's slots once per network, memoised on
+        (gate index, hot-pin mask).  The kernel depends on nothing else,
+        so every single-site and coalesced cone through the gate shares
+        it.  No gate of the union cone may drive one of the sites -
+        re-evaluating a site slot would clobber its injected rows -
+        which is structurally impossible for a single site in a DAG and
+        enforced by the coalescer's eligibility rule for merged ones.
         """
         cached = self._cones.get(sites)
         if cached is not None:
             return cached
         compiled = self.compiled
         gate_out = compiled._gate_out
+        kernels = self._kernels
         # The union cone is the union of the per-site closures, which
         # schedule.cone_gates already memoises per compilation - the
         # cost model and the cone plans walk one shared structure.
@@ -324,11 +293,15 @@ class VectorNetwork:
                     "a batch"
                 )
             gate = compiled.gates[index]
-            slot_of_pin = dict(zip(gate.cell.inputs, gate.in_slots))
-            source = _batched_gate_source(
-                gate.expr, slot_of_pin, faulty.intersection(gate.in_slots)
-            )
-            pairs.append((_compile_source("v, m", source), out))
+            hot = tuple(slot in faulty for slot in gate.in_slots)
+            kernel = kernels.get((index, hot))
+            if kernel is None:
+                pins = gate.cell.inputs
+                factory = compile_gate_factory(
+                    gate.expr, pins, [pin for pin, h in zip(pins, hot) if h]
+                )
+                kernel = kernels[index, hot] = factory(*gate.in_slots)
+            pairs.append((kernel, out))
             reads.update(gate.in_slots)
             faulty.add(out)
             if compiled._is_out_slot[out]:

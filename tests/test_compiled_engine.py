@@ -20,7 +20,7 @@ from repro.circuits.generators import (
     random_network,
 )
 from repro.netlist import CellFactory, Network, NetworkFault
-from repro.simulate import PatternSet, compile_network
+from repro.simulate import PatternSet, available_engines, compile_network, get_engine
 from repro.simulate.compiled import minimal_sop_cached
 from words_reference import reference_difference_words
 
@@ -98,7 +98,9 @@ class TestStuckAtEdgeCases:
 
 def assert_words_match_oracle(network, patterns=None, faults=None):
     """Every fault's stem-observability word equals the oracle's full
-    faulty re-simulation, batched and one fault at a time."""
+    faulty re-simulation, batched and one fault at a time; so does
+    every registered engine's ``difference_words`` (the vector engine's
+    hot-pin cone kernels included)."""
     if patterns is None:
         patterns = PatternSet.exhaustive(network.inputs)
     if faults is None:
@@ -107,6 +109,9 @@ def assert_words_match_oracle(network, patterns=None, faults=None):
     expected = reference_difference_words(network, patterns, faults)
     assert sim.differences(faults) == expected
     assert [sim.difference(fault) for fault in faults] == expected
+    for engine in available_engines():
+        words = get_engine(engine).difference_words(network, patterns, faults)
+        assert words == expected, engine
 
 
 def slot(compiled, net):

@@ -18,6 +18,7 @@ from repro.circuits.generators import (
     and_cone,
     c17,
     domino_carry_chain,
+    large_random_network,
     random_network,
 )
 from repro.netlist import CellFactory, Network, NetworkFault
@@ -29,6 +30,8 @@ from repro.simulate import (
     sharded,
     vector_compile,
 )
+from repro.simulate import compiled as compiled_module
+from repro.simulate.artifacts import ArtifactStore
 from repro.simulate.compiled import compile_network
 from repro.simulate.faultsim import collect_words
 from repro.simulate.logicsim import pack_words, unpack_words
@@ -297,3 +300,79 @@ class TestPooledVector:
             fault_simulate(network, patterns, faults, engine="vector", jobs=2),
             fault_simulate(network, patterns, faults, engine="compiled"),
         )
+
+
+class TestConeKernels:
+    """Cone kernels are cell factories bound once per network for each
+    (gate, hot-pin mask), shared by single-site and coalesced cones."""
+
+    @staticmethod
+    def shared_reader():
+        """Sites n1 and n2 whose cones meet at one reader gate, g3."""
+        factory = CellFactory("domino-CMOS")
+        network = Network("shared_reader")
+        for name in ("a", "b", "c", "d"):
+            network.add_input(name)
+        network.add_gate("g1", factory.and_gate(2), {"i1": "a", "i2": "b"}, "n1")
+        network.add_gate("g2", factory.or_gate(2), {"i1": "c", "i2": "d"}, "n2")
+        network.add_gate("g3", factory.and_gate(2), {"i1": "n1", "i2": "n2"}, "n3")
+        network.add_gate("g4", factory.or_gate(2), {"i1": "n3", "i2": "a"}, "z")
+        network.mark_output("z")
+        return network
+
+    def test_two_site_cone_rows_match_oracle_in_either_build_order(self):
+        network = self.shared_reader()
+        patterns = PatternSet.exhaustive(network.inputs)
+        faults = all_faults(network)
+        expected = reference_difference_words(network, patterns, faults)
+        plans = []
+        for single_first in (False, True):
+            compiled = compile_network(network, cache="off")
+            vector = VectorNetwork(compiled)
+            n1, n2 = compiled.slot_of_net["n1"], compiled.slot_of_net["n2"]
+            groups = [
+                group for group in vector.group_faults(list(enumerate(faults)))
+                if group[0] in (n1, n2)
+            ]
+            values, mask_row, count = vector.good_rows(patterns)
+
+            def check(passed, members):
+                live, rows = passed
+                words = [] if rows is None else [unpack_words(row, count) for row in rows]
+                assert words == [expected[index] for index in live]
+                for index, _fault in members:
+                    if index not in live:
+                        assert expected[index] == 0
+
+            singles = [group for group in groups if group[0] == n1]
+            for step in ("single", "merged") if single_first else ("merged", "single"):
+                if step == "merged":
+                    members = [member for group in groups for member in group[2]]
+                    check(vector.merged_difference_rows(values, mask_row, groups), members)
+                else:
+                    for group in singles:
+                        check(vector.group_difference_rows(values, mask_row, group), group[2])
+            merged_pairs = vector._merged_cone((n1, n2))[0]
+            single_pairs = vector._merged_cone((n1,))[0]
+            plans.append((
+                [kernel.__code__ for kernel, _out in merged_pairs],
+                [kernel.__code__ for kernel, _out in single_pairs],
+            ))
+        # g3 reads one hot pin in n1's cone and two in the union cone:
+        # two bindings, whichever cone was built first.
+        assert plans[0] == plans[1]
+
+    def test_second_netlist_of_the_same_cells_compiles_no_code(self):
+        store = ArtifactStore()
+        for n_gates, seed in ((400, 3), (2000, 4)):
+            network = large_random_network(n_gates, n_inputs=32, seed=seed)
+            patterns = PatternSet.random(network.inputs, 256, seed=1)
+            faults = network.enumerate_faults()
+            compile_network(network, cache=store)
+            before = len(compiled_module._CODE_CACHE)
+            fault_simulate(
+                network, patterns, faults, engine="vector", collapse="on",
+                cache=store,
+            )
+            added = len(compiled_module._CODE_CACHE) - before
+        assert added == 0
