@@ -57,13 +57,16 @@ def update_record(entry: Dict, path: Path = BENCH_PATH) -> Dict:
 
     A previous run of *this* workload is not dropped: the new entry
     carries every earlier run, oldest first and each with its own
-    fields, in its ``history`` list.  ``all_pass`` judges only the
-    latest point of each workload.
+    fields, in its ``history`` list.  The new entry is stamped with its
+    own ``recorded_utc``; earlier points keep their fields as they were.
+    ``all_pass`` judges only the latest point of each workload.
     """
     record = json.loads(path.read_text()) if path.exists() else {
         "benchmark": "simulation engine perf trajectory",
         "workloads": [],
     }
+    now = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    entry = dict(entry, recorded_utc=now)
     history = []
     workloads = []
     for workload in record.get("workloads", []):
@@ -75,7 +78,7 @@ def update_record(entry: Dict, path: Path = BENCH_PATH) -> Dict:
     if history:
         entry = dict(entry, history=history)
     record["workloads"] = workloads + [entry]
-    record["updated_utc"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    record["updated_utc"] = now
     record["all_pass"] = all(
         workload.get("identical_results", False)
         and workload.get("speedup", 0.0)

@@ -36,6 +36,14 @@ scatter the outcome back over the members:
   set, and every truly-undetectable fault provably folds into the null
   class.  Wider networks keep the purely structural classes.
 
+Canonicalisation is memoised per *cell shape* (pins, pin-repeat
+pattern, good function), not per gate or fault: a netlist of a handful
+of cells builds a handful of faulty slot tables however many gates it
+has, and each fault only assembles its signature tuple (see
+:class:`_Collapser`).  ``tests/collapse_reference.py`` keeps the
+per-fault canonicaliser as the oracle the memoised one must equal,
+dominance order included.
+
 Equivalence is deliberately *strict* - only provably-identical
 difference functions share a class - because the engine contract is a
 bit-identical :class:`~repro.simulate.faultsim.FaultSimResult`.
@@ -119,79 +127,83 @@ _NULL = ("null",)
 """Signature of faults with a provably-zero difference function."""
 
 
-def _slot_table(table: TruthTable, pins: Sequence[str], in_slots: Sequence[int]):
-    """Re-express a pin-domain table over the gate's distinct input slots.
+def _slot_bits(bits: int, pattern: Sequence[int]) -> int:
+    """Re-express a pin-domain table's bits over the gate's distinct slots.
 
-    Variable names become ``s<slot>`` in ascending slot order - a shared
-    domain on which faulty functions of different cells (and cofactored
-    stuck-at rewrites) compare directly.  A net bound to several pins
-    identifies the corresponding variables.
+    ``pattern[k]`` is the rank of pin ``k``'s slot among the gate's
+    distinct input slots - the slot domain's variables are ``s<slot>``
+    in ascending slot order, so faulty functions of different cells
+    (and cofactored stuck-at rewrites) compare directly.  A net bound
+    to several pins identifies the corresponding variables.  Both
+    layouts are MSB-first over their variables (``minterm_index``), so
+    each pin contributes the bit of its slot's variable, read straight
+    off the collapsed minterm.
     """
-    unique = sorted(set(in_slots))
-    names = tuple(f"s{slot}" for slot in unique)
-    position_of = {slot: position for position, slot in enumerate(unique)}
-    # Both layouts are MSB-first over their name tuples (minterm_index),
-    # so each pin contributes the bit of its slot's variable, read
-    # straight off the collapsed minterm - no assignment dicts.
-    width = len(unique)
-    shifts = [width - 1 - position_of[slot] for slot in in_slots]
-    bits = 0
+    width = len(set(pattern))
+    shifts = [width - 1 - rank for rank in pattern]
+    collapsed = 0
     for minterm in range(1 << width):
         source = 0
         for shift in shifts:
             source = (source << 1) | ((minterm >> shift) & 1)
-        if (table.bits >> source) & 1:
-            bits |= 1 << minterm
-    return TruthTable(names, bits)
+        if (bits >> source) & 1:
+            collapsed |= 1 << minterm
+    return collapsed
 
 
 class _Collapser:
-    """One collapse pass over a compiled network's fault list."""
+    """One collapse pass over a compiled network's fault list.
+
+    Canonicalisation depends on a gate's *shape* - its pins, its
+    pin-repeat pattern (which pins share a slot) and its good function -
+    not on its slot numbers, and a netlist has a handful of shapes
+    however many gates it has.  So every step is memoised on its shape:
+    a cell fault's outcome (null, constant, or faulty bits) on (shape,
+    fault table), the good slot-domain table on (expression, pins,
+    pattern), a stuck-at rewrite on the reader's good bits and the
+    forced position, and a whole propagated constant on (slot, value).
+    Each fault then only assembles its signature tuple.
+    """
 
     def __init__(self, compiled):
         self.compiled = compiled
-        self._good: Dict[int, TruthTable] = {}
-        self._slot_tables: Dict[Tuple, TruthTable] = {}
         self.driver_of_slot = {
             out: index for index, out in enumerate(compiled._gate_out)
         }
+        self._gates: Dict[int, Tuple] = {}
+        self._good: Dict[Tuple, int] = {}
+        self._shapes: Dict[Tuple, int] = {}
+        self._outcomes: Dict[Tuple, Tuple] = {}
+        self._cofactors: Dict[Tuple, int] = {}
+        self._consts: Dict[Tuple[int, int], Tuple] = {}
 
-    def slot_table(self, table: TruthTable, pins, in_slots) -> TruthTable:
-        """:func:`_slot_table` cached on the *repeat pattern* of the slots.
+    def gate(self, gate_index: int) -> Tuple:
+        """``(shape id, pins, pattern, names, good bits)`` of a gate.
 
-        The collapsed bit layout only depends on which pins share a slot
-        (ascending slot order maps to ascending variable order), not on
-        the absolute slot numbers, so gates instantiating the same cell
-        - and the same faulty table - share one evaluation however they
-        are wired.  ``table.names`` must equal ``pins`` (both callers
-        guarantee it).
+        ``names`` are the slot-domain variables ``s<slot>`` of its
+        distinct input slots and ``good bits`` its fault-free function
+        over them.
         """
-        unique = sorted(set(in_slots))
-        rank = {slot: position for position, slot in enumerate(unique)}
-        pattern = tuple(rank[slot] for slot in in_slots)
-        key = (tuple(pins), table.bits, pattern)
-        collapsed = self._slot_tables.get(key)
-        if collapsed is None:
-            collapsed = _slot_table(table, pins, pattern)
-            self._slot_tables[key] = collapsed
-        return TruthTable(
-            tuple(f"s{slot}" for slot in unique), collapsed.bits
-        )
-
-    def good_slot_table(self, gate_index: int) -> TruthTable:
-        """The gate's fault-free function over its distinct input slots."""
-        table = self._good.get(gate_index)
-        if table is None:
+        entry = self._gates.get(gate_index)
+        if entry is None:
             gate = self.compiled.gates[gate_index]
+            unique = sorted(set(gate.in_slots))
+            rank = {slot: position for position, slot in enumerate(unique)}
+            pattern = tuple(rank[slot] for slot in gate.in_slots)
             pins = tuple(gate.cell.inputs)
-            table = self.slot_table(
-                TruthTable.from_expr(gate.expr, pins), pins, gate.in_slots
-            )
-            self._good[gate_index] = table
-        return table
+            good_key = (gate.expr, pins, pattern)
+            good = self._good.get(good_key)
+            if good is None:
+                pin_bits = TruthTable.from_expr(gate.expr, pins).bits
+                good = self._good[good_key] = _slot_bits(pin_bits, pattern)
+            shape = self._shapes.setdefault((pins, pattern, good), len(self._shapes))
+            names = tuple(f"s{slot}" for slot in unique)
+            entry = self._gates[gate_index] = (shape, pins, pattern, names, good)
+        return entry
 
     def const_signature(self, slot: int, value: int) -> Tuple:
-        """Canonical signature of "slot forced to ``value``", propagated.
+        """Canonical signature of "slot forced to ``value``", propagated
+        (memoised per ``(slot, value)``).
 
         While the forced slot is unobserved (not a primary output) and
         fanout-free (exactly one reader gate), the force rewrites that
@@ -201,6 +213,13 @@ class _Collapser:
         class.  Multi-reader slots and primary outputs anchor the
         signature where it stands.
         """
+        key = (slot, value)
+        signature = self._consts.get(key)
+        if signature is None:
+            signature = self._consts[key] = self._propagate(slot, value)
+        return signature
+
+    def _propagate(self, slot: int, value: int) -> Tuple:
         compiled = self.compiled
         while True:
             if compiled._is_out_slot[slot]:
@@ -211,31 +230,44 @@ class _Collapser:
             if len(readers) > 1:
                 return ("const", slot, value)
             gate_index = readers[0]
-            good = self.good_slot_table(gate_index)
+            _shape, _pins, _pattern, names, good = self.gate(gate_index)
             name = f"s{slot}"
-            fixed = good.cofactor(name, value).expand(good.names)
+            key = (good, names.index(name), len(names), value)
+            fixed = self._cofactors.get(key)
+            if fixed is None:
+                table = TruthTable(names, good)
+                fixed = table.cofactor(name, value).expand(names).bits
+                self._cofactors[key] = fixed
             if fixed == good:
                 return _NULL
-            constant = fixed.constant_value()
             out = compiled._gate_out[gate_index]
-            if constant is None:
-                return ("cell", out, fixed.names, fixed.bits)
+            if 0 < fixed < (1 << (1 << len(names))) - 1:
+                return ("cell", out, names, fixed)
             slot = out
-            value = constant
+            value = 1 if fixed else 0
 
     def cell_signature(self, gate_index: int, table: TruthTable) -> Tuple:
         """Canonical signature of a cell fault's faulty gate function."""
-        gate = self.compiled.gates[gate_index]
-        pins = tuple(gate.cell.inputs)
-        if table.names != pins:
-            table = table.expand(pins)
-        faulty = self.slot_table(table, pins, gate.in_slots)
-        if faulty == self.good_slot_table(gate_index):
+        shape, pins, pattern, names, good = self.gate(gate_index)
+        key = (shape, table.names, table.bits)
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            if table.names != pins:
+                table = table.expand(pins)
+            bits = _slot_bits(table.bits, pattern)
+            if bits == good:
+                outcome = _NULL
+            elif 0 < bits < (1 << (1 << len(names))) - 1:
+                outcome = ("bits", bits)
+            else:
+                outcome = ("const", 1 if bits else 0)
+            self._outcomes[key] = outcome
+        if outcome is _NULL:
             return _NULL
-        constant = faulty.constant_value()
-        if constant is not None:
-            return self.const_signature(gate.out_slot, constant)
-        return ("cell", gate.out_slot, faulty.names, faulty.bits)
+        out = self.compiled._gate_out[gate_index]
+        if outcome[0] == "const":
+            return self.const_signature(out, outcome[1])
+        return ("cell", out, names, outcome[1])
 
     def signature(self, index: int, fault: NetworkFault) -> Tuple:
         compiled = self.compiled
@@ -256,29 +288,28 @@ class _Collapser:
             # uncollapsed run would, errors included.
             return ("opaque", index)
 
-    def anchored_function(self, signature: Tuple):
-        """``(gate index, faulty slot table)`` of a class, where known.
+    def activation(self, signature: Tuple) -> Optional[Tuple[int, int]]:
+        """``(gate index, activation bits)`` of a class, where known.
 
-        Cell signatures anchor at the driver of their output slot; a
-        constant signature anchors there too when the slot is
+        The activation is faulty XOR good over the anchor gate's slot
+        domain.  Cell signatures anchor at the driver of their output
+        slot; a constant signature anchors there too when the slot is
         gate-driven (the force *is* the driver's constant function).
         Constants on primary-input slots have no gate-local function to
         compare, so they take no part in dominance analysis.
         """
-        if signature[0] == "cell":
-            _tag, out, names, bits = signature
-            gate_index = self.driver_of_slot.get(out)
-            if gate_index is None:
-                return None
-            return gate_index, TruthTable(names, bits)
-        if signature[0] == "const":
-            _tag, slot, value = signature
-            gate_index = self.driver_of_slot.get(slot)
-            if gate_index is None:
-                return None
-            names = self.good_slot_table(gate_index).names
-            return gate_index, TruthTable.constant(names, value)
-        return None
+        tag = signature[0]
+        if tag not in ("cell", "const"):
+            return None
+        gate_index = self.driver_of_slot.get(signature[1])
+        if gate_index is None:
+            return None
+        _shape, _pins, _pattern, names, good = self.gate(gate_index)
+        if tag == "cell":
+            faulty = signature[3]
+        else:
+            faulty = (1 << (1 << len(names))) - 1 if signature[2] else 0
+        return gate_index, faulty ^ good
 
 
 @dataclass
@@ -404,13 +435,10 @@ def _dominance_pairs(
     """
     by_gate: Dict[int, List[Tuple[int, int]]] = {}
     for class_index, signature in enumerate(signatures):
-        anchored = collapser.anchored_function(signature)
-        if anchored is None:
-            continue
-        gate_index, faulty = anchored
-        good = collapser.good_slot_table(gate_index)
-        activation = (faulty ^ good).bits
-        by_gate.setdefault(gate_index, []).append((class_index, activation))
+        anchored = collapser.activation(signature)
+        if anchored is not None:
+            gate_index, activation = anchored
+            by_gate.setdefault(gate_index, []).append((class_index, activation))
     pairs: List[Tuple[int, int]] = []
     for members in by_gate.values():
         for position, (a_class, a_bits) in enumerate(members):

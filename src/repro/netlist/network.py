@@ -83,6 +83,28 @@ class NetworkFault:
         return self.label
 
 
+def _label_suffixes(library: FaultLibrary) -> List[Tuple[int, LibraryFunction, str]]:
+    """``(class index, function, label suffix)`` of every library class.
+
+    A network fault's label is its gate name plus the suffix
+    ``:<physical labels>``.  Physical fault labels need not be unique
+    across classes (one literal can gate several transistors, and "nc
+    closed" names all of them), but *network* fault labels key
+    simulation results, so colliding class labels are disambiguated
+    with ``#<class index>``.
+    """
+    label_uses: Dict[str, int] = {}
+    for cls in library.classes:
+        base = "|".join(cls.labels)
+        label_uses[base] = label_uses.get(base, 0) + 1
+    suffixes = []
+    for cls in library.classes:
+        base = "|".join(cls.labels)
+        suffix = f":{base}#{cls.index}" if label_uses[base] > 1 else f":{base}"
+        suffixes.append((cls.index, cls.function, suffix))
+    return suffixes
+
+
 class Network:
     """A combinational network: primary inputs, gates, primary outputs."""
 
@@ -401,25 +423,22 @@ class Network:
         faults: List[NetworkFault] = []
         if include_cell_classes:
             libraries = self.libraries()
+            # (class index, function, label suffix) per library, built
+            # once per cell rather than once per gate.
+            suffixes: Dict[int, List[Tuple[int, LibraryFunction, str]]] = {}
             for name in self.levelize():
                 library = libraries[name]
-                # Physical fault labels need not be unique across classes
-                # (one literal can gate several transistors, and "nc
-                # closed" names all of them), but *network* fault labels
-                # key simulation results, so colliding class labels are
-                # disambiguated with the class index.
-                label_uses: Dict[str, int] = {}
-                for cls in library.classes:
-                    base = "|".join(cls.labels)
-                    label_uses[base] = label_uses.get(base, 0) + 1
-                for cls in library.classes:
-                    base = "|".join(cls.labels)
-                    label = f"{name}:{base}"
-                    if label_uses[base] > 1:
-                        label = f"{label}#{cls.index}"
+                classes = suffixes.get(id(library))
+                if classes is None:
+                    classes = suffixes[id(library)] = _label_suffixes(library)
+                for index, function, suffix in classes:
                     faults.append(
-                        NetworkFault.cell_fault(
-                            name, cls.index, cls.function, label=label
+                        NetworkFault(
+                            kind="cell",
+                            gate=name,
+                            class_index=index,
+                            function=function,
+                            label=name + suffix,
                         )
                     )
         if include_stuck_at:

@@ -163,43 +163,50 @@ def network_fingerprint(network: Network) -> str:
     return fingerprint
 
 
+def _function_bytes(function) -> bytes:
+    """The fingerprint bytes of a cell fault's faulty function: name,
+    table variables and SOP, then the table bits as raw bytes (a
+    decimal ``str()`` is quadratic in the table width and blows
+    CPython's int-to-str digit limit past 14 inputs)."""
+    bits = function.table.bits
+    text = f"{function.name}\x1f{','.join(function.table.names)}\x1f{function.sop}\x1f"
+    return (
+        text.encode("utf-8")
+        + bits.to_bytes(bits.bit_length() // 8 + 1, "little")
+        + _SEPARATOR
+    )
+
+
 def fault_fingerprint(faults: Sequence[NetworkFault]) -> str:
     """Content hash of an ordered fault list.
 
     Covers every field that shapes simulation or labelling - kind, net,
     forced value, gate, class index, label and (for cell faults) the
     faulty function's truth table and SOP - so two separately-built but
-    equal fault lists key the same collapse/partition artifacts.
+    equal fault lists key the same collapse/partition artifacts.  Each
+    fault feeds one joined byte string; a library function's bytes are
+    built once per call, since a netlist's faults share a few cells'
+    functions.
     """
-    digest = hashlib.sha256()
-    digest.update(b"repro-faults-v1")
+    digest = hashlib.sha256(b"repro-faults-v1")
+    function_bytes: Dict[int, bytes] = {}
     for fault in faults:
-        for part in (
-            fault.kind,
-            fault.net or "",
-            "" if fault.value is None else str(fault.value),
-            fault.gate or "",
-            "" if fault.class_index is None else str(fault.class_index),
-            fault.label,
-        ):
-            digest.update(part.encode("utf-8"))
-            digest.update(_SEPARATOR)
         function = fault.function
-        if function is not None:
-            bits = function.table.bits
-            for part in (
-                function.name,
-                ",".join(function.table.names),
-                function.sop,
-            ):
-                digest.update(part.encode("utf-8"))
-                digest.update(_SEPARATOR)
-            # Truth tables are 2^inputs bits wide - hash the raw bytes:
-            # a decimal str() is quadratic in the table width and blows
-            # CPython's int-to-str digit limit past 14 inputs.
-            digest.update(bits.to_bytes(bits.bit_length() // 8 + 1, "little"))
-            digest.update(_SEPARATOR)
-        digest.update(_TERMINATOR)
+        if function is None:
+            tail = _TERMINATOR
+        else:
+            tail = function_bytes.get(id(function))
+            if tail is None:
+                tail = function_bytes[id(function)] = (
+                    _function_bytes(function) + _TERMINATOR
+                )
+        value = "" if fault.value is None else str(fault.value)
+        index = "" if fault.class_index is None else str(fault.class_index)
+        text = (
+            f"{fault.kind}\x1f{fault.net or ''}\x1f{value}\x1f"
+            f"{fault.gate or ''}\x1f{index}\x1f{fault.label}\x1f"
+        )
+        digest.update(text.encode("utf-8") + tail)
     return digest.hexdigest()
 
 

@@ -10,10 +10,12 @@ slot-indexed program:
 
 * every net gets an integer **slot**; values live in a plain Python
   list instead of a dict keyed by net names;
-* every gate's cached cell expression is compiled (via ``compile``)
-  into a single Python lambda ``f(v, m)`` reading its input slots
-  directly - the big-int bitwise operators then run at C speed with no
-  AST walk and no per-gate environment construction;
+* every distinct (cell expression, pins) is compiled (via ``compile``)
+  once per process into a slot-binding factory, and each gate binds its
+  input slots into a lambda ``f(v, m)`` from it - the big-int bitwise
+  operators then run at C speed with no AST walk and no per-gate
+  environment construction, and a netlist of a handful of cells costs a
+  handful of ``compile()`` calls however many gates it has;
 * every fault's patch point is precomputed: a stuck fault is (slot,
   forced word); a cell fault is (gate index, compiled faulty function),
   with ``minimal_sop`` results cached per fault-class truth table so a
@@ -101,23 +103,6 @@ def _compile_source(params: str, source: str) -> Callable:
     return function
 
 
-def compile_gate_function(expr: Expr, slot_of_pin: Mapping[str, int]):
-    """Compile one gate function to a flat ``f(values, mask)`` callable."""
-    sources = {pin: f"v[{slot}]" for pin, slot in slot_of_pin.items()}
-    return _compile_source("v, m", _expr_source(expr, sources))
-
-
-SHARED_GATE_THRESHOLD = 4096
-"""Gate count at which the flattener switches from per-gate slot-baked
-lambdas to shared factory closures.  Below it every gate's slots are
-baked into its own compiled lambda (the fastest call form - constant
-slot indices - and compile cost is immaterial at library-cell sizes);
-at ISCAS scale the ~30us-per-gate ``compile()`` calls dominate
-flattening, so one factory per distinct (cell expression, arity) is
-compiled instead and each gate binds its slots as closure cells -
-~seconds off a 100k-gate compile for a few ns of LOAD_DEREF per call."""
-
-
 _FACTORIES: Dict[Tuple, Callable] = {}
 
 
@@ -125,13 +110,13 @@ def compile_gate_factory(expr: Expr, pins: Sequence[str], hot=()) -> Callable:
     """Compile a cell expression to a slot-binding gate-function factory.
 
     ``factory(s0, s1, ...)`` returns ``f(values, mask)`` reading
-    ``values[s0], values[s1], ...``.  The factory is rendered and
-    compiled once per process for each distinct (cell expression, pins,
-    hot pins), so a 100k-gate network of a handful of cell shapes costs
-    a handful of ``compile()`` calls instead of 100k.  ``hot`` names
-    the pins carrying a batch dimension (see :func:`_expr_source`): the
-    vector engine binds one factory per cone gate and hot-pin set, the
-    compiled engine uses the default of none.
+    ``values[s0], values[s1], ...`` - the slots are closure cells, so
+    one compiled factory serves every gate instance of the cell.  The
+    factory is rendered and compiled once per process for each distinct
+    (cell expression, pins, hot pins).  ``hot`` names the pins carrying
+    a batch dimension (see :func:`_expr_source`): the vector engine
+    binds one factory per cone gate and hot-pin set, the compiled
+    program binds every gate with the default of none.
     """
     key = (expr, tuple(pins), frozenset(hot))
     factory = _FACTORIES.get(key)
@@ -146,9 +131,9 @@ def compile_gate_factory(expr: Expr, pins: Sequence[str], hot=()) -> Callable:
 def compile_pin_function(expr: Expr, pins: Sequence[str]) -> Callable:
     """Compile a cell function to ``f(m, p0, p1, ...)`` over positional pins.
 
-    Unlike :func:`compile_gate_function` the result carries no slot
-    indices, so one compilation serves every gate instance of the cell;
-    callers bind slots with a cheap closure.
+    Faulty cell functions take their pin words as arguments, so one
+    compilation serves every gate instance of the cell; callers bind
+    slots with a cheap closure.
     """
     sources = {pin: f"p{index}" for index, pin in enumerate(pins)}
     params = ", ".join(["m"] + [f"p{index}" for index in range(len(pins))])
@@ -259,23 +244,25 @@ class CompiledNetwork:
         self.gates: List[CompiledGate] = []
         self.gate_index: Dict[str, int] = {}
         self.readers: List[List[int]] = [[] for _ in range(self.num_slots)]
-        shared_factories = len(order) >= SHARED_GATE_THRESHOLD
+        # One factory lookup per cell: gates of a cell share its
+        # expression, so each gate only binds its slots.
+        factory_of_cell: Dict[int, Tuple[Expr, Callable]] = {}
         for index, gate_name in enumerate(order):
             gate = network.gates[gate_name]
-            pins = gate.cell.inputs
-            slot_of_pin = {pin: slot_of_net[gate.connections[pin]] for pin in pins}
-            expr = gate.function_expr()
-            if shared_factories:
-                factory = compile_gate_factory(expr, pins)
-                fn = factory(*(slot_of_pin[pin] for pin in pins))
-            else:
-                fn = compile_gate_function(expr, slot_of_pin)
+            connections = gate.connections
+            in_slots = tuple(slot_of_net[connections[pin]] for pin in gate.cell.inputs)
+            shape = factory_of_cell.get(id(gate.cell))
+            if shape is None:
+                expr = gate.function_expr()
+                shape = (expr, compile_gate_factory(expr, gate.cell.inputs))
+                factory_of_cell[id(gate.cell)] = shape
+            expr, factory = shape
             compiled = CompiledGate(
                 name=gate_name,
                 index=index,
                 out_slot=slot_of_net[gate.output],
-                in_slots=tuple(slot_of_pin[pin] for pin in pins),
-                fn=fn,
+                in_slots=in_slots,
+                fn=factory(*in_slots),
                 cell=gate.cell,
                 expr=expr,
             )

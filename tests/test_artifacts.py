@@ -30,10 +30,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from engine_test_utils import all_faults, results_identical
+from engine_test_utils import BENCH_ZOO, all_faults, results_identical
 
 from repro.circuits.generators import c17, random_network
-from repro.netlist import CellFactory, Network
+from repro.netlist import CellFactory, Network, parse_bench
 from repro.simulate import (
     ArtifactStore,
     PatternSet,
@@ -166,6 +166,21 @@ class TestNetworkFingerprint:
         faults = all_faults(c17())
         assert fault_fingerprint(faults) != fault_fingerprint(
             list(reversed(faults))
+        )
+
+    def test_fault_fingerprint_digests_are_pinned(self):
+        """Disk-tier collapse and partition keys embed these digests: a
+        change to the hashed byte stream must be a deliberate schema
+        change, never a silent drift."""
+        assert fault_fingerprint(all_faults(c17())) == (
+            "4b89f3769cdd25062c6bd66fe2493a8fa62caf691230cf6dbfde939f67860787"
+        )
+        zoo = parse_bench(BENCH_ZOO, name="zoo")
+        assert fault_fingerprint(all_faults(zoo)) == (
+            "46b75794fa61bee97057d611be884a7250361729320bf19036833714e3b1af19"
+        )
+        assert fault_fingerprint([]) == (
+            "a665991698cfeb276869553cd6077ca1b169c5ca3e2628d43e1d0165c4623daa"
         )
 
     def test_host_fingerprint_is_stable(self):

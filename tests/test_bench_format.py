@@ -26,7 +26,7 @@ from repro.netlist import (
     resolve_netlist,
     write_bench,
 )
-from repro.netlist.bench import GATE_TYPES
+from repro.netlist.bench import FAN_IN_LIMITS, GATE_TYPES
 from repro.simulate.artifacts import _cell_signature, network_fingerprint
 
 from engine_test_utils import BENCH_ZOO
@@ -177,6 +177,126 @@ class TestParserErrors:
 
     def test_bench_format_error_is_value_error(self):
         assert issubclass(BenchFormatError, ValueError)
+
+    def test_two_gate_cycle_names_its_gates(self):
+        text = "INPUT(a)\nOUTPUT(z)\nb = NOT(c)\nc = NOT(b)\nz = AND(a, b)\n"
+        with pytest.raises(BenchFormatError) as err:
+            parse_bench(text)
+        assert str(err.value) == (
+            "line 3: combinational cycle among gates b (line 3), c (line 4)"
+        )
+
+    def test_cycle_message_leaves_out_gates_outside_the_cycle(self):
+        text = (
+            "INPUT(a)\nOUTPUT(z)\nz = NOT(d)\nd = AND(a, e)\n"
+            "e = OR(d, a)\ny = BUFF(a)\nf = NAND(y, a)\n"
+        )
+        with pytest.raises(BenchFormatError) as err:
+            parse_bench(text)
+        assert str(err.value) == (
+            "line 4: combinational cycle among gates d (line 4), e (line 5)"
+        )
+
+    def test_self_loop_is_a_cycle(self):
+        with pytest.raises(BenchFormatError) as err:
+            parse_bench("INPUT(a)\nb = AND(a, b)\n")
+        assert str(err.value) == "line 2: combinational cycle among gates b (line 2)"
+
+
+class TestFanInLimits:
+    """A gate wider than its type's limit fails at its line instead of
+    stalling fault enumeration on its truth-table-sized library."""
+
+    def test_wide_xor_fails_fast_naming_line_fan_in_and_limit(self):
+        args = ", ".join(f"x{k}" for k in range(17))
+        inputs = "".join(f"INPUT(x{k})\n" for k in range(17))
+        with pytest.raises(BenchFormatError) as err:
+            parse_bench(f"{inputs}OUTPUT(z)\nz = XOR({args})\n")
+        assert str(err.value) == (
+            "line 19: gate type XOR with fan-in 17 exceeds the fan-in limit of 9"
+        )
+
+    @pytest.mark.parametrize("kind", sorted(FAN_IN_LIMITS))
+    def test_limit_is_inclusive(self, kind):
+        limit = FAN_IN_LIMITS[kind]
+        inputs = "".join(f"INPUT(x{k})\n" for k in range(limit + 1))
+        widest = ", ".join(f"x{k}" for k in range(limit))
+        network = parse_bench(f"{inputs}z = {kind}({widest})\n")
+        assert len(network.gates["g_z"].cell.inputs) == limit
+        wider = ", ".join(f"x{k}" for k in range(limit + 1))
+        with pytest.raises(BenchFormatError, match=f"fan-in {limit + 1} exceeds"):
+            parse_bench(f"{inputs}z = {kind}({wider})\n")
+
+    def test_every_multi_input_type_has_a_limit(self):
+        multi = {"AND", "NAND", "NOR", "OR", "XOR"}
+        assert set(FAN_IN_LIMITS) == multi == set(GATE_TYPES) - {"BUFF", "NOT"}
+
+
+_FUZZ_NETS = ("a", "b", "c", "d", "e", "f", "g", "z")
+
+
+@st.composite
+def bench_lines(draw):
+    """One line of near-``.bench`` text: mostly declarations and gates
+    over a few of a handful of nets (so cycles, duplicate drivers and
+    undeclared nets all come up), sometimes a malformed gate or free
+    text."""
+    shape = draw(st.integers(0, 9))
+    net = draw(st.sampled_from(_FUZZ_NETS))
+    if shape <= 2:
+        keyword = draw(st.sampled_from(("INPUT", "INPUT", "OUTPUT", "input")))
+        return f"{keyword}({net})"
+    if shape <= 7:
+        kind = draw(st.sampled_from(GATE_TYPES))
+        fan_in = 1 if kind in ("BUFF", "NOT") else draw(st.integers(2, 4))
+        args = draw(st.lists(
+            st.sampled_from(_FUZZ_NETS), min_size=fan_in, max_size=fan_in
+        ))
+        return f"{net} = {kind}({', '.join(args)})"
+    if shape == 8:
+        kind = draw(st.sampled_from(GATE_TYPES + ("FOO", "and")))
+        args = draw(st.lists(st.sampled_from(_FUZZ_NETS + ("", "a b")), max_size=4))
+        return f"{net} = {kind}({','.join(args)})"
+    return draw(st.one_of(
+        st.text(alphabet="ab =(),#\tINPUTXORz", max_size=20), st.text(max_size=20)
+    ))
+
+
+@st.composite
+def bench_texts(draw):
+    """Near-``.bench`` text: a netlist whose gates may read any net,
+    later ones and their own output included (so cycles come up), with
+    a few stray lines mixed in and the line order shuffled."""
+    inputs = [f"x{k}" for k in range(draw(st.integers(0, 3)))]
+    gates = [f"n{k}" for k in range(draw(st.integers(0, 6)))]
+    nets = inputs + gates or ["x0"]
+    lines = [f"INPUT({net})" for net in inputs]
+    for index, net in enumerate(gates):
+        kind = draw(st.sampled_from(GATE_TYPES))
+        fan_in = 1 if kind in ("BUFF", "NOT") else draw(st.integers(2, 3))
+        earlier = inputs + gates[:index] or nets
+        pool = draw(st.sampled_from((earlier, earlier, nets)))
+        args = draw(st.lists(st.sampled_from(pool), min_size=fan_in, max_size=fan_in))
+        lines.append(f"{net} = {kind}({', '.join(args)})")
+    outputs = draw(st.lists(st.sampled_from(nets), max_size=3))
+    lines += [f"OUTPUT({net})" for net in outputs]
+    lines += draw(st.lists(bench_lines(), max_size=2))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+class TestParserFuzz:
+    @given(text=st.one_of(bench_texts(), st.text(max_size=60)))
+    @settings(max_examples=200)
+    def test_text_parses_to_a_usable_network_or_fails_cleanly(self, text):
+        """Arbitrary text is a :class:`BenchFormatError` or a network
+        every later stage accepts - never a late failure."""
+        try:
+            network = parse_bench(text)
+        except BenchFormatError:
+            return
+        network.levelize()
+        faults = network.enumerate_faults(include_stuck_at=True)
+        assert len(faults) >= 2 * len(network.inputs)
 
 
 class TestResolveNetlist:

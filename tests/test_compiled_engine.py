@@ -17,10 +17,12 @@ from repro.circuits.generators import (
     and_cone,
     c17,
     domino_carry_chain,
+    large_random_network,
     random_network,
 )
 from repro.netlist import CellFactory, Network, NetworkFault
 from repro.simulate import PatternSet, available_engines, compile_network, get_engine
+from repro.simulate import compiled as compiled_module
 from repro.simulate.compiled import minimal_sop_cached
 from words_reference import reference_difference_words
 
@@ -347,6 +349,23 @@ class TestCompileCache:
             for fault in network.enumerate_faults():
                 sim.difference(fault)
         assert len(compiled._faulty_fns) == size
+
+    def test_second_netlist_of_the_same_cells_compiles_no_code(self):
+        """Every gate binds its slots into a per-(cell expression, pins)
+        factory, so a netlist compiles at most one code object per cell
+        and a second netlist of the same cells compiles none."""
+        added = []
+        for n_gates, seed in ((400, 5), (2000, 6)):
+            network = large_random_network(n_gates, n_inputs=32, seed=seed)
+            before = len(compiled_module._CODE_CACHE)
+            compiled = compile_network(network, cache="off")
+            added.append(len(compiled_module._CODE_CACHE) - before)
+        assert added[0] <= len({id(gate.cell) for gate in network.gates.values()})
+        assert added[1] == 0
+        patterns = PatternSet.random(network.inputs, 64, seed=6)
+        assert compiled.output_bits(patterns.env, patterns.mask) == (
+            network.output_bits(patterns.env, patterns.mask)
+        )
 
     def test_scratch_state_restored_between_faults(self):
         network = domino_carry_chain(3)

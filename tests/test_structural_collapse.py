@@ -7,27 +7,39 @@ pattern detecting the dominator detects the dominated fault).  Both
 claims are checked here against exhaustive interpreted simulation -
 the strongest oracle available - on fixed circuits and
 hypothesis-generated random ones.  The engine-level bit-identity of
-``collapse="on"`` lives in ``test_engine_equivalence.py``; this file
+``collapse="on"`` lives in ``test_engine_equivalence.py``.
+``TestCollapseOracle`` holds the shape-memoised canonicaliser to the
+per-fault one kept in ``tests/collapse_reference.py``.  This file
 owns the collapse pass itself plus the ``stop_at_coverage`` validation
 contract and the gate-level ``CollapseResult.format_table`` sections.
 """
+
+import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapse_reference import reference_collapse
 from engine_test_utils import all_faults, differential_circuits, results_identical
 from words_reference import reference_difference_words
 
 from repro.circuits.generators import c17, domino_carry_chain, random_network
+from repro.cells.library import LibraryFunction
+from repro.faults import structural
 from repro.faults.structural import (
     COLLAPSE_MODES,
     DEFAULT_COLLAPSE,
+    CollapsedFaultSet,
     available_collapse_modes,
     collapse_network_faults,
     get_collapse_mode,
 )
-from repro.simulate import PatternSet, fault_simulate
+from repro.logic.truthtable import TruthTable
+from repro.netlist import NetworkFault, parse_bench
+from repro.netlist.bench import GATE_TYPES
+from repro.simulate import PatternSet, compile_network, fault_simulate
 from repro.simulate.faultsim import check_stop_at_coverage, windowed_outcomes
 
 
@@ -152,6 +164,97 @@ class TestDominanceSoundness:
             dominator_word = words[collapsed.representatives[dominator]]
             dominated_word = words[collapsed.representatives[dominated]]
             assert dominator_word & ~dominated_word == 0
+
+
+def oracle_text(rng, n_inputs, n_gates, double_pin_share, locality=None):
+    """``.bench`` text over every gate type in which about
+    ``double_pin_share`` of the multi-input gates read one net on two
+    pins; ``locality`` draws each gate's first input from the trailing
+    window of that many nets (ISCAS-like depth)."""
+    nets = [f"x{k}" for k in range(n_inputs)]
+    lines = [f"INPUT({net})" for net in nets]
+    for g in range(n_gates):
+        kind = rng.choice(GATE_TYPES)
+        first = rng.choice(nets[-locality:] if locality else nets)
+        if kind in ("BUFF", "NOT"):
+            args = [first]
+        elif rng.random() < double_pin_share:
+            args = [first, first]
+        else:
+            args = [first, rng.choice(nets)]
+        lines.append(f"n{g} = {kind}({', '.join(args)})")
+        nets.append(f"n{g}")
+    lines += [f"OUTPUT({net})" for net in nets[-max(1, n_gates // 3):]]
+    return "\n".join(lines) + "\n"
+
+
+def odd_faults(network):
+    """Faults the canonicaliser cannot align or place: ghosts on an
+    absent net and gate (the null class) and opaque cell faults whose
+    table uses a foreign variable or whose function is missing."""
+    gate = next(iter(network.gates))
+    foreign = LibraryFunction("foreign", TruthTable(("q",), 0b10), "q")
+    return [
+        NetworkFault.stuck_at("ghost", 1),
+        NetworkFault.cell_fault("g_ghost", 1, foreign, label="ghost-gate"),
+        NetworkFault.cell_fault(gate, 98, foreign, label="opaque-foreign"),
+        NetworkFault(kind="cell", gate=gate, class_index=99, label="opaque-none"),
+    ]
+
+
+def assert_collapse_matches_reference(network, faults):
+    """The memoised collapse equals the per-fault oracle field by field,
+    dominance order included."""
+    actual = collapse_network_faults(network, faults, cache="off")
+    expected = reference_collapse(
+        network, faults, compile_network(network, cache="off")
+    )
+    for field in dataclasses.fields(CollapsedFaultSet):
+        assert getattr(actual, field.name) == getattr(expected, field.name), field.name
+
+
+class TestCollapseOracle:
+    """``tests/collapse_reference.py`` keeps the per-fault canonicaliser;
+    the shape-memoised one must reproduce it exactly."""
+
+    @settings(max_examples=40)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        n_inputs=st.integers(min_value=2, max_value=6),
+        n_gates=st.integers(min_value=1, max_value=14),
+        double_pin_share=st.sampled_from((0.0, 0.3, 1.0)),
+        semantic=st.booleans(),
+    )
+    def test_memoised_collapse_equals_oracle_on_random_circuits(
+        self, rng, n_inputs, n_gates, double_pin_share, semantic
+    ):
+        text = oracle_text(rng, n_inputs, n_gates, double_pin_share)
+        network = parse_bench(text, name="oracle")
+        faults = all_faults(network) + odd_faults(network)
+        with pytest.MonkeyPatch.context() as patch:
+            if not semantic:
+                # Structural classes and dominance only.
+                patch.setattr(structural, "SEMANTIC_COLLAPSE_MAX_INPUTS", 0)
+            assert_collapse_matches_reference(network, faults)
+
+    @pytest.mark.parametrize(
+        "network", differential_circuits(), ids=lambda n: n.name
+    )
+    def test_memoised_collapse_equals_oracle_on_library_circuits(
+        self, network, monkeypatch
+    ):
+        monkeypatch.setattr(structural, "SEMANTIC_COLLAPSE_MAX_INPUTS", 0)
+        assert_collapse_matches_reference(network, all_faults(network))
+
+    def test_memoised_collapse_equals_oracle_at_2k_gates(self):
+        text = oracle_text(random.Random(2000), 64, 2000, 0.05, locality=64)
+        network = parse_bench(text, name="oracle_2k")
+        assert len(network.gates) == 2000
+        assert any(
+            len(set(gate.connections.values())) < len(gate.connections)
+            for gate in network.gates.values()
+        )
+        assert_collapse_matches_reference(network, all_faults(network))
 
 
 class TestCollapseModeContract:
