@@ -204,7 +204,7 @@ def run_stream_fused(
     Bit-identity comes first: the session's detected weight must equal
     a fault simulation of exactly the prefix it consumed, and the
     stopping point must be identical on every engine that can serve a
-    session (the engine x schedule x plan x collapse sweep lives in the
+    session (the engine x width x collapse sweep lives in the
     differential harness; this checks the engines at benchmark scale).
     """
     network = library_runtime_network(size, n_gates=n_gates)

@@ -12,9 +12,7 @@ Subcommands::
     python -m repro protest [CELLFILE | --netlist FILE.bench] \
             --confidence 0.999 \
             [--engine compiled|interpreted|vector] \
-            [--jobs N] [--schedule contiguous|cost|interleaved] \
-            [--tune auto|default|PROFILE.json] [--collapse off|on|report] \
-            [--cache memory|off|DIR] \
+            [--jobs N] [--collapse off|on|report] [--cache memory|off|DIR] \
             [--source lfsr|random|set|weighted] [--stop-confidence C] \
             [--target-coverage F]
         Wrap the cell in a single-gate network (or parse the ISCAS85
@@ -30,20 +28,16 @@ Subcommands::
         the validation fault simulation (any registered engine name;
         bad names fail with the registry's error); ``--jobs`` the
         worker count (1, in-process, by default; N > 1 forks a pool of
-        N workers for big workloads on any engine; below 1 fails at
-        parse time); ``--schedule`` the
-        fault-scheduling policy (cost-weighted cone scheduling by
-        default); ``--tune`` the execution plan sizing chunks and
-        windows (``default`` keeps the hand-calibrated constants,
-        ``auto`` calibrates this host, a path loads a saved profile);
-        ``--collapse`` the structural-collapsing mode (``on`` simulates
+        N workers for big workloads on any engine, partitioned by cone
+        cost; below 1 fails at parse time); ``--collapse`` the
+        structural-collapsing mode (``on`` simulates
         one representative per fault-equivalence class, ``report``
         additionally prints the class/dominance report); ``--cache``
         the artifact store everything derivable from the network alone
         is resolved through (``memory`` per process, ``off``, or a
         directory whose disk tier persists artifacts across runs -
-        schedules, plans, collapsing and caching never change results,
-        only throughput).
+        pooling, collapsing and caching never change results, only
+        throughput).
 
     python -m repro figures
         Print the executable versions of Figs. 1, 5, 7 and 9.
@@ -60,16 +54,6 @@ ENGINE_CHOICES = ("compiled", "interpreted", "vector")
 """The registered engine names, spelled out so parser construction (and
 ``--help``) stays free of the simulate-package import cost; a test
 holds this tuple equal to ``repro.simulate.available_engines()``."""
-
-SCHEDULE_CHOICES = ("contiguous", "cost", "interleaved")
-"""The registered fault-schedule names, spelled out for the same
-reason; a test holds this tuple equal to
-``repro.simulate.available_schedules()``."""
-
-TUNE_CHOICES = ("auto", "default")
-"""The built-in execution-plan names (``--tune`` also accepts a
-tuning-profile JSON path), spelled out for the same reason; a test
-holds this tuple equal to ``repro.simulate.available_tunings()``."""
 
 COLLAPSE_CHOICES = ("off", "on", "report")
 """The structural-collapsing modes, spelled out for the same reason; a
@@ -89,22 +73,18 @@ same reason; a test holds this tuple equal to
 
 def _knob(name: str, convert=str):
     """argparse type for the run knob ``--<name>`` (``engine``,
-    ``jobs``, ``schedule``, ``tune``, ``collapse``, ``cache``).
+    ``jobs``, ``collapse``, ``cache``).
 
     Validates through the library's own resolver,
     :func:`repro.simulate.faultsim.resolve_knobs`, so the CLI and the
-    library agree on every error message (bad engine, schedule, collapse
-    and cache names, ``jobs < 1``, missing or malformed profile paths
-    all fail at parse time, before any simulation runs); the resolver is
-    imported only when the flag is actually parsed, keeping ``--help``
-    import-free.  ``--tune auto`` is accepted by name: the run
-    calibrates it once, against its own artifact store.
+    library agree on every error message (bad engine, collapse and
+    cache names and ``jobs < 1`` all fail at parse time, before any
+    simulation runs); the resolver is imported only when the flag is
+    actually parsed, keeping ``--help`` import-free.
     """
 
     def check(text: str):
         value = convert(text)
-        if name == "tune" and value == "auto":
-            return value
         from .simulate.faultsim import resolve_knobs
 
         try:
@@ -206,8 +186,8 @@ def command_protest(args: argparse.Namespace) -> int:
     else:
         network = _cell_network(_load_cell(args.cellfile))
     protest = Protest(
-        network, engine=args.engine, jobs=args.jobs, schedule=args.schedule,
-        tune=args.tune, collapse=args.collapse, cache=args.cache,
+        network, engine=args.engine, jobs=args.jobs, collapse=args.collapse,
+        cache=args.cache,
     )
     if args.collapse == "report":
         from .faults.structural import collapse_network_faults
@@ -323,25 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         "forks a pool of N workers once the workload pays for it)",
     )
     protest.add_argument(
-        "--schedule",
-        type=_knob("schedule"),
-        default=None,
-        metavar="|".join(SCHEDULE_CHOICES),
-        help="fault-scheduling policy for shard partitioning and lane "
-        "batching (default: cost-weighted cone scheduling; results are "
-        "schedule-independent)",
-    )
-    protest.add_argument(
-        "--tune",
-        type=_knob("tune"),
-        default=None,
-        metavar="|".join(TUNE_CHOICES) + "|PROFILE.json",
-        help="execution plan sizing column chunks and streaming windows "
-        "(default: the hand-calibrated constants; 'auto' calibrates this "
-        "host once and derives per-cone widths; a path loads a saved "
-        "tuning profile; results are plan-independent)",
-    )
-    protest.add_argument(
         "--collapse",
         type=_knob("collapse"),
         default=None,
@@ -357,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="|".join(CACHE_CHOICES) + "|DIR",
         help="artifact store for compiled programs, cone metadata, "
-        "batch plans, collapse classes and tuning profiles (default: a "
+        "batch plans and collapse classes (default: a "
         "process-wide in-memory store, or $REPRO_CACHE_DIR when set; "
         "'off' disables caching; a directory persists artifacts across "
         "runs; results are cache-independent)",

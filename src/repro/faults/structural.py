@@ -54,7 +54,7 @@ property-tested for soundness in ``tests/test_structural_collapse.py``)
 but never used to drop faults from the exact simulation path.
 
 The collapse mode knob (``off`` / ``on`` / ``report``) resolves exactly
-like engine, schedule and plan names do
+like engine names do
 (:func:`repro.simulate.registry.get_engine` et al.), and the CLI reuses
 the error message.  Collapsed sets are content-addressed artifacts:
 keyed by the network and fault-list fingerprints in the artifact store

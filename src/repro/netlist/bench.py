@@ -24,7 +24,7 @@ the technology whose polarity matches:
   it becomes a bipolar (functional) odd-parity sum-of-products cell.
 
 Parsed networks are ordinary :class:`~repro.netlist.network.Network`
-objects: every engine, schedule, plan and fault model downstream works
+objects: every engine, collapse mode and fault model downstream works
 on them unchanged.  Errors raise :class:`BenchFormatError` with the
 offending line number, in the registry-error message style the CLI
 reuses verbatim.

@@ -89,19 +89,16 @@ def monte_carlo_detection_probabilities(
     seed: int = 1986,
     engine: str = "compiled",
     jobs: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
     collapse: Optional[str] = None,
     cache=None,
 ) -> Dict[str, float]:
     """Empirical detection frequency per fault.
 
-    ``engine``/``jobs``/``schedule``/``tune`` select a registered
-    simulation engine, fault-scheduling policy and execution plan for
-    the per-fault difference passes (``jobs`` must be ``>= 1``; above
-    1 it spreads the fault list over that many worker processes, on
-    any engine); results are engine-, schedule- and
-    tuning-independent.  ``collapse`` resolves exactly as
+    ``engine``/``jobs`` select a registered simulation engine and the
+    worker count for the per-fault difference passes (``jobs`` must be
+    an ``int >= 1``; above 1 it spreads the fault list over that many
+    worker processes, on any engine); results are engine- and
+    jobs-independent.  ``collapse`` resolves exactly as
     in :func:`repro.simulate.faultsim.fault_simulate`: under
     ``"on"``/``"report"`` only one representative per structural
     equivalence class runs a difference pass, and - class members
@@ -113,9 +110,7 @@ def monte_carlo_detection_probabilities(
 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    resolved, store, plan, mode = resolve_knobs(
-        engine, jobs, schedule, tune, collapse, cache
-    )
+    resolved, store, mode = resolve_knobs(engine, jobs, collapse, cache)
     faults = dedupe_faults(faults)
     check_injectable(network, faults)
     input_probs = _input_probs(network, probs)
@@ -123,14 +118,11 @@ def monte_carlo_detection_probabilities(
         network.inputs, samples, seed=seed, probabilities=input_probs
     )
     if mode == "off" or not faults:
-        words = resolved.difference_words(
-            network, patterns, faults, jobs, schedule, plan, store
-        )
+        words = resolved.difference_words(network, patterns, faults, jobs, store)
     else:
         collapsed = collapse_network_faults(network, faults, cache=store)
         rep_words = resolved.difference_words(
-            network, patterns, collapsed.representative_faults(),
-            jobs, schedule, plan, store,
+            network, patterns, collapsed.representative_faults(), jobs, store
         )
         words = collapsed.scatter_outcomes(rep_words)
     store.flush()
@@ -234,23 +226,19 @@ def detection_probabilities(
     seed: int = 1986,
     engine: str = "compiled",
     jobs: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
     collapse: Optional[str] = None,
     cache=None,
 ) -> Dict[str, float]:
     """Dispatch over the three estimators (``auto``: exact when feasible).
 
-    ``engine``, ``jobs``, ``schedule``, ``tune`` and ``collapse`` reach
-    the Monte-Carlo estimator (the only one whose cost scales with the
-    fault count times the sample count) and ``cache`` the
-    simulation-backed estimators; all six are validated up front on
+    ``engine``, ``jobs`` and ``collapse`` reach the Monte-Carlo
+    estimator (the only one whose cost scales with the fault count
+    times the sample count) and ``cache`` the simulation-backed
+    estimators; all four are validated up front on
     every method (:func:`repro.simulate.faultsim.resolve_knobs`), so a
     bad knob raises whichever estimator dispatches.
     """
-    _engine, store, plan, _mode = resolve_knobs(
-        engine, jobs, schedule, tune, collapse, cache
-    )
+    _engine, store, _mode = resolve_knobs(engine, jobs, collapse, cache)
     if faults is None:
         faults = network.enumerate_faults()
     if method == "auto":
@@ -261,7 +249,7 @@ def detection_probabilities(
         return topological_detection_probabilities(network, faults, probs)
     if method == "monte_carlo":
         return monte_carlo_detection_probabilities(
-            network, faults, probs, samples, seed, engine, jobs, schedule,
-            plan, collapse, cache=store,
+            network, faults, probs, samples, seed, engine, jobs, collapse,
+            cache=store,
         )
     raise ValueError(f"unknown method {method!r}")

@@ -113,8 +113,6 @@ class _MonteCarloEvaluator:
         seed: int = 1986,
         engine: str = "compiled",
         jobs: Optional[int] = None,
-        schedule: Optional[str] = None,
-        tune=None,
         cache=None,
     ):
         self.network = network
@@ -123,8 +121,6 @@ class _MonteCarloEvaluator:
         self.seed = seed
         self.engine = engine
         self.jobs = jobs
-        self.schedule = schedule
-        self.tune = tune
         self.cache = cache
 
     def detection(self, probs: Mapping[str, float]) -> np.ndarray:
@@ -136,8 +132,6 @@ class _MonteCarloEvaluator:
             self.seed,
             self.engine,
             self.jobs,
-            self.schedule,
-            self.tune,
             cache=self.cache,
         )
         return np.array([values[f.describe()] for f in self.faults])
@@ -152,21 +146,17 @@ def optimize_input_probabilities(
     samples: int = 2048,
     engine: str = "compiled",
     jobs: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
     cache=None,
 ) -> OptimizationResult:
     """Coordinate search maximising the minimum detection probability.
 
-    ``engine``/``jobs``/``schedule``/``tune``/``cache`` select the
-    simulation engine, fault schedule, execution plan and artifact
-    store for the Monte-Carlo evaluator on wide circuits (the exact
+    ``engine``/``jobs``/``cache`` select the simulation engine, worker
+    count and artifact store for the Monte-Carlo evaluator on wide
+    circuits (the exact
     fault-difference matrix of narrow circuits is a single compiled
     pass either way).
     """
-    _engine, store, plan, _mode = resolve_knobs(
-        engine, jobs, schedule, tune, None, cache
-    )
+    _engine, store, _mode = resolve_knobs(engine, jobs, None, cache)
     if faults is None:
         faults = network.enumerate_faults()
     faults = list(faults)
@@ -176,8 +166,7 @@ def optimize_input_probabilities(
         evaluator = _ExactEvaluator(network, faults, cache=store)
     else:
         evaluator = _MonteCarloEvaluator(
-            network, faults, samples, engine=engine, jobs=jobs,
-            schedule=schedule, tune=plan, cache=store,
+            network, faults, samples, engine=engine, jobs=jobs, cache=store,
         )
 
     labels = [f.describe() for f in faults]

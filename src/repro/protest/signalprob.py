@@ -153,7 +153,7 @@ def signal_probabilities(
     are validated up front on every method."""
     from ..simulate.faultsim import resolve_knobs
 
-    _engine, cache, _plan, _mode = resolve_knobs(engine, cache=cache)
+    _engine, cache, _mode = resolve_knobs(engine, cache=cache)
     if method == "auto":
         method = "exact" if len(network.inputs) <= MAX_EXACT_INPUTS else "monte_carlo"
     if method == "exact":

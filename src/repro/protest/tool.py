@@ -96,14 +96,10 @@ class ProtestReport:
 class Protest:
     """Probabilistic testability analysis of a combinational network.
 
-    ``engine``/``jobs``/``schedule``/``tune`` pick the simulation
-    engine (:mod:`repro.simulate.registry`: ``"interpreted"``,
-    ``"compiled"``, ``"vector"``), the worker count (``None`` or 1
-    in-process, ``> 1`` a forked pool), the fault-scheduling policy
-    (:mod:`repro.simulate.schedule`: ``"cost"``, ``"contiguous"``,
-    ``"interleaved"``) and the execution plan
-    (:mod:`repro.simulate.tuning`: ``"default"``, ``"auto"``, or a
-    profile JSON path) used by every simulation-backed step - the
+    ``engine``/``jobs`` pick the simulation engine
+    (:mod:`repro.simulate.registry`: ``"interpreted"``, ``"compiled"``,
+    ``"vector"``) and the worker count (``None`` or 1 in-process,
+    ``> 1`` a forked pool) used by every simulation-backed step - the
     Monte-Carlo estimators and the validation fault simulation.
     ``collapse`` picks the structural-collapsing mode
     (:mod:`repro.faults.structural`: ``"off"`` by default, ``"on"`` /
@@ -114,7 +110,7 @@ class Protest:
     directory path for the persistent disk tier, or an
     :class:`~repro.simulate.artifacts.ArtifactStore`) every
     simulation-backed step resolves compiled programs, cone metadata,
-    batch plans, collapse classes and tuning profiles through.
+    batch plans and collapse classes through.
     Per-call ``engine=`` arguments override the instance default.
     """
 
@@ -124,21 +120,17 @@ class Protest:
         faults: Optional[Sequence[NetworkFault]] = None,
         engine: str = "compiled",
         jobs: Optional[int] = None,
-        schedule: Optional[str] = None,
-        tune=None,
         collapse: Optional[str] = None,
         cache=None,
     ):
         from ..simulate.faultsim import resolve_knobs
 
         # Reject every bad knob at construction, not at first use.
-        resolve_knobs(engine, jobs, schedule, tune, collapse, cache)
+        resolve_knobs(engine, jobs, collapse, cache)
         self.network = network
         self.faults = list(faults) if faults is not None else network.enumerate_faults()
         self.engine = engine
         self.jobs = jobs
-        self.schedule = schedule
-        self.tune = tune
         self.collapse = collapse
         self.cache = cache
 
@@ -168,8 +160,6 @@ class Protest:
             method,
             engine=engine or self.engine,
             jobs=self.jobs,
-            schedule=self.schedule,
-            tune=self.tune,
             collapse=self.collapse,
             cache=self.cache,
         )
@@ -192,8 +182,6 @@ class Protest:
             max_sweeps=max_sweeps,
             engine=self.engine,
             jobs=self.jobs,
-            schedule=self.schedule,
-            tune=self.tune,
             cache=self.cache,
         )
 
@@ -215,8 +203,6 @@ class Protest:
         seed: int = 1986,
         engine: Optional[str] = None,
         jobs: Optional[int] = None,
-        schedule: Optional[str] = None,
-        tune=None,
         collapse: Optional[str] = None,
         cache=None,
     ) -> FaultSimResult:
@@ -225,9 +211,8 @@ class Protest:
 
         ``engine`` names a registered engine (``"compiled"``,
         ``"interpreted"``, ``"vector"``), ``jobs`` the worker count
-        (``> 1`` forks a pool on any engine), ``schedule`` the
-        fault-scheduling policy, ``tune`` the execution plan,
-        ``collapse`` the structural-collapsing mode and ``cache`` the
+        (``> 1`` forks a pool on any engine), ``collapse`` the
+        structural-collapsing mode and ``cache`` the
         artifact store; all default to the instance settings.  See
         :func:`repro.simulate.faultsim.fault_simulate`.
         """
@@ -238,8 +223,6 @@ class Protest:
             self.faults,
             engine=engine or self.engine,
             jobs=jobs if jobs is not None else self.jobs,
-            schedule=schedule if schedule is not None else self.schedule,
-            tune=tune if tune is not None else self.tune,
             collapse=collapse if collapse is not None else self.collapse,
             cache=cache if cache is not None else self.cache,
         )
@@ -254,8 +237,6 @@ class Protest:
         probabilities: Optional[Mapping[str, float]] = None,
         engine: Optional[str] = None,
         jobs: Optional[int] = None,
-        schedule: Optional[str] = None,
-        tune=None,
         collapse: Optional[str] = None,
         cache=None,
     ) -> StreamingCoverage:
@@ -291,8 +272,6 @@ class Protest:
             confidence=confidence,
             engine=engine or self.engine,
             jobs=jobs if jobs is not None else self.jobs,
-            schedule=schedule if schedule is not None else self.schedule,
-            tune=tune if tune is not None else self.tune,
             collapse=collapse if collapse is not None else self.collapse,
             cache=cache if cache is not None else self.cache,
         )

@@ -5,7 +5,6 @@ from .artifacts import (
     SCHEMA_VERSION,
     available_cache_modes,
     fault_fingerprint,
-    host_fingerprint,
     network_fingerprint,
     resolve_cache,
 )
@@ -33,22 +32,8 @@ from .source import (
     get_source,
     make_source,
 )
-from .schedule import (
-    DEFAULT_SCHEDULE,
-    available_schedules,
-    fault_costs,
-    get_schedule,
-    partition_faults,
-)
+from .schedule import fault_costs, partition_faults
 from .sharded import DEFAULT_WINDOW, merge_results
-from .tuning import (
-    DEFAULT_TUNING,
-    ExecutionPlan,
-    TuningProfile,
-    available_tunings,
-    calibrate_profile,
-    resolve_plan,
-)
 from .vector import (
     VECTOR_WINDOW,
     VectorNetwork,
@@ -69,7 +54,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "available_cache_modes",
     "fault_fingerprint",
-    "host_fingerprint",
     "network_fingerprint",
     "resolve_cache",
     "CompiledNetwork",
@@ -101,19 +85,10 @@ __all__ = [
     "available_engines",
     "get_engine",
     "register_engine",
-    "DEFAULT_SCHEDULE",
-    "available_schedules",
     "fault_costs",
-    "get_schedule",
     "partition_faults",
     "DEFAULT_WINDOW",
     "merge_results",
-    "DEFAULT_TUNING",
-    "ExecutionPlan",
-    "TuningProfile",
-    "available_tunings",
-    "calibrate_profile",
-    "resolve_plan",
     "VECTOR_WINDOW",
     "VectorNetwork",
     "VectorSimulation",

@@ -4,9 +4,8 @@ Everything the engine stack derives from a network alone - the compiled
 slot program (:mod:`repro.simulate.compiled`), fanout-cone metadata and
 LPT fault partitions (:mod:`repro.simulate.schedule`), the vector
 engine's kernel specialisations and site-batch plans
-(:mod:`repro.simulate.vector`), structural collapse classes
-(:mod:`repro.faults.structural`) and host tuning profiles
-(:mod:`repro.simulate.tuning`) - is an immutable function of network
+(:mod:`repro.simulate.vector`) and structural collapse classes
+(:mod:`repro.faults.structural`) - is an immutable function of network
 *content*.  This module gives those derivations one shared mechanism:
 
 * :func:`network_fingerprint` - a canonical SHA-256 over the network's
@@ -40,9 +39,8 @@ engine's kernel specialisations and site-batch plans
 
 Per-kind hit/miss counters (:meth:`ArtifactStore.stats`) make cache
 behaviour assertable: a warm run on an already-seen network performs no
-flattening, cone BFS, kernel specialisation, collapse or calibration
-work, which ``tests/test_artifacts.py`` holds as the store's headline
-contract.
+flattening, cone BFS, kernel specialisation or collapse work, which
+``tests/test_artifacts.py`` holds as the store's headline contract.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import platform
 from collections import Counter, OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
@@ -65,7 +62,6 @@ __all__ = [
     "ArtifactStore",
     "available_cache_modes",
     "fault_fingerprint",
-    "host_fingerprint",
     "network_fingerprint",
     "resolve_cache",
 ]
@@ -208,26 +204,6 @@ def fault_fingerprint(faults: Sequence[NetworkFault]) -> str:
         )
         digest.update(text.encode("utf-8") + tail)
     return digest.hexdigest()
-
-
-def host_fingerprint() -> str:
-    """Identity of the calibration host - keys ``--tune auto`` profiles.
-
-    Hashes the machine architecture, OS, Python version and CPU count:
-    the quantities the micro-calibration in
-    :func:`repro.simulate.tuning.calibrate_profile` actually measures
-    through.
-    """
-    digest = hashlib.sha256()
-    for part in (
-        platform.machine(),
-        platform.system(),
-        platform.python_version(),
-        str(os.cpu_count() or 0),
-    ):
-        digest.update(part.encode("utf-8"))
-        digest.update(_SEPARATOR)
-    return digest.hexdigest()[:16]
 
 
 # -- the store -------------------------------------------------------------------------

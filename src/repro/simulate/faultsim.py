@@ -40,8 +40,8 @@ words loop, :func:`collect_words`, over its per-window kernel
 (:data:`WordsKernel`).  Compiled and interpreted build both kernels
 from their per-window big-int difference pass through one adapter,
 :func:`bigint_engine`; a pooled run hands the same kernels to the
-workers.  Each engine streams the execution plan's window of its own
-kind (lane or big-int) in every mode.  The three stops (first
+workers.  Each engine streams the window of its own kind in every mode
+(:func:`engine_window`).  The three stops (first
 detection, coverage, a session's ``on_window``) are one boundary
 predicate (:func:`stop_predicate`).
 
@@ -52,6 +52,7 @@ raises instead of silently merging their detection records.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,8 +61,6 @@ from .artifacts import resolve_cache
 from .compiled import compile_network
 from .logicsim import PatternSet
 from .registry import Engine, get_engine, register_engine
-from .schedule import get_schedule
-from .tuning import resolve_plan
 
 #: The stopping grid of every retiring run (``stop_at_first_detection``,
 #: ``stop_at_coverage``, streaming sessions): a fault detected in window
@@ -221,8 +220,17 @@ def check_injectable(network: Network, faults: Sequence[NetworkFault]) -> None:
 
 
 def check_jobs(jobs: Optional[int]) -> None:
-    """Validate a worker count (``None`` means 1: in-process)."""
-    if jobs is not None and jobs < 1:
+    """Validate a worker count (``None`` means 1: in-process).
+
+    Only an ``int`` of at least 1 passes - a ``bool``, a float such as
+    ``2.0`` or a numeric string would otherwise slip through to the
+    pool and fail there.
+    """
+    if jobs is None:
+        return
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral):
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
+    if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
@@ -230,10 +238,17 @@ def check_stop_at_coverage(stop_at_coverage) -> None:
     """Validate a ``stop_at_coverage`` threshold (``None`` disables it).
 
     Shared by every engine entry point, mirroring the ``samples >= 1``
-    checks of the detection-probability estimators.
+    checks of the detection-probability estimators.  Only a real number
+    in ``(0, 1]`` passes.
     """
     if stop_at_coverage is None:
         return
+    if isinstance(stop_at_coverage, bool) or not isinstance(
+        stop_at_coverage, numbers.Real
+    ):
+        raise ValueError(
+            f"stop_at_coverage must be a number in (0, 1], got {stop_at_coverage!r}"
+        )
     if not (0 < stop_at_coverage <= 1):
         raise ValueError(
             f"stop_at_coverage must be in (0, 1], got {stop_at_coverage}"
@@ -283,34 +298,27 @@ def build_result(
 def resolve_knobs(
     engine="compiled",
     jobs: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
     collapse: Optional[str] = None,
     cache=None,
 ):
-    """Validate and resolve the run knobs once: ``(engine, store, plan,
+    """Validate and resolve the run knobs once: ``(engine, store,
     collapse mode)``.
 
     ``engine`` is a registered name (an :class:`Engine` passes
-    through), ``jobs`` must be ``>= 1`` (``None`` means 1),
-    ``schedule`` a registered schedule, ``cache`` an artifact-store
-    spec, ``tune`` an execution-plan spec - resolved against that
-    store, so ``"auto"`` calibrates at most once per host and store -
-    and ``collapse`` a collapsing mode.  Every public entry point calls
-    this before doing any work, so a bad knob raises the same error on
-    every engine and every estimator method; handing the resolved
-    store and plan on down (as ``cache`` and ``tune``) makes every
-    later resolution a pass-through.
+    through), ``jobs`` an ``int >= 1`` (``None`` means 1), ``collapse``
+    a collapsing mode and ``cache`` an artifact-store spec.  Every
+    public entry point calls this before doing any work, so a bad knob
+    raises the same error on every engine and every estimator method;
+    handing the resolved store on down (as ``cache``) makes every later
+    resolution a pass-through.
     """
     from ..faults.structural import get_collapse_mode
 
     if not isinstance(engine, Engine):
         engine = get_engine(engine)
     check_jobs(jobs)
-    get_schedule(schedule)
     store = resolve_cache(cache)
-    plan = resolve_plan(tune, cache=store)
-    return engine, store, plan, get_collapse_mode(collapse)
+    return engine, store, get_collapse_mode(collapse)
 
 
 # -- the kernels and the big-int adapter ----------------------------------------------
@@ -346,7 +354,7 @@ def bigint_engine(name: str, description: str, evaluate_bits, window_pass) -> En
     alone.
     """
 
-    def block_kernel(network, faults, schedule, plan, store) -> BlockKernel:
+    def block_kernel(network, faults, store) -> BlockKernel:
         for_window = window_pass(network, store)
 
         def detect(start: int, chunk: PatternSet, active: List[int]):
@@ -360,7 +368,7 @@ def bigint_engine(name: str, description: str, evaluate_bits, window_pass) -> En
 
         return detect
 
-    def words_kernel(network, faults, schedule, plan, store) -> WordsKernel:
+    def words_kernel(network, faults, store) -> WordsKernel:
         for_window = window_pass(network, store)
 
         def words(chunk: PatternSet, active: List[int]):
@@ -421,11 +429,15 @@ register_engine(
 )
 
 
-def engine_window(engine: Engine, network: Network, plan, count: int, store) -> int:
-    """Patterns per window ``engine`` streams over ``count`` patterns of
-    ``network``: the plan's lane or big-int window, by engine kind."""
-    width = plan.lane_window if engine.lanes else plan.bigint_window
-    return width(count, compile_network(network, cache=store).num_slots)
+def engine_window(engine: Engine, count: int) -> int:
+    """Patterns per window ``engine`` streams over ``count`` patterns:
+    :data:`repro.simulate.vector.VECTOR_WINDOW` on a lane engine,
+    :data:`repro.simulate.sharded.DEFAULT_WINDOW` on a big-int one -
+    read at call time and clamped to ``[1, count]``."""
+    from . import sharded, vector
+
+    width = vector.VECTOR_WINDOW if engine.lanes else sharded.DEFAULT_WINDOW
+    return max(1, min(width, count))
 
 
 # -- the words loop -------------------------------------------------------------------
@@ -456,25 +468,21 @@ def difference_words(
     patterns: PatternSet,
     faults: Sequence[NetworkFault],
     jobs: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
     cache=None,
 ) -> List[int]:
     """:meth:`Engine.difference_words`: :func:`collect_words` over the
     engine's words kernel, streamed through the engine's window - across
     a ``jobs``-wide pool when the workload pays for one
     (:func:`repro.simulate.sharded.pooled_difference_words`)."""
-    engine, store, plan, _mode = resolve_knobs(
-        engine, jobs, schedule, tune, None, cache
-    )
+    engine, store, _mode = resolve_knobs(engine, jobs, None, cache)
     faults = list(faults)
-    words = engine.words_kernel(network, faults, schedule, plan, store)
-    width = engine_window(engine, network, plan, patterns.count, store)
+    words = engine.words_kernel(network, faults, store)
+    width = engine_window(engine, patterns.count)
     if jobs is not None and jobs > 1:
         from .sharded import pooled_difference_words
 
         pooled = pooled_difference_words(
-            network, patterns, faults, words, width, jobs, schedule, store
+            network, patterns, faults, words, width, jobs, store
         )
         if pooled is not None:
             return pooled
@@ -491,8 +499,6 @@ def fault_simulate(
     stop_at_first_detection: bool = False,
     engine: str = "compiled",
     jobs: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
     collapse: Optional[str] = None,
     stop_at_coverage=None,
     cache=None,
@@ -515,32 +521,22 @@ def fault_simulate(
     or 1 runs in-process, ``jobs > 1`` forks a pool of that many
     workers (:mod:`repro.simulate.sharded`) once patterns x faults
     reaches :data:`repro.simulate.sharded.MIN_POOL_WORK` - smaller
-    workloads, and hosts without ``fork``, stay in-process.
-    ``schedule`` names a fault-scheduling policy
-    (:mod:`repro.simulate.schedule`: ``"cost"`` by default,
-    ``"contiguous"``, ``"interleaved"``); it steers how a pool
-    partitions the fault list and how the vector engine batches
-    injection sites, and never changes a single result bit.  Unknown
-    names raise here with the list of available schedules, on every
-    engine - including the serial ones that have nothing to schedule.
-    ``tune`` names an execution plan (:mod:`repro.simulate.tuning`:
-    ``"default"`` - the historical constants - by default, ``"auto"``
-    for a host-calibrated profile, or a path to a profile JSON); like
-    schedules, plans size chunks and windows and never change a result
-    bit.  Unknown plan names and malformed profiles raise the tuning
-    module's error here, on every engine.
+    workloads, and hosts without ``fork``, stay in-process.  A pool
+    partitions the fault list by cone cost
+    (:func:`repro.simulate.schedule.partition_faults`), which never
+    changes a single result bit.
     ``collapse`` names a structural-collapsing mode
     (:mod:`repro.faults.structural`: ``"off"`` - the historical full
     universe - by default, ``"on"`` / ``"report"`` to simulate one
     representative per difference-equivalence class and scatter the
-    outcomes back over the members).  Like schedules and plans it never
-    changes a result bit - the collapsed run is bit-identical - but it
-    multiplies throughput by the class/fault ratio on every engine,
-    which all see the shorter representative list.  Unknown modes raise
+    outcomes back over the members).  It never changes a result bit -
+    the collapsed run is bit-identical - but it multiplies throughput by
+    the class/fault ratio on every engine, which all see the shorter
+    representative list.  Unknown modes raise
     here with the list of available modes.
     ``cache`` selects the artifact store everything derivable from the
     network alone (compiled slot programs, cone metadata, batch plans,
-    collapse classes, fault partitions, tuning profiles) is keyed in by
+    collapse classes, fault partitions) is keyed in by
     content fingerprint (:mod:`repro.simulate.artifacts`: ``None`` -
     the process-wide in-memory store, honouring ``$REPRO_CACHE_DIR`` -
     by default, ``"memory"``, ``"off"``, a directory path for the
@@ -558,9 +554,7 @@ def fault_simulate(
     the stopping window (and every result bit) matches the uncollapsed
     run exactly.
     """
-    resolved, store, plan, mode = resolve_knobs(
-        engine, jobs, schedule, tune, collapse, cache
-    )
+    resolved, store, mode = resolve_knobs(engine, jobs, collapse, cache)
     check_stop_at_coverage(stop_at_coverage)
     if faults is None:
         faults = network.enumerate_faults()
@@ -577,7 +571,7 @@ def fault_simulate(
     def outcomes(simulated, weights):
         return windowed_outcomes(
             network, patterns, simulated, FIRST_DETECTION_CHUNK if retire else None,
-            stop_at_first_detection, resolved, schedule, plan,
+            stop_at_first_detection, resolved,
             stop_at_coverage=stop_at_coverage, coverage_weights=weights,
             cache=store, jobs=jobs,
         )
@@ -796,8 +790,6 @@ def windowed_outcomes(
     window: Optional[int],
     stop_at_first_detection: bool = False,
     engine: str = "compiled",
-    schedule: Optional[str] = None,
-    tune=None,
     stop_at_coverage=None,
     coverage_weights: Optional[Sequence[int]] = None,
     cache=None,
@@ -822,24 +814,21 @@ def windowed_outcomes(
     ``on_window(consumed, covered_weight) -> bool`` is the streaming
     session seam - returning ``False`` ends the run, which is how
     :func:`streaming_coverage` plugs in its Wilson-bound stop.
-    ``schedule`` reaches the engine's batch planner.
     """
-    engine, store, plan, _mode = resolve_knobs(
-        engine, jobs, schedule, tune, None, cache
-    )
+    engine, store, _mode = resolve_knobs(engine, jobs, None, cache)
     check_stop_at_coverage(stop_at_coverage)
     weights = resolve_coverage_weights(faults, coverage_weights)
     stop = stop_predicate(
         stop_at_first_detection, stop_at_coverage, on_window, weights
     )
-    detect = engine.block_kernel(network, faults, schedule, plan, store)
-    width = engine_window(engine, network, plan, patterns.count, store)
+    detect = engine.block_kernel(network, faults, store)
+    width = engine_window(engine, patterns.count)
     if jobs is not None and jobs > 1:
         from .sharded import pooled_outcomes
 
         outcomes = pooled_outcomes(
             network, patterns, faults, window, detect, weights, stop, width,
-            jobs, schedule, store,
+            jobs, store,
         )
         if outcomes is not None:
             return outcomes
@@ -924,8 +913,6 @@ def streaming_coverage(
     confidence: float = 0.99,
     engine: str = "compiled",
     jobs: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
     collapse: Optional[str] = None,
     cache=None,
 ) -> StreamingCoverage:
@@ -945,8 +932,8 @@ def streaming_coverage(
     ``satisfied`` session guarantees bound >= target at the demanded
     confidence, with empirical coverage at or above the bound.
 
-    ``engine``, ``jobs``, ``schedule``, ``tune``, ``collapse`` and
-    ``cache`` resolve exactly as in :func:`fault_simulate` - unknown
+    ``engine``, ``jobs``, ``collapse`` and ``cache`` resolve exactly
+    as in :func:`fault_simulate` - unknown
     names raise the same registry errors.  There is no private session
     loop: the session is the ``on_window`` predicate of
     :func:`drive_windows`, so a stopped session costs what the engines
@@ -962,9 +949,7 @@ def streaming_coverage(
     from ..faults.structural import collapse_network_faults
     from ..protest.testlength import coverage_lower_bound
 
-    resolved, store, plan, mode = resolve_knobs(
-        engine, jobs, schedule, tune, collapse, cache
-    )
+    resolved, store, mode = resolve_knobs(engine, jobs, collapse, cache)
     if not 0.0 < target_coverage <= 1.0:
         raise ValueError(
             f"target_coverage must be in (0, 1], got {target_coverage}"
@@ -1015,7 +1000,7 @@ def streaming_coverage(
 
         windowed_outcomes(
             network, patterns, simulated, FIRST_DETECTION_CHUNK,
-            False, resolved, schedule, plan,
+            False, resolved,
             coverage_weights=weights, cache=store, on_window=on_window,
             jobs=jobs,
         )
@@ -1046,8 +1031,6 @@ def coverage_curve(
     points: int = 32,
     engine: str = "compiled",
     jobs: Optional[int] = None,
-    schedule: Optional[str] = None,
-    tune=None,
     collapse: Optional[str] = None,
     cache=None,
     stop_at_confidence: Optional[float] = None,
@@ -1075,12 +1058,13 @@ def coverage_curve(
             network, patterns, faults,
             target_coverage=target_coverage,
             confidence=stop_at_confidence,
-            engine=engine, jobs=jobs, schedule=schedule, tune=tune,
-            collapse=collapse, cache=cache,
+            engine=engine, jobs=jobs, collapse=collapse, cache=cache,
         ).curve
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     result = fault_simulate(
-        network, patterns, faults, engine=engine, jobs=jobs, schedule=schedule,
-        tune=tune, collapse=collapse, cache=cache,
+        network, patterns, faults, engine=engine, jobs=jobs,
+        collapse=collapse, cache=cache,
     )
     total = result.fault_count
     if total == 0:

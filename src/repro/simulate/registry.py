@@ -17,8 +17,8 @@ only what really differs between engines:
   (:data:`~repro.simulate.faultsim.WordsKernel`) that the one words
   loop, :func:`~repro.simulate.faultsim.collect_words`, runs for
   detection words (the Monte-Carlo detection estimator's primitive);
-* ``lanes`` - whether it streams the execution plan's lane windows
-  (numpy ``uint64`` rows) or its big-int windows.
+* ``lanes`` - whether it streams lane windows (numpy ``uint64`` rows)
+  or big-int windows.
 
 Everything else - knob validation, window sizing, the in-process and
 pooled drivers, retirement, coverage and session stops - is shared, so
@@ -45,17 +45,16 @@ pool (:mod:`repro.simulate.sharded`) above that, once the workload is
 big enough to pay for it - the workers run the engine's own kernels.
 
 The other knobs resolve next to the engine name, once, through
-:func:`repro.simulate.faultsim.resolve_knobs`: a **schedule**
-(:mod:`repro.simulate.schedule`) only re-orders work, a **tune** spec
-(:mod:`repro.simulate.tuning`) only re-tiles it, and a **cache** spec
-(:mod:`repro.simulate.artifacts`) only skips re-derivation.
+:func:`repro.simulate.faultsim.resolve_knobs`: a **collapse** mode
+(:mod:`repro.faults.structural`) only deduplicates work, and a
+**cache** spec (:mod:`repro.simulate.artifacts`) only skips
+re-derivation.
 
-All engines are bit-identical on every result - across every schedule,
-every tuning plan and every cache mode; they differ only in cost.
+All engines are bit-identical on every result - in-process and pooled,
+collapsed or not, on every cache mode; they differ only in cost.
 ``tests/test_engine_equivalence.py`` is the registry-driven
 differential harness holding every registered engine - including any
-future one - to that contract against the interpreted oracle, over the
-full engine x schedule x tuning sweep.
+future one - to that contract against the interpreted oracle.
 """
 
 from __future__ import annotations
@@ -72,11 +71,9 @@ class Engine:
 
     ``evaluate_bits(network, env, mask, cache=None)`` returns the
     fault-free valuation of every net.  ``block_kernel(network, faults,
-    schedule, plan, store)`` and ``words_kernel(network, faults,
-    schedule, plan, store)`` build the engine's kernels over
-    ``faults`` (``schedule`` and the resolved execution ``plan`` shape
-    its batches and chunks, ``store`` is the resolved artifact store);
-    ``lanes`` picks which of the plan's windows the engine streams.
+    store)`` and ``words_kernel(network, faults, store)`` build the
+    engine's kernels over ``faults`` (``store`` is the resolved artifact
+    store); ``lanes`` picks which window kind the engine streams.
     """
 
     name: str
@@ -92,22 +89,18 @@ class Engine:
         patterns,
         faults,
         jobs: Optional[int] = None,
-        schedule: Optional[str] = None,
-        tune=None,
         cache=None,
     ) -> List[int]:
         """One whole-set detection word per fault, in fault-list order.
 
-        ``jobs`` must be ``>= 1`` (``None`` means 1) and pools the fault
-        passes above 1; ``schedule``, ``tune`` and ``cache`` resolve as
-        in :func:`repro.simulate.faultsim.fault_simulate`, and bad
-        values raise the same errors on every engine.
+        ``jobs`` must be an ``int >= 1`` (``None`` means 1) and pools
+        the fault passes above 1; ``cache`` resolves as in
+        :func:`repro.simulate.faultsim.fault_simulate`, and bad values
+        raise the same errors on every engine.
         """
         from .faultsim import difference_words
 
-        return difference_words(
-            self, network, patterns, faults, jobs, schedule, tune, cache
-        )
+        return difference_words(self, network, patterns, faults, jobs, cache)
 
 
 _ENGINES: Dict[str, Engine] = {}

@@ -1,12 +1,12 @@
 """Cone-cost fault scheduling: cost-weighted partitioning plans.
 
-The parallel substrates split fault lists mechanically: a worker pool
-(``jobs > 1``) hands each worker a *contiguous* slice, and the vector engine
-batches faults per injection site.  Both leave throughput on the table
-when fanout-cone sizes vary - a contiguous slice that happens to hold
+The parallel substrates split fault lists by cost, not by position: a
+worker pool (``jobs > 1``) hands each worker a shard of the fault list,
+and the vector engine batches faults per injection site.  Both lose
+throughput when fanout-cone sizes vary - a shard that happens to hold
 the deep-cone faults straggles while the other workers idle, and a
 stuck-at pair site fills only two lanes of a batch.  This module is the
-scheduling layer both substrates resolve through:
+one scheduling layer both substrates use:
 
 * **cone-cost model** - a fault's simulation cost is dominated by the
   gates downstream of its injection site (the fanout cone the compiled
@@ -15,26 +15,18 @@ scheduling layer both substrates resolve through:
   cone), and the cost of an injection-site *batch* is that cone count
   times the batch width.  The cone metadata comes straight from the
   compiled slot program's reader lists (:mod:`repro.simulate.compiled`)
-  and is memoised per compilation.
+  and is memoised per compilation.  The vector engine's cross-site
+  coalescer prices its merges with the same model.
 
-* **schedulers** - three registered partitioning policies, resolved by
-  name exactly like engines are (``get_schedule`` mirrors
-  ``get_engine``'s error contract):
-
-  - ``"contiguous"`` - the historical contiguous slices;
-  - ``"interleaved"`` - round-robin striping, which decorrelates cost
-    from position without needing a cost model;
-  - ``"cost"`` - LPT (longest-processing-time) greedy bin packing over
-    the cone costs, falling back to interleaved striping when the cost
-    vector is flat (every fault equally expensive - LPT would add
-    nothing over striping).
-
-  Every scheduler returns an **exact disjoint cover** of the fault
-  indices - a permutation of the input, no loss, no duplication, and
-  *never an empty shard* (``shards > count`` produces ``count`` shards;
-  an empty fault list produces no shards at all).
-  ``tests/test_schedule.py`` holds all three to those invariants by
-  hypothesis property.
+* :func:`cost_schedule` - LPT (longest-processing-time) greedy bin
+  packing over a cost vector, falling back to round-robin striping when
+  the vector is flat (every item equally expensive - LPT would add
+  nothing over striping).  It returns an **exact disjoint cover** of
+  the indices - a permutation of the input, no loss, no duplication,
+  and *never an empty shard* (``shards > count`` produces ``count``
+  shards; an empty list produces no shards at all).
+  ``tests/test_schedule.py`` holds it to those invariants by hypothesis
+  property.
 
 * :func:`partition_faults` - the entry the worker pool uses: it
   prices a concrete fault list against a concrete network and bins
@@ -42,38 +34,31 @@ scheduling layer both substrates resolve through:
   fanout cone and batch together on the vector engine, so splitting a
   site across workers would destroy lane fill of a pooled ``vector`` run).
 
-Scheduling is a pure re-ordering: every engine x schedule combination
-is bit-identical to the interpreted oracle, which
-``tests/test_engine_equivalence.py`` enforces across the whole sweep.
+Scheduling is a pure re-ordering: a pooled run scatters every outcome
+back to its fault-list position, so it is bit-identical to the
+in-process one, which ``tests/test_engine_equivalence.py`` enforces on
+every engine.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Sequence
 
 from ..netlist.network import Network, NetworkFault
 from .artifacts import fault_fingerprint, resolve_cache
 from .compiled import CompiledNetwork, compile_network
 
 __all__ = [
-    "DEFAULT_SCHEDULE",
-    "available_schedules",
     "cone_counts_batch",
     "cone_gate_count",
     "cone_gates",
-    "contiguous_schedule",
     "cost_schedule",
     "fault_costs",
     "fault_site",
-    "get_schedule",
-    "interleaved_schedule",
     "partition_faults",
     "site_cost",
 ]
-
-DEFAULT_SCHEDULE = "cost"
-"""The schedule engines resolve when the caller passes ``None``."""
 
 
 # -- cone metadata over the compiled slot program --------------------------------------
@@ -229,36 +214,7 @@ def fault_costs(
     return [site_cost(compiled, site) for site in sites]
 
 
-# -- the schedulers --------------------------------------------------------------------
-
-
-def contiguous_schedule(costs: Sequence[int], shards: int) -> List[List[int]]:
-    """Contiguous index slices, sizes as even as possible."""
-    count = len(costs)
-    shards = min(shards, count)
-    if shards <= 0:
-        return []
-    base, extra = divmod(count, shards)
-    parts: List[List[int]] = []
-    start = 0
-    for shard in range(shards):
-        width = base + (1 if shard < extra else 0)
-        parts.append(list(range(start, start + width)))
-        start += width
-    return parts
-
-
-def interleaved_schedule(costs: Sequence[int], shards: int) -> List[List[int]]:
-    """Round-robin striping: shard *k* gets indices ``k, k+shards, ...``.
-
-    Decorrelates cost from list position (enumeration order clusters a
-    gate's faults together) without needing the cost vector at all.
-    """
-    count = len(costs)
-    shards = min(shards, count)
-    if shards <= 0:
-        return []
-    return [list(range(shard, count, shards)) for shard in range(shards)]
+# -- the scheduler ---------------------------------------------------------------------
 
 
 def cost_schedule(costs: Sequence[int], shards: int) -> List[List[int]]:
@@ -268,15 +224,16 @@ def cost_schedule(costs: Sequence[int], shards: int) -> List[List[int]]:
     bounds the spread: ``max load <= min load + max cost`` (the classic
     LPT guarantee, property-tested).  Ties prefer the emptiest shard so
     no shard is ever left empty while others hold multiple items - even
-    with zero-cost entries.  A flat cost vector falls back to
-    :func:`interleaved_schedule`, where LPT's sort buys nothing.
+    with zero-cost entries.  A flat cost vector falls back to round-robin
+    striping (shard *k* gets indices ``k, k+shards, ...``), where LPT's
+    sort buys nothing.
     """
     count = len(costs)
     shards = min(shards, count)
     if shards <= 0:
         return []
     if len(set(costs)) <= 1:
-        return interleaved_schedule(costs, shards)
+        return [list(range(shard, count, shards)) for shard in range(shards)]
     # (load, items, shard): the item count breaks load ties toward the
     # emptiest shard, which is what guarantees no shard stays empty.
     heap = [(0, 0, shard) for shard in range(shards)]
@@ -290,36 +247,6 @@ def cost_schedule(costs: Sequence[int], shards: int) -> List[List[int]]:
     return parts
 
 
-SCHEDULES = {
-    "contiguous": contiguous_schedule,
-    "cost": cost_schedule,
-    "interleaved": interleaved_schedule,
-}
-
-
-def available_schedules() -> tuple:
-    """The registered schedule names, sorted."""
-    return tuple(sorted(SCHEDULES))
-
-
-def get_schedule(name: Optional[str]):
-    """Resolve a schedule name (``None`` means :data:`DEFAULT_SCHEDULE`).
-
-    Mirrors :func:`repro.simulate.registry.get_engine`: bad names raise
-    with the sorted list of available schedules, and the CLI reuses the
-    exact message.
-    """
-    if name is None:
-        name = DEFAULT_SCHEDULE
-    scheduler = SCHEDULES.get(name)
-    if scheduler is None:
-        raise ValueError(
-            f"unknown schedule {name!r}; available schedules: "
-            + ", ".join(sorted(SCHEDULES))
-        )
-    return scheduler
-
-
 # -- fault-list partitioning -----------------------------------------------------------
 
 
@@ -327,25 +254,19 @@ def partition_faults(
     network: Network,
     faults: Sequence[NetworkFault],
     shards: int,
-    schedule: Optional[str] = None,
     cache=None,
 ) -> List[List[int]]:
-    """Shard a fault list into index lists under the named schedule.
+    """Shard a fault list into index lists by cone cost.
 
-    ``"contiguous"`` and ``"interleaved"`` partition positions only.
-    ``"cost"`` prices each fault with :func:`fault_costs` and LPT-packs
-    **whole injection-site groups** (group cost = cone gate count x
-    batch width): faults sharing a site share a fanout cone and batch
+    Prices each fault's injection site (:func:`site_cost`) and LPT-packs
+    **whole injection-site groups** (group cost = site cost x batch
+    width): faults sharing a site share a fanout cone and batch
     together on the vector engine, so keeping them in one shard both
     prices them as the one cone pass they are and preserves lane fill
     of a pooled ``vector`` run.  Site grouping can return fewer shards
     than requested when there are fewer sites than workers - never an
-    empty shard, exactly like the raw schedulers.
+    empty shard, exactly like :func:`cost_schedule`.
     """
-    scheduler = get_schedule(schedule)
-    count = len(faults)
-    if scheduler is not cost_schedule:
-        return scheduler([1] * count, shards)
     store = resolve_cache(cache)
     compiled = compile_network(network, cache=store)
 

@@ -6,16 +6,15 @@ forks a pool of ``jobs`` worker processes instead - provided the
 workload reaches :data:`MIN_POOL_WORK` pattern x fault bits and the
 ``fork`` start method exists; otherwise the same call runs in-process
 (same results, no pool).  The fault list is partitioned into shards by
-a named **schedule** (:mod:`repro.simulate.schedule`: cost-weighted LPT
-over fanout-cone sizes by default, contiguous and interleaved stripes
-as alternatives) and per-fault results are scattered back to their
-original list positions, so a pooled run is bit-identical to the
-in-process one under *every* schedule.
+cost-weighted LPT over fanout-cone sizes
+(:func:`repro.simulate.schedule.partition_faults`) and per-fault
+results are scattered back to their original list positions, so a
+pooled run is bit-identical to the in-process one.
 
 Workers run the engine's own kernels (:mod:`repro.simulate.registry`),
 built once in the parent so the forked workers inherit them warm, and
-stream the engine's own window (lane or big-int, sized by the execution
-plan):
+stream the engine's own window (lane or big-int,
+:func:`repro.simulate.faultsim.engine_window`):
 
 * **Fault simulation** (:func:`pooled_outcomes`) drives the one window
   loop, :func:`repro.simulate.faultsim.drive_windows`, in the parent
@@ -51,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..netlist.network import Network, NetworkFault
 from .faultsim import FaultOutcome, FaultSimResult, collect_words, drive_windows
 from .logicsim import PatternSet
-from .schedule import contiguous_schedule, partition_faults
+from .schedule import partition_faults
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -59,14 +58,12 @@ __all__ = [
     "merge_results",
     "pooled_difference_words",
     "pooled_outcomes",
-    "shard_bounds",
 ]
 
 DEFAULT_WINDOW = 1 << 18
-"""Patterns per big-int streaming window under the default plan
-(:meth:`~repro.simulate.tuning.ExecutionPlan.bigint_window`); bounds
-every big-int pass's width
-(256 Ki patterns = 32 KiB per net, small enough to stay cache-resident,
+"""Patterns per big-int streaming window, read at call time by
+:func:`repro.simulate.faultsim.engine_window`; bounds every big-int
+pass's width (256 Ki patterns = 32 KiB per net, small enough to stay cache-resident,
 wide enough to amortise the per-window interpreter overhead - measured
 the sweet spot on the shard benchmark's 4M-pattern workload)."""
 
@@ -81,21 +78,6 @@ optimizer's coordinate search - so smaller workloads run in-process
 # -- sharding and merging --------------------------------------------------------------
 
 
-def shard_bounds(count: int, shards: int) -> List[Tuple[int, int]]:
-    """Split ``count`` faults into at most ``shards`` contiguous ranges.
-
-    The ``(lo, hi)`` view of :func:`repro.simulate.schedule.
-    contiguous_schedule` (one source of truth for the split), so no
-    range is ever empty: ``shards > count`` yields ``count`` one-fault
-    ranges and ``count == 0`` yields no ranges at all (a worker is
-    never handed an empty shard).
-    """
-    return [
-        (part[0], part[-1] + 1)
-        for part in contiguous_schedule([1] * count, max(1, shards))
-    ]
-
-
 def merge_results(parts: Sequence[FaultSimResult]) -> FaultSimResult:
     """Merge per-shard results exactly.
 
@@ -104,7 +86,7 @@ def merge_results(parts: Sequence[FaultSimResult]) -> FaultSimResult:
     two distinct faults collided on a label (or a shard ran twice), and
     silently keeping one record would corrupt coverage, so it raises.
     (The engine itself now scatters per-fault outcomes back to list
-    positions - exact under any schedule's partition - but this stays
+    positions - exact under any partition - but this stays
     the public merge for callers who fault-simulate shards themselves.)
     """
     if not parts:
@@ -183,7 +165,7 @@ cannot clobber each other.  Both paths pass ``(patterns, kernel,
 width)``: the pattern set, the engine's block or words kernel and the
 width each block or shard is streamed through.  Workers are forked, so
 the context is inherited copy-on-write, never pickled - including the
-kernels' warm programs and the store and plan the parent resolved."""
+kernels' warm programs and the store the parent resolved."""
 
 
 def _init_worker(*context) -> None:
@@ -221,7 +203,7 @@ def _fork_context():
         return None
 
 
-def _pool_shards(network, patterns, faults, jobs, schedule, cache):
+def _pool_shards(network, patterns, faults, jobs, cache):
     """The fault shards a ``jobs``-wide pool would run, or ``None`` when
     pooling is pointless (less work than :data:`MIN_POOL_WORK`, one
     shard) or unavailable (no ``fork``).
@@ -232,7 +214,7 @@ def _pool_shards(network, patterns, faults, jobs, schedule, cache):
     """
     if patterns.count * len(faults) < MIN_POOL_WORK or _fork_context() is None:
         return None
-    shards = partition_faults(network, faults, jobs, schedule, cache=cache)
+    shards = partition_faults(network, faults, jobs, cache=cache)
     return shards if len(shards) > 1 else None
 
 
@@ -268,7 +250,7 @@ class _Span:
             yield start, _Span(min(width, self.count - start))
 
 
-def _pool_kernel(pool, network, faults, jobs, schedule, cache):
+def _pool_kernel(pool, network, faults, jobs, cache):
     """The pool's block kernel: one ``pool.map`` per driver block.
 
     Each block re-partitions the *live* faults across the pool (shards
@@ -277,7 +259,7 @@ def _pool_kernel(pool, network, faults, jobs, schedule, cache):
 
     def detect(start, chunk, active):
         live = [faults[position] for position in active]
-        shards = partition_faults(network, live, jobs, schedule, cache=cache)
+        shards = partition_faults(network, live, jobs, cache=cache)
         tasks = [
             (start, start + chunk.count, [active[i] for i in shard])
             for shard in shards
@@ -301,7 +283,6 @@ def pooled_outcomes(
     on_window,
     width: int,
     jobs: int,
-    schedule: Optional[str],
     cache,
 ) -> Optional[List[FaultOutcome]]:
     """:func:`repro.simulate.faultsim.drive_windows` over a pool kernel.
@@ -321,7 +302,7 @@ def pooled_outcomes(
     run in-process; a ``None`` return means ``on_window`` was never
     invoked.
     """
-    shards = _pool_shards(network, patterns, faults, jobs, schedule, cache)
+    shards = _pool_shards(network, patterns, faults, jobs, cache)
     if shards is None:
         return None
     window = width if window is None else window
@@ -334,7 +315,7 @@ def pooled_outcomes(
     with _executor(len(shards), (patterns, detect, stream)) as pool:
         return drive_windows(
             _Span(patterns.count), len(faults), grid,
-            _pool_kernel(pool, network, faults, jobs, schedule, cache),
+            _pool_kernel(pool, network, faults, jobs, cache),
             weights, on_window, width,
         )
 
@@ -346,7 +327,6 @@ def pooled_difference_words(
     words,
     width: int,
     jobs: int,
-    schedule: Optional[str],
     cache,
 ) -> Optional[List[int]]:
     """Per-fault detection words computed across a ``jobs``-wide pool.
@@ -354,11 +334,11 @@ def pooled_difference_words(
     ``words`` is the engine's words kernel over ``faults``; each worker
     runs :func:`repro.simulate.faultsim.collect_words` over its shard,
     ``width`` patterns at a time, and the words are scattered back to
-    fault order whatever partition ``schedule`` produced.  Returns
+    fault order.  Returns
     ``None`` when pooling is pointless or unavailable, like
     :func:`pooled_outcomes`.
     """
-    shards = _pool_shards(network, patterns, faults, jobs, schedule, cache)
+    shards = _pool_shards(network, patterns, faults, jobs, cache)
     if shards is None:
         return None
     with _executor(len(shards), (patterns, words, width)) as pool:

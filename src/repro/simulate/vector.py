@@ -33,8 +33,8 @@ the element ops:
   cone, so their faulty words stack into a ``[k, n_words]`` block and
   the whole batch propagates through the cone in one kernel call per
   gate; numpy's per-call overhead is amortised k ways, which a big-int
-  engine cannot do at all.  Under ``schedule="cost"`` (the default)
-  batching goes **cross-site**: underfilled groups - a stuck-at pair
+  engine cannot do at all.  Batching also goes **cross-site**:
+  underfilled groups - a stuck-at pair
   fills two lanes - coalesce with same-cone neighbours into one block
   when the cone-cost model (:mod:`repro.simulate.schedule`) prices the
   merged pass cheaper, so small sites no longer pay a whole cone pass
@@ -58,7 +58,7 @@ The registry entry is ``"vector"``: its kernels are the per-block
 simulation and re-batches the live faults as they retire, and the
 per-window :func:`lane_words_kernel`, which the one words loop
 (:func:`repro.simulate.faultsim.collect_words`) runs for detection
-words; both stream the execution plan's lane windows.  With
+words; both stream :data:`VECTOR_WINDOW`-wide windows.  With
 ``jobs > 1`` the worker pool of :mod:`repro.simulate.sharded` runs the
 same kernels in every worker (shards across processes, lanes within
 each).  All engines remain
@@ -80,8 +80,7 @@ from .artifacts import fault_fingerprint, resolve_cache
 from .compiled import CompiledNetwork, compile_gate_factory, compile_network
 from .logicsim import PatternSet, pack_words, unpack_words
 from .registry import Engine, register_engine
-from .schedule import DEFAULT_SCHEDULE, cone_gates, get_schedule
-from .tuning import ExecutionPlan, resolve_plan
+from .schedule import cone_gates
 
 __all__ = [
     "COALESCE_MAX_BATCH",
@@ -111,16 +110,13 @@ VECTOR_CHUNK = 1536
 bounds the pass's working set and keeps it near-cache-resident where a
 full-window pass would stream every gate through DRAM; smaller chunks
 lose more to numpy's per-call overhead than they gain in residency
-(measured sweep in ``bench_perf_vector``).  This is the *default
-plan's* global width: every chunk read routes through the execution
-plan (:mod:`repro.simulate.tuning`), whose ``default`` plan reads this
-constant at call time and whose tuned plans replace it with per-cone
-widths derived from a host calibration profile (``--tune auto``)."""
+(measured sweep in ``bench_perf_vector``).  Read at call time, clamped
+to the window's word count, and priced by the coalescer."""
 
 COALESCE_MIN_FILL = 8
 """Site batches at least this wide run alone; narrower ones (a stuck-at
 pair fills two lanes of a batch) are offered to the cross-site
-coalescer under ``schedule="cost"``."""
+coalescer."""
 
 COALESCE_MAX_BATCH = 64
 """Upper bound on a coalesced batch's row count - wide enough to
@@ -158,31 +154,13 @@ else:  # pragma: no cover - exercised only on old numpy
         return _POPCOUNT8[flat].sum(axis=1, dtype=np.int64)
 
 
+def _chunk_words(n_words: int) -> int:
+    """Column-chunk width of a cone pass over ``n_words`` lane words:
+    :data:`VECTOR_CHUNK`, clamped to ``[1, n_words]``."""
+    return max(1, min(VECTOR_CHUNK, n_words))
+
+
 # -- batch-plan artifact keys ----------------------------------------------------------
-
-
-def _plan_signature(tuning: ExecutionPlan) -> str:
-    """Cache-key signature of the pricing configuration a plan saw.
-
-    The default plan reads the module constants at call time (tests
-    monkeypatch them), tuned plans price from their profile - both are
-    captured here so a cached batch plan never outlives the constants
-    that shaped it.
-    """
-    parts = [
-        type(tuning).__name__,
-        VECTOR_CHUNK,
-        VECTOR_WINDOW,
-        COALESCE_MIN_FILL,
-        COALESCE_MAX_BATCH,
-        COALESCE_OVERHEAD_WORDS,
-    ]
-    profile = getattr(tuning, "profile", None)
-    if profile is not None:
-        parts.extend(
-            [profile.word_ns, profile.call_ns, profile.block_ns, profile.cache_words]
-        )
-    return "|".join(str(part) for part in parts)
 
 
 def _groups_key(groups: Sequence[Tuple]) -> str:
@@ -418,7 +396,7 @@ class VectorNetwork:
         return [(site, stuck, members) for (site, stuck), members in groups.items()]
 
     def group_difference_rows(
-        self, values, mask_row, group, tuning: Optional[ExecutionPlan] = None
+        self, values, mask_row, group
     ) -> Tuple[List[int], Optional["np.ndarray"]]:
         """Difference lane rows of one injection-site batch.
 
@@ -427,15 +405,12 @@ class VectorNetwork:
         whose faults activate anywhere in the window is dropped after
         the injection check (``rows`` is ``None``), and a batch that is
         mostly inactive is compressed to its active rows.  The cone
-        propagates in column chunks sized by the execution plan
-        (``tuning``; the default plan reads :data:`VECTOR_CHUNK`, tuned
-        plans size per cone depth x batch width) to stay
+        propagates in :data:`VECTOR_CHUNK`-word column chunks to stay
         cache-resident; good rows enter the kernels as ``(chunk,)``
         broadcast operands (a ``[batch, chunk]`` materialisation was
         measured slower - the k-fold extra read traffic costs more than
         numpy's per-row broadcast dispatch saves).
         """
-        tuning = resolve_plan(tuning)
         site, stuck_slot, members = group
         compiled = self.compiled
         n_words = mask_row.shape[0]
@@ -466,7 +441,7 @@ class VectorNetwork:
             batch = live_count
         else:
             live = [index for index, _fault in members]
-        chunk_words = tuning.chunk_words(len(pairs), batch, n_words)
+        chunk_words = _chunk_words(n_words)
         rows = np.empty((batch, n_words), dtype=np.uint64)
         scratch: List = [None] * compiled.num_slots
         for start in range(0, n_words, chunk_words) if n_words else ():
@@ -493,28 +468,21 @@ class VectorNetwork:
     def plan_batches(
         self,
         groups: Sequence[Tuple],
-        schedule: Optional[str] = None,
-        tuning: Optional[ExecutionPlan] = None,
         cache=None,
         keyed: bool = True,
     ) -> List[List[Tuple]]:
         """Arrange injection-site groups into batch plans.
 
         A *plan* is a list of groups simulated as one ``[batch,
-        n_words]`` block.  Under ``schedule="cost"`` (the default)
-        underfilled same-cone groups coalesce cross-site
-        (:data:`COALESCE_MIN_FILL`), priced by the execution plan's
-        calibrated constants (``tuning``; the default plan reproduces
-        the historical :data:`COALESCE_OVERHEAD_WORDS` numbers); the
-        other schedules keep the historical one-group-per-batch form.
-        Planning is a pure re-grouping - plan membership never changes
-        a result bit, which the engine x schedule x tuning sweep of the
-        differential harness holds.
+        n_words]`` block.  Underfilled same-cone groups coalesce
+        cross-site (:data:`COALESCE_MIN_FILL`), priced by the cone-cost
+        model with :data:`COALESCE_OVERHEAD_WORDS` and
+        :data:`VECTOR_CHUNK`.  Planning is a pure re-grouping - plan
+        membership never changes a result bit, which the differential
+        harness holds.  Keyed plans live in the artifact store under
+        the network, the group list and those two pricing constants.
         """
-        get_schedule(schedule)  # same rejection contract as the engines
-        tuning = resolve_plan(tuning)
-        name = DEFAULT_SCHEDULE if schedule is None else schedule
-        if name != "cost" or len(groups) <= 1:
+        if len(groups) <= 1:
             return [[group] for group in groups]
         if not keyed:
             # Retiring runs replan shrinking live sets between blocks:
@@ -522,31 +490,25 @@ class VectorNetwork:
             # fingerprint per live fault) than re-pricing the greedy
             # coalesce, and the run's stopping point makes the subsets
             # unlikely to recur across runs anyway.
-            return _apply_positions(
-                groups, self._coalesce_positions(groups, tuning)
-            )
+            return _apply_positions(groups, self._coalesce_positions(groups))
         store = resolve_cache(cache)
         key = (
             self.compiled.fingerprint,
-            _plan_signature(tuning),
+            COALESCE_OVERHEAD_WORDS,
+            VECTOR_CHUNK,
             _groups_key(groups),
         )
         positions = store.fetch(
-            "batchplan",
-            key,
-            lambda: self._coalesce_positions(groups, tuning),
-            persist=True,
+            "batchplan", key, lambda: self._coalesce_positions(groups), persist=True
         )
         if not _positions_cover(positions, len(groups)):
             # A stale or hand-edited disk entry that no longer covers the
             # group list exactly is replanned cold - plan membership is
             # perf-only, so this degrades, never corrupts.
-            positions = self._coalesce_positions(groups, tuning)
+            positions = self._coalesce_positions(groups)
         return _apply_positions(groups, positions)
 
-    def _coalesce_positions(
-        self, groups: Sequence[Tuple], tuning: ExecutionPlan
-    ) -> List[List[int]]:
+    def _coalesce_positions(self, groups: Sequence[Tuple]) -> List[List[int]]:
         """Greedy cost-model coalescing of underfilled site groups.
 
         Small groups are sorted by cone signature so identical and
@@ -577,32 +539,19 @@ class VectorNetwork:
             small.append((tuple(sorted(gates)), site, position, group, gates, outs))
         small.sort(key=lambda info: (info[0], info[1]))
 
-        # The pricing constants come from the execution plan: the
-        # default plan reads COALESCE_OVERHEAD_WORDS/VECTOR_CHUNK (the
-        # hand-calibrated SSE-baseline numbers), tuned plans re-derive
-        # them from the host profile's measured per-call overhead and
-        # block-build cost.  Costs are *per window word*: configurations
-        # tile with different per-cone chunk widths now, so per-chunk
-        # costs are not comparable across them - a merged batch's
-        # narrower chunk runs more chunk passes over the same window,
-        # which per-chunk pricing would miss (and then greedily snowball
-        # disjoint-cone groups into one monster batch whose per-chunk
-        # cost looks flat while its per-word cost grows linearly).
-        # Under the default plan (one global chunk) the per-word form is
-        # exactly proportional to the historical per-chunk one, so its
-        # merge decisions are unchanged.
-        overhead_words = tuning.coalesce_overhead_words()
-        block_factor = tuning.block_build_factor()
+        # Costs are per window word, in the hand-calibrated SSE-baseline
+        # constants: each cone gate pays one call overhead per
+        # VECTOR_CHUNK words plus one word per batch row.
+        call_overhead = COALESCE_OVERHEAD_WORDS / VECTOR_CHUNK
 
         def call_cost(gate_count: int, batch: int) -> float:
-            chunk = tuning.pricing_chunk(gate_count, batch)
-            return gate_count * (overhead_words / chunk + batch)
+            return gate_count * (call_overhead + batch)
 
         def merged_cost(gate_count: int, batch: int, sites: int) -> float:
             # Multi-site batches materialise one good-or-injected block
             # per site; a single-site batch is the stacked injected rows
             # themselves, so its block term is zero.
-            blocks = sites * batch * block_factor if sites > 1 else 0
+            blocks = sites * batch if sites > 1 else 0
             return call_cost(gate_count, batch) + blocks
 
         plans = alone
@@ -646,7 +595,6 @@ class VectorNetwork:
         values,
         mask_row,
         plan: Sequence[Tuple],
-        tuning: Optional[ExecutionPlan] = None,
     ) -> Tuple[List[int], Optional["np.ndarray"]]:
         """Difference rows of one batch plan (single-site or coalesced).
 
@@ -656,15 +604,14 @@ class VectorNetwork:
         pass; everything else is the optimised single-site path.
         """
         if len(plan) == 1:
-            return self.group_difference_rows(values, mask_row, plan[0], tuning)
-        return self.merged_difference_rows(values, mask_row, plan, tuning)
+            return self.group_difference_rows(values, mask_row, plan[0])
+        return self.merged_difference_rows(values, mask_row, plan)
 
     def merged_difference_rows(
         self,
         values,
         mask_row,
         batch_groups: Sequence[Tuple],
-        tuning: Optional[ExecutionPlan] = None,
     ) -> Tuple[List[int], Optional["np.ndarray"]]:
         """Difference rows of a coalesced multi-site batch.
 
@@ -677,7 +624,6 @@ class VectorNetwork:
         blocks per chunk anyway, so there is no re-tiling penalty to
         trade off as in the single-site path).
         """
-        tuning = resolve_plan(tuning)
         compiled = self.compiled
         n_words = mask_row.shape[0]
         live: List[int] = []
@@ -711,7 +657,7 @@ class VectorNetwork:
             )
             for site, positions in positions_of_site.items()
         }
-        chunk_words = tuning.chunk_words(len(pairs), batch, n_words)
+        chunk_words = _chunk_words(n_words)
         rows = np.empty((batch, n_words), dtype=np.uint64)
         scratch: List = [None] * compiled.num_slots
         for start in range(0, n_words, chunk_words):
@@ -800,7 +746,7 @@ def vector_compile(network: Network, cache=None) -> VectorNetwork:
 # -- the engine primitives -------------------------------------------------------------
 
 
-def _lane_pass(network: Network, faults: Sequence[NetworkFault], schedule, tune, cache):
+def _lane_pass(network: Network, faults: Sequence[NetworkFault], cache):
     """``rows_of(chunk, active)``: the batched difference rows of the
     faults at ``active`` over ``chunk``, as ``(live positions, rows)``
     per batch plan - the pass both lane kernels reduce.
@@ -812,7 +758,6 @@ def _lane_pass(network: Network, faults: Sequence[NetworkFault], schedule, tune,
     """
     store = resolve_cache(cache)
     vector = vector_compile(network, cache=store)
-    tuning = resolve_plan(tune, cache=store)
     planned = None
     plans: List[List[Tuple]] = []
 
@@ -820,37 +765,28 @@ def _lane_pass(network: Network, faults: Sequence[NetworkFault], schedule, tune,
         nonlocal planned, plans
         if active != planned:
             groups = vector.group_faults([(i, faults[i]) for i in active])
-            plans = vector.plan_batches(
-                groups, schedule, tuning, cache=store, keyed=planned is None
-            )
+            plans = vector.plan_batches(groups, cache=store, keyed=planned is None)
             planned = active
         values, mask_row, _count = vector.good_rows(chunk)
         for plan in plans:
-            live, rows = vector.plan_difference_rows(values, mask_row, plan, tuning)
+            live, rows = vector.plan_difference_rows(values, mask_row, plan)
             if live:
                 yield live, rows
 
     return rows_of
 
 
-def lane_kernel(
-    network: Network,
-    faults: Sequence[NetworkFault],
-    schedule: Optional[str] = None,
-    tune=None,
-    cache=None,
-):
+def lane_kernel(network: Network, faults: Sequence[NetworkFault], cache=None):
     """The lane engine's block kernel for
     :func:`repro.simulate.faultsim.drive_windows`.
 
     ``detect(start, chunk, active)`` batches the ``active`` faults by
-    injection site (``schedule`` picks the batch plan, ``tune`` the
-    execution plan sizing its column chunks), runs the batched cone
-    passes over ``chunk`` and reports the detected faults' positions,
+    injection site (:meth:`VectorNetwork.plan_batches`), runs the
+    batched cone passes over ``chunk`` and reports the detected faults' positions,
     first indices and counts, counting with ``np.bitwise_count`` - no
     whole-set big-int is ever materialised.
     """
-    rows_of = _lane_pass(network, faults, schedule, tune, cache)
+    rows_of = _lane_pass(network, faults, cache)
 
     def detect(start: int, chunk: PatternSet, active: List[int]):
         positions, firsts, counts = [], [], []
@@ -872,18 +808,12 @@ def lane_kernel(
     return detect
 
 
-def lane_words_kernel(
-    network: Network,
-    faults: Sequence[NetworkFault],
-    schedule: Optional[str] = None,
-    tune=None,
-    cache=None,
-):
+def lane_words_kernel(network: Network, faults: Sequence[NetworkFault], cache=None):
     """The lane engine's words kernel for
     :func:`repro.simulate.faultsim.collect_words`: ``words(chunk,
     active)`` runs the same batched passes as :func:`lane_kernel` and
     unpacks each nonzero difference row into a window word."""
-    rows_of = _lane_pass(network, faults, schedule, tune, cache)
+    rows_of = _lane_pass(network, faults, cache)
 
     def words(chunk: PatternSet, active: Sequence[int]):
         positions, found = [], []

@@ -23,7 +23,7 @@ def results_identical(a, b):
 #: A .bench netlist covering every supported gate type (including the
 #: bipolar XOR mapping and a 3-input XOR); parsed fresh per
 #: differential_circuits() call so the parser output rides the whole
-#: engine x schedule x plan x collapse sweep with no special-casing.
+#: engine x jobs x collapse sweep with no special-casing.
 BENCH_ZOO = """\
 # bench_zoo - every .bench gate type once
 INPUT(a)
@@ -67,3 +67,26 @@ def differential_circuits():
         random_network(n_inputs=5, n_gates=9, technology="nMOS", seed=41),
         parse_bench(BENCH_ZOO, name="bench_zoo"),
     ]
+
+
+def bench_text(n_gates, n_inputs=64, locality=64, seed=1986):
+    """``.bench`` text of a random two-input AND/OR DAG with
+    the ``large_random_network`` wiring shape (one input from a trailing
+    window, one from anywhere).  As in ISCAS85, every gate output no
+    gate reads is a primary output."""
+    import random
+
+    rng = random.Random(seed)
+    kinds = ("AND", "OR")
+    nets = [f"x{k}" for k in range(n_inputs)]
+    read = set()
+    body = []
+    for g in range(n_gates):
+        a = nets[rng.randrange(max(0, len(nets) - locality), len(nets))]
+        b = nets[rng.randrange(len(nets))]
+        body.append(f"n{g} = {rng.choice(kinds)}({a}, {b})")
+        read.update((a, b))
+        nets.append(f"n{g}")
+    lines = [f"INPUT(x{k})" for k in range(n_inputs)]
+    lines += [f"OUTPUT(n{g})" for g in range(n_gates) if f"n{g}" not in read]
+    return "\n".join(lines + body) + "\n"

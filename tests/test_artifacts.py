@@ -2,8 +2,8 @@
 
 The content-addressed artifact store (:mod:`repro.simulate.artifacts`)
 keys everything derivable from a network alone - compiled slot
-programs, cone metadata, batch plans, collapse classes, fault
-partitions, tuning profiles - by canonical content fingerprint.  Four
+programs, cone metadata, batch plans, collapse classes and fault
+partitions - by canonical content fingerprint.  Four
 contracts are pinned here:
 
 * **fingerprints** - equal networks built separately hash equal; by
@@ -42,7 +42,6 @@ from repro.simulate import (
     available_engines,
     fault_fingerprint,
     fault_simulate,
-    host_fingerprint,
     network_fingerprint,
     resolve_cache,
 )
@@ -50,10 +49,8 @@ from repro.simulate.artifacts import CACHE_ENV, CACHE_MODES
 
 #: The artifact kinds a warm run must not rebuild - the store-counter
 #: form of "no flattening, no kernel specialisation, no collapse, no
-#: partitioning, no calibration on a warm cache".
-DERIVATION_KINDS = (
-    "compiled", "vector", "collapse", "partition", "batchplan", "profile",
-)
+#: partitioning on a warm cache".
+DERIVATION_KINDS = ("compiled", "vector", "collapse", "partition", "batchplan")
 
 
 def small_workload():
@@ -182,10 +179,6 @@ class TestNetworkFingerprint:
         assert fault_fingerprint([]) == (
             "a665991698cfeb276869553cd6077ca1b169c5ca3e2628d43e1d0165c4623daa"
         )
-
-    def test_host_fingerprint_is_stable(self):
-        assert host_fingerprint() == host_fingerprint()
-        assert len(host_fingerprint()) == 16
 
 
 # -- warm-run guarantees ---------------------------------------------------------------
@@ -382,88 +375,6 @@ class TestCollapseSharing:
         assert store.misses["collapse"] == 0
         assert second.class_of == first.class_of
         assert second.representatives == first.representatives
-
-
-# -- the auto-tune profile tier --------------------------------------------------------
-
-
-@pytest.fixture
-def fresh_auto_plans(monkeypatch):
-    """Isolate the auto-plan memos and the profile env override."""
-    import repro.simulate.tuning as tuning_module
-
-    monkeypatch.delenv(tuning_module.PROFILE_ENV, raising=False)
-    monkeypatch.setattr(tuning_module, "_AUTO_PLAN", None)
-    monkeypatch.setattr(tuning_module, "_STORE_AUTO_PLANS", {})
-    return tuning_module
-
-
-class TestAutoProfileCaching:
-    def _counted_profile(self, monkeypatch, tuning_module):
-        calls = []
-
-        def fake_calibrate(name="auto"):
-            calls.append(name)
-            return tuning_module.TuningProfile(
-                name="auto", word_ns=1.0, call_ns=120.0, block_ns=3.0,
-                cache_words=1 << 15,
-            )
-
-        monkeypatch.setattr(tuning_module, "calibrate_profile", fake_calibrate)
-        return calls
-
-    def test_auto_profile_cached_by_host_fingerprint(
-        self, tmp_path, monkeypatch, fresh_auto_plans
-    ):
-        tuning_module = fresh_auto_plans
-        calls = self._counted_profile(monkeypatch, tuning_module)
-        store = ArtifactStore(directory=tmp_path)
-        plan = tuning_module.resolve_plan("auto", cache=store)
-        assert calls == ["auto"]
-        assert store.misses["profile"] == 1
-        # Same process, same directory: the memo answers.
-        tuning_module.resolve_plan("auto", cache=store)
-        assert calls == ["auto"]
-        # A fresh process (cleared memo, fresh store object) loads the
-        # persisted profile instead of re-calibrating.
-        monkeypatch.setattr(tuning_module, "_STORE_AUTO_PLANS", {})
-        reloaded = tuning_module.resolve_plan(
-            "auto", cache=ArtifactStore(directory=tmp_path)
-        )
-        assert calls == ["auto"]
-        assert reloaded.profile == plan.profile
-
-    def test_profile_env_overrides_store(
-        self, tmp_path, monkeypatch, fresh_auto_plans
-    ):
-        """$REPRO_TUNE_PROFILE stays the explicit override: when set,
-        the profile comes from that path, not from the store."""
-        tuning_module = fresh_auto_plans
-        calls = self._counted_profile(monkeypatch, tuning_module)
-        profile_path = tmp_path / "profile.json"
-        monkeypatch.setenv(tuning_module.PROFILE_ENV, str(profile_path))
-        store = ArtifactStore(directory=tmp_path / "store")
-        plan = tuning_module.resolve_plan("auto", cache=store)
-        assert calls == ["auto"]
-        assert profile_path.exists()  # calibrated into the env path
-        assert "profile" not in store.stats()  # the store stayed out of it
-        assert plan.profile.name == "auto"
-
-    def test_fault_simulate_tune_auto_uses_store(
-        self, tmp_path, monkeypatch, fresh_auto_plans
-    ):
-        tuning_module = fresh_auto_plans
-        calls = self._counted_profile(monkeypatch, tuning_module)
-        network, patterns, faults = small_workload()
-        store = ArtifactStore(directory=tmp_path)
-        cold = fault_simulate(
-            network, patterns, faults, tune="auto", cache=store
-        )
-        warm = fault_simulate(
-            network, patterns, faults, tune="auto", cache=store
-        )
-        results_identical(cold, warm)
-        assert calls == ["auto"]  # one calibration, however many runs
 
 
 # -- the cache knob --------------------------------------------------------------------

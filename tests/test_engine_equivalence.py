@@ -8,22 +8,23 @@ the interpreted oracle
 (:meth:`Network.evaluate_bits`) on every detection set, detection
 count, first-detection index, difference word and net valuation,
 across fixed circuits, hypothesis-generated circuits, both fault
-kinds, pattern-window widths, weighted pattern sets - every
-registered fault **schedule** (``contiguous``/``cost``/``interleaved``,
-swept on skewed-cone circuits where scheduling reorders work hardest)
-- and every **tuning plan** (:mod:`repro.simulate.tuning`: the default
-constants, an adversarial profile forcing tiny chunk/window widths
-that do not divide the word count, and the host-calibrated ``auto``
-plan), since plans re-tile every pass and must never move a bit - and
-the **collapse** dimension (:mod:`repro.faults.structural`): simulating
+kinds, pattern-window widths, weighted pattern sets - the **width**
+dimension (the default chunk and window constants, and an adversarial
+profile monkeypatching :data:`~repro.simulate.vector.VECTOR_CHUNK`,
+:data:`~repro.simulate.vector.VECTOR_WINDOW` and
+:data:`~repro.simulate.sharded.DEFAULT_WINDOW` to tiny widths that do
+not divide the word or pattern count, swept on skewed-cone circuits
+where pooled partitions and the cross-site coalescer reorder work
+hardest), since widths re-tile every pass and must never move a bit -
+and the **collapse** dimension (:mod:`repro.faults.structural`): simulating
 one representative per structural equivalence class and scattering the
 outcomes back must be bit-identical too, as must coverage-capped runs
 (``stop_at_coverage``), whose stopping window is pinned to the same
 streaming grid on every engine - and the **cache** dimension
 (:mod:`repro.simulate.artifacts`): a warm artifact store only skips
 re-derivation, so a cached re-run must be bit-identical to the cold
-run on every engine x schedule x plan x collapse combination, on every
-cache mode (``off``, ``memory``, a disk-tier directory).
+run on every engine x width x collapse combination, on every cache
+mode (``off``, ``memory``, a disk-tier directory).
 
 Engine-specific mechanics stay in their own files
 (``test_compiled_engine.py`` for the slot program's internals,
@@ -54,20 +55,17 @@ from repro.simulate import (
     PatternSet,
     PatternSetSource,
     RandomSource,
-    TuningProfile,
     WeightedSource,
     available_engines,
-    available_schedules,
     available_sources,
-    available_tunings,
     coverage_curve,
     fault_simulate,
     get_engine,
     get_source,
     register_engine,
-    resolve_plan,
     sharded,
     streaming_coverage,
+    vector,
 )
 from repro.simulate.faultsim import (
     FIRST_DETECTION_CHUNK,
@@ -76,7 +74,6 @@ from repro.simulate.faultsim import (
 )
 
 ENGINES = available_engines()
-SCHEDULES = available_schedules()
 
 #: Worker counts the harness sweeps: in-process, and a two-worker pool
 #: that really forks (:func:`pooling` drops ``MIN_POOL_WORK`` to 0 -
@@ -98,32 +95,41 @@ def jobs(request):
     with pooling(request.param):
         yield request.param
 
-#: Tuning plans the harness sweeps: the historical constants, an
-#: adversarial profile whose tiny cache budget forces one-word chunks
-#: and 64-pattern windows (uneven tails everywhere), and the
-#: host-calibrated plan.  "adversarial" is materialised as a profile
-#: JSON by the ``tuning_specs`` fixture, exercising the --tune path
-#: form end to end.
-TUNINGS = ("default", "adversarial", "auto")
+#: Width profiles the harness sweeps: the module constants as they are,
+#: and an adversary whose one-word chunks, 160-pattern lane windows and
+#: 64-pattern big-int windows leave uneven tails everywhere.
+WIDTHS = {
+    "default": (),
+    "adversarial": (
+        (vector, "VECTOR_CHUNK", 1),
+        (vector, "VECTOR_WINDOW", 160),
+        (sharded, "DEFAULT_WINDOW", 64),
+    ),
+}
 
-ADVERSARIAL_TUNING = TuningProfile(
-    name="adversarial", word_ns=1.0, call_ns=1.0, block_ns=4.0, cache_words=7
+#: A second adversary for chunk geometry: multi-word windows cut into
+#: 5-word chunks (and 320-pattern big-int windows), which divide neither
+#: the word count nor the pattern count.
+ODD_CHUNK_WIDTHS = (
+    (vector, "VECTOR_CHUNK", 5),
+    (sharded, "DEFAULT_WINDOW", 320),
 )
 
-#: A second adversary for chunk geometry: the cache budget is sized so
-#: multi-word windows survive while per-cone chunks land on widths (2,
-#: 5, 9, ...) that do not divide the window's word count.
-ODD_CHUNK_TUNING = TuningProfile(
-    name="odd-chunks", word_ns=1.0, call_ns=1.0, block_ns=2.0, cache_words=120
-)
+
+@contextlib.contextmanager
+def patched_widths(patches):
+    """Run with the chunk and window constants set to ``patches``."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name, value in patches:
+            patch.setattr(module, name, value)
+        yield
 
 
-@pytest.fixture(scope="session")
-def tuning_specs(tmp_path_factory):
-    """Map sweep names to the specs callers would actually pass."""
-    path = tmp_path_factory.mktemp("tuning") / "adversarial.json"
-    ADVERSARIAL_TUNING.save(path)
-    return {"default": "default", "adversarial": str(path), "auto": "auto"}
+@pytest.fixture(params=sorted(WIDTHS))
+def widths(request):
+    """Each test runs once per width profile of :data:`WIDTHS`."""
+    with patched_widths(WIDTHS[request.param]):
+        yield request.param
 
 
 CIRCUITS = differential_circuits()
@@ -183,11 +189,11 @@ class TestEveryEngineMatchesOracle:
 
     def test_difference_words_identical(self, engine, network, jobs):
         """Called positionally: ``(network, patterns, faults, jobs,
-        schedule, tune, cache)`` is every engine's signature."""
+        cache)`` is every engine's signature."""
         patterns = PatternSet.random(network.inputs, 130, seed=7)
         faults = all_faults(network)
         assert get_engine(engine).difference_words(
-            network, patterns, faults, jobs, "cost", "default", None
+            network, patterns, faults, jobs, None
         ) == reference_difference_words(network, patterns, faults)
 
     def test_streaming_coverage_identical(self, engine, network, jobs):
@@ -340,60 +346,6 @@ def test_plugin_engine_matches_oracle(plugin_engine, network, jobs):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("schedule", SCHEDULES)
-class TestEveryEngineScheduleCombination:
-    """The schedule sweep: scheduling re-orders work, never results.
-
-    Skewed-cone circuits (one huge fanout cone next to many tiny ones)
-    are the adversarial topology - cost-weighted partitioning reorders
-    the fault list hardest and the cross-site coalescer has the most
-    two-lane stuck-at-pair batches to merge - so every engine x
-    schedule combination is held bit-identical to the interpreted
-    oracle on exactly that shape.
-    """
-
-    def test_fault_simulate_identical_on_skewed_cones(self, engine, schedule, jobs):
-        network = skewed_cone_network(depth=9, islands=6)
-        patterns = PatternSet.random(network.inputs, 160, seed=29)
-        faults = all_faults(network)
-        results_identical(
-            fault_simulate(
-                network, patterns, faults, engine=engine, schedule=schedule,
-                jobs=jobs,
-            ),
-            oracle_result(network, patterns, faults),
-        )
-
-    def test_first_detection_identical_on_skewed_cones(self, engine, schedule, jobs):
-        network = skewed_cone_network(depth=6, islands=4)
-        patterns = PatternSet.random(
-            network.inputs, FIRST_DETECTION_CHUNK + 32, seed=33
-        )
-        faults = all_faults(network)
-        results_identical(
-            fault_simulate(
-                network,
-                patterns,
-                faults,
-                stop_at_first_detection=True,
-                engine=engine,
-                schedule=schedule,
-                jobs=jobs,
-            ),
-            oracle_result(network, patterns, faults, stop_at_first_detection=True),
-        )
-
-    def test_difference_words_identical_on_skewed_cones(self, engine, schedule, jobs):
-        network = skewed_cone_network(depth=7, islands=5)
-        patterns = PatternSet.random(network.inputs, 130, seed=37)
-        faults = all_faults(network)
-        assert get_engine(engine).difference_words(
-            network, patterns, faults, jobs=jobs, schedule=schedule
-        ) == reference_difference_words(network, patterns, faults)
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("schedule", SCHEDULES)
 @settings(max_examples=6)
 @given(
     depth=st.integers(min_value=1, max_value=12),
@@ -401,16 +353,16 @@ class TestEveryEngineScheduleCombination:
     count=st.integers(min_value=1, max_value=220),
     seed=st.integers(min_value=0, max_value=255),
 )
-def test_property_engine_schedule_identical_on_skewed_circuits(
-    engine, schedule, depth, islands, count, seed
+def test_property_engine_identical_on_skewed_circuits(
+    engine, depth, islands, count, seed
 ):
-    """Property: every engine x schedule combination matches the oracle
-    on hypothesis-generated skewed circuits and pattern sets."""
+    """Property: every engine matches the oracle on hypothesis-generated
+    skewed circuits and pattern sets."""
     network = skewed_cone_network(depth=depth, islands=islands)
     patterns = PatternSet.random(network.inputs, count, seed=seed)
     faults = all_faults(network)
     results_identical(
-        fault_simulate(network, patterns, faults, engine=engine, schedule=schedule),
+        fault_simulate(network, patterns, faults, engine=engine),
         oracle_result(network, patterns, faults),
     )
 
@@ -420,8 +372,8 @@ _ORACLE_CACHE = {}
 
 def _cached_oracle(key, network, patterns, faults, **kwargs):
     """One oracle run per (circuit, pattern) configuration for the
-    engine x schedule x plan sweep - 45 combinations re-deriving the
-    same interpreted reference would dominate the harness's runtime."""
+    engine x width sweep - every combination re-deriving the same
+    interpreted reference would dominate the harness's runtime."""
     cached = _ORACLE_CACHE.get(key)
     if cached is None:
         cached = oracle_result(network, patterns, faults, **kwargs)
@@ -430,46 +382,36 @@ def _cached_oracle(key, network, patterns, faults, **kwargs):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("schedule", SCHEDULES)
-@pytest.mark.parametrize("tuning", TUNINGS)
-class TestEveryEngineSchedulePlanCombination:
-    """The full sweep: plans re-tile work, schedules re-order it, and
-    neither - in any combination, on any engine - may move a bit.
+class TestEveryEngineWidthCombination:
+    """The width sweep: chunks and windows re-tile work, pooled
+    partitions re-order it, and neither - in any combination, on any
+    engine - may move a bit.
 
-    The skewed-cone circuit is the adversary for both at once: the
-    spine's deep cones get the narrowest tuned chunks while the
-    coalescer merges the islands' underfilled batches, and the
-    adversarial profile forces one-word chunks and 64-pattern windows
-    whose tails do not divide the pattern count.
+    The skewed-cone circuit (one huge fanout cone next to many tiny
+    ones) is the adversary for both at once: cost-weighted partitioning
+    reorders the fault list hardest, the coalescer merges the islands'
+    underfilled batches, and the adversarial widths force one-word
+    chunks and windows whose tails do not divide the pattern count.
     """
 
-    def test_fault_simulate_identical_on_skewed_cones(
-        self, engine, schedule, tuning, tuning_specs, jobs
-    ):
+    def test_fault_simulate_identical_on_skewed_cones(self, engine, widths, jobs):
         network = skewed_cone_network(depth=9, islands=6)
         patterns = PatternSet.random(network.inputs, 163, seed=47)
         faults = all_faults(network)
         results_identical(
-            fault_simulate(
-                network, patterns, faults, engine=engine, schedule=schedule,
-                tune=tuning_specs[tuning], jobs=jobs,
-            ),
+            fault_simulate(network, patterns, faults, engine=engine, jobs=jobs),
             _cached_oracle("skew-plan-sweep", network, patterns, faults),
         )
 
-    def test_collapsed_run_identical_on_skewed_cones(
-        self, engine, schedule, tuning, tuning_specs, jobs
-    ):
+    def test_collapsed_run_identical_on_skewed_cones(self, engine, widths, jobs):
         """The collapse sweep dimension: simulating one representative
         per structural equivalence class and scattering the outcomes
-        back must be bit-identical on every engine x schedule x plan
-        combination."""
+        back must be bit-identical on every engine x width combination."""
         network = skewed_cone_network(depth=9, islands=6)
         patterns = PatternSet.random(network.inputs, 163, seed=47)
         faults = all_faults(network)
         collapsed = fault_simulate(
-            network, patterns, faults, engine=engine, schedule=schedule,
-            tune=tuning_specs[tuning], collapse="on", jobs=jobs,
+            network, patterns, faults, engine=engine, collapse="on", jobs=jobs,
         )
         results_identical(
             collapsed,
@@ -477,6 +419,31 @@ class TestEveryEngineSchedulePlanCombination:
         )
         assert collapsed.collapsed_classes is not None
         assert collapsed.collapsed_classes <= collapsed.fault_count
+
+    def test_first_detection_identical_on_skewed_cones(self, engine, widths, jobs):
+        network = skewed_cone_network(depth=6, islands=4)
+        patterns = PatternSet.random(
+            network.inputs, FIRST_DETECTION_CHUNK + 32, seed=51
+        )
+        faults = all_faults(network)
+        results_identical(
+            fault_simulate(
+                network, patterns, faults, stop_at_first_detection=True,
+                engine=engine, jobs=jobs,
+            ),
+            _cached_oracle(
+                "skew-plan-first", network, patterns, faults,
+                stop_at_first_detection=True,
+            ),
+        )
+
+    def test_difference_words_identical_on_skewed_cones(self, engine, widths, jobs):
+        network = skewed_cone_network(depth=7, islands=5)
+        patterns = PatternSet.random(network.inputs, 130, seed=53)
+        faults = all_faults(network)
+        assert get_engine(engine).difference_words(
+            network, patterns, faults, jobs=jobs
+        ) == reference_difference_words(network, patterns, faults)
 
 
 #: Cache modes the harness sweeps: caching disabled, the in-memory
@@ -494,9 +461,8 @@ def _cache_spec(mode, tmp_path):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("cache_mode", CACHE_SWEEP)
-class TestEveryEngineScheduleCacheCombination:
+class TestEveryEngineCacheCombination:
     """The cache sweep dimension: a warm store only skips
     re-derivation.  Each combination runs cold then warm on the same
     store - both must match the cache-free oracle bit for bit, on the
@@ -504,19 +470,17 @@ class TestEveryEngineScheduleCacheCombination:
     artifacts)."""
 
     def test_cached_rerun_identical_on_skewed_cones(
-        self, engine, schedule, cache_mode, tmp_path
+        self, engine, cache_mode, tmp_path
     ):
         network = skewed_cone_network(depth=9, islands=6)
         patterns = PatternSet.random(network.inputs, 163, seed=47)
         faults = all_faults(network)
         spec = _cache_spec(cache_mode, tmp_path)
         cold = fault_simulate(
-            network, patterns, faults, engine=engine, schedule=schedule,
-            collapse="on", cache=spec,
+            network, patterns, faults, engine=engine, collapse="on", cache=spec,
         )
         warm = fault_simulate(
-            network, patterns, faults, engine=engine, schedule=schedule,
-            collapse="on", cache=spec,
+            network, patterns, faults, engine=engine, collapse="on", cache=spec,
         )
         results_identical(
             cold, _cached_oracle("skew-plan-sweep", network, patterns, faults)
@@ -525,28 +489,21 @@ class TestEveryEngineScheduleCacheCombination:
 
 
 @pytest.mark.parametrize("engine", ("compiled", "vector"))
-@pytest.mark.parametrize("tuning", TUNINGS)
 @pytest.mark.parametrize("cache_mode", CACHE_SWEEP)
-class TestEveryPlanCacheCombination:
-    """The plan x cache cross: tuned plans re-tile the cached slot
-    programs and batch plans, and a warm store must hand back artifacts
-    that re-tile to the same bits."""
+class TestEveryWidthCacheCombination:
+    """The width x cache cross: widths re-tile the cached slot programs
+    and batch plans (which are keyed on the pricing constants), and a
+    warm store must hand back artifacts that re-tile to the same bits."""
 
-    def test_cached_rerun_identical_under_every_plan(
-        self, engine, tuning, cache_mode, tuning_specs, tmp_path
+    def test_cached_rerun_identical_under_every_width(
+        self, engine, widths, cache_mode, tmp_path
     ):
         network = skewed_cone_network(depth=9, islands=6)
         patterns = PatternSet.random(network.inputs, 163, seed=47)
         faults = all_faults(network)
         spec = _cache_spec(cache_mode, tmp_path)
-        cold = fault_simulate(
-            network, patterns, faults, engine=engine,
-            tune=tuning_specs[tuning], cache=spec,
-        )
-        warm = fault_simulate(
-            network, patterns, faults, engine=engine,
-            tune=tuning_specs[tuning], cache=spec,
-        )
+        cold = fault_simulate(network, patterns, faults, engine=engine, cache=spec)
+        warm = fault_simulate(network, patterns, faults, engine=engine, cache=spec)
         results_identical(
             cold, _cached_oracle("skew-plan-sweep", network, patterns, faults)
         )
@@ -554,58 +511,17 @@ class TestEveryPlanCacheCombination:
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("tuning", TUNINGS)
-class TestEveryEnginePlanCombination:
-    """The engine x plan surfaces beyond plain fault simulation."""
-
-    def test_first_detection_identical_under_every_plan(
-        self, engine, tuning, tuning_specs
-    ):
-        network = skewed_cone_network(depth=6, islands=4)
-        patterns = PatternSet.random(
-            network.inputs, FIRST_DETECTION_CHUNK + 32, seed=51
-        )
-        faults = all_faults(network)
-        results_identical(
-            fault_simulate(
-                network,
-                patterns,
-                faults,
-                stop_at_first_detection=True,
-                engine=engine,
-                tune=tuning_specs[tuning],
-            ),
-            _cached_oracle(
-                "skew-plan-first", network, patterns, faults,
-                stop_at_first_detection=True,
-            ),
-        )
-
-    def test_difference_words_identical_under_every_plan(
-        self, engine, tuning, tuning_specs
-    ):
-        network = skewed_cone_network(depth=7, islands=5)
-        patterns = PatternSet.random(network.inputs, 130, seed=53)
-        faults = all_faults(network)
-        assert get_engine(engine).difference_words(
-            network, patterns, faults, tune=tuning_specs[tuning]
-        ) == reference_difference_words(network, patterns, faults)
-
-
-@pytest.mark.parametrize("engine", ENGINES)
 def test_chunks_that_do_not_divide_the_word_count_are_exact(engine):
-    """The odd-chunk adversary: a cache budget sized so windows span
-    many words while per-cone chunk widths land on non-divisors of the
-    word count (and differ cone by cone) - the boundary arithmetic the
-    per-cone planner must get right where one global chunk never could.
-    """
+    """The odd-chunk adversary: windows span many words while the chunk
+    width is a non-divisor of the word count - the boundary arithmetic
+    every chunked cone pass must get right."""
     network = skewed_cone_network(depth=9, islands=6)
     patterns = PatternSet.random(network.inputs, 1000, seed=59)  # 16 words
     faults = all_faults(network)
+    with patched_widths(ODD_CHUNK_WIDTHS):
+        result = fault_simulate(network, patterns, faults, engine=engine)
     results_identical(
-        fault_simulate(network, patterns, faults, engine=engine,
-                       tune=ODD_CHUNK_TUNING),
-        _cached_oracle("skew-odd-chunks", network, patterns, faults),
+        result, _cached_oracle("skew-odd-chunks", network, patterns, faults)
     )
 
 
@@ -616,24 +532,20 @@ def test_chunks_that_do_not_divide_the_word_count_are_exact(engine):
     depth=st.integers(min_value=1, max_value=10),
     islands=st.integers(min_value=0, max_value=6),
     count=st.integers(min_value=1, max_value=220),
-    cache_words=st.integers(min_value=1, max_value=4096),
+    chunk=st.integers(min_value=1, max_value=6),
+    window=st.integers(min_value=1, max_value=256),
 )
-def test_property_tuned_plans_identical_on_skewed_circuits(
-    engine, jobs, depth, islands, count, cache_words
+def test_property_widths_identical_on_skewed_circuits(
+    engine, jobs, depth, islands, count, chunk, window
 ):
-    """Property: arbitrary cache budgets (hence arbitrary chunk/window
-    geometries) never move a bit on the engines that consume them."""
-    profile = TuningProfile(
-        name="prop", word_ns=1.0, call_ns=3.0, block_ns=2.0,
-        cache_words=cache_words,
-    )
+    """Property: arbitrary chunk and window widths never move a bit on
+    the engines that consume them."""
     network = skewed_cone_network(depth=depth, islands=islands)
     patterns = PatternSet.random(network.inputs, count, seed=count)
     faults = all_faults(network)
-    with pooling(jobs):
-        result = fault_simulate(
-            network, patterns, faults, engine=engine, tune=profile, jobs=jobs
-        )
+    widths = ((vector, "VECTOR_CHUNK", chunk), (vector, "VECTOR_WINDOW", window))
+    with pooling(jobs), patched_widths(widths):
+        result = fault_simulate(network, patterns, faults, engine=engine, jobs=jobs)
     results_identical(result, oracle_result(network, patterns, faults))
 
 
@@ -662,50 +574,42 @@ def test_property_window_widths_exact(engine, seed, count, window):
     count=st.integers(min_value=1, max_value=200),
     window=st.integers(min_value=1, max_value=64),
     inner=st.sampled_from(ENGINES),
-    schedule=st.sampled_from(SCHEDULES),
 )
-def test_property_pooled_window_widths_exact(seed, count, window, inner, schedule):
+def test_property_pooled_window_widths_exact(seed, count, window, inner):
     """Property: the worker pool composes exactly with any engine's
-    window core at any window width, under any schedule."""
+    window core at any window width."""
     network = random_network(n_inputs=5, n_gates=9, seed=seed)
     patterns = PatternSet.random(network.inputs, count, seed=seed ^ 0x5555)
     faults = all_faults(network)
     with pooling(2):
         outcomes = windowed_outcomes(
-            network, patterns, faults, window, False, inner, schedule, jobs=2
+            network, patterns, faults, window, False, inner, jobs=2
         )
     pooled = build_result(network.name, patterns.count, faults, outcomes)
     results_identical(pooled, oracle_result(network, patterns, faults))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("schedule", SCHEDULES)
-@pytest.mark.parametrize("tuning", ("default", "adversarial", "auto"))
+@pytest.mark.parametrize("profile", sorted(WIDTHS))
 @settings(max_examples=3)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     count=st.integers(min_value=1, max_value=200),
 )
-def test_property_collapsed_identical_on_every_engine_schedule_plan(
-    engine, schedule, tuning, seed, count
+def test_property_collapsed_identical_on_every_engine_width(
+    engine, profile, seed, count
 ):
     """Property: ``collapse="on"`` is bit-identical to the uncollapsed
-    run across every engine x schedule x plan combination, on arbitrary
-    random circuits and pattern sets - the tentpole contract."""
-    tune = ADVERSARIAL_TUNING if tuning == "adversarial" else tuning
+    run across every engine x width combination, on arbitrary random
+    circuits and pattern sets."""
     network = random_network(n_inputs=5, n_gates=11, seed=seed)
     patterns = PatternSet.random(network.inputs, count, seed=seed ^ 0x3333)
     faults = all_faults(network)
-    results_identical(
-        fault_simulate(
-            network, patterns, faults, engine=engine, schedule=schedule,
-            tune=tune, collapse="on",
-        ),
-        fault_simulate(
-            network, patterns, faults, engine=engine, schedule=schedule,
-            tune=tune,
-        ),
-    )
+    with patched_widths(WIDTHS[profile]):
+        results_identical(
+            fault_simulate(network, patterns, faults, engine=engine, collapse="on"),
+            fault_simulate(network, patterns, faults, engine=engine),
+        )
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -845,40 +749,6 @@ class TestRegistryErrorPaths:
         assert available_engines() == before
         assert get_engine("compiled") is engine
 
-    def test_fault_simulate_rejects_unknown_schedule_on_every_engine(self):
-        network = and_cone(3)
-        patterns = PatternSet.exhaustive(network.inputs)
-        for engine in ENGINES:
-            with pytest.raises(ValueError, match="unknown schedule"):
-                fault_simulate(
-                    network, patterns, engine=engine, schedule="turbo"
-                )
-
-    def test_difference_words_rejects_unknown_schedule_on_every_engine(self):
-        """Regression: the estimator path enters through
-        ``Engine.difference_words``, which bypasses ``fault_simulate``'s
-        up-front check - the serial engines must still reject bad
-        schedule names there instead of silently ignoring them."""
-        network = and_cone(3)
-        patterns = PatternSet.exhaustive(network.inputs)
-        faults = all_faults(network)
-        for engine in ENGINES:
-            with pytest.raises(ValueError, match="unknown schedule"):
-                get_engine(engine).difference_words(
-                    network, patterns, faults, schedule="turbo"
-                )
-
-    def test_unknown_schedule_message_lists_sorted_available_schedules(self):
-        from repro.simulate import get_schedule
-
-        with pytest.raises(ValueError) as excinfo:
-            get_schedule("turbo")
-        assert str(excinfo.value) == (
-            "unknown schedule 'turbo'; available schedules: "
-            + ", ".join(SCHEDULES)
-        )
-        assert list(SCHEDULES) == sorted(SCHEDULES)
-
     def test_cli_engine_choices_match_registry(self):
         """ENGINE_CHOICES is spelled out in cli.py (to keep --help free
         of the simulate import cost); it must not drift from the
@@ -886,11 +756,6 @@ class TestRegistryErrorPaths:
         from repro.cli import ENGINE_CHOICES
 
         assert tuple(sorted(ENGINE_CHOICES)) == ENGINES
-
-    def test_cli_schedule_choices_match_registry(self):
-        from repro.cli import SCHEDULE_CHOICES
-
-        assert tuple(sorted(SCHEDULE_CHOICES)) == SCHEDULES
 
     def test_cli_collapse_choices_match_module(self):
         from repro.cli import COLLAPSE_CHOICES
@@ -950,146 +815,6 @@ class TestRegistryErrorPaths:
         assert args.jobs == 2
         assert parser.parse_args(["protest", "cell.txt"]).jobs == 1
 
-    def test_cli_accepts_every_registered_schedule(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        for schedule in SCHEDULES:
-            args = parser.parse_args(
-                ["protest", "cell.txt", "--schedule", schedule]
-            )
-            assert args.schedule == schedule
-        assert parser.parse_args(["protest", "cell.txt"]).schedule is None
-
-    def test_cli_rejects_unknown_schedule_with_registry_message(self, capsys):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["protest", "cell.txt", "--schedule", "turbo"])
-        stderr = capsys.readouterr().err
-        assert "unknown schedule 'turbo'; available schedules: " + ", ".join(
-            SCHEDULES
-        ) in stderr
-
-
-class TestTuningErrorPaths:
-    """The --tune error contract: unknown plan names/paths and
-    malformed profile JSON raise the tuning module's exact message on
-    every entry point, drift-tested like ENGINE_CHOICES and
-    SCHEDULE_CHOICES."""
-
-    UNKNOWN = "no/such/profile.json"
-
-    @pytest.fixture()
-    def malformed_path(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{definitely not json")
-        return str(path)
-
-    def _exact_message(self, spec):
-        with pytest.raises(ValueError) as excinfo:
-            resolve_plan(spec)
-        return str(excinfo.value)
-
-    def test_unknown_plan_message_lists_available_plans(self):
-        assert self._exact_message(self.UNKNOWN) == (
-            f"unknown tuning plan {self.UNKNOWN!r}; available plans: "
-            + ", ".join(available_tunings())
-            + " (or a tuning-profile JSON path)"
-        )
-        assert list(available_tunings()) == sorted(available_tunings())
-
-    def test_fault_simulate_rejects_bad_plans_on_every_engine(
-        self, malformed_path
-    ):
-        network = and_cone(3)
-        patterns = PatternSet.exhaustive(network.inputs)
-        unknown = self._exact_message(self.UNKNOWN)
-        malformed = self._exact_message(malformed_path)
-        assert malformed.startswith(f"invalid tuning profile {malformed_path!r}")
-        for engine in ENGINES:
-            for spec, message in ((self.UNKNOWN, unknown), (malformed_path, malformed)):
-                with pytest.raises(ValueError) as excinfo:
-                    fault_simulate(network, patterns, engine=engine, tune=spec)
-                assert str(excinfo.value) == message, engine
-
-    def test_difference_words_rejects_bad_plans_on_every_engine(
-        self, malformed_path
-    ):
-        """The estimator path enters through ``Engine.difference_words``,
-        which bypasses ``fault_simulate``'s up-front check - the serial
-        engines must still reject bad plans there too."""
-        network = and_cone(3)
-        patterns = PatternSet.exhaustive(network.inputs)
-        faults = all_faults(network)
-        for engine in ENGINES:
-            for spec in (self.UNKNOWN, malformed_path):
-                with pytest.raises(ValueError) as excinfo:
-                    get_engine(engine).difference_words(
-                        network, patterns, faults, tune=spec
-                    )
-                assert str(excinfo.value) == self._exact_message(spec), engine
-
-    def test_estimators_and_facade_reject_bad_plans(self, malformed_path):
-        from repro.protest import (
-            Protest,
-            detection_probabilities,
-            monte_carlo_detection_probabilities,
-            optimize_input_probabilities,
-        )
-
-        network = and_cone(3)
-        for spec in (self.UNKNOWN, malformed_path):
-            message = self._exact_message(spec)
-            for entry in (
-                lambda: coverage_curve(
-                    network, PatternSet.exhaustive(network.inputs), tune=spec
-                ),
-                lambda: monte_carlo_detection_probabilities(
-                    network, all_faults(network), samples=8, tune=spec
-                ),
-                lambda: detection_probabilities(network, tune=spec),
-                lambda: optimize_input_probabilities(
-                    network, max_sweeps=1, tune=spec
-                ),
-                lambda: Protest(network, tune=spec).validate(8),
-            ):
-                with pytest.raises(ValueError) as excinfo:
-                    entry()
-                assert str(excinfo.value) == message
-
-    def test_cli_tune_choices_match_module(self):
-        from repro.cli import TUNE_CHOICES
-
-        assert tuple(sorted(TUNE_CHOICES)) == available_tunings()
-
-    def test_cli_rejects_bad_plans_with_module_message(
-        self, capsys, malformed_path
-    ):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        for spec in (self.UNKNOWN, malformed_path):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["protest", "cell.txt", "--tune", spec])
-            assert self._exact_message(spec) in capsys.readouterr().err
-
-    def test_cli_accepts_builtin_plans_and_profile_paths(self, tmp_path):
-        from repro.cli import TUNE_CHOICES, build_parser
-
-        parser = build_parser()
-        for tune in TUNE_CHOICES:
-            args = parser.parse_args(["protest", "cell.txt", "--tune", tune])
-            assert args.tune == tune
-        path = str(tmp_path / "host.json")
-        resolve_plan("default").profile.save(path)
-        assert parser.parse_args(
-            ["protest", "cell.txt", "--tune", path]
-        ).tune == path
-        assert parser.parse_args(["protest", "cell.txt"]).tune is None
-
-
 class TestEstimatorsAcrossEngines:
     def test_monte_carlo_estimators_identical_across_engines(self):
         from repro.protest import (
@@ -1134,38 +859,18 @@ class TestEstimatorsAcrossEngines:
                 reference,
             )
 
-    def test_protest_facade_identical_across_schedules(self):
+    def test_protest_facade_identical_across_widths(self, widths):
         from repro.protest import Protest
 
         network = skewed_cone_network(depth=5, islands=3)
         reference = Protest(network, engine="interpreted").validate(200, seed=7)
-        for schedule in SCHEDULES:
-            for engine in ("compiled", "vector"):
-                results_identical(
-                    Protest(
-                        network, engine=engine, jobs=2, schedule=schedule
-                    ).validate(200, seed=7),
-                    reference,
-                )
+        for engine in ("compiled", "vector"):
+            results_identical(
+                Protest(network, engine=engine, jobs=2).validate(200, seed=7),
+                reference,
+            )
 
-    def test_protest_facade_identical_across_tuning_plans(self, tuning_specs):
-        from repro.protest import Protest
-
-        network = skewed_cone_network(depth=5, islands=3)
-        reference = Protest(network, engine="interpreted").validate(200, seed=7)
-        for tuning in TUNINGS:
-            for engine in ("compiled", "vector"):
-                results_identical(
-                    Protest(
-                        network, engine=engine, jobs=2,
-                        tune=tuning_specs[tuning],
-                    ).validate(200, seed=7),
-                    reference,
-                )
-
-    def test_monte_carlo_estimators_identical_across_tuning_plans(
-        self, tuning_specs
-    ):
+    def test_monte_carlo_estimators_identical_across_widths(self, widths):
         from repro.protest import monte_carlo_detection_probabilities
 
         network = skewed_cone_network(depth=5, islands=3)
@@ -1173,12 +878,10 @@ class TestEstimatorsAcrossEngines:
         reference = monte_carlo_detection_probabilities(
             network, faults, samples=512, engine="interpreted"
         )
-        for tuning in TUNINGS:
-            for engine in ("compiled", "vector"):
-                assert monte_carlo_detection_probabilities(
-                    network, faults, samples=512, engine=engine,
-                    tune=tuning_specs[tuning],
-                ) == reference, (engine, tuning)
+        for engine in ("compiled", "vector"):
+            assert monte_carlo_detection_probabilities(
+                network, faults, samples=512, engine=engine
+            ) == reference, engine
 
     def test_monte_carlo_estimator_identical_under_collapse(self):
         """Class members have identical difference words, so the
@@ -1273,22 +976,15 @@ class TestStreamingSourcesAcrossEngines:
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("schedule", SCHEDULES)
-@pytest.mark.parametrize("tuning", TUNINGS)
-def test_lfsr_source_identical_over_schedule_plan_sweep(
-    engine, schedule, tuning, tuning_specs, jobs
-):
-    """The source seam composes with the full engine x schedule x plan
+def test_lfsr_source_identical_over_width_sweep(engine, widths, jobs):
+    """The source seam composes with the full engine x width x jobs
     sweep: re-ordering and re-tiling windowed passes over generated (not
     materialised) windows never moves a bit."""
     network = skewed_cone_network(depth=6, islands=4)
     source = LfsrSource(network.inputs, 230, seed=29)
     faults = all_faults(network)
     results_identical(
-        fault_simulate(
-            network, source, faults, engine=engine, jobs=jobs,
-            schedule=schedule, tune=tuning_specs[tuning],
-        ),
+        fault_simulate(network, source, faults, engine=engine, jobs=jobs),
         _cached_oracle(
             "stream-sweep", network, source.materialise(), faults
         ),
@@ -1371,18 +1067,14 @@ def _streaming_reference():
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("schedule", SCHEDULES)
-@pytest.mark.parametrize("tuning", TUNINGS)
 @pytest.mark.parametrize("collapse", ("off", "on"))
-def test_streaming_session_stopping_window_full_sweep(
-    engine, schedule, tuning, collapse, tuning_specs
-):
+def test_streaming_session_stopping_window_full_sweep(engine, widths, collapse):
     """Sessions run *through* the engines' batched window cores now, so
     the stopping window must survive the whole differential sweep:
-    every engine x schedule x plan x collapse combination consumes the
-    same number of patterns, retires the same weight and reports the
-    same curve as the interpreted consumer - scheduling only reorders
-    work, plans only re-tile it, collapse only deduplicates it."""
+    every engine x width x collapse combination consumes the same
+    number of patterns, retires the same weight and reports the same
+    curve as the interpreted consumer - widths only re-tile work,
+    collapse only deduplicates it."""
     network, reference = _streaming_reference()
     result = streaming_coverage(
         network,
@@ -1392,8 +1084,6 @@ def test_streaming_session_stopping_window_full_sweep(
         confidence=0.95,
         engine=engine,
         jobs=2,
-        schedule=schedule,
-        tune=tuning_specs[tuning],
         collapse=collapse,
     )
     assert result.pattern_count == reference.pattern_count

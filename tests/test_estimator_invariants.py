@@ -17,8 +17,13 @@ from hypothesis import strategies as st
 from engine_test_utils import all_faults
 
 from repro.circuits.generators import random_network
-from repro.simulate import PatternSet, coverage_curve, fault_simulate, merge_results
-from repro.simulate.sharded import shard_bounds
+from repro.simulate import (
+    PatternSet,
+    coverage_curve,
+    fault_simulate,
+    merge_results,
+    partition_faults,
+)
 
 
 def results_order_independent(a, b):
@@ -69,8 +74,8 @@ def test_merge_results_order_independent(seed, count, shards, permutation_seed):
     faults = all_faults(network)
     whole = fault_simulate(network, patterns, faults)
     parts = [
-        fault_simulate(network, patterns, faults[lo:hi])
-        for lo, hi in shard_bounds(len(faults), shards)
+        fault_simulate(network, patterns, [faults[i] for i in shard])
+        for shard in partition_faults(network, faults, shards)
     ]
     permuted = parts[:]
     permutation_seed.shuffle(permuted)
@@ -89,8 +94,10 @@ def test_merge_results_associative(seed, count, split):
     network = random_network(n_inputs=5, n_gates=8, seed=seed)
     patterns = PatternSet.random(network.inputs, count, seed=seed ^ 0x4321)
     faults = all_faults(network)
-    bounds = shard_bounds(len(faults), 4)
-    parts = [fault_simulate(network, patterns, faults[lo:hi]) for lo, hi in bounds]
+    parts = [
+        fault_simulate(network, patterns, [faults[i] for i in shard])
+        for shard in partition_faults(network, faults, 4)
+    ]
     flat = merge_results(parts)
     pivot = max(1, min(len(parts) - 1, split)) if len(parts) > 1 else 1
     if len(parts) == 1:

@@ -1,7 +1,7 @@
 """Every engine against the interpreted oracle at ISCAS scale.
 
 The differential harness (``test_engine_equivalence.py``) sweeps every
-engine, schedule and plan over small circuits, where a fanout-free
+engine over small circuits, where a fanout-free
 region rarely spans more than a few gates.  This file runs the same
 contract once on a 10k-gate netlist parsed from ``.bench`` text:
 128 sampled fault classes at 1,024 patterns, every registered engine,
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from engine_test_utils import all_faults
+from engine_test_utils import all_faults, bench_text
 from words_reference import reference_difference_words
 
 from repro.faults.structural import collapse_network_faults
@@ -23,27 +23,6 @@ from repro.simulate import PatternSet, available_engines, get_engine, sharded
 GATES = 10_000
 SAMPLED_CLASSES = 128
 PATTERNS = 1024
-
-
-def bench_text(n_gates, n_inputs=64, locality=64, seed=1986):
-    """``.bench`` text of a random two-input AND/OR DAG with
-    the ``large_random_network`` wiring shape (one input from a trailing
-    window, one from anywhere).  As in ISCAS85, every gate output no
-    gate reads is a primary output."""
-    rng = random.Random(seed)
-    kinds = ("AND", "OR")
-    nets = [f"x{k}" for k in range(n_inputs)]
-    read = set()
-    body = []
-    for g in range(n_gates):
-        a = nets[rng.randrange(max(0, len(nets) - locality), len(nets))]
-        b = nets[rng.randrange(len(nets))]
-        body.append(f"n{g} = {rng.choice(kinds)}({a}, {b})")
-        read.update((a, b))
-        nets.append(f"n{g}")
-    lines = [f"INPUT(x{k})" for k in range(n_inputs)]
-    lines += [f"OUTPUT(n{g})" for g in range(n_gates) if f"n{g}" not in read]
-    return "\n".join(lines + body) + "\n"
 
 
 @pytest.fixture(scope="module")

@@ -6,18 +6,19 @@ Three layers of the cone-cost scheduler
 * the **cost model** - cone gate counts must match an independent BFS
   over :class:`Network` fanout (the scheduler walks the *compiled*
   program's reader lists; the two structures must agree gate for gate);
-* the **schedulers** - by hypothesis property, every scheduler output
-  is an exact disjoint cover of the fault list (a permutation of the
-  input: no loss, no duplication) with no empty shard, for arbitrary
-  fault counts, shard counts and cost vectors - ``shards > count`` and
-  the empty fault list included - plus the LPT balance guarantee;
+* the **LPT scheduler** - by hypothesis property, its output is an
+  exact disjoint cover of the fault list (a permutation of the input:
+  no loss, no duplication) with no empty shard, for arbitrary fault
+  counts, shard counts and cost vectors - ``shards > count`` and the
+  empty fault list included - plus the LPT balance guarantee;
 * the **vector coalescer** - plans cover every fault exactly once,
   respect the batch bound, only merge sound site sets (no site driven
-  from inside the union cone), and the merged pass is bit-identical to
-  the per-group passes it replaces.
+  from inside the union cone), are keyed in the artifact store on the
+  pricing constants, and the merged pass is bit-identical to the
+  per-group passes it replaces.
 
-Cross-engine bit-identity of every engine x schedule combination lives
-in the differential harness (``test_engine_equivalence.py``).
+Cross-engine bit-identity of pooled and coalesced runs lives in the
+differential harness (``test_engine_equivalence.py``).
 """
 
 import pytest
@@ -34,25 +35,17 @@ from repro.circuits.generators import (
     skewed_cone_network,
 )
 from repro.netlist import Network
-from repro.simulate import PatternSet, fault_costs, partition_faults
+from repro.simulate import ArtifactStore, PatternSet, fault_costs, partition_faults
+from repro.simulate import vector as vector_module
 from repro.simulate.compiled import compile_network
 from repro.simulate.schedule import (
-    DEFAULT_SCHEDULE,
-    SCHEDULES,
-    available_schedules,
+    cone_counts_batch,
     cone_gate_count,
-    contiguous_schedule,
+    cone_gates,
     cost_schedule,
     fault_site,
-    get_schedule,
-    interleaved_schedule,
 )
-from repro.simulate.sharded import shard_bounds
-from repro.simulate.vector import (
-    COALESCE_MAX_BATCH,
-    vector_compile,
-)
-from repro.simulate.schedule import cone_counts_batch, cone_gates
+from repro.simulate.vector import COALESCE_MAX_BATCH, vector_compile
 
 
 FIXED_CIRCUITS = [
@@ -157,7 +150,7 @@ def test_skewed_network_is_actually_skewed():
     assert cone_gate_count(compiled, compiled.slot_of_net["z0"]) == 0
 
 
-# -- scheduler partition invariants (hypothesis) ---------------------------------------
+# -- LPT partition invariants (hypothesis) ---------------------------------------------
 
 
 cost_vectors = st.lists(st.integers(min_value=0, max_value=50), max_size=120)
@@ -172,13 +165,12 @@ def assert_exact_disjoint_cover(parts, count, shards):
         assert parts == []
 
 
-@pytest.mark.parametrize("name", available_schedules())
 @settings(max_examples=60)
 @given(costs=cost_vectors, shards=st.integers(min_value=1, max_value=40))
-def test_property_every_schedule_is_an_exact_disjoint_cover(name, costs, shards):
+def test_property_cost_schedule_is_an_exact_disjoint_cover(costs, shards):
     """The core contract, for arbitrary counts, shard counts and cost
     vectors - ``shards > count`` and the empty fault list included."""
-    parts = SCHEDULES[name](costs, shards)
+    parts = cost_schedule(costs, shards)
     assert_exact_disjoint_cover(parts, len(costs), shards)
 
 
@@ -193,53 +185,52 @@ def test_property_lpt_balance_guarantee(costs, shards):
     assert max(loads) <= min(loads) + max(costs)
 
 
-@settings(max_examples=40)
-@given(count=st.integers(min_value=0, max_value=120), shards=st.integers(1, 40))
-def test_property_contiguous_and_interleaved_shapes(count, shards):
-    costs = [1] * count
-    contiguous = contiguous_schedule(costs, shards)
-    for part in contiguous:  # contiguous runs
-        assert part == list(range(part[0], part[0] + len(part)))
-    interleaved = interleaved_schedule(costs, shards)
-    for stripe, part in enumerate(interleaved):  # round-robin stripes
-        assert part == list(range(stripe, count, len(interleaved)))
-
-
 @settings(max_examples=25)
 @given(
     depth=st.integers(min_value=1, max_value=10),
     islands=st.integers(min_value=0, max_value=6),
     shards=st.integers(min_value=1, max_value=9),
-    name=st.sampled_from(available_schedules()),
 )
-def test_property_partition_faults_covers_real_fault_lists(
-    depth, islands, shards, name
-):
+def test_property_partition_faults_covers_real_fault_lists(depth, islands, shards):
     """partition_faults holds the same invariants against concrete
-    networks, and cost scheduling keeps injection-site groups whole
-    (splitting a site across workers would destroy lane fill)."""
+    networks, and keeps injection-site groups whole (splitting a site
+    across workers would destroy lane fill)."""
     network = skewed_cone_network(depth=depth, islands=islands)
     faults = all_faults(network)
-    parts = partition_faults(network, faults, shards, name)
+    parts = partition_faults(network, faults, shards)
     flat = [index for part in parts for index in part]
     assert sorted(flat) == list(range(len(faults)))
     assert all(part for part in parts)
     assert len(parts) <= shards
-    if name == "cost":
-        compiled = compile_network(network)
-        shard_of_index = {
-            index: shard for shard, part in enumerate(parts) for index in part
-        }
-        site_shards = {}
-        for index, fault in enumerate(faults):
-            site = fault_site(compiled, fault)
-            site_shards.setdefault(site, set()).add(shard_of_index[index])
-        assert all(len(shards_) == 1 for shards_ in site_shards.values())
+    compiled = compile_network(network)
+    shard_of_index = {
+        index: shard for shard, part in enumerate(parts) for index in part
+    }
+    site_shards = {}
+    for index, fault in enumerate(faults):
+        site = fault_site(compiled, fault)
+        site_shards.setdefault(site, set()).add(shard_of_index[index])
+    assert all(len(shards_) == 1 for shards_ in site_shards.values())
 
 
-def test_flat_cost_vector_falls_back_to_interleaved():
+def test_partition_faults_never_hands_out_an_empty_shard():
+    """No fault list yields no shards, and more workers than sites
+    yields one shard per site - a worker is never handed nothing."""
+    network = and_cone(3)
+    faults = all_faults(network)
+    compiled = compile_network(network)
+    sites = {fault_site(compiled, fault) for fault in faults}
+    assert partition_faults(network, [], 4) == []
+    parts = partition_faults(network, faults, len(sites) + 3)
+    assert len(parts) == len(sites)
+    assert all(part for part in parts)
+
+
+def test_flat_cost_vector_falls_back_to_round_robin_stripes():
     costs = [7] * 12
-    assert cost_schedule(costs, 4) == interleaved_schedule(costs, 4)
+    assert cost_schedule(costs, 4) == [
+        [0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7, 11]
+    ]
 
 
 def test_lpt_keeps_heavy_items_apart():
@@ -256,61 +247,15 @@ def test_zero_cost_items_never_leave_a_shard_empty():
     assert_exact_disjoint_cover(parts, 5, 3)
 
 
-# -- schedule registry contracts -------------------------------------------------------
-
-
-class TestScheduleRegistry:
-    def test_available_schedules_sorted(self):
-        assert list(available_schedules()) == sorted(available_schedules())
-
-    def test_unknown_schedule_message_lists_available(self):
-        with pytest.raises(ValueError) as excinfo:
-            get_schedule("turbo")
-        assert str(excinfo.value) == (
-            "unknown schedule 'turbo'; available schedules: "
-            + ", ".join(available_schedules())
-        )
-
-    def test_none_resolves_to_default(self):
-        assert get_schedule(None) is SCHEDULES[DEFAULT_SCHEDULE]
-
-
-# -- shard_bounds regression -----------------------------------------------------------
-
-
-class TestShardBoundsNeverEmpty:
-    def test_zero_faults_yield_no_shards(self):
-        """Regression: ``shard_bounds(0, n)`` used to emit one empty
-        (0, 0) shard; no worker may ever be handed an empty shard."""
-        for shards in (1, 2, 7):
-            assert shard_bounds(0, shards) == []
-
-    def test_more_shards_than_faults_yield_singleton_shards(self):
-        for count in (1, 2, 5):
-            bounds = shard_bounds(count, count + 3)
-            assert bounds == [(k, k + 1) for k in range(count)]
-
-    @settings(max_examples=40)
-    @given(
-        count=st.integers(min_value=0, max_value=200),
-        shards=st.integers(min_value=1, max_value=40),
-    )
-    def test_property_bounds_are_a_nonempty_exact_cover(self, count, shards):
-        bounds = shard_bounds(count, shards)
-        assert all(hi > lo for lo, hi in bounds)
-        covered = [index for lo, hi in bounds for index in range(lo, hi)]
-        assert covered == list(range(count))
-
-
 # -- vector batch coalescing -----------------------------------------------------------
 
 
 class TestBatchCoalescing:
-    def _plans(self, network, schedule="cost"):
+    def _plans(self, network):
         vector = vector_compile(network)
         faults = all_faults(network)
         groups = vector.group_faults(list(enumerate(faults)))
-        return vector, faults, groups, vector.plan_batches(groups, schedule)
+        return vector, faults, groups, vector.plan_batches(groups)
 
     @pytest.mark.parametrize("network", FIXED_CIRCUITS, ids=lambda n: n.name)
     def test_plans_cover_every_fault_exactly_once(self, network):
@@ -413,7 +358,7 @@ class TestBatchCoalescing:
             patterns.env, patterns.mask
         )
         groups = vector.group_faults(list(enumerate(faults)))
-        for plan in vector.plan_batches(groups, "cost"):
+        for plan in vector.plan_batches(groups):
             if len(plan) == 1:
                 continue
             live, rows = vector.merged_difference_rows(sim_values, mask_row, plan)
@@ -436,14 +381,20 @@ class TestBatchCoalescing:
                         assert not g_rows[j].any(), index
             assert seen == set(merged_of)
 
-    def test_non_cost_schedules_keep_one_group_per_plan(self):
-        network = skewed_cone_network(depth=4, islands=4)
-        for name in ("contiguous", "interleaved"):
-            _vector, _faults, groups, plans = self._plans(network, name)
-            assert plans == [[group] for group in groups]
-
-    def test_plan_batches_rejects_unknown_schedule(self):
-        network = and_cone(3)
+    def test_stored_plans_are_keyed_on_the_pricing_constants(self, monkeypatch):
+        """A stored batch plan never outlives the constants that priced
+        it: after the pricing changes, the same store hands back the
+        plan the new constants make, not the cached one."""
+        network = skewed_cone_network(depth=16, islands=6)
         vector = vector_compile(network)
-        with pytest.raises(ValueError, match="unknown schedule"):
-            vector.plan_batches([], "turbo")
+        groups = vector.group_faults(list(enumerate(all_faults(network))))
+        store = ArtifactStore()
+        default = vector.plan_batches(groups, cache=store)
+        assert vector.plan_batches(groups, cache=store) == default
+        for name, value in (("VECTOR_CHUNK", 1), ("COALESCE_OVERHEAD_WORDS", 0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(vector_module, name, value)
+                cold = vector.plan_batches(groups, cache="off")
+                assert cold != default, name
+                assert vector.plan_batches(groups, cache=store) == cold, name
+        assert store.misses["batchplan"] == 3

@@ -4,7 +4,7 @@ Cross-engine bit-identity is held by the registry-driven differential
 harness in ``test_engine_equivalence.py``; this file keeps what is
 specific to the scale-out layer: the window iterator (including the
 whole-set-window guarantee), the one words loop at any window width,
-shard bounds, the verified merge, equivalence through a *genuine* worker
+the window each engine streams, the verified merge, equivalence through a *genuine* worker
 pool (``MIN_POOL_WORK = 0`` forces forking, which real calls skip for
 small workloads), and pools that fail loudly instead of hanging.
 """
@@ -27,19 +27,20 @@ from repro.simulate import (
     fault_simulate,
     get_engine,
     merge_results,
+    partition_faults,
     register_engine,
     registry,
     resolve_cache,
-    resolve_plan,
     sharded,
+    vector,
 )
 from repro.simulate.faultsim import (
     FaultSimResult,
     build_result,
     collect_words,
+    engine_window,
     windowed_outcomes,
 )
-from repro.simulate.sharded import shard_bounds
 
 
 CIRCUITS = differential_circuits()[:6]
@@ -106,12 +107,23 @@ class TestWindowIterator:
         reference = reference_difference_words(network, patterns, faults)
         for engine in available_engines():
             words = get_engine(engine).words_kernel(
-                network, faults, None, resolve_plan(None), resolve_cache(None)
+                network, faults, resolve_cache(None)
             )
             assert (
                 collect_words(patterns, words, range(len(faults)), width)
                 == reference
             ), engine
+
+    def test_engine_window_reads_module_constants_at_call_time(self, monkeypatch):
+        """Each engine streams its kind's window constant, read per call
+        (so a monkeypatch steers it) and clamped to the pattern count."""
+        monkeypatch.setattr(vector, "VECTOR_WINDOW", 123)
+        monkeypatch.setattr(sharded, "DEFAULT_WINDOW", 77)
+        for engine in available_engines():
+            expected = 123 if get_engine(engine).lanes else 77
+            assert engine_window(get_engine(engine), 1 << 20) == expected
+            assert engine_window(get_engine(engine), 5) == 5
+            assert engine_window(get_engine(engine), 0) == 1
 
     @pytest.mark.parametrize("width", [1, 5, 37, 100])
     def test_windowed_outcomes_match_whole_pass(self, width):
@@ -368,18 +380,15 @@ class TestShardMerge:
         patterns = PatternSet.random(network.inputs, 96, seed=8)
         faults = all_faults(network)
         whole = fault_simulate(network, patterns, faults)
-        parts = []
-        for lo, hi in shard_bounds(len(faults), 3):
-            parts.append(fault_simulate(network, patterns, faults[lo:hi]))
+        parts = [
+            fault_simulate(network, patterns, [faults[i] for i in shard])
+            for shard in partition_faults(network, faults, 3)
+        ]
         merged = merge_results(parts)
-        results_identical(merged, whole)
-
-    def test_shard_bounds_partition(self):
-        for count, shards in [(10, 3), (7, 7), (5, 16), (1, 4), (0, 2)]:
-            bounds = shard_bounds(count, shards)
-            covered = [i for lo, hi in bounds for i in range(lo, hi)]
-            assert covered == list(range(count))
-            assert len(bounds) <= max(1, min(shards, count))
+        assert len(parts) == 3
+        assert merged.detected == whole.detected
+        assert merged.detection_counts == whole.detection_counts
+        assert sorted(merged.undetected) == sorted(whole.undetected)
 
     def test_merge_rejects_mismatched_pattern_counts(self):
         a = self._result(pattern_count=64)

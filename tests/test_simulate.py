@@ -119,6 +119,16 @@ class TestFaultSimulation:
         coverages = [c for _, c in curve]
         assert coverages == sorted(coverages)
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_coverage_curve_rejects_fewer_than_one_point(self, points):
+        """``points=0`` used to divide by zero and ``points=-3`` to fall
+        back silently to one sample per pattern."""
+        network = domino_carry_chain(3)
+        patterns = PatternSet.random(network.inputs, 256)
+        with pytest.raises(ValueError, match=f"points must be >= 1, got {points}"):
+            coverage_curve(network, patterns, points=points)
+        assert len(coverage_curve(network, patterns, points=1)) == 1
+
     def test_undetectable_fault_reported(self):
         factory = CellFactory("domino-CMOS")
         network = Network("masked")

@@ -159,10 +159,8 @@ class TestBatchedWindows:
     def test_chunk_boundaries_exact(self, monkeypatch):
         """Results must not depend on the cone chunking granularity.
 
-        Regression for the import-time-constant assumption: every chunk
-        read routes through the execution plan, whose *default* plan
-        reads ``VECTOR_CHUNK`` at call time - so this monkeypatch must
-        keep steering the fault passes."""
+        Every chunk read goes to ``VECTOR_CHUNK`` at call time, so this
+        monkeypatch steers the fault passes."""
         import repro.simulate.vector as vector_module
 
         network = random_network(n_inputs=6, n_gates=14, seed=11)
@@ -177,22 +175,20 @@ class TestBatchedWindows:
             )
 
     def test_monkeypatched_chunk_actually_reaches_the_cone_loop(self, monkeypatch):
-        """The default plan must read VECTOR_CHUNK per call, not hold an
-        import-time snapshot: patching the module constant changes the
-        width the cone pass tiles with."""
+        """``VECTOR_CHUNK`` is read per call, not held as an import-time
+        snapshot: patching the module constant changes the width the
+        cone pass tiles with."""
         import repro.simulate.vector as vector_module
-        from repro.simulate.tuning import resolve_plan
 
         seen = []
-        default_plan = resolve_plan("default")
-        original = type(default_plan).chunk_words
+        original = vector_module._chunk_words
 
-        def spy(self, cone_gates, batch, n_words):
-            width = original(self, cone_gates, batch, n_words)
+        def spy(n_words):
+            width = original(n_words)
             seen.append(width)
             return width
 
-        monkeypatch.setattr(type(default_plan), "chunk_words", spy)
+        monkeypatch.setattr(vector_module, "_chunk_words", spy)
         network = random_network(n_inputs=6, n_gates=14, seed=11)
         patterns = PatternSet.random(network.inputs, 500, seed=3)
         faults = all_faults(network)
@@ -200,49 +196,15 @@ class TestBatchedWindows:
         fault_simulate(network, patterns, faults, engine="vector")
         assert seen and set(seen) == {3}
 
-    def test_tuned_plan_gives_per_cone_chunk_widths(self):
-        """What the global constant could never express: one run tiles a
-        deep spine cone narrower than a shallow island - and stays
-        bit-identical while doing it."""
-        from repro.circuits.generators import skewed_cone_network
-        from repro.simulate import TuningProfile
-        from repro.simulate.tuning import TunedPlan
+    def test_chunk_width_clamped_to_the_window(self, monkeypatch):
+        import repro.simulate.vector as vector_module
 
-        profile = TuningProfile(
-            name="per-cone", word_ns=1.0, call_ns=1.0, block_ns=1.0,
-            cache_words=512,
-        )
-        plan = TunedPlan(profile)
-        widths = []
-        original = TunedPlan.chunk_words
-
-        class Spy(TunedPlan):
-            def chunk_words(self, cone_gates, batch, n_words):
-                width = original(self, cone_gates, batch, n_words)
-                widths.append((cone_gates, width))
-                return width
-
-        network = skewed_cone_network(depth=12, islands=4)
-        patterns = PatternSet.random(network.inputs, 3000, seed=13)
-        faults = all_faults(network)
-        reference = fault_simulate(network, patterns, faults, engine="compiled")
-        results_identical(
-            fault_simulate(
-                network, patterns, faults, engine="vector", tune=Spy(profile)
-            ),
-            reference,
-        )
-        assert len({width for _cone, width in widths}) > 1
-        deepest = max(cone for cone, _width in widths)
-        shallowest = min(cone for cone, _width in widths)
-        assert max(w for c, w in widths if c == deepest) <= min(
-            w for c, w in widths if c == shallowest
-        )
-        # The same plan resolves through the registry path too.
-        results_identical(
-            fault_simulate(network, patterns, faults, engine="vector", tune=plan),
-            reference,
-        )
+        for chunk in (1, 3, 77, 4096):
+            monkeypatch.setattr(vector_module, "VECTOR_CHUNK", chunk)
+            assert vector_module._chunk_words(1 << 20) == chunk
+        monkeypatch.setattr(vector_module, "VECTOR_CHUNK", 1 << 30)
+        assert vector_module._chunk_words(10) == 10
+        assert vector_module._chunk_words(0) == 1
 
     def test_mostly_inactive_batch_compression(self):
         """A batch whose faults mostly never activate in the window is
