@@ -3,7 +3,9 @@
 Every engine registered in :mod:`repro.simulate.registry` - today
 ``interpreted``, ``compiled`` and ``vector``, and automatically any
 engine registered later - run in-process (``jobs=1``) or through a
-genuinely forked worker pool (``jobs=2``) - must be bit-identical to
+genuinely forked two- or three-worker pool (``jobs=2``/``jobs=3``,
+which cut the fault list into even and uneven cone-cost shards) -
+must be bit-identical to
 the interpreted oracle
 (:meth:`Network.evaluate_bits`) on every detection set, detection
 count, first-detection index, difference word and net valuation,
@@ -75,10 +77,14 @@ from repro.simulate.faultsim import (
 
 ENGINES = available_engines()
 
-#: Worker counts the harness sweeps: in-process, and a two-worker pool
-#: that really forks (:func:`pooling` drops ``MIN_POOL_WORK`` to 0 -
-#: every harness workload is far below the production threshold).
-JOBS = (1, 2)
+#: Worker counts the harness sweeps: in-process, and two- and
+#: three-worker pools that really fork (:func:`pooling` drops
+#: ``MIN_POOL_WORK`` to 0 - every harness workload is far below the
+#: production threshold).  The cone-cost partitioner is the only
+#: scheduler, so the pool width is what re-cuts the fault list: three
+#: workers leave LPT bins of unequal length and an odd shard count for
+#: the merge to reassemble.
+JOBS = (1, 2, 3)
 
 
 @contextlib.contextmanager
@@ -144,7 +150,7 @@ def oracle_result(network, patterns, faults, **kwargs):
 class TestEveryEngineMatchesOracle:
     """The registry contract, engine by engine, circuit by circuit -
     the fault-simulation modes, detection words and sessions once
-    in-process and once through a forked pool (the ``jobs`` fixture)."""
+    in-process and through forked pools (the ``jobs`` fixture)."""
 
     def test_fault_simulate_identical(self, engine, network, jobs):
         patterns = PatternSet.random(network.inputs, 128, seed=8)
@@ -1068,13 +1074,15 @@ def _streaming_reference():
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("collapse", ("off", "on"))
-def test_streaming_session_stopping_window_full_sweep(engine, widths, collapse):
+def test_streaming_session_stopping_window_full_sweep(
+    engine, widths, collapse, jobs
+):
     """Sessions run *through* the engines' batched window cores now, so
     the stopping window must survive the whole differential sweep:
-    every engine x width x collapse combination consumes the same
-    number of patterns, retires the same weight and reports the same
-    curve as the interpreted consumer - widths only re-tile work,
-    collapse only deduplicates it."""
+    every engine x width x collapse x pool-width combination consumes
+    the same number of patterns, retires the same weight and reports
+    the same curve as the interpreted consumer - widths only re-tile
+    work, pools only re-partition it, collapse only deduplicates it."""
     network, reference = _streaming_reference()
     result = streaming_coverage(
         network,
@@ -1083,7 +1091,7 @@ def test_streaming_session_stopping_window_full_sweep(engine, widths, collapse):
         target_coverage=0.7,
         confidence=0.95,
         engine=engine,
-        jobs=2,
+        jobs=jobs,
         collapse=collapse,
     )
     assert result.pattern_count == reference.pattern_count
