@@ -12,7 +12,7 @@ Subcommands::
     python -m repro protest [CELLFILE | --netlist FILE.bench] \
             --confidence 0.999 \
             [--engine compiled|interpreted|vector] \
-            [--jobs N] [--collapse off|on|report] [--cache memory|off|DIR] \
+            [--jobs N] [--collapse off|on|report] \
             [--source lfsr|random|set|weighted] [--stop-confidence C] \
             [--target-coverage F]
         Wrap the cell in a single-gate network (or parse the ISCAS85
@@ -32,12 +32,10 @@ Subcommands::
         cost; below 1 fails at parse time); ``--collapse`` the
         structural-collapsing mode (``on`` simulates
         one representative per fault-equivalence class, ``report``
-        additionally prints the class/dominance report); ``--cache``
-        the artifact store everything derivable from the network alone
-        is resolved through (``memory`` per process, ``off``, or a
-        directory whose disk tier persists artifacts across runs -
-        pooling, collapsing and caching never change results, only
-        throughput).
+        additionally prints the class/dominance report).  Pooling and
+        collapsing never change results, only throughput; compile
+        artifacts are reused within the run through the process-wide
+        in-memory store.
 
     python -m repro figures
         Print the executable versions of Figs. 1, 5, 7 and 9.
@@ -60,11 +58,6 @@ COLLAPSE_CHOICES = ("off", "on", "report")
 test holds this tuple equal to
 ``repro.faults.available_collapse_modes()``."""
 
-CACHE_CHOICES = ("memory", "off")
-"""The artifact-store cache modes (``--cache`` also accepts a cache
-directory path), spelled out for the same reason; a test holds this
-tuple equal to ``repro.simulate.available_cache_modes()``."""
-
 SOURCE_CHOICES = ("lfsr", "random", "set", "weighted")
 """The registered streaming pattern-source names, spelled out for the
 same reason; a test holds this tuple equal to
@@ -73,12 +66,12 @@ same reason; a test holds this tuple equal to
 
 def _knob(name: str, convert=str):
     """argparse type for the run knob ``--<name>`` (``engine``,
-    ``jobs``, ``collapse``, ``cache``).
+    ``jobs``, ``collapse``).
 
     Validates through the library's own resolver,
     :func:`repro.simulate.faultsim.resolve_knobs`, so the CLI and the
-    library agree on every error message (bad engine, collapse and
-    cache names and ``jobs < 1`` all fail at parse time, before any
+    library agree on every error message (bad engine and collapse
+    names and ``jobs < 1`` all fail at parse time, before any
     simulation runs); the resolver is imported only when the flag is
     actually parsed, keeping ``--help`` import-free.
     """
@@ -186,17 +179,12 @@ def command_protest(args: argparse.Namespace) -> int:
     else:
         network = _cell_network(_load_cell(args.cellfile))
     protest = Protest(
-        network, engine=args.engine, jobs=args.jobs, collapse=args.collapse,
-        cache=args.cache,
+        network, engine=args.engine, jobs=args.jobs, collapse=args.collapse
     )
     if args.collapse == "report":
         from .faults.structural import collapse_network_faults
 
-        print(
-            collapse_network_faults(
-                network, protest.faults, cache=args.cache
-            ).format_report()
-        )
+        print(collapse_network_faults(network, protest.faults).format_report())
         print()
     report = protest.analyse(confidence=args.confidence)
     print(report.format_summary())
@@ -311,17 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per equivalence class and scatter outcomes back (default: off; "
         "'report' additionally prints the class/dominance report; "
         "results are collapse-independent)",
-    )
-    protest.add_argument(
-        "--cache",
-        type=_knob("cache"),
-        default=None,
-        metavar="|".join(CACHE_CHOICES) + "|DIR",
-        help="artifact store for compiled programs, cone metadata, "
-        "batch plans and collapse classes (default: a "
-        "process-wide in-memory store, or $REPRO_CACHE_DIR when set; "
-        "'off' disables caching; a directory persists artifacts across "
-        "runs; results are cache-independent)",
     )
     protest.add_argument(
         "--source",

@@ -58,8 +58,7 @@ like engine names do
 (:func:`repro.simulate.registry.get_engine` et al.), and the CLI reuses
 the error message.  Collapsed sets are content-addressed artifacts:
 keyed by the network and fault-list fingerprints in the artifact store
-(:mod:`repro.simulate.artifacts`), shared across equal networks and
-persisted by its disk tier.
+(:mod:`repro.simulate.artifacts`) and shared across equal networks.
 """
 
 from __future__ import annotations
@@ -555,9 +554,8 @@ def collapse_network_faults(
     bit - the contract ``fault_simulate(..., collapse="on")`` rides on.
     Results are keyed by the *content* fingerprints of the network and
     fault list in the artifact store (two equal networks built
-    separately share one entry, and the collapse survives in the disk
-    tier across processes), replacing the old per-compilation identity
-    memo.
+    separately share one entry), replacing the old per-compilation
+    identity memo.
     """
     from ..simulate.artifacts import fault_fingerprint, resolve_cache
     from ..simulate.compiled import compile_network
@@ -611,4 +609,4 @@ def collapse_network_faults(
         )
 
     key = (compiled.fingerprint, fault_fingerprint(faults))
-    return store.fetch("collapse", key, build, persist=True)
+    return store.fetch("collapse", key, build)

@@ -125,7 +125,6 @@ def monte_carlo_detection_probabilities(
             network, patterns, collapsed.representative_faults(), jobs, store
         )
         words = collapsed.scatter_outcomes(rep_words)
-    store.flush()
     return {
         fault.describe(): word.bit_count() / samples
         for fault, word in zip(faults, words)

@@ -28,7 +28,18 @@ the quantity the incremental consumer in
 from __future__ import annotations
 
 import math
+import numbers
 from typing import List, Mapping, Tuple
+
+
+def check_confidence(confidence, name: str = "confidence") -> None:
+    """Validate a demanded confidence: a real, non-bool number in (0, 1)."""
+    if (
+        isinstance(confidence, bool)
+        or not isinstance(confidence, numbers.Real)
+        or not 0.0 < confidence < 1.0
+    ):
+        raise ValueError(f"{name} must be in (0,1), got {confidence!r}")
 
 
 def test_length_for_fault(p: float, confidence: float = 0.999) -> float:
@@ -39,8 +50,7 @@ def test_length_for_fault(p: float, confidence: float = 0.999) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"detection probability must be in [0,1], got {p}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0,1), got {confidence}")
+    check_confidence(confidence)
     if p == 0.0:
         return math.inf
     if p == 1.0:
@@ -91,6 +101,7 @@ def test_length(
     with the given confidence; ``per_fault=True`` reproduces the simpler
     per-fault bound, driven by the hardest fault alone.
     """
+    check_confidence(confidence)
     finite = [p for p in probabilities.values() if p > 0.0]
     if len(finite) < len(probabilities):
         return math.inf
@@ -202,8 +213,7 @@ def coverage_lower_bound(
     fixed ``total``, never exceeds the empirical proportion for
     ``confidence >= 0.5``, and an empty universe is vacuously covered.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0,1), got {confidence}")
+    check_confidence(confidence)
     if total < 0 or detected < 0 or detected > total:
         raise ValueError(
             f"need 0 <= detected <= total, got detected={detected} total={total}"

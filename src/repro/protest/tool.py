@@ -105,9 +105,8 @@ class Protest:
     (:mod:`repro.faults.structural`: ``"off"`` by default, ``"on"`` /
     ``"report"`` to simulate one representative per equivalence class
     with bit-identical results) for those same steps.  ``cache`` picks
-    the artifact store (:mod:`repro.simulate.artifacts`: ``None`` for
-    the process-wide in-memory store, ``"memory"``, ``"off"``, a
-    directory path for the persistent disk tier, or an
+    the artifact store (:mod:`repro.simulate.artifacts`: ``None`` or
+    ``"memory"`` for the process-wide in-memory store, ``"off"``, or an
     :class:`~repro.simulate.artifacts.ArtifactStore`) every
     simulation-backed step resolves compiled programs, cone metadata,
     batch plans and collapse classes through.

@@ -2,7 +2,6 @@
 
 from .artifacts import (
     ArtifactStore,
-    SCHEMA_VERSION,
     available_cache_modes,
     fault_fingerprint,
     network_fingerprint,
@@ -51,7 +50,6 @@ from .timingsim import (
 
 __all__ = [
     "ArtifactStore",
-    "SCHEMA_VERSION",
     "available_cache_modes",
     "fault_fingerprint",
     "network_fingerprint",

@@ -15,27 +15,16 @@ engine's kernel specialisations and site-batch plans
   different one (property-tested in ``tests/test_artifacts.py``).  The
   per-object ``_generation`` counter only scopes the *memo* of the hash
   - it is never itself a cache key, so artifact identity survives
-  process boundaries and object identity games.
+  object identity games.
 
-* :class:`ArtifactStore` - a two-tier cache.  The in-process tier is a
-  bounded LRU shared by every derivation kind; the optional on-disk
-  tier (``ArtifactStore(directory)``) persists the picklable kinds
-  under a schema-versioned layout::
-
-      <directory>/v<SCHEMA_VERSION>/<kind>-<sha256-of-key>.pkl
-
-  Disk entries are tagged ``(tag, schema, kind, key, payload)`` and
-  verified on load: a corrupted file, a stale schema version or a key
-  collision is a **miss, never an error** - the artifact is simply
-  rebuilt cold.  Writes are atomic (temp file + rename) and wrapped so
-  an unwritable or full disk degrades to memory-only operation.
+* :class:`ArtifactStore` - one bounded in-process LRU shared by every
+  derivation kind.  Artifacts are reused within a process, never
+  across processes: nothing is written to disk or unpickled.
 
 * :func:`resolve_cache` - the ``cache=`` knob every entry point
-  accepts, with the registry-style error contract: ``None`` means the
-  process-global memory store (or a disk store at ``$REPRO_CACHE_DIR``
-  when that is set), ``"off"`` disables reuse entirely, ``"memory"``
-  forces the in-process store, and any other string is a cache
-  directory path.
+  accepts, with the registry-style error contract: ``None`` and
+  ``"memory"`` mean the process-global store, ``"off"`` disables reuse
+  entirely, and a ready :class:`ArtifactStore` passes through.
 
 Per-kind hit/miss counters (:meth:`ArtifactStore.stats`) make cache
 behaviour assertable: a warm run on an already-seen network performs no
@@ -46,19 +35,14 @@ flattening, cone BFS, kernel specialisation or collapse work, which
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 from collections import Counter, OrderedDict
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary
 
 from ..netlist.network import Network, NetworkFault
 
 __all__ = [
-    "CACHE_ENV",
     "CACHE_MODES",
-    "SCHEMA_VERSION",
     "ArtifactStore",
     "available_cache_modes",
     "fault_fingerprint",
@@ -66,18 +50,9 @@ __all__ = [
     "resolve_cache",
 ]
 
-SCHEMA_VERSION = 1
-"""On-disk layout version; entries written under any other version are
-cold misses, so schema changes never need a migration."""
-
-CACHE_ENV = "REPRO_CACHE_DIR"
-"""When set (and no explicit ``cache=`` is given), the default store
-persists to this directory - how CI keeps artifacts warm across steps."""
-
 CACHE_MODES = ("memory", "off")
-"""The named cache modes; any other string is a cache directory path."""
+"""The cache modes ``resolve_cache`` accepts by name."""
 
-_TAG = "repro-artifact"
 _MISSING = object()
 _SEPARATOR = b"\x1f"
 _TERMINATOR = b"\x1e"
@@ -100,7 +75,7 @@ _NETWORK_FINGERPRINTS: "WeakKeyDictionary[Network, Tuple[int, str]]" = (
 )
 """Per-object memo of the content hash.  The generation counter only
 invalidates this memo when the same object mutates - the fingerprint
-itself is pure content, shared across objects and processes."""
+itself is pure content, shared across objects."""
 
 
 def _cell_signature(cell) -> str:
@@ -210,21 +185,13 @@ def fault_fingerprint(faults: Sequence[NetworkFault]) -> str:
 
 
 class ArtifactStore:
-    """Two-tier content-addressed cache of compile artifacts.
+    """Bounded in-process LRU of compile artifacts, keyed by content.
 
-    ``directory=None`` is memory-only; otherwise picklable kinds also
-    persist under ``<directory>/v<SCHEMA_VERSION>/``.  ``caching=False``
-    builds the "off" store: every fetch rebuilds (and counts a miss),
-    nothing is retained.
+    ``caching=False`` builds the "off" store: every fetch rebuilds (and
+    counts a miss), nothing is retained.
     """
 
-    def __init__(
-        self,
-        directory: Union[str, Path, None] = None,
-        caching: bool = True,
-        max_entries: int = 4096,
-    ):
-        self.directory = None if directory is None else Path(directory)
+    def __init__(self, caching: bool = True, max_entries: int = 4096):
         self.caching = caching
         self.max_entries = max_entries
         self._memory: "OrderedDict[Tuple, Any]" = OrderedDict()
@@ -247,21 +214,8 @@ class ArtifactStore:
 
     # -- fetch ------------------------------------------------------------------------
 
-    def fetch(
-        self,
-        kind: str,
-        key: Tuple,
-        build: Callable[[], Any],
-        persist: bool = False,
-    ) -> Any:
-        """The cached value of ``(kind, key)``, building on miss.
-
-        ``persist=True`` marks the kind as picklable: a miss in the
-        memory tier consults the disk tier (when one is configured) and
-        a cold build is written back to it.  Memory-only kinds
-        (compiled programs, vector kernels - both hold lambdas) never
-        touch disk.
-        """
+    def fetch(self, kind: str, key: Tuple, build: Callable[[], Any]) -> Any:
+        """The cached value of ``(kind, key)``, building on miss."""
         full = (kind,) + tuple(key)
         if not self.caching:
             self.misses[kind] += 1
@@ -271,156 +225,34 @@ class ArtifactStore:
             self._memory.move_to_end(full)
             self.hits[kind] += 1
             return cached
-        if persist and self.directory is not None:
-            payload = self._disk_load(kind, full)
-            if payload is not _MISSING:
-                self._remember(full, payload)
-                self.hits[kind] += 1
-                return payload
         value = build()
         self.misses[kind] += 1
-        self._remember(full, value)
-        if persist and self.directory is not None:
-            self._disk_store(kind, full, value)
-        return value
-
-    def _remember(self, full: Tuple, value: Any) -> None:
         self._memory[full] = value
-        self._memory.move_to_end(full)
         while len(self._memory) > self.max_entries:
             self._memory.popitem(last=False)
-
-    # -- cone-map piggyback -----------------------------------------------------------
-
-    def seed_cones(self, compiled) -> None:
-        """Seed a compilation's cone map from the disk tier, once.
-
-        Cone sets accrete lazily as :func:`repro.simulate.schedule.cone_gates`
-        walks sites, so they ride on the compiled program rather than
-        being fetched whole; a malformed payload is discarded silently.
-        """
-        if self.directory is None or not self.caching:
-            return
-        if getattr(compiled, "_cones_seeded", False):
-            return
-        compiled._cones_seeded = True
-        payload = self._disk_load("cones", ("cones", compiled.fingerprint))
-        if payload is _MISSING:
-            self.misses["cones"] += 1
-            return
-        try:
-            cones = compiled._cone_map
-            for slot, gates in payload.items():
-                slot = int(slot)
-                if slot not in cones:
-                    cones[slot] = frozenset(int(gate) for gate in gates)
-        except Exception:
-            self.misses["cones"] += 1
-            return
-        self.hits["cones"] += 1
-        compiled._cones_persisted = len(compiled._cone_map)
-
-    def flush(self) -> None:
-        """Write grown cone maps back to the disk tier (no-op otherwise)."""
-        if self.directory is None or not self.caching:
-            return
-        for full, value in list(self._memory.items()):
-            if full[0] != "compiled":
-                continue
-            cones = getattr(value, "_cone_map", None)
-            if not cones:
-                continue
-            if len(cones) == getattr(value, "_cones_persisted", -1):
-                continue
-            payload = {slot: sorted(gates) for slot, gates in cones.items()}
-            self._disk_store("cones", ("cones", value.fingerprint), payload)
-            value._cones_persisted = len(cones)
-
-    # -- the disk tier ----------------------------------------------------------------
-
-    def _entry_path(self, kind: str, full: Tuple) -> Path:
-        key_hash = hashlib.sha256(
-            "\x1f".join(str(part) for part in full).encode("utf-8")
-        ).hexdigest()[:32]
-        return self.directory / f"v{SCHEMA_VERSION}" / f"{kind}-{key_hash}.pkl"
-
-    def _disk_load(self, kind: str, full: Tuple) -> Any:
-        """A verified payload, or ``_MISSING`` - never an exception."""
-        try:
-            with open(self._entry_path(kind, full), "rb") as handle:
-                tag, version, stored_kind, stored_key, payload = pickle.load(handle)
-            if tag != _TAG or version != SCHEMA_VERSION:
-                return _MISSING
-            if stored_kind != kind or tuple(stored_key) != full:
-                return _MISSING
-            return payload
-        except Exception:
-            return _MISSING
-
-    def _disk_store(self, kind: str, full: Tuple, payload: Any) -> None:
-        """Atomic, best-effort write; failures degrade to memory-only."""
-        temp = None
-        try:
-            blob = pickle.dumps((_TAG, SCHEMA_VERSION, kind, full, payload))
-            path = self._entry_path(kind, full)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            temp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            temp.write_bytes(blob)
-            os.replace(temp, path)
-        except Exception:
-            if temp is not None:
-                try:
-                    temp.unlink()
-                except Exception:
-                    pass
+        return value
 
 
 # -- cache-spec resolution -------------------------------------------------------------
 
-_MEMORY_STORE = ArtifactStore()
-_OFF_STORE = ArtifactStore(caching=False)
-_DIRECTORY_STORES: Dict[str, ArtifactStore] = {}
+_NAMED_STORES = {"memory": ArtifactStore(), "off": ArtifactStore(caching=False)}
 
 
-def _directory_store(path: str) -> ArtifactStore:
-    resolved = str(Path(path))
-    store = _DIRECTORY_STORES.get(resolved)
-    if store is None:
-        target = Path(resolved)
-        if target.exists() and not target.is_dir():
-            raise ValueError(
-                f"invalid cache directory {path!r}: exists and is not a directory"
-            )
-        store = ArtifactStore(directory=resolved)
-        _DIRECTORY_STORES[resolved] = store
-    return store
-
-
-def resolve_cache(spec: Union[str, Path, "ArtifactStore", None] = None) -> ArtifactStore:
+def resolve_cache(spec: Union[str, ArtifactStore, None] = None) -> ArtifactStore:
     """Resolve a ``cache=`` spec to a store (the registry contract).
 
-    ``None`` is the default: the process-global memory store, or a disk
-    store at ``$REPRO_CACHE_DIR`` when that is set.  ``"off"`` rebuilds
-    everything, ``"memory"`` forces the in-process store, any other
-    string or path is a cache directory, and a ready
-    :class:`ArtifactStore` passes through - which is also how internal
-    layers thread one resolved store instead of re-resolving.
+    ``None`` and ``"memory"`` are the process-global store, ``"off"``
+    rebuilds everything, and a ready :class:`ArtifactStore` passes
+    through - which is also how internal layers thread one resolved
+    store instead of re-resolving.  Anything else raises.
     """
     if isinstance(spec, ArtifactStore):
         return spec
     if spec is None:
-        env = os.environ.get(CACHE_ENV)
-        return _directory_store(env) if env else _MEMORY_STORE
-    if isinstance(spec, Path):
-        return _directory_store(str(spec))
-    if isinstance(spec, str):
-        if spec == "off":
-            return _OFF_STORE
-        if spec == "memory":
-            return _MEMORY_STORE
-        return _directory_store(spec)
+        spec = "memory"
+    if isinstance(spec, str) and spec in _NAMED_STORES:
+        return _NAMED_STORES[spec]
     raise ValueError(
         f"unknown cache mode {spec!r}; available cache modes: "
         + ", ".join(available_cache_modes())
-        + " (or a cache directory path)"
     )

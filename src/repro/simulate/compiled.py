@@ -301,7 +301,7 @@ class CompiledNetwork:
         # be far slower.
         self._faulty_fns: Dict[Tuple, Callable] = {}
         # Fanout-cone gate sets, grown lazily by schedule.cone_gates and
-        # persisted alongside this program by the artifact store; the
+        # cached alongside this program by the artifact store; the
         # scratch bytearray is its reusable visited-flag buffer (reset
         # per BFS from the visit list, never reallocated).
         self._cone_map: Dict[int, frozenset] = {}
@@ -581,14 +581,9 @@ def compile_network(network: Network, cache=None) -> CompiledNetwork:
     in the resolved :class:`~repro.simulate.artifacts.ArtifactStore`, so
     two equal networks built separately share one slot program and a
     mutated network (new content hash) misses cleanly.  The program
-    holds lambdas, so it lives in the store's memory tier only; its
-    lazily-grown cone map piggybacks on the disk tier via
-    ``seed_cones``/``flush``.
+    carries its lazily-grown cone map with it.
     """
     store = resolve_cache(cache)
-    fingerprint = network_fingerprint(network)
-    compiled = store.fetch(
-        "compiled", (fingerprint,), lambda: CompiledNetwork(network)
+    return store.fetch(
+        "compiled", (network_fingerprint(network),), lambda: CompiledNetwork(network)
     )
-    store.seed_cones(compiled)
-    return compiled

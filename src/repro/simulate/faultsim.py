@@ -234,25 +234,23 @@ def check_jobs(jobs: Optional[int]) -> None:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
+def check_coverage(value, name: str) -> None:
+    """Validate a coverage fraction: only a real, non-bool number in
+    ``(0, 1]`` passes, and the error names the value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number in (0, 1], got {value!r}")
+    if not (0 < value <= 1):
+        raise ValueError(f"{name} must be in (0, 1], got {value}")
+
+
 def check_stop_at_coverage(stop_at_coverage) -> None:
     """Validate a ``stop_at_coverage`` threshold (``None`` disables it).
 
     Shared by every engine entry point, mirroring the ``samples >= 1``
-    checks of the detection-probability estimators.  Only a real number
-    in ``(0, 1]`` passes.
+    checks of the detection-probability estimators.
     """
-    if stop_at_coverage is None:
-        return
-    if isinstance(stop_at_coverage, bool) or not isinstance(
-        stop_at_coverage, numbers.Real
-    ):
-        raise ValueError(
-            f"stop_at_coverage must be a number in (0, 1], got {stop_at_coverage!r}"
-        )
-    if not (0 < stop_at_coverage <= 1):
-        raise ValueError(
-            f"stop_at_coverage must be in (0, 1], got {stop_at_coverage}"
-        )
+    if stop_at_coverage is not None:
+        check_coverage(stop_at_coverage, "stop_at_coverage")
 
 
 def build_result(
@@ -537,10 +535,9 @@ def fault_simulate(
     ``cache`` selects the artifact store everything derivable from the
     network alone (compiled slot programs, cone metadata, batch plans,
     collapse classes, fault partitions) is keyed in by
-    content fingerprint (:mod:`repro.simulate.artifacts`: ``None`` -
-    the process-wide in-memory store, honouring ``$REPRO_CACHE_DIR`` -
-    by default, ``"memory"``, ``"off"``, a directory path for the
-    persistent disk tier, or an :class:`ArtifactStore`).  Caching never
+    content fingerprint (:mod:`repro.simulate.artifacts`: ``None`` or
+    ``"memory"`` - the process-wide in-memory store - by default,
+    ``"off"``, or an :class:`ArtifactStore`).  Caching never
     changes a result bit - warm and cold runs are bit-identical - and
     unknown modes raise here with the list of available modes, on every
     engine.
@@ -594,7 +591,6 @@ def fault_simulate(
             collapsed.scatter_outcomes(class_outcomes),
         )
         result.collapsed_classes = collapsed.class_count
-    store.flush()
     return result
 
 
@@ -947,15 +943,11 @@ def streaming_coverage(
     to the uncollapsed run.
     """
     from ..faults.structural import collapse_network_faults
-    from ..protest.testlength import coverage_lower_bound
+    from ..protest.testlength import check_confidence, coverage_lower_bound
 
     resolved, store, mode = resolve_knobs(engine, jobs, collapse, cache)
-    if not 0.0 < target_coverage <= 1.0:
-        raise ValueError(
-            f"target_coverage must be in (0, 1], got {target_coverage}"
-        )
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0,1), got {confidence}")
+    check_coverage(target_coverage, "target_coverage")
+    check_confidence(confidence)
     if faults is None:
         faults = network.enumerate_faults()
     faults = dedupe_faults(faults)
@@ -1006,7 +998,6 @@ def streaming_coverage(
         )
         if not curve:
             curve.append((0, 1.0 if total_weight == 0 else 0.0))
-    store.flush()
     return StreamingCoverage(
         network_name=network.name,
         pattern_count=state["consumed"],
@@ -1054,12 +1045,17 @@ def coverage_curve(
     the stopping point.
     """
     if stop_at_confidence is not None:
+        from ..protest.testlength import check_confidence
+
+        check_confidence(stop_at_confidence, "stop_at_confidence")
         return streaming_coverage(
             network, patterns, faults,
             target_coverage=target_coverage,
             confidence=stop_at_confidence,
             engine=engine, jobs=jobs, collapse=collapse, cache=cache,
         ).curve
+    if isinstance(points, bool) or not isinstance(points, numbers.Integral):
+        raise ValueError(f"points must be an int >= 1, got {points!r}")
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     result = fault_simulate(

@@ -8,6 +8,7 @@ sufficient" workhorse of Section 5.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -118,8 +119,12 @@ class PatternSet:
         ``probabilities`` maps input name to P(input = 1); default 0.5
         everywhere - "it is usually 0.5" (Section 5).  This is the
         random pattern generator PROTEST drives with its optimized
-        distributions.
+        distributions.  ``count`` must be an ``int >= 0``.
         """
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"count must be an int >= 0, got {count!r}")
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         names = tuple(names)
         rng = random.Random(seed)
         probabilities = probabilities or {}

@@ -68,11 +68,10 @@ def cone_gates(compiled: CompiledNetwork, slot: int) -> FrozenSet[int]:
     """Gate indices downstream of ``slot`` - the fault's fanout cone.
 
     One BFS over the compiled program's reader lists per site, memoised
-    on the compilation itself (``compiled._cone_map``) so the sets ride
-    wherever the artifact store carries the program - including its
-    disk tier, which seeds the map on the next cold process; this is
-    the same closure the per-fault cone passes walk, so the cost model
-    prices exactly the work the engines do.
+    on the compilation itself (``compiled._cone_map``) so the sets are
+    shared by every run the artifact store hands the program to; this
+    is the same closure the per-fault cone passes walk, so the cost
+    model prices exactly the work the engines do.
     """
     cones = compiled._cone_map
     cached = cones.get(slot)
@@ -291,4 +290,4 @@ def partition_faults(
         return parts
 
     key = (compiled.fingerprint, fault_fingerprint(faults), int(shards))
-    return store.fetch("partition", key, build, persist=True)
+    return store.fetch("partition", key, build)

@@ -174,15 +174,6 @@ def _groups_key(groups: Sequence[Tuple]) -> str:
     return digest.hexdigest()
 
 
-def _positions_cover(position_plans, count: int) -> bool:
-    """True when the plans form an exact disjoint cover of the groups."""
-    try:
-        flat = [int(position) for plan in position_plans for position in plan]
-    except (TypeError, ValueError):
-        return False
-    return sorted(flat) == list(range(count))
-
-
 def _apply_positions(
     groups: Sequence[Tuple], position_plans: Sequence[Sequence[int]]
 ) -> List[List[Tuple]]:
@@ -499,13 +490,8 @@ class VectorNetwork:
             _groups_key(groups),
         )
         positions = store.fetch(
-            "batchplan", key, lambda: self._coalesce_positions(groups), persist=True
+            "batchplan", key, lambda: self._coalesce_positions(groups)
         )
-        if not _positions_cover(positions, len(groups)):
-            # A stale or hand-edited disk entry that no longer covers the
-            # group list exactly is replanned cold - plan membership is
-            # perf-only, so this degrades, never corrupts.
-            positions = self._coalesce_positions(groups)
         return _apply_positions(groups, positions)
 
     def _coalesce_positions(self, groups: Sequence[Tuple]) -> List[List[int]]:
@@ -521,7 +507,7 @@ class VectorNetwork:
         the injected rows away.
 
         Returns the plan as lists of *positions* into ``groups`` - the
-        content-addressable form the artifact store persists;
+        content-addressable form the artifact store keeps;
         :func:`_apply_positions` instantiates the group lists (and
         collapses same-site merges into one wider group).
         """

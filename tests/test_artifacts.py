@@ -16,15 +16,11 @@ contracts are pinned here:
   partitioning work, on every registered engine, asserted through the
   store's per-kind miss counters - and stays bit-identical to the cold
   run, on every cache mode including ``"off"``;
-* **the disk tier** - artifacts persist across (simulated) processes
-  under the schema-versioned layout; a corrupted file or a
-  stale-schema entry is a cold miss, never an error;
-* **the knob** - ``resolve_cache`` follows the registry error
-  contract, ``$REPRO_CACHE_DIR`` steers the default store, and the CLI
-  ``--cache`` flag validates through the same code path.
+* **the bound** - the in-process store is an LRU of bounded size;
+* **the knob** - ``resolve_cache`` accepts ``None``, ``"memory"``,
+  ``"off"`` or a store and follows the registry error contract for
+  anything else, paths included.
 """
-
-import pickle
 
 import pytest
 from hypothesis import assume, given
@@ -37,7 +33,6 @@ from repro.netlist import CellFactory, Network, parse_bench
 from repro.simulate import (
     ArtifactStore,
     PatternSet,
-    SCHEMA_VERSION,
     available_cache_modes,
     available_engines,
     fault_fingerprint,
@@ -45,7 +40,7 @@ from repro.simulate import (
     network_fingerprint,
     resolve_cache,
 )
-from repro.simulate.artifacts import CACHE_ENV, CACHE_MODES
+from repro.simulate.artifacts import CACHE_MODES
 
 #: The artifact kinds a warm run must not rebuild - the store-counter
 #: form of "no flattening, no kernel specialisation, no collapse, no
@@ -166,9 +161,9 @@ class TestNetworkFingerprint:
         )
 
     def test_fault_fingerprint_digests_are_pinned(self):
-        """Disk-tier collapse and partition keys embed these digests: a
-        change to the hashed byte stream must be a deliberate schema
-        change, never a silent drift."""
+        """Collapse and partition keys embed these digests: a change to
+        the hashed byte stream must be deliberate, never a silent
+        drift."""
         assert fault_fingerprint(all_faults(c17())) == (
             "4b89f3769cdd25062c6bd66fe2493a8fa62caf691230cf6dbfde939f67860787"
         )
@@ -249,10 +244,10 @@ class TestWarmRuns:
         results_identical(first, second)
         assert not store._memory
 
-    def test_every_cache_mode_is_bit_identical(self, tmp_path):
+    def test_every_cache_mode_is_bit_identical(self):
         network, patterns, faults = small_workload()
         reference = fault_simulate(network, patterns, faults, cache="off")
-        for spec in ("memory", "off", str(tmp_path / "store"), ArtifactStore()):
+        for spec in (None, "memory", "off", ArtifactStore()):
             result = fault_simulate(
                 network, patterns, faults, collapse="on", cache=spec
             )
@@ -261,96 +256,10 @@ class TestWarmRuns:
             assert result.undetected == reference.undetected
 
 
-# -- the disk tier ---------------------------------------------------------------------
+# -- the LRU bound ---------------------------------------------------------------------
 
 
-def _entry_files(directory):
-    return sorted((directory / f"v{SCHEMA_VERSION}").glob("*.pkl"))
-
-
-class TestDiskTier:
-    def test_artifacts_persist_across_processes(self, tmp_path):
-        """A fresh store over the same directory (a new process, in
-        effect) loads the persisted kinds instead of rebuilding."""
-        network, patterns, faults = small_workload()
-        first = ArtifactStore(directory=tmp_path)
-        cold = fault_simulate(
-            network, patterns, faults, engine="vector", collapse="on",
-            cache=first,
-        )
-        assert _entry_files(tmp_path), "disk tier wrote nothing"
-        second = ArtifactStore(directory=tmp_path)
-        warm = fault_simulate(
-            network, patterns, faults, engine="vector", collapse="on",
-            cache=second,
-        )
-        results_identical(cold, warm)
-        assert second.hits["collapse"] == 1
-        assert second.misses["collapse"] == 0
-        assert second.misses["batchplan"] == 0
-
-    def test_corrupted_entries_degrade_to_cold_run(self, tmp_path):
-        network, patterns, faults = small_workload()
-        first = ArtifactStore(directory=tmp_path)
-        cold = fault_simulate(
-            network, patterns, faults, engine="vector", collapse="on",
-            cache=first,
-        )
-        for path in _entry_files(tmp_path):
-            path.write_bytes(b"not a pickle at all")
-        second = ArtifactStore(directory=tmp_path)
-        warm = fault_simulate(
-            network, patterns, faults, engine="vector", collapse="on",
-            cache=second,
-        )
-        results_identical(cold, warm)
-        assert second.hits["collapse"] == 0
-        assert second.misses["collapse"] == 1
-
-    def test_stale_schema_entries_degrade_to_cold_run(self, tmp_path):
-        network, patterns, faults = small_workload()
-        first = ArtifactStore(directory=tmp_path)
-        cold = fault_simulate(
-            network, patterns, faults, engine="vector", collapse="on",
-            cache=first,
-        )
-        for path in _entry_files(tmp_path):
-            tag, _version, kind, key, payload = pickle.loads(path.read_bytes())
-            path.write_bytes(
-                pickle.dumps((tag, SCHEMA_VERSION + 1, kind, key, payload))
-            )
-        second = ArtifactStore(directory=tmp_path)
-        warm = fault_simulate(
-            network, patterns, faults, engine="vector", collapse="on",
-            cache=second,
-        )
-        results_identical(cold, warm)
-        assert second.hits["collapse"] == 0
-        assert second.misses["collapse"] == 1
-
-    def test_unwritable_directory_degrades_to_memory(
-        self, tmp_path, monkeypatch
-    ):
-        """Disk writes are best-effort: when the filesystem refuses
-        (full disk, read-only mount), the run still completes and the
-        memory tier still serves."""
-        import repro.simulate.artifacts as artifacts_module
-
-        def refuse(*_args, **_kwargs):
-            raise OSError("read-only file system")
-
-        monkeypatch.setattr(artifacts_module.os, "replace", refuse)
-        target = tmp_path / "readonly"
-        network, patterns, faults = small_workload()
-        store = ArtifactStore(directory=target)
-        result = fault_simulate(
-            network, patterns, faults, collapse="on", cache=store
-        )
-        reference = fault_simulate(network, patterns, faults, cache="off")
-        assert result.detected == reference.detected
-        assert not list(target.rglob("*.pkl"))
-        assert store.hits["compiled"] > 0  # the memory tier still works
-
+class TestMemoryTier:
     def test_memory_tier_is_lru_bounded(self):
         store = ArtifactStore(max_entries=2)
         for value in range(5):
@@ -385,29 +294,9 @@ class TestResolveCache:
         store = ArtifactStore()
         assert resolve_cache(store) is store
 
-    def test_default_is_the_process_store(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV, raising=False)
+    def test_default_is_the_process_store(self):
         assert resolve_cache(None) is resolve_cache("memory")
-        assert resolve_cache(None).directory is None
-
-    def test_cache_env_steers_the_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "ci-store"))
-        store = resolve_cache(None)
-        assert store.directory == tmp_path / "ci-store"
-        assert resolve_cache(None) is store  # memoised per directory
-
-    def test_directory_specs_resolve_to_disk_stores(self, tmp_path):
-        from pathlib import Path
-
-        store = resolve_cache(str(tmp_path / "artifacts"))
-        assert store.directory == tmp_path / "artifacts"
-        assert resolve_cache(Path(tmp_path / "artifacts")) is store
-
-    def test_existing_file_is_rejected(self, tmp_path):
-        clash = tmp_path / "occupied"
-        clash.write_text("not a directory")
-        with pytest.raises(ValueError, match="exists and is not a directory"):
-            resolve_cache(str(clash))
+        assert resolve_cache(None).caching is True
 
     def test_unknown_spec_uses_registry_error_contract(self):
         with pytest.raises(ValueError) as error:
@@ -415,38 +304,17 @@ class TestResolveCache:
         assert str(error.value) == (
             "unknown cache mode 123; available cache modes: "
             + ", ".join(available_cache_modes())
-            + " (or a cache directory path)"
         )
+
+    def test_paths_are_not_cache_modes(self, tmp_path, monkeypatch):
+        """There is no disk tier: a relative name, an existing directory
+        or a ``Path`` is an unknown mode, and nothing is created."""
+        monkeypatch.chdir(tmp_path)
+        for spec in ("of", "MEMORY", str(tmp_path), tmp_path):
+            with pytest.raises(ValueError) as error:
+                resolve_cache(spec)
+            assert str(error.value).startswith(f"unknown cache mode {spec!r};")
+        assert not any(tmp_path.iterdir())
 
     def test_mode_listing_is_sorted(self):
         assert available_cache_modes() == tuple(sorted(CACHE_MODES))
-
-
-class TestCliCacheFlag:
-    def test_cli_cache_choices_match_module(self):
-        from repro.cli import CACHE_CHOICES
-
-        assert tuple(sorted(CACHE_CHOICES)) == available_cache_modes()
-
-    def test_cli_accepts_every_cache_mode_and_directories(self, tmp_path):
-        from repro.cli import CACHE_CHOICES, build_parser
-
-        parser = build_parser()
-        for mode in CACHE_CHOICES:
-            args = parser.parse_args(["protest", "cell.txt", "--cache", mode])
-            assert args.cache == mode
-        target = str(tmp_path / "artifacts")
-        args = parser.parse_args(["protest", "cell.txt", "--cache", target])
-        assert args.cache == target
-        assert parser.parse_args(["protest", "cell.txt"]).cache is None
-
-    def test_cli_rejects_bad_cache_with_module_message(self, tmp_path, capsys):
-        from repro.cli import build_parser
-
-        clash = tmp_path / "occupied"
-        clash.write_text("not a directory")
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["protest", "cell.txt", "--cache", str(clash)])
-        stderr = capsys.readouterr().err
-        assert "exists and is not a directory" in stderr

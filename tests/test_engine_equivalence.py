@@ -26,7 +26,7 @@ streaming grid on every engine - and the **cache** dimension
 (:mod:`repro.simulate.artifacts`): a warm artifact store only skips
 re-derivation, so a cached re-run must be bit-identical to the cold
 run on every engine x width x collapse combination, on every cache
-mode (``off``, ``memory``, a disk-tier directory).
+mode (``off``, ``memory``).
 
 Engine-specific mechanics stay in their own files
 (``test_compiled_engine.py`` for the slot program's internals,
@@ -452,15 +452,12 @@ class TestEveryEngineWidthCombination:
         ) == reference_difference_words(network, patterns, faults)
 
 
-#: Cache modes the harness sweeps: caching disabled, the in-memory
-#: tier, and the persistent disk tier ("disk" is materialised as a
-#: per-test directory, exercising the --cache path form end to end).
-CACHE_SWEEP = ("off", "memory", "disk")
+#: Cache modes the harness sweeps: caching disabled and the in-memory
+#: store.
+CACHE_SWEEP = ("off", "memory")
 
 
-def _cache_spec(mode, tmp_path):
-    if mode == "disk":
-        return str(tmp_path / "artifact-store")
+def _cache_spec(mode):
     if mode == "memory":
         return ArtifactStore()  # a fresh store: the test owns warm-up
     return mode
@@ -475,13 +472,11 @@ class TestEveryEngineCacheCombination:
     collapsed run too (collapse classes are themselves cached
     artifacts)."""
 
-    def test_cached_rerun_identical_on_skewed_cones(
-        self, engine, cache_mode, tmp_path
-    ):
+    def test_cached_rerun_identical_on_skewed_cones(self, engine, cache_mode):
         network = skewed_cone_network(depth=9, islands=6)
         patterns = PatternSet.random(network.inputs, 163, seed=47)
         faults = all_faults(network)
-        spec = _cache_spec(cache_mode, tmp_path)
+        spec = _cache_spec(cache_mode)
         cold = fault_simulate(
             network, patterns, faults, engine=engine, collapse="on", cache=spec,
         )
@@ -502,12 +497,12 @@ class TestEveryWidthCacheCombination:
     warm store must hand back artifacts that re-tile to the same bits."""
 
     def test_cached_rerun_identical_under_every_width(
-        self, engine, widths, cache_mode, tmp_path
+        self, engine, widths, cache_mode
     ):
         network = skewed_cone_network(depth=9, islands=6)
         patterns = PatternSet.random(network.inputs, 163, seed=47)
         faults = all_faults(network)
-        spec = _cache_spec(cache_mode, tmp_path)
+        spec = _cache_spec(cache_mode)
         cold = fault_simulate(network, patterns, faults, engine=engine, cache=spec)
         warm = fault_simulate(network, patterns, faults, engine=engine, cache=spec)
         results_identical(

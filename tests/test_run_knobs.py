@@ -7,6 +7,8 @@ path, facade constructor or simulation entry point it reaches -
 including the paths that never simulate (exact and topological
 estimators).  A value of the wrong type is a bad value too: it is
 named in the error instead of failing later inside a worker pool.
+The same holds for the counts and fractions the simulation and
+test-length entry points take: a bad one is a ``ValueError`` naming it.
 """
 
 from pathlib import Path
@@ -21,6 +23,7 @@ from repro.protest import (
     detection_probabilities,
     optimize_input_probabilities,
     signal_probabilities,
+    testlength,
 )
 from repro.simulate import (
     PatternSet,
@@ -30,6 +33,10 @@ from repro.simulate import (
     streaming_coverage,
     windowed_outcomes,
 )
+
+#: Stands in for an existing directory - the test's own ``tmp_path`` -
+#: as a ``cache`` value; the ``value`` fixture substitutes it.
+EXISTING_DIRECTORY = "<tmp_path>"
 
 #: Several bad values per knob, each with the message it must raise.
 BAD_KNOBS = {
@@ -52,17 +59,34 @@ BAD_KNOBS = {
     "cache": [
         (42, "unknown cache mode 42"),
         (3.5, "unknown cache mode 3.5"),
+        # Strings and paths that used to name a disk-tier directory.
+        ("of", "unknown cache mode 'of'"),
+        (EXISTING_DIRECTORY, "unknown cache mode '/"),
+        (Path("artifacts"), f"unknown cache mode {Path('artifacts')!r}"),
     ],
 }
 
 
 def bad_cases(*knobs):
-    """One ``(knob, value, message)`` case per bad value of ``knobs``."""
-    return [
-        pytest.param(knob, value, message, id=f"{knob}={value!r}")
-        for knob in knobs
-        for value, message in BAD_KNOBS[knob]
-    ]
+    """Parametrize ``(knob, value, message)``, one case per bad value of
+    ``knobs``; ``value`` resolves through the fixture below."""
+    return pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            pytest.param(knob, value, message, id=f"{knob}={value!r}")
+            for knob in knobs
+            for value, message in BAD_KNOBS[knob]
+        ],
+        indirect=["value"],
+    )
+
+
+@pytest.fixture
+def value(request):
+    """The bad knob value, with :data:`EXISTING_DIRECTORY` made real."""
+    if request.param == EXISTING_DIRECTORY:
+        return str(request.getfixturevalue("tmp_path"))
+    return request.param
 
 
 METHODS = ("auto", "exact", "topological", "monte_carlo")
@@ -76,7 +100,7 @@ def _raises(knob, value, message, call):
     assert str(excinfo.value).startswith(message)
 
 
-@pytest.mark.parametrize("knob, value, message", bad_cases(*BAD_KNOBS))
+@bad_cases(*BAD_KNOBS)
 class TestBadKnobsRaiseEverywhere:
     @pytest.mark.parametrize("method", METHODS)
     def test_detection_probabilities_on_every_method(
@@ -119,9 +143,7 @@ class TestBadKnobsRaiseEverywhere:
         )
 
 
-@pytest.mark.parametrize(
-    "knob, value, message", bad_cases("engine", "jobs", "cache")
-)
+@bad_cases("engine", "jobs", "cache")
 def test_optimize_input_probabilities(knob, value, message):
     network = and_cone(3)
     _raises(
@@ -130,7 +152,7 @@ def test_optimize_input_probabilities(knob, value, message):
     )
 
 
-@pytest.mark.parametrize("knob, value, message", bad_cases("jobs", "cache"))
+@bad_cases("jobs", "cache")
 def test_difference_words_and_windowed_outcomes(knob, value, message):
     """The two engine-level entry points, which bypass ``fault_simulate``."""
     network = and_cone(3)
@@ -148,7 +170,7 @@ def test_difference_words_and_windowed_outcomes(knob, value, message):
     )
 
 
-@pytest.mark.parametrize("knob, value, message", bad_cases("engine", "cache"))
+@bad_cases("engine", "cache")
 @pytest.mark.parametrize("method", METHODS)
 def test_signal_probabilities_on_every_method(knob, value, message, method):
     network = and_cone(3)
@@ -214,7 +236,14 @@ def test_cli_rejects_bad_jobs_at_parse_time(capsys, jobs, message):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--schedule", "cost"], ["--tune", "auto"], ["--tune", "default"]]
+    "flag",
+    [
+        ["--schedule", "cost"],
+        ["--tune", "auto"],
+        ["--tune", "default"],
+        ["--cache", "memory"],
+        ["--cache", "x"],
+    ],
 )
 def test_cli_rejects_retired_flags(capsys, flag):
     from repro.cli import main
@@ -223,3 +252,101 @@ def test_cli_rejects_retired_flags(capsys, flag):
         main(["protest", "--netlist", C17_BENCH, *flag])
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+# -- counts and fractions --------------------------------------------------------------
+
+BAD_CONFIDENCES = [
+    (0, "confidence must be in (0,1), got 0"),
+    (1.0, "confidence must be in (0,1), got 1.0"),
+    (1.5, "confidence must be in (0,1), got 1.5"),
+    (True, "confidence must be in (0,1), got True"),
+    ("0.9", "confidence must be in (0,1), got '0.9'"),
+    (float("nan"), "confidence must be in (0,1), got nan"),
+]
+
+
+def _raises_exactly(message, call):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("confidence, message", BAD_CONFIDENCES)
+def test_test_length_rejects_bad_confidence(confidence, message):
+    """Validated before any probability is read, so an empty or an
+    undetectable fault set cannot hide a bad confidence either."""
+    network = and_cone(3)
+    protest = Protest(network)
+    for call in (
+        lambda: testlength.test_length({"f": 0.25}, confidence),
+        lambda: testlength.test_length({"f": 0.25}, confidence, per_fault=True),
+        lambda: testlength.test_length({}, confidence),
+        lambda: testlength.test_length({"f": 0.0}, confidence),
+        lambda: testlength.test_length_for_fault(0.25, confidence),
+        lambda: protest.analyse(confidence=confidence),
+        lambda: protest.required_test_length(confidence=confidence),
+    ):
+        _raises_exactly(message, call)
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (-1, "count must be >= 0, got -1"),
+        (2.5, "count must be an int >= 0, got 2.5"),
+        (2.0, "count must be an int >= 0, got 2.0"),
+        ("8", "count must be an int >= 0, got '8'"),
+        (True, "count must be an int >= 0, got True"),
+    ],
+)
+def test_pattern_counts_must_be_non_negative_ints(count, message):
+    network = and_cone(3)
+    _raises_exactly(message, lambda: PatternSet.random(network.inputs, count))
+    _raises_exactly(message, lambda: Protest(network).validate(count))
+
+
+def test_zero_patterns_is_a_valid_count():
+    assert PatternSet.random(["a", "b"], 0).count == 0
+
+
+@pytest.mark.parametrize(
+    "keyword, bad, message",
+    [
+        ("target_coverage", "0.9",
+         "target_coverage must be a number in (0, 1], got '0.9'"),
+        ("target_coverage", True,
+         "target_coverage must be a number in (0, 1], got True"),
+        ("target_coverage", 0, "target_coverage must be in (0, 1], got 0"),
+        ("confidence", "0.9", "confidence must be in (0,1), got '0.9'"),
+        ("confidence", True, "confidence must be in (0,1), got True"),
+        ("confidence", 1, "confidence must be in (0,1), got 1"),
+    ],
+)
+def test_streaming_coverage_rejects_bad_fractions(keyword, bad, message):
+    network = and_cone(3)
+    patterns = PatternSet.exhaustive(network.inputs)
+    _raises_exactly(
+        message, lambda: streaming_coverage(network, patterns, **{keyword: bad})
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"stop_at_confidence": "0.9"},
+         "stop_at_confidence must be in (0,1), got '0.9'"),
+        ({"stop_at_confidence": True},
+         "stop_at_confidence must be in (0,1), got True"),
+        ({"stop_at_confidence": 0.9, "target_coverage": True},
+         "target_coverage must be a number in (0, 1], got True"),
+        ({"points": 2.5}, "points must be an int >= 1, got 2.5"),
+        ({"points": True}, "points must be an int >= 1, got True"),
+        ({"points": "4"}, "points must be an int >= 1, got '4'"),
+        ({"points": 0}, "points must be >= 1, got 0"),
+    ],
+)
+def test_coverage_curve_rejects_bad_arguments(bad, message):
+    network = and_cone(3)
+    patterns = PatternSet.exhaustive(network.inputs)
+    _raises_exactly(message, lambda: coverage_curve(network, patterns, **bad))
