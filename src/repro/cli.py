@@ -31,8 +31,9 @@ Subcommands::
         N workers for big workloads on any engine, partitioned by cone
         cost; below 1 fails at parse time); ``--collapse`` the
         structural-collapsing mode (``on`` simulates
-        one representative per fault-equivalence class, ``report``
-        additionally prints the class/dominance report).  Pooling and
+        one representative per fault-equivalence class, ``report`` - a
+        CLI-only mode - runs ``on`` and prints the class/dominance
+        report).  Pooling and
         collapsing never change results, only throughput; compile
         artifacts are reused within the run through the process-wide
         in-memory store.
@@ -54,9 +55,10 @@ ENGINE_CHOICES = ("compiled", "interpreted", "vector")
 holds this tuple equal to ``repro.simulate.available_engines()``."""
 
 COLLAPSE_CHOICES = ("off", "on", "report")
-"""The structural-collapsing modes, spelled out for the same reason; a
-test holds this tuple equal to
-``repro.faults.available_collapse_modes()``."""
+"""The library's structural-collapsing modes plus the CLI-only
+``report`` (``on`` plus the printed class report), spelled out for the
+same reason; a test holds this tuple equal to
+``repro.faults.available_collapse_modes()`` plus ``"report"``."""
 
 SOURCE_CHOICES = ("lfsr", "random", "set", "weighted")
 """The registered streaming pattern-source names, spelled out for the
@@ -66,12 +68,12 @@ same reason; a test holds this tuple equal to
 
 def _knob(name: str, convert=str):
     """argparse type for the run knob ``--<name>`` (``engine``,
-    ``jobs``, ``collapse``).
+    ``jobs``).
 
     Validates through the library's own resolver,
     :func:`repro.simulate.faultsim.resolve_knobs`, so the CLI and the
-    library agree on every error message (bad engine and collapse
-    names and ``jobs < 1`` all fail at parse time, before any
+    library agree on every error message (bad engine names and
+    ``jobs < 1`` all fail at parse time, before any
     simulation runs); the resolver is imported only when the flag is
     actually parsed, keeping ``--help`` import-free.
     """
@@ -88,6 +90,17 @@ def _knob(name: str, convert=str):
 
     check.__name__ = convert.__name__  # argparse's "invalid int value"
     return check
+
+
+def _collapse_choice(name: str) -> str:
+    """argparse type for ``--collapse``: one of :data:`COLLAPSE_CHOICES`,
+    rejected with the library's message shape."""
+    if name not in COLLAPSE_CHOICES:
+        raise argparse.ArgumentTypeError(
+            f"unknown collapse mode {name!r}; available collapse modes: "
+            + ", ".join(COLLAPSE_CHOICES)
+        )
+    return name
 
 
 def _source_name(name: str) -> str:
@@ -178,10 +191,12 @@ def command_protest(args: argparse.Namespace) -> int:
         network = args.netlist
     else:
         network = _cell_network(_load_cell(args.cellfile))
+    report_collapse = args.collapse == "report"
     protest = Protest(
-        network, engine=args.engine, jobs=args.jobs, collapse=args.collapse
+        network, engine=args.engine, jobs=args.jobs,
+        collapse="on" if report_collapse else args.collapse,
     )
-    if args.collapse == "report":
+    if report_collapse:
         from .faults.structural import collapse_network_faults
 
         print(collapse_network_faults(network, protest.faults).format_report())
@@ -292,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--collapse",
-        type=_knob("collapse"),
+        type=_collapse_choice,
         default=None,
         metavar="|".join(COLLAPSE_CHOICES),
         help="structural fault collapsing: simulate one representative "
         "per equivalence class and scatter outcomes back (default: off; "
-        "'report' additionally prints the class/dominance report; "
+        "'report' runs 'on' and prints the class/dominance report; "
         "results are collapse-independent)",
     )
     protest.add_argument(

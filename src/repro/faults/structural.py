@@ -53,7 +53,7 @@ indices, so it is computed and *reported* here (``dominance`` pairs,
 property-tested for soundness in ``tests/test_structural_collapse.py``)
 but never used to drop faults from the exact simulation path.
 
-The collapse mode knob (``off`` / ``on`` / ``report``) resolves exactly
+The collapse mode knob (``off`` / ``on``) resolves exactly
 like engine names do
 (:func:`repro.simulate.registry.get_engine` et al.), and the CLI reuses
 the error message.  Collapsed sets are content-addressed artifacts:
@@ -79,12 +79,13 @@ __all__ = [
     "get_collapse_mode",
 ]
 
-COLLAPSE_MODES = ("off", "on", "report")
-"""The collapse modes ``fault_simulate``/``Protest``/the CLI resolve:
-``off`` simulates the full fault universe (the historical behaviour),
-``on`` simulates one representative per equivalence class and scatters
-the outcomes back, ``report`` behaves like ``on`` and additionally has
-the CLI print the collapse report."""
+COLLAPSE_MODES = ("off", "on")
+"""The collapse modes every library entry point resolves: ``off``
+simulates the full fault universe (the historical behaviour), ``on``
+simulates one representative per equivalence class and scatters the
+outcomes back.  Printing the collapse report is the CLI's business
+(``--collapse report`` runs ``on`` and prints
+:meth:`CollapsedFaultSet.format_report`)."""
 
 DEFAULT_COLLAPSE = "off"
 """The mode resolved when the caller passes ``None``."""

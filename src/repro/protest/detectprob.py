@@ -11,7 +11,10 @@ estimated, that it is detected by a random pattern."
   tradition: cell-local exact activation probability, observability
   propagated through Boolean differences with an independence
   assumption.
-* ``monte_carlo`` - empirical detection frequency.
+* ``monte_carlo`` - empirical detection frequency: the detection
+  counts of one counting-mode fault-simulation pass
+  (:func:`repro.simulate.faultsim.windowed_outcomes`), in-process or
+  across the same worker pool every pooled fault simulation uses.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from ..logic.minimize import minimal_sop
 from ..logic.probability import Program, cell_probability
 from ..netlist.network import Network, NetworkFault
 from ..simulate.compiled import compile_network
-from ..simulate.faultsim import check_injectable, dedupe_faults, resolve_knobs
+from ..simulate.faultsim import (
+    check_injectable,
+    dedupe_faults,
+    resolve_knobs,
+    windowed_outcomes,
+)
 from ..simulate.logicsim import PatternSet
 from .signalprob import (
     MAX_EXACT_INPUTS,
@@ -95,16 +103,15 @@ def monte_carlo_detection_probabilities(
     """Empirical detection frequency per fault.
 
     ``engine``/``jobs`` select a registered simulation engine and the
-    worker count for the per-fault difference passes (``jobs`` must be
+    worker count for the per-fault detection counts (``jobs`` must be
     an ``int >= 1``; above 1 it spreads the fault list over that many
     worker processes, on any engine); results are engine- and
     jobs-independent.  ``collapse`` resolves exactly as
-    in :func:`repro.simulate.faultsim.fault_simulate`: under
-    ``"on"``/``"report"`` only one representative per structural
-    equivalence class runs a difference pass, and - class members
-    having provably identical difference functions - every member
-    inherits its representative's word bit for bit, so the estimates
-    match the uncollapsed run exactly.
+    in :func:`repro.simulate.faultsim.fault_simulate`: under ``"on"``
+    only one representative per structural equivalence class is
+    simulated, and - class members having provably identical
+    difference functions - every member inherits its representative's
+    count, so the estimates match the uncollapsed run exactly.
     """
     from ..faults.structural import collapse_network_faults
 
@@ -117,17 +124,23 @@ def monte_carlo_detection_probabilities(
     patterns = PatternSet.random(
         network.inputs, samples, seed=seed, probabilities=input_probs
     )
+
+    def outcomes(simulated):
+        return windowed_outcomes(
+            network, patterns, simulated, None, engine=resolved, cache=store,
+            jobs=jobs,
+        )
+
     if mode == "off" or not faults:
-        words = resolved.difference_words(network, patterns, faults, jobs, store)
+        found = outcomes(faults)
     else:
         collapsed = collapse_network_faults(network, faults, cache=store)
-        rep_words = resolved.difference_words(
-            network, patterns, collapsed.representative_faults(), jobs, store
+        found = collapsed.scatter_outcomes(
+            outcomes(collapsed.representative_faults())
         )
-        words = collapsed.scatter_outcomes(rep_words)
     return {
-        fault.describe(): word.bit_count() / samples
-        for fault, word in zip(faults, words)
+        fault.describe(): (0 if outcome is None else outcome[1]) / samples
+        for fault, outcome in zip(faults, found)
     }
 
 

@@ -102,9 +102,9 @@ class Protest:
     ``> 1`` a forked pool) used by every simulation-backed step - the
     Monte-Carlo estimators and the validation fault simulation.
     ``collapse`` picks the structural-collapsing mode
-    (:mod:`repro.faults.structural`: ``"off"`` by default, ``"on"`` /
-    ``"report"`` to simulate one representative per equivalence class
-    with bit-identical results) for those same steps.  ``cache`` picks
+    (:mod:`repro.faults.structural`: ``"off"`` by default, ``"on"`` to
+    simulate one representative per equivalence class with
+    bit-identical results) for those same steps.  ``cache`` picks
     the artifact store (:mod:`repro.simulate.artifacts`: ``None`` or
     ``"memory"`` for the process-wide in-memory store, ``"off"``, or an
     :class:`~repro.simulate.artifacts.ArtifactStore`) every

@@ -32,7 +32,7 @@ from .source import (
     make_source,
 )
 from .schedule import fault_costs, partition_faults
-from .sharded import DEFAULT_WINDOW, merge_results
+from .sharded import DEFAULT_WINDOW
 from .vector import (
     VECTOR_WINDOW,
     VectorNetwork,
@@ -86,7 +86,6 @@ __all__ = [
     "fault_costs",
     "partition_faults",
     "DEFAULT_WINDOW",
-    "merge_results",
     "VECTOR_WINDOW",
     "VectorNetwork",
     "VectorSimulation",

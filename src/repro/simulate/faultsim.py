@@ -32,16 +32,17 @@ worker pool (:mod:`repro.simulate.sharded`) above that, once the
 workload is big enough to pay for the fork.  Every knob is validated
 once, by :func:`resolve_knobs`, at every public entry point.
 
-An engine is only its kernels (:class:`~repro.simulate.registry.Engine`):
-every engine's per-fault outcomes come out of one window loop,
-:func:`drive_windows`, over the engine's per-block kernel
-(:data:`BlockKernel`), and every engine's detection words out of one
-words loop, :func:`collect_words`, over its per-window kernel
-(:data:`WordsKernel`).  Compiled and interpreted build both kernels
-from their per-window big-int difference pass through one adapter,
-:func:`bigint_engine`; a pooled run hands the same kernels to the
-workers.  Each engine streams the window of its own kind in every mode
-(:func:`engine_window`).  The three stops (first
+An engine is only its one fault pass
+(:class:`~repro.simulate.registry.Engine`, :data:`FaultPass`): a
+stream of the nonzero difference words of a window.  That stream is
+reduced in two places and nowhere else: :func:`block_detections`
+folds it to per-fault first indices and counts for the one window
+loop, :func:`drive_windows` (in-process and in every pool worker), and
+the one words loop, :func:`collect_words`, ORs it into whole-set
+detection words.  Compiled and interpreted build their pass from a
+per-window big-int difference pass through one adapter,
+:func:`bigint_engine`.  Each engine streams the window of its own kind
+in every mode (:func:`engine_window`).  The three stops (first
 detection, coverage, a session's ``on_window``) are one boundary
 predicate (:func:`stop_predicate`).
 
@@ -54,7 +55,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..netlist.network import Network, NetworkFault
 from .artifacts import resolve_cache
@@ -319,24 +321,39 @@ def resolve_knobs(
     return engine, store, get_collapse_mode(collapse)
 
 
-# -- the kernels and the big-int adapter ----------------------------------------------
+# -- the fault pass and the big-int adapter -------------------------------------------
+
+#: ``passes(chunk, active) -> stream of (position, word)`` - one
+#: engine's fault pass over the pattern window ``chunk`` for the
+#: fault-list positions in ``active``: every position whose difference
+#: word in the window is nonzero, with that word (bit k is pattern k of
+#: the window), in any order.  A stream, so only the words in flight are
+#: alive - a wide window never holds every fault's word at once.
+FaultPass = Callable[[PatternSet, List[int]], Iterator[Tuple[int, int]]]
 
 #: ``detect(start, chunk, active) -> (positions, first indices, counts)``
-#: - one engine's pass over the pattern block ``chunk`` (which begins at
-#: pattern ``start``) for the fault-list positions in ``active``,
-#: reporting every detected fault's position, absolute first detecting
-#: index and number of detecting patterns in the block.  Parallel lists
-#: of ints rather than a tuple per detection: each tuple is a GC-tracked
-#: allocation, and thousands per block trigger full collections mid-run.
+#: - a fault pass over the block ``chunk`` (which begins at pattern
+#: ``start``) reduced by :func:`block_detections`, or the pool's
+#: sharded equivalent.  Parallel lists of ints rather than a tuple per
+#: detection: each tuple is a GC-tracked allocation, and thousands per
+#: block trigger full collections mid-run.
 BlockKernel = Callable[
     [int, PatternSet, List[int]], Tuple[List[int], List[int], List[int]]
 ]
 
-#: ``words(chunk, active) -> (positions, words)`` - one engine's pass
-#: over the pattern window ``chunk`` for the fault-list positions in
-#: ``active``, reporting every position whose detection word in the
-#: window is nonzero, with that word (bit k is pattern k of the window).
-WordsKernel = Callable[[PatternSet, List[int]], Tuple[List[int], List[int]]]
+
+def block_detections(
+    passes: FaultPass, start: int, chunk: PatternSet, active: List[int]
+) -> Tuple[List[int], List[int], List[int]]:
+    """The :data:`BlockKernel` reduction of one fault pass: each
+    detected position with its absolute first detecting index and its
+    number of detecting patterns in the block."""
+    positions, firsts, counts = [], [], []
+    for position, word in passes(chunk, active):
+        positions.append(position)
+        firsts.append(start + (word & -word).bit_length() - 1)
+        counts.append(word.bit_count())
+    return positions, firsts, counts
 
 
 def bigint_engine(name: str, description: str, evaluate_bits, window_pass) -> Engine:
@@ -347,39 +364,21 @@ def bigint_engine(name: str, description: str, evaluate_bits, window_pass) -> En
     faults, difference word)`` for every fault of the batch whose word
     is nonzero, in any order - a batch, so a pass can share work between
     faults, and a stream, so only the words in flight are alive.  The
-    block kernel reduces each word to its first index and count, the
-    words kernel hands it on, so the big-int engines differ in the pass
-    alone.
+    adapter maps batch indices back to fault-list positions, so the
+    big-int engines differ in the pass alone.
     """
 
-    def block_kernel(network, faults, store) -> BlockKernel:
+    def fault_pass(network, faults, store) -> FaultPass:
         for_window = window_pass(network, store)
 
-        def detect(start: int, chunk: PatternSet, active: List[int]):
+        def passes(chunk: PatternSet, active: List[int]):
             batch = [faults[position] for position in active]
-            positions, firsts, counts = [], [], []
             for index, word in for_window(chunk)(batch):
-                positions.append(active[index])
-                firsts.append(start + (word & -word).bit_length() - 1)
-                counts.append(word.bit_count())
-            return positions, firsts, counts
+                yield active[index], word
 
-        return detect
+        return passes
 
-    def words_kernel(network, faults, store) -> WordsKernel:
-        for_window = window_pass(network, store)
-
-        def words(chunk: PatternSet, active: List[int]):
-            batch = [faults[position] for position in active]
-            positions, found = [], []
-            for index, word in for_window(chunk)(batch):
-                positions.append(active[index])
-                found.append(word)
-            return positions, found
-
-        return words
-
-    return Engine(name, description, evaluate_bits, block_kernel, words_kernel)
+    return Engine(name, description, evaluate_bits, fault_pass)
 
 
 def _interpreted_pass(network: Network, store):
@@ -442,21 +441,21 @@ def engine_window(engine: Engine, count: int) -> int:
 
 
 def collect_words(
-    patterns: PatternSet, words: WordsKernel, active: Sequence[int], width: int
+    patterns: PatternSet, passes: FaultPass, size: int, width: int
 ) -> List[int]:
-    """Whole-set detection words of the faults at ``active``, in that
-    order: the one words loop, in-process and in every pool worker.
+    """Whole-set detection words of ``size`` faults, in fault-list
+    order: the one words loop, streaming ``width``-pattern windows.
 
     The result is one whole-set-width big-int per fault by construction
     (callers want the full words), so only the per-window simulation is
     bounded-memory - unlike :func:`drive_windows`, which stays
     constant-memory end to end.
     """
-    slot_of = {position: slot for slot, position in enumerate(active)}
-    found = [0] * len(active)
+    active = list(range(size))
+    found = [0] * size
     for start, chunk in patterns.windows(width):
-        for position, word in zip(*words(chunk, active)):
-            found[slot_of[position]] |= word << start
+        for position, word in passes(chunk, active):
+            found[position] |= word << start
     return found
 
 
@@ -465,26 +464,16 @@ def difference_words(
     network: Network,
     patterns: PatternSet,
     faults: Sequence[NetworkFault],
-    jobs: Optional[int] = None,
+    *,
     cache=None,
 ) -> List[int]:
     """:meth:`Engine.difference_words`: :func:`collect_words` over the
-    engine's words kernel, streamed through the engine's window - across
-    a ``jobs``-wide pool when the workload pays for one
-    (:func:`repro.simulate.sharded.pooled_difference_words`)."""
-    engine, store, _mode = resolve_knobs(engine, jobs, None, cache)
+    engine's fault pass, streamed through the engine's window."""
+    engine, store, _mode = resolve_knobs(engine, None, None, cache)
     faults = list(faults)
-    words = engine.words_kernel(network, faults, store)
+    passes = engine.fault_pass(network, faults, store)
     width = engine_window(engine, patterns.count)
-    if jobs is not None and jobs > 1:
-        from .sharded import pooled_difference_words
-
-        pooled = pooled_difference_words(
-            network, patterns, faults, words, width, jobs, store
-        )
-        if pooled is not None:
-            return pooled
-    return collect_words(patterns, words, range(len(faults)), width)
+    return collect_words(patterns, passes, len(faults), width)
 
 
 # -- the public entry points ----------------------------------------------------------
@@ -525,9 +514,9 @@ def fault_simulate(
     changes a single result bit.
     ``collapse`` names a structural-collapsing mode
     (:mod:`repro.faults.structural`: ``"off"`` - the historical full
-    universe - by default, ``"on"`` / ``"report"`` to simulate one
-    representative per difference-equivalence class and scatter the
-    outcomes back over the members).  It never changes a result bit -
+    universe - by default, ``"on"`` to simulate one representative per
+    difference-equivalence class and scatter the outcomes back over the
+    members).  It never changes a result bit -
     the collapsed run is bit-identical - but it multiplies throughput by
     the class/fault ratio on every engine, which all see the shorter
     representative list.  Unknown modes raise
@@ -700,8 +689,9 @@ def drive_windows(
 ) -> List[FaultOutcome]:
     """Per-fault outcomes of ``size`` faults: the one window loop.
 
-    Every engine runs this loop and supplies only its per-block
-    ``detect`` kernel (:data:`BlockKernel`).  Two modes:
+    Every engine runs this loop; ``detect`` (:data:`BlockKernel`) is
+    the engine's fault pass under :func:`block_detections`, or the
+    pool's sharded equivalent.  Two modes:
 
     * **counting** (``on_window`` is ``None``): ``grid``-wide windows
       stream through ``detect``; the first detecting window fixes each
@@ -794,9 +784,10 @@ def windowed_outcomes(
 ) -> List[FaultOutcome]:
     """Per-fault (first index, count) outcomes on one engine.
 
-    :func:`drive_windows` over the engine's block kernel - or, when
-    ``jobs > 1`` and the workload pays for a pool, over the pool kernel
-    that runs it in ``jobs`` forked workers
+    :func:`drive_windows` over the engine's fault pass reduced by
+    :func:`block_detections` - or, when ``jobs > 1`` and the workload
+    pays for a pool, over the pool kernel that runs that reduction in
+    ``jobs`` forked workers
     (:func:`repro.simulate.sharded.pooled_outcomes`).  ``engine`` is a
     registered name or an :class:`Engine`.  ``window`` is the window
     width - the stopping grid when a stop is asked for - and ``None``
@@ -817,18 +808,19 @@ def windowed_outcomes(
     stop = stop_predicate(
         stop_at_first_detection, stop_at_coverage, on_window, weights
     )
-    detect = engine.block_kernel(network, faults, store)
+    passes = engine.fault_pass(network, faults, store)
     width = engine_window(engine, patterns.count)
     if jobs is not None and jobs > 1:
         from .sharded import pooled_outcomes
 
         outcomes = pooled_outcomes(
-            network, patterns, faults, window, detect, weights, stop, width,
+            network, patterns, faults, window, passes, weights, stop, width,
             jobs, store,
         )
         if outcomes is not None:
             return outcomes
     grid = width if window is None else window
+    detect = partial(block_detections, passes)
     return drive_windows(patterns, len(faults), grid, detect, weights, stop, width)
 
 

@@ -9,14 +9,13 @@ only what really differs between engines:
 
 * ``evaluate_bits`` - fault-free bit-parallel valuation of every net
   (the Monte-Carlo signal estimator's primitive);
-* ``block_kernel`` - builds the per-block kernel
-  (:data:`~repro.simulate.faultsim.BlockKernel`) that the one window
-  loop, :func:`~repro.simulate.faultsim.drive_windows`, runs for fault
-  simulation and streaming sessions;
-* ``words_kernel`` - builds the per-window kernel
-  (:data:`~repro.simulate.faultsim.WordsKernel`) that the one words
-  loop, :func:`~repro.simulate.faultsim.collect_words`, runs for
-  detection words (the Monte-Carlo detection estimator's primitive);
+* ``fault_pass`` - builds the engine's one fault pass
+  (:data:`~repro.simulate.faultsim.FaultPass`): a stream of nonzero
+  per-window difference words, which the one window loop,
+  :func:`~repro.simulate.faultsim.drive_windows`, reduces to outcomes
+  for fault simulation and streaming sessions, and the one words loop,
+  :func:`~repro.simulate.faultsim.collect_words`, ORs into whole-set
+  detection words;
 * ``lanes`` - whether it streams lane windows (numpy ``uint64`` rows)
   or big-int windows.
 
@@ -37,12 +36,12 @@ Three engines register themselves on import:
 
 The first two share one big-int adapter
 (:func:`repro.simulate.faultsim.bigint_engine`) over their per-window
-difference passes; vector registers its lane kernels.
+difference passes; vector registers its lane pass.
 
 Parallelism is not an engine: every engine takes ``jobs``, runs
 in-process when it is ``None`` or 1 and forks a ``jobs``-wide worker
 pool (:mod:`repro.simulate.sharded`) above that, once the workload is
-big enough to pay for it - the workers run the engine's own kernels.
+big enough to pay for it - the workers run the engine's own pass.
 
 The other knobs resolve next to the engine name, once, through
 :func:`repro.simulate.faultsim.resolve_knobs`: a **collapse** mode
@@ -60,47 +59,36 @@ future one - to that contract against the interpreted oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 __all__ = ["Engine", "register_engine", "get_engine", "available_engines"]
 
 
 @dataclass(frozen=True)
 class Engine:
-    """One registered simulation engine: its kernels and window kind.
+    """One registered simulation engine: its fault pass and window kind.
 
     ``evaluate_bits(network, env, mask, cache=None)`` returns the
-    fault-free valuation of every net.  ``block_kernel(network, faults,
-    store)`` and ``words_kernel(network, faults, store)`` build the
-    engine's kernels over ``faults`` (``store`` is the resolved artifact
-    store); ``lanes`` picks which window kind the engine streams.
+    fault-free valuation of every net.  ``fault_pass(network, faults,
+    store)`` builds the engine's fault pass over ``faults`` (``store``
+    is the resolved artifact store); ``lanes`` picks which window kind
+    the engine streams.
     """
 
     name: str
     description: str
     evaluate_bits: Callable = field(repr=False)
-    block_kernel: Callable = field(repr=False)
-    words_kernel: Callable = field(repr=False)
+    fault_pass: Callable = field(repr=False)
     lanes: bool = False
 
-    def difference_words(
-        self,
-        network,
-        patterns,
-        faults,
-        jobs: Optional[int] = None,
-        cache=None,
-    ) -> List[int]:
-        """One whole-set detection word per fault, in fault-list order.
-
-        ``jobs`` must be an ``int >= 1`` (``None`` means 1) and pools
-        the fault passes above 1; ``cache`` resolves as in
+    def difference_words(self, network, patterns, faults, *, cache=None) -> List[int]:
+        """One whole-set detection word per fault, in fault-list order,
+        computed in-process; ``cache`` resolves as in
         :func:`repro.simulate.faultsim.fault_simulate`, and bad values
-        raise the same errors on every engine.
-        """
+        raise the same errors on every engine."""
         from .faultsim import difference_words
 
-        return difference_words(self, network, patterns, faults, jobs, cache)
+        return difference_words(self, network, patterns, faults, cache=cache)
 
 
 _ENGINES: Dict[str, Engine] = {}

@@ -30,9 +30,11 @@ one scheduling layer both substrates use:
 
 * :func:`partition_faults` - the entry the worker pool uses: it
   prices a concrete fault list against a concrete network and bins
-  whole injection-site groups (all faults sharing a site share one
-  fanout cone and batch together on the vector engine, so splitting a
-  site across workers would destroy lane fill of a pooled ``vector`` run).
+  whole fanout-free-region stem groups (every fault of a region shares
+  the stem's one observability pass on the compiled engine, and the
+  injection-site groups the vector engine batches nest inside them, so
+  splitting a stem across workers would pay its pass twice and could
+  split a site's lane batch).
 
 Scheduling is a pure re-ordering: a pooled run scatters every outcome
 back to its fault-list position, so it is bit-identical to the
@@ -258,32 +260,35 @@ def partition_faults(
     """Shard a fault list into index lists by cone cost.
 
     Prices each fault's injection site (:func:`site_cost`) and LPT-packs
-    **whole injection-site groups** (group cost = site cost x batch
-    width): faults sharing a site share a fanout cone and batch
-    together on the vector engine, so keeping them in one shard both
-    prices them as the one cone pass they are and preserves lane fill
-    of a pooled ``vector`` run.  Site grouping can return fewer shards
-    than requested when there are fewer sites than workers - never an
-    empty shard, exactly like :func:`cost_schedule`.
+    **whole fanout-free-region stem groups** (group cost = the sum of
+    its faults' site costs): every fault of a region is carried to the
+    stem and shares one observability pass there
+    (``compiled.stem_of``), so a stem split across shards would pay that
+    pass in each.  Injection-site groups nest inside stem groups, so a
+    pooled ``vector`` run keeps its lane fill.  Stem grouping can return
+    fewer shards than requested when there are fewer stems than
+    workers - never an empty shard, exactly like :func:`cost_schedule`.
     """
     store = resolve_cache(cache)
     compiled = compile_network(network, cache=store)
 
     def build() -> List[List[int]]:
-        members_of_site: Dict[int, List[int]] = {}
-        for index, fault in enumerate(faults):
-            members_of_site.setdefault(fault_site(compiled, fault), []).append(index)
-        sites = sorted(members_of_site)
+        sites = [fault_site(compiled, fault) for fault in faults]
         cone_counts_batch(compiled, sites)
-        group_costs = [
-            site_cost(compiled, site) * len(members_of_site[site]) for site in sites
-        ]
+        members_of_stem: Dict[int, List[int]] = {}
+        cost_of_stem: Dict[int, int] = {}
+        for index, site in enumerate(sites):
+            stem = site if site < 0 else compiled.stem_of[site]
+            members_of_stem.setdefault(stem, []).append(index)
+            cost_of_stem[stem] = cost_of_stem.get(stem, 0) + site_cost(compiled, site)
+        stems = sorted(members_of_stem)
+        group_costs = [cost_of_stem[stem] for stem in stems]
         parts: List[List[int]] = []
         for group_part in cost_schedule(group_costs, shards):
             indices = [
                 index
                 for group in group_part
-                for index in members_of_site[sites[group]]
+                for index in members_of_stem[stems[group]]
             ]
             indices.sort()
             parts.append(indices)

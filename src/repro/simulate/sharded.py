@@ -11,20 +11,17 @@ cost-weighted LPT over fanout-cone sizes
 results are scattered back to their original list positions, so a
 pooled run is bit-identical to the in-process one.
 
-Workers run the engine's own kernels (:mod:`repro.simulate.registry`),
-built once in the parent so the forked workers inherit them warm, and
+Workers run the engine's own fault pass (:mod:`repro.simulate.registry`),
+built once in the parent so the forked workers inherit it warm, and
 stream the engine's own window (lane or big-int,
-:func:`repro.simulate.faultsim.engine_window`):
-
-* **Fault simulation** (:func:`pooled_outcomes`) drives the one window
-  loop, :func:`repro.simulate.faultsim.drive_windows`, in the parent
-  with :func:`_pool_kernel` as its block kernel: one ``pool.map`` per
-  block, each worker running the engine's block kernel on its shard of
-  the live faults.  Full counts, first detection, coverage stops and
-  streaming sessions all take that one path.
-* **Detection words** (:func:`pooled_difference_words`) shard the fault
-  list once; each worker runs the one words loop,
-  :func:`repro.simulate.faultsim.collect_words`, over its shard.
+:func:`repro.simulate.faultsim.engine_window`).  There is one pooled
+path, :func:`pooled_outcomes`: it drives the one window loop,
+:func:`repro.simulate.faultsim.drive_windows`, in the parent with
+:func:`_pool_kernel` as its block kernel - one ``pool.map`` per block,
+each worker reducing the engine's pass over its shard of the live
+faults (:func:`repro.simulate.faultsim.block_detections`).  Full
+counts, first detection, coverage stops, streaming sessions and the
+Monte-Carlo detection estimator all take that one path.
 
 Streaming windows are also an algorithmic win on their own: a fault
 whose faulty gate function agrees with the good word on every pattern
@@ -32,7 +29,7 @@ of a window converges after a *single* gate evaluation, so
 rarely-activated faults skip almost all of their fanout-cone work in
 inactive windows.
 
-Workers are forked, so the patterns, the kernels and the artifact
+Workers are forked, so the patterns, the fault pass and the artifact
 store the parent pre-warmed are inherited copy-on-write
 through the pool's ``initializer``/``initargs`` - never pickled, never
 parent module state.  The pool is a
@@ -48,17 +45,11 @@ import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.network import Network, NetworkFault
-from .faultsim import FaultOutcome, FaultSimResult, collect_words, drive_windows
+from .faultsim import FaultOutcome, block_detections, drive_windows
 from .logicsim import PatternSet
 from .schedule import partition_faults
 
-__all__ = [
-    "DEFAULT_WINDOW",
-    "MIN_POOL_WORK",
-    "merge_results",
-    "pooled_difference_words",
-    "pooled_outcomes",
-]
+__all__ = ["DEFAULT_WINDOW", "MIN_POOL_WORK", "pooled_outcomes"]
 
 DEFAULT_WINDOW = 1 << 18
 """Patterns per big-int streaming window, read at call time by
@@ -75,97 +66,17 @@ optimizer's coordinate search - so smaller workloads run in-process
 (same results, no pool)."""
 
 
-# -- sharding and merging --------------------------------------------------------------
-
-
-def merge_results(parts: Sequence[FaultSimResult]) -> FaultSimResult:
-    """Merge per-shard results exactly.
-
-    Shards carry disjoint fault sets, so the merge is a plain union -
-    but it *verifies* disjointness: a label occurring in two parts means
-    two distinct faults collided on a label (or a shard ran twice), and
-    silently keeping one record would corrupt coverage, so it raises.
-    (The engine itself now scatters per-fault outcomes back to list
-    positions - exact under any partition - but this stays
-    the public merge for callers who fault-simulate shards themselves.)
-    """
-    if not parts:
-        raise ValueError("no shard results to merge")
-    head = parts[0]
-    detected: Dict[str, int] = {}
-    counts: Dict[str, int] = {}
-    undetected: List[str] = []
-    seen: set = set()
-    for part in parts:
-        if part.network_name != head.network_name:
-            raise ValueError(
-                f"cannot merge results of different networks: "
-                f"{part.network_name!r} vs {head.network_name!r}"
-            )
-        if part.pattern_count != head.pattern_count:
-            raise ValueError(
-                f"cannot merge results over different pattern counts: "
-                f"{part.pattern_count} vs {head.pattern_count}"
-            )
-        labels = set(part.detected) | set(part.undetected)
-        overlap = labels & seen
-        if overlap:
-            raise ValueError(
-                f"shard results overlap on fault labels {sorted(overlap)[:5]}"
-            )
-        seen |= labels
-        detected.update(part.detected)
-        counts.update(part.detection_counts)
-        undetected.extend(part.undetected)
-    return FaultSimResult(
-        network_name=head.network_name,
-        pattern_count=head.pattern_count,
-        detected=detected,
-        detection_counts=counts,
-        undetected=undetected,
-    )
-
-
-def _scatter(shard_results, size: int, empty) -> List:
-    """Scatter per-shard result lists back to fault-list positions.
-
-    *Verifies* the partition rather than assuming it (the same policy
-    :func:`merge_results` applies to labels): a scheduler that assigned
-    an index twice or lost one would otherwise silently corrupt
-    coverage - ``None``/``0`` are legal per-fault values, so a lost
-    index would masquerade as "undetected".
-    """
-    values: List = [empty] * size
-    seen = bytearray(size)
-    for indices, part in shard_results:
-        if len(part) != len(indices):
-            raise ValueError(
-                f"shard returned {len(part)} results for {len(indices)} faults"
-            )
-        for index, value in zip(indices, part):
-            if seen[index]:
-                raise ValueError(
-                    f"schedule partition assigned fault index {index} twice"
-                )
-            seen[index] = 1
-            values[index] = value
-    missing = size - sum(seen)
-    if missing:
-        raise ValueError(f"schedule partition lost {missing} fault indices")
-    return values
-
-
 # -- the worker pool -------------------------------------------------------------------
 
 _WORKER: Optional[Tuple] = None
 """A pool worker's context, set by :func:`_init_worker` inside the
 worker process only - the parent hands it over through the pool's
 ``initargs`` and never touches module state, so concurrent pooled runs
-cannot clobber each other.  Both paths pass ``(patterns, kernel,
-width)``: the pattern set, the engine's block or words kernel and the
-width each block or shard is streamed through.  Workers are forked, so
-the context is inherited copy-on-write, never pickled - including the
-kernels' warm programs and the store the parent resolved."""
+cannot clobber each other.  It is ``(patterns, passes, width)``: the
+pattern set, the engine's fault pass and the width each block is
+streamed through.  Workers are forked, so the context is inherited
+copy-on-write, never pickled - including the pass's warm programs and
+the store the parent resolved."""
 
 
 def _init_worker(*context) -> None:
@@ -173,24 +84,18 @@ def _init_worker(*context) -> None:
     _WORKER = context
 
 
-def _words_worker(indices: Sequence[int]) -> List[int]:
-    """The whole-set words of one shard (any partition the scheduler
-    produced, as fault-list indices), in shard order."""
-    patterns, words, width = _WORKER
-    return collect_words(patterns, words, indices, width)
-
-
 def _block_worker(task: Tuple[int, int, List[int]]):
     """One block ``(start, stop, fault positions)`` of one live shard,
-    streamed through the engine's block kernel ``stream`` patterns at a
+    streamed through the engine's fault pass ``stream`` patterns at a
     time: one (first index, total count) per detected position."""
     start, stop, positions = task
-    patterns, detect, stream = _WORKER
+    patterns, passes, stream = _WORKER
     firsts: Dict[int, int] = {}
     counts: Dict[int, int] = {}
     for offset in range(start, stop, stream):
         chunk = patterns.slice(offset, min(offset + stream, stop))
-        for position, first, count in zip(*detect(offset, chunk, positions)):
+        detected = block_detections(passes, offset, chunk, positions)
+        for position, first, count in zip(*detected):
             firsts.setdefault(position, first)
             counts[position] = counts.get(position, 0) + count
     return list(firsts), list(firsts.values()), list(counts.values())
@@ -255,7 +160,7 @@ def _pool_kernel(pool, network, faults, jobs, cache):
 
     Each block re-partitions the *live* faults across the pool (shards
     shrink as faults retire) and the workers run the engine's block
-    kernel on their shard of the block (:func:`_block_worker`)."""
+    pass on their shard of the block (:func:`_block_worker`)."""
 
     def detect(start, chunk, active):
         live = [faults[position] for position in active]
@@ -278,7 +183,7 @@ def pooled_outcomes(
     patterns: PatternSet,
     faults: Sequence[NetworkFault],
     window: Optional[int],
-    detect,
+    passes,
     weights: Sequence[int],
     on_window,
     width: int,
@@ -288,7 +193,7 @@ def pooled_outcomes(
     """:func:`repro.simulate.faultsim.drive_windows` over a pool kernel.
 
     The pooled half of :func:`repro.simulate.faultsim.windowed_outcomes`:
-    ``detect`` is the engine's block kernel, built in the parent so the
+    ``passes`` is the engine's fault pass, built in the parent so the
     forked workers inherit it warm, and every driver mode (counting,
     retiring, coverage and session stops) runs unchanged over
     :func:`_pool_kernel`.  A counting run is one block - a barrier per
@@ -312,36 +217,10 @@ def pooled_outcomes(
         grid, stream = max(patterns.count, 1), window
     else:
         grid, stream = window, width
-    with _executor(len(shards), (patterns, detect, stream)) as pool:
+    with _executor(len(shards), (patterns, passes, stream)) as pool:
         return drive_windows(
             _Span(patterns.count), len(faults), grid,
             _pool_kernel(pool, network, faults, jobs, cache),
             weights, on_window, width,
         )
 
-
-def pooled_difference_words(
-    network: Network,
-    patterns: PatternSet,
-    faults: Sequence[NetworkFault],
-    words,
-    width: int,
-    jobs: int,
-    cache,
-) -> Optional[List[int]]:
-    """Per-fault detection words computed across a ``jobs``-wide pool.
-
-    ``words`` is the engine's words kernel over ``faults``; each worker
-    runs :func:`repro.simulate.faultsim.collect_words` over its shard,
-    ``width`` patterns at a time, and the words are scattered back to
-    fault order.  Returns
-    ``None`` when pooling is pointless or unavailable, like
-    :func:`pooled_outcomes`.
-    """
-    shards = _pool_shards(network, patterns, faults, jobs, cache)
-    if shards is None:
-        return None
-    with _executor(len(shards), (patterns, words, width)) as pool:
-        return _scatter(
-            zip(shards, pool.map(_words_worker, shards)), len(faults), 0
-        )

@@ -47,21 +47,17 @@ the element ops:
 * **column chunking** - inside a window the batch propagates in
   :data:`VECTOR_CHUNK`-word column chunks, so the ``[k, chunk]``
   working set of a cone stays cache-resident instead of streaming the
-  full window through DRAM once per gate;
-* **lane-native detection counts** - the fault-simulation path reduces
-  difference rows with ``np.bitwise_count`` instead of materialising
-  whole-set big-ints.
+  full window through DRAM once per gate.
 
-The registry entry is ``"vector"``: its kernels are the per-block
-:func:`lane_kernel`, which the one window loop
-(:func:`repro.simulate.faultsim.drive_windows`) runs for fault
-simulation and re-batches the live faults as they retire, and the
-per-window :func:`lane_words_kernel`, which the one words loop
-(:func:`repro.simulate.faultsim.collect_words`) runs for detection
-words; both stream :data:`VECTOR_WINDOW`-wide windows.  With
-``jobs > 1`` the worker pool of :mod:`repro.simulate.sharded` runs the
-same kernels in every worker (shards across processes, lanes within
-each).  All engines remain
+The registry entry is ``"vector"``: its one fault pass is
+:func:`lane_pass`, which re-batches the live faults as they retire and
+unpacks each nonzero difference row into a window word - the stream
+the one window loop (:func:`repro.simulate.faultsim.drive_windows`)
+reduces to outcomes and the one words loop
+(:func:`repro.simulate.faultsim.collect_words`) to detection words,
+over :data:`VECTOR_WINDOW`-wide windows.  With ``jobs > 1`` the worker
+pool of :mod:`repro.simulate.sharded` runs the same pass in every
+worker (shards across processes, lanes within each).  All engines remain
 bit-identical to the interpreted oracle -
 ``tests/test_engine_equivalence.py`` holds every registered engine to
 that contract.  The lane-array form is also the substrate a
@@ -90,8 +86,7 @@ __all__ = [
     "VECTOR_WINDOW",
     "VectorNetwork",
     "VectorSimulation",
-    "lane_kernel",
-    "lane_words_kernel",
+    "lane_pass",
     "vector_compile",
     "vector_evaluate_bits",
 ]
@@ -135,23 +130,6 @@ cone pass, no block to build - identical deep cones merge cross-site
 (one OVERHEAD per shared gate dwarfs the block build), and
 disjoint-cone or shallow-cone cross-site pairs never do (the merged
 block would drag every row through foreign cones for no saved call)."""
-
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-
-    def _row_counts(rows: "np.ndarray") -> "np.ndarray":
-        """Per-row population count of a uint64 lane block."""
-        return np.bitwise_count(rows).sum(axis=1)
-
-else:  # pragma: no cover - exercised only on old numpy
-
-    _POPCOUNT8 = np.array(
-        [bin(value).count("1") for value in range(256)], dtype=np.uint16
-    )
-
-    def _row_counts(rows: "np.ndarray") -> "np.ndarray":
-        flat = rows.reshape(rows.shape[0], -1).view(np.uint8)
-        return _POPCOUNT8[flat].sum(axis=1, dtype=np.int64)
 
 
 def _chunk_words(n_words: int) -> int:
@@ -732,10 +710,13 @@ def vector_compile(network: Network, cache=None) -> VectorNetwork:
 # -- the engine primitives -------------------------------------------------------------
 
 
-def _lane_pass(network: Network, faults: Sequence[NetworkFault], cache):
-    """``rows_of(chunk, active)``: the batched difference rows of the
-    faults at ``active`` over ``chunk``, as ``(live positions, rows)``
-    per batch plan - the pass both lane kernels reduce.
+def lane_pass(network: Network, faults: Sequence[NetworkFault], cache=None):
+    """The lane engine's fault pass
+    (:data:`repro.simulate.faultsim.FaultPass`): ``passes(chunk,
+    active)`` batches the ``active`` faults by injection site
+    (:meth:`VectorNetwork.plan_batches`), runs the batched cone passes
+    over ``chunk`` and unpacks each nonzero difference row into a
+    window word.
 
     The batch plans are rebuilt whenever the live set changes, so a
     half-retired site group stacks half the rows.  The first plan is
@@ -747,7 +728,7 @@ def _lane_pass(network: Network, faults: Sequence[NetworkFault], cache):
     planned = None
     plans: List[List[Tuple]] = []
 
-    def rows_of(chunk: PatternSet, active: Sequence[int]):
+    def passes(chunk: PatternSet, active: Sequence[int]):
         nonlocal planned, plans
         if active != planned:
             groups = vector.group_faults([(i, faults[i]) for i in active])
@@ -756,62 +737,12 @@ def _lane_pass(network: Network, faults: Sequence[NetworkFault], cache):
         values, mask_row, _count = vector.good_rows(chunk)
         for plan in plans:
             live, rows = vector.plan_difference_rows(values, mask_row, plan)
-            if live:
-                yield live, rows
-
-    return rows_of
-
-
-def lane_kernel(network: Network, faults: Sequence[NetworkFault], cache=None):
-    """The lane engine's block kernel for
-    :func:`repro.simulate.faultsim.drive_windows`.
-
-    ``detect(start, chunk, active)`` batches the ``active`` faults by
-    injection site (:meth:`VectorNetwork.plan_batches`), runs the
-    batched cone passes over ``chunk`` and reports the detected faults' positions,
-    first indices and counts, counting with ``np.bitwise_count`` - no
-    whole-set big-int is ever materialised.
-    """
-    rows_of = _lane_pass(network, faults, cache)
-
-    def detect(start: int, chunk: PatternSet, active: List[int]):
-        positions, firsts, counts = [], [], []
-        for live, rows in rows_of(chunk, active):
-            row_counts = _row_counts(rows)
-            for j, position in enumerate(live):
-                count = int(row_counts[j])
-                if count:
-                    row = rows[j]
-                    word_index = int(np.flatnonzero(row)[0])
-                    word = int(row[word_index])
-                    positions.append(position)
-                    firsts.append(
-                        start + 64 * word_index + (word & -word).bit_length() - 1
-                    )
-                    counts.append(count)
-        return positions, firsts, counts
-
-    return detect
-
-
-def lane_words_kernel(network: Network, faults: Sequence[NetworkFault], cache=None):
-    """The lane engine's words kernel for
-    :func:`repro.simulate.faultsim.collect_words`: ``words(chunk,
-    active)`` runs the same batched passes as :func:`lane_kernel` and
-    unpacks each nonzero difference row into a window word."""
-    rows_of = _lane_pass(network, faults, cache)
-
-    def words(chunk: PatternSet, active: Sequence[int]):
-        positions, found = [], []
-        for live, rows in rows_of(chunk, active):
             for j, position in enumerate(live):
                 word = unpack_words(rows[j], chunk.count)
                 if word:
-                    positions.append(position)
-                    found.append(word)
-        return positions, found
+                    yield position, word
 
-    return words
+    return passes
 
 
 def vector_evaluate_bits(
@@ -829,8 +760,7 @@ register_engine(
             "site-batched, cache-chunked cone passes with streaming windows"
         ),
         evaluate_bits=vector_evaluate_bits,
-        block_kernel=lane_kernel,
-        words_kernel=lane_words_kernel,
+        fault_pass=lane_pass,
         lanes=True,
     )
 )

@@ -145,12 +145,34 @@ def oracle_result(network, patterns, faults, **kwargs):
     return fault_simulate(network, patterns, faults, engine="interpreted", **kwargs)
 
 
+def assert_estimates_match_oracle(network, faults, samples, seed, **knobs):
+    """The Monte-Carlo detection estimator on ``knobs`` must report each
+    oracle word's detecting-pattern count over ``samples``, on the
+    estimator's own pattern set, in fault-list order."""
+    from repro.protest import monte_carlo_detection_probabilities
+
+    patterns = PatternSet.random(
+        network.inputs, samples, seed=seed,
+        probabilities=dict.fromkeys(network.inputs, 0.5),
+    )
+    words = reference_difference_words(network, patterns, faults)
+    expected = {
+        fault.describe(): word.bit_count() / samples
+        for fault, word in zip(faults, words)
+    }
+    estimates = monte_carlo_detection_probabilities(
+        network, faults, samples=samples, seed=seed, **knobs
+    )
+    assert list(estimates.items()) == list(expected.items())
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("network", CIRCUITS, ids=lambda n: n.name)
 class TestEveryEngineMatchesOracle:
     """The registry contract, engine by engine, circuit by circuit -
-    the fault-simulation modes, detection words and sessions once
-    in-process and through forked pools (the ``jobs`` fixture)."""
+    the fault-simulation modes, detection estimates and sessions once
+    in-process and through forked pools (the ``jobs`` fixture), and
+    the detection words in-process."""
 
     def test_fault_simulate_identical(self, engine, network, jobs):
         patterns = PatternSet.random(network.inputs, 128, seed=8)
@@ -193,14 +215,17 @@ class TestEveryEngineMatchesOracle:
             oracle_result(network, patterns, faults, stop_at_coverage=0.7),
         )
 
-    def test_difference_words_identical(self, engine, network, jobs):
-        """Called positionally: ``(network, patterns, faults, jobs,
-        cache)`` is every engine's signature."""
+    def test_difference_words_identical(self, engine, network):
         patterns = PatternSet.random(network.inputs, 130, seed=7)
         faults = all_faults(network)
         assert get_engine(engine).difference_words(
-            network, patterns, faults, jobs, None
+            network, patterns, faults, cache=None
         ) == reference_difference_words(network, patterns, faults)
+
+    def test_detection_estimates_identical(self, engine, network, jobs):
+        assert_estimates_match_oracle(
+            network, all_faults(network), 130, 7, engine=engine, jobs=jobs
+        )
 
     def test_streaming_coverage_identical(self, engine, network, jobs):
         def session(engine, jobs=None):
@@ -294,7 +319,7 @@ def test_property_engines_agree_on_random_circuits(
 @pytest.fixture()
 def plugin_engine():
     """A throwaway engine built only from the seam - the compiled
-    kernels under a new name - registered for one test; ``ENGINES`` is
+    fault pass under a new name - registered for one test; ``ENGINES`` is
     unchanged afterwards."""
     from repro.simulate import Engine, registry
 
@@ -304,10 +329,9 @@ def plugin_engine():
         yield register_engine(
             Engine(
                 name="plug-in",
-                description="compiled kernels under a new name",
+                description="the compiled fault pass under a new name",
                 evaluate_bits=compiled.evaluate_bits,
-                block_kernel=compiled.block_kernel,
-                words_kernel=compiled.words_kernel,
+                fault_pass=compiled.fault_pass,
                 lanes=compiled.lanes,
             )
         ).name
@@ -317,7 +341,7 @@ def plugin_engine():
 @pytest.mark.parametrize("network", CIRCUITS[:4], ids=lambda n: n.name)
 def test_plugin_engine_matches_oracle(plugin_engine, network, jobs):
     """The seam is the contract: an engine registered from nothing but
-    its kernels and window kind runs every mode - in-process and
+    its fault pass and window kind runs every mode - in-process and
     through a forked pool - bit-identical to the oracle."""
     assert plugin_engine in available_engines()
     patterns = PatternSet.random(
@@ -337,8 +361,11 @@ def test_plugin_engine_matches_oracle(plugin_engine, network, jobs):
             oracle_result(network, patterns, faults, **kwargs),
         )
     assert get_engine(plugin_engine).difference_words(
-        network, patterns, faults, jobs
+        network, patterns, faults
     ) == reference_difference_words(network, patterns, faults)
+    assert_estimates_match_oracle(
+        network, faults, 130, 7, engine=plugin_engine, jobs=jobs
+    )
 
     def session(engine, jobs=None):
         return streaming_coverage(
@@ -443,13 +470,21 @@ class TestEveryEngineWidthCombination:
             ),
         )
 
-    def test_difference_words_identical_on_skewed_cones(self, engine, widths, jobs):
+    def test_difference_words_identical_on_skewed_cones(self, engine, widths):
         network = skewed_cone_network(depth=7, islands=5)
         patterns = PatternSet.random(network.inputs, 130, seed=53)
         faults = all_faults(network)
         assert get_engine(engine).difference_words(
-            network, patterns, faults, jobs=jobs
+            network, patterns, faults
         ) == reference_difference_words(network, patterns, faults)
+
+    def test_detection_estimates_identical_on_skewed_cones(
+        self, engine, widths, jobs
+    ):
+        network = skewed_cone_network(depth=7, islands=5)
+        assert_estimates_match_oracle(
+            network, all_faults(network), 130, 53, engine=engine, jobs=jobs
+        )
 
 
 #: Cache modes the harness sweeps: caching disabled and the in-memory
@@ -759,14 +794,14 @@ class TestRegistryErrorPaths:
         assert tuple(sorted(ENGINE_CHOICES)) == ENGINES
 
     def test_cli_collapse_choices_match_module(self):
+        """The CLI offers the library's modes plus its own ``report``."""
         from repro.cli import COLLAPSE_CHOICES
         from repro.faults.structural import available_collapse_modes
 
-        assert tuple(sorted(COLLAPSE_CHOICES)) == available_collapse_modes()
+        assert COLLAPSE_CHOICES == available_collapse_modes() + ("report",)
 
     def test_cli_rejects_unknown_collapse_with_module_message(self, capsys):
-        from repro.cli import build_parser
-        from repro.faults.structural import available_collapse_modes
+        from repro.cli import COLLAPSE_CHOICES, build_parser
 
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -774,7 +809,7 @@ class TestRegistryErrorPaths:
         stderr = capsys.readouterr().err
         assert (
             "unknown collapse mode 'turbo'; available collapse modes: "
-            + ", ".join(available_collapse_modes())
+            + ", ".join(COLLAPSE_CHOICES)
         ) in stderr
 
     def test_cli_accepts_every_collapse_mode(self):
@@ -905,14 +940,13 @@ class TestEstimatorsAcrossEngines:
 
         network = domino_carry_chain(3)
         reference = Protest(network, engine="interpreted").validate(200, seed=7)
-        for collapse in ("on", "report"):
-            for engine in ("compiled", "vector"):
-                results_identical(
-                    Protest(network, engine=engine, collapse=collapse).validate(
-                        200, seed=7
-                    ),
-                    reference,
-                )
+        for engine in ("compiled", "vector"):
+            results_identical(
+                Protest(network, engine=engine, collapse="on").validate(
+                    200, seed=7
+                ),
+                reference,
+            )
 
 
 # --- the streaming pattern-source dimension ----------------------------------------

@@ -55,6 +55,9 @@ BAD_KNOBS = {
     "collapse": [
         ("turbo", "unknown collapse mode 'turbo'"),
         (1, "unknown collapse mode 1"),
+        # The CLI's --collapse report is "on" plus a printed report; the
+        # library has no such mode.
+        ("report", "unknown collapse mode 'report'"),
     ],
     "cache": [
         (42, "unknown cache mode 42"),
@@ -153,8 +156,22 @@ def test_optimize_input_probabilities(knob, value, message):
 
 
 @bad_cases("jobs", "cache")
-def test_difference_words_and_windowed_outcomes(knob, value, message):
-    """The two engine-level entry points, which bypass ``fault_simulate``."""
+def test_windowed_outcomes(knob, value, message):
+    """The engine-level outcomes entry point, which bypasses
+    ``fault_simulate``."""
+    network = and_cone(3)
+    patterns = PatternSet.exhaustive(network.inputs)
+    faults = all_faults(network)
+    _raises(
+        knob, value, message,
+        lambda **bad: windowed_outcomes(network, patterns, faults, 8, **bad),
+    )
+
+
+@bad_cases("cache")
+def test_difference_words(knob, value, message):
+    """The engine-level words entry point (in-process only: it takes no
+    ``jobs``)."""
     network = and_cone(3)
     patterns = PatternSet.exhaustive(network.inputs)
     faults = all_faults(network)
@@ -163,10 +180,6 @@ def test_difference_words_and_windowed_outcomes(knob, value, message):
         lambda **bad: get_engine("compiled").difference_words(
             network, patterns, faults, **bad
         ),
-    )
-    _raises(
-        knob, value, message,
-        lambda **bad: windowed_outcomes(network, patterns, faults, 8, **bad),
     )
 
 
@@ -233,6 +246,24 @@ def test_cli_rejects_bad_jobs_at_parse_time(capsys, jobs, message):
         main(["protest", "--netlist", C17_BENCH, "--jobs", jobs])
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_collapse_report_is_on_plus_the_report(capsys):
+    """``--collapse report`` lives in the CLI only: it runs exactly the
+    ``on`` pipeline, preceded by the printed collapse report."""
+    from repro.cli import main
+    from repro.faults.structural import collapse_network_faults
+    from repro.netlist.bench import resolve_netlist
+
+    assert main(["protest", "--netlist", C17_BENCH, "--collapse", "on"]) == 0
+    collapsed_run = capsys.readouterr().out
+    assert main(["protest", "--netlist", C17_BENCH, "--collapse", "report"]) == 0
+    network = resolve_netlist(C17_BENCH)
+    report = collapse_network_faults(
+        network, network.enumerate_faults()
+    ).format_report()
+    assert "faults -> " in report and " classes " in report
+    assert capsys.readouterr().out == report + "\n\n" + collapsed_run
 
 
 @pytest.mark.parametrize(

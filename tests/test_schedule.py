@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engine_test_utils import all_faults
+from engine_test_utils import all_faults, bench_text
 
 from repro.circuits.figures import fig9_cell
 from repro.circuits.generators import (
@@ -34,7 +34,7 @@ from repro.circuits.generators import (
     domino_carry_chain,
     skewed_cone_network,
 )
-from repro.netlist import Network
+from repro.netlist import Network, parse_bench
 from repro.simulate import ArtifactStore, PatternSet, fault_costs, partition_faults
 from repro.simulate import vector as vector_module
 from repro.simulate.compiled import compile_network
@@ -193,8 +193,10 @@ def test_property_lpt_balance_guarantee(costs, shards):
 )
 def test_property_partition_faults_covers_real_fault_lists(depth, islands, shards):
     """partition_faults holds the same invariants against concrete
-    networks, and keeps injection-site groups whole (splitting a site
-    across workers would destroy lane fill)."""
+    networks, and keeps fanout-free-region stem groups - hence the
+    injection-site groups nested in them - whole (splitting a stem
+    across workers would pay its observability pass twice, splitting a
+    site would destroy lane fill)."""
     network = skewed_cone_network(depth=depth, islands=islands)
     faults = all_faults(network)
     parts = partition_faults(network, faults, shards)
@@ -207,23 +209,51 @@ def test_property_partition_faults_covers_real_fault_lists(depth, islands, shard
         index: shard for shard, part in enumerate(parts) for index in part
     }
     site_shards = {}
+    stem_shards = {}
     for index, fault in enumerate(faults):
         site = fault_site(compiled, fault)
         site_shards.setdefault(site, set()).add(shard_of_index[index])
+        stem_shards.setdefault(compiled.stem_of[site], set()).add(
+            shard_of_index[index]
+        )
     assert all(len(shards_) == 1 for shards_ in site_shards.values())
+    assert all(len(shards_) == 1 for shards_ in stem_shards.values())
 
 
 def test_partition_faults_never_hands_out_an_empty_shard():
-    """No fault list yields no shards, and more workers than sites
-    yields one shard per site - a worker is never handed nothing."""
+    """No fault list yields no shards, and more workers than stems
+    yields one shard per fanout-free-region stem - a worker is never
+    handed nothing."""
     network = and_cone(3)
     faults = all_faults(network)
     compiled = compile_network(network)
-    sites = {fault_site(compiled, fault) for fault in faults}
+    stems = {compiled.stem_of[fault_site(compiled, fault)] for fault in faults}
     assert partition_faults(network, [], 4) == []
-    parts = partition_faults(network, faults, len(sites) + 3)
-    assert len(parts) == len(sites)
+    parts = partition_faults(network, faults, len(stems) + 3)
+    assert len(parts) == len(stems)
     assert all(part for part in parts)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_no_stem_spans_two_shards_at_scale(jobs):
+    """On a seeded 2k-gate netlist every fault of a fanout-free region
+    lands in one shard, so each stem's observability pass runs in one
+    worker only - and every shard still carries work."""
+    network = parse_bench(bench_text(2000), name="stem_partition")
+    faults = all_faults(network)
+    compiled = compile_network(network)
+    parts = partition_faults(network, faults, jobs, cache="off")
+    assert len(parts) == jobs
+    assert sorted(index for part in parts for index in part) == list(
+        range(len(faults))
+    )
+    shards_of_stem = {}
+    for shard, part in enumerate(parts):
+        for index in part:
+            stem = compiled.stem_of[fault_site(compiled, faults[index])]
+            shards_of_stem.setdefault(stem, set()).add(shard)
+    split = sorted(stem for stem, shards in shards_of_stem.items() if len(shards) > 1)
+    assert split == []
 
 
 def test_flat_cost_vector_falls_back_to_round_robin_stripes():

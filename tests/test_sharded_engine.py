@@ -1,10 +1,10 @@
-"""Worker-pool mechanics: ``jobs > 1``, streaming windows, shard merge.
+"""Worker-pool mechanics: ``jobs > 1`` and streaming windows.
 
 Cross-engine bit-identity is held by the registry-driven differential
 harness in ``test_engine_equivalence.py``; this file keeps what is
 specific to the scale-out layer: the window iterator (including the
 whole-set-window guarantee), the one words loop at any window width,
-the window each engine streams, the verified merge, equivalence through a *genuine* worker
+the window each engine streams, equivalence through a *genuine* worker
 pool (``MIN_POOL_WORK = 0`` forces forking, which real calls skip for
 small workloads), and pools that fail loudly instead of hanging.
 """
@@ -26,8 +26,6 @@ from repro.simulate import (
     available_engines,
     fault_simulate,
     get_engine,
-    merge_results,
-    partition_faults,
     register_engine,
     registry,
     resolve_cache,
@@ -35,7 +33,6 @@ from repro.simulate import (
     vector,
 )
 from repro.simulate.faultsim import (
-    FaultSimResult,
     build_result,
     collect_words,
     engine_window,
@@ -99,19 +96,18 @@ class TestWindowIterator:
     @pytest.mark.parametrize("network", CIRCUITS, ids=lambda n: n.name)
     @pytest.mark.parametrize("width", [1, 7, 64, 333])
     def test_windowed_words_bit_identical_to_whole_pass(self, network, width):
-        """The one words loop over every engine's words kernel, at any
+        """The one words loop over every engine's fault pass, at any
         window width, == the whole-set reference words - across
         circuits, fault kinds and uneven final windows."""
         patterns = PatternSet.random(network.inputs, 150, seed=17)
         faults = all_faults(network)
         reference = reference_difference_words(network, patterns, faults)
         for engine in available_engines():
-            words = get_engine(engine).words_kernel(
+            passes = get_engine(engine).fault_pass(
                 network, faults, resolve_cache(None)
             )
             assert (
-                collect_words(patterns, words, range(len(faults)), width)
-                == reference
+                collect_words(patterns, passes, len(faults), width) == reference
             ), engine
 
     def test_engine_window_reads_module_constants_at_call_time(self, monkeypatch):
@@ -175,12 +171,17 @@ class TestPooledEquivalence:
         )
         results_identical(pooled, compiled)
 
-    def test_pooled_difference_words_identical(self, network):
-        patterns = PatternSet.random(network.inputs, 130, seed=7)
+    def test_pooled_detection_estimates_identical(self, network):
+        """The Monte-Carlo detection estimator pools through the same
+        path as fault simulation and matches its in-process run."""
+        from repro.protest import monte_carlo_detection_probabilities
+
         faults = all_faults(network)
-        assert get_engine("compiled").difference_words(
-            network, patterns, faults, jobs=2
-        ) == reference_difference_words(network, patterns, faults)
+        serial = monte_carlo_detection_probabilities(network, faults, samples=130)
+        pooled = monte_carlo_detection_probabilities(
+            network, faults, samples=130, jobs=2
+        )
+        assert list(pooled.items()) == list(serial.items())
 
     def test_pooled_vector_engine_identical(self, network):
         """shards x lanes: the vector engine inside pool workers."""
@@ -257,54 +258,44 @@ class TestPoolFailures:
 
     @pytest.fixture()
     def failing(self, monkeypatch):
-        """``failing(failure)`` registers an engine whose kernels fail
-        the way ``failure`` names, in a forked worker only (the parent
-        builds the kernels; the workers inherit and call them)."""
+        """``failing(failure)`` registers an engine whose fault pass
+        fails the way ``failure`` names, in a forked worker only (the
+        parent builds the pass; the workers inherit and call it)."""
         monkeypatch.setattr(registry, "_ENGINES", dict(registry._ENGINES))
         parent = os.getpid()
         compiled = get_engine("compiled")
 
         def register(failure: str) -> str:
-            def sabotaged(build):
-                def builder(*args):
-                    kernel = build(*args)
+            def fault_pass(*args):
+                passes = compiled.fault_pass(*args)
 
-                    def failing_kernel(*call):
-                        _in_worker(parent, failure)
-                        return kernel(*call)
+                def failing_passes(*call):
+                    _in_worker(parent, failure)
+                    return passes(*call)
 
-                    return failing_kernel
-
-                return builder
+                return failing_passes
 
             return register_engine(
                 Engine(
                     name="failing",
-                    description="compiled kernels that fail in workers",
+                    description="a compiled fault pass that fails in workers",
                     evaluate_bits=compiled.evaluate_bits,
-                    block_kernel=sabotaged(compiled.block_kernel),
-                    words_kernel=sabotaged(compiled.words_kernel),
+                    fault_pass=fault_pass,
                 )
             ).name
 
         return register
 
-    def _run_pooled(self, engine, path):
+    def _outcome(self, engine):
+        """Run a pooled fault simulation in a thread; its exception, or
+        a hang."""
+        raised = []
         network = domino_carry_chain(6)
         patterns = PatternSet.random(network.inputs, 1024, seed=3)
-        if path == "words":
-            return get_engine(engine).difference_words(
-                network, patterns, network.enumerate_faults(), jobs=2
-            )
-        return fault_simulate(network, patterns, engine=engine, jobs=2)
-
-    def _outcome(self, engine, path):
-        """Run the pooled call in a thread; its exception, or a hang."""
-        raised = []
 
         def target():
             try:
-                self._run_pooled(engine, path)
+                fault_simulate(network, patterns, engine=engine, jobs=2)
             except Exception as error:  # handed to the test thread
                 raised.append(error)
 
@@ -315,15 +306,13 @@ class TestPoolFailures:
         assert raised, "pooled run swallowed the worker failure"
         return raised[0]
 
-    @pytest.mark.parametrize("path", ["outcomes", "words"])
-    def test_killed_worker_raises_broken_pool(self, failing, path):
+    def test_killed_worker_raises_broken_pool(self, failing):
         engine = failing("kill")
-        assert isinstance(self._outcome(engine, path), BrokenProcessPool)
+        assert isinstance(self._outcome(engine), BrokenProcessPool)
 
-    @pytest.mark.parametrize("path", ["outcomes", "words"])
-    def test_raising_worker_reraises_in_parent(self, failing, path):
+    def test_raising_worker_reraises_in_parent(self, failing):
         engine = failing("raise")
-        error = self._outcome(engine, path)
+        error = self._outcome(engine)
         assert isinstance(error, WorkerBoom)
         assert "worker failed on purpose" in str(error)
 
@@ -355,62 +344,30 @@ class TestJobsIsTheParallelismSwitch:
             raise AssertionError("jobs <= 1 must run in-process")
 
         monkeypatch.setattr(sharded, "_executor", no_pool)
+        from repro.protest import monte_carlo_detection_probabilities
+
         network = domino_carry_chain(4)
         patterns = PatternSet.random(network.inputs, 300, seed=2)
         faults = all_faults(network)
         for engine in ("compiled", "interpreted", "vector"):
             fault_simulate(network, patterns, faults, engine=engine, jobs=jobs)
-            get_engine(engine).difference_words(network, patterns, faults, jobs)
+            monte_carlo_detection_probabilities(
+                network, faults, samples=300, engine=engine, jobs=jobs
+            )
 
-
-class TestShardMerge:
-    def _result(self, **kw):
-        base = dict(
-            network_name="n",
-            pattern_count=64,
-            detected={},
-            detection_counts={},
-            undetected=[],
-        )
-        base.update(kw)
-        return FaultSimResult(**base)
-
-    def test_merge_preserves_indices_and_counts(self):
-        network = domino_carry_chain(4)
-        patterns = PatternSet.random(network.inputs, 96, seed=8)
+    def test_difference_words_takes_no_jobs(self):
+        """Detection words are in-process only: a ``jobs`` value, by
+        keyword or in the old fourth position, is a ``TypeError`` -
+        it can never bind to ``cache``."""
+        network = c17()
+        patterns = PatternSet.exhaustive(network.inputs)
         faults = all_faults(network)
-        whole = fault_simulate(network, patterns, faults)
-        parts = [
-            fault_simulate(network, patterns, [faults[i] for i in shard])
-            for shard in partition_faults(network, faults, 3)
-        ]
-        merged = merge_results(parts)
-        assert len(parts) == 3
-        assert merged.detected == whole.detected
-        assert merged.detection_counts == whole.detection_counts
-        assert sorted(merged.undetected) == sorted(whole.undetected)
-
-    def test_merge_rejects_mismatched_pattern_counts(self):
-        a = self._result(pattern_count=64)
-        b = self._result(pattern_count=32)
-        with pytest.raises(ValueError):
-            merge_results([a, b])
-
-    def test_merge_rejects_mismatched_networks(self):
-        a = self._result()
-        b = self._result(network_name="other")
-        with pytest.raises(ValueError):
-            merge_results([a, b])
-
-    def test_merge_rejects_overlapping_labels(self):
-        a = self._result(detected={"f": 3}, detection_counts={"f": 1})
-        b = self._result(undetected=["f"])
-        with pytest.raises(ValueError):
-            merge_results([a, b])
-
-    def test_merge_of_nothing_raises(self):
-        with pytest.raises(ValueError):
-            merge_results([])
+        for engine in available_engines():
+            words = get_engine(engine).difference_words
+            with pytest.raises(TypeError):
+                words(network, patterns, faults, jobs=2)
+            with pytest.raises(TypeError):
+                words(network, patterns, faults, 2)
 
 
 class TestFaultEnumeration:

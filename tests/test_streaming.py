@@ -29,7 +29,6 @@ from repro.simulate import (
     available_engines,
     coverage_curve,
     fault_simulate,
-    get_engine,
     streaming_coverage,
 )
 from repro.simulate.faultsim import FIRST_DETECTION_CHUNK, windowed_outcomes
@@ -435,16 +434,6 @@ class TestStreamingJobs:
         patterns = PatternSet.exhaustive(network.inputs)
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             fault_simulate(network, patterns, engine=engine, jobs=jobs)
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    @pytest.mark.parametrize("engine", available_engines())
-    def test_difference_words_validates_jobs(self, engine, jobs):
-        network = and_cone(2)
-        patterns = PatternSet.exhaustive(network.inputs)
-        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
-            get_engine(engine).difference_words(
-                network, patterns, network.enumerate_faults(), jobs=jobs
-            )
 
     @pytest.mark.parametrize("jobs", [0, -1])
     @pytest.mark.parametrize("engine", available_engines())

@@ -4,7 +4,7 @@ Cross-engine bit-identity lives in the registry-driven harness
 (``test_engine_equivalence.py``); this file covers what is specific to
 the lane backend: the big-int <-> uint64-lane bridges, the batched
 cone pass (grouping, activation filtering, chunk boundaries), the
-per-fault ``difference`` API, and the lane kernel inside a genuine
+per-fault ``difference`` API, and the lane pass inside a genuine
 worker pool (``jobs > 1``).
 """
 
@@ -35,7 +35,7 @@ from repro.simulate.artifacts import ArtifactStore
 from repro.simulate.compiled import compile_network
 from repro.simulate.faultsim import collect_words
 from repro.simulate.logicsim import pack_words, unpack_words
-from repro.simulate.vector import lane_words_kernel
+from repro.simulate.vector import lane_pass
 
 
 class TestWordBridges:
@@ -151,9 +151,9 @@ class TestBatchedWindows:
         network = domino_carry_chain(4)
         patterns = PatternSet.random(network.inputs, 150, seed=17)
         faults = all_faults(network)
-        words = lane_words_kernel(network, faults)
+        passes = lane_pass(network, faults)
         assert collect_words(
-            patterns, words, range(len(faults)), window
+            patterns, passes, len(faults), window
         ) == reference_difference_words(network, patterns, faults)
 
     def test_chunk_boundaries_exact(self, monkeypatch):
