@@ -11,9 +11,8 @@ setup(
     python_requires=">=3.10",
     # numpy is a hard runtime dependency: weighted pattern sampling and
     # the exact/Monte-Carlo estimators use it, and the vector engine
-    # (repro.simulate.vector) is built on uint64 lane arrays
-    # (np.bitwise_count needs numpy >= 2.0 for the fast path; older
-    # numpy falls back to a table-based popcount).  networkx backs the
-    # switch-level graph analyses imported at cell/tech module load.
+    # (repro.simulate.vector) is built on uint64 lane arrays.  networkx
+    # backs the switch-level graph analyses imported at cell/tech module
+    # load.
     install_requires=["numpy>=1.22", "networkx"],
 )

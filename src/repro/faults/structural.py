@@ -558,13 +558,23 @@ def collapse_network_faults(
     separately share one entry), replacing the old per-compilation
     identity memo.
     """
-    from ..simulate.artifacts import fault_fingerprint, resolve_cache
-    from ..simulate.compiled import compile_network
     from ..simulate.faultsim import dedupe_faults
 
     if faults is None:
         faults = network.enumerate_faults()
-    faults = dedupe_faults(faults)
+    return collapse_unique_faults(network, dedupe_faults(faults), cache)
+
+
+def collapse_unique_faults(
+    network: Network, faults: Sequence[NetworkFault], cache=None
+) -> CollapsedFaultSet:
+    """:func:`collapse_network_faults` of a list already free of
+    duplicates - the collapse step of
+    :func:`repro.simulate.faultsim.fault_universe`, which has applied
+    the collision policy once already."""
+    from ..simulate.artifacts import fault_fingerprint, resolve_cache
+    from ..simulate.compiled import compile_network
+
     store = resolve_cache(cache)
     compiled = compile_network(network, cache=store)
 

@@ -19,10 +19,7 @@ estimated, that it is detected by a random pattern."
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
-
-import numpy as np
-
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..logic.expr import Expr
 from ..logic.minimize import minimal_sop
@@ -30,8 +27,8 @@ from ..logic.probability import Program, cell_probability
 from ..netlist.network import Network, NetworkFault
 from ..simulate.compiled import compile_network
 from ..simulate.faultsim import (
-    check_injectable,
-    dedupe_faults,
+    FaultUniverse,
+    fault_universe,
     resolve_knobs,
     windowed_outcomes,
 )
@@ -45,25 +42,9 @@ from .signalprob import (
 )
 
 
-def difference_bits(network: Network, fault: NetworkFault, patterns: PatternSet) -> int:
-    """Bit vector marking the patterns that detect ``fault``.
-
-    Runs on the compiled engine: each call costs one good-circuit pass
-    plus one stem-observability pass (only the compilation is cached).
-    For many faults, make one batched call instead - it shares the good
-    pass and runs one observability pass per fanout-free-region stem
-    rather than one per fault::
-
-        sim = compile_network(network).simulate(patterns.env, patterns.mask)
-        words = sim.differences(faults)
-    """
-    sim = compile_network(network).simulate(patterns.env, patterns.mask)
-    return sim.difference(fault)
-
-
 def exact_detection_probabilities(
     network: Network,
-    faults: Sequence[NetworkFault],
+    faults: Optional[Sequence[NetworkFault]],
     probs: Mapping[str, float] | float = 0.5,
     cache=None,
 ) -> Dict[str, float]:
@@ -74,24 +55,23 @@ def exact_detection_probabilities(
             f"exact detection probabilities over {n} inputs are infeasible; "
             "use the Monte-Carlo estimator"
         )
-    faults = dedupe_faults(faults)
-    check_injectable(network, faults)
+    universe = fault_universe(network, faults)
     input_probs = _input_probs(network, probs)
     patterns = PatternSet.exhaustive(network.inputs)
     ordered = [input_probs[name] for name in reversed(network.inputs)]
     weights = minterm_weights(ordered)
     sim = compile_network(network, cache=cache).simulate(patterns.env, patterns.mask)
     return {
-        fault.describe(): float(
-            weights[bits_to_bool_array(difference, patterns.count)].sum()
+        label: float(weights[bits_to_bool_array(difference, patterns.count)].sum())
+        for label, difference in zip(
+            universe.labels, sim.differences(universe.faults)
         )
-        for fault, difference in zip(faults, sim.differences(faults))
     }
 
 
 def monte_carlo_detection_probabilities(
     network: Network,
-    faults: Sequence[NetworkFault],
+    faults: Optional[Sequence[NetworkFault]],
     probs: Mapping[str, float] | float = 0.5,
     samples: int = 4096,
     seed: int = 1986,
@@ -113,35 +93,42 @@ def monte_carlo_detection_probabilities(
     difference functions - every member inherits its representative's
     count, so the estimates match the uncollapsed run exactly.
     """
-    from ..faults.structural import collapse_network_faults
-
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     resolved, store, mode = resolve_knobs(engine, jobs, collapse, cache)
-    faults = dedupe_faults(faults)
-    check_injectable(network, faults)
+    universe = fault_universe(network, faults, mode, store)
+    frequencies = _detection_frequencies(
+        network, universe, probs, samples, seed, resolved, jobs, store
+    )
+    return dict(zip(universe.labels, frequencies))
+
+
+def _detection_frequencies(
+    network: Network,
+    universe: FaultUniverse,
+    probs: Mapping[str, float] | float,
+    samples: int,
+    seed: int,
+    engine,
+    jobs: Optional[int],
+    store,
+) -> List[float]:
+    """Empirical detection frequency of every fault of ``universe``, in
+    its fault order: one counting-mode pass over ``samples`` random
+    patterns of ``universe.simulated``, scattered back over the faults.
+    The knobs arrive resolved."""
     input_probs = _input_probs(network, probs)
     patterns = PatternSet.random(
         network.inputs, samples, seed=seed, probabilities=input_probs
     )
-
-    def outcomes(simulated):
-        return windowed_outcomes(
-            network, patterns, simulated, None, engine=resolved, cache=store,
-            jobs=jobs,
-        )
-
-    if mode == "off" or not faults:
-        found = outcomes(faults)
-    else:
-        collapsed = collapse_network_faults(network, faults, cache=store)
-        found = collapsed.scatter_outcomes(
-            outcomes(collapsed.representative_faults())
-        )
-    return {
-        fault.describe(): (0 if outcome is None else outcome[1]) / samples
-        for fault, outcome in zip(faults, found)
-    }
+    outcomes = windowed_outcomes(
+        network, patterns, universe.simulated, None, engine=engine,
+        cache=store, jobs=jobs,
+    )
+    return [
+        (0 if outcome is None else outcome[1]) / samples
+        for outcome in universe.scatter(outcomes)
+    ]
 
 
 # -- topological (COP-style) estimate -------------------------------------------------
@@ -198,23 +185,22 @@ def observability_estimates(
 
 def topological_detection_probabilities(
     network: Network,
-    faults: Sequence[NetworkFault],
+    faults: Optional[Sequence[NetworkFault]],
     probs: Mapping[str, float] | float = 0.5,
 ) -> Dict[str, float]:
     """Activation x observability estimate for each fault."""
     signal_probs = topological_signal_probabilities(network, probs)
     observability = observability_estimates(network, signal_probs)
-    faults = dedupe_faults(faults)
-    check_injectable(network, faults)
+    universe = fault_universe(network, faults)
     # One activation program per (cell, faulty truth table): the 8k
     # faults of a 2k-gate netlist share a few dozen cell functions.
     programs: Dict[tuple, Program] = {}
     result: Dict[str, float] = {}
-    for fault in faults:
+    for label, fault in zip(universe.labels, universe.faults):
         if fault.kind == "stuck":
             p_net = signal_probs[fault.net]
             activation = p_net if fault.value == 0 else (1.0 - p_net)
-            result[fault.describe()] = activation * observability[fault.net]
+            result[label] = activation * observability[fault.net]
         else:
             gate = network.gates[fault.gate]
             pin_probs = {
@@ -225,7 +211,7 @@ def topological_detection_probabilities(
                 programs, (id(gate.cell), table),
                 lambda: gate.function_expr() ^ minimal_sop(table), pin_probs,
             )
-            result[fault.describe()] = activation * observability[gate.output]
+            result[label] = activation * observability[gate.output]
     return result
 
 
@@ -251,8 +237,6 @@ def detection_probabilities(
     bad knob raises whichever estimator dispatches.
     """
     _engine, store, _mode = resolve_knobs(engine, jobs, collapse, cache)
-    if faults is None:
-        faults = network.enumerate_faults()
     if method == "auto":
         method = "exact" if len(network.inputs) <= MAX_EXACT_INPUTS else "monte_carlo"
     if method == "exact":

@@ -27,9 +27,9 @@ import numpy as np
 
 from ..netlist.network import Network, NetworkFault
 from ..simulate.compiled import compile_network
-from ..simulate.faultsim import resolve_knobs
+from ..simulate.faultsim import FaultUniverse, fault_universe, resolve_knobs
 from ..simulate.logicsim import PatternSet
-from .detectprob import monte_carlo_detection_probabilities
+from .detectprob import _detection_frequencies
 from .signalprob import MAX_EXACT_INPUTS, bits_to_bool_array, minterm_weights
 from .testlength import test_length
 
@@ -83,16 +83,15 @@ class OptimizationResult:
 class _ExactEvaluator:
     """Exact detection probabilities via the fault-difference matrix."""
 
-    def __init__(self, network: Network, faults: Sequence[NetworkFault], cache=None):
-        self.network = network
+    def __init__(self, network: Network, universe: FaultUniverse, store):
         self.names = list(network.inputs)
         patterns = PatternSet.exhaustive(self.names)
-        sim = compile_network(network, cache=cache).simulate(
+        sim = compile_network(network, cache=store).simulate(
             patterns.env, patterns.mask
         )
         rows = [
             bits_to_bool_array(word, patterns.count)
-            for word in sim.differences(faults)
+            for word in sim.differences(universe.faults)
         ]
         self.matrix = np.array(rows, dtype=float)
 
@@ -100,41 +99,6 @@ class _ExactEvaluator:
         ordered = [probs[name] for name in reversed(self.names)]
         weights = minterm_weights(ordered)
         return self.matrix @ weights
-
-
-class _MonteCarloEvaluator:
-    """Sampled detection probabilities for wide circuits."""
-
-    def __init__(
-        self,
-        network: Network,
-        faults: Sequence[NetworkFault],
-        samples: int = 2048,
-        seed: int = 1986,
-        engine: str = "compiled",
-        jobs: Optional[int] = None,
-        cache=None,
-    ):
-        self.network = network
-        self.faults = list(faults)
-        self.samples = samples
-        self.seed = seed
-        self.engine = engine
-        self.jobs = jobs
-        self.cache = cache
-
-    def detection(self, probs: Mapping[str, float]) -> np.ndarray:
-        values = monte_carlo_detection_probabilities(
-            self.network,
-            self.faults,
-            probs,
-            self.samples,
-            self.seed,
-            self.engine,
-            self.jobs,
-            cache=self.cache,
-        )
-        return np.array([values[f.describe()] for f in self.faults])
 
 
 def optimize_input_probabilities(
@@ -156,22 +120,25 @@ def optimize_input_probabilities(
     fault-difference matrix of narrow circuits is a single compiled
     pass either way).
     """
-    _engine, store, _mode = resolve_knobs(engine, jobs, None, cache)
-    if faults is None:
-        faults = network.enumerate_faults()
-    faults = list(faults)
-    if not faults:
+    resolved, store, _mode = resolve_knobs(engine, jobs, None, cache)
+    universe = fault_universe(network, faults)
+    if not universe.faults:
         raise ValueError("no faults to optimize for")
     if len(network.inputs) <= MAX_EXACT_INPUTS - 4:
-        evaluator = _ExactEvaluator(network, faults, cache=store)
+        detection = _ExactEvaluator(network, universe, store).detection
     else:
-        evaluator = _MonteCarloEvaluator(
-            network, faults, samples, engine=engine, jobs=jobs, cache=store,
-        )
 
-    labels = [f.describe() for f in faults]
+        def detection(probs: Mapping[str, float]) -> np.ndarray:
+            """Sampled detection probabilities for wide circuits: one
+            Monte-Carlo pass per candidate over the one universe, at
+            the estimator's default seed."""
+            return np.array(_detection_frequencies(
+                network, universe, probs, samples, 1986, resolved, jobs, store
+            ))
+
+    labels = universe.labels
     uniform = {name: 0.5 for name in network.inputs}
-    uniform_det = evaluator.detection(uniform)
+    uniform_det = detection(uniform)
 
     def objective(det: np.ndarray) -> Tuple[float, float]:
         """Score to maximise: negative harmonic sum of detection
@@ -203,7 +170,7 @@ def optimize_input_probabilities(
                     continue
                 trial = dict(current)
                 trial[name] = candidate
-                det = evaluator.detection(trial)
+                det = detection(trial)
                 score = objective(det)
                 if score > best_score:
                     best_score = score

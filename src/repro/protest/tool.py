@@ -109,8 +109,9 @@ class Protest:
     ``"memory"`` for the process-wide in-memory store, ``"off"``, or an
     :class:`~repro.simulate.artifacts.ArtifactStore`) every
     simulation-backed step resolves compiled programs, cone metadata,
-    batch plans and collapse classes through.
-    Per-call ``engine=`` arguments override the instance default.
+    batch plans and collapse classes through.  The knobs are validated
+    once, here, and every method runs on them - no method takes a
+    knob of its own.
     """
 
     def __init__(
@@ -139,25 +140,22 @@ class Protest:
         self,
         probs: Mapping[str, float] | float = 0.5,
         method: str = "auto",
-        engine: Optional[str] = None,
     ) -> Dict[str, float]:
         return signal_probabilities(
-            self.network, probs, method, engine=engine or self.engine,
-            cache=self.cache,
+            self.network, probs, method, engine=self.engine, cache=self.cache,
         )
 
     def detection_probabilities(
         self,
         probs: Mapping[str, float] | float = 0.5,
         method: str = "auto",
-        engine: Optional[str] = None,
     ) -> Dict[str, float]:
         return detection_probabilities(
             self.network,
             self.faults,
             probs,
             method,
-            engine=engine or self.engine,
+            engine=self.engine,
             jobs=self.jobs,
             collapse=self.collapse,
             cache=self.cache,
@@ -200,19 +198,10 @@ class Protest:
         count: int,
         probs: Mapping[str, float] | float = 0.5,
         seed: int = 1986,
-        engine: Optional[str] = None,
-        jobs: Optional[int] = None,
-        collapse: Optional[str] = None,
-        cache=None,
     ) -> FaultSimResult:
         """Static fault simulation of generated patterns - the validation
-        step before committing self-test logic to the chip.
-
-        ``engine`` names a registered engine (``"compiled"``,
-        ``"interpreted"``, ``"vector"``), ``jobs`` the worker count
-        (``> 1`` forks a pool on any engine), ``collapse`` the
-        structural-collapsing mode and ``cache`` the
-        artifact store; all default to the instance settings.  See
+        step before committing self-test logic to the chip, on the
+        instance's engine, workers, collapse mode and store.  See
         :func:`repro.simulate.faultsim.fault_simulate`.
         """
         patterns = self.generate_patterns(count, probs, seed)
@@ -220,10 +209,10 @@ class Protest:
             self.network,
             patterns,
             self.faults,
-            engine=engine or self.engine,
-            jobs=jobs if jobs is not None else self.jobs,
-            collapse=collapse if collapse is not None else self.collapse,
-            cache=cache if cache is not None else self.cache,
+            engine=self.engine,
+            jobs=self.jobs,
+            collapse=self.collapse,
+            cache=self.cache,
         )
 
     def streaming_test_length(
@@ -234,10 +223,6 @@ class Protest:
         max_patterns: int = 1 << 16,
         seed: int = 1,
         probabilities: Optional[Mapping[str, float]] = None,
-        engine: Optional[str] = None,
-        jobs: Optional[int] = None,
-        collapse: Optional[str] = None,
-        cache=None,
     ) -> StreamingCoverage:
         """How many patterns for the target coverage, at a confidence -
         answered by streaming a BIST source until the bound tightens.
@@ -253,8 +238,7 @@ class Protest:
         the engines' batched window cores and stops at the first window
         where the Wilson lower confidence bound on fault coverage
         clears ``target_coverage`` - ``jobs > 1`` fans each block across
-        a ``jobs``-wide worker pool.  Engine knobs default to the
-        instance settings.
+        a ``jobs``-wide worker pool.  The run knobs are the instance's.
         """
         resolved = make_source(
             source,
@@ -269,10 +253,10 @@ class Protest:
             self.faults,
             target_coverage=target_coverage,
             confidence=confidence,
-            engine=engine or self.engine,
-            jobs=jobs if jobs is not None else self.jobs,
-            collapse=collapse if collapse is not None else self.collapse,
-            cache=cache if cache is not None else self.cache,
+            engine=self.engine,
+            jobs=self.jobs,
+            collapse=self.collapse,
+            cache=self.cache,
         )
 
     # -- one-call analysis -----------------------------------------------------------

@@ -17,11 +17,10 @@ that pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 from ..netlist.network import Network, NetworkFault
-from .faultsim import FaultSimResult
+from .faultsim import FaultSimResult, build_result, fault_universe
 from .logicsim import PatternSet
 
 
@@ -58,20 +57,21 @@ def deductive_fault_simulate(
     the output flips.  (This exactness is affordable because fault lists
     stay small on the cell-sized fan-ins used here; industrial deductive
     simulators approximate multi-input propagation.)
-    """
-    if faults is None:
-        faults = network.enumerate_faults()
-    label_of = {id(fault): fault.describe() for fault in faults}
-    stuck_by_net: Dict[str, List[NetworkFault]] = {}
-    cells_by_gate: Dict[str, List[NetworkFault]] = {}
-    for fault in faults:
-        if fault.kind == "stuck":
-            stuck_by_net.setdefault(fault.net, []).append(fault)
-        else:
-            cells_by_gate.setdefault(fault.gate, []).append(fault)
 
-    detected: Dict[str, int] = {}
-    counts: Dict[str, int] = {}
+    Fault lists hold positions in the
+    :func:`~repro.simulate.faultsim.fault_universe` of ``faults``.
+    """
+    faults = fault_universe(network, faults).faults
+    stuck_by_net: Dict[str, List[int]] = {}
+    cells_by_gate: Dict[str, List[int]] = {}
+    for index, fault in enumerate(faults):
+        if fault.kind == "stuck":
+            stuck_by_net.setdefault(fault.net, []).append(index)
+        else:
+            cells_by_gate.setdefault(fault.gate, []).append(index)
+
+    firsts = [-1] * len(faults)
+    counts = [0] * len(faults)
 
     order = network.levelize()
     for pattern_index, vector in enumerate(patterns.vectors()):
@@ -80,9 +80,9 @@ def deductive_fault_simulate(
 
         def originate_stuck(net: str) -> Set[int]:
             result: Set[int] = set()
-            for fault in stuck_by_net.get(net, ()):
-                if values[net] != fault.value:
-                    result.add(id(fault))
+            for index in stuck_by_net.get(net, ()):
+                if values[net] != faults[index].value:
+                    result.add(index)
             return result
 
         for net in network.inputs:
@@ -107,34 +107,29 @@ def deductive_fault_simulate(
                 if _gate_output_flips(gate, input_values, flipped_pins):
                     out_list.add(candidate)
             # Local cell faults originate here.
-            for fault in cells_by_gate.get(gate_name, ()):
+            for index in cells_by_gate.get(gate_name, ()):
                 good = gate.function_expr().evaluate(input_values)
-                bad = fault.function.table.value(input_values)
+                bad = faults[index].function.table.value(input_values)
                 if good != bad:
-                    out_list.add(id(fault))
+                    out_list.add(index)
             # Local stuck-at on the output net overrides propagation.
             out_net = gate.output
             out_list |= originate_stuck(out_net)
-            for fault in stuck_by_net.get(out_net, ()):
-                if values[out_net] == fault.value:
-                    out_list.discard(id(fault))
+            for index in stuck_by_net.get(out_net, ()):
+                if values[out_net] == faults[index].value:
+                    out_list.discard(index)
             lists[out_net] = out_list
 
         observed: Set[int] = set()
         for net in network.outputs:
             observed |= lists.get(net, set())
-        for fault_id in observed:
-            label = label_of[fault_id]
-            counts[label] = counts.get(label, 0) + 1
-            detected.setdefault(label, pattern_index)
+        for index in observed:
+            if not counts[index]:
+                firsts[index] = pattern_index
+            counts[index] += 1
 
-    undetected = [
-        fault.describe() for fault in faults if fault.describe() not in detected
+    outcomes = [
+        (firsts[index], counts[index]) if counts[index] else None
+        for index in range(len(faults))
     ]
-    return FaultSimResult(
-        network_name=network.name,
-        pattern_count=patterns.count,
-        detected=detected,
-        detection_counts=counts,
-        undetected=undetected,
-    )
+    return build_result(network.name, patterns.count, faults, outcomes)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.network import Network, NetworkFault
+from .faultsim import fault_universe
 from .logicsim import PatternSet
 
 
@@ -35,7 +36,9 @@ class Diagnosis:
 
 
 class FaultDictionary:
-    """Precomputed syndrome table for a network and pattern set."""
+    """Precomputed syndrome table for a network and pattern set, one
+    entry per fault of the
+    :func:`~repro.simulate.faultsim.fault_universe` of ``faults``."""
 
     def __init__(
         self,
@@ -45,12 +48,13 @@ class FaultDictionary:
     ):
         self.network = network
         self.patterns = patterns
-        self.faults = list(faults) if faults is not None else network.enumerate_faults()
+        universe = fault_universe(network, faults)
+        self.faults = universe.faults
         self.good = network.output_bits(patterns.env, patterns.mask)
         self._syndromes: Dict[str, Tuple[int, ...]] = {}
-        for fault in self.faults:
+        for label, fault in zip(universe.labels, self.faults):
             bad = network.output_bits(patterns.env, patterns.mask, fault)
-            self._syndromes[fault.describe()] = tuple(
+            self._syndromes[label] = tuple(
                 self.good[net] ^ bad[net] for net in network.outputs
             )
 

@@ -22,9 +22,9 @@ registry (:mod:`repro.simulate.registry`):
   Kept as the oracle the equivalence suite checks the other engines
   against; all engines produce bit-identical results.
 * ``engine="vector"`` - :mod:`repro.simulate.vector`: the same slot
-  program lowered onto numpy ``uint64`` lane arrays; the gate kernels
-  run as vectorized SIMD ops, which wins past a few thousand patterns
-  per pass.
+  program lowered onto numpy ``uint64`` lane arrays, with the gate
+  kernels as vectorized ops - slower than ``compiled`` on every
+  workload measured so far (see the ROADMAP).
 
 ``jobs`` is the only parallelism switch: every engine runs in-process
 when it is ``None`` or 1 and fans its faults out across a ``jobs``-wide
@@ -46,6 +46,12 @@ in every mode (:func:`engine_window`).  The three stops (first
 detection, coverage, a session's ``on_window``) are one boundary
 predicate (:func:`stop_predicate`).
 
+Every label-keyed consumer - the entry points here, parallel and
+deductive fault simulation, fault dictionaries, the PROTEST estimators
+and the optimizer - builds one :class:`FaultUniverse`
+(:func:`fault_universe`): the fault list enumerated when none is given,
+literal duplicates dropped, every fault checked injectable and, under
+``collapse="on"``, the equivalence classes the engines simulate.
 Results are keyed by fault *label* (``fault.describe()``) but computed
 per fault: a fault list in which two **distinct** faults share a label
 raises instead of silently merging their detection records.
@@ -56,13 +62,18 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..netlist.network import Network, NetworkFault
 from .artifacts import resolve_cache
 from .compiled import compile_network
 from .logicsim import PatternSet
 from .registry import Engine, get_engine, register_engine
+
+if TYPE_CHECKING:
+    from ..faults.structural import CollapsedFaultSet
 
 #: The stopping grid of every retiring run (``stop_at_first_detection``,
 #: ``stop_at_coverage``, streaming sessions): a fault detected in window
@@ -126,31 +137,15 @@ class FaultSimResult:
         return "\n".join(lines)
 
 
-def _register_label(seen: Dict[str, NetworkFault], fault: NetworkFault) -> bool:
-    """Claim a fault's label: ``True`` if new, ``False`` for a literal
-    duplicate of an already-seen fault, ``ValueError`` when a *distinct*
-    fault already holds the label (its results would silently merge)."""
-    label = fault.describe()
-    prior = seen.get(label)
-    if prior is not None:
-        if prior == fault:
-            return False
-        raise ValueError(
-            f"fault label {label!r} is shared by two distinct faults; "
-            "their results would silently merge - give them unique labels"
-        )
-    seen[label] = fault
-    return True
-
-
 def dedupe_faults(faults: Sequence[NetworkFault]) -> List[NetworkFault]:
     """Drop literal duplicates; raise when distinct faults share a label.
 
-    The one collision policy every label-keyed consumer shares - the
-    fault-simulation engines, the pooled shards, the detection
-    estimators.  Every colliding label is reported in one message, not
-    just the first, so a large (possibly collapsed) fault list fails
-    with a single actionable error."""
+    The one collision policy every label-keyed consumer shares, applied
+    by :func:`fault_universe` (and by the public entry of
+    :func:`repro.faults.structural.collapse_network_faults`).  Every
+    colliding label is reported in one message, not just the first, so
+    a large (possibly collapsed) fault list fails with a single
+    actionable error."""
     seen: Dict[str, NetworkFault] = {}
     result: List[NetworkFault] = []
     collisions: List[str] = []
@@ -184,12 +179,12 @@ def check_injectable(network: Network, faults: Sequence[NetworkFault]) -> None:
 
     A stuck fault on a net the network does not drive (or a cell fault
     on an absent gate) would otherwise ride along never-injected and be
-    reported "undetected", silently deflating coverage.  Shared by
-    every engine, by parallel fault simulation and by the
-    detection-probability estimators so they agree on the error instead
-    of each tolerating ghosts differently.  *All* offending faults are
-    listed in one message, so a large collapsed set fails with a single
-    actionable error instead of one fault per run.
+    reported "undetected", silently deflating coverage.  Applied by
+    :func:`fault_universe`, so every label-keyed consumer agrees on the
+    error instead of each tolerating ghosts differently.  *All*
+    offending faults are listed in one message, so a large collapsed
+    set fails with a single actionable error instead of one fault per
+    run.
     """
     injectable: Optional[set] = None
     offenders: List[Tuple[NetworkFault, str]] = []
@@ -219,6 +214,70 @@ def check_injectable(network: Network, faults: Sequence[NetworkFault]) -> None:
     raise ValueError(
         f"{len(offenders)} faults cannot be injected: {listed}"
     )
+
+
+@dataclass(frozen=True)
+class FaultUniverse:
+    """One fault list as every label-keyed consumer sees it.
+
+    ``faults`` is the list with literal duplicates dropped and every
+    fault checked injectable, ``labels`` their labels (the result keys,
+    unique by construction), and ``collapsed`` the difference-equivalence
+    classes under ``collapse="on"`` (``None`` otherwise).  ``simulated``
+    is the list the engines run - one representative per class when
+    collapsed, else ``faults`` - with one coverage weight per simulated
+    fault in ``weights`` (its class size), and :meth:`scatter` maps the
+    outcomes of ``simulated`` back over ``faults``.  Built only by
+    :func:`fault_universe`.
+    """
+
+    faults: List[NetworkFault]
+    labels: List[str]
+    simulated: List[NetworkFault]
+    weights: List[int]
+    collapsed: Optional["CollapsedFaultSet"] = None
+
+    @property
+    def class_count(self) -> Optional[int]:
+        """Classes simulated under collapsing, ``None`` without."""
+        return None if self.collapsed is None else self.collapsed.class_count
+
+    def scatter(self, outcomes: Sequence) -> List:
+        """Per-fault values from per-``simulated``-fault ``outcomes``."""
+        if self.collapsed is None:
+            return list(outcomes)
+        return self.collapsed.scatter_outcomes(outcomes)
+
+
+def fault_universe(
+    network: Network,
+    faults: Optional[Sequence[NetworkFault]] = None,
+    collapse: str = "off",
+    store=None,
+) -> FaultUniverse:
+    """The :class:`FaultUniverse` of ``faults`` (``None``: every fault
+    :meth:`Network.enumerate_faults` yields) under the resolved
+    ``collapse`` mode, collapse classes fetched through ``store``.
+
+    The one place the collision policy (:func:`dedupe_faults`), the
+    injectability check (:func:`check_injectable`) and the collapse
+    decision run, so a bad fault list raises the same error from every
+    consumer before any simulation work.
+    """
+    from ..faults.structural import collapse_unique_faults
+
+    if faults is None:
+        faults = network.enumerate_faults()
+    faults = dedupe_faults(faults)
+    check_injectable(network, faults)
+    labels = [fault.describe() for fault in faults]
+    if collapse == "on" and faults:
+        collapsed = collapse_unique_faults(network, faults, store)
+        return FaultUniverse(
+            faults, labels, collapsed.representative_faults(),
+            collapsed.class_sizes(), collapsed,
+        )
+    return FaultUniverse(faults, labels, faults, [1] * len(faults))
 
 
 def check_jobs(jobs: Optional[int]) -> None:
@@ -261,28 +320,18 @@ def build_result(
     faults: Sequence[NetworkFault],
     outcomes: Sequence[FaultOutcome],
 ) -> FaultSimResult:
-    """Assemble a :class:`FaultSimResult` from per-fault outcomes.
-
-    Results are computed per fault and only *keyed* by label here, so a
-    label shared by two distinct faults is detected and raised instead
-    of silently collapsing both faults into one record.  A literal
-    duplicate of the same fault is tolerated (its outcome is identical
-    by construction) and reported once.
-    """
+    """Assemble a :class:`FaultSimResult` from per-fault outcomes of a
+    deduplicated fault list (a :class:`FaultUniverse`'s ``faults``),
+    keyed by label."""
     detected: Dict[str, int] = {}
     counts: Dict[str, int] = {}
     undetected: List[str] = []
-    seen: Dict[str, NetworkFault] = {}
     for fault, outcome in zip(faults, outcomes):
-        if not _register_label(seen, fault):
-            continue
         label = fault.describe()
         if outcome is None:
             undetected.append(label)
         else:
-            first, count = outcome
-            detected[label] = first
-            counts[label] = count
+            detected[label], counts[label] = outcome
     return FaultSimResult(
         network_name=network_name,
         pattern_count=pattern_count,
@@ -542,66 +591,24 @@ def fault_simulate(
     """
     resolved, store, mode = resolve_knobs(engine, jobs, collapse, cache)
     check_stop_at_coverage(stop_at_coverage)
-    if faults is None:
-        faults = network.enumerate_faults()
-    # Validate up front - a bad fault list should raise before the
-    # simulation burns time, not in build_result afterwards.
-    faults = dedupe_faults(faults)
-    check_injectable(network, faults)
+    universe = fault_universe(network, faults, mode, store)
     # Either stop pins the stopping grid to FIRST_DETECTION_CHUNK on
     # every engine: where a coverage-stopped run ends depends on the
     # grid, so all engines must stop on the same one to stay
     # bit-identical.  Without a stop the engine's own window applies.
     retire = stop_at_first_detection or stop_at_coverage is not None
-
-    def outcomes(simulated, weights):
-        return windowed_outcomes(
-            network, patterns, simulated, FIRST_DETECTION_CHUNK if retire else None,
-            stop_at_first_detection, resolved,
-            stop_at_coverage=stop_at_coverage, coverage_weights=weights,
-            cache=store, jobs=jobs,
-        )
-
-    if mode == "off" or not faults:
-        result = build_result(
-            network.name, patterns.count, faults, outcomes(faults, None)
-        )
-    else:
-        from ..faults.structural import collapse_network_faults
-
-        collapsed = collapse_network_faults(network, faults, cache=store)
-        class_outcomes = outcomes(
-            collapsed.representative_faults(), collapsed.class_sizes()
-        )
-        result = build_result(
-            network.name,
-            patterns.count,
-            faults,
-            collapsed.scatter_outcomes(class_outcomes),
-        )
-        result.collapsed_classes = collapsed.class_count
+    outcomes = windowed_outcomes(
+        network, patterns, universe.simulated,
+        FIRST_DETECTION_CHUNK if retire else None,
+        stop_at_first_detection, resolved,
+        stop_at_coverage=stop_at_coverage, coverage_weights=universe.weights,
+        cache=store, jobs=jobs,
+    )
+    result = build_result(
+        network.name, patterns.count, universe.faults, universe.scatter(outcomes)
+    )
+    result.collapsed_classes = universe.class_count
     return result
-
-
-def resolve_coverage_weights(
-    faults: Sequence[NetworkFault], coverage_weights: Optional[Sequence[int]]
-) -> List[int]:
-    """Per-fault coverage weights (``None`` means one per fault).
-
-    Under ``collapse="on"`` the engines simulate one representative per
-    equivalence class, so a representative's detection covers
-    class-size faults of the original universe; weighting the coverage
-    fraction by class size keeps the ``stop_at_coverage`` stopping
-    window - hence every result bit - identical to the uncollapsed run.
-    """
-    if coverage_weights is None:
-        return [1] * len(faults)
-    if len(coverage_weights) != len(faults):
-        raise ValueError(
-            f"got {len(coverage_weights)} coverage weights for "
-            f"{len(faults)} faults"
-        )
-    return list(coverage_weights)
 
 
 # -- the window driver ----------------------------------------------------------------
@@ -796,15 +803,25 @@ def windowed_outcomes(
     ``stop_at_first_detection`` retires a fault at the end of its first
     detecting window (count pinned to 1); ``stop_at_coverage``
     additionally stops the run at the first window boundary where the
-    ``coverage_weights``-weighted covered fraction
-    (:func:`resolve_coverage_weights`) reaches the threshold; and
+    ``coverage_weights``-weighted covered fraction (one weight per
+    fault, ``None`` for all ones; a representative's class size under
+    ``collapse="on"``, so the stopping window matches the uncollapsed
+    run) reaches the threshold; and
     ``on_window(consumed, covered_weight) -> bool`` is the streaming
     session seam - returning ``False`` ends the run, which is how
     :func:`streaming_coverage` plugs in its Wilson-bound stop.
     """
     engine, store, _mode = resolve_knobs(engine, jobs, None, cache)
     check_stop_at_coverage(stop_at_coverage)
-    weights = resolve_coverage_weights(faults, coverage_weights)
+    if coverage_weights is None:
+        weights = [1] * len(faults)
+    elif len(coverage_weights) != len(faults):
+        raise ValueError(
+            f"got {len(coverage_weights)} coverage weights for "
+            f"{len(faults)} faults"
+        )
+    else:
+        weights = list(coverage_weights)
     stop = stop_predicate(
         stop_at_first_detection, stop_at_coverage, on_window, weights
     )
@@ -934,27 +951,13 @@ def streaming_coverage(
     counts by their member sizes, keeping the stopping window identical
     to the uncollapsed run.
     """
-    from ..faults.structural import collapse_network_faults
     from ..protest.testlength import check_confidence, coverage_lower_bound
 
     resolved, store, mode = resolve_knobs(engine, jobs, collapse, cache)
     check_coverage(target_coverage, "target_coverage")
     check_confidence(confidence)
-    if faults is None:
-        faults = network.enumerate_faults()
-    faults = dedupe_faults(faults)
-    check_injectable(network, faults)
-    fault_count = len(faults)
-    collapsed_classes: Optional[int] = None
-    if mode != "off" and faults:
-        collapsed = collapse_network_faults(network, faults, cache=store)
-        simulated = collapsed.representative_faults()
-        weights = resolve_coverage_weights(simulated, collapsed.class_sizes())
-        collapsed_classes = collapsed.class_count
-    else:
-        simulated = list(faults)
-        weights = resolve_coverage_weights(simulated, None)
-    total_weight = sum(weights)
+    universe = fault_universe(network, faults, mode, store)
+    total_weight = sum(universe.weights)
     curve: List[Tuple[int, float]] = []
     state = {
         "consumed": 0,
@@ -983,9 +986,9 @@ def streaming_coverage(
             return True
 
         windowed_outcomes(
-            network, patterns, simulated, FIRST_DETECTION_CHUNK,
+            network, patterns, universe.simulated, FIRST_DETECTION_CHUNK,
             False, resolved,
-            coverage_weights=weights, cache=store, on_window=on_window,
+            coverage_weights=universe.weights, cache=store, on_window=on_window,
             jobs=jobs,
         )
         if not curve:
@@ -994,7 +997,7 @@ def streaming_coverage(
         network_name=network.name,
         pattern_count=state["consumed"],
         pattern_budget=patterns.count,
-        fault_count=fault_count,
+        fault_count=len(universe.faults),
         detected_weight=state["covered"],
         total_weight=total_weight,
         target_coverage=target_coverage,
@@ -1003,7 +1006,7 @@ def streaming_coverage(
         satisfied=state["satisfied"],
         exhausted=not state["satisfied"],
         curve=curve,
-        collapsed_classes=collapsed_classes,
+        collapsed_classes=universe.class_count,
     )
 
 

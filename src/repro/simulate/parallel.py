@@ -30,12 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.network import Network, NetworkFault
 from .compiled import compile_network
-from .faultsim import (
-    FaultSimResult,
-    build_result,
-    check_injectable,
-    dedupe_faults,
-)
+from .faultsim import FaultSimResult, build_result, fault_universe
 from .logicsim import PatternSet
 
 
@@ -46,22 +41,18 @@ def parallel_fault_simulate(
 ) -> FaultSimResult:
     """All faults per pattern in one bit-parallel network pass.
 
-    Every fault must be injectable: a stuck fault on a net the compiled
-    program does not know, or a cell fault on an absent gate, raises
-    instead of silently riding along never-injected (which would report
-    the fault "undetected" while its machine just mirrors the good
-    one).
+    The fault list is the :func:`~repro.simulate.faultsim.fault_universe`
+    of ``faults``: a stuck fault on a net the compiled program does not
+    know, or a cell fault on an absent gate, raises instead of silently
+    riding along never-injected (which would report the fault
+    "undetected" while its machine just mirrors the good one), and a
+    literal duplicate packs one machine, not two.
     """
-    if faults is None:
-        faults = network.enumerate_faults()
-    # Validate before packing machines: duplicates would waste bit
-    # positions and colliding labels should raise before simulation.
-    faults = dedupe_faults(faults)
+    faults = fault_universe(network, faults).faults
     machine_count = len(faults) + 1  # +1: the good machine (highest bit)
     good_bit = len(faults)
     mask = (1 << machine_count) - 1
 
-    check_injectable(network, faults)
     compiled = compile_network(network)
     stuck_of_slot: Dict[int, List[int]] = {}
     cells_of_gate: Dict[int, List[int]] = {}
@@ -96,8 +87,7 @@ def parallel_fault_simulate(
             entries.append((index, table, gate.in_slots))
         patches_of_gate[gate_index] = entries
 
-    # Keyed per fault *index* (labels only at result build time, where
-    # colliding labels of distinct faults raise instead of merging).
+    # Keyed per fault *index*; labels only at result build time.
     firsts: List[int] = [-1] * len(faults)
     fault_counts: List[int] = [0] * len(faults)
     num_inputs = compiled.num_input_slots

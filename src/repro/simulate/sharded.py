@@ -155,19 +155,26 @@ class _Span:
             yield start, _Span(min(width, self.count - start))
 
 
-def _pool_kernel(pool, network, faults, jobs, cache):
+def _pool_kernel(pool, network, faults, shards, jobs, cache):
     """The pool's block kernel: one ``pool.map`` per driver block.
 
-    Each block re-partitions the *live* faults across the pool (shards
-    shrink as faults retire) and the workers run the engine's block
+    ``shards`` partitions the whole fault list; a block re-partitions
+    the *live* faults across the pool only once faults have retired
+    (shards shrink as they do), and the workers run the engine's block
     pass on their shard of the block (:func:`_block_worker`)."""
+    partition = [len(faults), shards]
 
     def detect(start, chunk, active):
-        live = [faults[position] for position in active]
-        shards = partition_faults(network, live, jobs, cache=cache)
+        # ``active`` only ever shrinks, so an unchanged size is an
+        # unchanged live set.
+        if len(active) != partition[0]:
+            live = [faults[position] for position in active]
+            partition[:] = len(active), partition_faults(
+                network, live, jobs, cache=cache
+            )
         tasks = [
             (start, start + chunk.count, [active[i] for i in shard])
-            for shard in shards
+            for shard in partition[1]
         ]
         found = ([], [], [])
         for part in pool.map(_block_worker, tasks):
@@ -220,7 +227,7 @@ def pooled_outcomes(
     with _executor(len(shards), (patterns, passes, stream)) as pool:
         return drive_windows(
             _Span(patterns.count), len(faults), grid,
-            _pool_kernel(pool, network, faults, jobs, cache),
+            _pool_kernel(pool, network, faults, shards, jobs, cache),
             weights, on_window, width,
         )
 

@@ -232,6 +232,27 @@ def test_retired_knobs_are_unexpected_arguments(knob):
 
 
 @pytest.mark.parametrize(
+    "method, knob",
+    [
+        ("signal_probabilities", "engine"),
+        ("detection_probabilities", "engine"),
+        *(
+            (method, knob)
+            for method in ("validate", "streaming_test_length")
+            for knob in ("engine", "jobs", "collapse", "cache")
+        ),
+    ],
+)
+def test_facade_methods_take_no_knobs(method, knob):
+    """The ``Protest`` methods run on the knobs the constructor
+    validated: a per-call knob is Python's own ``TypeError``, not an
+    override that skips that validation."""
+    protest = Protest(and_cone(3))
+    with pytest.raises(TypeError, match=knob):
+        getattr(protest, method)(**{knob: None})
+
+
+@pytest.mark.parametrize(
     "jobs, message",
     [
         ("0", "jobs must be >= 1, got 0"),
