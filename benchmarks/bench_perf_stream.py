@@ -3,8 +3,8 @@
 Extends ``BENCH_engine.json`` (the perf trajectory - existing workload
 records are preserved, never replaced) with an ``e10_stream`` entry:
 ``fault_simulate`` fed directly by a :class:`repro.simulate.LfsrSource`
-(lane words generated 64 patterns per clock batch by the GF(2)
-word-jump path) against the historical flow - stepping an
+(lane words cut from one doubled serial stream per register, see
+``Lfsr.lane_words``) against the historical flow - stepping an
 :class:`repro.selftest.LfsrBank` serially, one pattern per clock, and
 materialising a :class:`PatternSet` before simulating.  Both sides run
 the identical bit sequence, so the pair is bit-identity-checked before
@@ -25,7 +25,16 @@ the confidence-stopped session now that it runs inside the batched
 vector window core (speculative doubling blocks replayed against the
 pinned 256-pattern stopping grid): the session must cost at most 2x
 the whole-set vector pass per pattern, and its stopping point must be
-identical on every session-capable engine.  Run with::
+identical on every session-capable engine.
+
+A third entry, ``e_lfsr_lanes``, races the lane-word generator alone:
+one 64-input bank clocked through a session's speculative blocks (2 Ki
+to 32 Ki patterns), ``LfsrBank.lane_words`` against a replica of the
+old generator (``tests/lfsr_lanes_reference.py``: word-boundary states
+chained through the 64-step GF(2) jump matrix, then a 64-step numpy
+clock loop).  Words and final register states are checked identical
+first; the entry records the host, its CPU count and the commit.  Run
+with::
 
     PYTHONPATH=src python benchmarks/bench_perf_stream.py [--quick]
 
@@ -37,17 +46,28 @@ from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 from pathlib import Path
 from typing import Dict
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+import numpy as np
 
-from _harness import BENCH_PATH, best_of, results_identical, update_record  # noqa: E402
+REPO_ROOT = Path(__file__).resolve().parent.parent
+for path in (REPO_ROOT / "src", REPO_ROOT / "tests"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from _harness import (  # noqa: E402
+    BENCH_PATH,
+    best_of,
+    git_commit,
+    results_identical,
+    update_record,
+)
 from bench_perf_engine import library_runtime_network  # noqa: E402
-from repro.selftest import LfsrBank  # noqa: E402
+from lfsr_lanes_reference import reference_bank_lane_words  # noqa: E402
+from repro.selftest import BANK_DEGREE, LfsrBank  # noqa: E402
 from repro.simulate import (  # noqa: E402
     LfsrSource,
     PatternSet,
@@ -64,6 +84,12 @@ FUSED_MIN_REQUIRED_SPEEDUP = 0.5
 session-per-pattern, so 0.5 means the confidence-stopped session costs
 at most 2x the whole-set vector pass per pattern - the stopped path no
 longer pays a per-window penalty."""
+
+LANES_WORKLOAD_NAME = "e_lfsr_lanes"
+LANES_MIN_REQUIRED_SPEEDUP = 5.0
+LANES_BLOCKS = tuple(1 << k for k in range(11, 16))
+"""A streaming session's speculative doubling blocks: 2 Ki to 32 Ki
+patterns, 63,488 in all."""
 
 
 def _serial_flow(network, names, count: int, seed: int, faults):
@@ -151,8 +177,9 @@ def run_stream(
         "name": WORKLOAD_NAME,
         "description": (
             "lane-native streaming LFSR sessions on the E10 library "
-            "workload: fault_simulate fed by LfsrSource (64 patterns per "
-            "word-jump batch, never materialised) vs serially clocking "
+            "workload: fault_simulate fed by LfsrSource (lane words from "
+            "one doubled serial stream per register, never materialised) "
+            "vs serially clocking "
             "the bank one pattern at a time into a PatternSet; the "
             "confidence-bounded session (streaming_coverage, Wilson "
             "lower bound vs target) against the fixed-length sweep is "
@@ -296,6 +323,75 @@ def run_stream_fused(
     }
 
 
+def run_lfsr_lanes(width: int = 64, repetitions: int = 5, seed: int = 1) -> Dict:
+    """LFSR lane-word generation for one session's blocks, old vs new.
+
+    Both sides clock one ``width``-input :class:`LfsrBank` through
+    :data:`LANES_BLOCKS` in order, each block resuming the register state
+    the previous one left: the old side through the word-jump replica
+    (``tests/lfsr_lanes_reference.py``), the new side through
+    ``LfsrBank.lane_words`` (one doubled serial stream per register).
+    Every block's words and the final member states must be identical
+    before any time is taken.
+    """
+    n_words = [block // 64 for block in LANES_BLOCKS]
+
+    def session(generate):
+        bank = LfsrBank(width, seed=seed)
+        words = [generate(bank, count) for count in n_words]
+        return words, [member.state for member in bank.members]
+
+    def old():
+        return session(reference_bank_lane_words)
+
+    def new():
+        return session(lambda bank, count: bank.lane_words(count))
+
+    (old_words, old_states), (new_words, new_states) = old(), new()
+    identical = old_states == new_states and all(
+        np.array_equal(a, b) for a, b in zip(old_words, new_words)
+    )
+    print(
+        f"{LANES_WORKLOAD_NAME}: {width}-input bank, blocks "
+        f"{list(LANES_BLOCKS)} ({sum(LANES_BLOCKS)} patterns)"
+    )
+    _, old_seconds = best_of(old, repetitions)
+    _, new_seconds = best_of(new, repetitions)
+    speedup = round(old_seconds / new_seconds, 3)
+    print(
+        f"  word-jump {old_seconds * 1e3:.2f} ms -> doubled stream "
+        f"{new_seconds * 1e3:.2f} ms = {speedup}x (identical={identical})"
+    )
+    return {
+        "name": LANES_WORKLOAD_NAME,
+        "description": (
+            "LFSR lane words for a streaming session's speculative blocks "
+            "(2 Ki to 32 Ki patterns, state carried across blocks) on the "
+            "64-input bank: one doubled serial stream per register vs a "
+            "replica of the old 64-step word-jump matrix chain plus numpy "
+            "clock loop; every block's words and the final register states "
+            "checked bit-identical first"
+        ),
+        "params": {
+            "width": width,
+            "degree": BANK_DEGREE,
+            "seed": seed,
+            "blocks": list(LANES_BLOCKS),
+            "patterns": sum(LANES_BLOCKS),
+            "repetitions": repetitions,
+        },
+        "host": platform.node(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "commit": git_commit(),
+        "word_jump_seconds": round(old_seconds, 5),
+        "stream_seconds": round(new_seconds, 5),
+        "min_required_speedup": LANES_MIN_REQUIRED_SPEEDUP,
+        "speedup": speedup,
+        "identical_results": identical,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -313,7 +409,12 @@ def main(argv=None) -> int:
             size=6, n_gates=12, pattern_count=1 << 12, repetitions=1,
             target_coverage=0.2,
         )
-        if not (entry["identical_results"] and fused["identical_results"]):
+        lanes = run_lfsr_lanes(repetitions=1)
+        if not (
+            entry["identical_results"]
+            and fused["identical_results"]
+            and lanes["identical_results"]
+        ):
             print("FAIL: a streamed run diverged from the serial flow")
             return 1
         print("quick smoke ok (JSON untouched)")
@@ -322,9 +423,13 @@ def main(argv=None) -> int:
     record = update_record(entry)
     fused = run_stream_fused()
     record = update_record(fused)
+    lanes = run_lfsr_lanes()
+    record = update_record(lanes)
     print(f"wrote {BENCH_PATH}")
     ok = (
-        entry["identical_results"]
+        lanes["identical_results"]
+        and lanes["speedup"] >= LANES_MIN_REQUIRED_SPEEDUP
+        and entry["identical_results"]
         and entry["speedup"] >= MIN_REQUIRED_SPEEDUP
         and fused["identical_results"]
         and fused["speedup"] >= FUSED_MIN_REQUIRED_SPEEDUP

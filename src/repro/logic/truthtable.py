@@ -22,6 +22,19 @@ MAX_TABLE_VARS = 24
 """Guard against accidentally materialising astronomically large tables."""
 
 
+def minterm_column(n: int, position: int) -> int:
+    """Variable ``position``'s bits over all ``2**n`` minterms (first MSB).
+
+    The column is periodic: ``block = 2**(n-1-position)`` zeros then
+    ``block`` ones, repeating.  Closed form: one marker bit per period
+    (exact division - the period divides ``2**n``), each multiplied into
+    a block of ones in the period's upper half.
+    """
+    block = 1 << (n - 1 - position)
+    markers = ((1 << (1 << n)) - 1) // ((1 << (2 * block)) - 1)
+    return markers * (((1 << block) - 1) << block)
+
+
 class TruthTable:
     """An explicit Boolean function over an ordered tuple of variables."""
 
@@ -70,23 +83,8 @@ class TruthTable:
         n = len(names)
         if n > MAX_TABLE_VARS:
             raise ValueError(f"too many variables ({n}) for an explicit table")
-        size = 1 << n
-        mask = (1 << size) - 1
-        # Bit-parallel evaluation: variable j (0 = most significant) has a
-        # periodic bit pattern over the 2**n minterm positions.
-        env: Dict[str, int] = {}
-        for position, name in enumerate(names):
-            shift = n - 1 - position  # weight of this variable in the minterm index
-            block = 1 << shift
-            pattern = 0
-            value_bit = 0
-            index = 0
-            while index < size:
-                if (index >> shift) & 1:
-                    pattern |= ((1 << block) - 1) << index
-                index += block
-            env[name] = pattern
-        bits = expr.evaluate_bits(env, mask)
+        env = {name: minterm_column(n, position) for position, name in enumerate(names)}
+        bits = expr.evaluate_bits(env, (1 << (1 << n)) - 1)
         return cls(names, bits)
 
     @classmethod

@@ -27,9 +27,16 @@ the quantity the incremental consumer in
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from typing import List, Mapping, Tuple
+
+
+_SATURATED = -40.0
+"""``-expm1(x)`` is exactly 1.0 for every ``x <= _SATURATED``: ``e^-40``
+is below 2^-57, far under half an ulp of 1.0 (2^-54), and libm's
+``expm1`` returns -1.0 outright below about -38.8."""
 
 
 def check_confidence(confidence, name: str = "confidence") -> None:
@@ -118,15 +125,28 @@ def test_length(
     count = len(finite)
     # 1 - c^(1/F), computed without cancellation.
     shortfall = -math.expm1(math.log(confidence) / count)
-    high = 1
-    for p in finite:
-        if p >= 1.0:
-            continue
-        high = max(high, math.ceil(math.log(shortfall) / math.log1p(-p)))
+    logs = [math.log1p(-p) for p in finite if p < 1.0]
+    high = max([1] + [math.ceil(math.log(shortfall) / lq) for lq in logs])
+    # Only factors with N*log1p(-p) above _SATURATED differ from 1.0;
+    # with the logs sorted they are a suffix, and multiplying by 1.0 is
+    # exact, so the product (dict order kept, early exit at 0.0 kept)
+    # equals confidence_all_detected bit for bit.
+    order = sorted(range(len(logs)), key=logs.__getitem__)
+    ranked = [logs[i] for i in order]
     low = 1
     while low < high:
         mid = (low + high) // 2
-        if confidence_all_detected(probabilities, mid) >= confidence:
+        cut = bisect.bisect_right(ranked, _SATURATED / mid)
+        while cut > 0 and mid * ranked[cut - 1] > _SATURATED:
+            cut -= 1
+        while cut < len(ranked) and mid * ranked[cut] <= _SATURATED:
+            cut += 1
+        result = 1.0
+        for i in sorted(order[cut:]):
+            result *= -math.expm1(mid * logs[i])
+            if result == 0.0:
+                break
+        if result >= confidence:
             high = mid
         else:
             low = mid + 1

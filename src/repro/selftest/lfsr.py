@@ -104,19 +104,6 @@ def _matrix_apply(matrix: Sequence[int], state: int) -> int:
     return out
 
 
-_WORD_JUMP_CACHE: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
-
-
-def _word_jump_matrix(degree: int, taps: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Memoised 64-step transition matrix (one lane word per jump)."""
-    key = (degree, taps)
-    cached = _WORD_JUMP_CACHE.get(key)
-    if cached is None:
-        cached = _matrix_power(_transition_matrix(degree, taps), 64)
-        _WORD_JUMP_CACHE[key] = cached
-    return cached
-
-
 class Lfsr:
     """A maximal-length Fibonacci LFSR."""
 
@@ -190,31 +177,34 @@ class Lfsr:
             raise ValueError(
                 f"cannot draw {width} bits from a degree-{self.degree} LFSR"
             )
-        words = np.zeros((width, n_words), dtype=np.uint64)
-        if n_words == 0:
-            return words
-        # Word-boundary states: column w starts from the register after
-        # w*64 clocks, chained through the memoised 64-step matrix.
-        jump = _word_jump_matrix(self.degree, self.taps)
-        boundaries = np.empty(n_words, dtype=np.uint64)
-        state = self.state
-        for w in range(n_words):
-            boundaries[w] = state
-            state = _matrix_apply(jump, state)
-        tap_mask = np.uint64(sum(1 << (t - 1) for t in self.taps))
-        mask = np.uint64((1 << self.degree) - 1)
-        one = np.uint64(1)
-        rows = np.arange(width, dtype=np.uint64)[:, None]
-        s = boundaries
-        for k in range(64):
-            t = s & tap_mask
-            for shift in (32, 16, 8, 4, 2, 1):
-                t ^= t >> np.uint64(shift)
-            feedback = t & one
-            s = ((s << one) | feedback) & mask
-            words |= ((s[None, :] >> rows) & one) << np.uint64(k)
-        self.state = int(s[-1])
-        return words
+        # One serial stream y per register: bit i after step t is
+        # y[t - i], and y obeys y[t] = XOR over taps of y[t - tap].  Over
+        # GF(2) P(x)^m = P(x^m) for m a power of two, so y also obeys
+        # y[t] = XOR over taps of y[t - tap*m].  Each shift-and-XOR round
+        # takes the largest m with m*degree <= length (so every bit it
+        # reads exists) and appends min(taps)*m bits: O(log n_words)
+        # big-int rounds.  The stream starts as the bit-reversed
+        # register, and the final state is its top degree bits reversed.
+        degree, lanes = self.degree, 64 * n_words
+        stream = int(format(self.state, f"0{degree}b")[::-1], 2)
+        length, step = degree, min(self.taps)
+        while length < lanes + degree:
+            m = 1 << ((length // degree).bit_length() - 1)
+            chunk, acc = step * m, 0
+            for tap in self.taps:
+                acc ^= stream >> (length - tap * m)
+            stream |= (acc & ((1 << chunk) - 1)) << length
+            length += chunk
+        top = (stream >> lanes) & ((1 << degree) - 1)
+        self.state = int(format(top, f"0{degree}b")[::-1], 2)
+        lane_mask = (1 << lanes) - 1
+        data = bytearray().join(
+            ((stream >> (degree - i)) & lane_mask).to_bytes(8 * n_words, "little")
+            for i in range(width)
+        )
+        return np.frombuffer(data, dtype="<u8").astype(np.uint64, copy=False).reshape(
+            width, n_words
+        )
 
     def period(self, limit: Optional[int] = None) -> int:
         """Measured sequence period (2^n - 1 for primitive taps).

@@ -15,6 +15,8 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..logic.truthtable import minterm_column
+
 _WEIGHTED_CHUNK = 1 << 16
 """Patterns drawn per vectorized sampling round for weighted inputs."""
 
@@ -92,19 +94,8 @@ class PatternSet:
         n = len(names)
         if n > 24:
             raise ValueError(f"exhaustive set over {n} inputs is unreasonable")
-        count = 1 << n
-        env: Dict[str, int] = {}
-        all_ones = (1 << count) - 1
-        for position, name in enumerate(names):
-            # Column `position` is periodic: 2^shift zeros then 2^shift
-            # ones, repeating.  Closed form: one marker bit per period
-            # (exact division - the period divides the pattern count),
-            # each multiplied into a block of ones in the period's upper
-            # half.
-            block = 1 << (n - 1 - position)
-            markers = all_ones // ((1 << (2 * block)) - 1)
-            env[name] = markers * (((1 << block) - 1) << block)
-        return cls(names, env, count)
+        env = {name: minterm_column(n, position) for position, name in enumerate(names)}
+        return cls(names, env, 1 << n)
 
     @classmethod
     def random(

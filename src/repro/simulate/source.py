@@ -12,11 +12,13 @@ Sources satisfy the streaming seam every engine already consumes:
 ``.names``, ``.count``, ``.windows(width)`` yielding ``(start,
 PatternSet)`` pairs with the exact :meth:`PatternSet.windows` contract,
 and ``.slice(start, stop)`` for random access (pool workers slice
-their own windows).  Random access is O(degree^2 log n) via the GF(2)
-jump matrices of :mod:`repro.selftest.lfsr`, and every window is
-generated from a fresh register bank - sources are functionally
-stateless, so fork-pool workers iterating the same source from zero
-stay bit-identical to the single-process path.
+their own windows).  Each block's lane words are cut from one doubled
+serial stream per register (``Lfsr.lane_words``, O(log n) big-int
+operations); a window that follows the previous one resumes its
+advanced bank, and any other window jumps a fresh bank to its position
+in O(degree^2 log n) through the GF(2) jump matrix of ``Lfsr.jump`` -
+sources are functionally stateless, so fork-pool workers iterating the
+same source from zero stay bit-identical to the single-process path.
 
 A small registry mirrors the engine registry's error contract: resolve
 names through :func:`get_source` / :func:`make_source`, list them with

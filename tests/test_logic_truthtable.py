@@ -4,7 +4,8 @@ import pytest
 
 from repro.logic.expr import Var, vars_
 from repro.logic.parser import parse_expression
-from repro.logic.truthtable import TruthTable, tables_on_common_names
+from repro.logic.truthtable import TruthTable, minterm_column, tables_on_common_names
+from repro.simulate import PatternSet
 
 
 def table(text, names=None):
@@ -48,6 +49,37 @@ class TestConstruction:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             TruthTable(tuple(f"v{i}" for i in range(30)), 0)
+
+
+def looped_column(n, position):
+    """The minterm column built block by block (the old tabulation loop)."""
+    shift = n - 1 - position
+    block = 1 << shift
+    pattern = 0
+    for index in range(0, 1 << n, block):
+        if (index >> shift) & 1:
+            pattern |= ((1 << block) - 1) << index
+    return pattern
+
+
+class TestMintermColumns:
+    @pytest.mark.parametrize("n", range(17))
+    def test_closed_form_matches_loop(self, n):
+        names = tuple(f"x{position}" for position in range(n))
+        columns = [looped_column(n, position) for position in range(n)]
+        assert [minterm_column(n, position) for position in range(n)] == columns
+        assert [
+            TruthTable.from_expr(Var(name), names).bits for name in names
+        ] == columns
+        exhaustive = PatternSet.exhaustive(names)
+        assert exhaustive.count == 1 << n
+        assert [exhaustive.env[name] for name in names] == columns
+        if n:
+            sop = parse_expression(" * ".join(names[:3]) + " + " + names[-1])
+            assert TruthTable.from_expr(sop, names).bits == (
+                (columns[0] & columns[min(1, n - 1)] & columns[min(2, n - 1)])
+                | columns[-1]
+            )
 
 
 class TestQueries:

@@ -19,8 +19,11 @@ from repro.selftest import (
     closest_dyadic_weight,
     logic_selftest,
 )
+from repro.simulate import LfsrSource, PatternSet
 from repro.switchlevel.network import FaultKind, PhysicalFault
 from repro.tech import DominoCmosGate
+
+from lfsr_lanes_reference import reference_bank_lane_words, reference_lane_words
 
 
 class TestLfsr:
@@ -159,6 +162,97 @@ class TestWeightedLaneWords:
         words = generator.lane_words(0)
         assert words.shape == (1, 0)
         assert words.dtype == np.uint64
+
+
+def serial_words(patterns, width: int) -> np.ndarray:
+    """Pack serial 0/1 patterns into ``width`` rows of uint64 lane words."""
+    bits = np.array(list(patterns), dtype=np.uint8).reshape(-1, width)
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    return np.frombuffer(packed.tobytes(), dtype="<u8").astype(np.uint64).reshape(
+        width, -1
+    )
+
+
+CALLS = 3
+"""Consecutive ``lane_words`` calls per check: each resumes the register
+state the previous call left, as a streaming session does."""
+
+
+class TestLaneGenerator:
+    """``lane_words`` against serial clocking and the old word-jump path."""
+
+    @pytest.mark.parametrize("degree", sorted(PRIMITIVE_TAPS))
+    def test_every_degree_width_and_length(self, degree):
+        seed = bank_seed(5, degree, degree)
+        for n_words in (0, 1, 3, 17):
+            serial = Lfsr(degree, seed=seed)
+            expected = []
+            for _ in range(CALLS):
+                rows = serial_words(serial.patterns(degree, 64 * n_words), degree)
+                expected.append((rows, serial.state))
+            for width in range(1, degree + 1):
+                lanes = Lfsr(degree, seed=seed)
+                old = Lfsr(degree, seed=seed)
+                for rows, state in expected:
+                    words = lanes.lane_words(width, n_words)
+                    assert words.dtype == np.uint64
+                    assert words.shape == (width, n_words)
+                    assert np.array_equal(words, rows[:width])
+                    assert lanes.state == state
+                    assert np.array_equal(
+                        words, reference_lane_words(old, width, n_words)
+                    )
+                    assert old.state == state
+
+    def test_words_are_writable(self):
+        words = Lfsr(7).lane_words(7, 2)
+        words[0, 0] ^= np.uint64(1)  # callers may mask rows in place
+
+    @pytest.mark.parametrize("width", [64, 65])
+    def test_bank_matches_serial_and_reference(self, width):
+        serial = LfsrBank(width, seed=11)
+        lanes = LfsrBank(width, seed=11)
+        old = LfsrBank(width, seed=11)
+        for n_words in (2, 0, 5):
+            expected = serial_words(serial.patterns(64 * n_words), width)
+            words = lanes.lane_words(n_words)
+            assert np.array_equal(words, expected)
+            assert np.array_equal(words, reference_bank_lane_words(old, n_words))
+        assert [m.state for m in lanes.members] == [m.state for m in serial.members]
+
+    def test_weighted_lanes_across_consecutive_calls(self):
+        probabilities = {f"x{i}": (0.02, 0.5, 0.875, 0.25)[i % 4] for i in range(12)}
+        serial = WeightedPatternGenerator(probabilities, seed=3, max_k=6)
+        lanes = WeightedPatternGenerator(probabilities, seed=3, max_k=6)
+        assert len(lanes.banks) >= 2
+        names = [a.name for a in lanes.assignments]
+        for n_words in (1, 3, 2):
+            expected = serial_words(
+                ([pattern[name] for name in names]
+                 for pattern in serial.patterns(64 * n_words)),
+                len(names),
+            )
+            assert np.array_equal(lanes.lane_words(n_words), expected)
+
+    def test_source_slices_match_materialised_and_serial(self):
+        names = [f"i{k}" for k in range(40)]
+        count = 1000
+        source = LfsrSource(names, count, seed=9)
+        whole = source.materialise()
+        bank = LfsrBank(len(names), seed=9)
+        serial = PatternSet.from_vectors(
+            names, (dict(zip(names, bits)) for bits in bank.patterns(count))
+        )
+        assert dict(whole.env) == dict(serial.env)
+        # A slice starting in the word where the previous one stopped
+        # resumes that bank; any other start jumps a fresh one.  Starts
+        # and stops are mostly off word boundaries.
+        for start, stop in ((3, 70), (128, 250), (263, 400), (5, 6), (901, 1000),
+                            (130, 777), (0, 1000)):
+            window = LfsrSource(names, count, seed=9) if start == 130 else source
+            assert dict(window.slice(start, stop).env) == dict(
+                whole.slice(start, stop).env
+            )
 
 
 class TestMisr:

@@ -33,6 +33,8 @@ from repro.simulate import (
 )
 from repro.simulate.faultsim import FIRST_DETECTION_CHUNK, windowed_outcomes
 
+from testlength_reference import reference_test_length
+
 
 class TestCoverageLowerBound:
     def test_empty_universe_is_vacuously_covered(self):
@@ -627,6 +629,27 @@ class TestTestLengthNumerics:
         n = required_length_for_fault(p, confidence)
         assert math.isfinite(n) and n >= 1
         assert detection_probability(p, n) >= confidence - 1e-12
+
+    @given(
+        probabilities=st.lists(
+            st.one_of(
+                st.just(1.0),
+                st.floats(min_value=0.0, max_value=18.0).map(lambda e: 10.0 ** -e),
+                st.floats(min_value=1e-18, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        confidence=st.floats(min_value=1e-6, max_value=1.0 - 1e-9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_length_equals_reference(self, probabilities, confidence):
+        # The sorted-log bisection skips only factors that are exactly
+        # 1.0, so the length must equal the unskipped search bit for bit.
+        named = {f"f{index}": p for index, p in enumerate(probabilities)}
+        assert required_test_length(named, confidence) == reference_test_length(
+            named, confidence
+        )
 
 
 class TestProtestStreamingFacade:
