@@ -1,10 +1,10 @@
-"""Streaming-source benchmark: lane-native LFSR sessions vs serial.
+"""Streaming-source benchmark: streamed LFSR sessions vs serial.
 
 Extends ``BENCH_engine.json`` (the perf trajectory - existing workload
 records are preserved, never replaced) with an ``e10_stream`` entry:
 ``fault_simulate`` fed directly by a :class:`repro.simulate.LfsrSource`
-(lane words cut from one doubled serial stream per register, see
-``Lfsr.lane_words``) against the historical flow - stepping an
+(big-int window rows cut from one doubled serial stream per register,
+see ``Lfsr.rows``) against the historical flow - stepping an
 :class:`repro.selftest.LfsrBank` serially, one pattern per clock, and
 materialising a :class:`PatternSet` before simulating.  Both sides run
 the identical bit sequence, so the pair is bit-identity-checked before
@@ -27,13 +27,15 @@ pinned 256-pattern stopping grid): the session must cost at most 2x
 the whole-set vector pass per pattern, and its stopping point must be
 identical on every session-capable engine.
 
-A third entry, ``e_lfsr_lanes``, races the lane-word generator alone:
-one 64-input bank clocked through a session's speculative blocks (2 Ki
-to 32 Ki patterns), ``LfsrBank.lane_words`` against a replica of the
-old generator (``tests/lfsr_lanes_reference.py``: word-boundary states
-chained through the 64-step GF(2) jump matrix, then a 64-step numpy
-clock loop).  Words and final register states are checked identical
-first; the entry records the host, its CPU count and the commit.  Run
+A third entry, ``e_lfsr_lanes`` (named for the lane-word generator it
+first raced), races the register generator alone: one 64-input bank
+clocked through a session's speculative blocks (2 Ki to 32 Ki
+patterns), ``LfsrBank.rows`` against a replica of the old generator
+(``tests/lfsr_lanes_reference.py``: word-boundary states chained
+through the 64-step GF(2) jump matrix, then a 64-step numpy clock loop,
+its lane words unpacked into the same big-int rows).  Rows and final
+register states are checked identical first; the entry records the
+host, its CPU count and the commit.  Run
 with::
 
     PYTHONPATH=src python benchmarks/bench_perf_stream.py [--quick]
@@ -51,8 +53,6 @@ import sys
 from pathlib import Path
 from typing import Dict
 
-import numpy as np
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 for path in (REPO_ROOT / "src", REPO_ROOT / "tests"):
     if str(path) not in sys.path:
@@ -67,6 +67,7 @@ from _harness import (  # noqa: E402
 )
 from bench_perf_engine import library_runtime_network  # noqa: E402
 from lfsr_lanes_reference import reference_bank_lane_words  # noqa: E402
+from repro.simulate.vector import unpack_words  # noqa: E402
 from repro.selftest import BANK_DEGREE, LfsrBank  # noqa: E402
 from repro.simulate import (  # noqa: E402
     LfsrSource,
@@ -125,7 +126,7 @@ def run_stream(
         lambda: _serial_flow(network, names, pattern_count, seed, faults),
         repetitions,
     )
-    lane_result, lane_seconds = best_of(
+    stream_result, stream_seconds = best_of(
         lambda: fault_simulate(
             network,
             LfsrSource(names, pattern_count, seed=seed),
@@ -134,11 +135,11 @@ def run_stream(
         ),
         repetitions,
     )
-    identical = results_identical(lane_result, serial_result)
-    speedup = round(serial_seconds / lane_seconds, 3)
+    identical = results_identical(stream_result, serial_result)
+    speedup = round(serial_seconds / stream_seconds, 3)
     print(
         f"  generation+simulation: serial {serial_seconds:.2f}s -> "
-        f"lane-native {lane_seconds:.2f}s = {speedup}x "
+        f"streamed {stream_seconds:.2f}s = {speedup}x "
         f"(identical={identical})"
     )
 
@@ -176,8 +177,8 @@ def run_stream(
     return {
         "name": WORKLOAD_NAME,
         "description": (
-            "lane-native streaming LFSR sessions on the E10 library "
-            "workload: fault_simulate fed by LfsrSource (lane words from "
+            "streaming LFSR sessions on the E10 library "
+            "workload: fault_simulate fed by LfsrSource (window rows from "
             "one doubled serial stream per register, never materialised) "
             "vs serially clocking "
             "the bank one pattern at a time into a PatternSet; the "
@@ -197,7 +198,7 @@ def run_stream(
             "cpu_count": os.cpu_count(),
         },
         "serial_seconds": round(serial_seconds, 4),
-        "lane_seconds": round(lane_seconds, 4),
+        "lane_seconds": round(stream_seconds, 4),
         "sweep_seconds": round(sweep_seconds, 4),
         "session_seconds": round(session_seconds, 4),
         "session_patterns": session.pattern_count,
@@ -324,33 +325,34 @@ def run_stream_fused(
 
 
 def run_lfsr_lanes(width: int = 64, repetitions: int = 5, seed: int = 1) -> Dict:
-    """LFSR lane-word generation for one session's blocks, old vs new.
+    """LFSR row generation for one session's blocks, old vs new.
 
     Both sides clock one ``width``-input :class:`LfsrBank` through
     :data:`LANES_BLOCKS` in order, each block resuming the register state
-    the previous one left: the old side through the word-jump replica
-    (``tests/lfsr_lanes_reference.py``), the new side through
-    ``LfsrBank.lane_words`` (one doubled serial stream per register).
-    Every block's words and the final member states must be identical
-    before any time is taken.
+    the previous one left, and end with one big-int row per input: the
+    old side through the word-jump replica
+    (``tests/lfsr_lanes_reference.py``) plus ``unpack_words``, the new
+    side through ``LfsrBank.rows`` (one doubled serial stream per
+    register).  Every block's rows and the final member states must be
+    identical before any time is taken.
     """
-    n_words = [block // 64 for block in LANES_BLOCKS]
 
     def session(generate):
         bank = LfsrBank(width, seed=seed)
-        words = [generate(bank, count) for count in n_words]
-        return words, [member.state for member in bank.members]
+        rows = [generate(bank, count) for count in LANES_BLOCKS]
+        return rows, [member.state for member in bank.members]
 
     def old():
-        return session(reference_bank_lane_words)
+        return session(lambda bank, count: [
+            unpack_words(words, count)
+            for words in reference_bank_lane_words(bank, count // 64)
+        ])
 
     def new():
-        return session(lambda bank, count: bank.lane_words(count))
+        return session(lambda bank, count: bank.rows(count))
 
-    (old_words, old_states), (new_words, new_states) = old(), new()
-    identical = old_states == new_states and all(
-        np.array_equal(a, b) for a, b in zip(old_words, new_words)
-    )
+    (old_rows, old_states), (new_rows, new_states) = old(), new()
+    identical = old_states == new_states and old_rows == new_rows
     print(
         f"{LANES_WORKLOAD_NAME}: {width}-input bank, blocks "
         f"{list(LANES_BLOCKS)} ({sum(LANES_BLOCKS)} patterns)"
@@ -365,12 +367,12 @@ def run_lfsr_lanes(width: int = 64, repetitions: int = 5, seed: int = 1) -> Dict
     return {
         "name": LANES_WORKLOAD_NAME,
         "description": (
-            "LFSR lane words for a streaming session's speculative blocks "
+            "LFSR rows for a streaming session's speculative blocks "
             "(2 Ki to 32 Ki patterns, state carried across blocks) on the "
             "64-input bank: one doubled serial stream per register vs a "
             "replica of the old 64-step word-jump matrix chain plus numpy "
-            "clock loop; every block's words and the final register states "
-            "checked bit-identical first"
+            "clock loop, unpacked to big-int rows; every block's rows and "
+            "the final register states checked bit-identical first"
         ),
         "params": {
             "width": width,

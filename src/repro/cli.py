@@ -19,7 +19,7 @@ Subcommands::
         ``.bench`` netlist) and run the PROTEST pipeline:
         probabilities, test length, optimized weights.
         ``--stop-confidence`` additionally streams a BIST session
-        (``--source`` picks the lane-native pattern generator) that
+        (``--source`` picks the streaming pattern generator) that
         stops once the Wilson lower confidence bound on coverage clears
         ``--target-coverage``; the session runs the selected engine's
         batched window cores (``--jobs N`` fans each block across N
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="lfsr",
         metavar="|".join(SOURCE_CHOICES),
         help="streaming pattern source for the confidence-bounded "
-        "session (default: lfsr - a lane-native LFSR bank; 'weighted' "
+        "session (default: lfsr - a ganged LFSR bank; 'weighted' "
         "streams the NLFSR with the optimized distribution; only used "
         "with --stop-confidence)",
     )

@@ -233,7 +233,7 @@ class Protest:
         ``probabilities``, e.g. the optimized distribution -, ``"set"``;
         the uniform-by-construction sources reject ``probabilities``
         with a ``ValueError``); ``max_patterns`` bounds the session.
-        The source streams lane-word windows through
+        The source streams its windows through
         :func:`repro.simulate.faultsim.streaming_coverage`, which runs
         the engines' batched window cores and stops at the first window
         where the Wilson lower confidence bound on fault coverage

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 PRIMITIVE_TAPS: Dict[int, Tuple[int, ...]] = {
     2: (2, 1),
     3: (3, 2),
@@ -164,47 +162,38 @@ class Lfsr:
         matrix = _matrix_power(_transition_matrix(self.degree, self.taps), steps)
         self.state = _matrix_apply(matrix, self.state)
 
-    def lane_words(self, width: int, n_words: int) -> np.ndarray:
-        """``width`` rows of ``n_words`` uint64 lane words.
+    def rows(self, count: int) -> List[int]:
+        """The next ``count`` patterns as one ``count``-bit int per
+        register bit.
 
-        Bit ``k`` of word ``w`` in row ``i`` is register bit ``i`` of
-        pattern ``w*64 + k`` - the same step-then-read phase as
-        :meth:`patterns`, and the same column layout as
-        ``logicsim.pack_words``.  The register advances ``64*n_words``
-        clocks, exactly as the serial path would.
+        Bit ``p`` of row ``i`` is register bit ``i`` of pattern ``p`` -
+        the same step-then-read phase as :meth:`patterns`, and the
+        column form of a ``PatternSet``.  The register advances
+        ``count`` clocks, exactly as the serial path would.
         """
-        if width > self.degree:
-            raise ValueError(
-                f"cannot draw {width} bits from a degree-{self.degree} LFSR"
-            )
         # One serial stream y per register: bit i after step t is
         # y[t - i], and y obeys y[t] = XOR over taps of y[t - tap].  Over
         # GF(2) P(x)^m = P(x^m) for m a power of two, so y also obeys
         # y[t] = XOR over taps of y[t - tap*m].  Each shift-and-XOR round
         # takes the largest m with m*degree <= length (so every bit it
-        # reads exists) and appends min(taps)*m bits: O(log n_words)
+        # reads exists) and appends min(taps)*m bits: O(log count)
         # big-int rounds.  The stream starts as the bit-reversed
-        # register, and the final state is its top degree bits reversed.
-        degree, lanes = self.degree, 64 * n_words
+        # register, row i is the stream shifted by degree - i, and the
+        # final state is the stream's top degree bits reversed.
+        degree = self.degree
         stream = int(format(self.state, f"0{degree}b")[::-1], 2)
         length, step = degree, min(self.taps)
-        while length < lanes + degree:
+        while length < count + degree:
             m = 1 << ((length // degree).bit_length() - 1)
             chunk, acc = step * m, 0
             for tap in self.taps:
                 acc ^= stream >> (length - tap * m)
             stream |= (acc & ((1 << chunk) - 1)) << length
             length += chunk
-        top = (stream >> lanes) & ((1 << degree) - 1)
+        top = (stream >> count) & ((1 << degree) - 1)
         self.state = int(format(top, f"0{degree}b")[::-1], 2)
-        lane_mask = (1 << lanes) - 1
-        data = bytearray().join(
-            ((stream >> (degree - i)) & lane_mask).to_bytes(8 * n_words, "little")
-            for i in range(width)
-        )
-        return np.frombuffer(data, dtype="<u8").astype(np.uint64, copy=False).reshape(
-            width, n_words
-        )
+        mask = (1 << count) - 1
+        return [(stream >> (degree - i)) & mask for i in range(degree)]
 
     def period(self, limit: Optional[int] = None) -> int:
         """Measured sequence period (2^n - 1 for primitive taps).
@@ -297,11 +286,10 @@ class LfsrBank:
         for member in self.members:
             member.jump(steps)
 
-    def lane_words(self, n_words: int) -> np.ndarray:
-        """``width`` rows of ``n_words`` lane words (see ``Lfsr.lane_words``)."""
-        if not self.members:
-            return np.zeros((0, n_words), dtype=np.uint64)
-        blocks = [
-            member.lane_words(member.degree, n_words) for member in self.members
-        ]
-        return np.vstack(blocks)[: self.width]
+    def rows(self, count: int) -> List[int]:
+        """``width`` rows of the next ``count`` patterns (see
+        :meth:`Lfsr.rows`); every member advances ``count`` clocks."""
+        rows: List[int] = []
+        for member in self.members:
+            rows.extend(member.rows(count))
+        return rows[: self.width]

@@ -14,13 +14,10 @@ commit to silicon.
 
 from __future__ import annotations
 
-
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Tuple
 
-import numpy as np
-
-from .lfsr import BANK_DEGREE, Lfsr, bank_seed
+from .lfsr import BANK_DEGREE, LfsrBank
 
 
 @dataclass(frozen=True)
@@ -47,19 +44,15 @@ def closest_dyadic_weight(probability: float, max_k: int = 6) -> Tuple[int, bool
     return best
 
 
-_BANK_DEGREE = BANK_DEGREE
-"""Cells per LFSR bank.  Wide circuits need more weighted bits than one
-register provides, so the generator gangs several registers with
-different seeds and (implicitly) different phases - exactly what a
-layout would do with several parallel LFSRs."""
-
-
 class WeightedPatternGenerator:
     """An NLFSR producing one weighted bit per circuit input.
 
     Each output uses its own disjoint group of LFSR cells so the bits
-    are (ideally) independent; banks of registers are allocated as
-    needed.
+    are (ideally) independent.  Wide circuits need more weighted bits
+    than one register provides, so the cells live in an
+    :class:`~repro.selftest.lfsr.LfsrBank` of degree-``BANK_DEGREE``
+    registers with different seeds and (implicitly) different phases -
+    exactly what a layout would do with several parallel LFSRs.
     """
 
     def __init__(
@@ -72,10 +65,10 @@ class WeightedPatternGenerator:
         cell = 0
         for name in probabilities:
             k, inverted, realised = closest_dyadic_weight(probabilities[name], max_k)
-            # Keep a group inside one bank: skip to the next bank when a
-            # group would straddle the boundary.
-            if (cell % _BANK_DEGREE) + k > _BANK_DEGREE:
-                cell += _BANK_DEGREE - (cell % _BANK_DEGREE)
+            # Keep a group inside one register: skip to the next one
+            # when a group would straddle the boundary.
+            if (cell % BANK_DEGREE) + k > BANK_DEGREE:
+                cell += BANK_DEGREE - (cell % BANK_DEGREE)
             self.assignments.append(
                 WeightAssignment(
                     name=name,
@@ -85,33 +78,21 @@ class WeightedPatternGenerator:
                 )
             )
             cell += k
-        bank_count = max(1, -(-max(2, cell) // _BANK_DEGREE))
-        # Well-mixed seeds: a low-weight seed starts the register in the
-        # impulse-response region of the m-sequence, whose long runs
-        # would bias short pattern sessions.
-        self.banks = [
-            Lfsr(_BANK_DEGREE, seed=bank_seed(seed, index, _BANK_DEGREE))
-            for index in range(bank_count)
-        ]
+        registers = max(1, -(-max(2, cell) // BANK_DEGREE))
+        self.bank = LfsrBank(registers * BANK_DEGREE, seed=seed)
 
     def realised_probabilities(self) -> Dict[str, float]:
         return {a.name: a.realised_probability for a in self.assignments}
 
-    def _cell_bit(self, bits_per_bank: List[List[int]], cell: int) -> int:
-        bank, offset = divmod(cell, _BANK_DEGREE)
-        return bits_per_bank[bank][offset]
-
     def pattern(self) -> Dict[str, int]:
-        """One weighted pattern (clocks every bank once)."""
-        bits_per_bank = []
-        for lfsr in self.banks:
-            lfsr.step()
-            bits_per_bank.append(lfsr.bits())
+        """One weighted pattern (clocks every register once)."""
+        self.bank.step()
+        cells = self.bank.bits()
         result: Dict[str, int] = {}
         for assignment in self.assignments:
             value = 1
             for cell in assignment.cells:
-                value &= self._cell_bit(bits_per_bank, cell)
+                value &= cells[cell]
             if assignment.inverted:
                 value ^= 1
             result[assignment.name] = value
@@ -122,33 +103,30 @@ class WeightedPatternGenerator:
             yield self.pattern()
 
     def reset(self) -> None:
-        for lfsr in self.banks:
-            lfsr.reset()
+        self.bank.reset()
 
     def jump(self, steps: int) -> None:
-        """Advance every bank ``steps`` clocks without producing patterns."""
-        for lfsr in self.banks:
-            lfsr.jump(steps)
+        """Advance every register ``steps`` clocks without producing patterns."""
+        self.bank.jump(steps)
 
-    def lane_words(self, n_words: int) -> np.ndarray:
-        """One uint64 lane-word row per assignment, in assignment order.
+    def rows(self, count: int) -> List[int]:
+        """The next ``count`` patterns as one ``count``-bit int per
+        assignment, in assignment order.
 
-        Bit ``k`` of word ``w`` is the weighted bit for pattern
-        ``w*64 + k`` - the same step-then-read phase and column layout
-        as the serial :meth:`pattern` path.  Every bank advances
-        ``64*n_words`` clocks.
+        Bit ``p`` of a row is the weighted bit of pattern ``p`` - the
+        same step-then-read phase as the serial :meth:`pattern` path.
+        Every register advances ``count`` clocks.
         """
-        bank_words = [lfsr.lane_words(_BANK_DEGREE, n_words) for lfsr in self.banks]
-        ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-        rows = np.empty((len(self.assignments), n_words), dtype=np.uint64)
-        for index, assignment in enumerate(self.assignments):
-            value = ones.repeat(n_words) if n_words else np.zeros(0, dtype=np.uint64)
+        cells = self.bank.rows(count)
+        mask = (1 << count) - 1
+        rows: List[int] = []
+        for assignment in self.assignments:
+            value = mask
             for cell in assignment.cells:
-                bank, offset = divmod(cell, _BANK_DEGREE)
-                value = value & bank_words[bank][offset]
+                value &= cells[cell]
             if assignment.inverted:
-                value = value ^ ones
-            rows[index] = value
+                value ^= mask
+            rows.append(value)
         return rows
 
     def empirical_probabilities(self, count: int = 4096) -> Dict[str, float]:

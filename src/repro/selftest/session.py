@@ -38,7 +38,7 @@ class SelfTestOutcome:
 
 
 _SESSION_WINDOW = 1 << 12
-"""Patterns simulated per lane window of a gate-level session - bounds
+"""Patterns simulated per window of a gate-level session - bounds
 the big-int working set while keeping the bit-parallel passes wide."""
 
 
@@ -78,12 +78,11 @@ def logic_selftest(
     that aliasing (2^-width) stays negligible for the session lengths
     used here.
 
-    The session runs on the lane engine: the pattern source emits
-    uint64 lane-word windows, the compiled network evaluates each
-    window bit-parallel (one faulty-network pass per window for the
-    faulty response), and the MISRs absorb the per-pattern output
-    columns from the lane words - no per-pattern ``Network.evaluate``
-    calls.
+    The session runs on the compiled engine: the pattern source emits
+    big-int column windows, the compiled network evaluates each window
+    bit-parallel (one faulty-network pass per window for the faulty
+    response), and the MISRs absorb the per-pattern output columns -
+    no per-pattern ``Network.evaluate`` calls.
     """
     from ..simulate.compiled import compile_network
 

@@ -19,7 +19,7 @@ from .faultsim import (
     windowed_outcomes,
 )
 from .parallel import parallel_fault_simulate
-from .logicsim import LanePatternSet, PatternSet, simulate, simulate_all_nets
+from .logicsim import PatternSet, simulate, simulate_all_nets
 from .registry import Engine, available_engines, get_engine, register_engine
 from .source import (
     LfsrSource,
@@ -67,7 +67,6 @@ __all__ = [
     "streaming_coverage",
     "windowed_outcomes",
     "parallel_fault_simulate",
-    "LanePatternSet",
     "PatternSet",
     "PatternSource",
     "LfsrSource",

@@ -927,7 +927,7 @@ def streaming_coverage(
 
     ``patterns`` is anything with the streaming seam - a
     :class:`~repro.simulate.source.PatternSource` (the point: LFSR and
-    weighted NLFSR sequences stream as lane-word windows without ever
+    weighted NLFSR sequences stream window by window without ever
     materialising) or a plain :class:`PatternSet`.  Between
     :data:`FIRST_DETECTION_CHUNK`-wide windows, detected faults retire
     exactly as under ``stop_at_coverage``, the observed detected-of-

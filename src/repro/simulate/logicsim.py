@@ -20,30 +20,6 @@ from ..logic.truthtable import minterm_column
 _WEIGHTED_CHUNK = 1 << 16
 """Patterns drawn per vectorized sampling round for weighted inputs."""
 
-WORD_BITS = 64
-"""Lane width of the word-array pattern form (one ``uint64`` = 64
-patterns); shared with the vector engine."""
-
-
-def pack_words(bits: int, count: int) -> "np.ndarray":
-    """A ``count``-bit big-int as a ``uint64`` lane array.
-
-    Bit ``k`` of the big-int lands in bit ``k % 64`` of word ``k // 64``
-    - the layout every bridge in this module and the vector engine
-    agrees on.  Bits at or above ``count`` are masked off, so the array
-    is always an exact image of the masked value.
-    """
-    n_words = (count + WORD_BITS - 1) // WORD_BITS
-    bits &= (1 << count) - 1
-    raw = bits.to_bytes(n_words * 8, "little")
-    return np.frombuffer(raw, dtype="<u8").astype(np.uint64, copy=False)
-
-
-def unpack_words(words: "np.ndarray", count: int) -> int:
-    """Inverse of :func:`pack_words`: lane array back to a big-int."""
-    bits = int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little")
-    return bits & ((1 << count) - 1)
-
 
 def _weighted_bits(seed: int, count: int, p: float) -> int:
     """``count`` Bernoulli(p) bits as a big-int, sampled in vectorized chunks."""
@@ -203,93 +179,6 @@ class PatternSet:
             return
         for start in range(0, self.count, width):
             yield start, self.slice(start, min(start + width, self.count))
-
-    # -- word-array bridges ------------------------------------------------------------
-
-    def to_words(self) -> "np.ndarray":
-        """The set as a ``uint64`` lane array of shape ``[n_inputs, n_words]``.
-
-        Row order follows ``names``; bit ``k`` of lane word ``w`` in a
-        row is the input's value under pattern ``w * 64 + k`` (the
-        layout of :func:`pack_words`).  This is the bridge into the
-        vector engine and any future array/accelerator backend.
-        """
-        n_words = (self.count + WORD_BITS - 1) // WORD_BITS
-        words = np.empty((len(self.names), n_words), dtype=np.uint64)
-        for row, name in enumerate(self.names):
-            words[row] = pack_words(self.env[name], self.count)
-        return words
-
-    @classmethod
-    def from_words(
-        cls, names: Sequence[str], words: "np.ndarray", count: int
-    ) -> "PatternSet":
-        """Inverse of :meth:`to_words`: lane arrays back to a pattern set.
-
-        ``words`` must have one row per name and enough 64-bit lanes for
-        ``count`` patterns; lane bits at or above ``count`` are ignored.
-        """
-        names = tuple(names)
-        words = np.asarray(words, dtype=np.uint64)
-        expected = (len(names), (count + WORD_BITS - 1) // WORD_BITS)
-        if words.shape != expected:
-            raise ValueError(
-                f"word array of shape {words.shape} does not hold "
-                f"{count} patterns over {len(names)} inputs "
-                f"(expected shape {expected})"
-            )
-        env = {name: unpack_words(words[row], count) for row, name in enumerate(names)}
-        return cls(names, env, count)
-
-
-def lane_window_rows(words: "np.ndarray", offset: int, count: int) -> "np.ndarray":
-    """Trim a lane array to an exact ``count``-pattern image.
-
-    ``words`` holds whole 64-bit lane words per row; the window of
-    interest starts ``offset`` bits in (``0 <= offset < 64``) and spans
-    ``count`` patterns.  The result is the shifted, truncated array
-    whose bit ``k`` of word ``w`` is pattern ``w*64 + k`` of the window
-    - with bits at or above ``count`` zeroed, so the rows are exact
-    images in the :func:`pack_words` sense.
-    """
-    if offset:
-        low = words >> np.uint64(offset)
-        high = np.zeros_like(words)
-        high[:, :-1] = words[:, 1:] << np.uint64(WORD_BITS - offset)
-        words = low | high
-    n_words = (count + WORD_BITS - 1) // WORD_BITS
-    rows = np.ascontiguousarray(words[:, :n_words])
-    tail = count % WORD_BITS
-    if tail and rows.size:
-        rows[:, -1] &= np.uint64((1 << tail) - 1)
-    return rows
-
-
-class LanePatternSet(PatternSet):
-    """A :class:`PatternSet` whose patterns live as ``uint64`` lane rows.
-
-    Produced by the streaming sources: ``lane_rows`` (shape
-    ``[n_inputs, n_words]``, rows in ``names`` order, exact images per
-    :func:`pack_words`) feeds the vector engine's lane kernels
-    directly, while the big-int ``env`` the serial engines read is
-    derived lazily on first access - so a vector-engine consumer never
-    round-trips generated lane words through Python big-ints.
-    """
-
-    def __init__(self, names: Sequence[str], lane_rows: "np.ndarray", count: int):
-        self.names = tuple(names)
-        self.count = count
-        self.lane_rows = lane_rows
-        self._env: Optional[Dict[str, int]] = None
-
-    @property
-    def env(self) -> Dict[str, int]:
-        if self._env is None:
-            self._env = {
-                name: unpack_words(self.lane_rows[row], self.count)
-                for row, name in enumerate(self.names)
-            }
-        return self._env
 
 
 def simulate(network, patterns: PatternSet) -> Dict[str, int]:

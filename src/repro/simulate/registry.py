@@ -16,8 +16,9 @@ only what really differs between engines:
   for fault simulation and streaming sessions, and the one words loop,
   :func:`~repro.simulate.faultsim.collect_words`, ORs into whole-set
   detection words;
-* ``lanes`` - whether it streams lane windows (numpy ``uint64`` rows)
-  or big-int windows.
+* ``lanes`` - whether it computes on numpy ``uint64`` lane rows, which
+  sizes the windows it streams (every window is a big-int
+  ``PatternSet``; the lane engine packs its own rows).
 
 Everything else - knob validation, window sizing, the in-process and
 pooled drivers, retirement, coverage and session stops - is shared, so
@@ -71,7 +72,7 @@ class Engine:
     ``evaluate_bits(network, env, mask, cache=None)`` returns the
     fault-free valuation of every net.  ``fault_pass(network, faults,
     store)`` builds the engine's fault pass over ``faults`` (``store``
-    is the resolved artifact store); ``lanes`` picks which window kind
+    is the resolved artifact store); ``lanes`` picks the window width
     the engine streams.
     """
 

@@ -13,8 +13,8 @@ pooled run is bit-identical to the in-process one.
 
 Workers run the engine's own fault pass (:mod:`repro.simulate.registry`),
 built once in the parent so the forked workers inherit it warm, and
-stream the engine's own window (lane or big-int,
-:func:`repro.simulate.faultsim.engine_window`).  There is one pooled
+stream the engine's own window width
+(:func:`repro.simulate.faultsim.engine_window`).  There is one pooled
 path, :func:`pooled_outcomes`: it drives the one window loop,
 :func:`repro.simulate.faultsim.drive_windows`, in the parent with
 :func:`_pool_kernel` as its block kernel - one ``pool.map`` per block,

@@ -1,24 +1,25 @@
-"""Streaming pattern sources - lane-native BIST generators as engines
-see them.
+"""Streaming pattern sources - BIST generators as engines see them.
 
 The fixed-length path materialises a whole
 :class:`~repro.simulate.logicsim.PatternSet` up front.  A
-:class:`PatternSource` instead *generates* patterns on demand in uint64
-lane-word blocks (the :func:`~repro.simulate.logicsim.pack_words`
-layout), so effectively-infinite BIST sequences - LFSR m-sequences,
-weighted NLFSR streams - never exist in memory all at once.
+:class:`PatternSource` instead *generates* patterns on demand, one
+window at a time, so effectively-infinite BIST sequences - LFSR
+m-sequences, weighted NLFSR streams - never exist in memory all at
+once.
 
 Sources satisfy the streaming seam every engine already consumes:
 ``.names``, ``.count``, ``.windows(width)`` yielding ``(start,
 PatternSet)`` pairs with the exact :meth:`PatternSet.windows` contract,
 and ``.slice(start, stop)`` for random access (pool workers slice
-their own windows).  Each block's lane words are cut from one doubled
-serial stream per register (``Lfsr.lane_words``, O(log n) big-int
-operations); a window that follows the previous one resumes its
-advanced bank, and any other window jumps a fresh bank to its position
-in O(degree^2 log n) through the GF(2) jump matrix of ``Lfsr.jump`` -
-sources are functionally stateless, so fork-pool workers iterating the
-same source from zero stay bit-identical to the single-process path.
+their own windows).  Every window is a plain big-int column
+``PatternSet``: the register sources cut its rows from one doubled
+serial stream per register (``Lfsr.rows``, O(log n) big-int
+operations).  A window that starts where the previous one stopped
+resumes the advanced generator, and any other window jumps a fresh
+generator to its position in O(degree^2 log n) through the GF(2) jump
+matrix of ``Lfsr.jump`` - sources are functionally stateless, so
+fork-pool workers iterating the same source from zero stay
+bit-identical to the single-process path.
 
 A small registry mirrors the engine registry's error contract: resolve
 names through :func:`get_source` / :func:`make_source`, list them with
@@ -27,13 +28,12 @@ names through :func:`get_source` / :func:`make_source`, list them with
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..selftest.lfsr import BANK_DEGREE, LfsrBank
 from ..selftest.nlfsr import WeightedPatternGenerator
-from .logicsim import WORD_BITS, LanePatternSet, PatternSet, lane_window_rows
+from .logicsim import PatternSet
 
 __all__ = [
     "PatternSource",
@@ -47,25 +47,32 @@ __all__ = [
 ]
 
 
+def _check_budget(count) -> None:
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"pattern budget must be an int >= 0, got {count!r}")
+    if count < 0:
+        raise ValueError(f"pattern budget must be >= 0, got {count}")
+
+
 class PatternSource:
     """Base class: a finite-budget stream of patterns over named inputs.
 
-    Subclasses implement :meth:`_lane_window` - materialise ``n_words``
-    lane words starting at word ``first_word``, one row per input in
-    ``names`` order - and the base class provides the ``PatternSet``
-    window/slice protocol on top, bit-exact at non-word-aligned
-    boundaries.
+    Register sources implement :meth:`_generator` - a fresh generator
+    at pattern 0 with ``jump(steps)`` and ``rows(count)``, one row per
+    input in ``names`` order - and the base class provides the
+    ``PatternSet`` window/slice protocol on top.  Sources without a
+    register override :meth:`slice`.
     """
 
     def __init__(self, names: Sequence[str], count: int):
-        if count < 0:
-            raise ValueError(f"pattern budget must be >= 0, got {count}")
+        _check_budget(count)
         self.names: Tuple[str, ...] = tuple(names)
         self.count = count
+        self._resume: Optional[Tuple[int, object]] = None
 
     # -- subclass surface --------------------------------------------------------
 
-    def _lane_window(self, first_word: int, n_words: int) -> "np.ndarray":
+    def _generator(self):
         raise NotImplementedError
 
     # -- the streaming seam ------------------------------------------------------
@@ -73,25 +80,25 @@ class PatternSource:
     def slice(self, start: int, stop: int) -> PatternSet:
         """Patterns ``start`` (inclusive) to ``stop`` (exclusive), materialised.
 
-        The result is a :class:`~repro.simulate.logicsim.LanePatternSet`
-        carrying the generated lane words as-is: the vector engine
-        consumes the rows directly, and the big-int ``env`` only exists
-        if a serial engine asks for it.
+        The generator is kept at the pattern index it reached, so a
+        slice starting at the previous one's ``stop`` resumes it; any
+        other start jumps a fresh generator to ``start``.
         """
         if not 0 <= start <= stop <= self.count:
             raise ValueError(
                 f"bad slice [{start}, {stop}) of a {self.count}-pattern source"
             )
-        width = stop - start
-        if width == 0:
-            return PatternSet(self.names, {name: 0 for name in self.names}, 0)
-        first = start // WORD_BITS
-        last = (stop + WORD_BITS - 1) // WORD_BITS
-        words = self._lane_window(first, last - first)
-        offset = start - first * WORD_BITS
-        return LanePatternSet(
-            self.names, lane_window_rows(words, offset, width), width
-        )
+        if not self.names:
+            return PatternSet((), {}, stop - start)
+        resume = self._resume
+        if resume is not None and resume[0] == start:
+            generator = resume[1]
+        else:
+            generator = self._generator()
+            generator.jump(start)
+        rows = generator.rows(stop - start)  # advances to pattern ``stop``
+        self._resume = (stop, generator)
+        return PatternSet(self.names, dict(zip(self.names, rows)), stop - start)
 
     def windows(self, width: int) -> Iterator[Tuple[int, PatternSet]]:
         """``(start, window)`` pairs - the :meth:`PatternSet.windows` contract."""
@@ -112,16 +119,7 @@ class LfsrSource(PatternSource):
     """Uniform pseudo-random patterns from a ganged LFSR bank.
 
     Pattern ``p`` is the bank register state after ``p + 1`` clocks -
-    identical to the serial ``LfsrBank.patterns`` stream, generated 64
-    patterns per lane word.
-
-    Sequential consumers (the streaming windows of
-    :func:`~repro.simulate.faultsim.streaming_coverage`) resume the
-    advanced register bank from the previous window instead of
-    rebuilding it and re-deriving the GF(2) jump from position zero
-    every window; a non-sequential ``slice`` (pool workers jumping
-    to their own windows) falls back to the positional jump, so random
-    access stays exact.
+    identical to the serial ``LfsrBank.patterns`` stream.
     """
 
     def __init__(
@@ -134,22 +132,11 @@ class LfsrSource(PatternSource):
         super().__init__(names, count)
         self.seed = seed
         self.degree = degree
-        self._resume: Optional[Tuple[int, LfsrBank]] = None
         if self.names:
-            LfsrBank(len(self.names), seed=seed, degree=degree)  # validate early
+            self._generator()  # validate early
 
-    def _lane_window(self, first_word: int, n_words: int) -> "np.ndarray":
-        if not self.names:
-            return np.zeros((0, n_words), dtype=np.uint64)
-        resume = self._resume
-        if resume is not None and resume[0] == first_word:
-            bank = resume[1]
-        else:
-            bank = LfsrBank(len(self.names), seed=self.seed, degree=self.degree)
-            bank.jump(first_word * WORD_BITS)
-        words = bank.lane_words(n_words)  # advances the bank n_words*64 clocks
-        self._resume = (first_word + n_words, bank)
-        return words
+    def _generator(self) -> LfsrBank:
+        return LfsrBank(len(self.names), seed=self.seed, degree=self.degree)
 
 
 class WeightedSource(PatternSource):
@@ -185,13 +172,6 @@ class WeightedSource(PatternSource):
         if not self.names:
             return {}
         return self._generator().realised_probabilities()
-
-    def _lane_window(self, first_word: int, n_words: int) -> "np.ndarray":
-        if not self.names:
-            return np.zeros((0, n_words), dtype=np.uint64)
-        generator = self._generator()
-        generator.jump(first_word * WORD_BITS)
-        return generator.lane_words(n_words)
 
 
 class RandomSource(PatternSource):
@@ -271,6 +251,7 @@ def _make_random(names, count, seed, probabilities, patterns):
 
 def _make_set(names, count, seed, probabilities, patterns):
     _reject_probabilities("set", probabilities)
+    _check_budget(count)  # overridden by the set's own count, but still a budget
     if patterns is None:
         raise ValueError("pattern source 'set' needs an explicit pattern set")
     return PatternSetSource(patterns)

@@ -10,8 +10,8 @@ arrays**:
 
 * net values live in per-slot ``numpy`` lane rows - slot *s*, word
   *w*, bit *k* is the value of net *s* under pattern ``w * 64 + k``
-  (the :func:`~.logicsim.pack_words` layout, bridged from
-  :class:`PatternSet` by ``to_words`` / ``from_words``);
+  (the :func:`pack_words` layout; this module alone converts between
+  it and the big-int columns of :class:`PatternSet`);
 * the good pass runs the compiled engine's own gate lambdas, and cone
   passes bind :func:`~.compiled.compile_gate_factory` factories (one
   compilation per cell expression and hot-pin set, one binding per
@@ -74,7 +74,7 @@ import numpy as np
 from ..netlist.network import Network, NetworkError, NetworkFault
 from .artifacts import fault_fingerprint, resolve_cache
 from .compiled import CompiledNetwork, compile_gate_factory, compile_network
-from .logicsim import PatternSet, pack_words, unpack_words
+from .logicsim import PatternSet
 from .registry import Engine, register_engine
 from .schedule import cone_gates
 
@@ -87,9 +87,35 @@ __all__ = [
     "VectorNetwork",
     "VectorSimulation",
     "lane_pass",
+    "pack_words",
+    "unpack_words",
     "vector_compile",
     "vector_evaluate_bits",
 ]
+
+WORD_BITS = 64
+"""Patterns per ``uint64`` lane word."""
+
+
+def pack_words(bits: int, count: int) -> "np.ndarray":
+    """A ``count``-bit big-int as a ``uint64`` lane array.
+
+    Bit ``k`` of the big-int lands in bit ``k % 64`` of word ``k // 64``
+    - the layout every lane row of this engine uses.  Bits at or above
+    ``count`` are masked off, so the array is always an exact image of
+    the masked value.
+    """
+    n_words = (count + WORD_BITS - 1) // WORD_BITS
+    bits &= (1 << count) - 1
+    raw = bits.to_bytes(n_words * 8, "little")
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64, copy=False)
+
+
+def unpack_words(words: "np.ndarray", count: int) -> int:
+    """Inverse of :func:`pack_words`: lane array back to a big-int."""
+    bits = int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little")
+    return bits & ((1 << count) - 1)
+
 
 VECTOR_WINDOW = 1 << 20
 """Patterns per streaming window (16 Ki uint64 lanes = 128 KiB per
@@ -288,39 +314,8 @@ class VectorNetwork:
         return values, mask_row, count
 
     def good_rows(self, patterns: PatternSet):
-        """Good-circuit lane pass over a pattern container.
-
-        Lane-native when the container carries ``lane_rows`` (a
-        :class:`~repro.simulate.logicsim.LanePatternSet` from a
-        streaming source): the generated ``uint64`` rows feed the gate
-        kernels directly, with no big-int env ever materialised.  Plain
-        big-int sets take the :meth:`good_values` packing path; results
-        are bit-identical either way.
-        """
-        rows = getattr(patterns, "lane_rows", None)
-        if rows is None:
-            return self.good_values(patterns.env, patterns.mask)
-        compiled = self.compiled
-        count = patterns.count
-        n_words = (count + 63) // 64
-        mask_row = np.full(n_words, ~np.uint64(0), dtype=np.uint64)
-        tail = count % 64
-        if tail:
-            mask_row[-1] = np.uint64((1 << tail) - 1)
-        zero_row = np.zeros_like(mask_row)
-        row_of_name = {name: row for row, name in enumerate(patterns.names)}
-        values: List = [None] * compiled.num_slots
-        for slot, net in enumerate(compiled.input_nets):
-            row = row_of_name.get(net)
-            if row is None:
-                raise NetworkError(f"no value for primary input {net!r}")
-            values[slot] = rows[row]
-        for gate in compiled.gates:
-            word = gate.fn(values, mask_row)
-            values[gate.out_slot] = (
-                word if isinstance(word, np.ndarray) else zero_row
-            )
-        return values, mask_row, count
+        """:meth:`good_values` over a pattern set's big-int columns."""
+        return self.good_values(patterns.env, patterns.mask)
 
     def simulate(self, patterns: PatternSet) -> "VectorSimulation":
         """Fault-free lane simulation; the result hosts per-fault passes."""

@@ -975,10 +975,10 @@ SOURCE_KINDS = available_sources()
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("kind", SOURCE_KINDS)
 class TestStreamingSourcesAcrossEngines:
-    """The tentpole contract: a lane-native streaming source is
-    bit-identical to the equivalent fully-materialised ``PatternSet``
-    on every registered engine - the windows a source generates on
-    demand (GF(2)-jumped LFSR banks, NLFSR lane words) must carry
+    """The source contract: a streaming source is bit-identical to the
+    equivalent fully-materialised ``PatternSet`` on every registered
+    engine - the windows a source generates on demand (resumed or
+    GF(2)-jumped LFSR banks, NLFSR rows) must carry
     exactly the bits the serial register stream would have produced."""
 
     def test_source_identical_to_materialised(self, engine, kind, jobs):
@@ -1149,6 +1149,18 @@ class TestSourceRegistryErrorPaths:
 
         with pytest.raises(ValueError, match="needs an explicit pattern set"):
             make_source("set", ("a", "b"), 16)
+
+    @pytest.mark.parametrize("budget", [2.5, "8", True, -1])
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_bad_budget_rejected_where_it_enters(self, kind, budget):
+        from repro.simulate import make_source
+
+        patterns = PatternSet.random(("a", "b"), 8, seed=1)
+        with pytest.raises(ValueError, match="pattern budget must be"):
+            make_source(
+                kind, ("a", "b"), budget,
+                patterns=patterns if kind == "set" else None,
+            )
 
     def test_cli_source_choices_match_registry(self):
         from repro.cli import SOURCE_CHOICES

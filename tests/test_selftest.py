@@ -1,6 +1,7 @@
 """Tests for the self-test hardware: LFSR, MISR, BILBO, NLFSR, sessions."""
 
-import numpy as np
+from typing import List
+
 import pytest
 
 from repro.circuits.generators import domino_carry_chain
@@ -23,7 +24,7 @@ from repro.simulate import LfsrSource, PatternSet
 from repro.switchlevel.network import FaultKind, PhysicalFault
 from repro.tech import DominoCmosGate
 
-from lfsr_lanes_reference import reference_bank_lane_words, reference_lane_words
+from lfsr_lanes_reference import reference_bank_rows, reference_rows
 
 
 class TestLfsr:
@@ -81,24 +82,6 @@ class TestLfsr:
         with pytest.raises(ValueError):
             jumped.jump(-1)
 
-    @pytest.mark.parametrize("degree", [5, 12, 31])
-    def test_lane_words_match_serial_patterns(self, degree):
-        width = min(degree, 8)
-        serial = Lfsr(degree, seed=3)
-        lanes = Lfsr(degree, seed=3)
-        expected = list(serial.patterns(width, 3 * 64))
-        words = lanes.lane_words(width, 3)
-        for p, pattern in enumerate(expected):
-            w, k = divmod(p, 64)
-            for i in range(width):
-                assert (int(words[i, w]) >> k) & 1 == pattern[i]
-        # Both paths advance the register identically.
-        assert lanes.state == serial.state
-
-    def test_lane_words_width_bounded(self):
-        with pytest.raises(ValueError):
-            Lfsr(4).lane_words(5, 1)
-
 
 class TestLfsrBank:
     def test_bank_seeds_distinct_and_in_range(self):
@@ -112,17 +95,6 @@ class TestLfsrBank:
         pattern = bank.pattern()
         assert len(pattern) == 40
 
-    def test_lane_words_match_serial_patterns(self):
-        serial = LfsrBank(40, seed=9)
-        lanes = LfsrBank(40, seed=9)
-        expected = list(serial.patterns(2 * 64))
-        words = lanes.lane_words(2)
-        assert words.shape == (40, 2)
-        for p, pattern in enumerate(expected):
-            w, k = divmod(p, 64)
-            for i in range(40):
-                assert (int(words[i, w]) >> k) & 1 == pattern[i]
-
     def test_jump_matches_serial(self):
         serial = LfsrBank(10, seed=4)
         jumped = LfsrBank(10, seed=4)
@@ -132,107 +104,73 @@ class TestLfsrBank:
         assert jumped.pattern() == serial.pattern()
 
 
-class TestWeightedLaneWords:
-    def test_lane_words_match_serial_patterns(self):
-        probabilities = {"a": 0.75, "b": 0.125, "c": 0.5, "d": 0.9}
-        serial = WeightedPatternGenerator(probabilities, seed=5)
-        lanes = WeightedPatternGenerator(probabilities, seed=5)
-        expected = list(serial.patterns(2 * 64))
-        words = lanes.lane_words(2)
-        names = [a.name for a in lanes.assignments]
-        for p, pattern in enumerate(expected):
-            w, k = divmod(p, 64)
-            for row, name in enumerate(names):
-                assert (int(words[row, w]) >> k) & 1 == pattern[name]
-
-    def test_lane_words_over_multiple_banks(self):
-        probabilities = {f"x{i}": 0.02 for i in range(10)}
-        serial = WeightedPatternGenerator(probabilities, seed=2, max_k=6)
-        lanes = WeightedPatternGenerator(probabilities, seed=2, max_k=6)
-        assert len(lanes.banks) >= 2
-        expected = list(serial.patterns(64))
-        words = lanes.lane_words(1)
-        names = [a.name for a in lanes.assignments]
-        for p, pattern in enumerate(expected):
-            for row, name in enumerate(names):
-                assert (int(words[row, 0]) >> p) & 1 == pattern[name]
-
-    def test_lane_words_empty(self):
-        generator = WeightedPatternGenerator({"a": 0.5})
-        words = generator.lane_words(0)
-        assert words.shape == (1, 0)
-        assert words.dtype == np.uint64
+def serial_rows(patterns, width: int) -> List[int]:
+    """Serial 0/1 patterns as ``width`` big-int rows (bit ``p`` of row
+    ``i`` = bit ``i`` of pattern ``p``)."""
+    rows = [0] * width
+    for p, bits in enumerate(patterns):
+        for i in range(width):
+            rows[i] |= bits[i] << p
+    return rows
 
 
-def serial_words(patterns, width: int) -> np.ndarray:
-    """Pack serial 0/1 patterns into ``width`` rows of uint64 lane words."""
-    bits = np.array(list(patterns), dtype=np.uint8).reshape(-1, width)
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    return np.frombuffer(packed.tobytes(), dtype="<u8").astype(np.uint64).reshape(
-        width, -1
+def weighted_rows(generator, count: int) -> List[int]:
+    """``count`` serial ``pattern()`` draws as rows in assignment order."""
+    names = [a.name for a in generator.assignments]
+    return serial_rows(
+        ([pattern[name] for name in names] for pattern in generator.patterns(count)),
+        len(names),
     )
 
 
 CALLS = 3
-"""Consecutive ``lane_words`` calls per check: each resumes the register
+"""Consecutive ``rows`` calls per check: each resumes the register
 state the previous call left, as a streaming session does."""
+
+COUNTS = (0, 1, 63, 65, 300)
+"""Patterns per ``rows`` call - mostly off the 64-pattern word grid."""
 
 
 class TestLaneGenerator:
-    """``lane_words`` against serial clocking and the old word-jump path."""
+    """``rows`` against serial clocking and the old word-jump path."""
 
     @pytest.mark.parametrize("degree", sorted(PRIMITIVE_TAPS))
-    def test_every_degree_width_and_length(self, degree):
+    def test_every_degree_and_length(self, degree):
         seed = bank_seed(5, degree, degree)
-        for n_words in (0, 1, 3, 17):
+        for count in COUNTS:
             serial = Lfsr(degree, seed=seed)
-            expected = []
+            generator = Lfsr(degree, seed=seed)
+            old = Lfsr(degree, seed=seed)
             for _ in range(CALLS):
-                rows = serial_words(serial.patterns(degree, 64 * n_words), degree)
-                expected.append((rows, serial.state))
-            for width in range(1, degree + 1):
-                lanes = Lfsr(degree, seed=seed)
-                old = Lfsr(degree, seed=seed)
-                for rows, state in expected:
-                    words = lanes.lane_words(width, n_words)
-                    assert words.dtype == np.uint64
-                    assert words.shape == (width, n_words)
-                    assert np.array_equal(words, rows[:width])
-                    assert lanes.state == state
-                    assert np.array_equal(
-                        words, reference_lane_words(old, width, n_words)
-                    )
-                    assert old.state == state
-
-    def test_words_are_writable(self):
-        words = Lfsr(7).lane_words(7, 2)
-        words[0, 0] ^= np.uint64(1)  # callers may mask rows in place
+                expected = serial_rows(serial.patterns(degree, count), degree)
+                assert generator.rows(count) == expected
+                assert generator.state == serial.state
+                assert reference_rows(old, count) == expected
+                assert old.state == serial.state
 
     @pytest.mark.parametrize("width", [64, 65])
     def test_bank_matches_serial_and_reference(self, width):
         serial = LfsrBank(width, seed=11)
-        lanes = LfsrBank(width, seed=11)
+        generator = LfsrBank(width, seed=11)
         old = LfsrBank(width, seed=11)
-        for n_words in (2, 0, 5):
-            expected = serial_words(serial.patterns(64 * n_words), width)
-            words = lanes.lane_words(n_words)
-            assert np.array_equal(words, expected)
-            assert np.array_equal(words, reference_bank_lane_words(old, n_words))
-        assert [m.state for m in lanes.members] == [m.state for m in serial.members]
+        for count in COUNTS:
+            expected = serial_rows(serial.patterns(count), width)
+            assert generator.rows(count) == expected
+            assert reference_bank_rows(old, count) == expected
+        assert [m.state for m in generator.members] == [
+            m.state for m in serial.members
+        ]
 
-    def test_weighted_lanes_across_consecutive_calls(self):
+    def test_weighted_rows_across_consecutive_calls(self):
         probabilities = {f"x{i}": (0.02, 0.5, 0.875, 0.25)[i % 4] for i in range(12)}
         serial = WeightedPatternGenerator(probabilities, seed=3, max_k=6)
-        lanes = WeightedPatternGenerator(probabilities, seed=3, max_k=6)
-        assert len(lanes.banks) >= 2
-        names = [a.name for a in lanes.assignments]
-        for n_words in (1, 3, 2):
-            expected = serial_words(
-                ([pattern[name] for name in names]
-                 for pattern in serial.patterns(64 * n_words)),
-                len(names),
-            )
-            assert np.array_equal(lanes.lane_words(n_words), expected)
+        generator = WeightedPatternGenerator(probabilities, seed=3, max_k=6)
+        assert len(generator.bank.members) >= 2
+        for count in COUNTS:
+            assert generator.rows(count) == weighted_rows(serial, count)
+        assert [m.state for m in generator.bank.members] == [
+            m.state for m in serial.bank.members
+        ]
 
     def test_source_slices_match_materialised_and_serial(self):
         names = [f"i{k}" for k in range(40)]
@@ -244,15 +182,13 @@ class TestLaneGenerator:
             names, (dict(zip(names, bits)) for bits in bank.patterns(count))
         )
         assert dict(whole.env) == dict(serial.env)
-        # A slice starting in the word where the previous one stopped
-        # resumes that bank; any other start jumps a fresh one.  Starts
-        # and stops are mostly off word boundaries.
-        for start, stop in ((3, 70), (128, 250), (263, 400), (5, 6), (901, 1000),
-                            (130, 777), (0, 1000)):
+        # A slice starting where the previous one stopped resumes that
+        # generator; any other start jumps a fresh one.  Starts and
+        # stops are mostly off word boundaries.
+        for start, stop in ((3, 70), (70, 128), (128, 250), (263, 400), (5, 6),
+                            (901, 1000), (130, 777), (0, 1000)):
             window = LfsrSource(names, count, seed=9) if start == 130 else source
-            assert dict(window.slice(start, stop).env) == dict(
-                whole.slice(start, stop).env
-            )
+            assert window.slice(start, stop) == whole.slice(start, stop)
 
 
 class TestMisr:
@@ -342,7 +278,7 @@ class TestWeightedGenerator:
         generator = WeightedPatternGenerator(
             {f"x{i}": 0.02 for i in range(10)}, max_k=6
         )
-        assert len(generator.banks) >= 2
+        assert len(generator.bank.members) >= 2
         empirical = generator.empirical_probabilities(8192)
         for name, frequency in empirical.items():
             assert frequency == pytest.approx(1 / 64, abs=0.01)

@@ -22,10 +22,11 @@ from repro.protest import (
     test_length as required_test_length,
     test_length_for_fault as required_length_for_fault,
 )
+from repro.selftest import Lfsr
 from repro.simulate import (
-    LanePatternSet,
     LfsrSource,
     PatternSet,
+    WeightedSource,
     available_engines,
     coverage_curve,
     fault_simulate,
@@ -335,86 +336,79 @@ class TestNonWordAlignedStreaming:
             network, source, faults, width, engine=engine,
         ) == reference
 
-    def test_non_aligned_slice_is_lane_exact(self):
+    def test_non_aligned_slice_is_exact(self):
         network = domino_carry_chain(10)
         source = LfsrSource(network.inputs, self.BUDGET, seed=13)
         whole = source.materialise()
-        window = source.slice(37, 137)
-        assert isinstance(window, LanePatternSet)
-        assert dict(window.env) == dict(whole.slice(37, 137).env)
+        assert source.slice(37, 137) == whole.slice(37, 137)
 
 
-class TestLanePatternSetFeed:
-    """Source windows feed the vector core as lane words - the big-int
-    env only exists if a serial engine asks for it."""
+def _register_source(kind, names, count, seed):
+    if kind == "weighted":
+        probabilities = {
+            name: (0.25, 0.75, 0.5, 0.125)[index % 4]
+            for index, name in enumerate(names)
+        }
+        return WeightedSource(names, count, probabilities=probabilities, seed=seed)
+    return LfsrSource(names, count, seed=seed)
 
-    def test_slice_returns_lane_rows_without_env(self):
+
+@pytest.fixture
+def jumps(monkeypatch):
+    """Every ``Lfsr.jump`` call's step count, in call order."""
+    calls = []
+    jump = Lfsr.jump
+
+    def counting(self, steps):
+        calls.append(steps)
+        jump(self, steps)
+
+    monkeypatch.setattr(Lfsr, "jump", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["lfsr", "weighted"])
+class TestSequentialResume:
+    """Sequential windows resume the advanced generator; random access
+    stays positionally exact (pool workers jump to their own windows)."""
+
+    def test_sequential_windows_resume_the_generator(self, kind, jumps):
         network = domino_carry_chain(10)
-        source = LfsrSource(network.inputs, 512, seed=3)
-        window = source.slice(0, 256)
-        assert isinstance(window, LanePatternSet)
-        assert window._env is None  # derived lazily, not at generation
-        assert window.lane_rows.shape == (len(network.inputs), 4)
+        source = _register_source(kind, network.inputs, 1024, seed=7)
+        source.slice(0, 256)
+        assert source._resume is not None and source._resume[0] == 256
+        after_first = len(jumps)
+        follow = source.slice(256, 512)  # resume hit: generator is at pattern 256
+        assert len(jumps) == after_first
+        fresh = _register_source(kind, network.inputs, 1024, seed=7)
+        assert follow == fresh.slice(256, 512)
 
-    def test_vector_engine_never_materialises_the_env(self, monkeypatch):
-        import repro.simulate.logicsim as logicsim
-
+    def test_consecutive_windows_jump_no_register(self, kind, jumps):
         network = domino_carry_chain(10)
-        source = LfsrSource(network.inputs, 512, seed=3)
-        faults = network.enumerate_faults()
+        source = _register_source(kind, network.inputs, 1024, seed=7)
+        windows = source.windows(FIRST_DETECTION_CHUNK)
+        next(windows)
+        after_first = len(jumps)
+        assert sum(window.count for _start, window in windows) == 1024 - 256
+        assert len(jumps) == after_first
 
-        def poisoned_env(self):
-            raise AssertionError("vector consumer touched the big-int env")
-
-        monkeypatch.setattr(
-            logicsim.LanePatternSet, "env", property(poisoned_env)
-        )
-        result = fault_simulate(network, source, faults, engine="vector")
-        assert result.pattern_count == 512
-
-    def test_lazy_env_matches_lane_rows(self):
-        from repro.simulate.logicsim import pack_words
-
+    def test_out_of_order_slice_jumps_and_is_exact(self, kind, jumps):
         network = domino_carry_chain(10)
-        window = LfsrSource(network.inputs, 512, seed=3).slice(64, 293)
-        for row, name in enumerate(window.names):
-            assert (
-                pack_words(window.env[name], window.count)
-                == window.lane_rows[row]
-            ).all()
-
-
-class TestLfsrSequentialResume:
-    """Sequential windows resume the advanced bank; random access stays
-    positionally exact (pool workers jump to their own windows)."""
-
-    def test_sequential_windows_resume_the_bank(self):
-        network = domino_carry_chain(10)
-        source = LfsrSource(network.inputs, 1024, seed=7)
-        first = source.slice(0, 256)
-        assert source._resume is not None and source._resume[0] == 4
-        follow = source.slice(256, 512)  # resume hit: bank is at word 4
-        fresh = LfsrSource(network.inputs, 1024, seed=7)
-        assert dict(follow.env) == dict(fresh.slice(256, 512).env)
-
-    def test_random_access_after_streaming_is_exact(self):
-        network = domino_carry_chain(10)
-        source = LfsrSource(network.inputs, 1024, seed=7)
+        source = _register_source(kind, network.inputs, 1024, seed=7)
         for _start, _window in source.windows(FIRST_DETECTION_CHUNK):
-            pass  # stream the whole budget, leaving the bank advanced
-        fresh = LfsrSource(network.inputs, 1024, seed=7)
+            pass  # stream the whole budget, leaving the generator advanced
+        before = len(jumps)
         again = source.slice(128, 384)  # jump back mid-stream
-        assert dict(again.env) == dict(fresh.slice(128, 384).env)
+        assert 128 in jumps[before:]
+        fresh = _register_source(kind, network.inputs, 1024, seed=7)
+        assert again == fresh.slice(128, 384)
 
-    def test_streamed_windows_identical_to_fresh_jumps(self):
+    def test_streamed_windows_identical_to_fresh_jumps(self, kind):
         network = domino_carry_chain(10)
-        streamed = LfsrSource(network.inputs, 1024, seed=7)
-        windows = list(streamed.windows(FIRST_DETECTION_CHUNK))
-        for start, window in windows:
-            fresh = LfsrSource(network.inputs, 1024, seed=7)
-            assert dict(window.env) == dict(
-                fresh.slice(start, start + window.count).env
-            )
+        streamed = _register_source(kind, network.inputs, 1024, seed=7)
+        for start, window in streamed.windows(FIRST_DETECTION_CHUNK):
+            fresh = _register_source(kind, network.inputs, 1024, seed=7)
+            assert window == fresh.slice(start, start + window.count)
 
 
 class TestStreamingJobs:

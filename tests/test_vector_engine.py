@@ -34,8 +34,7 @@ from repro.simulate import compiled as compiled_module
 from repro.simulate.artifacts import ArtifactStore
 from repro.simulate.compiled import compile_network
 from repro.simulate.faultsim import collect_words
-from repro.simulate.logicsim import pack_words, unpack_words
-from repro.simulate.vector import lane_pass
+from repro.simulate.vector import lane_pass, pack_words, unpack_words
 
 
 class TestWordBridges:
@@ -50,40 +49,6 @@ class TestWordBridges:
     def test_pack_masks_excess_bits(self):
         words = pack_words((1 << 100) - 1, 10)
         assert unpack_words(words, 10) == (1 << 10) - 1
-
-    def test_to_words_layout(self):
-        patterns = PatternSet.random(("a", "b", "c"), 131, seed=3)
-        words = patterns.to_words()
-        assert words.shape == (3, 3)
-        for row, name in enumerate(patterns.names):
-            for index in range(patterns.count):
-                lane = int(words[row, index // 64])
-                assert (lane >> (index % 64)) & 1 == (
-                    patterns.env[name] >> index
-                ) & 1
-
-    def test_from_words_roundtrip(self):
-        patterns = PatternSet.random(("a", "b"), 200, seed=5, probabilities={"b": 0.1})
-        rebuilt = PatternSet.from_words(
-            patterns.names, patterns.to_words(), patterns.count
-        )
-        assert rebuilt.names == patterns.names
-        assert rebuilt.env == patterns.env
-        assert rebuilt.count == patterns.count
-
-    def test_from_words_rejects_bad_shape(self):
-        patterns = PatternSet.random(("a", "b"), 100, seed=6)
-        with pytest.raises(ValueError, match="shape"):
-            PatternSet.from_words(("a",), patterns.to_words(), 100)
-        with pytest.raises(ValueError, match="shape"):
-            PatternSet.from_words(("a", "b"), patterns.to_words(), 300)
-
-    def test_empty_set_bridges(self):
-        empty = PatternSet(("a",), {"a": 0}, 0)
-        words = empty.to_words()
-        assert words.shape == (1, 0)
-        rebuilt = PatternSet.from_words(("a",), words, 0)
-        assert rebuilt.count == 0 and rebuilt.env == {"a": 0}
 
     def test_pack_masks_excess_bits_at_zero_count(self):
         """Regression: nonzero payload bits with count == 0 must mask to
