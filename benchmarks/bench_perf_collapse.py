@@ -19,10 +19,10 @@ Three measurements ride on the one workload:
   batching already amortises per-fault cost and the multiplier is
   correspondingly smaller (recorded, not the headline);
 * **coverage flow pair** - dynamic fault dropping: the first-detection
-  validation flow (``stop_at_first_detection=True``) against
-  ``collapse="on"`` + ``stop_at_coverage=1.0``, which retires whole
-  classes between streaming windows.  Both runs pin detection counts
-  to one and report identical first-detection indices, so this pair is
+  validation flow (``stop_at_first_detection=True``) against the same
+  flow under ``collapse="on"``, which retires whole classes between
+  streaming windows.  Both runs pin detection counts to one and report
+  identical first-detection indices, so this pair is
   bit-identity-checked like the others.
 
 Bit-identity of every collapsed run against its uncollapsed twin is
@@ -123,7 +123,7 @@ def run_collapse(
     capped_result, capped_seconds = best_of(
         lambda: fault_simulate(
             network, coverage_set, faults,
-            stop_at_coverage=1.0, collapse="on", engine="compiled",
+            stop_at_first_detection=True, collapse="on", engine="compiled",
         ),
         max(1, repetitions // 2),
     )
@@ -144,8 +144,8 @@ def run_collapse(
             "per difference-equivalence class and scatters outcomes back "
             "bit-identically; headline speedup is the compiled-engine "
             "full-run pair, with the vector pair and the dynamic-dropping "
-            "coverage flow (stop_at_coverage=1.0, classes retired between "
-            "windows) recorded alongside, bit-identity checked first"
+            "coverage flow (stop_at_first_detection=True, classes retired "
+            "between windows) recorded alongside, bit-identity checked first"
         ),
         "params": {
             "cell_size": size,

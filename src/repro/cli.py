@@ -29,7 +29,9 @@ Subcommands::
         bad names fail with the registry's error); ``--jobs`` the
         worker count (1, in-process, by default; N > 1 forks a pool of
         N workers for big workloads on any engine, partitioned by cone
-        cost; below 1 fails at parse time); ``--collapse`` the
+        cost; below 1 fails at parse time, as do a ``--confidence`` or
+        ``--stop-confidence`` outside (0, 1) and a ``--target-coverage``
+        outside (0, 1]); ``--collapse`` the
         structural-collapsing mode (``on`` simulates
         one representative per fault-equivalence class, ``report`` - a
         CLI-only mode - runs ``on`` and prints the class/dominance
@@ -45,7 +47,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
-
+from importlib import import_module
 from pathlib import Path
 from typing import List, Optional
 
@@ -66,67 +68,44 @@ same reason; a test holds this tuple equal to
 ``repro.simulate.available_sources()``."""
 
 
-def _knob(name: str, convert=str):
-    """argparse type for the run knob ``--<name>`` (``engine``,
-    ``jobs``).
+def _checked(check, convert=str, *extra, result=False):
+    """argparse type for a flag the library validates.
 
-    Validates through the library's own resolver,
-    :func:`repro.simulate.faultsim.resolve_knobs`, so the CLI and the
-    library agree on every error message (bad engine names and
-    ``jobs < 1`` all fail at parse time, before any
-    simulation runs); the resolver is imported only when the flag is
-    actually parsed, keeping ``--help`` import-free.
+    The flag's text is ``convert``-ed and handed to ``check`` (with
+    ``extra`` after it): a callable, or ``"module:function"`` under
+    :mod:`repro`, imported on the first parse so ``--help`` stays free
+    of the simulate-package import cost.  The check's ``ValueError``
+    becomes argparse's usage error - exit 2 with the library's exact
+    message, before any work runs.  The flag holds the converted value,
+    or what the check returns when ``result`` is set (``--netlist``
+    hands the command the parsed network, so a 100k-gate file is parsed
+    once).
     """
 
-    def check(text: str):
+    def parse(text: str):
         value = convert(text)
-        from .simulate.faultsim import resolve_knobs
-
+        function = check
+        if isinstance(check, str):
+            module, name = check.split(":")
+            function = getattr(import_module(f"{__package__}.{module}"), name)
         try:
-            resolve_knobs(**{name: value})
+            returned = function(value, *extra)
         except ValueError as error:
             raise argparse.ArgumentTypeError(str(error)) from None
-        return value
+        return returned if result else value
 
-    check.__name__ = convert.__name__  # argparse's "invalid int value"
-    return check
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
 
 
-def _collapse_choice(name: str) -> str:
-    """argparse type for ``--collapse``: one of :data:`COLLAPSE_CHOICES`,
-    rejected with the library's message shape."""
+def _collapse_choice(name: str) -> None:
+    """``--collapse``: one of :data:`COLLAPSE_CHOICES`, rejected in the
+    library's message shape."""
     if name not in COLLAPSE_CHOICES:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"unknown collapse mode {name!r}; available collapse modes: "
             + ", ".join(COLLAPSE_CHOICES)
         )
-    return name
-
-
-def _source_name(name: str) -> str:
-    """argparse type for ``--source``: validate like :func:`_knob`,
-    reusing the pattern-source registry's exact error message."""
-    from .simulate.source import get_source
-
-    try:
-        get_source(name)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return name
-
-
-def _netlist_network(path: str):
-    """argparse type for ``--netlist``: parse the ``.bench`` file at
-    parse time (bad paths and malformed netlists fail with
-    :mod:`repro.netlist.bench`'s exact message, before any simulation
-    runs) and hand the command the parsed network - a 100k-gate file is
-    parsed once, not once to validate and again to use."""
-    from .netlist.bench import resolve_netlist
-
-    try:
-        return resolve_netlist(path)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _load_cell(path: str):
@@ -279,18 +258,22 @@ def build_parser() -> argparse.ArgumentParser:
     protest.add_argument("cellfile", nargs="?", default=None)
     protest.add_argument(
         "--netlist",
-        type=_netlist_network,
+        type=_checked("netlist.bench:resolve_netlist", result=True),
         default=None,
         metavar="FILE.bench",
         help="run the pipeline on an ISCAS85-style .bench netlist "
         "instead of a single-cell network (INPUT/OUTPUT/AND/NAND/OR/"
         "NOR/XOR/NOT/BUFF; mutually exclusive with CELLFILE)",
     )
-    protest.add_argument("--confidence", type=float, default=0.999)
+    protest.add_argument(
+        "--confidence",
+        type=_checked("protest.testlength:check_confidence", float),
+        default=0.999,
+    )
     protest.add_argument("--validate", action="store_true")
     protest.add_argument(
         "--engine",
-        type=_knob("engine"),
+        type=_checked("simulate.registry:get_engine"),
         default="compiled",
         metavar="|".join(ENGINE_CHOICES),
         help="simulation engine for estimators and validation "
@@ -298,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--jobs",
-        type=_knob("jobs", int),
+        type=_checked("simulate.faultsim:check_jobs", int),
         default=1,
         metavar="N",
         help="worker processes for fault simulation, the estimators and "
@@ -307,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--collapse",
-        type=_collapse_choice,
+        type=_checked(_collapse_choice),
         default=None,
         metavar="|".join(COLLAPSE_CHOICES),
         help="structural fault collapsing: simulate one representative "
@@ -317,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--source",
-        type=_source_name,
+        type=_checked("simulate.source:get_source"),
         default="lfsr",
         metavar="|".join(SOURCE_CHOICES),
         help="streaming pattern source for the confidence-bounded "
@@ -327,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--stop-confidence",
-        type=float,
+        type=_checked("protest.testlength:check_confidence", float),
         default=None,
         metavar="C",
         help="additionally run a streaming BIST session that stops as "
@@ -337,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protest.add_argument(
         "--target-coverage",
-        type=float,
+        type=_checked(
+            "simulate.faultsim:check_coverage", float, "target_coverage"
+        ),
         default=0.99,
         metavar="F",
         help="coverage fraction the streaming session drives its lower "

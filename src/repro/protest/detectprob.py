@@ -115,20 +115,13 @@ def _detection_frequencies(
 ) -> List[float]:
     """Empirical detection frequency of every fault of ``universe``, in
     its fault order: one counting-mode pass over ``samples`` random
-    patterns of ``universe.simulated``, scattered back over the faults.
-    The knobs arrive resolved."""
+    patterns.  The knobs arrive resolved."""
     input_probs = _input_probs(network, probs)
     patterns = PatternSet.random(
         network.inputs, samples, seed=seed, probabilities=input_probs
     )
-    outcomes = windowed_outcomes(
-        network, patterns, universe.simulated, None, engine=engine,
-        cache=store, jobs=jobs,
-    )
-    return [
-        (0 if outcome is None else outcome[1]) / samples
-        for outcome in universe.scatter(outcomes)
-    ]
+    outcomes = windowed_outcomes(network, patterns, universe, engine, jobs, store)
+    return [(0 if outcome is None else outcome[1]) / samples for outcome in outcomes]
 
 
 # -- topological (COP-style) estimate -------------------------------------------------

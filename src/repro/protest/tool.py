@@ -33,7 +33,7 @@ from ..simulate.logicsim import PatternSet
 from ..simulate.source import make_source
 from .detectprob import detection_probabilities
 from .optimize import OptimizationResult, optimize_input_probabilities
-from .signalprob import signal_probabilities
+from .signalprob import _input_probs, signal_probabilities
 from .testlength import (
     confidence_all_detected,
     expected_coverage,
@@ -189,9 +189,10 @@ class Protest:
         seed: int = 1986,
     ) -> PatternSet:
         """Random patterns with the (possibly optimized) distribution."""
-        if isinstance(probs, (int, float)):
-            probs = {net: float(probs) for net in self.network.inputs}
-        return PatternSet.random(self.network.inputs, count, seed=seed, probabilities=probs)
+        return PatternSet.random(
+            self.network.inputs, count, seed=seed,
+            probabilities=_input_probs(self.network, probs),
+        )
 
     def validate(
         self,
@@ -267,10 +268,7 @@ class Protest:
         confidence: float = 0.999,
         method: str = "auto",
     ) -> ProtestReport:
-        if isinstance(probs, (int, float)):
-            input_probs = {net: float(probs) for net in self.network.inputs}
-        else:
-            input_probs = {net: float(probs.get(net, 0.5)) for net in self.network.inputs}
+        input_probs = _input_probs(self.network, probs)
         signal = self.signal_probabilities(input_probs, method)
         detection = self.detection_probabilities(input_probs, method)
         length = test_length(detection, confidence)

@@ -42,9 +42,12 @@ the one words loop, :func:`collect_words`, ORs it into whole-set
 detection words.  Compiled and interpreted build their pass from a
 per-window big-int difference pass through one adapter,
 :func:`bigint_engine`.  Each engine streams the window of its own kind
-in every mode (:func:`engine_window`).  The three stops (first
-detection, coverage, a session's ``on_window``) are one boundary
-predicate (:func:`stop_predicate`).
+in every mode (:func:`engine_window`).  A run retires or stops
+through one seam, the ``on_window`` predicate of
+:func:`windowed_outcomes`: without one the run counts, with one it
+retires detected faults on the :data:`FIRST_DETECTION_CHUNK` grid and
+ends where the predicate says so (:func:`streaming_coverage`'s
+Wilson-bound stop; ``stop_at_first_detection`` always continues).
 
 Every label-keyed consumer - the entry points here, parallel and
 deductive fault simulation, fault dictionaries, the PROTEST estimators
@@ -75,9 +78,10 @@ from .registry import Engine, get_engine, register_engine
 if TYPE_CHECKING:
     from ..faults.structural import CollapsedFaultSet
 
-#: The stopping grid of every retiring run (``stop_at_first_detection``,
-#: ``stop_at_coverage``, streaming sessions): a fault detected in window
-#: k retires at its end, and runs stop only at window boundaries.
+#: The grid of every run with an ``on_window`` predicate
+#: (``stop_at_first_detection``, streaming sessions), on every engine and
+#: read at call time: a fault detected in window k retires at its end,
+#: and runs stop only at window boundaries.
 FIRST_DETECTION_CHUNK = 256
 
 #: Per-fault outcome: ``None`` when undetected, else
@@ -304,16 +308,6 @@ def check_coverage(value, name: str) -> None:
         raise ValueError(f"{name} must be in (0, 1], got {value}")
 
 
-def check_stop_at_coverage(stop_at_coverage) -> None:
-    """Validate a ``stop_at_coverage`` threshold (``None`` disables it).
-
-    Shared by every engine entry point, mirroring the ``samples >= 1``
-    checks of the detection-probability estimators.
-    """
-    if stop_at_coverage is not None:
-        check_coverage(stop_at_coverage, "stop_at_coverage")
-
-
 def build_result(
     network_name: str,
     pattern_count: int,
@@ -536,7 +530,6 @@ def fault_simulate(
     engine: str = "compiled",
     jobs: Optional[int] = None,
     collapse: Optional[str] = None,
-    stop_at_coverage=None,
     cache=None,
 ) -> FaultSimResult:
     """Simulate every fault against every pattern.
@@ -579,34 +572,14 @@ def fault_simulate(
     changes a result bit - warm and cold runs are bit-identical - and
     unknown modes raise here with the list of available modes, on every
     engine.
-    ``stop_at_coverage`` (a fraction in ``(0, 1]``) retires detected
-    faults between :data:`FIRST_DETECTION_CHUNK`-wide streaming windows
-    - like ``stop_at_first_detection`` - and additionally stops the
-    whole run at the end of the first window where the covered fraction
-    of the fault universe reaches the threshold; faults the run never
-    reached are reported undetected and counts are pinned to 1.  Under
-    ``collapse="on"`` classes are weighted by their member counts, so
-    the stopping window (and every result bit) matches the uncollapsed
-    run exactly.
     """
     resolved, store, mode = resolve_knobs(engine, jobs, collapse, cache)
-    check_stop_at_coverage(stop_at_coverage)
     universe = fault_universe(network, faults, mode, store)
-    # Either stop pins the stopping grid to FIRST_DETECTION_CHUNK on
-    # every engine: where a coverage-stopped run ends depends on the
-    # grid, so all engines must stop on the same one to stay
-    # bit-identical.  Without a stop the engine's own window applies.
-    retire = stop_at_first_detection or stop_at_coverage is not None
     outcomes = windowed_outcomes(
-        network, patterns, universe.simulated,
-        FIRST_DETECTION_CHUNK if retire else None,
-        stop_at_first_detection, resolved,
-        stop_at_coverage=stop_at_coverage, coverage_weights=universe.weights,
-        cache=store, jobs=jobs,
+        network, patterns, universe, resolved, jobs, store,
+        _always_continue if stop_at_first_detection else None,
     )
-    result = build_result(
-        network.name, patterns.count, universe.faults, universe.scatter(outcomes)
-    )
+    result = build_result(network.name, patterns.count, universe.faults, outcomes)
     result.collapsed_classes = universe.class_count
     return result
 
@@ -714,8 +687,6 @@ def drive_windows(
       faults never reached come back ``None``.  Every stopping point
       and outcome is bit-identical to a window-at-a-time run.
     """
-    if grid < 1:
-        raise ValueError(f"window width must be >= 1, got {grid}")
     firsts = [-1] * size
     counts = [0] * size
     active = list(range(size))
@@ -751,94 +722,56 @@ def drive_windows(
     ]
 
 
-def stop_predicate(
-    stop_at_first_detection: bool,
-    stop_at_coverage,
-    on_window,
-    weights: Sequence[int],
-):
-    """The three stops as one :func:`drive_windows` predicate.
-
-    ``None`` (counting mode) when no stop is asked for;
-    ``stop_at_first_detection`` alone always continues (retirement
-    only), ``stop_at_coverage`` continues while the covered weight is
-    below its fraction of the total, and ``on_window`` passes through.
-    """
-    if stop_at_coverage is not None:
-        threshold = stop_at_coverage * sum(weights)
-        if on_window is None:
-            return lambda consumed, covered: covered < threshold
-        return lambda consumed, covered: (
-            on_window(consumed, covered) and covered < threshold
-        )
-    if on_window is None and stop_at_first_detection:
-        return lambda consumed, covered: True
-    return on_window
+def _always_continue(consumed: int, covered_weight: int) -> bool:
+    """The ``on_window`` of ``stop_at_first_detection``: retire only."""
+    return True
 
 
 def windowed_outcomes(
     network: Network,
     patterns: PatternSet,
-    faults: Sequence[NetworkFault],
-    window: Optional[int],
-    stop_at_first_detection: bool = False,
-    engine: str = "compiled",
-    stop_at_coverage=None,
-    coverage_weights: Optional[Sequence[int]] = None,
+    universe: FaultUniverse,
+    engine="compiled",
+    jobs: Optional[int] = None,
     cache=None,
     on_window=None,
-    jobs: Optional[int] = None,
 ) -> List[FaultOutcome]:
-    """Per-fault (first index, count) outcomes on one engine.
+    """Per-fault (first index, count) outcomes over ``universe.faults``.
 
-    :func:`drive_windows` over the engine's fault pass reduced by
-    :func:`block_detections` - or, when ``jobs > 1`` and the workload
-    pays for a pool, over the pool kernel that runs that reduction in
-    ``jobs`` forked workers
-    (:func:`repro.simulate.sharded.pooled_outcomes`).  ``engine`` is a
-    registered name or an :class:`Engine`.  ``window`` is the window
-    width - the stopping grid when a stop is asked for - and ``None``
-    streams the engine's own window (:func:`engine_window`), which also
-    caps a retiring run's speculative blocks.
-    ``stop_at_first_detection`` retires a fault at the end of its first
-    detecting window (count pinned to 1); ``stop_at_coverage``
-    additionally stops the run at the first window boundary where the
-    ``coverage_weights``-weighted covered fraction (one weight per
-    fault, ``None`` for all ones; a representative's class size under
-    ``collapse="on"``, so the stopping window matches the uncollapsed
-    run) reaches the threshold; and
-    ``on_window(consumed, covered_weight) -> bool`` is the streaming
-    session seam - returning ``False`` ends the run, which is how
-    :func:`streaming_coverage` plugs in its Wilson-bound stop.
+    :func:`drive_windows` over the engine's fault pass on
+    ``universe.simulated`` reduced by :func:`block_detections` - or,
+    when ``jobs > 1`` and the workload pays for a pool, over the pool
+    kernel that runs that reduction in ``jobs`` forked workers
+    (:func:`repro.simulate.sharded.pooled_outcomes`) - scattered back
+    over the universe's faults.  ``engine`` is a registered name or an
+    :class:`Engine`.  ``on_window(consumed, covered_weight) -> bool``
+    is the one stop seam: without it the run counts every detection on
+    the engine's own window (:func:`engine_window`); with it detected
+    faults retire (count pinned to 1, their class weight covered) on the
+    :data:`FIRST_DETECTION_CHUNK` grid - the same on every engine, so
+    every stopping point is engine-independent - and returning
+    ``False`` ends the run, which is how :func:`streaming_coverage`
+    plugs in its Wilson-bound stop.
     """
     engine, store, _mode = resolve_knobs(engine, jobs, None, cache)
-    check_stop_at_coverage(stop_at_coverage)
-    if coverage_weights is None:
-        weights = [1] * len(faults)
-    elif len(coverage_weights) != len(faults):
-        raise ValueError(
-            f"got {len(coverage_weights)} coverage weights for "
-            f"{len(faults)} faults"
-        )
-    else:
-        weights = list(coverage_weights)
-    stop = stop_predicate(
-        stop_at_first_detection, stop_at_coverage, on_window, weights
-    )
+    faults, weights = universe.simulated, universe.weights
     passes = engine.fault_pass(network, faults, store)
     width = engine_window(engine, patterns.count)
+    grid = width if on_window is None else FIRST_DETECTION_CHUNK
+    outcomes = None
     if jobs is not None and jobs > 1:
         from .sharded import pooled_outcomes
 
         outcomes = pooled_outcomes(
-            network, patterns, faults, window, passes, weights, stop, width,
+            network, patterns, faults, grid, passes, weights, on_window, width,
             jobs, store,
         )
-        if outcomes is not None:
-            return outcomes
-    grid = width if window is None else window
-    detect = partial(block_detections, passes)
-    return drive_windows(patterns, len(faults), grid, detect, weights, stop, width)
+    if outcomes is None:
+        detect = partial(block_detections, passes)
+        outcomes = drive_windows(
+            patterns, len(faults), grid, detect, weights, on_window, width
+        )
+    return universe.scatter(outcomes)
 
 
 @dataclass
@@ -930,7 +863,7 @@ def streaming_coverage(
     weighted NLFSR sequences stream window by window without ever
     materialising) or a plain :class:`PatternSet`.  Between
     :data:`FIRST_DETECTION_CHUNK`-wide windows, detected faults retire
-    exactly as under ``stop_at_coverage``, the observed detected-of-
+    exactly as under ``stop_at_first_detection``, the observed detected-of-
     total counts feed :func:`repro.protest.testlength.coverage_lower_bound`,
     and the session stops at the first window boundary where the Wilson
     lower bound on coverage reaches ``target_coverage`` - so a
@@ -986,10 +919,7 @@ def streaming_coverage(
             return True
 
         windowed_outcomes(
-            network, patterns, universe.simulated, FIRST_DETECTION_CHUNK,
-            False, resolved,
-            coverage_weights=universe.weights, cache=store, on_window=on_window,
-            jobs=jobs,
+            network, patterns, universe, resolved, jobs, store, on_window
         )
         if not curve:
             curve.append((0, 1.0 if total_weight == 0 else 0.0))
@@ -1019,8 +949,6 @@ def coverage_curve(
     jobs: Optional[int] = None,
     collapse: Optional[str] = None,
     cache=None,
-    stop_at_confidence: Optional[float] = None,
-    target_coverage: float = 0.99,
 ) -> List[Tuple[int, float]]:
     """(pattern count, fault coverage) samples along a pattern sequence.
 
@@ -1029,26 +957,9 @@ def coverage_curve(
     fell.  ``collapse`` and ``cache`` resolve exactly as in
     :func:`fault_simulate` (first-detection indices are bit-identical
     either way, so the curve is too - collapse and caching only
-    multiply throughput).
-
-    ``stop_at_confidence`` switches the curve to the incremental
-    consumer of :func:`streaming_coverage`: the sequence (any pattern
-    source) is simulated window by window and the run stops early once
-    the Wilson lower confidence bound on coverage - at that confidence
-    - clears ``target_coverage``.  The curve is then sampled at every
-    streaming window boundary (``points`` does not apply) and ends at
-    the stopping point.
+    multiply throughput).  The curve of a confidence-bounded session is
+    :func:`streaming_coverage`'s ``curve``.
     """
-    if stop_at_confidence is not None:
-        from ..protest.testlength import check_confidence
-
-        check_confidence(stop_at_confidence, "stop_at_confidence")
-        return streaming_coverage(
-            network, patterns, faults,
-            target_coverage=target_coverage,
-            confidence=stop_at_confidence,
-            engine=engine, jobs=jobs, collapse=collapse, cache=cache,
-        ).curve
     if isinstance(points, bool) or not isinstance(points, numbers.Integral):
         raise ValueError(f"points must be an int >= 1, got {points!r}")
     if points < 1:

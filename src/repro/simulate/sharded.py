@@ -20,8 +20,9 @@ path, :func:`pooled_outcomes`: it drives the one window loop,
 :func:`_pool_kernel` as its block kernel - one ``pool.map`` per block,
 each worker reducing the engine's pass over its shard of the live
 faults (:func:`repro.simulate.faultsim.block_detections`).  Full
-counts, first detection, coverage stops, streaming sessions and the
-Monte-Carlo detection estimator all take that one path.
+counts, first detection, streaming sessions and the Monte-Carlo
+detection estimator all take that one path, on the grid
+:func:`~repro.simulate.faultsim.windowed_outcomes` works out.
 
 Streaming windows are also an algorithmic win on their own: a fault
 whose faulty gate function agrees with the good word on every pattern
@@ -189,7 +190,7 @@ def pooled_outcomes(
     network: Network,
     patterns: PatternSet,
     faults: Sequence[NetworkFault],
-    window: Optional[int],
+    grid: int,
     passes,
     weights: Sequence[int],
     on_window,
@@ -199,15 +200,14 @@ def pooled_outcomes(
 ) -> Optional[List[FaultOutcome]]:
     """:func:`repro.simulate.faultsim.drive_windows` over a pool kernel.
 
-    The pooled half of :func:`repro.simulate.faultsim.windowed_outcomes`:
-    ``passes`` is the engine's fault pass, built in the parent so the
-    forked workers inherit it warm, and every driver mode (counting,
-    retiring, coverage and session stops) runs unchanged over
-    :func:`_pool_kernel`.  A counting run is one block - a barrier per
-    window would idle every worker until the slowest shard caught up -
-    that each worker streams through ``window``-wide windows (the
-    engine's ``width`` when ``None``); a retiring run keeps the driver's
-    speculative blocks, capped at ``width``, on the ``window`` grid.
+    The pooled half of :func:`repro.simulate.faultsim.windowed_outcomes`,
+    on the ``grid`` it works out: ``passes`` is the engine's fault pass,
+    built in the parent so the forked workers inherit it warm, and both
+    driver modes run unchanged over :func:`_pool_kernel`.  A counting
+    run is one block - a barrier per window would idle every worker
+    until the slowest shard caught up - that each worker streams
+    through the engine's ``width``-wide windows; a retiring run keeps
+    the driver's speculative blocks, capped at ``width``, on ``grid``.
     The driver walks a :class:`_Span`: the workers slice the real
     patterns, so the parent never generates them.  Returns ``None``
     when pooling is pointless or unavailable, signalling the caller to
@@ -217,17 +217,11 @@ def pooled_outcomes(
     shards = _pool_shards(network, patterns, faults, jobs, cache)
     if shards is None:
         return None
-    window = width if window is None else window
-    if window < 1:  # a counting run's driver never sees it as its grid
-        raise ValueError(f"window width must be >= 1, got {window}")
     if on_window is None:
-        grid, stream = max(patterns.count, 1), window
-    else:
-        grid, stream = window, width
-    with _executor(len(shards), (patterns, passes, stream)) as pool:
+        grid = max(patterns.count, 1)
+    with _executor(len(shards), (patterns, passes, width)) as pool:
         return drive_windows(
             _Span(patterns.count), len(faults), grid,
             _pool_kernel(pool, network, faults, shards, jobs, cache),
             weights, on_window, width,
         )
-

@@ -6,6 +6,8 @@ files import these instead of each keeping a copy (a plain module, not
 ``benchmarks/conftest.py`` when pytest collects both trees).
 """
 
+from functools import partial
+
 
 def all_faults(network):
     """The full fault universe - cell classes and net stuck-ats."""
@@ -18,6 +20,68 @@ def results_identical(a, b):
     assert a.detection_counts == b.detection_counts
     assert a.undetected == b.undetected
     assert a.pattern_count == b.pattern_count
+
+
+class SessionOracle:
+    """The streaming sessions an oracle run predicts, at ``confidence``.
+
+    Built from the interpreted full run's first-detection indices alone -
+    never through the retiring driver.  ``rows`` holds ``(boundary,
+    covered, Wilson lower bound)`` at every session window boundary: the
+    multiples of ``faultsim.FIRST_DETECTION_CHUNK`` (read when the
+    oracle is built) below the pattern count, then the count itself.
+    """
+
+    def __init__(self, network, patterns, faults, confidence):
+        from bisect import bisect_left
+
+        from repro.protest.testlength import coverage_lower_bound
+        from repro.simulate import faultsim
+
+        full = faultsim.fault_simulate(
+            network, patterns, faults, engine="interpreted"
+        )
+        firsts = sorted(full.detected.values())
+        self.confidence, self.total = confidence, full.fault_count
+        self.bound = partial(
+            coverage_lower_bound, total=self.total, confidence=confidence
+        )
+        grid, count = faultsim.FIRST_DETECTION_CHUNK, patterns.count
+        self.rows = []
+        for boundary in range(grid, count + grid, grid):
+            boundary = min(boundary, count)
+            covered = bisect_left(firsts, boundary)
+            self.rows.append((boundary, covered, self.bound(covered)))
+
+    def mid_budget_targets(self):
+        """Targets that stop a session before its last boundary: the
+        distinct nonzero bounds reached at the earlier boundaries."""
+        return sorted({bound for _, _, bound in self.rows[:-1] if bound > 0})
+
+    def check(self, session):
+        """Assert ``session`` is the predicted one: every fault first
+        detected before a boundary is committed there, the curve is
+        sampled there, and the session ends at the first boundary where
+        the bound reaches the target or no fault is left (budget end
+        otherwise)."""
+        assert session.confidence == self.confidence
+        target, total = session.target_coverage, self.total
+        consumed = covered = 0
+        bound = self.bound(0)
+        curve = []
+        if bound < target:
+            for consumed, covered, bound in self.rows:
+                curve.append((consumed, covered / total))
+                if bound >= target or covered == total:
+                    break
+        if not curve:
+            curve.append((0, 1.0 if total == 0 else 0.0))
+        assert session.pattern_count == consumed
+        assert session.detected_weight == covered
+        assert session.total_weight == total
+        assert session.lower_bound == bound
+        assert session.satisfied == (bound >= target)
+        assert session.curve == curve
 
 
 #: A .bench netlist covering every supported gate type (including the

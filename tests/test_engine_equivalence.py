@@ -20,9 +20,10 @@ where pooled partitions and the cross-site coalescer reorder work
 hardest), since widths re-tile every pass and must never move a bit -
 and the **collapse** dimension (:mod:`repro.faults.structural`): simulating
 one representative per structural equivalence class and scattering the
-outcomes back must be bit-identical too, as must coverage-capped runs
-(``stop_at_coverage``), whose stopping window is pinned to the same
-streaming grid on every engine - and the **cache** dimension
+outcomes back must be bit-identical too, as must streaming sessions
+whose target stops them mid-budget - their stopping window is pinned to
+the same grid on every engine and held to an oracle built from the
+interpreted run's first detections alone - and the **cache** dimension
 (:mod:`repro.simulate.artifacts`): a warm artifact store only skips
 re-derivation, so a cached re-run must be bit-identical to the cold
 run on every engine x width x collapse combination, on every cache
@@ -36,17 +37,24 @@ equivalence cases that used to be duplicated there are folded in here.
 """
 
 import contextlib
+import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engine_test_utils import all_faults, differential_circuits, results_identical
+from engine_test_utils import (
+    SessionOracle,
+    all_faults,
+    differential_circuits,
+    results_identical,
+)
 from words_reference import reference_difference_words
 
 from repro.circuits.generators import (
     and_cone,
     domino_carry_chain,
+    large_random_network,
     random_network,
     skewed_cone_network,
 )
@@ -62,6 +70,7 @@ from repro.simulate import (
     available_sources,
     coverage_curve,
     fault_simulate,
+    faultsim,
     get_engine,
     get_source,
     register_engine,
@@ -69,11 +78,7 @@ from repro.simulate import (
     streaming_coverage,
     vector,
 )
-from repro.simulate.faultsim import (
-    FIRST_DETECTION_CHUNK,
-    build_result,
-    windowed_outcomes,
-)
+from repro.simulate.faultsim import FIRST_DETECTION_CHUNK
 
 ENGINES = available_engines()
 
@@ -202,18 +207,24 @@ class TestEveryEngineMatchesOracle:
         # Documented semantics: counts are pinned to 1 per detected fault.
         assert all(count == 1 for count in first.detection_counts.values())
 
-    def test_coverage_capped_run_identical(self, engine, network, jobs):
+    @pytest.mark.parametrize("collapse", ("off", "on"))
+    def test_session_stopped_mid_budget_identical(
+        self, engine, network, jobs, collapse
+    ):
+        """A session whose target its own detections reach before the
+        budget ends stops there, collapsed or not, pooled or not."""
         patterns = PatternSet.random(
             network.inputs, 3 * FIRST_DETECTION_CHUNK + 32, seed=61
         )
         faults = all_faults(network)
-        results_identical(
-            fault_simulate(
-                network, patterns, faults, engine=engine, jobs=jobs,
-                stop_at_coverage=0.7,
-            ),
-            oracle_result(network, patterns, faults, stop_at_coverage=0.7),
+        oracle = SessionOracle(network, patterns, faults, 0.9)
+        session = streaming_coverage(
+            network, patterns, faults,
+            target_coverage=oracle.mid_budget_targets()[-1], confidence=0.9,
+            engine=engine, jobs=jobs, collapse=collapse,
         )
+        assert session.satisfied and session.pattern_count < patterns.count
+        oracle.check(session)
 
     def test_difference_words_identical(self, engine, network):
         patterns = PatternSet.random(network.inputs, 130, seed=7)
@@ -348,11 +359,7 @@ def test_plugin_engine_matches_oracle(plugin_engine, network, jobs):
         network.inputs, 3 * FIRST_DETECTION_CHUNK + 32, seed=71
     )
     faults = all_faults(network)
-    for kwargs in (
-        {},
-        {"stop_at_first_detection": True},
-        {"stop_at_coverage": 0.7},
-    ):
+    for kwargs in ({}, {"stop_at_first_detection": True}):
         results_identical(
             fault_simulate(
                 network, patterns, faults, engine=plugin_engine, jobs=jobs,
@@ -585,6 +592,37 @@ def test_property_widths_identical_on_skewed_circuits(
     results_identical(result, oracle_result(network, patterns, faults))
 
 
+def grid_widths(window):
+    """Every window constant - both engine kinds' streaming windows and
+    the retiring grid - set to ``window``."""
+    return (
+        (sharded, "DEFAULT_WINDOW", window),
+        (vector, "VECTOR_WINDOW", window),
+        (faultsim, "FIRST_DETECTION_CHUNK", window),
+    )
+
+
+def assert_every_mode_exact(network, patterns, faults, **knobs):
+    """Counting, first-detection and a mid-budget session on ``knobs``
+    all match the oracle under the window constants in force."""
+    oracle = oracle_result(network, patterns, faults)
+    results_identical(fault_simulate(network, patterns, faults, **knobs), oracle)
+    first = fault_simulate(
+        network, patterns, faults, stop_at_first_detection=True, **knobs
+    )
+    assert first.detected == oracle.detected
+    assert first.undetected == oracle.undetected
+    assert set(first.detection_counts.values()) <= {1}
+    oracle = SessionOracle(network, patterns, faults, 0.75)
+    target = (oracle.mid_budget_targets() or [1.0])[-1]
+    oracle.check(
+        streaming_coverage(
+            network, patterns, faults, target_coverage=target, confidence=0.75,
+            **knobs,
+        )
+    )
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=10)
 @given(
@@ -595,13 +633,12 @@ def test_property_widths_identical_on_skewed_circuits(
 def test_property_window_widths_exact(engine, seed, count, window):
     """Property: windowed == whole-set for every single-process window
     core, on arbitrary circuits and window widths (uneven tails
-    included)."""
+    included) - the streaming windows and the retiring grid alike."""
     network = random_network(n_inputs=5, n_gates=9, seed=seed)
     patterns = PatternSet.random(network.inputs, count, seed=seed ^ 0xAAAA)
     faults = all_faults(network)
-    outcomes = windowed_outcomes(network, patterns, faults, window, False, engine)
-    rebuilt = build_result(network.name, patterns.count, faults, outcomes)
-    results_identical(rebuilt, oracle_result(network, patterns, faults))
+    with patched_widths(grid_widths(window)):
+        assert_every_mode_exact(network, patterns, faults, engine=engine)
 
 
 @settings(max_examples=8)
@@ -617,12 +654,8 @@ def test_property_pooled_window_widths_exact(seed, count, window, inner):
     network = random_network(n_inputs=5, n_gates=9, seed=seed)
     patterns = PatternSet.random(network.inputs, count, seed=seed ^ 0x5555)
     faults = all_faults(network)
-    with pooling(2):
-        outcomes = windowed_outcomes(
-            network, patterns, faults, window, False, inner, jobs=2
-        )
-    pooled = build_result(network.name, patterns.count, faults, outcomes)
-    results_identical(pooled, oracle_result(network, patterns, faults))
+    with pooling(2), patched_widths(grid_widths(window)):
+        assert_every_mode_exact(network, patterns, faults, engine=inner, jobs=2)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -648,73 +681,64 @@ def test_property_collapsed_identical_on_every_engine_width(
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _mid_budget_case():
+    """A random AND/OR DAG whose detections keep falling past the first
+    session window (the bound rises at 256, 512 and 768 patterns), with
+    enough fanout-free regions for every pool width to shard it - and
+    its session oracle, built once for the whole sweep."""
+    network = large_random_network(n_gates=120, n_inputs=24, seed=5)
+    patterns = PatternSet.random(
+        network.inputs, 3 * FIRST_DETECTION_CHUNK + 32, seed=61
+    )
+    faults = all_faults(network)
+    return network, patterns, faults, SessionOracle(network, patterns, faults, 0.95)
+
+
 @pytest.mark.parametrize("engine", ENGINES)
-class TestStopAtCoverageAcrossEngines:
-    """Dynamic fault dropping: every engine stops at the identical
-    window (the FIRST_DETECTION_CHUNK grid is pinned everywhere), so
-    coverage-capped runs are bit-identical across the registry - with
-    and without collapsing, whose class-size weights keep the stopping
-    window aligned with the uncollapsed universe."""
-
-    def test_coverage_capped_run_identical_to_oracle(self, engine, jobs):
-        network = skewed_cone_network(depth=6, islands=4)
-        patterns = PatternSet.random(
-            network.inputs, 3 * FIRST_DETECTION_CHUNK + 32, seed=61
+@pytest.mark.parametrize("collapse", ("off", "on"))
+def test_sessions_stopped_mid_budget_identical(engine, collapse, jobs):
+    """Every engine stops a session at the identical window (the
+    FIRST_DETECTION_CHUNK grid is pinned everywhere) for every target
+    its detections reach before the budget ends - a later boundary for
+    each - with and without collapsing, whose class-size weights keep
+    the stopping window aligned with the uncollapsed universe."""
+    network, patterns, faults, oracle = _mid_budget_case()
+    stops = []
+    for target in oracle.mid_budget_targets():
+        session = streaming_coverage(
+            network, patterns, faults, target_coverage=target, confidence=0.95,
+            engine=engine, jobs=jobs, collapse=collapse,
         )
-        faults = all_faults(network)
-        for threshold in (0.3, 0.7, 1.0):
-            results_identical(
-                fault_simulate(
-                    network, patterns, faults, engine=engine, jobs=jobs,
-                    stop_at_coverage=threshold,
-                ),
-                _cached_oracle(
-                    ("skew-coverage", threshold), network, patterns, faults,
-                    stop_at_coverage=threshold,
-                ),
-            )
-
-    def test_coverage_capped_collapsed_run_identical(self, engine, jobs):
-        network = skewed_cone_network(depth=6, islands=4)
-        patterns = PatternSet.random(
-            network.inputs, 3 * FIRST_DETECTION_CHUNK + 32, seed=61
-        )
-        faults = all_faults(network)
-        for threshold in (0.3, 0.7):
-            results_identical(
-                fault_simulate(
-                    network, patterns, faults, engine=engine, jobs=jobs,
-                    stop_at_coverage=threshold, collapse="on",
-                ),
-                _cached_oracle(
-                    ("skew-coverage", threshold), network, patterns, faults,
-                    stop_at_coverage=threshold,
-                ),
-            )
+        assert session.satisfied
+        oracle.check(session)
+        stops.append(session.pattern_count)
+    assert stops == [FIRST_DETECTION_CHUNK * k for k in (1, 2, 3)]
 
 
 @settings(max_examples=8)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     count=st.integers(min_value=1, max_value=600),
-    threshold=st.floats(min_value=0.05, max_value=1.0),
+    target=st.floats(min_value=0.05, max_value=1.0),
+    confidence=st.floats(min_value=0.5, max_value=0.99),
     engine=st.sampled_from(ENGINES),
     collapse=st.sampled_from(("off", "on")),
 )
-def test_property_coverage_capped_runs_identical(
-    seed, count, threshold, engine, collapse
+def test_property_sessions_match_reference(
+    seed, count, target, confidence, engine, collapse
 ):
-    """Property: any coverage threshold stops every engine - collapsed
-    or not - at the same window as the interpreted oracle."""
+    """Property: any target and confidence stop every engine's session -
+    collapsed or not - at the window the oracle's first detections
+    predict, or run it to the budget or the last fault."""
     network = random_network(n_inputs=5, n_gates=9, seed=seed)
     patterns = PatternSet.random(network.inputs, count, seed=seed ^ 0x7777)
     faults = all_faults(network)
-    results_identical(
-        fault_simulate(
-            network, patterns, faults, engine=engine,
-            stop_at_coverage=threshold, collapse=collapse,
-        ),
-        oracle_result(network, patterns, faults, stop_at_coverage=threshold),
+    SessionOracle(network, patterns, faults, confidence).check(
+        streaming_coverage(
+            network, patterns, faults, target_coverage=target,
+            confidence=confidence, engine=engine, collapse=collapse,
+        )
     )
 
 

@@ -275,6 +275,33 @@ class TestFacade:
         ones = patterns.env["a0"].bit_count() / patterns.count
         assert ones == pytest.approx(0.9, abs=0.04)
 
+    @pytest.mark.parametrize(
+        "probs, shown",
+        [(1.5, "1.5"), (2, "2.0"), (float("nan"), "nan"), ({"a0": -0.1}, "-0.1")],
+    )
+    def test_every_method_rejects_bad_probabilities_alike(self, probs, shown):
+        """One normaliser: analysis, pattern generation and validation
+        reject a bad distribution with the same message."""
+        protest = Protest(and_cone(3))
+        message = f"probability of 'a0' must be in [0,1], got {shown}"
+        for call in (
+            lambda: protest.analyse(probs),
+            lambda: protest.generate_patterns(8, probs),
+            lambda: protest.validate(8, probs),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+
+    def test_scalar_and_mapping_probabilities_agree(self):
+        network = and_cone(3)
+        protest = Protest(network)
+        mapping = dict.fromkeys(network.inputs, 0.25)
+        assert protest.generate_patterns(64, 0.25) == protest.generate_patterns(
+            64, mapping
+        )
+        assert protest.analyse(0.25) == protest.analyse(mapping)
+
 
 @settings(max_examples=40, deadline=None)
 @given(

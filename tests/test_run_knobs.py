@@ -33,6 +33,7 @@ from repro.simulate import (
     streaming_coverage,
     windowed_outcomes,
 )
+from repro.simulate.faultsim import fault_universe
 
 #: Stands in for an existing directory - the test's own ``tmp_path`` -
 #: as a ``cache`` value; the ``value`` fixture substitutes it.
@@ -161,10 +162,10 @@ def test_windowed_outcomes(knob, value, message):
     ``fault_simulate``."""
     network = and_cone(3)
     patterns = PatternSet.exhaustive(network.inputs)
-    faults = all_faults(network)
+    universe = fault_universe(network, all_faults(network))
     _raises(
         knob, value, message,
-        lambda **bad: windowed_outcomes(network, patterns, faults, 8, **bad),
+        lambda **bad: windowed_outcomes(network, patterns, universe, **bad),
     )
 
 
@@ -191,29 +192,6 @@ def test_signal_probabilities_on_every_method(knob, value, message, method):
         knob, value, message,
         lambda **bad: signal_probabilities(network, method=method, **bad),
     )
-
-
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ("0.5", "stop_at_coverage must be a number in (0, 1], got '0.5'"),
-        (True, "stop_at_coverage must be a number in (0, 1], got True"),
-        (float("nan"), "stop_at_coverage must be in (0, 1], got nan"),
-    ],
-)
-def test_stop_at_coverage_must_be_a_real_number(bad, message):
-    network = and_cone(3)
-    patterns = PatternSet.exhaustive(network.inputs)
-    faults = all_faults(network)
-    for call in (
-        lambda: fault_simulate(network, patterns, stop_at_coverage=bad),
-        lambda: windowed_outcomes(
-            network, patterns, faults, 8, stop_at_coverage=bad
-        ),
-    ):
-        with pytest.raises(ValueError) as excinfo:
-            call()
-        assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("knob", ["schedule", "tune"])
@@ -253,6 +231,34 @@ def test_facade_methods_take_no_knobs(method, knob):
 
 
 @pytest.mark.parametrize(
+    "entry, keyword, value",
+    [
+        ("fault_simulate", "stop_at_coverage", 0.9),
+        ("coverage_curve", "stop_at_confidence", 0.9),
+        ("coverage_curve", "target_coverage", 0.9),
+        ("windowed_outcomes", "window", 8),
+        ("windowed_outcomes", "coverage_weights", None),
+    ],
+)
+def test_removed_stop_options_stay_removed(entry, keyword, value):
+    """A run stops only through ``on_window`` (a session's Wilson bound,
+    or first-detection retirement), and the driver works out its own
+    grid and weights: each retired option is Python's own ``TypeError``,
+    not a silently ignored keyword."""
+    network = and_cone(3)
+    patterns = PatternSet.exhaustive(network.inputs)
+    calls = {
+        "fault_simulate": lambda **bad: fault_simulate(network, patterns, **bad),
+        "coverage_curve": lambda **bad: coverage_curve(network, patterns, **bad),
+        "windowed_outcomes": lambda **bad: windowed_outcomes(
+            network, patterns, fault_universe(network), **bad
+        ),
+    }
+    with pytest.raises(TypeError, match=keyword):
+        calls[entry](**{keyword: value})
+
+
+@pytest.mark.parametrize(
     "jobs, message",
     [
         ("0", "jobs must be >= 1, got 0"),
@@ -267,6 +273,43 @@ def test_cli_rejects_bad_jobs_at_parse_time(capsys, jobs, message):
         main(["protest", "--netlist", C17_BENCH, "--jobs", jobs])
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        *(
+            (flag, text, f"confidence must be in (0,1), got {value}")
+            for flag in ("--confidence", "--stop-confidence")
+            for text, value in (
+                ("2", "2.0"), ("nan", "nan"), ("0", "0.0"), ("1", "1.0"),
+                ("-0.5", "-0.5"), ("1.5", "1.5"),
+            )
+        ),
+        *(
+            ("--target-coverage", text,
+             f"target_coverage must be in (0, 1], got {value}")
+            for text, value in (
+                ("0", "0.0"), ("nan", "nan"), ("1.5", "1.5"), ("-1", "-1.0"),
+                ("inf", "inf"),
+            )
+        ),
+        ("--confidence", "x", "invalid float value: 'x'"),
+        ("--target-coverage", "", "invalid float value: ''"),
+    ],
+)
+def test_cli_rejects_bad_fractions_at_parse_time(
+    capsys, monkeypatch, flag, text, message
+):
+    """A bad confidence or target exits 2 with the library's message
+    before the analysis runs, not as a traceback after it."""
+    from repro import cli
+
+    monkeypatch.setattr(cli, "command_protest", None)  # must never run
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["protest", "--netlist", C17_BENCH, flag, text])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
 def test_cli_collapse_report_is_on_plus_the_report(capsys):
@@ -386,12 +429,6 @@ def test_streaming_coverage_rejects_bad_fractions(keyword, bad, message):
 @pytest.mark.parametrize(
     "bad, message",
     [
-        ({"stop_at_confidence": "0.9"},
-         "stop_at_confidence must be in (0,1), got '0.9'"),
-        ({"stop_at_confidence": True},
-         "stop_at_confidence must be in (0,1), got True"),
-        ({"stop_at_confidence": 0.9, "target_coverage": True},
-         "target_coverage must be a number in (0, 1], got True"),
         ({"points": 2.5}, "points must be an int >= 1, got 2.5"),
         ({"points": True}, "points must be an int >= 1, got True"),
         ({"points": "4"}, "points must be an int >= 1, got '4'"),

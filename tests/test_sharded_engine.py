@@ -30,12 +30,14 @@ from repro.simulate import (
     registry,
     resolve_cache,
     sharded,
+    streaming_coverage,
     vector,
 )
 from repro.simulate.faultsim import (
     build_result,
     collect_words,
     engine_window,
+    fault_universe,
     windowed_outcomes,
 )
 
@@ -122,13 +124,14 @@ class TestWindowIterator:
             assert engine_window(get_engine(engine), 0) == 1
 
     @pytest.mark.parametrize("width", [1, 5, 37, 100])
-    def test_windowed_outcomes_match_whole_pass(self, width):
+    def test_windowed_outcomes_match_whole_pass(self, width, monkeypatch):
         network = domino_carry_chain(4)
         patterns = PatternSet.random(network.inputs, 100, seed=9)
-        faults = all_faults(network)
-        outcomes = windowed_outcomes(network, patterns, faults, width)
-        reference = fault_simulate(network, patterns, faults, engine="compiled")
-        rebuilt = build_result(network.name, patterns.count, faults, outcomes)
+        universe = fault_universe(network, all_faults(network))
+        reference = fault_simulate(network, patterns, universe.faults)
+        monkeypatch.setattr(sharded, "DEFAULT_WINDOW", width)
+        outcomes = windowed_outcomes(network, patterns, universe)
+        rebuilt = build_result(network.name, patterns.count, universe.faults, outcomes)
         results_identical(rebuilt, reference)
 
 
@@ -194,25 +197,32 @@ class TestPooledEquivalence:
         results_identical(pooled, compiled)
 
 
+def _session_or_run(network, session, jobs=None):
+    """A compiled session stopped by its target on ``network``'s 2048
+    patterns (``session``), else a full counting run."""
+    patterns = PatternSet.random(network.inputs, 2048, seed=9)
+    if session:
+        return streaming_coverage(
+            network, patterns, target_coverage=0.5, confidence=0.9,
+            engine="compiled", jobs=jobs,
+        )
+    return fault_simulate(network, patterns, engine="compiled", jobs=jobs)
+
+
 class TestConcurrentPools:
-    """Pooled runs in two threads at once, on the coverage-stopped
+    """Pooled runs in two threads at once, on the session's speculative
     block path and the plain shard path: each pool gets its context
     through ``initargs``, so neither run can see the other's faults."""
 
-    @pytest.mark.parametrize("stop_at_coverage", [0.95, None])
-    def test_two_threads_match_serial(self, force_pool, stop_at_coverage):
+    @pytest.mark.parametrize("session", [True, False], ids=["session", "counting"])
+    def test_two_threads_match_serial(self, force_pool, session):
         results = {}
         errors = []
 
         def run(network):
             try:
-                patterns = PatternSet.random(network.inputs, 2048, seed=9)
                 results[network.name] = [
-                    fault_simulate(
-                        network, patterns, engine="compiled", jobs=2,
-                        stop_at_coverage=stop_at_coverage,
-                    )
-                    for _ in range(6)
+                    _session_or_run(network, session, jobs=2) for _ in range(6)
                 ]
             except Exception as error:  # re-raised in the main thread
                 errors.append(error)
@@ -227,13 +237,14 @@ class TestConcurrentPools:
         if errors:
             raise errors[0]
         for network in networks:
-            patterns = PatternSet.random(network.inputs, 2048, seed=9)
-            serial = fault_simulate(
-                network, patterns, engine="compiled",
-                stop_at_coverage=stop_at_coverage,
-            )
+            serial = _session_or_run(network, session)
+            if session:
+                assert serial.satisfied and serial.pattern_count < 2048
             for result in results[network.name]:
-                results_identical(result, serial)
+                if session:
+                    assert result == serial
+                else:
+                    results_identical(result, serial)
 
 
 class WorkerBoom(RuntimeError):
@@ -326,17 +337,6 @@ class TestJobsIsTheParallelismSwitch:
         patterns = PatternSet.exhaustive(network.inputs)
         with pytest.raises(ValueError, match=re.escape(f"unknown engine {name!r}")):
             fault_simulate(network, patterns, engine=name, jobs=2)
-
-    @pytest.mark.parametrize("window", [0, -3])
-    def test_pooled_run_validates_window(self, force_pool, window):
-        network = c17()
-        patterns = PatternSet.exhaustive(network.inputs)
-        with pytest.raises(
-            ValueError, match=f"window width must be >= 1, got {window}"
-        ):
-            windowed_outcomes(
-                network, patterns, all_faults(network), window, jobs=2
-            )
 
     @pytest.mark.parametrize("jobs", [None, 1])
     def test_default_jobs_never_forks(self, force_pool, monkeypatch, jobs):

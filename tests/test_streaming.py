@@ -1,9 +1,9 @@
 """Tests for confidence-bounded streaming coverage sessions.
 
 Covers the Wilson lower bound (:func:`coverage_lower_bound`), the
-incremental consumer (:func:`streaming_coverage` and the
-``stop_at_confidence`` mode of :func:`coverage_curve`), and the
-rewritten test-length numerics that back them.
+incremental consumer (:func:`streaming_coverage`, whose ``curve`` is the
+session's coverage curve), and the rewritten test-length numerics that
+back them.
 """
 
 import math
@@ -32,7 +32,12 @@ from repro.simulate import (
     fault_simulate,
     streaming_coverage,
 )
-from repro.simulate.faultsim import FIRST_DETECTION_CHUNK, windowed_outcomes
+from repro.simulate import faultsim, sharded, vector
+from repro.simulate.faultsim import (
+    FIRST_DETECTION_CHUNK,
+    fault_universe,
+    windowed_outcomes,
+)
 
 from testlength_reference import reference_test_length
 
@@ -255,8 +260,8 @@ class TestWindowBoundarySeam:
             return stop_after is None or len(boundaries) < stop_after
 
         outcomes = windowed_outcomes(
-            network, source, faults, FIRST_DETECTION_CHUNK,
-            engine=engine, on_window=on_window,
+            network, source, fault_universe(network, faults), engine,
+            on_window=on_window,
         )
         return source, faults, boundaries, outcomes
 
@@ -324,17 +329,31 @@ class TestNonWordAlignedStreaming:
 
     @pytest.mark.parametrize("width", [37, 100])
     @pytest.mark.parametrize("engine", ["compiled", "vector"])
-    def test_windowed_outcomes_on_odd_grid_match_whole_set(self, width, engine):
+    def test_windowed_outcomes_on_odd_grid_match_whole_set(
+        self, width, engine, monkeypatch
+    ):
         network = domino_carry_chain(10)
         source = LfsrSource(network.inputs, self.BUDGET, seed=13)
-        faults = network.enumerate_faults()
+        universe = fault_universe(network)
         reference = windowed_outcomes(
-            network, source.materialise(), faults, self.BUDGET,
-            engine="interpreted",
+            network, source.materialise(), universe, "interpreted"
         )
-        assert windowed_outcomes(
-            network, source, faults, width, engine=engine,
-        ) == reference
+        for module, name in (
+            (sharded, "DEFAULT_WINDOW"),
+            (vector, "VECTOR_WINDOW"),
+            (faultsim, "FIRST_DETECTION_CHUNK"),
+        ):
+            monkeypatch.setattr(module, name, width)
+        assert windowed_outcomes(network, source, universe, engine) == reference
+        # The retiring run on the same odd grid: first indices unchanged,
+        # counts pinned to 1.
+        retired = windowed_outcomes(
+            network, source, universe, engine,
+            on_window=lambda consumed, covered: True,
+        )
+        assert retired == [
+            None if outcome is None else (outcome[0], 1) for outcome in reference
+        ]
 
     def test_non_aligned_slice_is_exact(self):
         network = domino_carry_chain(10)
@@ -543,21 +562,7 @@ class TestBudgetBoundaryVerdict:
             assert "budget of" in session.format_summary()
 
 
-class TestCoverageCurveStopAtConfidence:
-    def test_curve_matches_streaming_session(self):
-        network = skewed_cone_network(depth=6, islands=4)
-        source = LfsrSource(network.inputs, 4 * FIRST_DETECTION_CHUNK, seed=7)
-        session = streaming_coverage(
-            network, source, target_coverage=0.7, confidence=0.95
-        )
-        curve = coverage_curve(
-            network,
-            source,
-            stop_at_confidence=0.95,
-            target_coverage=0.7,
-        )
-        assert curve == session.curve
-
+class TestCoverageCurve:
     def test_plain_curve_unchanged_without_stop(self):
         network = and_cone(3)
         source = LfsrSource(network.inputs, 128, seed=9)

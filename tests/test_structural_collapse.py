@@ -10,8 +10,9 @@ hypothesis-generated random ones.  The engine-level bit-identity of
 ``collapse="on"`` lives in ``test_engine_equivalence.py``.
 ``TestCollapseOracle`` holds the shape-memoised canonicaliser to the
 per-fault one kept in ``tests/collapse_reference.py``.  This file
-owns the collapse pass itself plus the ``stop_at_coverage`` validation
-contract and the gate-level ``CollapseResult.format_table`` sections.
+owns the collapse pass itself plus collapsed sessions stopping where
+uncollapsed ones do and the gate-level ``CollapseResult.format_table``
+sections.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapse_reference import reference_collapse
-from engine_test_utils import all_faults, differential_circuits, results_identical
+from engine_test_utils import all_faults, differential_circuits
 from words_reference import reference_difference_words
 
 from repro.circuits.generators import c17, domino_carry_chain, random_network
@@ -39,8 +40,12 @@ from repro.faults.structural import (
 from repro.logic.truthtable import TruthTable
 from repro.netlist import NetworkFault, parse_bench
 from repro.netlist.bench import GATE_TYPES
-from repro.simulate import PatternSet, compile_network, fault_simulate
-from repro.simulate.faultsim import check_stop_at_coverage, windowed_outcomes
+from repro.simulate import (
+    PatternSet,
+    compile_network,
+    fault_simulate,
+    streaming_coverage,
+)
 
 
 def exhaustive_words(network, faults):
@@ -368,93 +373,24 @@ class TestCollapsedFaultSetMechanics:
         assert "classes/faults simulated" not in plain.format_summary()
 
 
-class TestStopAtCoverageValidation:
-    """Satellite: the (0, 1] contract in the estimators' error style."""
-
-    @pytest.mark.parametrize("bad", (0, 0.0, -0.5, 1.5, 2))
-    def test_rejects_values_outside_unit_interval(self, bad):
-        network = c17()
-        patterns = PatternSet.exhaustive(network.inputs)
-        message = f"stop_at_coverage must be in (0, 1], got {bad}"
-        with pytest.raises(ValueError) as excinfo:
-            check_stop_at_coverage(bad)
-        assert str(excinfo.value) == message
-        with pytest.raises(ValueError) as excinfo:
-            fault_simulate(network, patterns, stop_at_coverage=bad)
-        assert str(excinfo.value) == message
-
-    def test_rejects_bad_values_on_every_engine(self):
-        from repro.simulate import available_engines
-
-        network = c17()
-        patterns = PatternSet.exhaustive(network.inputs)
-        for engine in available_engines():
-            with pytest.raises(ValueError, match=r"stop_at_coverage must be"):
-                fault_simulate(
-                    network, patterns, engine=engine, stop_at_coverage=-1
-                )
-
-    def test_accepts_one_and_none(self):
-        network = c17()
-        patterns = PatternSet.exhaustive(network.inputs)
-        faults = all_faults(network)
-        check_stop_at_coverage(None)
-        check_stop_at_coverage(1.0)
-        full = fault_simulate(network, patterns, faults)
-        capped = fault_simulate(network, patterns, faults, stop_at_coverage=1.0)
-        # Coverage 1.0 still retires faults (counts pinned to 1) but
-        # detects the same set at the same first indices.
-        assert capped.detected == full.detected
-        assert all(count == 1 for count in capped.detection_counts.values())
-
-    def test_windowed_outcomes_validates_too(self):
-        network = c17()
-        patterns = PatternSet.exhaustive(network.inputs)
-        with pytest.raises(ValueError, match=r"stop_at_coverage must be"):
-            windowed_outcomes(
-                network, patterns, all_faults(network), 64,
-                stop_at_coverage=1.5,
-            )
-        for window in (0, -3):
-            with pytest.raises(
-                ValueError, match=f"window width must be >= 1, got {window}"
-            ):
-                windowed_outcomes(
-                    network, patterns, all_faults(network), window,
-                    on_window=lambda consumed, covered: True,
-                )
-
-
-class TestStopAtCoverageSemantics:
-    def test_stops_early_and_reports_unreached_as_undetected(self):
-        network = random_network(n_inputs=6, n_gates=14, seed=11)
-        # Many windows: low thresholds must stop before the full run.
-        patterns = PatternSet.random(network.inputs, 2048, seed=3)
-        faults = all_faults(network)
-        full = fault_simulate(network, patterns, faults)
-        capped = fault_simulate(
-            network, patterns, faults, stop_at_coverage=0.25
-        )
-        assert len(capped.detected) <= len(full.detected)
-        assert capped.coverage >= 0.25 or len(capped.detected) == len(full.detected)
-        # Every reported first-detection index matches the full run.
-        for label, first in capped.detected.items():
-            assert full.detected[label] == first
-
-    def test_collapsed_and_uncollapsed_stops_are_identical(self):
+class TestCollapsedSessions:
+    def test_collapsed_and_uncollapsed_sessions_are_identical(self):
+        """Class sizes weight the covered count, so a collapsed session
+        stops at the uncollapsed one's window for every target."""
         network = random_network(n_inputs=6, n_gates=14, seed=11)
         patterns = PatternSet.random(network.inputs, 2048, seed=3)
         faults = all_faults(network)
-        for threshold in (0.25, 0.6, 0.9, 1.0):
-            results_identical(
-                fault_simulate(
-                    network, patterns, faults, stop_at_coverage=threshold,
-                    collapse="on",
-                ),
-                fault_simulate(
-                    network, patterns, faults, stop_at_coverage=threshold,
-                ),
-            )
+        for target in (0.25, 0.6, 0.9, 1.0):
+            sessions = [
+                streaming_coverage(
+                    network, patterns, faults, target_coverage=target,
+                    confidence=0.9, collapse=collapse,
+                )
+                for collapse in ("on", "off")
+            ]
+            assert sessions[0].collapsed_classes < sessions[0].fault_count
+            sessions[0].collapsed_classes = None
+            assert sessions[0] == sessions[1]
 
 
 class TestGateLevelFormatTable:
