@@ -16,11 +16,11 @@ slot-indexed program:
   operators then run at C speed with no AST walk and no per-gate
   environment construction, and a netlist of a handful of cells costs a
   handful of ``compile()`` calls however many gates it has;
-* every fault's patch point is precomputed: a stuck fault is (slot,
-  forced word); a cell fault is (gate index, compiled faulty function),
-  with ``minimal_sop`` results cached per fault-class truth table so a
-  faulty function is minimised and compiled exactly once per (cell,
-  fault class) - not once per fault per pattern set.
+* every fault's patch point is one shared function,
+  :meth:`CompiledNetwork.faulty_word`: a stuck fault forces its word, a
+  cell fault's faulty function is minimised and compiled once per
+  (fault-class table, cell pins) and called on the gate's input words -
+  nothing is bound or cached per fault.
 
 On top of the flat program sit **stem-observability fault passes**
 (:meth:`GoodSimulation.differences`).  The good circuit is simulated
@@ -28,9 +28,10 @@ once.  The program knows its fanout-free regions: every slot read by
 exactly one gate (and not a primary output) leads, gate by gate, to a
 *stem* (``next_slot``, ``stem_of``).  A fault's faulty word is carried
 down its region to the stem, one gate re-evaluation per step; each stem
-with a live difference then runs one event-driven pass with the stem
-complemented on the patterns its live faults change, in levelized order and with early exit when every word
-has converged back to the good word.  The fault's detection word is its
+with a live difference then runs one pass with the stem complemented
+on the patterns its live faults change, walking the stem's levelized
+fanout-cone gate list (:meth:`CompiledNetwork.stem_cones`, built on
+first use in one reverse sweep).  The fault's detection word is its
 local difference AND that observability word - exact, since a fault
 changes one gate or net and its region reaches the rest of the circuit
 only through the stem.  The pass count drops from one per fault to one
@@ -44,7 +45,6 @@ bit-identical results between the two engines.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..logic.expr import And, Const, Expr, Not, Or, Var
@@ -132,8 +132,8 @@ def compile_pin_function(expr: Expr, pins: Sequence[str]) -> Callable:
     """Compile a cell function to ``f(m, p0, p1, ...)`` over positional pins.
 
     Faulty cell functions take their pin words as arguments, so one
-    compilation serves every gate instance of the cell; callers bind
-    slots with a cheap closure.
+    compilation serves every gate instance of the cell; callers pass
+    the gate's input words (:meth:`CompiledNetwork.faulty_word`).
     """
     sources = {pin: f"p{index}" for index, pin in enumerate(pins)}
     params = ", ".join(["m"] + [f"p{index}" for index in range(len(pins))])
@@ -293,13 +293,9 @@ class CompiledNetwork:
                 following = self._gate_out[reading[0]]
                 self.next_slot[slot] = following
                 self.stem_of[slot] = self.stem_of[following]
-        # Per-fault patch points, filled lazily (faulty functions compiled
-        # once per distinct fault-class table, bound to gate slots with a
-        # cheap closure).  Keyed by the stable (gate, table) identity so
-        # re-enumerated fault lists reuse entries instead of growing the
-        # cache; hashing a whole NetworkFault (nested dataclasses) would
-        # be far slower.
-        self._faulty_fns: Dict[Tuple, Callable] = {}
+        # Levelized fanout-cone gate lists of the non-output stems, built
+        # by the first observability pass that needs them (stem_cones).
+        self._stem_cones: Optional[List[Optional[List[int]]]] = None
         # Fanout-cone gate sets, grown lazily by schedule.cone_gates and
         # cached alongside this program by the artifact store; the
         # scratch bytearray is its reusable visited-flag buffer (reset
@@ -313,36 +309,62 @@ class CompiledNetwork:
 
     # -- fault patch points ---------------------------------------------------------
 
-    def faulty_function(self, fault: NetworkFault):
-        """The compiled faulty gate function of a cell fault.
+    def faulty_word(self, fault: NetworkFault, values, mask):
+        """The word ``fault`` forces on its site over the valuation
+        ``values`` (big-int words or lane rows): the stuck value, or the
+        faulty cell function of the gate's input words.
 
-        The pin-level compilation is shared between every fault with the
-        same class table (and every gate instance of the cell); only a
-        slot-binding closure is created per fault.
+        The pin-level function is compiled once per (fault-class table,
+        cell pins) and shared by every gate instance and every fault;
+        nothing is bound or cached per fault.
         """
+        if fault.kind == "stuck":
+            return mask if fault.value else 0
+        gate = self.gates[self.gate_index[fault.gate]]
         table = fault.function.table
-        key = (fault.gate, table.names, table.bits)
-        fn = self._faulty_fns.get(key)
-        if fn is None:
-            gate = self.gates[self.gate_index[fault.gate]]
-            pins = tuple(gate.cell.inputs)
-            pin_key = (table.names, table.bits, pins)
-            generic = _FAULT_PIN_FNS.get(pin_key)
-            if generic is None:
-                if table.names == pins:
-                    expr = fault_class_expr(fault.function)
-                else:
-                    # Off-library fault: re-tabulate on the gate's pins.
-                    expr = minimal_sop_cached(table.expand(pins))
-                generic = compile_pin_function(expr, pins)
-                _FAULT_PIN_FNS[pin_key] = generic
-            slots = gate.in_slots
+        pins = gate.cell.inputs
+        key = (table.names, table.bits, pins)
+        function = _FAULT_PIN_FNS.get(key)
+        if function is None:
+            if table.names == pins:
+                expr = fault_class_expr(fault.function)
+            else:
+                # Off-library fault: re-tabulate on the gate's pins.
+                expr = minimal_sop_cached(table.expand(pins))
+            function = _FAULT_PIN_FNS[key] = compile_pin_function(expr, pins)
+        return function(mask, *[values[slot] for slot in gate.in_slots])
 
-            def fn(v, m, _fn=generic, _slots=slots):
-                return _fn(m, *[v[s] for s in _slots])
+    def stem_cones(self) -> List[Optional[List[int]]]:
+        """Per slot, the ascending (levelized) indices of the gates
+        downstream of each non-output stem; ``None`` for every other slot.
 
-            self._faulty_fns[key] = fn
-        return fn
+        Built once, on first use, in one reverse sweep over the slots: a
+        stem's cone is the union, over its reader gates, of the gate, the
+        fanout-free chain from its output and the cone of the stem that
+        chain ends at - which has a higher slot, so it is already built.
+        Output stems' lists are needed only during the sweep.
+        """
+        cones = self._stem_cones
+        if cones is None:
+            gate_out = self._gate_out
+            readers = self.readers
+            next_slot = self.next_slot
+            cones = [None] * self.num_slots
+            for stem in range(self.num_slots - 1, -1, -1):
+                if next_slot[stem] >= 0:
+                    continue
+                union = set(readers[stem])
+                for gi in readers[stem]:
+                    slot = gate_out[gi]
+                    while next_slot[slot] >= 0:
+                        union.add(readers[slot][0])
+                        slot = next_slot[slot]
+                    union.update(cones[slot])
+                cones[stem] = sorted(union)
+            for slot in self.out_slots:
+                cones[slot] = None
+            self._stem_cones = cones
+        return cones
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -383,7 +405,7 @@ class CompiledNetwork:
                 fault_gate = self.gate_index.get(fault.gate, -1)
         for gate in self.gates:
             if gate.index == fault_gate:
-                values[gate.out_slot] = self.faulty_function(fault)(values, mask)
+                values[gate.out_slot] = self.faulty_word(fault, values, mask)
             else:
                 values[gate.out_slot] = gate.fn(values, mask)
             if gate.out_slot == stuck_slot:
@@ -406,20 +428,15 @@ class CompiledNetwork:
 class GoodSimulation:
     """One fault-free valuation plus scratch space for its fault passes:
     the walk down each fault's fanout-free region and one observability
-    pass per stem (:meth:`detections`)."""
+    pass per stem over the stem's cone list (:meth:`detections`)."""
 
-    __slots__ = ("compiled", "values", "mask", "_scratch", "_heap", "_scheduled")
+    __slots__ = ("compiled", "values", "mask", "_scratch")
 
     def __init__(self, compiled: CompiledNetwork, values: List[int], mask: int):
         self.compiled = compiled
         self.values = values
         self.mask = mask
         self._scratch = values[:]
-        # Pooled per-pass buffers: the heap drains to empty and the
-        # scheduled flags are reset from the pop list, so no per-pass
-        # allocation survives a pass.
-        self._heap: List[int] = []
-        self._scheduled = bytearray(len(compiled.gates))
 
     def value_of(self, net: str) -> int:
         return self.values[self.compiled.slot_of_net[net]]
@@ -473,6 +490,7 @@ class GoodSimulation:
         next_slot = compiled.next_slot
         stem_of = compiled.stem_of
         is_out_slot = compiled._is_out_slot
+        faulty_word = compiled.faulty_word
 
         sites = [-1] * len(faults)
         by_stem: Dict[int, List[int]] = {}
@@ -489,12 +507,8 @@ class GoodSimulation:
         for stem, indices in by_stem.items():
             live = []
             for index in indices:
-                fault = faults[index]
                 slot = sites[index]
-                if fault.kind == "stuck":
-                    word = mask if fault.value else 0
-                else:
-                    word = compiled.faulty_function(fault)(good, mask)
+                word = faulty_word(faults[index], good, mask)
                 # Walk the fanout-free region: each slot on the way has
                 # one reader gate, so re-evaluating it with the one
                 # faulty word substituted is exact.
@@ -525,49 +539,34 @@ class GoodSimulation:
 
         Pattern bits are independent, so flipping only the patterns
         some live fault changes gives every such fault its exact word
-        while pushing no more difference than those faults need.
-        Event-driven cone pass: only gates downstream of the stem
-        re-evaluate, in levelized order, and propagation stops as soon
-        as every changed word has converged back to the good word.
+        while pushing no more difference than those faults need.  The
+        pass walks the stem's levelized cone list
+        (:meth:`CompiledNetwork.stem_cones`) once, in order: every cone
+        gate re-evaluates, only words that differ from the good word are
+        stored, and the slots touched are reset afterwards.
         """
         compiled = self.compiled
         good = self.values
         scratch = self._scratch
         mask = self.mask
-        readers = compiled.readers
         gate_out = compiled._gate_out
         gate_fn = compiled._gate_fn
         is_out_slot = compiled._is_out_slot
 
-        heap = self._heap  # empty between passes
-        scheduled = self._scheduled  # all-zero between passes
-        popped: List[int] = []
         touched = [stem]
         difference = 0
         scratch[stem] = good[stem] ^ flip
-        for gi in readers[stem]:
-            scheduled[gi] = 1
-            heappush(heap, gi)
-
-        while heap:
-            gi = heappop(heap)
-            popped.append(gi)
-            out = gate_out[gi]
+        for gi in compiled.stem_cones()[stem]:
             word = gate_fn[gi](scratch, mask)
-            if word != scratch[out]:
+            out = gate_out[gi]
+            if word != good[out]:
                 scratch[out] = word
                 touched.append(out)
                 if is_out_slot[out]:
                     difference |= word ^ good[out]
-                for reader in readers[out]:
-                    if not scheduled[reader]:
-                        scheduled[reader] = 1
-                        heappush(heap, reader)
 
         for slot in touched:
             scratch[slot] = good[slot]
-        for gi in popped:
-            scheduled[gi] = 0
         return difference
 
 

@@ -381,10 +381,7 @@ class VectorNetwork:
         batch = len(members)
         injected = np.empty((batch, n_words), dtype=np.uint64)
         for j, (_index, fault) in enumerate(members):
-            if fault.kind == "stuck":
-                injected[j] = mask_row if fault.value else 0
-            else:
-                injected[j] = compiled.faulty_function(fault)(values, mask_row)
+            injected[j] = compiled.faulty_word(fault, values, mask_row)
         active = np.bitwise_or.reduce(injected ^ values[site], axis=1) != 0
         live_count = int(active.sum())
         if not live_count:
@@ -591,10 +588,7 @@ class VectorNetwork:
         for site, _stuck_slot, members in batch_groups:
             injected = np.empty((len(members), n_words), dtype=np.uint64)
             for j, (_index, fault) in enumerate(members):
-                if fault.kind == "stuck":
-                    injected[j] = mask_row if fault.value else 0
-                else:
-                    injected[j] = compiled.faulty_function(fault)(values, mask_row)
+                injected[j] = compiled.faulty_word(fault, values, mask_row)
             active = np.bitwise_or.reduce(injected ^ values[site], axis=1) != 0
             for j, (index, _fault) in enumerate(members):
                 if active[j]:

@@ -6,7 +6,7 @@ files import these instead of each keeping a copy (a plain module, not
 ``benchmarks/conftest.py`` when pytest collects both trees).
 """
 
-from functools import partial
+from functools import lru_cache, partial
 
 
 def all_faults(network):
@@ -104,6 +104,34 @@ i = NOT(h)
 z = BUFF(i)
 w = XOR(a, b, c)
 """
+
+
+LFSR_SESSION_WINDOWS = 4
+"""Budget of :func:`lfsr_session_case` sessions, in session windows."""
+
+
+@lru_cache(maxsize=None)
+def lfsr_session_case(full_universe=True):
+    """``(network, budget, faults, target)`` of a confidence-0.95 LFSR
+    session (seed 5) that stops mid-budget.
+
+    A 40-gate random DAG whose detections under the LFSR still rise in
+    the third of the budget's four ``FIRST_DETECTION_CHUNK`` windows;
+    ``target`` is the Wilson bound its covered weight reaches there
+    (:class:`SessionOracle`), so a session meets it and stops after three
+    windows.  ``full_universe`` picks every cell class and stuck-at, else
+    the default enumeration.
+    """
+    from repro.circuits.generators import large_random_network
+    from repro.simulate import LfsrSource
+    from repro.simulate.faultsim import FIRST_DETECTION_CHUNK
+
+    network = large_random_network(n_gates=40, n_inputs=16, seed=3)
+    budget = LFSR_SESSION_WINDOWS * FIRST_DETECTION_CHUNK
+    faults = all_faults(network) if full_universe else network.enumerate_faults()
+    patterns = LfsrSource(network.inputs, budget, seed=5).materialise()
+    _, _, target = SessionOracle(network, patterns, faults, 0.95).rows[2]
+    return network, budget, tuple(faults), target
 
 
 def differential_circuits():

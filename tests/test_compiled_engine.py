@@ -9,10 +9,13 @@ cases of the stem-observability pass, off-library fault tables, the
 compile/minimal-SOP caches, and the pattern-set fast paths.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engine_test_utils import bench_text
 from repro.circuits.generators import (
     and_cone,
     c17,
@@ -20,10 +23,19 @@ from repro.circuits.generators import (
     large_random_network,
     random_network,
 )
-from repro.netlist import CellFactory, Network, NetworkFault
-from repro.simulate import PatternSet, available_engines, compile_network, get_engine
+from repro.faults.structural import collapse_network_faults
+from repro.netlist import CellFactory, Network, NetworkFault, parse_bench
+from repro.simulate import (
+    ArtifactStore,
+    PatternSet,
+    available_engines,
+    compile_network,
+    fault_simulate,
+    get_engine,
+)
 from repro.simulate import compiled as compiled_module
 from repro.simulate.compiled import minimal_sop_cached
+from repro.simulate.schedule import cone_gates
 from words_reference import reference_difference_words
 
 
@@ -107,6 +119,7 @@ def assert_words_match_oracle(network, patterns=None, faults=None):
         patterns = PatternSet.exhaustive(network.inputs)
     if faults is None:
         faults = all_faults(network)
+    assert_stem_cones_match_bfs(compile_network(network, cache="off"))
     sim = compile_network(network).simulate(patterns.env, patterns.mask)
     expected = reference_difference_words(network, patterns, faults)
     assert sim.differences(faults) == expected
@@ -114,6 +127,17 @@ def assert_words_match_oracle(network, patterns=None, faults=None):
     for engine in available_engines():
         words = get_engine(engine).difference_words(network, patterns, faults)
         assert words == expected, engine
+
+
+def assert_stem_cones_match_bfs(compiled):
+    """Every non-output stem's cone list is its BFS fanout cone, in
+    levelized order; no other slot keeps a list."""
+    cones = compiled.stem_cones()
+    for index in range(compiled.num_slots):
+        if compiled.next_slot[index] < 0 and not compiled._is_out_slot[index]:
+            assert cones[index] == sorted(cone_gates(compiled, index)), index
+        else:
+            assert cones[index] is None, index
 
 
 def slot(compiled, net):
@@ -267,16 +291,105 @@ def test_batched_differences_match_single_fault_calls(seed, picks):
     assert words == reference_difference_words(network, patterns, batch)
 
 
-class TestOffLibraryFaults:
-    def test_shared_table_across_cells_of_different_arity(self):
-        """An off-library fault table (names != cell.inputs) must work on
-        gates of different arity despite the shared pin-function cache."""
+class TestStemCones:
+    """The per-stem levelized cone lists the observability passes walk."""
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           n_gates=st.integers(min_value=1, max_value=40))
+    def test_lists_match_bfs_on_random_circuits(self, seed, n_gates):
+        network = random_network(n_inputs=5, n_gates=n_gates, seed=seed)
+        assert_stem_cones_match_bfs(compile_network(network, cache="off"))
+
+    def test_lists_match_bfs_at_scale(self):
+        network = parse_bench(bench_text(2000), name="stem_cones")
+        assert_stem_cones_match_bfs(compile_network(network, cache="off"))
+
+    def test_built_lazily_and_reused_across_runs(self):
+        network = parse_bench(bench_text(400), name="lazy_cones")
+        store = ArtifactStore()
+        compiled = compile_network(network, cache=store)
+        assert compiled._stem_cones is None
+        patterns = PatternSet.random(network.inputs, 256, seed=2)
+        first = fault_simulate(network, patterns, engine="compiled", cache=store)
+        cones = compiled._stem_cones
+        assert cones is not None
+        lists = [cone for cone in cones if cone is not None]
+        again = fault_simulate(network, patterns, engine="compiled", cache=store)
+        assert compile_network(network, cache=store) is compiled
+        assert compiled._stem_cones is cones
+        assert all(a is b for a, b in zip(
+            lists, [cone for cone in cones if cone is not None]))
+        assert again.detected == first.detected
+
+
+class TestFaultyWord:
+    """``faulty_word`` is the gate's output under the fault, given the
+    good input words - exactly what the oracle's faulty valuation has
+    on that net."""
+
+    @staticmethod
+    def assert_matches_oracle(network, faults):
+        patterns = PatternSet.random(network.inputs, 64, seed=9)
+        compiled = compile_network(network)
+        good = compiled.simulate(patterns.env, patterns.mask).values
+        for fault in faults:
+            net = network.gates[fault.gate].output
+            expected = network.evaluate_bits(patterns.env, patterns.mask, fault)[net]
+            assert compiled.faulty_word(fault, good, patterns.mask) == expected, (
+                fault.describe()
+            )
+
+    @pytest.mark.parametrize(
+        "network",
+        [domino_carry_chain(3), c17(),
+         random_network(n_inputs=5, n_gates=10, technology="static-CMOS", seed=37)],
+        ids=lambda n: n.name,
+    )
+    def test_library_cell_faults(self, network):
+        self.assert_matches_oracle(
+            network, [fault for fault in all_faults(network) if fault.kind != "stuck"]
+        )
+
+    def test_off_library_faults(self):
         from repro.cells.library import LibraryFunction
         from repro.logic.parser import parse_expression
         from repro.logic.truthtable import TruthTable
 
-        table = TruthTable.from_expr(parse_expression("i2"), ("i2",))
-        function = LibraryFunction(name="pass_i2", table=table, sop="i2")
+        network = TestOffLibraryFaults.arity_mix()
+        faults = []
+        for names, text in ((("i2",), "i2"), (("i3", "i1"), "i3 + i1")):
+            table = TruthTable.from_expr(parse_expression(text), names)
+            function = LibraryFunction(name=text, table=table, sop=text)
+            faults += [NetworkFault.cell_fault("g3", 99, function)]
+            if "i3" not in names:
+                faults += [NetworkFault.cell_fault("g2", 99, function)]
+        for fault in faults:
+            assert fault.function.table.names != tuple(
+                network.gates[fault.gate].cell.inputs
+            )
+        self.assert_matches_oracle(network, faults)
+
+
+def test_cold_fault_simulation_leaves_few_live_objects():
+    """A cold run allocates no long-lived object per fault: with the GC
+    as the caller left it, the tracked-object count grows by less than a
+    quarter of the fault count."""
+    network = parse_bench(bench_text(2000), name="gc_growth")
+    faults = network.enumerate_faults()
+    store = ArtifactStore()
+    compile_network(network, cache=store)
+    collapse_network_faults(network, faults, cache=store)
+    patterns = PatternSet.random(network.inputs, 1024, seed=1)
+    before = len(gc.get_objects())
+    fault_simulate(network, patterns, faults, engine="compiled",
+                   collapse="on", cache=store)
+    assert len(gc.get_objects()) - before < len(faults) / 4
+
+
+class TestOffLibraryFaults:
+    @staticmethod
+    def arity_mix():
         factory = CellFactory("domino-CMOS")
         network = Network("arity_mix")
         for name in ("a", "b", "c"):
@@ -286,6 +399,18 @@ class TestOffLibraryFaults:
             "g3", factory.and_gate(3), {"i1": "n1", "i2": "b", "i3": "c"}, "z"
         )
         network.mark_output("z")
+        return network
+
+    def test_shared_table_across_cells_of_different_arity(self):
+        """An off-library fault table (names != cell.inputs) must work on
+        gates of different arity despite the shared pin-function cache."""
+        from repro.cells.library import LibraryFunction
+        from repro.logic.parser import parse_expression
+        from repro.logic.truthtable import TruthTable
+
+        table = TruthTable.from_expr(parse_expression("i2"), ("i2",))
+        function = LibraryFunction(name="pass_i2", table=table, sop="i2")
+        network = self.arity_mix()
         patterns = PatternSet.exhaustive(network.inputs)
         sim = compile_network(network).simulate(patterns.env, patterns.mask)
         for gate_name in ("g2", "g3"):
@@ -335,20 +460,27 @@ class TestCompileCache:
         gc.collect()
         assert all(ref() is None for ref in refs)
 
-    def test_faulty_fn_cache_stable_across_reenumeration(self):
-        """Freshly enumerated fault lists must reuse cached faulty
-        functions instead of growing the cache per call."""
+    def test_reenumerated_faults_compile_nothing_and_cache_nothing(self):
+        """Freshly enumerated fault lists reuse the shared pin-level
+        faulty functions: no new code, and nothing stored per fault on
+        the compilation or in the pin-function memo."""
         network = c17()
         patterns = PatternSet.random(network.inputs, 32, seed=4)
         compiled = compile_network(network)
         sim = compiled.simulate(patterns.env, patterns.mask)
-        for fault in network.enumerate_faults():
-            sim.difference(fault)
-        size = len(compiled._faulty_fns)
+        sim.differences(network.enumerate_faults())
+
+        def sizes():
+            held = {name: len(value) for name, value in vars(compiled).items()
+                    if isinstance(value, (dict, list))}
+            return (len(compiled_module._CODE_CACHE),
+                    len(compiled_module._FAULT_PIN_FNS), held)
+
+        before = sizes()
         for _ in range(2):
             for fault in network.enumerate_faults():
                 sim.difference(fault)
-        assert len(compiled._faulty_fns) == size
+        assert sizes() == before
 
     def test_second_netlist_of_the_same_cells_compiles_no_code(self):
         """Every gate binds its slots into a per-(cell expression, pins)

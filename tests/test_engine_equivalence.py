@@ -44,9 +44,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engine_test_utils import (
+    LFSR_SESSION_WINDOWS,
     SessionOracle,
     all_faults,
     differential_circuits,
+    lfsr_session_case,
     results_identical,
 )
 from words_reference import reference_difference_words
@@ -1073,56 +1075,49 @@ def test_property_sources_identical_to_materialised(
     )
 
 
-_STREAMING_REFERENCE = {}
+def _lfsr_session(engine="interpreted", **knobs):
+    """The mid-budget LFSR session of ``lfsr_session_case`` on ``engine``."""
+    network, budget, faults, target = lfsr_session_case()
+    return streaming_coverage(
+        network,
+        LfsrSource(network.inputs, budget, seed=5),
+        list(faults),
+        target_coverage=target,
+        confidence=0.95,
+        engine=engine,
+        **knobs,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _streaming_reference():
+    """The interpreted consumer's session, which stops on its target."""
+    reference = _lfsr_session()
+    assert reference.satisfied
+    assert len(reference.curve) < LFSR_SESSION_WINDOWS
+    assert reference.pattern_count < reference.pattern_budget
+    return reference
+
+
+def assert_same_session(result, reference):
+    assert result.satisfied and len(result.curve) < LFSR_SESSION_WINDOWS
+    assert result.pattern_count == reference.pattern_count
+    assert result.detected_weight == reference.detected_weight
+    assert result.total_weight == reference.total_weight
+    assert result.satisfied == reference.satisfied
+    assert result.curve == reference.curve
+    assert result.lower_bound == reference.lower_bound
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_streaming_coverage_stopping_point_identical(engine):
     """The confidence-stopped session is engine-independent: the window
     grid is pinned to FIRST_DETECTION_CHUNK everywhere, so every engine
-    consumes the same number of patterns, retires the same fault weight
-    and reports the same curve."""
-    network = skewed_cone_network(depth=6, islands=4)
-    result = streaming_coverage(
-        network,
-        LfsrSource(network.inputs, 4 * FIRST_DETECTION_CHUNK, seed=5),
-        all_faults(network),
-        target_coverage=0.7,
-        confidence=0.95,
-        engine=engine,
-        jobs=2,
-    )
-    reference = _STREAMING_REFERENCE.setdefault(
-        "skew",
-        streaming_coverage(
-            network,
-            LfsrSource(network.inputs, 4 * FIRST_DETECTION_CHUNK, seed=5),
-            all_faults(network),
-            target_coverage=0.7,
-            confidence=0.95,
-            engine="interpreted",
-        ),
-    )
-    assert result.pattern_count == reference.pattern_count
-    assert result.detected_weight == reference.detected_weight
-    assert result.satisfied == reference.satisfied
-    assert result.curve == reference.curve
-    assert result.lower_bound == reference.lower_bound
-
-
-def _streaming_reference():
-    network = skewed_cone_network(depth=6, islands=4)
-    return network, _STREAMING_REFERENCE.setdefault(
-        "skew",
-        streaming_coverage(
-            network,
-            LfsrSource(network.inputs, 4 * FIRST_DETECTION_CHUNK, seed=5),
-            all_faults(network),
-            target_coverage=0.7,
-            confidence=0.95,
-            engine="interpreted",
-        ),
-    )
+    stops after the same window, having consumed the same number of
+    patterns, retired the same fault weight and reported the same curve."""
+    with pooling(2):
+        result = _lfsr_session(engine, jobs=2)
+    assert_same_session(result, _streaming_reference())
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -1132,27 +1127,13 @@ def test_streaming_session_stopping_window_full_sweep(
 ):
     """Sessions run *through* the engines' batched window cores now, so
     the stopping window must survive the whole differential sweep:
-    every engine x width x collapse x pool-width combination consumes
-    the same number of patterns, retires the same weight and reports
-    the same curve as the interpreted consumer - widths only re-tile
-    work, pools only re-partition it, collapse only deduplicates it."""
-    network, reference = _streaming_reference()
-    result = streaming_coverage(
-        network,
-        LfsrSource(network.inputs, 4 * FIRST_DETECTION_CHUNK, seed=5),
-        all_faults(network),
-        target_coverage=0.7,
-        confidence=0.95,
-        engine=engine,
-        jobs=jobs,
-        collapse=collapse,
-    )
-    assert result.pattern_count == reference.pattern_count
-    assert result.detected_weight == reference.detected_weight
-    assert result.total_weight == reference.total_weight
-    assert result.satisfied == reference.satisfied
-    assert result.curve == reference.curve
-    assert result.lower_bound == reference.lower_bound
+    every engine x width x collapse x pool-width combination stops after
+    the same window, consumes the same number of patterns, retires the
+    same weight and reports the same curve as the interpreted consumer -
+    widths only re-tile work, pools only re-partition it, collapse only
+    deduplicates it."""
+    result = _lfsr_session(engine, jobs=jobs, collapse=collapse)
+    assert_same_session(result, _streaming_reference())
 
 
 class TestSourceRegistryErrorPaths:

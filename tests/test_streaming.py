@@ -39,6 +39,7 @@ from repro.simulate.faultsim import (
     windowed_outcomes,
 )
 
+from engine_test_utils import LFSR_SESSION_WINDOWS, lfsr_session_case
 from testlength_reference import reference_test_length
 
 
@@ -501,12 +502,12 @@ class TestPooledSessionFanOut:
 
         monkeypatch.setattr(sharded_module, "MIN_POOL_WORK", 0)
         monkeypatch.setattr(sharded_module, "_pool_kernel", spy)
-        network = skewed_cone_network(depth=6, islands=4)
-        budget = 4 * FIRST_DETECTION_CHUNK
+        network, budget, faults, target = lfsr_session_case(full_universe=False)
         pooled = streaming_coverage(
             network,
             LfsrSource(network.inputs, budget, seed=5),
-            target_coverage=0.7,
+            list(faults),
+            target_coverage=target,
             confidence=0.95,
             engine=engine,
             jobs=2,
@@ -514,9 +515,11 @@ class TestPooledSessionFanOut:
         serial = streaming_coverage(
             network,
             LfsrSource(network.inputs, budget, seed=5),
-            target_coverage=0.7,
+            list(faults),
+            target_coverage=target,
             confidence=0.95,
         )
+        assert serial.satisfied and len(serial.curve) < LFSR_SESSION_WINDOWS
         assert calls["blocks"], "session silently downgraded to one process"
         assert calls["maps"] == calls["blocks"]
         windows = -(-pooled.pattern_count // FIRST_DETECTION_CHUNK)

@@ -333,14 +333,14 @@ class TestCollapsedFaultSetMechanics:
         network = domino_carry_chain(2)
         faults = [fault for fault in all_faults(network) if fault.kind != "stuck"]
         broken = faults[0]
-        original = CompiledNetwork.faulty_function
+        original = CompiledNetwork.faulty_word
 
-        def faulty_function(compiled, fault):
+        def faulty_word(compiled, fault, values, mask):
             if fault is broken:
                 raise KeyError(fault.describe())
-            return original(compiled, fault)
+            return original(compiled, fault, values, mask)
 
-        monkeypatch.setattr(CompiledNetwork, "faulty_function", faulty_function)
+        monkeypatch.setattr(CompiledNetwork, "faulty_word", faulty_word)
         classes = [[index] for index in range(len(faults))]
         signatures = [("cell", index) for index in range(len(faults))]
         words = _exhaustive_class_words(
