@@ -2,9 +2,11 @@
 
 Timing (:func:`best_of`), the measured commit (:func:`git_commit`),
 the bit-identity check every entry runs before it records a ratio
-(:func:`results_identical`), and the merge of one workload entry into
+(:func:`results_identical`), the merge of one workload entry into
 the ``BENCH_engine.json`` trajectory (:func:`update_record`, which
-keeps every earlier run of a workload).
+keeps every earlier run of a workload), and the verdict on a script's
+own entries (:func:`entries_pass`), which is what a script's exit code
+reports.
 """
 
 from __future__ import annotations
@@ -51,6 +53,21 @@ def results_identical(a, b) -> bool:
     )
 
 
+def entry_passes(record: Dict, workload: Dict) -> bool:
+    """One workload entry's latest point is bit-identical and meets its
+    required speedup (its own, else the record's, else 1)."""
+    gate = workload.get("min_required_speedup", record.get("min_required_speedup", 1.0))
+    return workload.get("identical_results", False) and workload.get("speedup", 0.0) >= gate
+
+
+def entries_pass(record: Dict, *names: str) -> bool:
+    """The named entries of ``record`` all pass (:func:`entry_passes`):
+    a script's exit code judges its own entries, never the record-wide
+    ``all_pass`` that other scripts' entries keep false."""
+    latest = {workload.get("name"): workload for workload in record.get("workloads", [])}
+    return all(name in latest and entry_passes(record, latest[name]) for name in names)
+
+
 def update_record(entry: Dict, path: Path = BENCH_PATH) -> Dict:
     """Merge one workload entry into the record at ``path``, preserving
     the existing workload trajectory.
@@ -80,12 +97,7 @@ def update_record(entry: Dict, path: Path = BENCH_PATH) -> Dict:
     record["workloads"] = workloads + [entry]
     record["updated_utc"] = now
     record["all_pass"] = all(
-        workload.get("identical_results", False)
-        and workload.get("speedup", 0.0)
-        >= workload.get(
-            "min_required_speedup", record.get("min_required_speedup", 1.0)
-        )
-        for workload in record["workloads"]
+        entry_passes(record, workload) for workload in record["workloads"]
     )
     path.write_text(json.dumps(record, indent=2) + "\n")
     return record

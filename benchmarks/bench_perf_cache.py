@@ -41,7 +41,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from _harness import BENCH_PATH, best_of, results_identical, update_record  # noqa: E402
+from _harness import (  # noqa: E402
+    BENCH_PATH,
+    best_of,
+    entries_pass,
+    results_identical,
+    update_record,
+)
 from bench_perf_engine import library_runtime_network  # noqa: E402
 from repro.circuits.generators import skewed_cone_network  # noqa: E402
 from repro.simulate import ArtifactStore, PatternSet, fault_simulate  # noqa: E402
@@ -161,8 +167,7 @@ def main(argv=None) -> int:
     entry = run_cache()
     record = update_record(entry)
     print(f"wrote {BENCH_PATH}")
-    ok = entry["identical_results"] and entry["speedup"] >= MIN_REQUIRED_SPEEDUP
-    return 0 if ok and record.get("all_pass", False) else 1
+    return 0 if entries_pass(record, WORKLOAD_NAME) else 1
 
 
 if __name__ == "__main__":

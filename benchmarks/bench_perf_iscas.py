@@ -43,7 +43,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from _harness import BENCH_PATH, update_record  # noqa: E402
+from _harness import BENCH_PATH, entries_pass, update_record  # noqa: E402
 from repro.circuits.generators import domino_carry_chain  # noqa: E402
 from repro.netlist import parse_bench  # noqa: E402
 from repro.netlist.network import Network, NetworkError  # noqa: E402
@@ -259,8 +259,7 @@ def main(argv=None) -> int:
         return 1
     record = update_record(entry)
     print(f"wrote {BENCH_PATH}")
-    ok = entry["identical_results"] and entry["speedup"] >= MIN_REQUIRED_SPEEDUP
-    return 0 if ok and record.get("all_pass", False) else 1
+    return 0 if entries_pass(record, WORKLOAD_NAME) else 1
 
 
 if __name__ == "__main__":

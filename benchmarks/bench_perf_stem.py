@@ -53,7 +53,13 @@ for path in (REPO_ROOT / "src", REPO_ROOT / "perfbench"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from _harness import BENCH_PATH, best_of, git_commit, update_record  # noqa: E402
+from _harness import (  # noqa: E402
+    BENCH_PATH,
+    best_of,
+    entries_pass,
+    git_commit,
+    update_record,
+)
 from netgen import bench_text  # noqa: E402
 from repro.faults.structural import collapse_network_faults  # noqa: E402
 from repro.netlist import parse_bench  # noqa: E402
@@ -432,11 +438,10 @@ def main(argv=None) -> int:
     record = update_record(entry)
     print(f"wrote {BENCH_PATH}")
     ok = (
-        entry["identical_results"]
-        and entry["speedup"] >= MIN_REQUIRED_SPEEDUP
+        entries_pass(record, WORKLOAD_NAME)
         and entry["per_fault_speedup"] >= MIN_REQUIRED_PER_FAULT_SPEEDUP
     )
-    return 0 if ok and record.get("all_pass", False) else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -61,6 +61,7 @@ for path in (REPO_ROOT / "src", REPO_ROOT / "tests"):
 from _harness import (  # noqa: E402
     BENCH_PATH,
     best_of,
+    entries_pass,
     git_commit,
     results_identical,
     update_record,
@@ -428,15 +429,10 @@ def main(argv=None) -> int:
     lanes = run_lfsr_lanes()
     record = update_record(lanes)
     print(f"wrote {BENCH_PATH}")
-    ok = (
-        lanes["identical_results"]
-        and lanes["speedup"] >= LANES_MIN_REQUIRED_SPEEDUP
-        and entry["identical_results"]
-        and entry["speedup"] >= MIN_REQUIRED_SPEEDUP
-        and fused["identical_results"]
-        and fused["speedup"] >= FUSED_MIN_REQUIRED_SPEEDUP
+    ok = entries_pass(
+        record, WORKLOAD_NAME, FUSED_WORKLOAD_NAME, LANES_WORKLOAD_NAME
     )
-    return 0 if ok and record.get("all_pass", False) else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -243,9 +243,8 @@ def skewed_cone_network(
     ``islands`` independent two-input single-gate islands (cone cost 1
     for their inputs, 0 for their outputs).  Contiguous fault sharding
     lands the entire expensive spine in one worker while the island
-    workers idle - exactly what cost-weighted scheduling fixes - and
-    the island stuck-at pairs are the underfilled two-lane vector
-    batches the cross-site coalescer merges.  Gates alternate AND/OR so
+    workers idle - exactly what cost-weighted scheduling fixes.  Gates
+    alternate AND/OR so
     neither constant saturates the chain.
     """
     if depth < 1:

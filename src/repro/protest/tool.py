@@ -108,8 +108,8 @@ class Protest:
     the artifact store (:mod:`repro.simulate.artifacts`: ``None`` or
     ``"memory"`` for the process-wide in-memory store, ``"off"``, or an
     :class:`~repro.simulate.artifacts.ArtifactStore`) every
-    simulation-backed step resolves compiled programs, cone metadata,
-    batch plans and collapse classes through.  The knobs are validated
+    simulation-backed step resolves compiled programs, cone metadata
+    and collapse classes through.  The knobs are validated
     once, here, and every method runs on them - no method takes a
     knob of its own.
     """

@@ -34,7 +34,6 @@ from .source import (
 from .schedule import fault_costs, partition_faults
 from .sharded import DEFAULT_WINDOW
 from .vector import (
-    VECTOR_WINDOW,
     VectorNetwork,
     VectorSimulation,
     vector_compile,
@@ -85,7 +84,6 @@ __all__ = [
     "fault_costs",
     "partition_faults",
     "DEFAULT_WINDOW",
-    "VECTOR_WINDOW",
     "VectorNetwork",
     "VectorSimulation",
     "vector_compile",

@@ -3,8 +3,8 @@
 Everything the engine stack derives from a network alone - the compiled
 slot program (:mod:`repro.simulate.compiled`), fanout-cone metadata and
 LPT fault partitions (:mod:`repro.simulate.schedule`), the vector
-engine's kernel specialisations and site-batch plans
-(:mod:`repro.simulate.vector`) and structural collapse classes
+engine's lane view (:mod:`repro.simulate.vector`) and structural
+collapse classes
 (:mod:`repro.faults.structural`) - is an immutable function of network
 *content*.  This module gives those derivations one shared mechanism:
 
@@ -28,7 +28,7 @@ engine's kernel specialisations and site-batch plans
 
 Per-kind hit/miss counters (:meth:`ArtifactStore.stats`) make cache
 behaviour assertable: a warm run on an already-seen network performs no
-flattening, cone BFS, kernel specialisation or collapse work, which
+flattening, cone BFS, vector-view or collapse work, which
 ``tests/test_artifacts.py`` holds as the store's headline contract.
 """
 

@@ -36,7 +36,10 @@ local difference AND that observability word - exact, since a fault
 changes one gate or net and its region reaches the rest of the circuit
 only through the stem.  The pass count drops from one per fault to one
 per stem, and each pass costs O(cone) instead of O(network), which is
-what makes million-pattern fault-simulation workloads routine.
+what makes million-pattern fault-simulation workloads routine.  The
+pass only combines words with ``&``, ``|`` and ``^``, so the vector
+engine (:mod:`repro.simulate.vector`) runs it unchanged on numpy lane
+rows.
 
 The interpreted path (:meth:`Network.evaluate_bits`) is kept untouched
 as the reference oracle; ``tests/test_compiled_engine.py`` asserts
@@ -58,37 +61,27 @@ __all__ = ["CompiledGate", "CompiledNetwork", "GoodSimulation", "compile_network
 
 # -- expression -> python source -----------------------------------------------------
 
-def _expr_source(expr: Expr, source_of_var: Mapping[str, str], hot=()) -> str:
+def _expr_source(expr: Expr, source_of_var: Mapping[str, str]) -> str:
     """Render an expression as Python source over a mask ``m``.
 
     ``source_of_var`` maps each variable to its source snippet (a slot
     lookup like ``v[3]`` or a positional parameter like ``p0``).  All
     values are subsets of the mask, so NOT is ``m ^ x`` (cheaper than
-    ``m & ~x`` and equivalent on masked words).  ``hot`` names the
-    variables that carry a batch dimension (the vector engine's batched
-    cone passes): the operands of every AND/OR are stably reordered so
-    subtrees free of hot variables come first.  Python chains the ops
-    left to right, so the pure prefix evaluates on cheap ``(chunk,)``
-    good rows and only the ops from the first hot operand onward run
-    over the ``[batch, chunk]`` block.  With no hot variables the
-    operand order is the expression's own.
+    ``m & ~x`` and equivalent on masked words).
     """
     if isinstance(expr, Const):
         return "m" if expr.value else "0"
     if isinstance(expr, Var):
         return source_of_var[expr.name]
     if isinstance(expr, Not):
-        return f"(m ^ {_expr_source(expr.operand, source_of_var, hot)})"
+        return f"(m ^ {_expr_source(expr.operand, source_of_var)})"
     if isinstance(expr, And):
         joiner = " & "
     elif isinstance(expr, Or):
         joiner = " | "
     else:
         raise TypeError(f"unknown expression node {expr!r}")
-    operands = expr.operands
-    if hot:
-        operands = sorted(operands, key=lambda op: not hot.isdisjoint(op.variables()))
-    return "(" + joiner.join(_expr_source(op, source_of_var, hot) for op in operands) + ")"
+    return "(" + joiner.join(_expr_source(op, source_of_var) for op in expr.operands) + ")"
 
 
 _CODE_CACHE: Dict[str, Callable] = {}
@@ -106,24 +99,23 @@ def _compile_source(params: str, source: str) -> Callable:
 _FACTORIES: Dict[Tuple, Callable] = {}
 
 
-def compile_gate_factory(expr: Expr, pins: Sequence[str], hot=()) -> Callable:
+def compile_gate_factory(expr: Expr, pins: Sequence[str]) -> Callable:
     """Compile a cell expression to a slot-binding gate-function factory.
 
     ``factory(s0, s1, ...)`` returns ``f(values, mask)`` reading
     ``values[s0], values[s1], ...`` - the slots are closure cells, so
     one compiled factory serves every gate instance of the cell.  The
     factory is rendered and compiled once per process for each distinct
-    (cell expression, pins, hot pins).  ``hot`` names the pins carrying
-    a batch dimension (see :func:`_expr_source`): the vector engine
-    binds one factory per cone gate and hot-pin set, the compiled
-    program binds every gate with the default of none.
+    (cell expression, pins).  The bound functions run on any word type
+    closed under ``&``, ``|`` and ``^``: big-ints here, numpy lane rows
+    in :mod:`repro.simulate.vector`.
     """
-    key = (expr, tuple(pins), frozenset(hot))
+    key = (expr, tuple(pins))
     factory = _FACTORIES.get(key)
     if factory is None:
         sources = {pin: f"v[s{index}]" for index, pin in enumerate(pins)}
         params = ", ".join(f"s{index}" for index in range(len(pins)))
-        source = _expr_source(expr, sources, key[2])
+        source = _expr_source(expr, sources)
         factory = _FACTORIES[key] = _compile_source(params, f"lambda v, m: {source}")
     return factory
 
@@ -198,9 +190,9 @@ class CompiledGate:
     ``in_slots`` follows ``cell.inputs`` order, which is also the
     variable order of library truth tables - parallel.py exploits this
     for direct minterm indexing.  ``expr`` keeps the minimal-SOP
-    expression the function was compiled from, so backends that
-    re-specialise kernels (the vector engine's batched cone passes)
-    lower the exact same expression instead of re-deriving it.
+    expression the function was compiled from, so consumers that reason
+    about the gate's function (structural collapsing) read the exact
+    same expression instead of re-deriving it.
     """
 
     __slots__ = ("name", "index", "out_slot", "in_slots", "fn", "cell", "expr")
@@ -294,8 +286,11 @@ class CompiledNetwork:
                 self.next_slot[slot] = following
                 self.stem_of[slot] = self.stem_of[following]
         # Levelized fanout-cone gate lists of the non-output stems, built
-        # by the first observability pass that needs them (stem_cones).
+        # by the first observability pass that needs them (stem_cones),
+        # and the primary-output slots of each cone, noted by the first
+        # observability pass through its stem.
         self._stem_cones: Optional[List[Optional[List[int]]]] = None
+        self._stem_outputs: List[Optional[List[int]]] = [None] * self.num_slots
         # Fanout-cone gate sets, grown lazily by schedule.cone_gates and
         # cached alongside this program by the artifact store; the
         # scratch bytearray is its reusable visited-flag buffer (reset
@@ -428,30 +423,42 @@ class CompiledNetwork:
 class GoodSimulation:
     """One fault-free valuation plus scratch space for its fault passes:
     the walk down each fault's fanout-free region and one observability
-    pass per stem over the stem's cone list (:meth:`detections`)."""
+    pass per stem over the stem's cone list (:meth:`detections`).
+
+    The pass is independent of the word type: it only combines words
+    with ``&``, ``|`` and ``^`` (never in place - a word may be the very
+    object a good value or the mask is, as a numpy lane row can be) and
+    tests them with :attr:`nonzero`.  Big-int words live here; the lane
+    subclass (:class:`repro.simulate.vector.VectorSimulation`) runs the
+    same pass on numpy ``uint64`` rows.
+    """
 
     __slots__ = ("compiled", "values", "mask", "_scratch")
 
-    def __init__(self, compiled: CompiledNetwork, values: List[int], mask: int):
+    #: Whether a word marks any pattern: ``bool`` on big-ints.
+    nonzero = bool
+
+    def __init__(self, compiled: CompiledNetwork, values: List, mask):
         self.compiled = compiled
         self.values = values
         self.mask = mask
         self._scratch = values[:]
 
+    def _to_int(self, word) -> int:
+        """A word as a big-int: the accessors below always return one."""
+        return word
+
     def value_of(self, net: str) -> int:
-        return self.values[self.compiled.slot_of_net[net]]
+        return self._to_int(self.values[self.compiled.slot_of_net[net]])
 
     def as_dict(self) -> Dict[str, int]:
         return {
-            net: self.values[slot] for net, slot in self.compiled.slot_of_net.items()
+            net: self._to_int(self.values[slot])
+            for net, slot in self.compiled.slot_of_net.items()
         }
 
     def output_dict(self) -> Dict[str, int]:
-        compiled = self.compiled
-        return {
-            net: self.values[compiled.slot_of_net[net]]
-            for net in compiled.output_nets
-        }
+        return {net: self.value_of(net) for net in self.compiled.output_nets}
 
     def difference(self, fault: NetworkFault) -> int:
         """Bit word marking the patterns on which ``fault`` is detected."""
@@ -463,12 +470,12 @@ class GoodSimulation:
         primary output (see :meth:`detections`)."""
         words = [0] * len(faults)
         for index, word in self.detections(faults):
-            words[index] = word
+            words[index] = self._to_int(word)
         return words
 
     def detections(
         self, faults: Sequence[NetworkFault]
-    ) -> Iterator[Tuple[int, int]]:
+    ) -> Iterator[Tuple[int, object]]:
         """``(index into faults, detection word)`` of every fault with a
         nonzero detection word, stem by stem (see the module docstring).
 
@@ -482,6 +489,7 @@ class GoodSimulation:
         good = self.values
         scratch = self._scratch
         mask = self.mask
+        nonzero = self.nonzero
         slot_of_net = compiled.slot_of_net
         gate_index = compiled.gate_index
         gate_out = compiled._gate_out
@@ -512,13 +520,13 @@ class GoodSimulation:
                 # Walk the fanout-free region: each slot on the way has
                 # one reader gate, so re-evaluating it with the one
                 # faulty word substituted is exact.
-                while slot != stem and word != good[slot]:
+                while slot != stem:
                     scratch[slot] = word
                     word = gate_fn[readers[slot][0]](scratch, mask)
                     scratch[slot] = good[slot]
                     slot = next_slot[slot]
-                word ^= good[slot]
-                if word:
+                word = word ^ good[slot]
+                if nonzero(word):
                     live.append((index, word))
             if live:
                 if is_out_slot[stem]:
@@ -526,14 +534,14 @@ class GoodSimulation:
                 else:
                     flip = 0
                     for _, word in live:
-                        flip |= word
+                        flip = flip | word
                     observability = self._observability(stem, flip)
                 for index, word in live:
-                    word &= observability
-                    if word:
+                    word = word & observability
+                    if nonzero(word):
                         yield index, word
 
-    def _observability(self, stem: int, flip: int) -> int:
+    def _observability(self, stem: int, flip):
         """Primary-output difference word of complementing ``stem`` on
         the patterns set in ``flip``.
 
@@ -541,9 +549,11 @@ class GoodSimulation:
         some live fault changes gives every such fault its exact word
         while pushing no more difference than those faults need.  The
         pass walks the stem's levelized cone list
-        (:meth:`CompiledNetwork.stem_cones`) once, in order: every cone
-        gate re-evaluates, only words that differ from the good word are
-        stored, and the slots touched are reset afterwards.
+        (:meth:`CompiledNetwork.stem_cones`) once, in order, storing
+        every cone gate's word; it then ORs the differences at the
+        cone's primary outputs and resets the cone's slots.  The first
+        pass through a stem notes those outputs as it walks, so no
+        separate scan of every cone is ever paid.
         """
         compiled = self.compiled
         good = self.values
@@ -551,21 +561,27 @@ class GoodSimulation:
         mask = self.mask
         gate_out = compiled._gate_out
         gate_fn = compiled._gate_fn
-        is_out_slot = compiled._is_out_slot
+        cone = compiled.stem_cones()[stem]
+        outputs = compiled._stem_outputs[stem]
 
-        touched = [stem]
-        difference = 0
         scratch[stem] = good[stem] ^ flip
-        for gi in compiled.stem_cones()[stem]:
-            word = gate_fn[gi](scratch, mask)
-            out = gate_out[gi]
-            if word != good[out]:
-                scratch[out] = word
-                touched.append(out)
-                if is_out_slot[out]:
-                    difference |= word ^ good[out]
-
-        for slot in touched:
+        if outputs is None:
+            is_out_slot = compiled._is_out_slot
+            outputs = compiled._stem_outputs[stem] = []
+            for gi in cone:
+                slot = gate_out[gi]
+                scratch[slot] = gate_fn[gi](scratch, mask)
+                if is_out_slot[slot]:
+                    outputs.append(slot)
+        else:
+            for gi in cone:
+                scratch[gate_out[gi]] = gate_fn[gi](scratch, mask)
+        difference = 0
+        for slot in outputs:
+            difference = difference | (scratch[slot] ^ good[slot])
+        scratch[stem] = good[stem]
+        for gi in cone:
+            slot = gate_out[gi]
             scratch[slot] = good[slot]
         return difference
 

@@ -61,7 +61,8 @@ def deductive_fault_simulate(
     Fault lists hold positions in the
     :func:`~repro.simulate.faultsim.fault_universe` of ``faults``.
     """
-    faults = fault_universe(network, faults).faults
+    universe = fault_universe(network, faults)
+    faults = universe.faults
     stuck_by_net: Dict[str, List[int]] = {}
     cells_by_gate: Dict[str, List[int]] = {}
     for index, fault in enumerate(faults):
@@ -132,4 +133,4 @@ def deductive_fault_simulate(
         (firsts[index], counts[index]) if counts[index] else None
         for index in range(len(faults))
     ]
-    return build_result(network.name, patterns.count, faults, outcomes)
+    return build_result(network.name, patterns.count, universe.labels, outcomes)

@@ -22,9 +22,8 @@ registry (:mod:`repro.simulate.registry`):
   Kept as the oracle the equivalence suite checks the other engines
   against; all engines produce bit-identical results.
 * ``engine="vector"`` - :mod:`repro.simulate.vector`: the same slot
-  program lowered onto numpy ``uint64`` lane arrays, with the gate
-  kernels as vectorized ops - slower than ``compiled`` on every
-  workload measured so far (see the ROADMAP).
+  program and stem pass on numpy ``uint64`` lane rows - slower than
+  ``compiled`` on every workload measured so far (see the ROADMAP).
 
 ``jobs`` is the only parallelism switch: every engine runs in-process
 when it is ``None`` or 1 and fans its faults out across a ``jobs``-wide
@@ -41,8 +40,8 @@ loop, :func:`drive_windows` (in-process and in every pool worker), and
 the one words loop, :func:`collect_words`, ORs it into whole-set
 detection words.  Compiled and interpreted build their pass from a
 per-window big-int difference pass through one adapter,
-:func:`bigint_engine`.  Each engine streams the window of its own kind
-in every mode (:func:`engine_window`).  A run retires or stops
+:func:`bigint_engine`.  Every engine streams the same window in every
+mode (:func:`engine_window`).  A run retires or stops
 through one seam, the ``on_window`` predicate of
 :func:`windowed_outcomes`: without one the run counts, with one it
 retires detected faults on the :data:`FIRST_DETECTION_CHUNK` grid and
@@ -311,17 +310,16 @@ def check_coverage(value, name: str) -> None:
 def build_result(
     network_name: str,
     pattern_count: int,
-    faults: Sequence[NetworkFault],
+    labels: Sequence[str],
     outcomes: Sequence[FaultOutcome],
 ) -> FaultSimResult:
-    """Assemble a :class:`FaultSimResult` from per-fault outcomes of a
-    deduplicated fault list (a :class:`FaultUniverse`'s ``faults``),
-    keyed by label."""
+    """Assemble a :class:`FaultSimResult` from per-fault outcomes keyed
+    by the fault labels a :class:`FaultUniverse` already computed (its
+    ``labels``, unique by construction)."""
     detected: Dict[str, int] = {}
     counts: Dict[str, int] = {}
     undetected: List[str] = []
-    for fault, outcome in zip(faults, outcomes):
-        label = fault.describe()
+    for label, outcome in zip(labels, outcomes):
         if outcome is None:
             undetected.append(label)
         else:
@@ -469,15 +467,13 @@ register_engine(
 )
 
 
-def engine_window(engine: Engine, count: int) -> int:
-    """Patterns per window ``engine`` streams over ``count`` patterns:
-    :data:`repro.simulate.vector.VECTOR_WINDOW` on a lane engine,
-    :data:`repro.simulate.sharded.DEFAULT_WINDOW` on a big-int one -
-    read at call time and clamped to ``[1, count]``."""
-    from . import sharded, vector
+def engine_window(count: int) -> int:
+    """Patterns per window every engine streams over ``count`` patterns:
+    :data:`repro.simulate.sharded.DEFAULT_WINDOW`, read at call time and
+    clamped to ``[1, count]``."""
+    from . import sharded
 
-    width = vector.VECTOR_WINDOW if engine.lanes else sharded.DEFAULT_WINDOW
-    return max(1, min(width, count))
+    return max(1, min(sharded.DEFAULT_WINDOW, count))
 
 
 # -- the words loop -------------------------------------------------------------------
@@ -515,7 +511,7 @@ def difference_words(
     engine, store, _mode = resolve_knobs(engine, None, None, cache)
     faults = list(faults)
     passes = engine.fault_pass(network, faults, store)
-    width = engine_window(engine, patterns.count)
+    width = engine_window(patterns.count)
     return collect_words(patterns, passes, len(faults), width)
 
 
@@ -564,8 +560,8 @@ def fault_simulate(
     representative list.  Unknown modes raise
     here with the list of available modes.
     ``cache`` selects the artifact store everything derivable from the
-    network alone (compiled slot programs, cone metadata, batch plans,
-    collapse classes, fault partitions) is keyed in by
+    network alone (compiled slot programs, cone metadata, collapse
+    classes, fault partitions) is keyed in by
     content fingerprint (:mod:`repro.simulate.artifacts`: ``None`` or
     ``"memory"`` - the process-wide in-memory store - by default,
     ``"off"``, or an :class:`ArtifactStore`).  Caching never
@@ -579,7 +575,7 @@ def fault_simulate(
         network, patterns, universe, resolved, jobs, store,
         _always_continue if stop_at_first_detection else None,
     )
-    result = build_result(network.name, patterns.count, universe.faults, outcomes)
+    result = build_result(network.name, patterns.count, universe.labels, outcomes)
     result.collapsed_classes = universe.class_count
     return result
 
@@ -589,9 +585,9 @@ def fault_simulate(
 SESSION_BLOCK_RAMP = 8
 """Grid windows in a retiring run's first speculative block.
 
-Below roughly this many 256-pattern windows a batched pass is all
-fixed cost - pattern generation, plan build, per-cone kernel dispatch
-all outweigh the lane arithmetic - so simulating one grid window costs
+Below roughly this many 256-pattern windows a pass is all fixed cost -
+pattern generation, the good pass and one call per cone gate all
+outweigh the word arithmetic - so simulating one grid window costs
 nearly as much as simulating eight.  Starting the doubling ramp here
 loses almost nothing when the run stops at the very first boundary and
 saves whole blocks' worth of fixed costs on every longer run."""
@@ -746,7 +742,7 @@ def windowed_outcomes(
     over the universe's faults.  ``engine`` is a registered name or an
     :class:`Engine`.  ``on_window(consumed, covered_weight) -> bool``
     is the one stop seam: without it the run counts every detection on
-    the engine's own window (:func:`engine_window`); with it detected
+    the engine window (:func:`engine_window`); with it detected
     faults retire (count pinned to 1, their class weight covered) on the
     :data:`FIRST_DETECTION_CHUNK` grid - the same on every engine, so
     every stopping point is engine-independent - and returning
@@ -756,7 +752,7 @@ def windowed_outcomes(
     engine, store, _mode = resolve_knobs(engine, jobs, None, cache)
     faults, weights = universe.simulated, universe.weights
     passes = engine.fault_pass(network, faults, store)
-    width = engine_window(engine, patterns.count)
+    width = engine_window(patterns.count)
     grid = width if on_window is None else FIRST_DETECTION_CHUNK
     outcomes = None
     if jobs is not None and jobs > 1:

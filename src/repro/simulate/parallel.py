@@ -48,7 +48,8 @@ def parallel_fault_simulate(
     "undetected" while its machine just mirrors the good one), and a
     literal duplicate packs one machine, not two.
     """
-    faults = fault_universe(network, faults).faults
+    universe = fault_universe(network, faults)
+    faults = universe.faults
     machine_count = len(faults) + 1  # +1: the good machine (highest bit)
     good_bit = len(faults)
     mask = (1 << machine_count) - 1
@@ -124,4 +125,4 @@ def parallel_fault_simulate(
         (firsts[index], fault_counts[index]) if fault_counts[index] else None
         for index in range(len(faults))
     ]
-    return build_result(network.name, patterns.count, faults, outcomes)
+    return build_result(network.name, patterns.count, universe.labels, outcomes)

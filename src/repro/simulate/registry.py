@@ -15,10 +15,9 @@ only what really differs between engines:
   :func:`~repro.simulate.faultsim.drive_windows`, reduces to outcomes
   for fault simulation and streaming sessions, and the one words loop,
   :func:`~repro.simulate.faultsim.collect_words`, ORs into whole-set
-  detection words;
-* ``lanes`` - whether it computes on numpy ``uint64`` lane rows, which
-  sizes the windows it streams (every window is a big-int
-  ``PatternSet``; the lane engine packs its own rows).
+  detection words.  Every window is a big-int ``PatternSet`` of
+  :data:`~repro.simulate.sharded.DEFAULT_WINDOW` patterns at most; the
+  lane engine packs its own rows.
 
 Everything else - knob validation, window sizing, the in-process and
 pooled drivers, retirement, coverage and session stops - is shared, so
@@ -32,8 +31,8 @@ Three engines register themselves on import:
   :mod:`repro.simulate.compiled` with one observability pass per
   fanout-free-region stem.
 * ``"vector"`` - :mod:`repro.simulate.vector`: the same slot program
-  lowered onto numpy ``uint64`` lane arrays; the gate kernels run as
-  vectorized SIMD ops over streamed pattern windows.
+  and the same stem pass on numpy ``uint64`` lane rows; the gate
+  functions run as vectorized ops.
 
 The first two share one big-int adapter
 (:func:`repro.simulate.faultsim.bigint_engine`) over their per-window
@@ -67,20 +66,18 @@ __all__ = ["Engine", "register_engine", "get_engine", "available_engines"]
 
 @dataclass(frozen=True)
 class Engine:
-    """One registered simulation engine: its fault pass and window kind.
+    """One registered simulation engine: its valuation and fault pass.
 
     ``evaluate_bits(network, env, mask, cache=None)`` returns the
     fault-free valuation of every net.  ``fault_pass(network, faults,
     store)`` builds the engine's fault pass over ``faults`` (``store``
-    is the resolved artifact store); ``lanes`` picks the window width
-    the engine streams.
+    is the resolved artifact store).
     """
 
     name: str
     description: str
     evaluate_bits: Callable = field(repr=False)
     fault_pass: Callable = field(repr=False)
-    lanes: bool = False
 
     def difference_words(self, network, patterns, faults, *, cache=None) -> List[int]:
         """One whole-set detection word per fault, in fault-list order,

@@ -1,22 +1,17 @@
 """Cone-cost fault scheduling: cost-weighted partitioning plans.
 
-The parallel substrates split fault lists by cost, not by position: a
-worker pool (``jobs > 1``) hands each worker a shard of the fault list,
-and the vector engine batches faults per injection site.  Both lose
-throughput when fanout-cone sizes vary - a shard that happens to hold
-the deep-cone faults straggles while the other workers idle, and a
-stuck-at pair site fills only two lanes of a batch.  This module is the
-one scheduling layer both substrates use:
+A worker pool (``jobs > 1``) hands each worker a shard of the fault
+list, and it loses throughput when fanout-cone sizes vary - a shard
+that happens to hold the deep-cone faults straggles while the other
+workers idle.  This module prices faults by cone and cuts the shards:
 
 * **cone-cost model** - a fault's simulation cost is dominated by the
-  gates downstream of its injection site (the fanout cone the compiled
-  engine re-evaluates per pass), so the per-fault cost is
+  gates downstream of its injection site (the fanout cone its stem's
+  observability pass re-evaluates), so the per-fault cost is
   ``1 + cone_gate_count(site)`` (the injection-site evaluation plus the
-  cone), and the cost of an injection-site *batch* is that cone count
-  times the batch width.  The cone metadata comes straight from the
-  compiled slot program's reader lists (:mod:`repro.simulate.compiled`)
-  and is memoised per compilation.  The vector engine's cross-site
-  coalescer prices its merges with the same model.
+  cone).  The cone metadata comes straight from the compiled slot
+  program's reader lists (:mod:`repro.simulate.compiled`) and is
+  memoised per compilation.
 
 * :func:`cost_schedule` - LPT (longest-processing-time) greedy bin
   packing over a cost vector, falling back to round-robin striping when
@@ -31,10 +26,9 @@ one scheduling layer both substrates use:
 * :func:`partition_faults` - the entry the worker pool uses: it
   prices a concrete fault list against a concrete network and bins
   whole fanout-free-region stem groups (every fault of a region shares
-  the stem's one observability pass on the compiled engine, and the
-  injection-site groups the vector engine batches nest inside them, so
-  splitting a stem across workers would pay its pass twice and could
-  split a site's lane batch).
+  the stem's one observability pass on the compiled and vector
+  engines, so splitting a stem across workers would pay its pass
+  twice).
 
 Scheduling is a pure re-ordering: a pooled run scatters every outcome
 back to its fault-list position, so it is bit-identical to the
@@ -71,9 +65,9 @@ def cone_gates(compiled: CompiledNetwork, slot: int) -> FrozenSet[int]:
 
     One BFS over the compiled program's reader lists per site, memoised
     on the compilation itself (``compiled._cone_map``) so the sets are
-    shared by every run the artifact store hands the program to; this
-    is the same closure the per-fault cone passes walk, so the cost
-    model prices exactly the work the engines do.
+    shared by every run the artifact store hands the program to.  The
+    set is the union of the stem cones the site's observability pass
+    walks, so the cost model prices the work the engines do.
     """
     cones = compiled._cone_map
     cached = cones.get(slot)
@@ -135,9 +129,7 @@ def cone_counts_batch(compiled: CompiledNetwork, slots) -> None:
     gate, all wide integer ops) - no per-site walk and no materialised
     sets.  Counts land in ``compiled._cone_counts``, a memo
     :func:`cone_gate_count` consults before falling back to BFS; they
-    are identical to ``len(cone_gates(...))`` (property-tested).  The
-    vector engine still materialises the cones it actually injects via
-    :func:`cone_gates`.
+    are identical to ``len(cone_gates(...))`` (property-tested).
     """
     counts = compiled._cone_counts
     todo = sorted(
@@ -182,8 +174,9 @@ def fault_site(compiled: CompiledNetwork, fault: NetworkFault) -> int:
     """Injection-site slot of a fault, or ``-1`` when not injectable.
 
     A stuck fault injects at its net's slot; a cell fault at the faulty
-    gate's output slot - the same site keys the vector engine's batch
-    grouping, so costing and batching agree on what a "site" is.
+    gate's output slot - the same site
+    :meth:`~repro.simulate.compiled.GoodSimulation.detections` walks to
+    its stem, so costing and the fault pass agree on what a "site" is.
     """
     if fault.kind == "stuck":
         return compiled.slot_of_net.get(fault.net, -1)
@@ -264,8 +257,7 @@ def partition_faults(
     its faults' site costs): every fault of a region is carried to the
     stem and shares one observability pass there
     (``compiled.stem_of``), so a stem split across shards would pay that
-    pass in each.  Injection-site groups nest inside stem groups, so a
-    pooled ``vector`` run keeps its lane fill.  Stem grouping can return
+    pass in each.  Stem grouping can return
     fewer shards than requested when there are fewer stems than
     workers - never an empty shard, exactly like :func:`cost_schedule`.
     """

@@ -13,7 +13,7 @@ pooled run is bit-identical to the in-process one.
 
 Workers run the engine's own fault pass (:mod:`repro.simulate.registry`),
 built once in the parent so the forked workers inherit it warm, and
-stream the engine's own window width
+stream the engine window
 (:func:`repro.simulate.faultsim.engine_window`).  There is one pooled
 path, :func:`pooled_outcomes`: it drives the one window loop,
 :func:`repro.simulate.faultsim.drive_windows`, in the parent with
@@ -53,9 +53,10 @@ from .schedule import partition_faults
 __all__ = ["DEFAULT_WINDOW", "MIN_POOL_WORK", "pooled_outcomes"]
 
 DEFAULT_WINDOW = 1 << 18
-"""Patterns per big-int streaming window, read at call time by
-:func:`repro.simulate.faultsim.engine_window`; bounds every big-int
-pass's width (256 Ki patterns = 32 KiB per net, small enough to stay cache-resident,
+"""Patterns per streaming window on every engine, read at call time by
+:func:`repro.simulate.faultsim.engine_window`; bounds every pass's
+width (256 Ki patterns = 32 KiB per net, big-int or lane row, small
+enough to stay cache-resident,
 wide enough to amortise the per-window interpreter overhead - measured
 the sweet spot on the shard benchmark's 4M-pattern workload)."""
 

@@ -43,9 +43,9 @@ from repro.simulate import (
 from repro.simulate.artifacts import CACHE_MODES
 
 #: The artifact kinds a warm run must not rebuild - the store-counter
-#: form of "no flattening, no kernel specialisation, no collapse, no
-#: partitioning on a warm cache".
-DERIVATION_KINDS = ("compiled", "vector", "collapse", "partition", "batchplan")
+#: form of "no flattening, no vector view, no collapse, no partitioning
+#: on a warm cache".
+DERIVATION_KINDS = ("compiled", "vector", "collapse", "partition")
 
 
 def small_workload():

@@ -3,7 +3,9 @@
 A re-run of a workload must not drop its earlier points: the latest
 entry carries them, oldest first, in ``history``, and ``all_pass``
 judges only the latest point of each workload.  Every new point is
-stamped with its own ``recorded_utc``.
+stamped with its own ``recorded_utc``.  A script's exit code judges
+only its own entries (``entries_pass``), never the record-wide
+``all_pass``.
 """
 
 import json
@@ -13,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
-from _harness import update_record  # noqa: E402
+from _harness import entries_pass, update_record  # noqa: E402
 
 
 def point(name, speedup, commit):
@@ -81,3 +83,21 @@ def test_every_new_point_carries_its_own_date(tmp_path, monkeypatch):
     assert old == point("workload", 1.0, "old")
     assert first["recorded_utc"] == "2026-01-01T00:00:00+00:00"
     assert without_date(first) == point("workload", 2.0, "a")
+
+
+def test_entries_pass_judges_only_the_named_latest_points(tmp_path):
+    path = tmp_path / "BENCH_engine.json"
+    update_record(point("slow", 0.2, "a"), path)
+    update_record(point("mine", 1.0, "a"), path)
+    record = update_record(point("mine", 3.0, "b"), path)
+    assert record["all_pass"] is False  # "slow" misses its 2x gate
+    assert entries_pass(record, "mine")  # its failing first point is history
+    assert not entries_pass(record, "slow")
+    assert not entries_pass(record, "mine", "slow")
+    assert not entries_pass(record, "absent")
+    diverged = dict(point("mine", 3.0, "c"), identical_results=False)
+    assert not entries_pass(update_record(diverged, path), "mine")
+    fallback = {"min_required_speedup": 10.0, "workloads": [
+        {"name": "old", "speedup": 9.0, "identical_results": True},
+    ]}
+    assert not entries_pass(fallback, "old")  # the record-level gate

@@ -1,77 +1,51 @@
-"""The work every run does by default, pinned on a 2k-gate netlist.
+"""The windows every run streams by default.
 
-Fault simulation carries no tuning knobs: the vector engine's batch
-plans are priced with :data:`~repro.simulate.vector.COALESCE_OVERHEAD_WORDS`
-and :data:`~repro.simulate.vector.VECTOR_CHUNK`, and every engine
-streams :data:`~repro.simulate.vector.VECTOR_WINDOW` or
+Fault simulation carries no tuning knobs: every engine streams
 :data:`~repro.simulate.sharded.DEFAULT_WINDOW` patterns per window.
-None of them moves a result bit, so the differential harness cannot
-see a change to them.  This file can: it pins the coalescer's decisions
-on a seeded ISCAS-scale netlist and the windows each engine streams, so
-a moved pricing constant or window fails here.
+The window never moves a result bit, so the differential harness
+cannot see a change to it.  This file can: it pins the window a
+default run hands each engine's fault pass at three pattern counts, so
+a moved window - or an engine that streams its own - fails here.
 """
 
-import hashlib
-import json
+import dataclasses
 
 import pytest
 
-from engine_test_utils import all_faults, bench_text
-
-from repro.faults.structural import collapse_network_faults
-from repro.netlist import parse_bench
-from repro.simulate import available_engines, get_engine, vector
+from repro.circuits.generators import and_cone
+from repro.simulate import PatternSet, available_engines, fault_simulate, get_engine
 from repro.simulate.faultsim import engine_window
 
-#: Coalesced batch plans of the collapsed 2k-gate netlist: how many, and
-#: a digest of which site groups and fault positions each one holds.
-PLAN_COUNT = 1635
-PLAN_DIGEST = "6eb0010419905eb3"
+#: Pattern counts pinned: 4 Ki, 1 Mi and 8 Mi.
+COUNTS = [4096, 1 << 20, 8 << 20]
 
-#: Patterns per window at 4 Ki, 1 Mi and 8 Mi patterns, by engine.
-WINDOWS = {
-    "compiled": [4096, 1 << 18, 1 << 18],
-    "interpreted": [4096, 1 << 18, 1 << 18],
-    "vector": [4096, 1 << 20, 1 << 20],
-}
+#: Patterns per window at each of :data:`COUNTS`, on every engine.
+WINDOWS = [4096, 1 << 18, 1 << 18]
 
 
-@pytest.fixture(scope="module")
-def network():
-    network = parse_bench(bench_text(2000), name="default_work")
-    assert len(network.gates) == 2000
-    return network
+def spied(engine, widths):
+    """``engine`` with a fault pass that notes each window's width."""
+    base = get_engine(engine)
 
+    def fault_pass(network, faults, store):
+        passes = base.fault_pass(network, faults, store)
 
-def test_batch_plans_pinned(network):
-    faults = collapse_network_faults(
-        network, all_faults(network), cache="off"
-    ).representative_faults()
-    lanes = vector.vector_compile(network, cache="off")
-    groups = lanes.group_faults(list(enumerate(faults)))
-    plans = lanes.plan_batches(groups, cache="off")
-    payload = [
-        [[site, stuck, [index for index, _fault in members]]
-         for site, stuck, members in plan]
-        for plan in plans
-    ]
-    digest = hashlib.sha256(
-        json.dumps(payload, separators=(",", ":")).encode()
-    ).hexdigest()[:16]
-    assert len(plans) == PLAN_COUNT
-    assert any(len(plan) > 1 for plan in plans)  # cross-site merges happen
-    assert digest == PLAN_DIGEST
+        def spy(chunk, active):
+            widths.append(chunk.count)
+            return passes(chunk, active)
+
+        return spy
+
+    return dataclasses.replace(base, fault_pass=fault_pass)
 
 
 @pytest.mark.parametrize("engine", available_engines())
 def test_engine_windows_pinned(engine):
-    assert sorted(WINDOWS) == list(available_engines())
-    assert [
-        engine_window(get_engine(engine), count)
-        for count in (4096, 1 << 20, 8 << 20)
-    ] == WINDOWS[engine]
-
-
-def test_chunk_width_pinned():
-    assert vector.VECTOR_CHUNK == 1536
-    assert vector.COALESCE_OVERHEAD_WORDS == 2048
+    assert [engine_window(count) for count in COUNTS] == WINDOWS
+    network = and_cone(2)
+    faults = network.enumerate_faults()
+    for count, window in zip(COUNTS, WINDOWS):
+        patterns = PatternSet.random(network.inputs, count, seed=count)
+        widths = []
+        fault_simulate(network, patterns, faults, engine=spied(engine, widths))
+        assert widths == [window] * (count // window), (count, widths[:3])

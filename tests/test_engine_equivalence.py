@@ -11,12 +11,10 @@ the interpreted oracle
 count, first-detection index, difference word and net valuation,
 across fixed circuits, hypothesis-generated circuits, both fault
 kinds, pattern-window widths, weighted pattern sets - the **width**
-dimension (the default chunk and window constants, and an adversarial
-profile monkeypatching :data:`~repro.simulate.vector.VECTOR_CHUNK`,
-:data:`~repro.simulate.vector.VECTOR_WINDOW` and
-:data:`~repro.simulate.sharded.DEFAULT_WINDOW` to tiny widths that do
-not divide the word or pattern count, swept on skewed-cone circuits
-where pooled partitions and the cross-site coalescer reorder work
+dimension (the default window, and an adversarial profile
+monkeypatching :data:`~repro.simulate.sharded.DEFAULT_WINDOW` to a
+tiny width that divides neither the lane word nor the pattern count,
+swept on skewed-cone circuits where pooled partitions reorder work
 hardest), since widths re-tile every pass and must never move a bit -
 and the **collapse** dimension (:mod:`repro.faults.structural`): simulating
 one representative per structural equivalence class and scattering the
@@ -78,7 +76,6 @@ from repro.simulate import (
     register_engine,
     sharded,
     streaming_coverage,
-    vector,
 )
 from repro.simulate.faultsim import FIRST_DETECTION_CHUNK
 
@@ -108,30 +105,22 @@ def jobs(request):
     with pooling(request.param):
         yield request.param
 
-#: Width profiles the harness sweeps: the module constants as they are,
-#: and an adversary whose one-word chunks, 160-pattern lane windows and
-#: 64-pattern big-int windows leave uneven tails everywhere.
+#: Width profiles the harness sweeps: the window constant as it is, and
+#: an adversary whose 96-pattern windows end mid lane word and leave
+#: uneven tails everywhere.
 WIDTHS = {
     "default": (),
-    "adversarial": (
-        (vector, "VECTOR_CHUNK", 1),
-        (vector, "VECTOR_WINDOW", 160),
-        (sharded, "DEFAULT_WINDOW", 64),
-    ),
+    "adversarial": ((sharded, "DEFAULT_WINDOW", 96),),
 }
 
-#: A second adversary for chunk geometry: multi-word windows cut into
-#: 5-word chunks (and 320-pattern big-int windows), which divide neither
-#: the word count nor the pattern count.
-ODD_CHUNK_WIDTHS = (
-    (vector, "VECTOR_CHUNK", 5),
-    (sharded, "DEFAULT_WINDOW", 320),
-)
+#: A second adversary for multi-word windows: 320 patterns (five lane
+#: words), which divides neither the word count nor the pattern count.
+ODD_WORD_WIDTHS = ((sharded, "DEFAULT_WINDOW", 320),)
 
 
 @contextlib.contextmanager
 def patched_widths(patches):
-    """Run with the chunk and window constants set to ``patches``."""
+    """Run with the window constants set to ``patches``."""
     with pytest.MonkeyPatch.context() as patch:
         for module, name, value in patches:
             patch.setattr(module, name, value)
@@ -345,7 +334,6 @@ def plugin_engine():
                 description="the compiled fault pass under a new name",
                 evaluate_bits=compiled.evaluate_bits,
                 fault_pass=compiled.fault_pass,
-                lanes=compiled.lanes,
             )
         ).name
     assert available_engines() == ENGINES
@@ -425,15 +413,15 @@ def _cached_oracle(key, network, patterns, faults, **kwargs):
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestEveryEngineWidthCombination:
-    """The width sweep: chunks and windows re-tile work, pooled
-    partitions re-order it, and neither - in any combination, on any
-    engine - may move a bit.
+    """The width sweep: windows re-tile work, pooled partitions
+    re-order it, and neither - in any combination, on any engine - may
+    move a bit.
 
     The skewed-cone circuit (one huge fanout cone next to many tiny
     ones) is the adversary for both at once: cost-weighted partitioning
-    reorders the fault list hardest, the coalescer merges the islands'
-    underfilled batches, and the adversarial widths force one-word
-    chunks and windows whose tails do not divide the pattern count.
+    reorders the fault list hardest, and the adversarial width forces
+    windows that end mid lane word and tails that do not divide the
+    pattern count.
     """
 
     def test_fault_simulate_identical_on_skewed_cones(self, engine, widths, jobs):
@@ -556,17 +544,17 @@ class TestEveryWidthCacheCombination:
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_chunks_that_do_not_divide_the_word_count_are_exact(engine):
-    """The odd-chunk adversary: windows span many words while the chunk
-    width is a non-divisor of the word count - the boundary arithmetic
-    every chunked cone pass must get right."""
+def test_windows_that_do_not_divide_the_word_count_are_exact(engine):
+    """The odd-word adversary: windows span several lane words while the
+    window width divides neither the word count nor the pattern count -
+    the boundary arithmetic every windowed lane pass must get right."""
     network = skewed_cone_network(depth=9, islands=6)
     patterns = PatternSet.random(network.inputs, 1000, seed=59)  # 16 words
     faults = all_faults(network)
-    with patched_widths(ODD_CHUNK_WIDTHS):
+    with patched_widths(ODD_WORD_WIDTHS):
         result = fault_simulate(network, patterns, faults, engine=engine)
     results_identical(
-        result, _cached_oracle("skew-odd-chunks", network, patterns, faults)
+        result, _cached_oracle("skew-odd-words", network, patterns, faults)
     )
 
 
@@ -577,29 +565,26 @@ def test_chunks_that_do_not_divide_the_word_count_are_exact(engine):
     depth=st.integers(min_value=1, max_value=10),
     islands=st.integers(min_value=0, max_value=6),
     count=st.integers(min_value=1, max_value=220),
-    chunk=st.integers(min_value=1, max_value=6),
     window=st.integers(min_value=1, max_value=256),
 )
 def test_property_widths_identical_on_skewed_circuits(
-    engine, jobs, depth, islands, count, chunk, window
+    engine, jobs, depth, islands, count, window
 ):
-    """Property: arbitrary chunk and window widths never move a bit on
-    the engines that consume them."""
+    """Property: arbitrary window widths never move a bit on the lane
+    engine, whose rows they cut mid word."""
     network = skewed_cone_network(depth=depth, islands=islands)
     patterns = PatternSet.random(network.inputs, count, seed=count)
     faults = all_faults(network)
-    widths = ((vector, "VECTOR_CHUNK", chunk), (vector, "VECTOR_WINDOW", window))
-    with pooling(jobs), patched_widths(widths):
+    with pooling(jobs), patched_widths(((sharded, "DEFAULT_WINDOW", window),)):
         result = fault_simulate(network, patterns, faults, engine=engine, jobs=jobs)
     results_identical(result, oracle_result(network, patterns, faults))
 
 
 def grid_widths(window):
-    """Every window constant - both engine kinds' streaming windows and
-    the retiring grid - set to ``window``."""
+    """Every window constant - the streaming window and the retiring
+    grid - set to ``window``."""
     return (
         (sharded, "DEFAULT_WINDOW", window),
-        (vector, "VECTOR_WINDOW", window),
         (faultsim, "FIRST_DETECTION_CHUNK", window),
     )
 

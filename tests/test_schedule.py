@@ -1,6 +1,6 @@
-"""Scheduler invariants: cone costs, partitions, batch coalescing.
+"""Scheduler invariants: cone costs and partitions.
 
-Three layers of the cone-cost scheduler
+Two layers of the cone-cost scheduler
 (:mod:`repro.simulate.schedule`) are pinned here:
 
 * the **cost model** - cone gate counts must match an independent BFS
@@ -10,15 +10,11 @@ Three layers of the cone-cost scheduler
   exact disjoint cover of the fault list (a permutation of the input:
   no loss, no duplication) with no empty shard, for arbitrary fault
   counts, shard counts and cost vectors - ``shards > count`` and the
-  empty fault list included - plus the LPT balance guarantee;
-* the **vector coalescer** - plans cover every fault exactly once,
-  respect the batch bound, only merge sound site sets (no site driven
-  from inside the union cone), are keyed in the artifact store on the
-  pricing constants, and the merged pass is bit-identical to the
-  per-group passes it replaces.
+  empty fault list included - plus the LPT balance guarantee, and no
+  fanout-free-region stem is ever split across shards.
 
-Cross-engine bit-identity of pooled and coalesced runs lives in the
-differential harness (``test_engine_equivalence.py``).
+Cross-engine bit-identity of pooled runs lives in the differential
+harness (``test_engine_equivalence.py``).
 """
 
 import pytest
@@ -35,8 +31,7 @@ from repro.circuits.generators import (
     skewed_cone_network,
 )
 from repro.netlist import Network, parse_bench
-from repro.simulate import ArtifactStore, PatternSet, fault_costs, partition_faults
-from repro.simulate import vector as vector_module
+from repro.simulate import fault_costs, partition_faults
 from repro.simulate.compiled import compile_network
 from repro.simulate.schedule import (
     cone_counts_batch,
@@ -45,7 +40,6 @@ from repro.simulate.schedule import (
     cost_schedule,
     fault_site,
 )
-from repro.simulate.vector import COALESCE_MAX_BATCH, vector_compile
 
 
 FIXED_CIRCUITS = [
@@ -275,156 +269,3 @@ def test_lpt_keeps_heavy_items_apart():
 def test_zero_cost_items_never_leave_a_shard_empty():
     parts = cost_schedule([5, 0, 0, 0, 0], 3)
     assert_exact_disjoint_cover(parts, 5, 3)
-
-
-# -- vector batch coalescing -----------------------------------------------------------
-
-
-class TestBatchCoalescing:
-    def _plans(self, network):
-        vector = vector_compile(network)
-        faults = all_faults(network)
-        groups = vector.group_faults(list(enumerate(faults)))
-        return vector, faults, groups, vector.plan_batches(groups)
-
-    @pytest.mark.parametrize("network", FIXED_CIRCUITS, ids=lambda n: n.name)
-    def test_plans_cover_every_fault_exactly_once(self, network):
-        _vector, faults, groups, plans = self._plans(network)
-        planned = [
-            index
-            for plan in plans
-            for _site, _stuck, members in plan
-            for index, _fault in members
-        ]
-        grouped = [
-            index for _site, _stuck, members in groups for index, _fault in members
-        ]
-        assert sorted(planned) == sorted(grouped)
-
-    @pytest.mark.parametrize("network", FIXED_CIRCUITS, ids=lambda n: n.name)
-    def test_plans_respect_batch_bound_and_soundness(self, network):
-        vector, _faults, _groups, plans = self._plans(network)
-        compiled = vector.compiled
-        gate_out = compiled._gate_out
-        for plan in plans:
-            if len(plan) == 1:
-                continue
-            batch = sum(len(members) for _s, _st, members in plan)
-            assert batch <= COALESCE_MAX_BATCH
-            sites = {site for site, _stuck, _members in plan}
-            union_outs = set()
-            for site in sites:
-                union_outs.update(
-                    gate_out[index] for index in cone_gates(compiled, site)
-                )
-            # No site may be recomputed by the union cone.
-            assert not (sites & union_outs)
-
-    def test_stuck_pair_sites_coalesce_on_the_skewed_network(self):
-        """The motivating cases: (a) a stuck-at pair at a gate output
-        merges with the cell-fault batch of the driving gate - same
-        site, same cone, no block to build; (b) the two spine inputs
-        share one *deep* identical cone, so their stuck pairs merge
-        cross-site.  The shallow island input pairs must NOT merge: a
-        1-gate cone saves one kernel dispatch but pays a whole block
-        build, and the cost model prices that as a loss."""
-        network = skewed_cone_network(depth=16, islands=6)
-        vector, faults, groups, plans = self._plans(network)
-        assert len(plans) < len(groups)
-        slot_of_net = vector.compiled.slot_of_net
-        merged_site_sets = [
-            frozenset(site for site, _stuck, _members in plan)
-            for plan in plans
-            if len(plan) > 1
-        ]
-        assert merged_site_sets, "no coalesced plan on a stuck-pair-heavy network"
-        # (a) same-site merge at a spine gate output (stuck pair + cell
-        # faults of the driving gate land in one plan).
-        spine_site = slot_of_net["c1"]
-        spine_plans = [
-            plan
-            for plan in plans
-            if any(site == spine_site for site, _stuck, _members in plan)
-        ]
-        assert len(spine_plans) == 1
-        kinds = {
-            fault.kind
-            for _site, _stuck, members in spine_plans[0]
-            for _index, fault in members
-        }
-        assert kinds == {"stuck", "cell"}
-        # (b) cross-site merge of the identical-cone spine inputs.
-        head_pair = frozenset((slot_of_net["s0"], slot_of_net["u"]))
-        assert any(head_pair <= sites for sites in merged_site_sets)
-        # Shallow island input pairs stay apart.
-        island_pair = frozenset((slot_of_net["t0a"], slot_of_net["t0b"]))
-        assert not any(island_pair <= sites for sites in merged_site_sets)
-
-    def test_chain_sites_never_share_a_batch(self):
-        """Soundness: a spine site downstream of another spine site
-        would be recomputed by the shared cone, clobbering its injected
-        rows - such pairs must never coalesce."""
-        network = skewed_cone_network(depth=8, islands=0)
-        vector, _faults, _groups, plans = self._plans(network)
-        compiled = vector.compiled
-        for plan in plans:
-            sites = [site for site, _stuck, _members in plan]
-            for site in sites:
-                downstream_outs = {
-                    compiled._gate_out[index]
-                    for index in cone_gates(compiled, site)
-                }
-                assert not (downstream_outs & set(sites))
-
-    def test_merged_rows_bit_identical_to_per_group_rows(self):
-        """The coalesced pass must reproduce each group's rows exactly."""
-        import numpy as np
-
-        network = skewed_cone_network(depth=5, islands=4)
-        vector = vector_compile(network)
-        faults = all_faults(network)
-        patterns = PatternSet.random(network.inputs, 300, seed=31)
-        sim_values, mask_row, _count = vector.good_values(
-            patterns.env, patterns.mask
-        )
-        groups = vector.group_faults(list(enumerate(faults)))
-        for plan in vector.plan_batches(groups):
-            if len(plan) == 1:
-                continue
-            live, rows = vector.merged_difference_rows(sim_values, mask_row, plan)
-            merged_of = dict(
-                zip(live, rows if rows is not None else [])
-            )
-            seen = set()
-            for group in plan:
-                g_live, g_rows = vector.group_difference_rows(
-                    sim_values, mask_row, group
-                )
-                for j, index in enumerate(g_live):
-                    if index in merged_of:
-                        assert np.array_equal(merged_of[index], g_rows[j])
-                        seen.add(index)
-                    else:
-                        # The merged pass always drops window-inactive
-                        # rows; the single-site pass keeps them (all
-                        # zero) when most of its batch is active.
-                        assert not g_rows[j].any(), index
-            assert seen == set(merged_of)
-
-    def test_stored_plans_are_keyed_on_the_pricing_constants(self, monkeypatch):
-        """A stored batch plan never outlives the constants that priced
-        it: after the pricing changes, the same store hands back the
-        plan the new constants make, not the cached one."""
-        network = skewed_cone_network(depth=16, islands=6)
-        vector = vector_compile(network)
-        groups = vector.group_faults(list(enumerate(all_faults(network))))
-        store = ArtifactStore()
-        default = vector.plan_batches(groups, cache=store)
-        assert vector.plan_batches(groups, cache=store) == default
-        for name, value in (("VECTOR_CHUNK", 1), ("COALESCE_OVERHEAD_WORDS", 0)):
-            with monkeypatch.context() as patch:
-                patch.setattr(vector_module, name, value)
-                cold = vector.plan_batches(groups, cache="off")
-                assert cold != default, name
-                assert vector.plan_batches(groups, cache=store) == cold, name
-        assert store.misses["batchplan"] == 3

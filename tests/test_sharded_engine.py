@@ -31,7 +31,6 @@ from repro.simulate import (
     resolve_cache,
     sharded,
     streaming_coverage,
-    vector,
 )
 from repro.simulate.faultsim import (
     build_result,
@@ -113,15 +112,12 @@ class TestWindowIterator:
             ), engine
 
     def test_engine_window_reads_module_constants_at_call_time(self, monkeypatch):
-        """Each engine streams its kind's window constant, read per call
-        (so a monkeypatch steers it) and clamped to the pattern count."""
-        monkeypatch.setattr(vector, "VECTOR_WINDOW", 123)
+        """Every engine streams the window constant, read per call (so a
+        monkeypatch steers it) and clamped to the pattern count."""
         monkeypatch.setattr(sharded, "DEFAULT_WINDOW", 77)
-        for engine in available_engines():
-            expected = 123 if get_engine(engine).lanes else 77
-            assert engine_window(get_engine(engine), 1 << 20) == expected
-            assert engine_window(get_engine(engine), 5) == 5
-            assert engine_window(get_engine(engine), 0) == 1
+        assert engine_window(1 << 20) == 77
+        assert engine_window(5) == 5
+        assert engine_window(0) == 1
 
     @pytest.mark.parametrize("width", [1, 5, 37, 100])
     def test_windowed_outcomes_match_whole_pass(self, width, monkeypatch):
@@ -131,7 +127,7 @@ class TestWindowIterator:
         reference = fault_simulate(network, patterns, universe.faults)
         monkeypatch.setattr(sharded, "DEFAULT_WINDOW", width)
         outcomes = windowed_outcomes(network, patterns, universe)
-        rebuilt = build_result(network.name, patterns.count, universe.faults, outcomes)
+        rebuilt = build_result(network.name, patterns.count, universe.labels, outcomes)
         results_identical(rebuilt, reference)
 
 

@@ -32,7 +32,7 @@ from repro.simulate import (
     fault_simulate,
     streaming_coverage,
 )
-from repro.simulate import faultsim, sharded, vector
+from repro.simulate import faultsim, sharded
 from repro.simulate.faultsim import (
     FIRST_DETECTION_CHUNK,
     fault_universe,
@@ -341,7 +341,6 @@ class TestNonWordAlignedStreaming:
         )
         for module, name in (
             (sharded, "DEFAULT_WINDOW"),
-            (vector, "VECTOR_WINDOW"),
             (faultsim, "FIRST_DETECTION_CHUNK"),
         ):
             monkeypatch.setattr(module, name, width)

@@ -1,11 +1,14 @@
-"""Vector (numpy lane-array) engine mechanics.
+"""Vector (numpy lane-row) engine mechanics.
 
 Cross-engine bit-identity lives in the registry-driven harness
 (``test_engine_equivalence.py``); this file covers what is specific to
-the lane backend: the big-int <-> uint64-lane bridges, the batched
-cone pass (grouping, activation filtering, chunk boundaries), the
-per-fault ``difference`` API, and the lane pass inside a genuine
-worker pool (``jobs > 1``).
+the lane backend: the big-int <-> uint64-lane bridges, the compiled
+stem pass on lane rows (scalar words from constant gates, output and
+dead-end stems, partial last words) and the invariants that let one
+pass serve both word forms (its word test, no writes through aliased
+rows, a scratch reset after every pass), the per-fault ``difference`` API,
+the stem groups the traced probe reports, and the lane pass inside a
+genuine worker pool (``jobs > 1``).
 """
 
 import numpy as np
@@ -27,13 +30,15 @@ from repro.simulate import (
     VectorNetwork,
     VectorSimulation,
     fault_simulate,
+    get_engine,
     sharded,
     vector_compile,
 )
 from repro.simulate import compiled as compiled_module
 from repro.simulate.artifacts import ArtifactStore
-from repro.simulate.compiled import compile_network
+from repro.simulate.compiled import GoodSimulation, compile_network
 from repro.simulate.faultsim import collect_words
+from repro.simulate.schedule import fault_site
 from repro.simulate.vector import lane_pass, pack_words, unpack_words
 
 
@@ -121,59 +126,9 @@ class TestBatchedWindows:
             patterns, passes, len(faults), window
         ) == reference_difference_words(network, patterns, faults)
 
-    def test_chunk_boundaries_exact(self, monkeypatch):
-        """Results must not depend on the cone chunking granularity.
-
-        Every chunk read goes to ``VECTOR_CHUNK`` at call time, so this
-        monkeypatch steers the fault passes."""
-        import repro.simulate.vector as vector_module
-
-        network = random_network(n_inputs=6, n_gates=14, seed=11)
-        patterns = PatternSet.random(network.inputs, 500, seed=3)
-        faults = all_faults(network)
-        reference = fault_simulate(network, patterns, faults, engine="compiled")
-        for chunk in (1, 2, 3, 1536):
-            monkeypatch.setattr(vector_module, "VECTOR_CHUNK", chunk)
-            results_identical(
-                fault_simulate(network, patterns, faults, engine="vector"),
-                reference,
-            )
-
-    def test_monkeypatched_chunk_actually_reaches_the_cone_loop(self, monkeypatch):
-        """``VECTOR_CHUNK`` is read per call, not held as an import-time
-        snapshot: patching the module constant changes the width the
-        cone pass tiles with."""
-        import repro.simulate.vector as vector_module
-
-        seen = []
-        original = vector_module._chunk_words
-
-        def spy(n_words):
-            width = original(n_words)
-            seen.append(width)
-            return width
-
-        monkeypatch.setattr(vector_module, "_chunk_words", spy)
-        network = random_network(n_inputs=6, n_gates=14, seed=11)
-        patterns = PatternSet.random(network.inputs, 500, seed=3)
-        faults = all_faults(network)
-        monkeypatch.setattr(vector_module, "VECTOR_CHUNK", 3)
-        fault_simulate(network, patterns, faults, engine="vector")
-        assert seen and set(seen) == {3}
-
-    def test_chunk_width_clamped_to_the_window(self, monkeypatch):
-        import repro.simulate.vector as vector_module
-
-        for chunk in (1, 3, 77, 4096):
-            monkeypatch.setattr(vector_module, "VECTOR_CHUNK", chunk)
-            assert vector_module._chunk_words(1 << 20) == chunk
-        monkeypatch.setattr(vector_module, "VECTOR_CHUNK", 1 << 30)
-        assert vector_module._chunk_words(10) == 10
-        assert vector_module._chunk_words(0) == 1
-
     def test_mostly_inactive_batch_compression(self):
-        """A batch whose faults mostly never activate in the window is
-        compressed to its active rows; results stay exact."""
+        """Faults that never activate in the window leave the stem pass
+        after their fanout-free-region walk; results stay exact."""
         network = and_cone(4)
         # Constant-0 inputs: s-a-0 faults never activate, s-a-1 do.
         vectors = [{net: 0 for net in network.inputs}] * 70
@@ -229,65 +184,189 @@ class TestPooledVector:
         )
 
 
-class TestConeKernels:
-    """Cone kernels are cell factories bound once per network for each
-    (gate, hot-pin mask), shared by single-site and coalesced cones."""
+def domino_network(name, gates, outputs, inputs=("a", "b", "c")):
+    """A domino-CMOS network from ``(gate, cell, input nets, output net)``
+    rows; ``cell`` is ``"and"``, ``"or"`` or a constant ``"0"``/``"1"``
+    switching network over two pins."""
+    factory = CellFactory("domino-CMOS")
+    cells = {
+        "and": factory.and_gate(2),
+        "or": factory.or_gate(2),
+        "0": factory.cell("const0", "0", ["i1", "i2"]),
+        "1": factory.cell("const1", "1", ["i1", "i2"]),
+    }
+    network = Network(name)
+    for net in inputs:
+        network.add_input(net)
+    for gate, cell, (first, second), output in gates:
+        network.add_gate(gate, cells[cell], {"i1": first, "i2": second}, output)
+    for net in outputs:
+        network.mark_output(net)
+    return network
+
+
+def constant_cone():
+    """A stem (``n1``) whose cone holds constant-0 and constant-1 gates."""
+    return domino_network(
+        "constant_cone",
+        [
+            ("g1", "and", ("a", "b"), "n1"),
+            ("k0", "0", ("n1", "c"), "z0"),
+            ("k1", "1", ("n1", "c"), "z1"),
+            ("g2", "or", ("n1", "c"), "n2"),
+            ("g3", "and", ("z1", "n2"), "y1"),
+            ("g4", "or", ("z0", "n2"), "y2"),
+        ],
+        outputs=("y1", "y2", "z0"),
+    )
+
+
+def c17_network():
+    return c17()
+
+
+def carry_chain():
+    return domino_carry_chain(4)
+
+
+#: Builders of the networks the shared-pass invariants are checked on.
+SHARED_PASS_NETWORKS = [constant_cone, c17_network, carry_chain]
+
+
+class TestLanePath:
+    """The compiled stem pass on lane rows, held to the compiled engine
+    and the interpreted oracle fault by fault."""
 
     @staticmethod
-    def shared_reader():
-        """Sites n1 and n2 whose cones meet at one reader gate, g3."""
-        factory = CellFactory("domino-CMOS")
-        network = Network("shared_reader")
-        for name in ("a", "b", "c", "d"):
-            network.add_input(name)
-        network.add_gate("g1", factory.and_gate(2), {"i1": "a", "i2": "b"}, "n1")
-        network.add_gate("g2", factory.or_gate(2), {"i1": "c", "i2": "d"}, "n2")
-        network.add_gate("g3", factory.and_gate(2), {"i1": "n1", "i2": "n2"}, "n3")
-        network.add_gate("g4", factory.or_gate(2), {"i1": "n3", "i2": "a"}, "z")
-        network.mark_output("z")
-        return network
-
-    def test_two_site_cone_rows_match_oracle_in_either_build_order(self):
-        network = self.shared_reader()
-        patterns = PatternSet.exhaustive(network.inputs)
+    def assert_lanes_match(network, patterns):
         faults = all_faults(network)
         expected = reference_difference_words(network, patterns, faults)
-        plans = []
-        for single_first in (False, True):
-            compiled = compile_network(network, cache="off")
-            vector = VectorNetwork(compiled)
-            n1, n2 = compiled.slot_of_net["n1"], compiled.slot_of_net["n2"]
-            groups = [
-                group for group in vector.group_faults(list(enumerate(faults)))
-                if group[0] in (n1, n2)
-            ]
-            values, mask_row, count = vector.good_rows(patterns)
+        for engine in ("compiled", "vector"):
+            words = get_engine(engine).difference_words(network, patterns, faults)
+            assert words == expected, engine
+        sim = vector_compile(network).simulate(patterns)
+        assert sim.differences(faults) == expected
+        results_identical(
+            fault_simulate(network, patterns, faults, engine="vector"),
+            fault_simulate(network, patterns, faults, engine="interpreted"),
+        )
+        return expected
 
-            def check(passed, members):
-                live, rows = passed
-                words = [] if rows is None else [unpack_words(row, count) for row in rows]
-                assert words == [expected[index] for index in live]
-                for index, _fault in members:
-                    if index not in live:
-                        assert expected[index] == 0
+    def test_constant_gates_inside_a_stem_cone(self):
+        """Constant kernels return the scalar ``0`` and the mask row
+        itself; both flow through the stem's cone and its outputs."""
+        network = constant_cone()
+        compiled = compile_network(network, cache="off")
+        stem = compiled.slot_of_net["n1"]
+        assert compiled.next_slot[stem] == -1 and not compiled._is_out_slot[stem]
+        patterns = PatternSet.exhaustive(network.inputs)
+        assert compiled.gates[compiled.gate_index["k0"]].fn(
+            [None] * compiled.num_slots, patterns.mask
+        ) == 0
+        assert any(self.assert_lanes_match(network, patterns))
 
-            singles = [group for group in groups if group[0] == n1]
-            for step in ("single", "merged") if single_first else ("merged", "single"):
-                if step == "merged":
-                    members = [member for group in groups for member in group[2]]
-                    check(vector.merged_difference_rows(values, mask_row, groups), members)
-                else:
-                    for group in singles:
-                        check(vector.group_difference_rows(values, mask_row, group), group[2])
-            merged_pairs = vector._merged_cone((n1, n2))[0]
-            single_pairs = vector._merged_cone((n1,))[0]
-            plans.append((
-                [kernel.__code__ for kernel, _out in merged_pairs],
-                [kernel.__code__ for kernel, _out in single_pairs],
-            ))
-        # g3 reads one hot pin in n1's cone and two in the union cone:
-        # two bindings, whichever cone was built first.
-        assert plans[0] == plans[1]
+    def test_stuck_input_that_is_also_an_output(self):
+        network = domino_network(
+            "input_output",
+            [("g1", "and", ("a", "b"), "n1"), ("g2", "or", ("a", "c"), "n2")],
+            outputs=("n1", "n2", "a"),
+        )
+        patterns = PatternSet.exhaustive(network.inputs)
+        expected = self.assert_lanes_match(network, patterns)
+        faults = all_faults(network)
+        for value in (0, 1):
+            assert expected[faults.index(NetworkFault.stuck_at("a", value))]
+
+    def test_output_stem(self):
+        """An output that also feeds gates is a stem observed directly:
+        its observability word is the mask."""
+        network = domino_network(
+            "output_stem",
+            [
+                ("g1", "and", ("a", "b"), "n1"),
+                ("g2", "or", ("n1", "c"), "n2"),
+                ("g3", "and", ("n1", "n2"), "n3"),
+            ],
+            outputs=("n1", "n3"),
+        )
+        compiled = compile_network(network, cache="off")
+        stem = compiled.slot_of_net["n1"]
+        assert compiled._is_out_slot[stem] and compiled.stem_of[stem] == stem
+        self.assert_lanes_match(network, PatternSet.exhaustive(network.inputs))
+
+    def test_stem_whose_cone_reaches_no_output(self):
+        """A dead-end stem's observability is zero, so every fault of
+        its region is undetected on every engine."""
+        network = domino_network(
+            "dead_end",
+            [
+                ("g1", "and", ("a", "b"), "n1"),
+                ("g2", "or", ("n1", "c"), "d2"),
+                ("g3", "and", ("n1", "c"), "d3"),
+                ("g4", "or", ("a", "c"), "z"),
+            ],
+            outputs=("z",),
+        )
+        expected = self.assert_lanes_match(
+            network, PatternSet.exhaustive(network.inputs)
+        )
+        compiled = compile_network(network)
+        stem = compiled.slot_of_net["n1"]
+        assert compiled.next_slot[stem] == -1
+        assert compiled._stem_outputs[stem] == []  # its pass ran, no outputs
+        for fault, word in zip(all_faults(network), expected):
+            if fault.kind == "stuck" and fault.net in ("n1", "d2", "d3"):
+                assert word == 0, fault.describe()
+
+    @pytest.mark.parametrize("count", [1, 63, 65, 100, 130])
+    def test_pattern_count_not_a_multiple_of_64(self, count):
+        network = c17()
+        patterns = PatternSet.random(network.inputs, count, seed=count)
+        self.assert_lanes_match(network, patterns)
+
+    def test_word_tests_of_both_word_forms(self):
+        """``nonzero`` is ``bool`` on big-ints; on lane rows it also
+        takes the scalar ``0`` a constant kernel returns."""
+        assert GoodSimulation.nonzero is bool
+        nonzero = VectorSimulation.nonzero
+        assert not nonzero(0) and not nonzero(np.uint64(0))
+        assert not nonzero(np.zeros(3, dtype=np.uint64))
+        assert nonzero(np.array([0, 0, 1 << 63], dtype=np.uint64))
+
+    @pytest.mark.parametrize("build", SHARED_PASS_NETWORKS, ids=lambda b: b.__name__)
+    def test_pass_leaves_good_rows_and_scratch_as_it_found_them(self, build):
+        """The pass combines words without in-place operators, so a word
+        that is the very row of a good value or of the mask never
+        changes it, and it resets every slot it wrote in its scratch."""
+        network = build()
+        patterns = PatternSet.random(network.inputs, 130, seed=3)
+        faults = all_faults(network)
+        sim = vector_compile(network, cache="off").simulate(patterns)
+        good = [row.copy() for row in sim.values]
+        mask = sim.mask.copy()
+        assert any(sim.differences(faults))
+        assert all(np.array_equal(a, b) for a, b in zip(sim.values, good))
+        assert np.array_equal(sim.mask, mask)
+        assert all(
+            row is value for row, value in zip(sim._scratch, sim.values)
+        )
+
+    @pytest.mark.parametrize("build", SHARED_PASS_NETWORKS, ids=lambda b: b.__name__)
+    def test_rows_do_not_depend_on_fault_order_or_earlier_passes(self, build):
+        """One simulation serves many passes: rows are the oracle's
+        whatever the fault order and however many passes ran before, on
+        both word forms."""
+        network = build()
+        patterns = PatternSet.random(network.inputs, 100, seed=8)
+        faults = all_faults(network)
+        expected = reference_difference_words(network, patterns, faults)
+        for sim in (
+            compile_network(network).simulate(patterns.env, patterns.mask),
+            vector_compile(network).simulate(patterns),
+        ):
+            assert sim.differences(faults) == expected
+            assert sim.differences(faults[::-1]) == expected[::-1]
+            assert sim.differences(faults) == expected
 
     def test_second_netlist_of_the_same_cells_compiles_no_code(self):
         store = ArtifactStore()
@@ -303,3 +382,28 @@ class TestConeKernels:
             )
             added = len(compiled_module._CODE_CACHE) - before
         assert added == 0
+
+
+class TestProbeGroups:
+    """``group_faults`` / ``plan_batches`` report the stem groups the
+    pass runs: one plan per fanout-free-region stem."""
+
+    @pytest.mark.parametrize(
+        "network",
+        [c17(), domino_carry_chain(4), random_network(n_inputs=6, n_gates=14, seed=11)],
+        ids=lambda n: n.name,
+    )
+    def test_one_plan_per_stem_covering_every_fault_once(self, network):
+        vector = vector_compile(network)
+        compiled = vector.compiled
+        faults = all_faults(network) + [NetworkFault.stuck_at("ghost", 1)]
+        groups = vector.group_faults(list(enumerate(faults)))
+        plans = vector.plan_batches(groups, cache="off")
+        assert plans == [[group] for group in groups]
+        stems = [stem for stem, _members in groups]
+        assert len(set(stems)) == len(stems)
+        covered = sorted(index for _stem, members in groups for index, _f in members)
+        assert covered == list(range(len(faults) - 1))
+        for stem, members in groups:
+            for _index, fault in members:
+                assert compiled.stem_of[fault_site(compiled, fault)] == stem
