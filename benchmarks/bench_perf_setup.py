@@ -24,14 +24,20 @@ current one on perfbench's ISCAS-shaped netlists
   as the test oracle in ``tests/collapse_reference.py``, keyed by the
   old part-by-part fault fingerprint (below).
 
-Each side starts every repetition from empty code caches
-(``compiled._CODE_CACHE``, ``compiled._FACTORIES``) and a fresh
-artifact store, and is timed best-of-N per layer in the same process,
-the sides alternating which runs first.
+Each side runs every repetition in a fresh interpreter, as perfbench's
+``child.py`` does, so the code caches, the cells and the collector
+start as a user's fresh process finds them, and the collections that
+process pays are measured: every layer is timed best-of-N, the sides
+alternating which runs first, and the collector's time per generation
+(``gc.callbacks``) is recorded from each side's median run.  (Points
+recorded before this change timed both sides in one process, each
+after ``gc.collect(); gc.freeze()``, so they left out the collections
+a fresh process pays; they stay in the entry's ``history``.)
 Before any ratio is recorded the two collapsed fault sets must be equal
 field by field, their fault fingerprints equal, and both compiled
-programs must give identical good values on 256 random patterns.  The
-entry records per-layer times, ``compile()`` calls per side, the host,
+programs must give identical good values on 256 random patterns (one
+untimed in-process run of each side).  The entry records per-layer
+times, the collector's time, ``compile()`` calls per side, the host,
 its CPU count and the measured commit (``-dirty`` when the checkout had
 local changes).
 
@@ -49,12 +55,15 @@ import argparse
 import dataclasses
 import gc
 import hashlib
+import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 for path in (REPO_ROOT / "src", REPO_ROOT / "perfbench", REPO_ROOT / "tests"):
@@ -157,21 +166,44 @@ def legacy_collapse(network, faults, compiled, store):
     )
 
 
-def run_side(text: str, name: str, legacy: bool) -> Dict:
-    """One cold set-up, each layer timed, from empty code caches.
+def netlist(gates: int):
+    """``(text, name)`` of the perfbench-shaped netlist of a point."""
+    return bench_text(NETLIST_SEED, gates=gates, blocks=blocks_of(gates)), f"setup_{gates}"
 
-    Objects alive before the run (the other side's artifacts) are
-    frozen out of the collector, so neither side's garbage collections
-    scan what the other left behind.
-    """
-    compiled_module._CODE_CACHE.clear()
-    compiled_module._FACTORIES.clear()
-    gc.collect()
-    gc.freeze()
+
+def child(gates: int, legacy: bool) -> Dict:
+    """One cold set-up in this (fresh) interpreter, each layer timed,
+    with the collector's time and collections per generation."""
+    text, name = netlist(gates)
+    gc_ms, collections, started = [0.0, 0.0, 0.0], [0, 0, 0], [0.0]
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            gc_ms[info["generation"]] += (time.perf_counter() - started[0]) * 1000
+            collections[info["generation"]] += 1
+
+    gc.callbacks.append(on_gc)
     try:
-        return _timed_setup(text, name, legacy)
+        run = _timed_setup(text, name, legacy)
     finally:
-        gc.unfreeze()
+        gc.callbacks.remove(on_gc)
+    return {
+        "times": run["times"],
+        "compiles": run["compiles"],
+        "gc_ms": [round(ms, 2) for ms in gc_ms],
+        "gc_collections": collections,
+    }
+
+
+def run_side(gates: int, legacy: bool) -> Dict:
+    """:func:`child` in a fresh interpreter (hash seed fixed)."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--child",
+               "legacy" if legacy else "current", "--gates", str(gates)]
+    env = dict(os.environ, PYTHONHASHSEED=str(NETLIST_SEED))
+    done = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def _timed_setup(text: str, name: str, legacy: bool) -> Dict:
@@ -212,22 +244,30 @@ def _timed_setup(text: str, name: str, legacy: bool) -> Dict:
     }
 
 
-def best_sides(text: str, name: str, repetitions: int):
-    """``(legacy, current)``: each side's last run with each layer's
-    fastest time, the sides alternating which runs first."""
-    best = {}
+def best_sides(gates: int, repetitions: int):
+    """``(legacy, current)``: each layer's fastest time over the fresh
+    runs of each side, the sides alternating which runs first, with the
+    collector's figures of the side's median-total run."""
+    runs: Dict[bool, List[Dict]] = {True: [], False: []}
     for repetition in range(repetitions):
         order = (True, False) if repetition % 2 == 0 else (False, True)
         for legacy in order:
-            run = run_side(text, name, legacy)
-            if legacy in best:
-                earlier = best[legacy]["times"]
-                run["times"] = {
-                    layer: min(seconds, earlier[layer])
-                    for layer, seconds in run["times"].items()
-                }
-            best[legacy] = run
-    return best[True], best[False]
+            runs[legacy].append(run_side(gates, legacy))
+    sides = []
+    for legacy in (True, False):
+        side = runs[legacy]
+        median = sorted(side, key=lambda run: run["times"]["total"])[len(side) // 2]
+        sides.append({
+            "times": {
+                layer: min(run["times"][layer] for run in side)
+                for layer in side[0]["times"]
+            },
+            "median_total": statistics.median(run["times"]["total"] for run in side),
+            "compiles": side[0]["compiles"],
+            "gc_ms": median["gc_ms"],
+            "gc_collections": median["gc_collections"],
+        })
+    return sides[0], sides[1]
 
 
 def identical(legacy: Dict, current: Dict, pattern_count: int) -> bool:
@@ -252,11 +292,13 @@ def identical(legacy: Dict, current: Dict, pattern_count: int) -> bool:
 
 
 def run_point(gates: int, pattern_count: int, repetitions: int) -> Dict:
-    text = bench_text(NETLIST_SEED, gates=gates, blocks=blocks_of(gates))
-    name = f"setup_{gates}"
-    parse_bench(text, name=name)  # neither side pays the cells' first build
-    legacy, current = best_sides(text, name, repetitions)
-    same = identical(legacy, current, pattern_count)
+    text, name = netlist(gates)
+    checked = {
+        legacy: _timed_setup(text, name, legacy) for legacy in (True, False)
+    }
+    same = identical(checked[True], checked[False], pattern_count)
+    collapsed = checked[True]["collapsed"]
+    legacy, current = best_sides(gates, repetitions)
     old, new = legacy["times"], current["times"]
     speedup = round(old["total"] / max(new["total"], 1e-9), 2)
     layers = " ".join(
@@ -264,17 +306,24 @@ def run_point(gates: int, pattern_count: int, repetitions: int) -> Dict:
         for layer in LAYERS + ("fingerprint",)
     )
     print(
-        f"  {gates} gates, {legacy['collapsed'].fault_count} faults: {layers}; "
+        f"  {gates} gates, {collapsed.fault_count} faults: {layers}; "
         f"total {old['total']:.3f}s -> {new['total']:.3f}s = {speedup}x, "
+        f"gc ms {legacy['gc_ms']} -> {current['gc_ms']}, "
         f"compiles {legacy['compiles']} -> {current['compiles']}, identical={same}"
     )
     return {
         "gates": gates,
         "blocks": blocks_of(gates),
-        "faults": legacy["collapsed"].fault_count,
-        "classes": legacy["collapsed"].class_count,
+        "faults": collapsed.fault_count,
+        "classes": collapsed.class_count,
         "legacy_seconds": {layer: round(value, 4) for layer, value in old.items()},
         "current_seconds": {layer: round(value, 4) for layer, value in new.items()},
+        "legacy_median_total": round(legacy["median_total"], 4),
+        "current_median_total": round(current["median_total"], 4),
+        "legacy_gc_ms": legacy["gc_ms"],
+        "current_gc_ms": current["gc_ms"],
+        "legacy_gc_collections": legacy["gc_collections"],
+        "current_gc_collections": current["gc_collections"],
         "legacy_compiles": legacy["compiles"],
         "current_compiles": current["compiles"],
         "speedup": speedup,
@@ -295,11 +344,13 @@ def run_setup(sizes=(2000, 10000), pattern_count: int = 256,
             "compile, collapse): per-(cell expression, pins) gate factories "
             "and shape-memoised collapse vs replicas of the per-gate baked "
             "compile, per-fault canonicaliser, truth-table dominance and "
-            "part-by-part fault fingerprint, each side from empty code "
-            "caches; collapsed sets, fingerprints and good values checked "
-            "identical first"
+            "part-by-part fault fingerprint, each side and repetition in "
+            "a fresh interpreter (collector time per generation from "
+            "gc.callbacks); collapsed sets, fingerprints and good values "
+            "checked identical first"
         ),
         "params": {
+            "method": "fresh interpreter per side and repetition",
             "sizes": list(sizes),
             "netlist_seed": NETLIST_SEED,
             "gates_per_block": GATES_PER_BLOCK,
@@ -326,7 +377,13 @@ def main(argv=None) -> int:
         help="seconds-sized smoke run (correctness + plumbing only); "
         "does not touch BENCH_engine.json",
     )
+    parser.add_argument("--child", choices=("legacy", "current"),
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--gates", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.gates, args.child == "legacy")))
+        return 0
     if args.quick:
         entry = run_setup(sizes=(400,), repetitions=1)
         if not entry["identical_results"]:

@@ -67,6 +67,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..logic.truthtable import TruthTable
+from ..netlist.intlists import IntLists
 from ..netlist.network import Network, NetworkFault
 
 __all__ = [
@@ -162,43 +163,44 @@ class _Collapser:
     fault table), the good slot-domain table on (expression, pins,
     pattern), a stuck-at rewrite on the reader's good bits and the
     forced position, and a whole propagated constant on (slot, value).
-    Each fault then only assembles its signature tuple.
+    Each fault then only assembles its signature tuple: ``("cell",
+    slot, bits)`` for a faulty function of the gate driving ``slot``
+    (its variables are that gate's distinct input slots, so the slot
+    fixes them), ``("const", slot, value)``, :data:`_NULL` or
+    ``("opaque", fault index)``.
     """
 
     def __init__(self, compiled):
         self.compiled = compiled
-        self.driver_of_slot = {
-            out: index for index, out in enumerate(compiled._gate_out)
-        }
-        self._gates: Dict[int, Tuple] = {}
+        self._gates: List[Optional[Tuple]] = [None] * len(compiled._gate_out)
         self._good: Dict[Tuple, int] = {}
         self._shapes: Dict[Tuple, int] = {}
         self._outcomes: Dict[Tuple, Tuple] = {}
         self._cofactors: Dict[Tuple, int] = {}
-        self._consts: Dict[Tuple[int, int], Tuple] = {}
+        self._consts: Dict[int, Tuple] = {}  # keyed 2 * slot + value
 
     def gate(self, gate_index: int) -> Tuple:
-        """``(shape id, pins, pattern, names, good bits)`` of a gate.
+        """``(shape id, pins, pattern, slots, good bits)`` of a gate.
 
-        ``names`` are the slot-domain variables ``s<slot>`` of its
-        distinct input slots and ``good bits`` its fault-free function
-        over them.
+        ``slots`` are its distinct input slots, ascending - the
+        variables of the slot domain - and ``good bits`` its fault-free
+        function over them.
         """
-        entry = self._gates.get(gate_index)
+        entry = self._gates[gate_index]
         if entry is None:
             gate = self.compiled.gates[gate_index]
-            unique = sorted(set(gate.in_slots))
-            rank = {slot: position for position, slot in enumerate(unique)}
-            pattern = tuple(rank[slot] for slot in gate.in_slots)
+            slots = tuple(sorted(set(gate.in_slots)))
+            pattern = tuple(map(slots.index, gate.in_slots))
             pins = tuple(gate.cell.inputs)
-            good_key = (gate.expr, pins, pattern)
+            # The program holds every gate's expression, so its id is a
+            # key for the whole pass (hashing the expression is not free).
+            good_key = (id(gate.expr), pins, pattern)
             good = self._good.get(good_key)
             if good is None:
                 pin_bits = TruthTable.from_expr(gate.expr, pins).bits
                 good = self._good[good_key] = _slot_bits(pin_bits, pattern)
             shape = self._shapes.setdefault((pins, pattern, good), len(self._shapes))
-            names = tuple(f"s{slot}" for slot in unique)
-            entry = self._gates[gate_index] = (shape, pins, pattern, names, good)
+            entry = self._gates[gate_index] = (shape, pins, pattern, slots, good)
         return entry
 
     def const_signature(self, slot: int, value: int) -> Tuple:
@@ -213,7 +215,7 @@ class _Collapser:
         class.  Multi-reader slots and primary outputs anchor the
         signature where it stands.
         """
-        key = (slot, value)
+        key = 2 * slot + value
         signature = self._consts.get(key)
         if signature is None:
             signature = self._consts[key] = self._propagate(slot, value)
@@ -224,52 +226,32 @@ class _Collapser:
         while True:
             if compiled._is_out_slot[slot]:
                 return ("const", slot, value)
-            readers = compiled.readers[slot]
-            if not readers:
-                return _NULL
-            if len(readers) > 1:
-                return ("const", slot, value)
-            gate_index = readers[0]
-            _shape, _pins, _pattern, names, good = self.gate(gate_index)
-            name = f"s{slot}"
-            key = (good, names.index(name), len(names), value)
+            following = compiled.next_slot[slot]
+            if following < 0:  # read by several gates, or by none
+                return ("const", slot, value) if compiled.readers.size(slot) else _NULL
+            # The one reader drives the next slot; gate outputs follow
+            # the input slots in gate order.
+            gate_index = following - compiled.num_input_slots
+            _shape, _pins, _pattern, slots, good = self.gate(gate_index)
+            width = len(slots)
+            key = (good, slots.index(slot), width, value)
             fixed = self._cofactors.get(key)
             if fixed is None:
+                names = tuple(f"x{position}" for position in range(width))
                 table = TruthTable(names, good)
-                fixed = table.cofactor(name, value).expand(names).bits
+                fixed = table.cofactor(names[key[1]], value).expand(names).bits
                 self._cofactors[key] = fixed
             if fixed == good:
                 return _NULL
             out = compiled._gate_out[gate_index]
-            if 0 < fixed < (1 << (1 << len(names))) - 1:
-                return ("cell", out, names, fixed)
+            if 0 < fixed < (1 << (1 << width)) - 1:
+                return ("cell", out, fixed)
             slot = out
             value = 1 if fixed else 0
 
-    def cell_signature(self, gate_index: int, table: TruthTable) -> Tuple:
-        """Canonical signature of a cell fault's faulty gate function."""
-        shape, pins, pattern, names, good = self.gate(gate_index)
-        key = (shape, table.names, table.bits)
-        outcome = self._outcomes.get(key)
-        if outcome is None:
-            if table.names != pins:
-                table = table.expand(pins)
-            bits = _slot_bits(table.bits, pattern)
-            if bits == good:
-                outcome = _NULL
-            elif 0 < bits < (1 << (1 << len(names))) - 1:
-                outcome = ("bits", bits)
-            else:
-                outcome = ("const", 1 if bits else 0)
-            self._outcomes[key] = outcome
-        if outcome is _NULL:
-            return _NULL
-        out = self.compiled._gate_out[gate_index]
-        if outcome[0] == "const":
-            return self.const_signature(out, outcome[1])
-        return ("cell", out, names, outcome[1])
-
     def signature(self, index: int, fault: NetworkFault) -> Tuple:
+        """Canonical signature of ``fault``; a cell fault's is that of
+        its faulty gate function."""
         compiled = self.compiled
         try:
             if fault.kind == "stuck":
@@ -280,7 +262,32 @@ class _Collapser:
             gate_index = compiled.gate_index.get(fault.gate, -1)
             if gate_index < 0:
                 return _NULL  # ghost gate: same zero-difference treatment
-            return self.cell_signature(gate_index, fault.function.table)
+            table = fault.function.table
+            shape, pins, pattern, slots, good = (
+                self._gates[gate_index] or self.gate(gate_index)
+            )
+            # The faults hold their tables for the whole pass, so a
+            # table's id is a key for it (equal tables held twice just
+            # miss once).
+            key = (shape, id(table))
+            outcome = self._outcomes.get(key)
+            if outcome is None:
+                if table.names != pins:
+                    table = table.expand(pins)
+                bits = _slot_bits(table.bits, pattern)
+                if bits == good:
+                    outcome = _NULL
+                elif 0 < bits < (1 << (1 << len(slots))) - 1:
+                    outcome = ("bits", bits)
+                else:
+                    outcome = ("const", 1 if bits else 0)
+                self._outcomes[key] = outcome
+            if outcome is _NULL:
+                return _NULL
+            out = compiled._gate_out[gate_index]
+            if outcome[0] == "const":
+                return self.const_signature(out, outcome[1])
+            return ("cell", out, outcome[1])
         except (ValueError, KeyError, AttributeError):
             # A fault the canonicaliser cannot align (foreign table
             # variables, malformed function) collapses with nothing:
@@ -301,15 +308,35 @@ class _Collapser:
         tag = signature[0]
         if tag not in ("cell", "const"):
             return None
-        gate_index = self.driver_of_slot.get(signature[1])
-        if gate_index is None:
+        # Gate outputs follow the input slots in gate order.
+        gate_index = signature[1] - self.compiled.num_input_slots
+        if gate_index < 0:
             return None
-        _shape, _pins, _pattern, names, good = self.gate(gate_index)
+        _shape, _pins, _pattern, slots, good = self.gate(gate_index)
         if tag == "cell":
-            faulty = signature[3]
+            faulty = signature[2]
         else:
-            faulty = (1 << (1 << len(names))) - 1 if signature[2] else 0
+            faulty = (1 << (1 << len(slots))) - 1 if signature[2] else 0
         return gate_index, faulty ^ good
+
+
+class _Deferred:
+    """A dataclass field that may be given as a zero-argument callable:
+    the first read calls it and keeps the value it returns."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._key = "_deferred_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self._key)  # no class-level default
+        value = obj.__dict__[self._key]
+        if callable(value):
+            value = obj.__dict__[self._key] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self._key] = value
 
 
 @dataclass
@@ -327,15 +354,24 @@ class CollapsedFaultSet:
     every pattern detecting the dominator provably detects the
     dominated fault too (the dominated class's detecting patterns are a
     superset) - reported, never used to drop exact simulations.
+
+    ``classes`` is held flat (:class:`~repro.netlist.intlists.IntLists`;
+    a list of lists passed in is converted), and ``dominance`` may be
+    passed as a callable: only the report reads it, so it is computed
+    on first read.
     """
 
     network_name: str
     faults: List[NetworkFault]
-    classes: List[List[int]]
+    classes: IntLists
     class_of: List[int]
     representatives: List[int]
     null_classes: Tuple[int, ...]
-    dominance: List[Tuple[int, int]]
+    dominance: List[Tuple[int, int]] = _Deferred()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.classes, IntLists):
+            self.classes = IntLists.of(self.classes)
 
     @property
     def fault_count(self) -> int:
@@ -358,7 +394,7 @@ class CollapsedFaultSet:
 
     def class_sizes(self) -> List[int]:
         """Member count per class - the coverage weight of each representative."""
-        return [len(members) for members in self.classes]
+        return self.classes.sizes()
 
     def scatter_outcomes(self, class_outcomes: Sequence) -> List:
         """Expand per-class outcomes back over the original fault list."""
@@ -367,8 +403,7 @@ class CollapsedFaultSet:
                 f"got {len(class_outcomes)} class outcomes for "
                 f"{len(self.classes)} classes"
             )
-        return [class_outcomes[self.class_of[index]] for index in range(len(self.faults))]
-
+        return [class_outcomes[class_index] for class_index in self.class_of]
     def format_report(self, limit: int = 20) -> str:
         """Human-readable collapse report (the CLI's ``--collapse report``)."""
         lines = [
@@ -450,6 +485,20 @@ def _dominance_pairs(
                 elif b_bits & ~a_bits == 0:
                     pairs.append((b_class, a_class))
     return pairs
+
+
+def _structural_dominance(
+    compiled, faults: Sequence[NetworkFault], representatives: Sequence[int]
+) -> List[Tuple[int, int]]:
+    """:func:`_dominance_pairs` of a structural collapse, from its
+    representatives' signatures (a class's members share its
+    signature), recomputed when first asked for so the collapse keeps
+    no per-class signature alive."""
+    collapser = _Collapser(compiled)
+    return _dominance_pairs(
+        collapser,
+        [collapser.signature(index, faults[index]) for index in representatives],
+    )
 
 
 def _exhaustive_class_words(
@@ -580,41 +629,43 @@ def collapse_unique_faults(
 
     def build() -> CollapsedFaultSet:
         collapser = _Collapser(compiled)
-        signatures: List[Tuple] = []
+        signature = collapser.signature
+        fault_list = list(faults)
         class_of_signature: Dict[Tuple, int] = {}
-        classes: List[List[int]] = []
         class_of: List[int] = []
-        for index, fault in enumerate(faults):
-            signature = collapser.signature(index, fault)
-            class_index = class_of_signature.get(signature)
+        representatives: List[int] = []
+        for index, fault in enumerate(fault_list):
+            key = signature(index, fault)
+            class_index = class_of_signature.get(key)
             if class_index is None:
-                class_index = len(classes)
-                class_of_signature[signature] = class_index
-                classes.append([])
-                signatures.append(signature)
-            classes[class_index].append(index)
+                class_index = class_of_signature[key] = len(representatives)
+                representatives.append(index)
             class_of.append(class_index)
+        classes = IntLists.grouped(class_of, range(len(class_of)), len(representatives))
 
         if 0 < len(network.inputs) <= SEMANTIC_COLLAPSE_MAX_INPUTS:
             words = _exhaustive_class_words(
-                compiled, network, faults, classes, signatures
+                compiled, network, fault_list, classes, list(class_of_signature)
             )
-            classes_, class_of_, words = _merge_classes_by_word(classes, words)
+            classes, class_of, words = _merge_classes_by_word(classes, words)
+            representatives = [members[0] for members in classes]
             null_classes = tuple(k for k, word in enumerate(words) if word == 0)
-            dominance = _semantic_dominance(words)
+
+            def dominance():
+                return _semantic_dominance(words)
         else:
-            classes_, class_of_ = classes, class_of
-            null_classes = tuple(
-                k for k, signature in enumerate(signatures) if signature == _NULL
-            )
-            dominance = _dominance_pairs(collapser, signatures)
+            null_class = class_of_signature.get(_NULL)
+            null_classes = () if null_class is None else (null_class,)
+
+            def dominance():
+                return _structural_dominance(compiled, fault_list, representatives)
 
         return CollapsedFaultSet(
             network_name=network.name,
-            faults=list(faults),
-            classes=classes_,
-            class_of=class_of_,
-            representatives=[members[0] for members in classes_],
+            faults=fault_list,
+            classes=classes,
+            class_of=class_of,
+            representatives=representatives,
             null_classes=null_classes,
             dominance=dominance,
         )

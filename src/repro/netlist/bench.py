@@ -77,14 +77,23 @@ class BenchFormatError(ValueError):
 
 
 class _BenchCells:
-    """One factory per technology the ``.bench`` gate types map onto."""
+    """One factory per technology the ``.bench`` gate types map onto,
+    and the cell of each (gate type, fan-in), built once."""
 
     def __init__(self) -> None:
         self._domino = CellFactory("domino-CMOS")
         self._dynamic = CellFactory("dynamic-nMOS")
         self._bipolar = CellFactory("bipolar")
+        self._cells: Dict[Tuple[str, int], Cell] = {}
 
     def cell(self, kind: str, fan_in: int) -> Cell:
+        key = (kind, fan_in)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = self._build(kind, fan_in)
+        return cell
+
+    def _build(self, kind: str, fan_in: int) -> Cell:
         inputs = [f"i{k}" for k in range(1, fan_in + 1)]
         if kind == "AND":
             return self._domino.and_gate(fan_in)
@@ -117,6 +126,10 @@ _CELLS = _BenchCells()
 
 _IO_RE = re.compile(r"^(INPUT|OUTPUT)\s*\(\s*([^\s(),=]+)\s*\)$")
 _GATE_RE = re.compile(r"^([^\s(),=]+)\s*=\s*([A-Za-z]+)\s*\(([^()]*)\)$")
+_ARGS_RE = re.compile(r"\s*[^\s(),=]+(?:\s*,\s*[^\s(),=]+)*\s*")
+"""A non-empty argument list: nets free of blanks, parentheses, commas
+and ``=``, separated by commas."""
+_ARG_SEPARATOR_RE = re.compile(r"\s*,\s*")
 
 
 def parse_bench(text: str, name: str = "bench") -> Network:
@@ -126,18 +139,27 @@ def parse_bench(text: str, name: str = "bench") -> Network:
     in any order (forward references are the norm in ISCAS files) -
     levelization orders them.  Gate instances are named ``g_<net>``
     after the net they drive, deterministically, so re-parsing the same
-    text fingerprints identically.
+    text fingerprints identically.  One pass over the lines checks each
+    and builds the network as it goes; undeclared nets, known only once
+    every line is read, are checked after it.
     """
-    inputs: List[str] = []
+    network = Network(name)
     outputs: List[Tuple[int, str]] = []
-    gate_specs: List[Tuple[int, str, str, List[str]]] = []
-    driven: Dict[str, int] = {}
+    driven: Dict[str, int] = {}  # net -> line of its INPUT or gate
+    io_match = _IO_RE.match
+    gate_match = _GATE_RE.match
+    args_match = _ARGS_RE.fullmatch
+    split_args = _ARG_SEPARATOR_RE.split
+    cell_of = _CELLS.cell
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        match = _IO_RE.match(line)
-        if match is not None:
+        match = gate_match(line)
+        if match is None:
+            match = io_match(line)
+            if match is None:
+                raise BenchFormatError(f"line {lineno}: cannot parse {line!r}")
             keyword, net = match.groups()
             if keyword == "INPUT":
                 if net in driven:
@@ -145,13 +167,11 @@ def parse_bench(text: str, name: str = "bench") -> Network:
                         f"line {lineno}: duplicate driver for net {net!r}"
                     )
                 driven[net] = lineno
-                inputs.append(net)
+                network.add_input(net)
             else:
                 outputs.append((lineno, net))
+                network.mark_output(net)
             continue
-        match = _GATE_RE.match(line)
-        if match is None:
-            raise BenchFormatError(f"line {lineno}: cannot parse {line!r}")
         output, kind_raw, args_text = match.groups()
         kind = kind_raw.upper()
         if kind not in GATE_TYPES:
@@ -159,66 +179,65 @@ def parse_bench(text: str, name: str = "bench") -> Network:
                 f"line {lineno}: unknown gate type {kind_raw!r}; "
                 "supported gate types: " + ", ".join(GATE_TYPES)
             )
-        args = [arg.strip() for arg in args_text.split(",")] if args_text.strip() else []
-        if any(not arg or re.search(r"[\s(),=]", arg) for arg in args):
-            raise BenchFormatError(f"line {lineno}: cannot parse {line!r}")
-        if kind in _SINGLE_INPUT and len(args) != 1:
-            raise BenchFormatError(
-                f"line {lineno}: gate type {kind} takes exactly one input, "
-                f"got {len(args)}"
-            )
-        if kind not in _SINGLE_INPUT and len(args) < 2:
+        if args_text.strip():
+            if args_match(args_text) is None:
+                raise BenchFormatError(f"line {lineno}: cannot parse {line!r}")
+            args = split_args(args_text.strip())
+        else:
+            args = []
+        if kind in _SINGLE_INPUT:
+            if len(args) != 1:
+                raise BenchFormatError(
+                    f"line {lineno}: gate type {kind} takes exactly one input, "
+                    f"got {len(args)}"
+                )
+        elif len(args) < 2:
             raise BenchFormatError(
                 f"line {lineno}: gate type {kind} needs at least two inputs, "
                 f"got {len(args)}"
             )
-        limit = FAN_IN_LIMITS.get(kind)
-        if limit is not None and len(args) > limit:
+        elif len(args) > FAN_IN_LIMITS[kind]:
             raise BenchFormatError(
                 f"line {lineno}: gate type {kind} with fan-in {len(args)} "
-                f"exceeds the fan-in limit of {limit}"
+                f"exceeds the fan-in limit of {FAN_IN_LIMITS[kind]}"
             )
         if output in driven:
             raise BenchFormatError(
                 f"line {lineno}: duplicate driver for net {output!r}"
             )
         driven[output] = lineno
-        gate_specs.append((lineno, output, kind, args))
-    for lineno, _output, _kind, args in gate_specs:
-        for net in args:
+        cell = cell_of(kind, len(args))
+        network.add_gate("g_" + output, cell, dict(zip(cell.inputs, args)), output)
+    for gate in network.gates.values():
+        for net in gate.connections.values():
             if net not in driven:
-                raise BenchFormatError(f"line {lineno}: undeclared net {net!r}")
+                raise BenchFormatError(
+                    f"line {driven[gate.output]}: undeclared net {net!r}"
+                )
     for lineno, net in outputs:
         if net not in driven:
             raise BenchFormatError(f"line {lineno}: undeclared net {net!r}")
-    network = Network(name)
-    for net in inputs:
-        network.add_input(net)
-    for _lineno, output, kind, args in gate_specs:
-        cell = _CELLS.cell(kind, len(args))
-        network.add_gate(f"g_{output}", cell, dict(zip(cell.inputs, args)), output)
-    for _lineno, net in outputs:
-        network.mark_output(net)
     try:
         network.levelize()
     except NetworkError:
-        raise _cycle_error(gate_specs) from None
+        raise _cycle_error(network, driven) from None
     return network
 
 
-def _cycle_error(gate_specs) -> BenchFormatError:
+def _cycle_error(network: Network, driven: Dict[str, int]) -> BenchFormatError:
     """The error for gates levelization cannot order.
 
-    Undeclared nets are rejected before the network is built, so a
-    stalled order always means a combinational cycle.  Peeling every
-    gate with no unordered input (forwards), then every gate no
-    unordered gate reads (backwards), leaves the gates on a cycle or
-    between cycles; they are named by the nets they drive.
+    Undeclared nets are rejected before levelization, so a stalled
+    order always means a combinational cycle.  Peeling every gate with
+    no unordered input (forwards), then every gate no unordered gate
+    reads (backwards), leaves the gates on a cycle or between cycles;
+    they are named by the nets they drive, with the line of each.
     """
-    line_of = {output: lineno for lineno, output, _kind, _args in gate_specs}
+    gates = network.gates.values()
+    line_of = {gate.output: driven[gate.output] for gate in gates}
     inputs_of = {
-        output: {net for net in args if net in line_of}
-        for _lineno, output, _kind, args in gate_specs
+        gate.output: {net for net in gate.connections.values() if net in line_of}
+        for gate in gates
     }
     readers_of: Dict[str, set] = {output: set() for output in line_of}
     for output, nets in inputs_of.items():

@@ -15,7 +15,7 @@ pattern *k*, so one evaluation pass simulates arbitrarily many patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from ..cells.cell import Cell
 from ..cells.library import FaultLibrary, LibraryFunction, generate_library
@@ -47,12 +47,16 @@ class GateInstance:
         return self._expr_cache
 
 
-@dataclass(frozen=True)
-class NetworkFault:
+class NetworkFault(NamedTuple):
     """A fault injectable at network level.
 
     Either a classical stuck-at on a net (``kind='stuck'``) or a cell
     fault class from a gate's fault library (``kind='cell'``).
+
+    An immutable named tuple: equal fields compare and hash equal,
+    assigning an attribute raises, it pickles by value, and a fault
+    costs one object whose construction is a single tuple build - a
+    100k-gate netlist has close to half a million of them.
     """
 
     kind: str  # 'stuck' | 'cell'
@@ -65,18 +69,15 @@ class NetworkFault:
 
     @classmethod
     def stuck_at(cls, net: str, value: int) -> "NetworkFault":
-        return cls(kind="stuck", net=net, value=value, label=f"s{value}-{net}")
+        return cls("stuck", net, value, None, None, None, f"s{value}-{net}")
 
     @classmethod
     def cell_fault(
         cls, gate: str, class_index: int, function: LibraryFunction, label: str = ""
     ) -> "NetworkFault":
         return cls(
-            kind="cell",
-            gate=gate,
-            class_index=class_index,
-            function=function,
-            label=label or f"{gate}#class{class_index}",
+            "cell", None, None, gate, class_index, function,
+            label or f"{gate}#class{class_index}",
         )
 
     def describe(self) -> str:
@@ -155,8 +156,9 @@ class Network:
             raise NetworkError(f"duplicate gate name {name!r}")
         # Cheap exact-cover check first (the 100k-gate construction hot
         # path); the set differences only run to build error messages.
-        if len(connections) != len(cell.inputs) or any(
-            pin not in connections for pin in cell.inputs
+        pins = cell.inputs
+        if len(connections) != len(pins) or not all(
+            map(connections.__contains__, pins)
         ):
             missing = set(cell.inputs) - set(connections)
             if missing:
@@ -422,25 +424,24 @@ class Network:
         """
         faults: List[NetworkFault] = []
         if include_cell_classes:
-            libraries = self.libraries()
-            # (class index, function, label suffix) per library, built
-            # once per cell rather than once per gate.
+            # (class index, function, label suffix) per cell, built once
+            # per cell rather than once per gate; each fault is then one
+            # tuple build, the named tuple's own constructor skipped.
             suffixes: Dict[int, List[Tuple[int, LibraryFunction, str]]] = {}
+            gates = self.gates
+            new_fault = tuple.__new__
+            append = faults.append
             for name in self.levelize():
-                library = libraries[name]
-                classes = suffixes.get(id(library))
+                cell = gates[name].cell
+                classes = suffixes.get(id(cell))
                 if classes is None:
-                    classes = suffixes[id(library)] = _label_suffixes(library)
-                for index, function, suffix in classes:
-                    faults.append(
-                        NetworkFault(
-                            kind="cell",
-                            gate=name,
-                            class_index=index,
-                            function=function,
-                            label=name + suffix,
-                        )
+                    classes = suffixes[id(cell)] = _label_suffixes(
+                        generate_library(cell)
                     )
+                for index, function, suffix in classes:
+                    append(new_fault(NetworkFault, (
+                        "cell", None, None, name, index, function, name + suffix
+                    )))
         if include_stuck_at:
             for net in self.nets():
                 faults.append(NetworkFault.stuck_at(net, 0))

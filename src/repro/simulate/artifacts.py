@@ -111,25 +111,21 @@ def network_fingerprint(network: Network) -> str:
     cached = _NETWORK_FINGERPRINTS.get(network)
     if cached is not None and cached[0] == generation:
         return cached[1]
-    digest = hashlib.sha256()
-
-    def feed(text: str) -> None:
-        digest.update(text.encode("utf-8"))
-        digest.update(_SEPARATOR)
-
-    feed("repro-network-v1")
-    for net in network.inputs:
-        feed("in:" + net)
-    for net in network.outputs:
-        feed("out:" + net)
+    # Every part is followed by the separator; the parts are hashed as
+    # one joined string.
+    parts = ["repro-network-v1"]
+    parts += ["in:" + net for net in network.inputs]
+    parts += ["out:" + net for net in network.outputs]
+    gates = network.gates
     for gate_name in network.levelize():
-        gate = network.gates[gate_name]
-        feed("gate:" + gate_name)
-        feed("cell:" + _cell_signature(gate.cell))
-        for pin in sorted(gate.connections):
-            feed(f"pin:{pin}={gate.connections[pin]}")
-        feed("drives:" + gate.output)
-    fingerprint = digest.hexdigest()
+        gate = gates[gate_name]
+        connections = gate.connections
+        parts.append("gate:" + gate_name)
+        parts.append("cell:" + _cell_signature(gate.cell))
+        parts += [f"pin:{pin}={connections[pin]}" for pin in sorted(connections)]
+        parts.append("drives:" + gate.output)
+    parts.append("")
+    fingerprint = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
     _NETWORK_FINGERPRINTS[network] = (generation, fingerprint)
     return fingerprint
 
@@ -154,31 +150,33 @@ def fault_fingerprint(faults: Sequence[NetworkFault]) -> str:
     Covers every field that shapes simulation or labelling - kind, net,
     forced value, gate, class index, label and (for cell faults) the
     faulty function's truth table and SOP - so two separately-built but
-    equal fault lists key the same collapse/partition artifacts.  Each
-    fault feeds one joined byte string; a library function's bytes are
-    built once per call, since a netlist's faults share a few cells'
-    functions.
+    equal fault lists key the same collapse/partition artifacts.  The
+    list is hashed as one joined byte string; a library function's
+    bytes are built once per call, since a netlist's faults share a few
+    cells' functions.
     """
-    digest = hashlib.sha256(b"repro-faults-v1")
-    function_bytes: Dict[int, bytes] = {}
-    for fault in faults:
-        function = fault.function
+    # The list is joined as one string and encoded once.  A function's
+    # bytes (raw table bits among them) enter it decoded with
+    # "surrogateescape", which that encode reverses byte for byte.
+    parts = ["repro-faults-v1"]
+    function_text: Dict[int, str] = {}
+    for kind, net, value, gate, class_index, function, label in faults:
         if function is None:
-            tail = _TERMINATOR
+            tail = "\x1e"
         else:
-            tail = function_bytes.get(id(function))
+            tail = function_text.get(id(function))
             if tail is None:
-                tail = function_bytes[id(function)] = (
+                tail = function_text[id(function)] = (
                     _function_bytes(function) + _TERMINATOR
-                )
-        value = "" if fault.value is None else str(fault.value)
-        index = "" if fault.class_index is None else str(fault.class_index)
-        text = (
-            f"{fault.kind}\x1f{fault.net or ''}\x1f{value}\x1f"
-            f"{fault.gate or ''}\x1f{index}\x1f{fault.label}\x1f"
+                ).decode("utf-8", "surrogateescape")
+        value = "" if value is None else value
+        index = "" if class_index is None else class_index
+        parts.append(
+            f"{kind}\x1f{net or ''}\x1f{value}\x1f{gate or ''}\x1f{index}\x1f"
+            f"{label}\x1f{tail}"
         )
-        digest.update(text.encode("utf-8") + tail)
-    return digest.hexdigest()
+    text = "".join(parts)
+    return hashlib.sha256(text.encode("utf-8", "surrogateescape")).hexdigest()
 
 
 # -- the store -------------------------------------------------------------------------

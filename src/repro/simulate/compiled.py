@@ -53,6 +53,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 from ..logic.expr import And, Const, Expr, Not, Or, Var
 from ..logic.minimize import minimal_sop
 from ..logic.truthtable import TruthTable
+from ..netlist.intlists import IntLists
 from ..netlist.network import Network, NetworkError, NetworkFault
 from .artifacts import network_fingerprint, resolve_cache
 
@@ -103,8 +104,10 @@ def compile_gate_factory(expr: Expr, pins: Sequence[str]) -> Callable:
     """Compile a cell expression to a slot-binding gate-function factory.
 
     ``factory(s0, s1, ...)`` returns ``f(values, mask)`` reading
-    ``values[s0], values[s1], ...`` - the slots are closure cells, so
-    one compiled factory serves every gate instance of the cell.  The
+    ``values[s0], values[s1], ...`` - the slots are default arguments
+    (one tuple of ints, which the garbage collector stops tracking,
+    where closure cells would stay tracked objects), so one compiled
+    factory serves every gate instance of the cell.  The
     factory is rendered and compiled once per process for each distinct
     (cell expression, pins).  The bound functions run on any word type
     closed under ``&``, ``|`` and ``^``: big-ints here, numpy lane rows
@@ -115,8 +118,9 @@ def compile_gate_factory(expr: Expr, pins: Sequence[str]) -> Callable:
     if factory is None:
         sources = {pin: f"v[s{index}]" for index, pin in enumerate(pins)}
         params = ", ".join(f"s{index}" for index in range(len(pins)))
-        source = _expr_source(expr, sources)
-        factory = _FACTORIES[key] = _compile_source(params, f"lambda v, m: {source}")
+        bound = ", ".join(f"s{index}=s{index}" for index in range(len(pins)))
+        source = f"lambda v, m, {bound}: {_expr_source(expr, sources)}"
+        factory = _FACTORIES[key] = _compile_source(params, source)
     return factory
 
 
@@ -220,48 +224,41 @@ class CompiledNetwork:
         self.output_nets: Tuple[str, ...] = tuple(network.outputs)
         order = network.levelize()
 
-        slot_of_net: Dict[str, int] = {}
-        for net in network.inputs:
-            slot_of_net[net] = len(slot_of_net)
-        self.num_input_slots = len(slot_of_net)
-        for gate_name in order:
-            output = network.gates[gate_name].output
-            slot_of_net[output] = len(slot_of_net)
-        self.slot_of_net = slot_of_net
-        self.num_slots = len(slot_of_net)
-        self.net_of_slot: List[str] = [""] * self.num_slots
-        for net, slot in slot_of_net.items():
-            self.net_of_slot[slot] = net
+        # Slots: the primary inputs, then every gate output in order.
+        nets = list(network.inputs)
+        nets += [network.gates[gate_name].output for gate_name in order]
+        self.net_of_slot: List[str] = nets
+        self.slot_of_net = slot_of_net = {net: slot for slot, net in enumerate(nets)}
+        self.num_input_slots = len(network.inputs)
+        self.num_slots = len(nets)
 
         self.gates: List[CompiledGate] = []
         self.gate_index: Dict[str, int] = {}
-        self.readers: List[List[int]] = [[] for _ in range(self.num_slots)]
+        read_slots: List[int] = []
+        read_by: List[int] = []
         # One factory lookup per cell: gates of a cell share its
         # expression, so each gate only binds its slots.
         factory_of_cell: Dict[int, Tuple[Expr, Callable]] = {}
         for index, gate_name in enumerate(order):
             gate = network.gates[gate_name]
-            connections = gate.connections
-            in_slots = tuple(slot_of_net[connections[pin]] for pin in gate.cell.inputs)
-            shape = factory_of_cell.get(id(gate.cell))
+            cell = gate.cell
+            in_slots = tuple(map(slot_of_net.__getitem__, gate.input_nets()))
+            shape = factory_of_cell.get(id(cell))
             if shape is None:
                 expr = gate.function_expr()
-                shape = (expr, compile_gate_factory(expr, gate.cell.inputs))
-                factory_of_cell[id(gate.cell)] = shape
+                shape = (expr, compile_gate_factory(expr, cell.inputs))
+                factory_of_cell[id(cell)] = shape
             expr, factory = shape
-            compiled = CompiledGate(
-                name=gate_name,
-                index=index,
-                out_slot=slot_of_net[gate.output],
-                in_slots=in_slots,
-                fn=factory(*in_slots),
-                cell=gate.cell,
-                expr=expr,
-            )
-            self.gates.append(compiled)
+            self.gates.append(CompiledGate(
+                gate_name, index, slot_of_net[gate.output], in_slots,
+                factory(*in_slots), cell, expr,
+            ))
             self.gate_index[gate_name] = index
-            for slot in set(compiled.in_slots):
-                self.readers[slot].append(index)
+            unique = set(in_slots)
+            read_slots += unique
+            read_by += [index] * len(unique)
+        # Reader gates per slot, ascending, held flat.
+        self.readers = IntLists.grouped(read_slots, read_by, self.num_slots)
 
         self.out_slots: Tuple[int, ...] = tuple(
             slot_of_net[net] for net in self.output_nets
@@ -288,9 +285,9 @@ class CompiledNetwork:
         # Levelized fanout-cone gate lists of the non-output stems, built
         # by the first observability pass that needs them (stem_cones),
         # and the primary-output slots of each cone, noted by the first
-        # observability pass through its stem.
-        self._stem_cones: Optional[List[Optional[List[int]]]] = None
-        self._stem_outputs: List[Optional[List[int]]] = [None] * self.num_slots
+        # observability pass through its stem (both tuples of ints).
+        self._stem_cones: Optional[List[Optional[Tuple[int, ...]]]] = None
+        self._stem_outputs: List[Optional[Tuple[int, ...]]] = [None] * self.num_slots
         # Fanout-cone gate sets, grown lazily by schedule.cone_gates and
         # cached alongside this program by the artifact store; the
         # scratch bytearray is its reusable visited-flag buffer (reset
@@ -329,9 +326,10 @@ class CompiledNetwork:
             function = _FAULT_PIN_FNS[key] = compile_pin_function(expr, pins)
         return function(mask, *[values[slot] for slot in gate.in_slots])
 
-    def stem_cones(self) -> List[Optional[List[int]]]:
+    def stem_cones(self) -> List[Optional[Tuple[int, ...]]]:
         """Per slot, the ascending (levelized) indices of the gates
         downstream of each non-output stem; ``None`` for every other slot.
+        Tuples of ints, which the garbage collector stops tracking.
 
         Built once, on first use, in one reverse sweep over the slots: a
         stem's cone is the union, over its reader gates, of the gate, the
@@ -342,20 +340,21 @@ class CompiledNetwork:
         cones = self._stem_cones
         if cones is None:
             gate_out = self._gate_out
-            readers = self.readers
             next_slot = self.next_slot
+            first_out = self.num_input_slots
             cones = [None] * self.num_slots
             for stem in range(self.num_slots - 1, -1, -1):
                 if next_slot[stem] >= 0:
                     continue
-                union = set(readers[stem])
-                for gi in readers[stem]:
+                reading = self.readers[stem]
+                union = set(reading)
+                for gi in reading:
                     slot = gate_out[gi]
                     while next_slot[slot] >= 0:
-                        union.add(readers[slot][0])
+                        union.add(next_slot[slot] - first_out)
                         slot = next_slot[slot]
                     union.update(cones[slot])
-                cones[stem] = sorted(union)
+                cones[stem] = tuple(sorted(union))
             for slot in self.out_slots:
                 cones[slot] = None
             self._stem_cones = cones
@@ -494,7 +493,7 @@ class GoodSimulation:
         gate_index = compiled.gate_index
         gate_out = compiled._gate_out
         gate_fn = compiled._gate_fn
-        readers = compiled.readers
+        first_out = compiled.num_input_slots
         next_slot = compiled.next_slot
         stem_of = compiled.stem_of
         is_out_slot = compiled._is_out_slot
@@ -518,11 +517,12 @@ class GoodSimulation:
                 slot = sites[index]
                 word = faulty_word(faults[index], good, mask)
                 # Walk the fanout-free region: each slot on the way has
-                # one reader gate, so re-evaluating it with the one
-                # faulty word substituted is exact.
+                # one reader gate - the one driving the next slot, as
+                # gate outputs follow the input slots in gate order - so
+                # re-evaluating it with the one faulty word is exact.
                 while slot != stem:
                     scratch[slot] = word
-                    word = gate_fn[readers[slot][0]](scratch, mask)
+                    word = gate_fn[next_slot[slot] - first_out](scratch, mask)
                     scratch[slot] = good[slot]
                     slot = next_slot[slot]
                 word = word ^ good[slot]
@@ -567,12 +567,13 @@ class GoodSimulation:
         scratch[stem] = good[stem] ^ flip
         if outputs is None:
             is_out_slot = compiled._is_out_slot
-            outputs = compiled._stem_outputs[stem] = []
+            outputs = []
             for gi in cone:
                 slot = gate_out[gi]
                 scratch[slot] = gate_fn[gi](scratch, mask)
                 if is_out_slot[slot]:
                     outputs.append(slot)
+            outputs = compiled._stem_outputs[stem] = tuple(outputs)
         else:
             for gi in cone:
                 scratch[gate_out[gi]] = gate_fn[gi](scratch, mask)

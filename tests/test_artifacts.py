@@ -22,6 +22,10 @@ contracts are pinned here:
   anything else, paths included.
 """
 
+import hashlib
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -29,7 +33,9 @@ from hypothesis import strategies as st
 from engine_test_utils import BENCH_ZOO, all_faults, results_identical
 
 from repro.circuits.generators import c17, random_network
-from repro.netlist import CellFactory, Network, parse_bench
+from repro.cells.library import LibraryFunction
+from repro.logic.truthtable import TruthTable
+from repro.netlist import CellFactory, Network, NetworkFault, parse_bench
 from repro.simulate import (
     ArtifactStore,
     PatternSet,
@@ -46,6 +52,37 @@ from repro.simulate.artifacts import CACHE_MODES
 #: form of "no flattening, no vector view, no collapse, no partitioning
 #: on a warm cache".
 DERIVATION_KINDS = ("compiled", "vector", "collapse", "partition")
+
+
+def part_by_part_fingerprint(faults) -> str:
+    """The fault fingerprint's byte stream, one digest update per part."""
+    digest = hashlib.sha256(b"repro-faults-v1")
+    for fault in faults:
+        for part in (
+            fault.kind, fault.net or "",
+            "" if fault.value is None else str(fault.value), fault.gate or "",
+            "" if fault.class_index is None else str(fault.class_index),
+            fault.label,
+        ):
+            digest.update(part.encode("utf-8") + b"\x1f")
+        function = fault.function
+        if function is not None:
+            for part in (function.name, ",".join(function.table.names), function.sop):
+                digest.update(part.encode("utf-8") + b"\x1f")
+            bits = function.table.bits
+            digest.update(bits.to_bytes(bits.bit_length() // 8 + 1, "little") + b"\x1f")
+        digest.update(b"\x1e")
+    return digest.hexdigest()
+
+
+def perfbench_network():
+    """perfbench's 2,000-gate netlist at seed 1 (``perfbench/netgen.py``)."""
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    if str(root) not in sys.path:
+        sys.path.insert(0, str(root))
+    from netgen import bench_text
+
+    return parse_bench(bench_text(1), name="perfbench")
 
 
 def small_workload():
@@ -173,6 +210,37 @@ class TestNetworkFingerprint:
         )
         assert fault_fingerprint([]) == (
             "a665991698cfeb276869553cd6077ca1b169c5ca3e2628d43e1d0165c4623daa"
+        )
+        perfbench = perfbench_network()
+        assert fault_fingerprint(perfbench.enumerate_faults()) == (
+            "c7d811a2e66a3784e76bf4310c9104813189973916838b579be2c3e1a6a1c419"
+        )
+
+    def test_fault_fingerprint_is_the_part_by_part_hash(self):
+        """One joined string, encoded once, hashes the same bytes as
+        feeding every part on its own - labels outside ASCII and table
+        bytes above 0x7f included."""
+        wide = LibraryFunction(
+            name="wide", table=TruthTable(("a", "b", "c", "d"), 0xBEEF), sop="a"
+        )
+        faults = all_faults(parse_bench(BENCH_ZOO, name="zoo")) + [
+            NetworkFault.cell_fault("g\u2192", 7, wide, label="g\u2192\u00fc"),
+            NetworkFault.stuck_at("n\u00e9t", 1),
+        ]
+        assert fault_fingerprint(faults) == part_by_part_fingerprint(faults)
+
+    def test_network_fingerprint_digests_are_pinned(self):
+        """Every artifact key starts with the network digest: the
+        compiled program, cones, collapse and partitions of a netlist
+        must keep theirs."""
+        assert network_fingerprint(c17()) == (
+            "31d1a08cd15d77c20cc3406971095173d3d11e922ea380599bf563868c7e6e10"
+        )
+        assert network_fingerprint(parse_bench(BENCH_ZOO, name="zoo")) == (
+            "7098634a6957db92e3601819fe7db979911642bdd48ba13e3cb7137c4576794d"
+        )
+        assert network_fingerprint(perfbench_network()) == (
+            "9cebccd651d23a97c492ab29a9bd67ed862c87c9cb4af6c5eb016cde2b14530f"
         )
 
 

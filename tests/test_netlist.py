@@ -1,11 +1,14 @@
 """Tests for gate-level networks, builders, and the sequential fault model."""
 
+import pickle
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engine_test_utils import BENCH_ZOO, differential_circuits
 from repro.circuits.generators import domino_carry_chain
 from repro.netlist import (
     CellFactory,
@@ -13,9 +16,11 @@ from repro.netlist import (
     NetworkError,
     NetworkFault,
     SequentialFaultSimulator,
+    parse_bench,
     stuck_open_faults_of_gate,
 )
 from repro.logic.values import X
+from repro.simulate.artifacts import fault_fingerprint
 from repro.simulate.logicsim import PatternSet
 
 
@@ -313,3 +318,72 @@ class TestSequentialModel:
         assert floating_vector is not None
         outputs = simulator.apply(floating_vector)
         assert outputs["z"] == X
+
+
+def reference_faults(network):
+    """The fault list built one constructor call per fault: every
+    library class of every gate in levelized order (a class label shared
+    by several classes of a gate gets ``#<class index>``), then both
+    stuck-ats of every net."""
+    faults = []
+    libraries = network.libraries()
+    for name in network.levelize():
+        classes = libraries[name].classes
+        uses = Counter("|".join(cls.labels) for cls in classes)
+        for cls in classes:
+            base = "|".join(cls.labels)
+            suffix = f"#{cls.index}" if uses[base] > 1 else ""
+            faults.append(NetworkFault.cell_fault(
+                name, cls.index, cls.function, label=f"{name}:{base}{suffix}"
+            ))
+    for net in network.nets():
+        faults += [NetworkFault.stuck_at(net, 0), NetworkFault.stuck_at(net, 1)]
+    return faults
+
+
+def zoo_faults():
+    return parse_bench(BENCH_ZOO, name="zoo").enumerate_faults(include_stuck_at=True)
+
+
+class TestNetworkFaultContract:
+    """A fault is an immutable value: equal fields compare and hash
+    equal, assignment raises, and it pickles (pool workers receive
+    faults) - however it is built."""
+
+    @pytest.mark.parametrize(
+        "network", differential_circuits(), ids=lambda network: network.name
+    )
+    def test_enumeration_keeps_order_labels_and_fingerprint(self, network):
+        faults = network.enumerate_faults(include_stuck_at=True)
+        expected = reference_faults(network)
+        assert faults == expected
+        assert [fault.describe() for fault in faults] == [
+            fault.describe() for fault in expected
+        ]
+        assert fault_fingerprint(faults) == fault_fingerprint(expected)
+
+    def test_separately_built_lists_compare_and_hash_equal(self):
+        first, second = zoo_faults(), zoo_faults()
+        assert first == second
+        assert [hash(fault) for fault in first] == [hash(fault) for fault in second]
+        assert set(first) == set(second)
+        assert len(set(first)) == len(first)
+        assert NetworkFault.stuck_at("a", 0) != NetworkFault.stuck_at("a", 1)
+
+    def test_attribute_assignment_raises(self):
+        fault = zoo_faults()[0]
+        with pytest.raises(AttributeError):
+            fault.label = "renamed"
+        with pytest.raises(AttributeError):
+            fault.extra = 1
+        assert fault.label == fault.describe() != "renamed"
+
+    def test_pickle_round_trip(self):
+        faults = zoo_faults()
+        again = pickle.loads(pickle.dumps(faults))
+        assert again == faults
+        assert all(type(fault) is NetworkFault for fault in again)
+        assert [fault.describe() for fault in again] == [
+            fault.describe() for fault in faults
+        ]
+        assert fault_fingerprint(again) == fault_fingerprint(faults)

@@ -262,6 +262,51 @@ class TestCollapseOracle:
         assert_collapse_matches_reference(network, all_faults(network))
 
 
+class TestLazyDominance:
+    """Only the report reads ``dominance``, so the collapse computes it
+    on first read - on the structural and on the semantic path."""
+
+    @pytest.mark.parametrize("semantic", (False, True))
+    def test_dominance_is_computed_on_first_read(self, semantic, monkeypatch):
+        network = random_network(n_inputs=6, n_gates=14, seed=11)
+        faults = all_faults(network)
+        if not semantic:
+            monkeypatch.setattr(structural, "SEMANTIC_COLLAPSE_MAX_INPUTS", 0)
+
+        def refuse(*_args):
+            raise AssertionError("dominance computed during the collapse")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(structural, "_dominance_pairs", refuse)
+            patch.setattr(structural, "_semantic_dominance", refuse)
+            collapsed = collapse_network_faults(network, faults, cache="off")
+        expected = reference_collapse(
+            network, faults, compile_network(network, cache="off")
+        )
+        assert expected.dominance
+        assert collapsed.dominance == expected.dominance
+        assert collapsed.dominance is collapsed.dominance  # computed once
+
+
+class TestFlatClasses:
+    """``classes`` is held flat and reads as the list of member lists."""
+
+    def test_classes_read_as_member_lists(self):
+        network = random_network(n_inputs=6, n_gates=14, seed=11)
+        collapsed = collapse_network_faults(network, all_faults(network))
+        members = [[] for _ in range(collapsed.class_count)]
+        for index, class_index in enumerate(collapsed.class_of):
+            members[class_index].append(index)
+        assert collapsed.classes == members
+        assert list(collapsed.classes) == members
+        assert [collapsed.classes[k] for k in range(len(members))] == members
+        assert collapsed.classes[-1] == members[-1]
+        assert collapsed.class_sizes() == [len(group) for group in members]
+        with pytest.raises(IndexError):
+            collapsed.classes[len(members)]
+        assert collapsed.classes != members[:-1]
+
+
 class TestCollapseModeContract:
     """The ``--collapse`` resolution contract, mirroring the registry."""
 

@@ -313,7 +313,7 @@ class TestLanePath:
         compiled = compile_network(network)
         stem = compiled.slot_of_net["n1"]
         assert compiled.next_slot[stem] == -1
-        assert compiled._stem_outputs[stem] == []  # its pass ran, no outputs
+        assert compiled._stem_outputs[stem] == ()  # its pass ran, no outputs
         for fault, word in zip(all_faults(network), expected):
             if fault.kind == "stuck" and fault.net in ("n1", "d2", "d3"):
                 assert word == 0, fault.describe()
