@@ -231,6 +231,24 @@ class TruthTable:
         """Variables the function genuinely depends on."""
         return tuple(name for name in self.names if self.depends_on(name))
 
+    def parity_split(self) -> Tuple[Tuple[str, ...], "TruthTable"]:
+        """``(parity, rest)`` with ``self`` the XOR of the ``parity``
+        variables and ``rest``: every variable ``x`` with ``f|x=1 == not
+        f|x=0`` is peeled off in order (``f = x ^ f|x=0``), and ``rest``,
+        over the same names, depends on none of them."""
+        n = len(self.names)
+        full = (1 << self.size) - 1
+        bits = self.bits
+        parity = []
+        for position, name in enumerate(self.names):
+            ones = minterm_column(n, position)
+            block = 1 << (n - 1 - position)
+            low = bits & ~ones
+            if ((bits & ones) >> block) ^ low == full & ~ones:
+                parity.append(name)
+                bits = low | (low << block)
+        return tuple(parity), TruthTable(self.names, bits)
+
     # -- probability ------------------------------------------------------------
 
     def probability(self, input_probs: Mapping[str, float] | float = 0.5) -> float:

@@ -55,7 +55,7 @@ def exact_detection_probabilities(
             f"exact detection probabilities over {n} inputs are infeasible; "
             "use the Monte-Carlo estimator"
         )
-    universe = fault_universe(network, faults)
+    universe = fault_universe(network, faults, store=cache)
     input_probs = _input_probs(network, probs)
     patterns = PatternSet.exhaustive(network.inputs)
     ordered = [input_probs[name] for name in reversed(network.inputs)]
@@ -182,7 +182,19 @@ def topological_detection_probabilities(
     probs: Mapping[str, float] | float = 0.5,
 ) -> Dict[str, float]:
     """Activation x observability estimate for each fault."""
-    signal_probs = topological_signal_probabilities(network, probs)
+    return _topological_detection(
+        network, faults, topological_signal_probabilities(network, probs)
+    )
+
+
+def _topological_detection(
+    network: Network,
+    faults: Optional[Sequence[NetworkFault]],
+    signal_probs: Mapping[str, float],
+) -> Dict[str, float]:
+    """:func:`topological_detection_probabilities` on signal
+    probabilities already computed - the one topological signal pass of
+    :meth:`repro.protest.tool.Protest.analyse`."""
     observability = observability_estimates(network, signal_probs)
     universe = fault_universe(network, faults)
     # One activation program per (cell, faulty truth table): the 8k

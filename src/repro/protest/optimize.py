@@ -121,7 +121,7 @@ def optimize_input_probabilities(
     pass either way).
     """
     resolved, store, _mode = resolve_knobs(engine, jobs, None, cache)
-    universe = fault_universe(network, faults)
+    universe = fault_universe(network, faults, store=store)
     if not universe.faults:
         raise ValueError("no faults to optimize for")
     if len(network.inputs) <= MAX_EXACT_INPUTS - 4:

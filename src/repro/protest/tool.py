@@ -31,7 +31,7 @@ from ..simulate.faultsim import (
 )
 from ..simulate.logicsim import PatternSet
 from ..simulate.source import make_source
-from .detectprob import detection_probabilities
+from .detectprob import _topological_detection, detection_probabilities
 from .optimize import OptimizationResult, optimize_input_probabilities
 from .signalprob import _input_probs, signal_probabilities
 from .testlength import (
@@ -270,7 +270,11 @@ class Protest:
     ) -> ProtestReport:
         input_probs = _input_probs(self.network, probs)
         signal = self.signal_probabilities(input_probs, method)
-        detection = self.detection_probabilities(input_probs, method)
+        if method == "topological":
+            # The signal probabilities above are the estimator's input.
+            detection = _topological_detection(self.network, self.faults, signal)
+        else:
+            detection = self.detection_probabilities(input_probs, method)
         length = test_length(detection, confidence)
         return ProtestReport(
             network_name=self.network.name,

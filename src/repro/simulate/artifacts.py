@@ -6,7 +6,9 @@ LPT fault partitions (:mod:`repro.simulate.schedule`), the vector
 engine's lane view (:mod:`repro.simulate.vector`) and structural
 collapse classes
 (:mod:`repro.faults.structural`) - is an immutable function of network
-*content*.  This module gives those derivations one shared mechanism:
+*content*; a fault list's ``universe`` and ``stem_plan`` are held by
+element identity (:meth:`ArtifactStore.fetch_identical`).  This module
+gives those derivations one shared mechanism:
 
 * :func:`network_fingerprint` - a canonical SHA-256 over the network's
   inputs, outputs, cells, connections and levelized slot order.  Two
@@ -27,14 +29,15 @@ collapse classes
   entirely, and a ready :class:`ArtifactStore` passes through.
 
 Per-kind hit/miss counters (:meth:`ArtifactStore.stats`) make cache
-behaviour assertable: a warm run on an already-seen network performs no
-flattening, cone BFS, vector-view or collapse work, which
-``tests/test_artifacts.py`` holds as the store's headline contract.
+behaviour assertable: a warm run on a seen network and fault list does
+no flattening, cone BFS, vector-view, universe or stem grouping work,
+which ``tests/test_artifacts.py`` holds as the headline contract.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections import Counter, OrderedDict
 from typing import Any, Callable, Dict, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary
@@ -212,23 +215,38 @@ class ArtifactStore:
 
     # -- fetch ------------------------------------------------------------------------
 
-    def fetch(self, kind: str, key: Tuple, build: Callable[[], Any]) -> Any:
-        """The cached value of ``(kind, key)``, building on miss."""
+    def fetch(self, kind: str, key: Tuple, build: Callable[[], Any], check=None) -> Any:
+        """The cached value of ``(kind, key)``, building on miss (a value
+        failing ``check(value)`` is a miss; a raising build stores nothing)."""
         full = (kind,) + tuple(key)
         if not self.caching:
             self.misses[kind] += 1
             return build()
         cached = self._memory.get(full, _MISSING)
-        if cached is not _MISSING:
+        if cached is not _MISSING and (check is None or check(cached)):
             self._memory.move_to_end(full)
             self.hits[kind] += 1
             return cached
         value = build()
         self.misses[kind] += 1
         self._memory[full] = value
+        self._memory.move_to_end(full)
         while len(self._memory) > self.max_entries:
             self._memory.popitem(last=False)
         return value
+
+    def fetch_identical(self, kind: str, key: Tuple, items, build: Callable) -> Any:
+        """:meth:`fetch` of ``build(snapshot)``, ``snapshot = tuple(items)``,
+        keyed also on its length and end ids and hit only when every item
+        ``is`` the entry's (so equal copies and in-place changes miss).
+        The entry pins its immutable items: ids stay unique, identity is content."""
+        snapshot = tuple(items)
+        ends = (id(snapshot[0]), id(snapshot[-1])) if snapshot else ()
+        return self.fetch(
+            kind, tuple(key) + (len(snapshot),) + ends,
+            lambda: (snapshot, build(snapshot)),
+            lambda entry: all(map(operator.is_, entry[0], snapshot)),
+        )[1]
 
 
 # -- cache-spec resolution -------------------------------------------------------------

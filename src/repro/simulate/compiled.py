@@ -16,17 +16,19 @@ slot-indexed program:
   operators then run at C speed with no AST walk and no per-gate
   environment construction, and a netlist of a handful of cells costs a
   handful of ``compile()`` calls however many gates it has;
-* every fault's patch point is one shared function,
-  :meth:`CompiledNetwork.faulty_word`: a stuck fault forces its word, a
+* every fault's patch point comes from one resolver,
+  :meth:`CompiledNetwork.fault_pins`: a stuck fault forces its word, a
   cell fault's faulty function is minimised and compiled once per
-  (fault-class table, cell pins) and called on the gate's input words -
-  nothing is bound or cached per fault.
+  (fault-class table, cell pins) and called on the gate's input words;
+* parity inputs render as ``x ^ ...`` (:func:`cell_source`).
 
 On top of the flat program sit **stem-observability fault passes**
 (:meth:`GoodSimulation.differences`).  The good circuit is simulated
 once.  The program knows its fanout-free regions: every slot read by
 exactly one gate (and not a primary output) leads, gate by gate, to a
-*stem* (``next_slot``, ``stem_of``).  A fault's faulty word is carried
+*stem* (``next_slot``, ``stem_of``); a fault list's sites and stem
+groups are resolved once per store (:func:`stem_plan`).  A fault's
+faulty word is carried
 down its region to the stem, one gate re-evaluation per step; each stem
 with a live difference then runs one pass with the stem complemented
 on the patterns its live faults change, walking the stem's levelized
@@ -57,7 +59,10 @@ from ..netlist.intlists import IntLists
 from ..netlist.network import Network, NetworkError, NetworkFault
 from .artifacts import network_fingerprint, resolve_cache
 
-__all__ = ["CompiledGate", "CompiledNetwork", "GoodSimulation", "compile_network"]
+__all__ = [
+    "CompiledGate", "CompiledNetwork", "GoodSimulation", "StemPlan",
+    "compile_network", "stem_plan",
+]
 
 
 # -- expression -> python source -----------------------------------------------------
@@ -83,6 +88,21 @@ def _expr_source(expr: Expr, source_of_var: Mapping[str, str]) -> str:
     else:
         raise TypeError(f"unknown expression node {expr!r}")
     return "(" + joiner.join(_expr_source(op, source_of_var) for op in expr.operands) + ")"
+
+
+def cell_source(expr: Expr, pins: Sequence[str], source_of_var: Mapping[str, str]) -> str:
+    """Render a cell function over ``pins``: its parity inputs
+    (:meth:`TruthTable.parity_split`) as ``x ^ ...`` terms and the rest
+    as its minimal SOP (``m`` when constant 1, dropped when 0); without
+    parity inputs, :func:`_expr_source` of ``expr``."""
+    parity, rest = TruthTable.from_expr(expr, pins).parity_split()
+    if not parity:
+        return _expr_source(expr, source_of_var)
+    terms = [source_of_var[pin] for pin in parity]
+    if rest.bits:
+        constant = rest.constant_value() == 1
+        terms.append("m" if constant else _expr_source(minimal_sop(rest), source_of_var))
+    return "(" + " ^ ".join(terms) + ")"
 
 
 _CODE_CACHE: Dict[str, Callable] = {}
@@ -111,7 +131,7 @@ def compile_gate_factory(expr: Expr, pins: Sequence[str]) -> Callable:
     factory is rendered and compiled once per process for each distinct
     (cell expression, pins).  The bound functions run on any word type
     closed under ``&``, ``|`` and ``^``: big-ints here, numpy lane rows
-    in :mod:`repro.simulate.vector`.
+    in :mod:`repro.simulate.vector`.  The body is :func:`cell_source`.
     """
     key = (expr, tuple(pins))
     factory = _FACTORIES.get(key)
@@ -119,21 +139,9 @@ def compile_gate_factory(expr: Expr, pins: Sequence[str]) -> Callable:
         sources = {pin: f"v[s{index}]" for index, pin in enumerate(pins)}
         params = ", ".join(f"s{index}" for index in range(len(pins)))
         bound = ", ".join(f"s{index}=s{index}" for index in range(len(pins)))
-        source = f"lambda v, m, {bound}: {_expr_source(expr, sources)}"
+        source = f"lambda v, m, {bound}: {cell_source(expr, pins, sources)}"
         factory = _FACTORIES[key] = _compile_source(params, source)
     return factory
-
-
-def compile_pin_function(expr: Expr, pins: Sequence[str]) -> Callable:
-    """Compile a cell function to ``f(m, p0, p1, ...)`` over positional pins.
-
-    Faulty cell functions take their pin words as arguments, so one
-    compilation serves every gate instance of the cell; callers pass
-    the gate's input words (:meth:`CompiledNetwork.faulty_word`).
-    """
-    sources = {pin: f"p{index}" for index, pin in enumerate(pins)}
-    params = ", ".join(["m"] + [f"p{index}" for index in range(len(pins))])
-    return _compile_source(params, _expr_source(expr, sources))
 
 
 # -- minimal-SOP cache per fault-class table ------------------------------------------
@@ -184,6 +192,15 @@ def fault_class_expr(function) -> Expr:
 _FAULT_PIN_FNS: Dict[Tuple[Tuple[str, ...], int, Tuple[str, ...]], Callable] = {}
 """Compiled pin-level faulty functions, shared per (fault-class table,
 cell pin order) - the pin order fixes the compiled function's arity."""
+
+_STUCK_FNS = (lambda m: 0, lambda m: m)  # stuck-at-0 and -1: no pins
+
+
+def compile_pin_function(expr: Expr, pins: Sequence[str]) -> Callable:
+    """Compile a cell function to ``f(m, p0, p1, ...)`` over pin words."""
+    sources = {pin: f"p{index}" for index, pin in enumerate(pins)}
+    params = ", ".join(["m"] + [f"p{index}" for index in range(len(pins))])
+    return _compile_source(params, cell_source(expr, pins, sources))
 
 
 # -- the compiled program --------------------------------------------------------------
@@ -301,20 +318,22 @@ class CompiledNetwork:
 
     # -- fault patch points ---------------------------------------------------------
 
-    def faulty_word(self, fault: NetworkFault, values, mask):
-        """The word ``fault`` forces on its site over the valuation
-        ``values`` (big-int words or lane rows): the stuck value, or the
-        faulty cell function of the gate's input words.
-
-        The pin-level function is compiled once per (fault-class table,
-        cell pins) and shared by every gate instance and every fault;
-        nothing is bound or cached per fault.
-        """
+    def fault_site(self, fault: NetworkFault) -> int:
+        """Injection slot of a fault - its net's when stuck, else its
+        gate's output - or ``-1`` when it cannot be injected."""
         if fault.kind == "stuck":
-            return mask if fault.value else 0
+            return self.slot_of_net.get(fault.net, -1)
+        gate_index = self.gate_index.get(fault.gate, -1)
+        return -1 if gate_index < 0 else self._gate_out[gate_index]
+
+    def fault_pins(self, fault: NetworkFault) -> Tuple[Callable, Tuple[int, ...]]:
+        """``(function, slots)``: ``fault`` forces ``function(mask,
+        *[values[s] for s in slots])`` on its site - the stuck value, or
+        the faulty cell function compiled once per (table, cell pins)."""
+        if fault.kind == "stuck":
+            return _STUCK_FNS[1 if fault.value else 0], ()
         gate = self.gates[self.gate_index[fault.gate]]
-        table = fault.function.table
-        pins = gate.cell.inputs
+        table, pins = fault.function.table, gate.cell.inputs
         key = (table.names, table.bits, pins)
         function = _FAULT_PIN_FNS.get(key)
         if function is None:
@@ -324,7 +343,12 @@ class CompiledNetwork:
                 # Off-library fault: re-tabulate on the gate's pins.
                 expr = minimal_sop_cached(table.expand(pins))
             function = _FAULT_PIN_FNS[key] = compile_pin_function(expr, pins)
-        return function(mask, *[values[slot] for slot in gate.in_slots])
+        return function, gate.in_slots
+
+    def faulty_word(self, fault: NetworkFault, values, mask):
+        """The word ``fault`` forces on its site over ``values``."""
+        function, slots = self.fault_pins(fault)
+        return function(mask, *[values[slot] for slot in slots])
 
     def stem_cones(self) -> List[Optional[Tuple[int, ...]]]:
         """Per slot, the ascending (levelized) indices of the gates
@@ -386,24 +410,14 @@ class CompiledNetwork:
     ) -> Dict[str, int]:
         """Drop-in replacement for :meth:`Network.evaluate_bits`."""
         values = self._input_values(env, mask)
-        stuck_slot = -1
-        stuck_word = 0
-        fault_gate = -1
-        if fault is not None:
-            if fault.kind == "stuck":
-                stuck_slot = self.slot_of_net.get(fault.net, -1)
-                stuck_word = mask if fault.value else 0
-                if 0 <= stuck_slot < self.num_input_slots:
-                    values[stuck_slot] = stuck_word
-            else:
-                fault_gate = self.gate_index.get(fault.gate, -1)
+        site = -1 if fault is None else self.fault_site(fault)
+        if 0 <= site < self.num_input_slots:
+            values[site] = self.faulty_word(fault, values, mask)
         for gate in self.gates:
-            if gate.index == fault_gate:
-                values[gate.out_slot] = self.faulty_word(fault, values, mask)
+            if gate.out_slot == site:
+                values[site] = self.faulty_word(fault, values, mask)
             else:
                 values[gate.out_slot] = gate.fn(values, mask)
-            if gate.out_slot == stuck_slot:
-                values[gate.out_slot] = stuck_word
         return {self.net_of_slot[slot]: values[slot] for slot in range(self.num_slots)}
 
     def output_bits(
@@ -456,9 +470,6 @@ class GoodSimulation:
             for net, slot in self.compiled.slot_of_net.items()
         }
 
-    def output_dict(self) -> Dict[str, int]:
-        return {net: self.value_of(net) for net in self.compiled.output_nets}
-
     def difference(self, fault: NetworkFault) -> int:
         """Bit word marking the patterns on which ``fault`` is detected."""
         return self.differences([fault])[0]
@@ -468,15 +479,17 @@ class GoodSimulation:
         pattern k tells the faulty network from the good one at some
         primary output (see :meth:`detections`)."""
         words = [0] * len(faults)
-        for index, word in self.detections(faults):
-            words[index] = self._to_int(word)
+        plan = StemPlan(self.compiled, faults)
+        for position, word in self.detections(plan, range(len(faults))):
+            words[position] = self._to_int(word)
         return words
 
     def detections(
-        self, faults: Sequence[NetworkFault]
+        self, plan: "StemPlan", active: Sequence[int]
     ) -> Iterator[Tuple[int, object]]:
-        """``(index into faults, detection word)`` of every fault with a
-        nonzero detection word, stem by stem (see the module docstring).
+        """``(position, detection word)`` of every fault of ``plan`` at
+        the distinct positions ``active`` (all of them reuse the plan's
+        groups) with a nonzero word, stem by stem (see the module docstring).
 
         Each fault's *local difference* is its faulty word carried down
         its fanout-free region to the stem; each stem with a live local
@@ -489,33 +502,31 @@ class GoodSimulation:
         scratch = self._scratch
         mask = self.mask
         nonzero = self.nonzero
-        slot_of_net = compiled.slot_of_net
-        gate_index = compiled.gate_index
-        gate_out = compiled._gate_out
         gate_fn = compiled._gate_fn
         first_out = compiled.num_input_slots
         next_slot = compiled.next_slot
         stem_of = compiled.stem_of
         is_out_slot = compiled._is_out_slot
-        faulty_word = compiled.faulty_word
+        sites = plan.sites
+        functions = plan.functions
+        pin_slots = plan.slots
 
-        sites = [-1] * len(faults)
-        by_stem: Dict[int, List[int]] = {}
-        for index, fault in enumerate(faults):
-            if fault.kind == "stuck":
-                slot = slot_of_net.get(fault.net, -1)
-            else:
-                gi = gate_index.get(fault.gate, -1)
-                slot = gate_out[gi] if gi >= 0 else -1
-            if slot >= 0:
-                sites[index] = slot
-                by_stem.setdefault(stem_of[slot], []).append(index)
+        if len(active) == len(sites):
+            groups = zip(plan.group_stems, plan.groups)
+        else:
+            by_stem: Dict[int, List[int]] = {}
+            for position in active:
+                if sites[position] >= 0:
+                    by_stem.setdefault(stem_of[sites[position]], []).append(position)
+            groups = by_stem.items()
 
-        for stem, indices in by_stem.items():
+        for stem, positions in groups:
             live = []
-            for index in indices:
-                slot = sites[index]
-                word = faulty_word(faults[index], good, mask)
+            for position in positions:
+                slot = sites[position]
+                word = functions[position](
+                    mask, *[good[pin] for pin in pin_slots[position]]
+                )
                 # Walk the fanout-free region: each slot on the way has
                 # one reader gate - the one driving the next slot, as
                 # gate outputs follow the input slots in gate order - so
@@ -527,7 +538,7 @@ class GoodSimulation:
                     slot = next_slot[slot]
                 word = word ^ good[slot]
                 if nonzero(word):
-                    live.append((index, word))
+                    live.append((position, word))
             if live:
                 if is_out_slot[stem]:
                     observability = mask
@@ -536,10 +547,10 @@ class GoodSimulation:
                     for _, word in live:
                         flip = flip | word
                     observability = self._observability(stem, flip)
-                for index, word in live:
+                for position, word in live:
                     word = word & observability
                     if nonzero(word):
-                        yield index, word
+                        yield position, word
 
     def _observability(self, stem: int, flip):
         """Primary-output difference word of complementing ``stem`` on
@@ -585,6 +596,39 @@ class GoodSimulation:
             slot = gate_out[gi]
             scratch[slot] = good[slot]
         return difference
+
+
+class StemPlan:
+    """A fault list's half of the stem pass, resolved once: each fault's
+    :meth:`~CompiledNetwork.fault_site` (``-1``: not injectable) and
+    :meth:`~CompiledNetwork.fault_pins`, and the injectable positions by
+    stem - flat lists, a few GC-tracked objects however long the list."""
+
+    __slots__ = ("sites", "functions", "slots", "group_stems", "groups")
+
+    def __init__(self, compiled: CompiledNetwork, faults: Sequence[NetworkFault]):
+        self.sites = [compiled.fault_site(fault) for fault in faults]
+        injectable = [p for p, site in enumerate(self.sites) if site >= 0]
+        self.functions = [None] * len(faults)
+        self.slots = [()] * len(faults)
+        for p in injectable:
+            self.functions[p], self.slots[p] = compiled.fault_pins(faults[p])
+        group_of: Dict[int, int] = {}
+        keys = [
+            group_of.setdefault(compiled.stem_of[self.sites[p]], len(group_of))
+            for p in injectable
+        ]
+        self.group_stems = list(group_of)
+        self.groups = IntLists.grouped(keys, injectable, len(group_of))
+
+
+def stem_plan(compiled: CompiledNetwork, faults, cache=None) -> StemPlan:
+    """The :class:`StemPlan` of ``faults``, memoised in the resolved store
+    on the program's fingerprint and the very fault objects."""
+    return resolve_cache(cache).fetch_identical(
+        "stem_plan", (compiled.fingerprint,), faults,
+        lambda snapshot: StemPlan(compiled, snapshot),
+    )
 
 
 # -- content-addressed compile cache ---------------------------------------------------

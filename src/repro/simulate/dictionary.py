@@ -49,7 +49,7 @@ class FaultDictionary:
         self.network = network
         self.patterns = patterns
         universe = fault_universe(network, faults)
-        self.faults = universe.faults
+        self.faults = list(universe.faults)  # the universe is shared
         self.good = network.output_bits(patterns.env, patterns.mask)
         self._syndromes: Dict[str, Tuple[int, ...]] = {}
         for label, fault in zip(universe.labels, self.faults):

@@ -38,9 +38,7 @@ reduced in two places and nowhere else: :func:`block_detections`
 folds it to per-fault first indices and counts for the one window
 loop, :func:`drive_windows` (in-process and in every pool worker), and
 the one words loop, :func:`collect_words`, ORs it into whole-set
-detection words.  Compiled and interpreted build their pass from a
-per-window big-int difference pass through one adapter,
-:func:`bigint_engine`.  Every engine streams the same window in every
+detection words.  Every engine streams the same window in every
 mode (:func:`engine_window`).  A run retires or stops
 through one seam, the ``on_window`` predicate of
 :func:`windowed_outcomes`: without one the run counts, with one it
@@ -57,6 +55,11 @@ literal duplicates dropped, every fault checked injectable and, under
 Results are keyed by fault *label* (``fault.describe()``) but computed
 per fault: a fault list in which two **distinct** faults share a label
 raises instead of silently merging their detection records.
+
+The warm path: a call on fault objects seen before re-derives nothing
+per list - the universe and the stem plan of its simulated list
+(:func:`repro.simulate.compiled.stem_plan`) are memoised in the store
+by element identity (kinds ``universe`` and ``stem_plan``).
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ from typing import (
 )
 
 from ..netlist.network import Network, NetworkFault
-from .artifacts import resolve_cache
-from .compiled import compile_network
+from .artifacts import network_fingerprint, resolve_cache
+from .compiled import compile_network, stem_plan
 from .logicsim import PatternSet
 from .registry import Engine, get_engine, register_engine
 
@@ -266,21 +269,33 @@ def fault_universe(
     injectability check (:func:`check_injectable`) and the collapse
     decision run, so a bad fault list raises the same error from every
     consumer before any simulation work.
+
+    Memoised in the store (kind ``universe``, read only) on the network
+    fingerprint, the mode and the very fault objects - equal copies, a
+    list changed in place and a changed network miss, ``faults=None``
+    keys on the network alone, and a raising build stores nothing
+    (:meth:`~repro.simulate.artifacts.ArtifactStore.fetch_identical`).
     """
     from ..faults.structural import collapse_unique_faults
 
+    store = resolve_cache(store)
+
+    def build(faults) -> FaultUniverse:
+        faults = dedupe_faults(faults)
+        check_injectable(network, faults)
+        labels = [fault.describe() for fault in faults]
+        if collapse == "on" and faults:
+            collapsed = collapse_unique_faults(network, faults, store)
+            return FaultUniverse(
+                faults, labels, collapsed.representative_faults(),
+                collapsed.class_sizes(), collapsed,
+            )
+        return FaultUniverse(faults, labels, faults, [1] * len(faults))
+
+    key = (network_fingerprint(network), collapse)
     if faults is None:
-        faults = network.enumerate_faults()
-    faults = dedupe_faults(faults)
-    check_injectable(network, faults)
-    labels = [fault.describe() for fault in faults]
-    if collapse == "on" and faults:
-        collapsed = collapse_unique_faults(network, faults, store)
-        return FaultUniverse(
-            faults, labels, collapsed.representative_faults(),
-            collapsed.class_sizes(), collapsed,
-        )
-    return FaultUniverse(faults, labels, faults, [1] * len(faults))
+        return store.fetch("universe", key, lambda: build(network.enumerate_faults()))
+    return store.fetch_identical("universe", key, faults, build)
 
 
 def check_jobs(jobs: Optional[int]) -> None:
@@ -397,57 +412,31 @@ def block_detections(
     return positions, firsts, counts
 
 
-def bigint_engine(name: str, description: str, evaluate_bits, window_pass) -> Engine:
-    """An :class:`Engine` over a per-window big-int difference pass.
-
-    ``window_pass(network, store)`` returns ``chunk -> (faults ->
-    detections)``: one good pass over the window, then ``(index into
-    faults, difference word)`` for every fault of the batch whose word
-    is nonzero, in any order - a batch, so a pass can share work between
-    faults, and a stream, so only the words in flight are alive.  The
-    adapter maps batch indices back to fault-list positions, so the
-    big-int engines differ in the pass alone.
-    """
-
-    def fault_pass(network, faults, store) -> FaultPass:
-        for_window = window_pass(network, store)
-
-        def passes(chunk: PatternSet, active: List[int]):
-            batch = [faults[position] for position in active]
-            for index, word in for_window(chunk)(batch):
-                yield active[index], word
-
-        return passes
-
-    return Engine(name, description, evaluate_bits, fault_pass)
-
-
-def _interpreted_pass(network: Network, store):
-    def for_window(window: PatternSet):
-        env, mask = window.env, window.mask
+def _interpreted_pass(network: Network, faults, store) -> FaultPass:
+    def passes(chunk: PatternSet, active: List[int]):
+        env, mask = chunk.env, chunk.mask
         good = network.output_bits(env, mask)
+        for position in active:
+            faulty = network.output_bits(env, mask, faults[position])
+            difference = 0
+            for net in network.outputs:
+                difference |= good[net] ^ faulty[net]
+            if difference:
+                yield position, difference
 
-        def detections(faults: Sequence[NetworkFault]):
-            for index, fault in enumerate(faults):
-                faulty = network.output_bits(env, mask, fault)
-                difference = 0
-                for net in network.outputs:
-                    difference |= good[net] ^ faulty[net]
-                if difference:
-                    yield index, difference
-
-        return detections
-
-    return for_window
+    return passes
 
 
-def _compiled_pass(network: Network, store):
+def _compiled_pass(network: Network, faults, store) -> FaultPass:
     compiled = compile_network(network, cache=store)
-    return lambda window: compiled.simulate(window.env, window.mask).detections
+    plan = stem_plan(compiled, faults, store)
+    return lambda chunk, active: compiled.simulate(chunk.env, chunk.mask).detections(
+        plan, active
+    )
 
 
 register_engine(
-    bigint_engine(
+    Engine(
         "interpreted",
         "gate-by-gate AST walk (reference oracle)",
         lambda network, env, mask, cache=None: network.evaluate_bits(env, mask),
@@ -456,7 +445,7 @@ register_engine(
 )
 
 register_engine(
-    bigint_engine(
+    Engine(
         "compiled",
         "flat slot program with stem-observability fault passes",
         lambda network, env, mask, cache=None: compile_network(

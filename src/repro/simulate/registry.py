@@ -34,9 +34,8 @@ Three engines register themselves on import:
   and the same stem pass on numpy ``uint64`` lane rows; the gate
   functions run as vectorized ops.
 
-The first two share one big-int adapter
-(:func:`repro.simulate.faultsim.bigint_engine`) over their per-window
-difference passes; vector registers its lane pass.
+Compiled and vector run one stem pass over the fault list's
+:class:`~repro.simulate.compiled.StemPlan`, on big-ints and on lane rows.
 
 Parallelism is not an engine: every engine takes ``jobs``, runs
 in-process when it is ``None`` or 1 and forks a ``jobs``-wide worker

@@ -170,18 +170,9 @@ def cone_counts_batch(compiled: CompiledNetwork, slots) -> None:
         )
 
 
-def fault_site(compiled: CompiledNetwork, fault: NetworkFault) -> int:
-    """Injection-site slot of a fault, or ``-1`` when not injectable.
-
-    A stuck fault injects at its net's slot; a cell fault at the faulty
-    gate's output slot - the same site
-    :meth:`~repro.simulate.compiled.GoodSimulation.detections` walks to
-    its stem, so costing and the fault pass agree on what a "site" is.
-    """
-    if fault.kind == "stuck":
-        return compiled.slot_of_net.get(fault.net, -1)
-    gate_index = compiled.gate_index.get(fault.gate, -1)
-    return -1 if gate_index < 0 else compiled._gate_out[gate_index]
+#: Injection-site slot of a fault, or ``-1`` when not injectable - the
+#: site the stem pass walks from, so costing and the pass agree.
+fault_site = CompiledNetwork.fault_site
 
 
 def site_cost(compiled: CompiledNetwork, site: int) -> int:

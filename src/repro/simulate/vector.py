@@ -46,10 +46,9 @@ import numpy as np
 
 from ..netlist.network import Network, NetworkError, NetworkFault
 from .artifacts import resolve_cache
-from .compiled import CompiledNetwork, GoodSimulation, compile_network
+from .compiled import CompiledNetwork, GoodSimulation, StemPlan, compile_network, stem_plan
 from .logicsim import PatternSet
 from .registry import Engine, register_engine
-from .schedule import fault_site
 
 __all__ = [
     "VectorNetwork",
@@ -141,13 +140,11 @@ class VectorNetwork:
         :meth:`~.compiled.GoodSimulation.detections` runs one pass for,
         in first-seen order.  Faults that cannot be injected (ghost
         nets or gates) are dropped, as the pass drops them."""
-        compiled = self.compiled
-        groups: Dict[int, List[Tuple[int, NetworkFault]]] = {}
-        for index, fault in indexed_faults:
-            site = fault_site(compiled, fault)
-            if site >= 0:
-                groups.setdefault(compiled.stem_of[site], []).append((index, fault))
-        return list(groups.items())
+        plan = StemPlan(self.compiled, [fault for _index, fault in indexed_faults])
+        return [
+            (stem, [indexed_faults[position] for position in positions])
+            for stem, positions in zip(plan.group_stems, plan.groups)
+        ]
 
     def plan_batches(self, groups: Sequence[Tuple], cache=None) -> List[List[Tuple]]:
         """One plan per stem group of :meth:`group_faults`: the stem
@@ -202,14 +199,16 @@ def lane_pass(network: Network, faults: Sequence[NetworkFault], cache=None):
     """The lane engine's fault pass
     (:data:`repro.simulate.faultsim.FaultPass`): ``passes(chunk,
     active)`` simulates ``chunk``'s good lane rows, runs the stem pass
-    on the ``active`` faults and unpacks each nonzero detection row
+    on the ``active`` faults of the list's memoised
+    :class:`~.compiled.StemPlan` and unpacks each nonzero detection row
     into a window word."""
-    vector = vector_compile(network, cache=cache)
+    store = resolve_cache(cache)
+    vector = vector_compile(network, cache=store)
+    plan = stem_plan(vector.compiled, faults, store)
 
     def passes(chunk: PatternSet, active: Sequence[int]):
-        sim = vector.simulate(chunk)
-        for index, row in sim.detections([faults[position] for position in active]):
-            yield active[index], unpack_words(row, chunk.count)
+        for position, row in vector.simulate(chunk).detections(plan, active):
+            yield position, unpack_words(row, chunk.count)
 
     return passes
 

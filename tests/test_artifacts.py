@@ -49,9 +49,11 @@ from repro.simulate import (
 from repro.simulate.artifacts import CACHE_MODES
 
 #: The artifact kinds a warm run must not rebuild - the store-counter
-#: form of "no flattening, no vector view, no collapse, no partitioning
-#: on a warm cache".
-DERIVATION_KINDS = ("compiled", "vector", "collapse", "partition")
+#: form of "no flattening, no vector view, no collapse, no partitioning,
+#: no fault-universe or stem-grouping work on a warm cache".
+DERIVATION_KINDS = (
+    "compiled", "vector", "collapse", "partition", "universe", "stem_plan",
+)
 
 
 def part_by_part_fingerprint(faults) -> str:
@@ -252,7 +254,9 @@ class TestWarmRuns:
     def test_warm_run_rederives_nothing(self, engine):
         """The headline contract: on a warm store the second run is a
         pure cache read - zero misses on every derivation kind - and
-        bit-identical to the cold run."""
+        bit-identical to the cold run.  The same fault objects hit the
+        memoised universe, so the warm run never reaches the collapse
+        classes at all."""
         network, patterns, faults = small_workload()
         store = ArtifactStore()
         cold = fault_simulate(
@@ -267,8 +271,8 @@ class TestWarmRuns:
         results_identical(cold, warm)
         for kind in DERIVATION_KINDS:
             assert store.misses[kind] == 0, (kind, store.stats())
-        assert store.hits["compiled"] > 0
-        assert store.hits["collapse"] > 0
+        assert store.hits["universe"] == 1
+        assert "collapse" not in store.stats()
 
     def test_equal_network_built_separately_is_warm(self):
         """Content addressing, not object identity: a second network

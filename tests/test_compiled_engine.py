@@ -576,3 +576,42 @@ class TestFanoutIndex:
         assert network.fanout_of("z") == []
         network.add_gate("g3", factory.buffer(), {"i1": "n1"}, "z2")
         assert sorted(network.fanout_of("n1")) == [("g2", "i1"), ("g3", "i1")]
+
+
+def test_parity_inputs_render_as_xor():
+    """Parity inputs peel off as ``x ^ ...``: ``xor2`` is one big-int
+    operation, an XNOR adds ``m`` and a 3-input parity chains three
+    inputs; the gate functions and the faulty pin functions compiled
+    from those sources agree with the interpreted oracle."""
+    factory = CellFactory("bipolar")
+    cells = {
+        "(i1 ^ i2)": factory.cell("xor2", "i1*!i2 + !i1*i2", ["i1", "i2"]),
+        "(i1 ^ i2 ^ m)": factory.cell("xnor2", "i1*i2 + !i1*!i2", ["i1", "i2"]),
+        "(i1 ^ i2 ^ i3)": factory.cell(
+            "xor3", "i1*!i2*!i3 + !i1*i2*!i3 + !i1*!i2*i3 + i1*i2*i3",
+            ["i1", "i2", "i3"],
+        ),
+    }
+    network = Network("parity")
+    for net in ("a", "b", "c"):
+        network.add_input(net)
+    for index, (source, cell) in enumerate(cells.items()):
+        pins = cell.inputs
+        assert compiled_module.cell_source(
+            cell.output_function, pins, {pin: pin for pin in pins}
+        ) == source
+        network.add_gate(
+            f"g{index}", cell, dict(zip(pins, ("a", "b", "c"))), f"z{index}"
+        )
+        network.mark_output(f"z{index}")
+    patterns = PatternSet.exhaustive(network.inputs)
+    compiled = compile_network(network, cache="off")
+    assert compiled.evaluate_bits(patterns.env, patterns.mask) == (
+        network.evaluate_bits(patterns.env, patterns.mask)
+    )
+    faults = all_faults(network)
+    sim = compiled.simulate(patterns.env, patterns.mask)
+    assert sim.differences(faults) == reference_difference_words(
+        network, patterns, faults
+    )
+

@@ -5,23 +5,28 @@ list is enumerated, deduplicated, checked injectable and collapsed.
 These tests hold every consumer to it: the consumers that once skipped
 it (deductive simulation, fault dictionaries, the optimizer) raise
 ``fault_simulate``'s exact errors, and the simulation entry points run
-the collision policy and the pool partition once per call.
+the collision policy and the pool partition once per call.  The
+universe and its stem plan are memoised per store on the very fault
+objects; the warm-path tests hold that memo to an uncached run.
 """
 
 import pytest
 
 from engine_test_utils import all_faults, results_identical
 
-from repro.circuits.generators import c17, domino_carry_chain
-from repro.netlist import NetworkFault
+from repro.circuits.generators import c17, domino_carry_chain, random_network
+from repro.netlist import CellFactory, NetworkFault
 from repro.protest import detectprob, optimize_input_probabilities, signalprob
 from repro.simulate import (
+    ArtifactStore,
     FaultDictionary,
     PatternSet,
     deductive_fault_simulate,
     fault_simulate,
+    resolve_cache,
 )
-from repro.simulate import faultsim, sharded
+from repro.simulate import compiled, faultsim, sharded
+from repro.simulate.source import make_source
 
 
 def wide_network():
@@ -185,3 +190,154 @@ def test_pooled_retiring_run_repartitions_only_live_faults(monkeypatch):
         pooled,
         fault_simulate(network, patterns, faults, stop_at_first_detection=True),
     )
+
+
+# -- the warm path: one derivation per store and fault list ---------------------------
+
+
+def _grade(network, faults, store, collapse="on"):
+    patterns = PatternSet.random(network.inputs, 200, seed=11)
+    return fault_simulate(network, patterns, faults, collapse=collapse, cache=store)
+
+
+def _uncached(network, faults, collapse="on"):
+    return _grade(network, faults, "off", collapse)
+
+
+def test_same_fault_objects_hit_the_universe():
+    """A second call on the same fault objects - in a fresh list, too -
+    re-derives nothing: a ``universe`` hit and no collapse fetch."""
+    network = c17()
+    faults = all_faults(network)
+    store = ArtifactStore()
+    _grade(network, faults, store)
+    store.reset_counters()
+    warm = _grade(network, list(faults), store)
+    stats = store.stats()
+    assert stats["universe"] == {"hits": 1, "misses": 0}
+    assert stats["stem_plan"] == {"hits": 1, "misses": 0}
+    assert "collapse" not in stats
+    results_identical(warm, _uncached(network, faults))
+
+
+def test_equal_but_distinct_faults_miss():
+    network = c17()
+    faults = all_faults(network)
+    store = ArtifactStore()
+    _grade(network, faults, store)
+    store.reset_counters()
+    copies = [NetworkFault(*fault) for fault in faults]
+    assert copies == faults
+    result = _grade(network, copies, store)
+    assert store.stats()["universe"] == {"hits": 0, "misses": 1}
+    results_identical(result, _uncached(network, faults))
+
+
+def test_list_changed_in_place_misses():
+    """Replacing one fault and appending another between two calls on
+    one list object rebuilds the universe and reports the new faults."""
+    network = c17()
+    everything = all_faults(network)
+    faults = everything[:-2]
+    store = ArtifactStore()
+    before = _grade(network, faults, store)
+    dropped = faults[3].describe()
+    faults[3] = everything[-2]
+    faults.append(everything[-1])
+    store.reset_counters()
+    after = _grade(network, faults, store)
+    assert store.stats()["universe"] == {"hits": 0, "misses": 1}
+    results_identical(after, _uncached(network, list(faults)))
+    labels = set(after.detected) | set(after.undetected)
+    assert dropped not in labels
+    assert {everything[-2].describe(), everything[-1].describe()} <= labels
+    assert after.fault_count == before.fault_count + 1
+
+
+def test_uninjectable_fault_raises_on_every_call():
+    network = c17()
+    faults = all_faults(network) + [NetworkFault.stuck_at("ghost", 0)]
+    store = ArtifactStore()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="'ghost' is not in the network"):
+            _grade(network, faults, store)
+    assert store.hits["universe"] == 0
+    assert not [key for key in store._memory if key[0] == "universe"]
+
+
+def test_cache_off_never_hits():
+    network = c17()
+    faults = all_faults(network)
+    store = resolve_cache("off")
+    store.reset_counters()
+    first = _grade(network, faults, store)
+    results_identical(first, _grade(network, faults, store))
+    assert store.hits["universe"] == store.hits["stem_plan"] == 0
+    assert store.misses["universe"] == 2
+
+
+def test_collapse_modes_do_not_share_an_entry():
+    network = c17()
+    faults = all_faults(network)
+    store = ArtifactStore()
+    collapsed = _grade(network, faults, store, collapse="on")
+    store.reset_counters()
+    plain = _grade(network, faults, store, collapse="off")
+    assert store.stats()["universe"] == {"hits": 0, "misses": 1}
+    assert collapsed.collapsed_classes is not None
+    assert plain.collapsed_classes is None
+    results_identical(plain, _uncached(network, faults, collapse="off"))
+    results_identical(collapsed, plain)
+
+
+def test_changed_network_misses():
+    """The same fault objects on a network grown in place rebuild the
+    universe: the memo is keyed on the network's content."""
+    network = c17()
+    faults = all_faults(network)
+    store = ArtifactStore()
+    _grade(network, faults, store)
+    network.add_gate(
+        "late", CellFactory("domino-CMOS").or_gate(2),
+        {"i1": network.inputs[0], "i2": network.outputs[0]}, "late_out",
+    )
+    network.mark_output("late_out")
+    store.reset_counters()
+    result = _grade(network, faults, store)
+    assert store.stats()["universe"] == {"hits": 0, "misses": 1}
+    results_identical(result, _uncached(network, faults))
+
+
+def test_session_builds_one_stem_plan_for_all_its_blocks(monkeypatch):
+    """A streaming session resolves its stem plan once, however many
+    speculative blocks it simulates; a second session builds none."""
+    network = random_network(n_inputs=6, n_gates=14, seed=11)
+    faults = all_faults(network)
+    store = ArtifactStore()
+    blocks = []
+    original = compiled.GoodSimulation.detections
+
+    def detections(sim, plan, active):
+        blocks.append(plan)
+        return original(sim, plan, active)
+
+    monkeypatch.setattr(compiled.GoodSimulation, "detections", detections)
+
+    def session(cache):
+        return faultsim.streaming_coverage(
+            network, make_source("lfsr", network.inputs, 1 << 14, seed=1),
+            faults, target_coverage=1.0, confidence=0.99, collapse="on",
+            cache=cache,
+        )
+
+    first = session(store)
+    assert store.stats()["stem_plan"] == {"hits": 0, "misses": 1}
+    (plan,) = [entry[1] for key, entry in store._memory.items()
+               if key[0] == "stem_plan"]
+    # The collapse's exhaustive refinement runs one pass of its own.
+    assert blocks.count(plan) == len(blocks) - 1 > 2
+    blocks.clear()
+    second = session(store)
+    assert store.stats()["stem_plan"] == {"hits": 1, "misses": 1}
+    assert blocks.count(plan) == len(blocks) > 2
+    assert first == second == session("off")

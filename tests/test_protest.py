@@ -302,6 +302,36 @@ class TestFacade:
         )
         assert protest.analyse(0.25) == protest.analyse(mapping)
 
+    def test_topological_analyse_runs_one_signal_pass(self, monkeypatch):
+        """The topological report's signal probabilities are the
+        detection estimator's input: one signal pass per analyse, and
+        the report equals the two public estimators' results."""
+        from repro.protest import detectprob, signalprob
+
+        network = domino_carry_chain(3)
+        protest = Protest(network)
+        probs = dict.fromkeys(network.inputs, 0.3)
+        expected_signal = topological_signal_probabilities(network, probs)
+        expected_detection = detectprob.topological_detection_probabilities(
+            network, protest.faults, probs
+        )
+        calls = []
+        original = signalprob.topological_signal_probabilities
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (signalprob, detectprob):
+            monkeypatch.setattr(module, "topological_signal_probabilities", counting)
+        report = protest.analyse(probs, method="topological")
+        assert len(calls) == 1
+        assert report.signal_probabilities == expected_signal
+        assert report.detection_probabilities == expected_detection
+        assert report.required_test_length == required_test_length(
+            expected_detection, 0.999
+        )
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -378,14 +378,14 @@ class TestCollapsedFaultSetMechanics:
         network = domino_carry_chain(2)
         faults = [fault for fault in all_faults(network) if fault.kind != "stuck"]
         broken = faults[0]
-        original = CompiledNetwork.faulty_word
+        original = CompiledNetwork.fault_pins
 
-        def faulty_word(compiled, fault, values, mask):
+        def fault_pins(compiled, fault):
             if fault is broken:
                 raise KeyError(fault.describe())
-            return original(compiled, fault, values, mask)
+            return original(compiled, fault)
 
-        monkeypatch.setattr(CompiledNetwork, "faulty_word", faulty_word)
+        monkeypatch.setattr(CompiledNetwork, "fault_pins", fault_pins)
         classes = [[index] for index in range(len(faults))]
         signatures = [("cell", index) for index in range(len(faults))]
         words = _exhaustive_class_words(
