@@ -191,12 +191,14 @@ def _topological_detection(
     network: Network,
     faults: Optional[Sequence[NetworkFault]],
     signal_probs: Mapping[str, float],
+    cache=None,
 ) -> Dict[str, float]:
     """:func:`topological_detection_probabilities` on signal
     probabilities already computed - the one topological signal pass of
-    :meth:`repro.protest.tool.Protest.analyse`."""
+    :meth:`repro.protest.tool.Protest.analyse` - with the fault universe
+    built in the ``cache`` store."""
     observability = observability_estimates(network, signal_probs)
-    universe = fault_universe(network, faults)
+    universe = fault_universe(network, faults, store=cache)
     # One activation program per (cell, faulty truth table): the 8k
     # faults of a 2k-gate netlist share a few dozen cell functions.
     programs: Dict[tuple, Program] = {}

@@ -272,7 +272,9 @@ class Protest:
         signal = self.signal_probabilities(input_probs, method)
         if method == "topological":
             # The signal probabilities above are the estimator's input.
-            detection = _topological_detection(self.network, self.faults, signal)
+            detection = _topological_detection(
+                self.network, self.faults, signal, self.cache
+            )
         else:
             detection = self.detection_probabilities(input_probs, method)
         length = test_length(detection, confidence)

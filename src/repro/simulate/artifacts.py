@@ -215,38 +215,45 @@ class ArtifactStore:
 
     # -- fetch ------------------------------------------------------------------------
 
-    def fetch(self, kind: str, key: Tuple, build: Callable[[], Any], check=None) -> Any:
-        """The cached value of ``(kind, key)``, building on miss (a value
-        failing ``check(value)`` is a miss; a raising build stores nothing)."""
+    def fetch(self, kind: str, key: Tuple, build: Callable[[], Any]) -> Any:
+        """The cached value of ``(kind, key)``, building on miss."""
         full = (kind,) + tuple(key)
         if not self.caching:
             self.misses[kind] += 1
             return build()
         cached = self._memory.get(full, _MISSING)
-        if cached is not _MISSING and (check is None or check(cached)):
+        if cached is not _MISSING:
             self._memory.move_to_end(full)
             self.hits[kind] += 1
             return cached
         value = build()
         self.misses[kind] += 1
+        self._keep(full, value)
+        return value
+
+    def fetch_identical(self, kind: str, key: Tuple, items, build: Callable) -> Any:
+        """``build(tuple(items))``, memoised for the two latest snapshots
+        under ``(kind, key)`` (so two alternating lists both stay warm): a
+        hit needs every item to be the very object a held snapshot has, a
+        miss displaces the older one, and a raising build stores nothing."""
+        full, snapshot = (kind,) + tuple(key), tuple(items)
+        held = self._memory.get(full, ()) if self.caching else ()
+        for entry in held:
+            if len(entry[0]) == len(snapshot) and all(map(operator.is_, entry[0], snapshot)):
+                self._keep(full, (entry,) + tuple(e for e in held if e is not entry))
+                self.hits[kind] += 1
+                return entry[1]
+        value = build(snapshot)
+        self.misses[kind] += 1
+        if self.caching:
+            self._keep(full, ((snapshot, value),) + held[:1])
+        return value
+
+    def _keep(self, full: Tuple, value: Any) -> None:
         self._memory[full] = value
         self._memory.move_to_end(full)
         while len(self._memory) > self.max_entries:
             self._memory.popitem(last=False)
-        return value
-
-    def fetch_identical(self, kind: str, key: Tuple, items, build: Callable) -> Any:
-        """:meth:`fetch` of ``build(snapshot)``, ``snapshot = tuple(items)``,
-        keyed also on its length and end ids and hit only when every item
-        ``is`` the entry's (so equal copies and in-place changes miss).
-        The entry pins its immutable items: ids stay unique, identity is content."""
-        snapshot = tuple(items)
-        ends = (id(snapshot[0]), id(snapshot[-1])) if snapshot else ()
-        return self.fetch(
-            kind, tuple(key) + (len(snapshot),) + ends,
-            lambda: (snapshot, build(snapshot)),
-            lambda entry: all(map(operator.is_, entry[0], snapshot)),
-        )[1]
 
 
 # -- cache-spec resolution -------------------------------------------------------------

@@ -624,7 +624,7 @@ class StemPlan:
 
 def stem_plan(compiled: CompiledNetwork, faults, cache=None) -> StemPlan:
     """The :class:`StemPlan` of ``faults``, memoised in the resolved store
-    on the program's fingerprint and the very fault objects."""
+    on the program's fingerprint for the two latest lists of fault objects."""
     return resolve_cache(cache).fetch_identical(
         "stem_plan", (compiled.fingerprint,), faults,
         lambda snapshot: StemPlan(compiled, snapshot),

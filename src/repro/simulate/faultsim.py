@@ -271,10 +271,9 @@ def fault_universe(
     consumer before any simulation work.
 
     Memoised in the store (kind ``universe``, read only) on the network
-    fingerprint, the mode and the very fault objects - equal copies, a
-    list changed in place and a changed network miss, ``faults=None``
-    keys on the network alone, and a raising build stores nothing
-    (:meth:`~repro.simulate.artifacts.ArtifactStore.fetch_identical`).
+    fingerprint and the mode for the two latest lists of fault objects
+    (:meth:`~repro.simulate.artifacts.ArtifactStore.fetch_identical`: equal
+    copies, a changed list or network miss); ``faults=None`` needs no list.
     """
     from ..faults.structural import collapse_unique_faults
 
@@ -292,7 +291,7 @@ def fault_universe(
             )
         return FaultUniverse(faults, labels, faults, [1] * len(faults))
 
-    key = (network_fingerprint(network), collapse)
+    key = (network_fingerprint(network), collapse, faults is None)
     if faults is None:
         return store.fetch("universe", key, lambda: build(network.enumerate_faults()))
     return store.fetch_identical("universe", key, faults, build)
@@ -377,7 +376,7 @@ def resolve_knobs(
     return engine, store, get_collapse_mode(collapse)
 
 
-# -- the fault pass and the big-int adapter -------------------------------------------
+# -- the fault pass -------------------------------------------------------------------
 
 #: ``passes(chunk, active) -> stream of (position, word)`` - one
 #: engine's fault pass over the pattern window ``chunk`` for the

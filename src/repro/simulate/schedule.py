@@ -51,7 +51,6 @@ __all__ = [
     "cone_gates",
     "cost_schedule",
     "fault_costs",
-    "fault_site",
     "partition_faults",
     "site_cost",
 ]
@@ -170,11 +169,6 @@ def cone_counts_batch(compiled: CompiledNetwork, slots) -> None:
         )
 
 
-#: Injection-site slot of a fault, or ``-1`` when not injectable - the
-#: site the stem pass walks from, so costing and the pass agree.
-fault_site = CompiledNetwork.fault_site
-
-
 def site_cost(compiled: CompiledNetwork, site: int) -> int:
     """Per-fault cone cost of one injection site:
     ``1 + cone_gate_count(site)``.
@@ -194,7 +188,7 @@ def fault_costs(
 ) -> List[int]:
     """Per-fault cone cost (:func:`site_cost` of each injection site)."""
     compiled = compile_network(network, cache=cache)
-    sites = [fault_site(compiled, fault) for fault in faults]
+    sites = [compiled.fault_site(fault) for fault in faults]
     cone_counts_batch(compiled, sites)
     return [site_cost(compiled, site) for site in sites]
 
@@ -256,7 +250,7 @@ def partition_faults(
     compiled = compile_network(network, cache=store)
 
     def build() -> List[List[int]]:
-        sites = [fault_site(compiled, fault) for fault in faults]
+        sites = [compiled.fault_site(fault) for fault in faults]
         cone_counts_batch(compiled, sites)
         members_of_stem: Dict[int, List[int]] = {}
         cost_of_stem: Dict[int, int] = {}

@@ -256,7 +256,8 @@ class TestWarmRuns:
         pure cache read - zero misses on every derivation kind - and
         bit-identical to the cold run.  The same fault objects hit the
         memoised universe, so the warm run never reaches the collapse
-        classes at all."""
+        classes at all (nor, on the interpreted engine, the compiled
+        program they are refined on)."""
         network, patterns, faults = small_workload()
         store = ArtifactStore()
         cold = fault_simulate(
@@ -273,6 +274,8 @@ class TestWarmRuns:
             assert store.misses[kind] == 0, (kind, store.stats())
         assert store.hits["universe"] == 1
         assert "collapse" not in store.stats()
+        if engine != "interpreted":
+            assert store.hits["compiled"] > 0
 
     def test_equal_network_built_separately_is_warm(self):
         """Content addressing, not object identity: a second network

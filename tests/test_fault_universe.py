@@ -290,6 +290,42 @@ def test_collapse_modes_do_not_share_an_entry():
     results_identical(collapsed, plain)
 
 
+def _held(store, kind):
+    """Snapshots held per key of ``kind``."""
+    return [len(held) for key, held in store._memory.items() if key[0] == kind]
+
+
+def test_fresh_lists_keep_entries_bounded():
+    """A caller simulating a new, shrinking list per call (an ATPG loop)
+    leaves one key per kind and mode with at most two lists, however
+    many calls it makes."""
+    network = c17()
+    faults = all_faults(network)
+    store = ArtifactStore()
+    for size in range(len(faults), len(faults) - 8, -1):
+        _grade(network, faults[:size], store, collapse="off")
+        _grade(network, [NetworkFault(*f) for f in faults], store)
+    assert _held(store, "universe") == [2, 2]
+    assert _held(store, "stem_plan") == [2]
+    assert store.hits["universe"] == 0
+
+
+def test_alternating_collapse_modes_stay_warm():
+    """The collapsed and uncollapsed lists of one network keep their
+    universes and stem plans side by side."""
+    network = c17()
+    faults = all_faults(network)
+    store = ArtifactStore()
+    for collapse in ("on", "off"):
+        _grade(network, faults, store, collapse)
+    store.reset_counters()
+    for collapse in ("on", "off", "on"):
+        _grade(network, faults, store, collapse)
+    assert store.stats()["universe"] == {"hits": 3, "misses": 0}
+    assert store.stats()["stem_plan"] == {"hits": 3, "misses": 0}
+    assert _held(store, "stem_plan") == [2]
+
+
 def test_changed_network_misses():
     """The same fault objects on a network grown in place rebuild the
     universe: the memo is keyed on the network's content."""
@@ -332,8 +368,8 @@ def test_session_builds_one_stem_plan_for_all_its_blocks(monkeypatch):
 
     first = session(store)
     assert store.stats()["stem_plan"] == {"hits": 0, "misses": 1}
-    (plan,) = [entry[1] for key, entry in store._memory.items()
-               if key[0] == "stem_plan"]
+    (plan,) = [value for key, held in store._memory.items()
+               if key[0] == "stem_plan" for _snapshot, value in held]
     # The collapse's exhaustive refinement runs one pass of its own.
     assert blocks.count(plan) == len(blocks) - 1 > 2
     blocks.clear()

@@ -332,6 +332,21 @@ class TestFacade:
             expected_detection, 0.999
         )
 
+    def test_topological_analyse_builds_in_its_own_store(self):
+        """``Protest(cache=...)`` holds for the topological estimate too:
+        its fault universe is built in the facade's store, not the
+        process-global one."""
+        from repro.simulate.artifacts import ArtifactStore, resolve_cache
+
+        network = domino_carry_chain(3)
+        shared = resolve_cache("memory")
+        shared.reset_counters()
+        store = ArtifactStore()
+        Protest(network, cache="off").analyse(method="topological")
+        Protest(network, cache=store).analyse(method="topological")
+        assert "universe" not in shared.stats()
+        assert store.stats()["universe"] == {"hits": 0, "misses": 1}
+
 
 @settings(max_examples=40, deadline=None)
 @given(

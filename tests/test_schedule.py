@@ -38,7 +38,6 @@ from repro.simulate.schedule import (
     cone_gate_count,
     cone_gates,
     cost_schedule,
-    fault_site,
 )
 
 
@@ -205,7 +204,7 @@ def test_property_partition_faults_covers_real_fault_lists(depth, islands, shard
     site_shards = {}
     stem_shards = {}
     for index, fault in enumerate(faults):
-        site = fault_site(compiled, fault)
+        site = compiled.fault_site(fault)
         site_shards.setdefault(site, set()).add(shard_of_index[index])
         stem_shards.setdefault(compiled.stem_of[site], set()).add(
             shard_of_index[index]
@@ -221,7 +220,7 @@ def test_partition_faults_never_hands_out_an_empty_shard():
     network = and_cone(3)
     faults = all_faults(network)
     compiled = compile_network(network)
-    stems = {compiled.stem_of[fault_site(compiled, fault)] for fault in faults}
+    stems = {compiled.stem_of[compiled.fault_site(fault)] for fault in faults}
     assert partition_faults(network, [], 4) == []
     parts = partition_faults(network, faults, len(stems) + 3)
     assert len(parts) == len(stems)
@@ -244,7 +243,7 @@ def test_no_stem_spans_two_shards_at_scale(jobs):
     shards_of_stem = {}
     for shard, part in enumerate(parts):
         for index in part:
-            stem = compiled.stem_of[fault_site(compiled, faults[index])]
+            stem = compiled.stem_of[compiled.fault_site(faults[index])]
             shards_of_stem.setdefault(stem, set()).add(shard)
     split = sorted(stem for stem, shards in shards_of_stem.items() if len(shards) > 1)
     assert split == []

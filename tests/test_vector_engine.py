@@ -38,7 +38,6 @@ from repro.simulate import compiled as compiled_module
 from repro.simulate.artifacts import ArtifactStore
 from repro.simulate.compiled import GoodSimulation, compile_network
 from repro.simulate.faultsim import collect_words
-from repro.simulate.schedule import fault_site
 from repro.simulate.vector import lane_pass, pack_words, unpack_words
 
 
@@ -406,4 +405,4 @@ class TestProbeGroups:
         assert covered == list(range(len(faults) - 1))
         for stem, members in groups:
             for _index, fault in members:
-                assert compiled.stem_of[fault_site(compiled, fault)] == stem
+                assert compiled.stem_of[compiled.fault_site(fault)] == stem
