@@ -22,7 +22,8 @@ current one on perfbench's ISCAS-shaped netlists
   :meth:`Network.enumerate_faults` (below);
 * collapse - the per-fault canonicaliser and truth-table dominance kept
   as the test oracle in ``tests/collapse_reference.py``, keyed by the
-  old part-by-part fault fingerprint (below).
+  old part-by-part fault fingerprint (below); the current collapse is
+  held by its fault objects and hashes nothing.
 
 Each side runs every repetition in a fresh interpreter, as perfbench's
 ``child.py`` does, so the code caches, the cells and the collector
@@ -33,10 +34,12 @@ alternating which runs first, and the collector's time per generation
 recorded before this change timed both sides in one process, each
 after ``gc.collect(); gc.freeze()``, so they left out the collections
 a fresh process pays; they stay in the entry's ``history``.)
-Before any ratio is recorded the two collapsed fault sets must be equal
-field by field, their fault fingerprints equal, and both compiled
-programs must give identical good values on 256 random patterns (one
-untimed in-process run of each side).  The entry records per-layer
+Before any ratio is recorded the two collapsed fault sets (fault lists
+included) must be equal field by field, and both compiled programs must
+give identical good values on 256 random patterns (one untimed
+in-process run of each side).  (Points recorded while the current side
+still hashed its fault list carry a ``fingerprint`` layer; they stay in
+the entry's ``history``.)  The entry records per-layer
 times, the collector's time, ``compile()`` calls per side, the host,
 its CPU count and the measured commit (``-dirty`` when the checkout had
 local changes).
@@ -78,7 +81,7 @@ from repro.faults.structural import CollapsedFaultSet, collapse_network_faults  
 from repro.netlist import NetworkFault, parse_bench  # noqa: E402
 from repro.simulate import PatternSet  # noqa: E402
 from repro.simulate import compiled as compiled_module  # noqa: E402
-from repro.simulate.artifacts import ArtifactStore, fault_fingerprint  # noqa: E402
+from repro.simulate.artifacts import ArtifactStore  # noqa: E402
 
 WORKLOAD_NAME = "e_setup_pipeline"
 MIN_REQUIRED_SPEEDUP = 1.5
@@ -223,7 +226,6 @@ def _timed_setup(text: str, name: str, legacy: bool) -> Dict:
         collapsed = timed(
             "collapse", lambda: legacy_collapse(network, faults, compiled, store)
         )
-        fingerprint = timed("fingerprint", lambda: legacy_fingerprint(faults))
     else:
         faults = timed("enumerate", network.enumerate_faults)
         compiled = timed(
@@ -232,7 +234,6 @@ def _timed_setup(text: str, name: str, legacy: bool) -> Dict:
         collapsed = timed(
             "collapse", lambda: collapse_network_faults(network, faults, cache=store)
         )
-        fingerprint = timed("fingerprint", lambda: fault_fingerprint(faults))
     times["total"] = sum(times[layer] for layer in LAYERS)
     return {
         "times": times,
@@ -240,7 +241,6 @@ def _timed_setup(text: str, name: str, legacy: bool) -> Dict:
         "network": network,
         "compiled": compiled,
         "collapsed": collapsed,
-        "fingerprint": fingerprint,
     }
 
 
@@ -271,15 +271,13 @@ def best_sides(gates: int, repetitions: int):
 
 
 def identical(legacy: Dict, current: Dict, pattern_count: int) -> bool:
-    """Equal collapsed sets field by field, equal fingerprints, and equal
-    good values of both compiled programs on random patterns."""
+    """Equal collapsed sets field by field and equal good values of both
+    compiled programs on random patterns."""
     if not all(
         getattr(legacy["collapsed"], field.name)
         == getattr(current["collapsed"], field.name)
         for field in dataclasses.fields(CollapsedFaultSet)
     ):
-        return False
-    if legacy["fingerprint"] != current["fingerprint"]:
         return False
     patterns = PatternSet.random(
         current["network"].inputs, pattern_count, seed=PATTERN_SEED
@@ -303,7 +301,7 @@ def run_point(gates: int, pattern_count: int, repetitions: int) -> Dict:
     speedup = round(old["total"] / max(new["total"], 1e-9), 2)
     layers = " ".join(
         f"{layer} {old[layer]:.3f}->{new[layer]:.3f}s"
-        for layer in LAYERS + ("fingerprint",)
+        for layer in LAYERS
     )
     print(
         f"  {gates} gates, {collapsed.fault_count} faults: {layers}; "
@@ -346,8 +344,8 @@ def run_setup(sizes=(2000, 10000), pattern_count: int = 256,
             "compile, per-fault canonicaliser, truth-table dominance and "
             "part-by-part fault fingerprint, each side and repetition in "
             "a fresh interpreter (collector time per generation from "
-            "gc.callbacks); collapsed sets, fingerprints and good values "
-            "checked identical first"
+            "gc.callbacks); collapsed sets and good values checked "
+            "identical first"
         ),
         "params": {
             "method": "fresh interpreter per side and repetition",

@@ -11,8 +11,9 @@ setup(
     python_requires=">=3.10",
     # numpy is a hard runtime dependency: weighted pattern sampling and
     # the exact/Monte-Carlo estimators use it, and the vector engine
-    # (repro.simulate.vector) is built on uint64 lane arrays.  networkx
-    # backs the switch-level graph analyses imported at cell/tech module
-    # load.
-    install_requires=["numpy>=1.22", "networkx"],
+    # (repro.simulate.vector) is built on uint64 lane arrays.  It is the
+    # only one: the switch-level path search and conduction check are
+    # in-repo, and the graph library their reference implementation
+    # uses (tests/transmission_reference.py) is a test dependency.
+    install_requires=["numpy>=1.22"],
 )

@@ -56,9 +56,10 @@ but never used to drop faults from the exact simulation path.
 The collapse mode knob (``off`` / ``on``) resolves exactly
 like engine names do
 (:func:`repro.simulate.registry.get_engine` et al.), and the CLI reuses
-the error message.  Collapsed sets are content-addressed artifacts:
-keyed by the network and fault-list fingerprints in the artifact store
-(:mod:`repro.simulate.artifacts`) and shared across equal networks.
+the error message.  Collapsed sets are artifacts in the store
+(:mod:`repro.simulate.artifacts`): a given fault list's are held by
+its fault objects, the network's own list's (``faults=None``) are
+keyed by network content and shared across equal networks.
 """
 
 from __future__ import annotations
@@ -602,16 +603,20 @@ def collapse_network_faults(
     through the whole netlist, so simulating the class representative
     and scattering its outcome reproduces every member's result bit for
     bit - the contract ``fault_simulate(..., collapse="on")`` rides on.
-    Results are keyed by the *content* fingerprints of the network and
-    fault list in the artifact store (two equal networks built
-    separately share one entry), replacing the old per-compilation
-    identity memo.
+    The classes of the network's own list (``faults=None``) are keyed
+    by the network's content in the artifact store, so two equal
+    networks built separately share one entry; a given list is held by
+    its fault objects (:func:`collapse_unique_faults`).
     """
     from ..simulate.faultsim import dedupe_faults
 
-    if faults is None:
-        faults = network.enumerate_faults()
-    return collapse_unique_faults(network, dedupe_faults(faults), cache)
+    if faults is not None:
+        return collapse_unique_faults(network, dedupe_faults(faults), cache)
+    store, compiled = _store_and_program(network, cache)
+    return store.fetch(
+        "collapse", (compiled.fingerprint, "enumerated"),
+        lambda: _collapse(compiled, network, dedupe_faults(network.enumerate_faults())),
+    )
 
 
 def collapse_unique_faults(
@@ -620,55 +625,68 @@ def collapse_unique_faults(
     """:func:`collapse_network_faults` of a list already free of
     duplicates - the collapse step of
     :func:`repro.simulate.faultsim.fault_universe`, which has applied
-    the collision policy once already."""
-    from ..simulate.artifacts import fault_fingerprint, resolve_cache
+    the collision policy once already.  Memoised in the store (kind
+    ``collapse``) on the network's program for the two latest lists of
+    fault objects (:meth:`~repro.simulate.artifacts.ArtifactStore.fetch_identical`),
+    so the universe of a list collapsed at set-up finds its classes."""
+    store, compiled = _store_and_program(network, cache)
+    return store.fetch_identical(
+        "collapse", (compiled.fingerprint,), faults,
+        lambda snapshot: _collapse(compiled, network, snapshot),
+    )
+
+
+def _store_and_program(network: Network, cache):
+    """The resolved ``cache`` store and ``network``'s program in it."""
+    from ..simulate.artifacts import resolve_cache
     from ..simulate.compiled import compile_network
 
     store = resolve_cache(cache)
-    compiled = compile_network(network, cache=store)
+    return store, compile_network(network, cache=store)
 
-    def build() -> CollapsedFaultSet:
-        collapser = _Collapser(compiled)
-        signature = collapser.signature
-        fault_list = list(faults)
-        class_of_signature: Dict[Tuple, int] = {}
-        class_of: List[int] = []
-        representatives: List[int] = []
-        for index, fault in enumerate(fault_list):
-            key = signature(index, fault)
-            class_index = class_of_signature.get(key)
-            if class_index is None:
-                class_index = class_of_signature[key] = len(representatives)
-                representatives.append(index)
-            class_of.append(class_index)
-        classes = IntLists.grouped(class_of, range(len(class_of)), len(representatives))
 
-        if 0 < len(network.inputs) <= SEMANTIC_COLLAPSE_MAX_INPUTS:
-            words = _exhaustive_class_words(
-                compiled, network, fault_list, classes, list(class_of_signature)
-            )
-            classes, class_of, words = _merge_classes_by_word(classes, words)
-            representatives = [members[0] for members in classes]
-            null_classes = tuple(k for k, word in enumerate(words) if word == 0)
+def _collapse(
+    compiled, network: Network, faults: Sequence[NetworkFault]
+) -> CollapsedFaultSet:
+    """The collapsed fault set of ``faults`` on ``network``'s program."""
+    collapser = _Collapser(compiled)
+    signature = collapser.signature
+    fault_list = list(faults)
+    class_of_signature: Dict[Tuple, int] = {}
+    class_of: List[int] = []
+    representatives: List[int] = []
+    for index, fault in enumerate(fault_list):
+        key = signature(index, fault)
+        class_index = class_of_signature.get(key)
+        if class_index is None:
+            class_index = class_of_signature[key] = len(representatives)
+            representatives.append(index)
+        class_of.append(class_index)
+    classes = IntLists.grouped(class_of, range(len(class_of)), len(representatives))
 
-            def dominance():
-                return _semantic_dominance(words)
-        else:
-            null_class = class_of_signature.get(_NULL)
-            null_classes = () if null_class is None else (null_class,)
-
-            def dominance():
-                return _structural_dominance(compiled, fault_list, representatives)
-
-        return CollapsedFaultSet(
-            network_name=network.name,
-            faults=fault_list,
-            classes=classes,
-            class_of=class_of,
-            representatives=representatives,
-            null_classes=null_classes,
-            dominance=dominance,
+    if 0 < len(network.inputs) <= SEMANTIC_COLLAPSE_MAX_INPUTS:
+        words = _exhaustive_class_words(
+            compiled, network, fault_list, classes, list(class_of_signature)
         )
+        classes, class_of, words = _merge_classes_by_word(classes, words)
+        representatives = [members[0] for members in classes]
+        null_classes = tuple(k for k, word in enumerate(words) if word == 0)
 
-    key = (compiled.fingerprint, fault_fingerprint(faults))
-    return store.fetch("collapse", key, build)
+        def dominance():
+            return _semantic_dominance(words)
+    else:
+        null_class = class_of_signature.get(_NULL)
+        null_classes = () if null_class is None else (null_class,)
+
+        def dominance():
+            return _structural_dominance(compiled, fault_list, representatives)
+
+    return CollapsedFaultSet(
+        network_name=network.name,
+        faults=fault_list,
+        classes=classes,
+        class_of=class_of,
+        representatives=representatives,
+        null_classes=null_classes,
+        dominance=dominance,
+    )

@@ -214,11 +214,23 @@ def cell_probability(
     distinct (key, pattern) and every other call is one dict lookup and
     one straight-line call.  ``programs`` belongs to the caller.
     """
-    pins = _pinned_inputs(probs)
-    program = programs.get((key, pins))
+    return cell_program(programs, key, expr_of, _pinned_inputs(probs))(probs)
+
+
+def cell_program(
+    programs: Dict[tuple, Program],
+    key: Hashable,
+    expr_of: Callable[[], Expr],
+    pinned: Tuple[Tuple[str, float], ...],
+) -> Program:
+    """The program of :func:`cell_probability` for an already resolved
+    pinned pattern (:func:`_pinned_inputs` of the probabilities it will
+    be called on) - for callers that evaluate one gate's inputs under
+    many expressions and resolve the pattern once per gate."""
+    program = programs.get((key, pinned))
     if program is None:
-        program = programs[(key, pins)] = probability_program(expr_of(), dict(pins))
-    return program(probs)
+        program = programs[(key, pinned)] = probability_program(expr_of(), dict(pinned))
+    return program
 
 
 def signal_probability(expr: Expr, probs: Mapping[str, float] | float = 0.5) -> float:

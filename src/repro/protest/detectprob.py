@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..logic.expr import Expr
 from ..logic.minimize import minimal_sop
-from ..logic.probability import Program, cell_probability
+from ..logic.probability import Program, _pinned_inputs, cell_program
 from ..netlist.network import Network, NetworkFault
 from ..simulate.compiled import compile_network
 from ..simulate.faultsim import (
@@ -132,6 +132,18 @@ def _boolean_difference(expr: Expr, pin: str) -> Expr:
     return expr.cofactor(pin, 0) ^ expr.cofactor(pin, 1)
 
 
+def _gate_inputs(
+    network: Network, signal_probs: Mapping[str, float]
+) -> Dict[str, tuple]:
+    """Each gate with its pin -> probability map and its pinned 0/1
+    pattern (the tail of its program keys), resolved once per gate."""
+    resolved = {}
+    for name, gate in network.gates.items():
+        pin_probs = {pin: signal_probs[net] for pin, net in gate.connections.items()}
+        resolved[name] = (gate, pin_probs, _pinned_inputs(pin_probs))
+    return resolved
+
+
 def observability_estimates(
     network: Network, signal_probs: Mapping[str, float]
 ) -> Dict[str, float]:
@@ -143,6 +155,13 @@ def observability_estimates(
     difference of the cell function), treating signals as independent.
     Multiple fanout branches combine with the union approximation.
     """
+    return _observability(network, _gate_inputs(network, signal_probs))
+
+
+def _observability(
+    network: Network, gate_inputs: Mapping[str, tuple]
+) -> Dict[str, float]:
+    """:func:`observability_estimates` over resolved gate inputs."""
     observability: Dict[str, float] = {net: 0.0 for net in network.nets()}
     for net in network.outputs:
         observability[net] = 1.0
@@ -151,26 +170,21 @@ def observability_estimates(
     # every gate, and by the time a net is processed the observability
     # of every reader's output (strictly downstream) is final.  The
     # sensitisation probability of a (cell, pin) Boolean difference is
-    # one compiled program shared by every instance of the cell.
+    # one compiled program per pinned pattern, shared by every instance
+    # of the cell.
     fanout = network.fanout_index()
-    order = network.levelize()
-    net_order = list(network.inputs) + [network.gates[name].output for name in order]
+    net_order = list(network.inputs) + [
+        gate_inputs[name][0].output for name in network.levelize()
+    ]
     programs: Dict[tuple, Program] = {}
-    pin_probs_of_gate: Dict[str, Dict[str, float]] = {}
     for net in reversed(net_order):
         for gate_name, pin in fanout.get(net, ()):
-            gate = network.gates[gate_name]
-            pin_probs = pin_probs_of_gate.get(gate_name)
-            if pin_probs is None:
-                pin_probs = {
-                    p: signal_probs[n] for p, n in gate.connections.items()
-                }
-                pin_probs_of_gate[gate_name] = pin_probs
-            p_sens = cell_probability(
+            gate, pin_probs, pinned = gate_inputs[gate_name]
+            program = cell_program(
                 programs, (id(gate.cell), pin),
-                lambda: _boolean_difference(gate.function_expr(), pin), pin_probs,
+                lambda: _boolean_difference(gate.function_expr(), pin), pinned,
             )
-            through = observability[gate.output] * p_sens
+            through = observability[gate.output] * program(pin_probs)
             # Union over fanout branches: 1 - prod(1 - o_branch).
             observability[net] = 1.0 - (1.0 - observability[net]) * (1.0 - through)
     return observability
@@ -197,10 +211,12 @@ def _topological_detection(
     probabilities already computed - the one topological signal pass of
     :meth:`repro.protest.tool.Protest.analyse` - with the fault universe
     built in the ``cache`` store."""
-    observability = observability_estimates(network, signal_probs)
+    gate_inputs = _gate_inputs(network, signal_probs)
+    observability = _observability(network, gate_inputs)
     universe = fault_universe(network, faults, store=cache)
-    # One activation program per (cell, faulty truth table): the 8k
-    # faults of a 2k-gate netlist share a few dozen cell functions.
+    # One activation program per (cell, faulty truth table, pinned
+    # pattern): the 8k faults of a 2k-gate netlist share a few dozen
+    # cell functions.
     programs: Dict[tuple, Program] = {}
     result: Dict[str, float] = {}
     for label, fault in zip(universe.labels, universe.faults):
@@ -208,17 +224,14 @@ def _topological_detection(
             p_net = signal_probs[fault.net]
             activation = p_net if fault.value == 0 else (1.0 - p_net)
             result[label] = activation * observability[fault.net]
-        else:
-            gate = network.gates[fault.gate]
-            pin_probs = {
-                pin: signal_probs[net] for pin, net in gate.connections.items()
-            }
-            table = fault.function.table
-            activation = cell_probability(
-                programs, (id(gate.cell), table),
-                lambda: gate.function_expr() ^ minimal_sop(table), pin_probs,
-            )
-            result[label] = activation * observability[gate.output]
+            continue
+        gate, pin_probs, pinned = gate_inputs[fault.gate]
+        table = fault.function.table
+        program = cell_program(
+            programs, (id(gate.cell), table),
+            lambda: gate.function_expr() ^ minimal_sop(table), pinned,
+        )
+        result[label] = program(pin_probs) * observability[gate.output]
     return result
 
 
@@ -238,8 +251,9 @@ def detection_probabilities(
 
     ``engine``, ``jobs`` and ``collapse`` reach the Monte-Carlo
     estimator (the only one whose cost scales with the fault count
-    times the sample count) and ``cache`` the simulation-backed
-    estimators; all four are validated up front on
+    times the sample count) and ``cache`` every estimator (the store
+    its fault universe and programs are fetched from); all four are
+    validated up front on
     every method (:func:`repro.simulate.faultsim.resolve_knobs`), so a
     bad knob raises whichever estimator dispatches.
     """
@@ -249,7 +263,9 @@ def detection_probabilities(
     if method == "exact":
         return exact_detection_probabilities(network, faults, probs, cache=store)
     if method == "topological":
-        return topological_detection_probabilities(network, faults, probs)
+        return _topological_detection(
+            network, faults, topological_signal_probabilities(network, probs), store
+        )
     if method == "monte_carlo":
         return monte_carlo_detection_probabilities(
             network, faults, probs, samples, seed, engine, jobs, collapse,

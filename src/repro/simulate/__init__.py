@@ -3,7 +3,6 @@
 from .artifacts import (
     ArtifactStore,
     available_cache_modes,
-    fault_fingerprint,
     network_fingerprint,
     resolve_cache,
 )
@@ -50,7 +49,6 @@ from .timingsim import (
 __all__ = [
     "ArtifactStore",
     "available_cache_modes",
-    "fault_fingerprint",
     "network_fingerprint",
     "resolve_cache",
     "CompiledNetwork",

@@ -1,14 +1,15 @@
 """Content-addressed compile-artifact store.
 
 Everything the engine stack derives from a network alone - the compiled
-slot program (:mod:`repro.simulate.compiled`), fanout-cone metadata and
-LPT fault partitions (:mod:`repro.simulate.schedule`), the vector
-engine's lane view (:mod:`repro.simulate.vector`) and structural
-collapse classes
-(:mod:`repro.faults.structural`) - is an immutable function of network
-*content*; a fault list's ``universe`` and ``stem_plan`` are held by
-element identity (:meth:`ArtifactStore.fetch_identical`).  This module
-gives those derivations one shared mechanism:
+slot program (:mod:`repro.simulate.compiled`), fanout-cone metadata
+(:mod:`repro.simulate.schedule`), the vector engine's lane view
+(:mod:`repro.simulate.vector`) and the collapse classes of the
+network's own fault list (:mod:`repro.faults.structural`) - is an
+immutable function of network *content*; what a given fault list
+derives - its ``universe``, ``stem_plan``, ``collapse`` classes and LPT
+``partition`` - is held by element identity
+(:meth:`ArtifactStore.fetch_identical`).  This module gives those
+derivations one shared mechanism:
 
 * :func:`network_fingerprint` - a canonical SHA-256 over the network's
   inputs, outputs, cells, connections and levelized slot order.  Two
@@ -39,16 +40,15 @@ from __future__ import annotations
 import hashlib
 import operator
 from collections import Counter, OrderedDict
-from typing import Any, Callable, Dict, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Tuple, Union
 from weakref import WeakKeyDictionary
 
-from ..netlist.network import Network, NetworkFault
+from ..netlist.network import Network
 
 __all__ = [
     "CACHE_MODES",
     "ArtifactStore",
     "available_cache_modes",
-    "fault_fingerprint",
     "network_fingerprint",
     "resolve_cache",
 ]
@@ -58,7 +58,6 @@ CACHE_MODES = ("memory", "off")
 
 _MISSING = object()
 _SEPARATOR = b"\x1f"
-_TERMINATOR = b"\x1e"
 
 
 def available_cache_modes() -> tuple:
@@ -131,55 +130,6 @@ def network_fingerprint(network: Network) -> str:
     fingerprint = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
     _NETWORK_FINGERPRINTS[network] = (generation, fingerprint)
     return fingerprint
-
-
-def _function_bytes(function) -> bytes:
-    """The fingerprint bytes of a cell fault's faulty function: name,
-    table variables and SOP, then the table bits as raw bytes (a
-    decimal ``str()`` is quadratic in the table width and blows
-    CPython's int-to-str digit limit past 14 inputs)."""
-    bits = function.table.bits
-    text = f"{function.name}\x1f{','.join(function.table.names)}\x1f{function.sop}\x1f"
-    return (
-        text.encode("utf-8")
-        + bits.to_bytes(bits.bit_length() // 8 + 1, "little")
-        + _SEPARATOR
-    )
-
-
-def fault_fingerprint(faults: Sequence[NetworkFault]) -> str:
-    """Content hash of an ordered fault list.
-
-    Covers every field that shapes simulation or labelling - kind, net,
-    forced value, gate, class index, label and (for cell faults) the
-    faulty function's truth table and SOP - so two separately-built but
-    equal fault lists key the same collapse/partition artifacts.  The
-    list is hashed as one joined byte string; a library function's
-    bytes are built once per call, since a netlist's faults share a few
-    cells' functions.
-    """
-    # The list is joined as one string and encoded once.  A function's
-    # bytes (raw table bits among them) enter it decoded with
-    # "surrogateescape", which that encode reverses byte for byte.
-    parts = ["repro-faults-v1"]
-    function_text: Dict[int, str] = {}
-    for kind, net, value, gate, class_index, function, label in faults:
-        if function is None:
-            tail = "\x1e"
-        else:
-            tail = function_text.get(id(function))
-            if tail is None:
-                tail = function_text[id(function)] = (
-                    _function_bytes(function) + _TERMINATOR
-                ).decode("utf-8", "surrogateescape")
-        value = "" if value is None else value
-        index = "" if class_index is None else class_index
-        parts.append(
-            f"{kind}\x1f{net or ''}\x1f{value}\x1f{gate or ''}\x1f{index}\x1f"
-            f"{label}\x1f{tail}"
-        )
-    text = "".join(parts)
-    return hashlib.sha256(text.encode("utf-8", "surrogateescape")).hexdigest()
 
 
 # -- the store -------------------------------------------------------------------------

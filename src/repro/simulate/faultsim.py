@@ -548,9 +548,10 @@ def fault_simulate(
     representative list.  Unknown modes raise
     here with the list of available modes.
     ``cache`` selects the artifact store everything derivable from the
-    network alone (compiled slot programs, cone metadata, collapse
-    classes, fault partitions) is keyed in by
-    content fingerprint (:mod:`repro.simulate.artifacts`: ``None`` or
+    network alone (compiled slot programs, cone metadata) is keyed in by
+    content fingerprint, and what the fault list derives (universe,
+    collapse classes, stem plan, fault partitions) by the identity of
+    its fault objects (:mod:`repro.simulate.artifacts`: ``None`` or
     ``"memory"`` - the process-wide in-memory store - by default,
     ``"off"``, or an :class:`ArtifactStore`).  Caching never
     changes a result bit - warm and cold runs are bit-identical - and

@@ -42,7 +42,7 @@ from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Sequence
 
 from ..netlist.network import Network, NetworkFault
-from .artifacts import fault_fingerprint, resolve_cache
+from .artifacts import resolve_cache
 from .compiled import CompiledNetwork, compile_network
 
 __all__ = [
@@ -249,7 +249,7 @@ def partition_faults(
     store = resolve_cache(cache)
     compiled = compile_network(network, cache=store)
 
-    def build() -> List[List[int]]:
+    def build(faults) -> List[List[int]]:
         sites = [compiled.fault_site(fault) for fault in faults]
         cone_counts_batch(compiled, sites)
         members_of_stem: Dict[int, List[int]] = {}
@@ -271,5 +271,6 @@ def partition_faults(
             parts.append(indices)
         return parts
 
-    key = (compiled.fingerprint, fault_fingerprint(faults), int(shards))
-    return store.fetch("partition", key, build)
+    return store.fetch_identical(
+        "partition", (compiled.fingerprint, int(shards)), faults, build
+    )

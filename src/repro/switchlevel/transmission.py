@@ -15,14 +15,13 @@ elsewhere (ref. [2]), and cells in this domain stay under ~20 devices.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..logic.expr import And, Const, Expr, Not, Or, Var, simplify
 from ..logic.truthtable import TruthTable
 from .build import TERMINAL_D, TERMINAL_S, SwitchNetwork
 from .network import DeviceType, FaultKind, PhysicalFault, Switch
+from .simulator import _UnionFind
 
 
 def switch_literal(switch: Switch) -> Expr:
@@ -88,15 +87,51 @@ def _apply_faults(
     return result
 
 
-def transmission_graph(network: SwitchNetwork) -> nx.MultiGraph:
-    """The connectivity multigraph of the network (switch names on edges)."""
-    graph = nx.MultiGraph()
-    graph.add_nodes_from(network.nodes)
-    for name, switch in network.switches.items():
+def _conduction_paths(
+    network: SwitchNetwork, source: str, drain: str
+) -> Iterator[List[Switch]]:
+    """Every simple ``source`` -> ``drain`` path, as its switches.
+
+    A depth-first search that never expands through the drain, over an
+    adjacency that lists each node's neighbours in the order their first
+    switch was added and parallel switches in insertion order, so paths
+    (and the transmission's terms) keep the order of the graph-library
+    enumeration in ``tests/transmission_reference.py``.  A permanently
+    open channel is no edge at all.
+    """
+    adjacency: Dict[str, Dict[str, List[Switch]]] = {}
+    for switch in network.switches.values():
         if switch.dtype is DeviceType.NEVER_ON:
-            continue  # a permanently open channel is no edge at all
-        graph.add_edge(switch.a, switch.b, key=name, switch=switch)
-    return graph
+            continue
+        parallel = adjacency.setdefault(switch.a, {}).get(switch.b)
+        if parallel is None:
+            parallel = adjacency[switch.a][switch.b] = []
+            adjacency.setdefault(switch.b, {})[switch.a] = parallel
+        parallel.append(switch)
+
+    def edges(node: str) -> Iterator[Tuple[str, Switch]]:
+        for neighbour, parallel in adjacency.get(node, {}).items():
+            for switch in parallel:
+                yield neighbour, switch
+
+    nodes, path = [source], []  # the path so far, and the switch into each node
+    stack = [edges(source)]
+    while stack:
+        for node, switch in stack[-1]:
+            if node in nodes:
+                continue
+            if node == drain:
+                yield path + [switch]
+                continue
+            nodes.append(node)
+            path.append(switch)
+            stack.append(edges(node))
+            break
+        else:
+            stack.pop()
+            if path:
+                nodes.pop()
+                path.pop()
 
 
 def transmission_expr(
@@ -112,26 +147,14 @@ def transmission_expr(
     Path enumeration is exponential in the worst case but exact, and the
     cell-sized networks of this library keep it tiny.
     """
-    faulted = _apply_faults(network, faults)
-    graph = transmission_graph(faulted)
-    if source not in graph or drain not in graph:
-        return Const(0)
-    if not nx.has_path(graph, source, drain):
-        return Const(0)
     terms: List[Expr] = []
-    for edge_path in nx.all_simple_edge_paths(graph, source, drain):
-        literals: List[Expr] = []
-        feasible = True
-        for a, b, key in edge_path:
-            literal = switch_literal(faulted.switches[key])
-            if isinstance(literal, Const):
-                if literal.value == 0:
-                    feasible = False
-                    break
-                continue  # constant-1 literal contributes nothing
-            literals.append(literal)
-        if not feasible:
-            continue
+    for path in _conduction_paths(_apply_faults(network, faults), source, drain):
+        # Open channels are no edges, so a constant literal is a 1.
+        literals = [
+            literal
+            for literal in map(switch_literal, path)
+            if not isinstance(literal, Const)
+        ]
         if not literals:
             return Const(1)  # an unconditional path short-circuits everything
         terms.append(literals[0] if len(literals) == 1 else And(*literals))
@@ -163,16 +186,13 @@ def conducts(
 ) -> bool:
     """Evaluate conduction between S and D under a concrete assignment.
 
-    Works directly on the graph (no symbolic step), so it is the
-    independent oracle the tests use to validate :func:`transmission_expr`.
+    Joins the nodes of every conducting switch (no symbolic step, no
+    path enumeration), so it is the independent oracle the tests use to
+    validate :func:`transmission_expr`.
     """
     faulted = _apply_faults(network, faults)
-    graph = nx.Graph()
-    graph.add_nodes_from(faulted.nodes)
+    components = _UnionFind(faulted.nodes)
     for switch in faulted.switches.values():
-        if switch.dtype is DeviceType.NEVER_ON:
-            continue
-        on = switch.conducts(assignment.get(switch.gate, 0) if switch.gate else 1)
-        if on:
-            graph.add_edge(switch.a, switch.b)
-    return nx.has_path(graph, TERMINAL_S, TERMINAL_D)
+        if switch.conducts(assignment.get(switch.gate, 0) if switch.gate else 1):
+            components.union(switch.a, switch.b)
+    return components.find(TERMINAL_S) == components.find(TERMINAL_D)

@@ -2,9 +2,11 @@
 
 The content-addressed artifact store (:mod:`repro.simulate.artifacts`)
 keys everything derivable from a network alone - compiled slot
-programs, cone metadata, batch plans, collapse classes and fault
-partitions - by canonical content fingerprint.  Four
-contracts are pinned here:
+programs, cone metadata and the collapse classes of the network's own
+fault list - by canonical content fingerprint, and what a given fault
+list derives (its universe, stem plan, collapse classes and fault
+partitions) by the identity of its fault objects.  Four contracts are
+pinned here:
 
 * **fingerprints** - equal networks built separately hash equal; by
   hypothesis property, any single gate, connection or output-marking
@@ -22,7 +24,6 @@ contracts are pinned here:
   anything else, paths included.
 """
 
-import hashlib
 import sys
 from pathlib import Path
 
@@ -33,15 +34,12 @@ from hypothesis import strategies as st
 from engine_test_utils import BENCH_ZOO, all_faults, results_identical
 
 from repro.circuits.generators import c17, random_network
-from repro.cells.library import LibraryFunction
-from repro.logic.truthtable import TruthTable
-from repro.netlist import CellFactory, Network, NetworkFault, parse_bench
+from repro.netlist import CellFactory, Network, parse_bench
 from repro.simulate import (
     ArtifactStore,
     PatternSet,
     available_cache_modes,
     available_engines,
-    fault_fingerprint,
     fault_simulate,
     network_fingerprint,
     resolve_cache,
@@ -54,27 +52,6 @@ from repro.simulate.artifacts import CACHE_MODES
 DERIVATION_KINDS = (
     "compiled", "vector", "collapse", "partition", "universe", "stem_plan",
 )
-
-
-def part_by_part_fingerprint(faults) -> str:
-    """The fault fingerprint's byte stream, one digest update per part."""
-    digest = hashlib.sha256(b"repro-faults-v1")
-    for fault in faults:
-        for part in (
-            fault.kind, fault.net or "",
-            "" if fault.value is None else str(fault.value), fault.gate or "",
-            "" if fault.class_index is None else str(fault.class_index),
-            fault.label,
-        ):
-            digest.update(part.encode("utf-8") + b"\x1f")
-        function = fault.function
-        if function is not None:
-            for part in (function.name, ",".join(function.table.names), function.sop):
-                digest.update(part.encode("utf-8") + b"\x1f")
-            bits = function.table.bits
-            digest.update(bits.to_bytes(bits.bit_length() // 8 + 1, "little") + b"\x1f")
-        digest.update(b"\x1e")
-    return digest.hexdigest()
 
 
 def perfbench_network():
@@ -189,52 +166,10 @@ class TestNetworkFingerprint:
         variant = build_network(n_inputs, tuple(mutated), extra_output)
         assert network_fingerprint(variant) != baseline
 
-    def test_fault_fingerprint_shared_across_equal_lists(self):
-        assert fault_fingerprint(all_faults(c17())) == fault_fingerprint(
-            all_faults(c17())
-        )
-        # Order is part of the identity: partitions are index lists.
-        faults = all_faults(c17())
-        assert fault_fingerprint(faults) != fault_fingerprint(
-            list(reversed(faults))
-        )
-
-    def test_fault_fingerprint_digests_are_pinned(self):
-        """Collapse and partition keys embed these digests: a change to
-        the hashed byte stream must be deliberate, never a silent
-        drift."""
-        assert fault_fingerprint(all_faults(c17())) == (
-            "4b89f3769cdd25062c6bd66fe2493a8fa62caf691230cf6dbfde939f67860787"
-        )
-        zoo = parse_bench(BENCH_ZOO, name="zoo")
-        assert fault_fingerprint(all_faults(zoo)) == (
-            "46b75794fa61bee97057d611be884a7250361729320bf19036833714e3b1af19"
-        )
-        assert fault_fingerprint([]) == (
-            "a665991698cfeb276869553cd6077ca1b169c5ca3e2628d43e1d0165c4623daa"
-        )
-        perfbench = perfbench_network()
-        assert fault_fingerprint(perfbench.enumerate_faults()) == (
-            "c7d811a2e66a3784e76bf4310c9104813189973916838b579be2c3e1a6a1c419"
-        )
-
-    def test_fault_fingerprint_is_the_part_by_part_hash(self):
-        """One joined string, encoded once, hashes the same bytes as
-        feeding every part on its own - labels outside ASCII and table
-        bytes above 0x7f included."""
-        wide = LibraryFunction(
-            name="wide", table=TruthTable(("a", "b", "c", "d"), 0xBEEF), sop="a"
-        )
-        faults = all_faults(parse_bench(BENCH_ZOO, name="zoo")) + [
-            NetworkFault.cell_fault("g\u2192", 7, wide, label="g\u2192\u00fc"),
-            NetworkFault.stuck_at("n\u00e9t", 1),
-        ]
-        assert fault_fingerprint(faults) == part_by_part_fingerprint(faults)
-
     def test_network_fingerprint_digests_are_pinned(self):
         """Every artifact key starts with the network digest: the
-        compiled program, cones, collapse and partitions of a netlist
-        must keep theirs."""
+        compiled program, cones, universes, collapse classes and
+        partitions of a netlist must keep theirs."""
         assert network_fingerprint(c17()) == (
             "31d1a08cd15d77c20cc3406971095173d3d11e922ea380599bf563868c7e6e10"
         )
@@ -279,7 +214,9 @@ class TestWarmRuns:
 
     def test_equal_network_built_separately_is_warm(self):
         """Content addressing, not object identity: a second network
-        describing the same circuit reuses the first one's artifacts."""
+        describing the same circuit reuses the first one's program.
+        Its fault list is fresh objects, so its collapse classes (held
+        by fault identity) are built once more."""
         store = ArtifactStore()
         network, patterns, faults = small_workload()
         cold = fault_simulate(
@@ -295,7 +232,7 @@ class TestWarmRuns:
         )
         results_identical(cold, warm)
         assert store.misses["compiled"] == 0
-        assert store.misses["collapse"] == 0
+        assert store.misses["collapse"] == 1
 
     def test_mutated_network_misses_cleanly(self):
         """A network that changed content must rebuild, not reuse."""
@@ -359,6 +296,40 @@ class TestCollapseSharing:
         assert store.misses["collapse"] == 0
         assert second.class_of == first.class_of
         assert second.representatives == first.representatives
+
+    def test_set_up_collapse_serves_the_first_run(self):
+        """A list collapsed at set-up is the list the first collapsed
+        run's universe collapses: its classes are read, not rebuilt."""
+        from repro.faults.structural import collapse_network_faults
+
+        network, patterns, faults = small_workload()
+        store = ArtifactStore()
+        collapsed = collapse_network_faults(network, faults, cache=store)
+        store.reset_counters()
+        result = fault_simulate(
+            network, patterns, faults, collapse="on", cache=store
+        )
+        assert store.misses["universe"] == 1
+        assert store.stats()["collapse"] == {"hits": 1, "misses": 0}
+        assert result.collapsed_classes == collapsed.class_count
+
+    def test_list_changed_in_place_misses(self):
+        """Identity is per fault object: a list that had one fault
+        replaced in place is a new list, and its classes are rebuilt."""
+        from repro.faults.structural import collapse_network_faults
+
+        network, patterns, faults = small_workload()
+        store = ArtifactStore()
+        collapse_network_faults(network, faults, cache=store)
+        faults[0] = faults[0]._replace()
+        store.reset_counters()
+        result = fault_simulate(
+            network, patterns, faults, collapse="on", cache=store
+        )
+        assert store.stats()["collapse"] == {"hits": 0, "misses": 1}
+        results_identical(
+            result, fault_simulate(network, patterns, faults, cache="off")
+        )
 
 
 # -- the cache knob --------------------------------------------------------------------

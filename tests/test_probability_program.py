@@ -188,3 +188,72 @@ def test_programs_built_once_per_cell_function(netlist, builds):
     # One build per distinct (cell function, pinned corner pattern).
     assert len(builds) == len(set(builds))
     assert len(builds) <= len(cells) * 3 ** 2
+
+
+# -- the per-gate resolution of the topological estimators ---------------------
+
+
+def per_fault_topological(network, faults, signal):
+    """Observability and detection as they were computed before each
+    gate's inputs were resolved once: a pin-probability dict, pinned
+    pattern and program lookup per (gate, pin) and per fault, through
+    :func:`probability.cell_probability` on fresh program dicts."""
+    from repro.logic.minimize import minimal_sop
+    from repro.protest.detectprob import _boolean_difference
+
+    observability = {net: 0.0 for net in network.nets()}
+    for net in network.outputs:
+        observability[net] = 1.0
+    fanout = network.fanout_index()
+    order = list(network.inputs) + [
+        network.gates[name].output for name in network.levelize()
+    ]
+    programs = {}
+    for net in reversed(order):
+        for gate_name, pin in fanout.get(net, ()):
+            gate = network.gates[gate_name]
+            pin_probs = {p: signal[n] for p, n in gate.connections.items()}
+            p_sens = probability.cell_probability(
+                programs, (id(gate.cell), pin),
+                lambda: _boolean_difference(gate.function_expr(), pin), pin_probs,
+            )
+            through = observability[gate.output] * p_sens
+            observability[net] = 1.0 - (1.0 - observability[net]) * (1.0 - through)
+    programs = {}
+    detection = {}
+    for fault in faults:
+        if fault.kind == "stuck":
+            p_net = signal[fault.net]
+            activation = p_net if fault.value == 0 else 1.0 - p_net
+            detection[fault.label] = activation * observability[fault.net]
+            continue
+        gate = network.gates[fault.gate]
+        pin_probs = {pin: signal[net] for pin, net in gate.connections.items()}
+        table = fault.function.table
+        activation = probability.cell_probability(
+            programs, (id(gate.cell), table),
+            lambda: gate.function_expr() ^ minimal_sop(table), pin_probs,
+        )
+        detection[fault.label] = activation * observability[gate.output]
+    return observability, detection
+
+
+@pytest.mark.parametrize("probs", ["half", "mixed"])
+def test_gate_resolution_equals_per_fault_path(probs):
+    """On a perfbench-shaped netlist (``perfbench/netgen.py``, stuck-at
+    faults included), resolving each gate once changes no estimate."""
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    if str(root) not in sys.path:
+        sys.path.insert(0, str(root))
+    from netgen import bench_text
+
+    network = parse_bench(bench_text(7, gates=600, blocks=2), name="netgen")
+    probs = 0.5 if probs == "half" else _input_map(network, 5)
+    faults = network.enumerate_faults(include_stuck_at=True)
+    signal = topological_signal_probabilities(network, probs)
+    observability, detection = per_fault_topological(network, faults, signal)
+    assert observability_estimates(network, signal) == observability
+    assert topological_detection_probabilities(network, faults, probs) == detection

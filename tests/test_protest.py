@@ -347,6 +347,23 @@ class TestFacade:
         assert "universe" not in shared.stats()
         assert store.stats()["universe"] == {"hits": 0, "misses": 1}
 
+    def test_topological_dispatch_honours_its_store(self):
+        """The dispatcher's topological branch (behind the facade's
+        ``detection_probabilities`` and ``required_test_length``) builds
+        its universe in the facade's store: with ``cache="off"`` the
+        process-global store's counters and entries do not move."""
+        from repro.simulate.artifacts import resolve_cache
+
+        network = domino_carry_chain(3)
+        shared = resolve_cache("memory")
+        shared.reset_counters()
+        held = list(shared._memory)
+        protest = Protest(network, cache="off")
+        protest.detection_probabilities(method="topological")
+        protest.required_test_length(method="topological")
+        assert shared.stats() == {}
+        assert list(shared._memory) == held
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -1,6 +1,10 @@
 """Tests for switching networks and transmission functions."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -169,3 +173,32 @@ def test_transmission_round_trip_random_functions(bits):
     expr = minimal_sop(table)
     network = SwitchNetwork.from_expr(expr)
     assert transmission_table(network, names=names) == table
+
+
+def test_bench_to_verdict_never_imports_networkx():
+    """The whole ``.bench``-to-verdict flow (parse, collapse, fault
+    simulation, PROTEST analysis) runs without networkx: the path
+    search and the conduction oracle are in-repo."""
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "from repro.faults.structural import collapse_network_faults\n"
+        "from repro.netlist import read_bench\n"
+        "from repro.protest import Protest\n"
+        "from repro.simulate import PatternSet\n"
+        "from repro.simulate.faultsim import fault_simulate\n"
+        f"network = read_bench({str(root / 'examples' / 'c17.bench')!r})\n"
+        "faults = network.enumerate_faults()\n"
+        "collapse_network_faults(network, faults)\n"
+        "patterns = PatternSet.random(network.inputs, 64, seed=1)\n"
+        "assert fault_simulate(network, patterns, faults, collapse='on').detected\n"
+        "protest = Protest(network, faults)\n"
+        "protest.analyse(method='topological')\n"
+        "protest.analyse(method='monte_carlo')\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'networkx'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert done.stdout.strip() == "[]"
