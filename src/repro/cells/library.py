@@ -40,7 +40,7 @@ from ..logic.expr import (
     simplify,
     substitute_occurrence,
 )
-from ..logic.minimize import minimal_sop, minimal_sop_string
+from ..logic.minimize import minimal_sop_string
 from ..logic.truthtable import TruthTable
 from .cell import Cell
 
@@ -165,12 +165,6 @@ class FaultLibrary:
         lines.append("}")
         lines.append("")
         return "\n".join(lines)
-
-
-def _python_expr(table: TruthTable) -> str:
-    """Render a truth table's minimal SOP as a Python boolean expression."""
-    expr = minimal_sop(table)
-    return _python_of(expr)
 
 
 def _python_from_sop(sop: str) -> str:

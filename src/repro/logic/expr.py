@@ -395,11 +395,6 @@ def _render(expr: Expr, parent_prec: int) -> str:
     raise TypeError(f"unknown expression node {expr!r}")
 
 
-def variables_sorted(expr: Expr) -> Tuple[str, ...]:
-    """The support of ``expr`` in deterministic (sorted) order."""
-    return tuple(sorted(expr.variables()))
-
-
 def all_assignments(names: Sequence[str]) -> Iterator[Dict[str, int]]:
     """Yield every 0/1 assignment over ``names`` in binary counting order.
 

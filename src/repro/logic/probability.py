@@ -19,11 +19,13 @@ probability values.  :func:`probability_program` therefore runs the
 walk once, symbolically, and emits a straight-line Python function
 (``compile()``, like the gate lambdas of
 :mod:`repro.simulate.compiled`) that performs the walk's float
-operations in the walk's order.  The program key is the expression plus
-its pinned 0/1 pattern; the estimators in :mod:`repro.protest` memoise
-programs per cell in call-local dicts (:func:`cell_probability`), so a
-netlist costs one compile per distinct cell function and one cheap call
-per gate or fault.
+operations in the walk's order.  Programs live in one process-wide
+memo (:func:`cell_program`, the policy of the faulty pin functions of
+:mod:`repro.simulate.compiled`) keyed by content - a cell's function
+plus its role, never an object's identity - and the pinned 0/1
+pattern: a program is compiled once per process, equal netlists parsed
+twice share every program, and each gate or fault costs a dict lookup
+and one straight-line call.
 
 Results are bit-identical to the walk because the generator
 
@@ -200,36 +202,19 @@ def probability_program(expr: Expr, pinned: Mapping[str, float]) -> Program:
     return namespace["program"]
 
 
-def cell_probability(
-    programs: Dict[tuple, Program],
-    key: Hashable,
-    expr_of: Callable[[], Expr],
-    probs: Mapping[str, float],
-) -> float:
-    """Exact P(expr = 1) through a program memoised in ``programs``.
-
-    ``key`` must identify the expression ``expr_of()`` builds (a cell's
-    identity, say); the pinned 0/1 pattern of ``probs`` completes the
-    program key, so the expression is built and compiled once per
-    distinct (key, pattern) and every other call is one dict lookup and
-    one straight-line call.  ``programs`` belongs to the caller.
-    """
-    return cell_program(programs, key, expr_of, _pinned_inputs(probs))(probs)
+_PROGRAMS: Dict[tuple, Program] = {}
+"""Every program of the process, by (content key, pinned pattern)."""
 
 
 def cell_program(
-    programs: Dict[tuple, Program],
-    key: Hashable,
-    expr_of: Callable[[], Expr],
-    pinned: Tuple[Tuple[str, float], ...],
+    key: Hashable, expr_of: Callable[[], Expr], pinned: Tuple[Tuple[str, float], ...]
 ) -> Program:
-    """The program of :func:`cell_probability` for an already resolved
-    pinned pattern (:func:`_pinned_inputs` of the probabilities it will
-    be called on) - for callers that evaluate one gate's inputs under
-    many expressions and resolve the pattern once per gate."""
-    program = programs.get((key, pinned))
+    """The program of ``expr_of()`` for the pinned pattern ``pinned``
+    (:func:`_pinned_inputs`), compiled once per process: ``key`` must
+    determine the expression by content, never by object identity."""
+    program = _PROGRAMS.get((key, pinned))
     if program is None:
-        program = programs[(key, pinned)] = probability_program(expr_of(), dict(pinned))
+        program = _PROGRAMS[(key, pinned)] = probability_program(expr_of(), dict(pinned))
     return program
 
 

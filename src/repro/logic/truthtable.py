@@ -142,9 +142,6 @@ class TruthTable:
     def ones_count(self) -> int:
         return self.bits.bit_count()
 
-    def is_constant(self) -> bool:
-        return self.bits == 0 or self.bits == (1 << self.size) - 1
-
     def constant_value(self) -> int | None:
         """0 or 1 if the function is constant, else ``None``."""
         if self.bits == 0:

@@ -23,8 +23,6 @@ ZERO = 0
 ONE = 1
 X = 2
 
-TERNARY_VALUES = (ZERO, ONE, X)
-
 _NOT_TABLE = (ONE, ZERO, X)
 
 _AND_TABLE = (

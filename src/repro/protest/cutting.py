@@ -25,8 +25,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
-from ..logic.probability import Program, cell_probability
+from ..logic.probability import Program
 from ..netlist.network import Network
+from .signalprob import output_program
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def cutting_signal_bounds(
 
     # Corner probabilities go through one program per cell and pinned
     # 0/1 corner pattern (the cut [0, 1] inputs pin at both ends).
-    programs: Dict[tuple, Program] = {}
+    resolved: Dict[tuple, Program] = {}
     for gate_name in network.levelize():
         gate = network.gates[gate_name]
         pins = list(gate.connections)
@@ -102,9 +103,7 @@ def cutting_signal_bounds(
         corners: List[float] = []
         for corner in itertools.product(*choices):
             corner_probs = dict(zip(pin_intervals.keys(), corner))
-            corners.append(cell_probability(
-                programs, id(gate.cell), gate.function_expr, corner_probs
-            ))
+            corners.append(output_program(gate, corner_probs, resolved)(corner_probs))
         intervals[gate.output] = Interval(min(corners), max(corners))
     return intervals
 

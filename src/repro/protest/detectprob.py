@@ -170,20 +170,21 @@ def _observability(
     # every gate, and by the time a net is processed the observability
     # of every reader's output (strictly downstream) is final.  The
     # sensitisation probability of a (cell, pin) Boolean difference is
-    # one compiled program per pinned pattern, shared by every instance
-    # of the cell.
+    # one program per pinned pattern, content key ("difference",
+    # function, pin), looked up once a call per (cell, pin, pattern).
     fanout = network.fanout_index()
     net_order = list(network.inputs) + [
         gate_inputs[name][0].output for name in network.levelize()
     ]
-    programs: Dict[tuple, Program] = {}
+    resolved: Dict[tuple, Program] = {}
     for net in reversed(net_order):
         for gate_name, pin in fanout.get(net, ()):
             gate, pin_probs, pinned = gate_inputs[gate_name]
-            program = cell_program(
-                programs, (id(gate.cell), pin),
+            ident = (id(gate.cell), pin, pinned)
+            program = resolved.get(ident) or resolved.setdefault(ident, cell_program(
+                ("difference", gate.function_expr(), pin),
                 lambda: _boolean_difference(gate.function_expr(), pin), pinned,
-            )
+            ))
             through = observability[gate.output] * program(pin_probs)
             # Union over fanout branches: 1 - prod(1 - o_branch).
             observability[net] = 1.0 - (1.0 - observability[net]) * (1.0 - through)
@@ -194,10 +195,12 @@ def topological_detection_probabilities(
     network: Network,
     faults: Optional[Sequence[NetworkFault]],
     probs: Mapping[str, float] | float = 0.5,
+    cache=None,
 ) -> Dict[str, float]:
-    """Activation x observability estimate for each fault."""
+    """Activation x observability estimate for each fault, the fault
+    universe built in the ``cache`` store."""
     return _topological_detection(
-        network, faults, topological_signal_probabilities(network, probs)
+        network, faults, topological_signal_probabilities(network, probs), cache
     )
 
 
@@ -214,24 +217,31 @@ def _topological_detection(
     gate_inputs = _gate_inputs(network, signal_probs)
     observability = _observability(network, gate_inputs)
     universe = fault_universe(network, faults, store=cache)
-    # One activation program per (cell, faulty truth table, pinned
-    # pattern): the 8k faults of a 2k-gate netlist share a few dozen
-    # cell functions.
-    programs: Dict[tuple, Program] = {}
+    # Content key ("fault", function, names, bits): 8k faults share a few
+    # dozen programs.  A run of a gate's faults resolves the gate once, and
+    # each fault its program by identity: (cell, pattern) -> function id.
+    resolved: Dict[tuple, Dict[int, Program]] = {}
     result: Dict[str, float] = {}
+    current = None
     for label, fault in zip(universe.labels, universe.faults):
         if fault.kind == "stuck":
             p_net = signal_probs[fault.net]
             activation = p_net if fault.value == 0 else (1.0 - p_net)
             result[label] = activation * observability[fault.net]
             continue
-        gate, pin_probs, pinned = gate_inputs[fault.gate]
-        table = fault.function.table
-        program = cell_program(
-            programs, (id(gate.cell), table),
-            lambda: gate.function_expr() ^ minimal_sop(table), pinned,
-        )
-        result[label] = program(pin_probs) * observability[gate.output]
+        if fault.gate != current:
+            current = fault.gate
+            gate, pin_probs, pinned = gate_inputs[current]
+            by_function = resolved.setdefault((id(gate.cell), pinned), {})
+            observed = observability[gate.output]
+        program = by_function.get(id(fault.function))
+        if program is None:
+            expr, table = gate.function_expr(), fault.function.table
+            program = by_function[id(fault.function)] = cell_program(
+                ("fault", expr, table.names, table.bits),
+                lambda: expr ^ minimal_sop(table), pinned,
+            )
+        result[label] = program(pin_probs) * observed
     return result
 
 

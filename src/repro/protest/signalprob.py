@@ -19,13 +19,12 @@ Three estimators, trading accuracy for scalability exactly the way the
 
 from __future__ import annotations
 
-
 from typing import Dict, Mapping
 
 import numpy as np
 
-from ..logic.probability import Program, cell_probability
-from ..netlist.network import Network
+from ..logic.probability import Program, _pinned_inputs, cell_program
+from ..netlist.network import GateInstance, Network
 from ..simulate.compiled import compile_network
 from ..simulate.logicsim import PatternSet
 from ..simulate.registry import get_engine
@@ -100,19 +99,33 @@ def topological_signal_probabilities(
     function (cell-local Shannon expansion) under the independence
     assumption; correlation error appears only across gates with
     reconvergent fanout.  Each cell's probability program is compiled
-    once per call and shared by all of its instances.
+    once per process and pinned pattern (:func:`output_program`).
     """
     estimates = dict(_input_probs(network, probs))
-    programs: Dict[tuple, Program] = {}
+    resolved: Dict[tuple, Program] = {}
     for gate_name in network.levelize():
         gate = network.gates[gate_name]
         pin_probs = {
             pin: estimates[net] for pin, net in gate.connections.items()
         }
-        estimates[gate.output] = cell_probability(
-            programs, id(gate.cell), gate.function_expr, pin_probs
-        )
+        estimates[gate.output] = output_program(gate, pin_probs, resolved)(pin_probs)
     return estimates
+
+
+def output_program(
+    gate: GateInstance, pin_probs: Mapping[str, float], resolved: Dict
+) -> Program:
+    """``gate``'s output-function program (content key ``("output",
+    function)``) for the pinned pattern of ``pin_probs``, looked up in
+    the process memo once per (cell, pattern) and noted in ``resolved``."""
+    pinned = _pinned_inputs(pin_probs)
+    program = resolved.get((id(gate.cell), pinned))
+    if program is None:
+        expr = gate.function_expr()
+        program = resolved[(id(gate.cell), pinned)] = cell_program(
+            ("output", expr), lambda: expr, pinned
+        )
+    return program
 
 
 def monte_carlo_signal_probabilities(

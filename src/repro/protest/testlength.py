@@ -28,8 +28,10 @@ the quantity the incremental consumer in
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import numbers
+from operator import itemgetter
 from typing import List, Mapping, Tuple
 
 
@@ -156,9 +158,9 @@ def test_length(
 def hardest_faults(
     probabilities: Mapping[str, float], count: int = 10
 ) -> List[Tuple[str, float]]:
-    """The faults that dominate the test length, hardest first."""
-    ranked = sorted(probabilities.items(), key=lambda item: item[1])
-    return ranked[:count]
+    """The faults that dominate the test length, hardest first (ties in
+    dict order, as ``sorted(...)[:count]``)."""
+    return heapq.nsmallest(count, probabilities.items(), key=itemgetter(1))
 
 
 # --- Confidence bounds on observed coverage (streaming sessions) ------

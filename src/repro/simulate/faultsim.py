@@ -397,6 +397,10 @@ BlockKernel = Callable[
 ]
 
 
+_LOW_WORD = (1 << 64) - 1
+"""The lowest 64 pattern bits of a detection word."""
+
+
 def block_detections(
     passes: FaultPass, start: int, chunk: PatternSet, active: List[int]
 ) -> Tuple[List[int], List[int], List[int]]:
@@ -406,7 +410,11 @@ def block_detections(
     positions, firsts, counts = [], [], []
     for position, word in passes(chunk, active):
         positions.append(position)
-        firsts.append(start + (word & -word).bit_length() - 1)
+        # Most first detections fall in the lowest 64 patterns, where
+        # the lowest set bit costs small-int operations, not big-int ones.
+        low = word & _LOW_WORD
+        first = (low & -low if low else word & -word).bit_length() - 1
+        firsts.append(start + first)
         counts.append(word.bit_count())
     return positions, firsts, counts
 

@@ -23,6 +23,7 @@ from repro.protest.detectprob import (
     topological_detection_probabilities,
 )
 from repro.protest.signalprob import topological_signal_probabilities
+from repro.protest.tool import Protest
 
 NAMES = "abcdef"
 
@@ -59,13 +60,15 @@ def test_program_equals_reference_walk(expr, probs):
 @settings(max_examples=200)
 @given(expressions, probabilities)
 def test_cell_probability_equals_reference_walk(expr, probs):
-    """The memoised path: one program per pin pattern, reused across calls."""
-    programs = {}
+    """The memoised path: one program per (content key, pin pattern) in
+    the process-wide memo, reused across calls.  The key is the
+    expression's content, so equal expressions drawn again share it."""
+    key, pinned = ("test", expr), probability._pinned_inputs(probs)
+    program = probability.cell_program(key, lambda: expr, pinned)
     for _ in range(2):
-        assert probability.cell_probability(programs, "cell", lambda: expr, probs) == (
-            reference.signal_probability(expr, probs)
-        )
-    assert len(programs) == 1
+        assert probability.cell_program(key, lambda: expr, pinned) is program
+        assert program(probs) == reference.signal_probability(expr, probs)
+    assert probability._PROGRAMS[(key, pinned)] is program
 
 
 def test_shared_variables_take_the_shannon_path():
@@ -143,9 +146,49 @@ def test_estimators_equal_reference(netlist, probs):
     )
 
 
+@settings(max_examples=40)
+@given(
+    st.integers(0, 2 ** 32),
+    st.lists(st.sampled_from(SPECIAL[:4] + [0.25, 0.9]), min_size=4, max_size=4),
+    st.integers(0, 15),
+)
+def test_property_estimators_equal_reference_pinned_and_off_library(seed, values, bits):
+    """Every topological estimate ``==`` the reference walk, keys and
+    order included, on small reconvergent netlists with inputs pinned at
+    exactly 0.0 and 1.0 and an off-library fault (a table over the
+    reversed pin order) next to the library's and the stuck-at faults."""
+    from repro.cells.library import LibraryFunction
+    from repro.logic.minimize import minimal_sop_string
+    from repro.logic.truthtable import TruthTable
+    from repro.netlist import NetworkFault
+
+    network = parse_bench(random_bench(seed, gates=30, inputs=6), name="pinned")
+    probs = dict(zip(network.inputs, [0.0, 1.0] + values))
+    gate = network.gates[network.levelize()[seed % len(network.gates)]]
+    table = TruthTable(tuple(reversed(gate.cell.inputs)), bits)
+    assert table.names != tuple(gate.cell.inputs)
+    off_library = NetworkFault.cell_fault(
+        gate.name, 99, LibraryFunction("off", table, minimal_sop_string(table))
+    )
+    faults = network.enumerate_faults(include_stuck_at=True) + [off_library]
+
+    signal = topological_signal_probabilities(network, probs)
+    expected = reference.topological_signal_probabilities(network, probs)
+    assert list(signal.items()) == list(expected.items())
+    observability = observability_estimates(network, signal)
+    expected = reference.observability_estimates(network, signal)
+    assert list(observability.items()) == list(expected.items())
+    detection = topological_detection_probabilities(network, faults, probs)
+    expected = reference.topological_detection_probabilities(network, faults, probs)
+    assert list(detection.items()) == list(expected.items())
+    assert cutting_signal_bounds(network, probs) == (
+        reference.cutting_signal_bounds(network, probs)
+    )
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """Record every (expression, pins) program build."""
+    """Record every (expression, pins) program build, on an empty memo."""
     built = []
     real = probability.probability_program
 
@@ -154,10 +197,14 @@ def builds(monkeypatch):
         return real(expr, pinned)
 
     monkeypatch.setattr(probability, "probability_program", counting)
+    monkeypatch.setattr(probability, "_PROGRAMS", {})
     return built
 
 
 def test_programs_built_once_per_cell_function(netlist, builds):
+    """The process-wide contract: a program is built once per (cell
+    function and role, pinned pattern) - never again by a later pass, a
+    later call, or an equal netlist parsed and enumerated afresh."""
     gates = list(netlist.gates.values())
     cells = {id(gate.cell): gate.cell for gate in gates}
     assert len(cells) == len(GATE_KINDS)
@@ -174,20 +221,29 @@ def test_programs_built_once_per_cell_function(netlist, builds):
     assert all(0.0 < p < 1.0 for p in signal.values())
     assert len(builds) == len(cells)
 
-    builds.clear()
     observability_estimates(netlist, signal)
-    assert len(builds) == cell_pins
+    assert len(builds) == len(cells) + cell_pins
 
-    builds.clear()
+    # The signal and observability programs are the memo's already.
     topological_detection_probabilities(netlist, faults, 0.5)
     assert len(builds) == len(cells) + cell_pins + len(functions)
     assert len(functions) < len(cell_faults) / 100
 
-    builds.clear()
     cutting_signal_bounds(netlist, 0.5)
     # One build per distinct (cell function, pinned corner pattern).
-    assert len(builds) == len(set(builds))
-    assert len(builds) <= len(cells) * 3 ** 2
+    assert len(builds) == len(set(builds)) == len(probability._PROGRAMS)
+    assert len(builds) <= len(cells) * 3 ** 2 + cell_pins + len(functions)
+
+    built = len(builds)
+    Protest(netlist, faults, cache="off").analyse(0.5, method="topological")
+    assert len(builds) == built
+    for _ in range(2):
+        again = parse_bench(random_bench(12), name="prob_program")
+        Protest(again, again.enumerate_faults(), cache="off").analyse(
+            0.5, method="topological"
+        )
+        cutting_signal_bounds(again, 0.5)
+        assert len(builds) == built == len(probability._PROGRAMS)
 
 
 # -- the per-gate resolution of the topological estimators ---------------------
@@ -197,9 +253,13 @@ def per_fault_topological(network, faults, signal):
     """Observability and detection as they were computed before each
     gate's inputs were resolved once: a pin-probability dict, pinned
     pattern and program lookup per (gate, pin) and per fault, through
-    :func:`probability.cell_probability` on fresh program dicts."""
+    :func:`probability.cell_program` on content keys."""
     from repro.logic.minimize import minimal_sop
     from repro.protest.detectprob import _boolean_difference
+
+    def cell_probability(key, expr_of, pin_probs):
+        pinned = probability._pinned_inputs(pin_probs)
+        return probability.cell_program(key, expr_of, pinned)(pin_probs)
 
     observability = {net: 0.0 for net in network.nets()}
     for net in network.outputs:
@@ -208,18 +268,16 @@ def per_fault_topological(network, faults, signal):
     order = list(network.inputs) + [
         network.gates[name].output for name in network.levelize()
     ]
-    programs = {}
     for net in reversed(order):
         for gate_name, pin in fanout.get(net, ()):
             gate = network.gates[gate_name]
             pin_probs = {p: signal[n] for p, n in gate.connections.items()}
-            p_sens = probability.cell_probability(
-                programs, (id(gate.cell), pin),
+            p_sens = cell_probability(
+                ("difference", gate.function_expr(), pin),
                 lambda: _boolean_difference(gate.function_expr(), pin), pin_probs,
             )
             through = observability[gate.output] * p_sens
             observability[net] = 1.0 - (1.0 - observability[net]) * (1.0 - through)
-    programs = {}
     detection = {}
     for fault in faults:
         if fault.kind == "stuck":
@@ -230,8 +288,8 @@ def per_fault_topological(network, faults, signal):
         gate = network.gates[fault.gate]
         pin_probs = {pin: signal[net] for pin, net in gate.connections.items()}
         table = fault.function.table
-        activation = probability.cell_probability(
-            programs, (id(gate.cell), table),
+        activation = cell_probability(
+            ("fault", gate.function_expr(), table.names, table.bits),
             lambda: gate.function_expr() ^ minimal_sop(table), pin_probs,
         )
         detection[fault.label] = activation * observability[gate.output]

@@ -214,6 +214,20 @@ class TestTestLength:
         ranked = hardest_faults({"easy": 0.9, "hard": 0.001, "mid": 0.1}, count=2)
         assert [label for label, _ in ranked] == ["hard", "mid"]
 
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.sampled_from([0.0, 1e-9, 0.25, 0.5, 1.0]), max_size=30),
+        st.integers(0, 35),
+    )
+    def test_hardest_faults_equal_full_sort(self, probabilities, count):
+        """Property: the partial selection equals the old full sort
+        sliced, ties (duplicate probabilities) in dict order included,
+        at ``count=0`` and past the fault count."""
+        probabilities = {f"f{k}": p for k, p in enumerate(probabilities)}
+        assert hardest_faults(probabilities, count) == sorted(
+            probabilities.items(), key=lambda item: item[1]
+        )[:count]
+
     def test_undetectable_gives_infinite_length(self):
         assert math.isinf(required_test_length({"f": 0.0}, 0.9))
 
@@ -349,20 +363,28 @@ class TestFacade:
 
     def test_topological_dispatch_honours_its_store(self):
         """The dispatcher's topological branch (behind the facade's
-        ``detection_probabilities`` and ``required_test_length``) builds
-        its universe in the facade's store: with ``cache="off"`` the
+        ``detection_probabilities`` and ``required_test_length``) and
+        the public ``topological_detection_probabilities`` build their
+        universe in the caller's store: with ``cache="off"`` the
         process-global store's counters and entries do not move."""
-        from repro.simulate.artifacts import resolve_cache
+        from repro.protest.detectprob import topological_detection_probabilities
+        from repro.simulate.artifacts import ArtifactStore, resolve_cache
 
         network = domino_carry_chain(3)
         shared = resolve_cache("memory")
         shared.reset_counters()
         held = list(shared._memory)
         protest = Protest(network, cache="off")
-        protest.detection_probabilities(method="topological")
+        expected = protest.detection_probabilities(method="topological")
         protest.required_test_length(method="topological")
+        assert topological_detection_probabilities(
+            network, protest.faults, cache="off"
+        ) == expected
+        store = ArtifactStore()
+        topological_detection_probabilities(network, protest.faults, cache=store)
         assert shared.stats() == {}
         assert list(shared._memory) == held
+        assert store.stats()["universe"] == {"hits": 0, "misses": 1}
 
 
 @settings(max_examples=40, deadline=None)

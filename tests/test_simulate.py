@@ -209,3 +209,32 @@ def test_fault_injection_changes_only_claimed_nets(bits, count):
     # c1 feeds stage1.. onward; inputs and g0/p0 unaffected
     for net in network.inputs:
         assert good[net] == bad[net]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0, 62, 63, 64, 65, 128]), st.integers(0, 300)),
+            st.integers(0, (1 << 80) - 1),
+        ),
+        min_size=1, max_size=8,
+    ),
+    st.integers(0, 1 << 20),
+)
+def test_block_detections_first_index_equals_lowest_set_bit(words, start):
+    """Property: the first detecting index taken from the lowest 64
+    bits when they are nonzero equals the old ``(w & -w)`` on the whole
+    word - first set bits below, at and above bit 64."""
+    from repro.simulate.faultsim import block_detections
+
+    # Bit ``shift`` is the first set bit; bits above it are arbitrary.
+    words = [((high << 1) | 1) << shift for shift, high in words]
+
+    def passes(chunk, active):
+        return enumerate(words)
+
+    positions, firsts, counts = block_detections(passes, start, None, [])
+    assert positions == list(range(len(words)))
+    assert firsts == [start + (word & -word).bit_length() - 1 for word in words]
+    assert counts == [word.bit_count() for word in words]
