@@ -397,10 +397,6 @@ BlockKernel = Callable[
 ]
 
 
-_LOW_WORD = (1 << 64) - 1
-"""The lowest 64 pattern bits of a detection word."""
-
-
 def block_detections(
     passes: FaultPass, start: int, chunk: PatternSet, active: List[int]
 ) -> Tuple[List[int], List[int], List[int]]:
@@ -412,7 +408,7 @@ def block_detections(
         positions.append(position)
         # Most first detections fall in the lowest 64 patterns, where
         # the lowest set bit costs small-int operations, not big-int ones.
-        low = word & _LOW_WORD
+        low = word & ((1 << 64) - 1)
         first = (low & -low if low else word & -word).bit_length() - 1
         firsts.append(start + first)
         counts.append(word.bit_count())
